@@ -680,12 +680,11 @@ def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
     """
     if not spectrum.oriented:
         return spectrum.primitives()
-    out = []
-    for rec in spectrum.primitives():
-        inv = canonical_class(invert_word(rec.word), spectrum.group.group)
-        if word_sort_key(rec.cls.canonical) <= word_sort_key(inv.canonical):
-            out.append(rec)
-    return out
+    return [
+        rec
+        for rec in spectrum.primitives()
+        if word_sort_key(rec.cls.canonical) <= word_sort_key(rec.cls.inverse_canonical)
+    ]
 
 
 def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
@@ -874,14 +873,16 @@ def load_spectrum(path: str) -> LengthSpectrum:
                 homology=row["homology"],
             )
         )
+    l_max = float(meta["l_max"])
+    certified_l_max = float(meta["certified_l_max"])
     certificate = {
         "method": "csv",
-        "certified_l_max": float(meta["certified_l_max"]),
-        "complete": True,
+        "certified_l_max": certified_l_max,
+        "complete": certified_l_max >= l_max,
     }
     return LengthSpectrum(
         group=group,
-        l_max=float(meta["l_max"]),
+        l_max=l_max,
         oriented=meta["oriented"] == "True",
         records=tuple(records),
         certificate=certificate,

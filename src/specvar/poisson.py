@@ -54,6 +54,19 @@ def _poisson_cdf(d: int) -> np.ndarray:
     return _cdf_cache[d]
 
 
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of CDF entries <= u, per uniform draw u.
+
+    Counts thresholds directly instead of a binary search: only the few
+    entries up to max(u) can be hit, and each costs one vector compare.
+    A uint8 count cannot overflow: the table has _POISSON_CDF_TERMS entries.
+    """
+    z = np.zeros(len(u), dtype=np.uint8)
+    for c in cdf[cdf <= u.max(initial=0.0)]:
+        z += u >= c
+    return z.astype(np.int64)
+
+
 def _poisson_draws(seed: int, class_id: int, d: int, draws: int) -> np.ndarray:
     """Z_{gamma,d} for consecutive draw indices, by CDF inversion.
 
@@ -61,8 +74,7 @@ def _poisson_draws(seed: int, class_id: int, d: int, draws: int) -> np.ndarray:
     position in the stream, so prefixes are stable and any partition of
     the (classId, d) grid reproduces bit-identically.
     """
-    u = stream(seed, class_id, d).random(draws)
-    return np.searchsorted(_poisson_cdf(d), u, side="right").astype(np.int64)
+    return _invert_cdf(_poisson_cdf(d), stream(seed, class_id, d).random(draws))
 
 
 def sample_cycle_counts(seed: int, class_id: int, dmax: int, draws: int) -> np.ndarray:

@@ -144,15 +144,24 @@ def _letter_key(letter: int) -> int:
 
 
 def word_sort_key(word: Word) -> tuple:
-    return (len(word), tuple(_letter_key(l) for l in word))
+    return (len(word), tuple([_letter_key(l) for l in word]))
 
 
 def min_rotation(word: Word) -> Word:
-    """Lexicographically minimal rotation under the fixed letter order."""
-    if not word:
+    """Lexicographically minimal rotation under the fixed letter order.
+
+    >>> min_rotation((-1, 2, 1))
+    (1, -1, 2)
+    >>> min_rotation((2, 1, 2, 1))
+    (1, 2, 1, 2)
+    """
+    n = len(word)
+    if n < 2:
         return word
-    rots = (word[i:] + word[:i] for i in range(len(word)))
-    return min(rots, key=lambda w: tuple(_letter_key(l) for l in w))
+    # letter keys once; each rotation is a slice of the doubled key list
+    keys = [_letter_key(l) for l in word] * 2
+    start = min(range(n), key=lambda i: keys[i : i + n])
+    return word[start:] + word[:start]
 
 
 def rotation_period(word: Word) -> int:
@@ -244,8 +253,9 @@ def _half_swap_closure(word: Word, preset: GroupPreset) -> set[Word]:
     """
     table = _half_replacements(preset)
     half = len(preset.relator) // 2
-    seen = {min_rotation(word)}
-    frontier = [min_rotation(word)]
+    first = min_rotation(word)
+    seen = {first}
+    frontier = [first]
     while frontier:
         w = frontier.pop()
         if len(w) < half:

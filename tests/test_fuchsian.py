@@ -21,6 +21,7 @@ from specvar.words import (
     invert_word,
     surface_group,
     word_power,
+    word_sort_key,
 )
 
 
@@ -224,6 +225,28 @@ def test_oriented_spectrum_closed_under_inversion(octagon_spectrum6):
         assert r.cls.inverse_canonical in words
 
 
+def unoriented_primitives_oracle(spectrum):
+    """Recomputes each inverse class instead of reading the stored one."""
+    out = []
+    for rec in spectrum.primitives():
+        inv = canonical_class(invert_word(rec.word), spectrum.group.group)
+        if word_sort_key(rec.cls.canonical) <= word_sort_key(inv.canonical):
+            out.append(rec)
+    return out
+
+
+def test_unoriented_primitives_matches_oracle(tmp_path, pants_spectrum6, octagon_spectrum6):
+    path = str(tmp_path / "octagon6.csv")
+    F.spectrum_to_csv(octagon_spectrum6, path)
+    for sp in (pants_spectrum6, octagon_spectrum6, F.load_spectrum(path)):
+        got = F.unoriented_primitives(sp)
+        assert got == unoriented_primitives_oracle(sp)
+        # both orientations are present, and exactly one of each pair is kept
+        chiral = [r for r in sp.primitives() if not r.cls.is_inverse_self]
+        assert chiral
+        assert 2 * len(got) == 2 * len(sp.primitives()) - len(chiral)
+
+
 def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):
     # independent oracle with no shell machinery: every class whose canonical
     # spelling fits in 5 letters must come out of plain word enumeration too
@@ -398,6 +421,19 @@ def test_csv_round_trip(tmp_path, pants_spectrum6):
         assert row["k"] == rec.power
         assert row["log_detIminusP"] == rec.log_det
         assert row["homology"] == rec.homology
+
+
+def test_csv_round_trip_keeps_capped_certificate(tmp_path, torus, pants_spectrum6):
+    capped = F.build_spectrum(torus, 7.0, allow_incomplete=True, max_word_length=10)
+    assert not capped.certificate["complete"]
+    assert capped.certified_l_max < capped.l_max
+    for sp, name in [(capped, "torus.csv"), (pants_spectrum6, "pants.csv")]:
+        path = str(tmp_path / name)
+        F.spectrum_to_csv(sp, path)
+        loaded = F.load_spectrum(path)
+        assert loaded.certificate["complete"] == sp.certificate["complete"]
+        assert loaded.certified_l_max == sp.certified_l_max
+        assert loaded.l_max == sp.l_max
 
 
 def test_word_text_round_trip():

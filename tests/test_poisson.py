@@ -13,6 +13,7 @@ from specvar.poisson import (
     CumulantReport,
     PoissonSurrogate,
     VarianceTooSmall,
+    _invert_cdf,
     _poisson_cdf,
     clt_test,
     ergodicity_experiment,
@@ -43,6 +44,22 @@ def test_poisson_cdf_matches_scipy():
         cdf = _poisson_cdf(d)
         want = poisson_dist.cdf(np.arange(len(cdf)), 1.0 / d)
         assert np.allclose(cdf, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_invert_cdf_matches_searchsorted(d):
+    cdf = _poisson_cdf(d)
+    # 1e5 uniform draws, then every CDF value exactly (ties), its
+    # neighbours, and both ends of [0, 1)
+    ties = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    for u in (
+        np.random.default_rng(d).random(100_000),
+        np.concatenate([ties[ties < 1.0], [0.0, np.nextafter(1.0, 0.0)]]),
+        np.empty(0),
+    ):
+        z = _invert_cdf(cdf, u)
+        assert z.dtype == np.int64
+        assert np.array_equal(z, np.searchsorted(cdf, u, side="right"))
 
 
 def test_cycle_count_draws_match_poisson_moments():
@@ -110,6 +127,8 @@ def test_sample_prefix_stable(pants_sur):
     long = pants_sur.sample(50)
     short = pants_sur.sample(7)
     assert np.array_equal(short, long[:7])
+    # a longer run reaches CDF thresholds its prefix never hits
+    assert np.array_equal(pants_sur.sample(20_000)[:50], long)
     assert sample_Ninfty(pants_sur) == long[0]
     with pytest.raises(ValueError):
         pants_sur.sample(0)

@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specvar.words import (
     ConjugacyClass,
     TrivialElementError,
+    _letter_key,
     abelianize,
     canonical_class,
     concat,
@@ -33,6 +34,42 @@ G2 = surface_group(2)
 def letters_strategy(rank=2, max_len=10):
     alphabet = [i for g in range(1, rank + 1) for i in (g, -g)]
     return st.lists(st.sampled_from(alphabet), max_size=max_len).map(tuple)
+
+
+# ---------------------------------------------------------------------------
+# rotation and sort keys against the brute-force definitions
+
+
+def min_rotation_oracle(word):
+    """Every rotation spelled out, keyed by its letter-key tuple."""
+    if not word:
+        return word
+    rots = (word[i:] + word[:i] for i in range(len(word)))
+    return min(rots, key=lambda w: tuple(_letter_key(l) for l in w))
+
+
+def word_sort_key_oracle(word):
+    return (len(word), tuple(_letter_key(l) for l in word))
+
+
+# a periodic word has as many minimal rotations as repeats of its period
+periodic_words = st.tuples(
+    letters_strategy(rank=4, max_len=4), st.integers(min_value=2, max_value=4)
+).map(lambda t: t[0] * t[1])
+
+
+@given(st.one_of(letters_strategy(rank=4, max_len=16), periodic_words))
+@example(())
+@example((3,))
+@example((1, 2, 1, 2))
+@example((2, 1, 2, 1))
+@example((-1, 1, -1, 1, -1, 1))
+@example((1, 1, 1))
+def test_min_rotation_matches_oracle(w):
+    got = min_rotation(w)
+    assert got == min_rotation_oracle(w)
+    assert type(got) is tuple
+    assert word_sort_key(w) == word_sort_key_oracle(w)
 
 
 # ---------------------------------------------------------------------------
