@@ -11,15 +11,13 @@ by the Haar average of (Tr g + conj Tr g)^2 over the closure group, which
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .rng import stream
-from .words import GroupPreset, Word, abelianize
+from .words import GroupPreset, Word
 
 HAAR_KINDS = ("U1", "SU2", "UN")
 
@@ -46,31 +44,23 @@ class FluxCharacter:
         return len(self.flux)
 
 
-def trivial_character(rank: int) -> FluxCharacter:
-    return FluxCharacter(flux=(0.0,) * rank)
+def phases_on_lattice(char: FluxCharacter | None, period: float, tol: float = 1e-12) -> bool:
+    """True iff every generator phase scale*flux_j lies in period*Z within tol.
 
-
-def _homology_of(cls) -> Sequence[int]:
-    if hasattr(cls, "homology"):
-        return cls.homology
-    return cls
-
-
-def eval_flux(char: FluxCharacter, cls) -> complex:
-    """Value of the character on a class, a modulus-1 complex number.
-
-    ``cls`` is a homology vector or anything carrying a ``homology``
-    attribute (geodesic records do).
+    At period 2*pi this says the character is trivial; at period pi, that
+    its square is.  The trivial character (None) passes at every period;
+    characters other than flux characters raise TypeError.
     """
-    hom = _homology_of(cls)
-    if len(hom) != char.rank:
-        raise ValueError(f"homology length {len(hom)} != rank {char.rank}")
-    pairing = sum(f * h for f, h in zip(char.flux, hom))
-    return cmath.exp(-1j * char.scale * pairing)
-
-
-def eval_flux_word(char: FluxCharacter, word: Word, preset: GroupPreset) -> complex:
-    return eval_flux(char, abelianize(word, preset))
+    if char is None:
+        return True
+    if not isinstance(char, FluxCharacter):
+        raise TypeError(f"unsupported character {type(char).__name__}")
+    for f in char.flux:
+        phase = char.scale * f
+        nearest = round(phase / period)
+        if abs(phase - nearest * period) > tol:
+            return False
+    return True
 
 
 def breaks_time_reversal(char: FluxCharacter | None, tol: float = 1e-12) -> bool:
@@ -79,14 +69,7 @@ def breaks_time_reversal(char: FluxCharacter | None, tol: float = 1e-12) -> bool
     Equivalent to some generator phase scale*flux_j lying outside pi*Z.
     The trivial character (None) never breaks time reversal.
     """
-    if char is None:
-        return False
-    for f in char.flux:
-        phase = char.scale * f
-        nearest = round(phase / math.pi)
-        if abs(phase - nearest * math.pi) > tol:
-            return True
-    return False
+    return not phases_on_lattice(char, math.pi, tol)
 
 
 @dataclass(frozen=True)
@@ -130,12 +113,6 @@ class MatrixRep:
             m = self.images[abs(letter) - 1]
             out = out @ (m if letter > 0 else m.conj().T)
         return out
-
-
-def char_trace(rep: MatrixRep, cls) -> complex:
-    """Trace of the holonomy image; conjugation invariant."""
-    word = cls.word if hasattr(cls, "word") else cls
-    return complex(np.trace(rep.image_of(tuple(word))))
 
 
 # ---------------------------------------------------------------------------

@@ -126,16 +126,19 @@ def _parse_character(args):
             raise ConfigError(f"bad --character JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError("--character JSON must be an object")
-        if "flux" in doc:
-            return FluxCharacter(
-                flux=tuple(doc["flux"]), scale=float(doc.get("scale", 1.0))
-            )
-        if "images" in doc:
-            mats = [
-                [[complex(entry[0], entry[1]) for entry in row] for row in mat]
-                for mat in doc["images"]
-            ]
-            return MatrixRep(images=tuple(mats))
+        try:
+            if "flux" in doc:
+                return FluxCharacter(
+                    flux=tuple(doc["flux"]), scale=float(doc.get("scale", 1.0))
+                )
+            if "images" in doc:
+                mats = [
+                    [[complex(entry[0], entry[1]) for entry in row] for row in mat]
+                    for mat in doc["images"]
+                ]
+                return MatrixRep(images=tuple(mats))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad --character JSON: {exc}")
         raise ConfigError("--character JSON needs a 'flux' or 'images' key")
     flux = getattr(args, "flux", None)
     if flux is not None and any(flux):

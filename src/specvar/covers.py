@@ -16,8 +16,7 @@ asymptotics being tested hold in both models.  Reports carry a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import permutations, product
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +24,9 @@ import numpy as np
 from .fuchsian import LengthSpectrum, unoriented_primitives
 from .rng import stream
 from .variance import (
-    SpectrumTooShort,
-    coeff_A,
+    _require_certified,
+    character_id,
+    coefficient_table,
     divisor_count,
     gcd_weight,
     sigma2_limit,
@@ -37,49 +37,6 @@ from .words import Word
 
 class NotFreePreset(ValueError):
     """Cover sampling requires a free (Schottky) preset."""
-
-
-@dataclass(frozen=True)
-class PermutationRep:
-    """One uniform permutation per generator, with seed provenance."""
-
-    n: int
-    images: tuple[np.ndarray, ...]
-    seed: int
-    sample_index: int = 0
-
-    def __post_init__(self) -> None:
-        for p in self.images:
-            if sorted(p.tolist()) != list(range(self.n)):
-                raise ValueError("image is not a permutation of 0..n-1")
-
-
-def sample_rep(rank: int, n: int, seed: int, sample_index: int = 0) -> PermutationRep:
-    """Uniform rep; generator g draws from the stream (seed, sample, g)."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    images = tuple(
-        stream(seed, sample_index, g).permutation(n) for g in range(rank)
-    )
-    return PermutationRep(n=n, images=images, seed=seed, sample_index=sample_index)
-
-
-def eval_perm(rep: PermutationRep, word: Word) -> np.ndarray:
-    """Image of a word, composed left to right; inverses are argsorts."""
-    out = np.arange(rep.n)
-    for letter in word:
-        if letter == 0 or abs(letter) > len(rep.images):
-            raise ValueError(f"letter {letter} out of range")
-        p = rep.images[abs(letter) - 1]
-        out = out[p] if letter > 0 else out[np.argsort(p)]
-    return out
-
-
-def fixed_points(rep: PermutationRep, word: Word) -> int:
-    perm = eval_perm(rep, word)
-    return int(np.count_nonzero(perm == np.arange(rep.n)))
 
 
 def _cycle_scan(perm, dmax: int) -> np.ndarray:
@@ -100,25 +57,6 @@ def _cycle_scan(perm, dmax: int) -> np.ndarray:
     return counts
 
 
-def cycle_counts(rep: PermutationRep, word: Word, dmax: int) -> np.ndarray:
-    """Number of d-cycles of the word image for d = 1..dmax."""
-    if dmax < 1:
-        raise ValueError("dmax must be >= 1")
-    return _cycle_scan(eval_perm(rep, word), dmax)
-
-
-def fixed_points_of_powers(rep: PermutationRep, word: Word, kmax: int) -> np.ndarray:
-    """F_n(gamma^k) for k = 1..kmax: points on cycles whose length divides k."""
-    c = cycle_counts(rep, word, kmax)
-    return np.array(
-        [
-            sum(d * c[d - 1] for d in range(1, k + 1) if k % d == 0)
-            for k in range(1, kmax + 1)
-        ],
-        dtype=np.int64,
-    )
-
-
 # ---------------------------------------------------------------------------
 # batch machinery: vectorized over samples, per-sample streams kept intact
 
@@ -127,7 +65,7 @@ def _batch_images(rank: int, n: int, samples: int, seed: int) -> list[np.ndarray
     """Stacked generator images, one (samples, n) array per generator.
 
     Each row still comes from its own (seed, sampleIndex, generatorIndex)
-    stream, so results are bit-identical to sample_rep row by row and
+    stream, so results are bit-identical to a per-sample draw and
     independent of any batching or parallel split.
     """
     out = [np.empty((samples, n), dtype=np.int64) for _ in range(rank)]
@@ -308,31 +246,6 @@ def moment_experiment(
     )
 
 
-def exact_cover_moment(word: Word, n: int, kmax: int = 4) -> np.ndarray:
-    """E[F_n(gamma^k)], k = 1..kmax, by enumerating all homomorphisms.
-
-    Only the generators appearing in the word need enumeration; absent
-    generators integrate out exactly.  Feasible for n <= 4.
-    """
-    if n > 4:
-        raise ValueError("exhaustive enumeration is for n <= 4")
-    used = sorted({abs(l) for l in word})
-    perms = [np.array(p) for p in permutations(range(n))]
-    total = np.zeros(kmax)
-    count = 0
-    for combo in product(perms, repeat=len(used)):
-        images = dict(zip(used, combo))
-        out = np.arange(n)
-        for letter in word:
-            p = images[abs(letter)]
-            out = out[p] if letter > 0 else out[np.argsort(p)]
-        c = _cycle_scan(out, kmax)
-        for k in range(1, kmax + 1):
-            total[k - 1] += sum(d * c[d - 1] for d in range(1, k + 1) if k % d == 0)
-        count += 1
-    return total / count
-
-
 # ---------------------------------------------------------------------------
 # empirical ensemble variance
 
@@ -399,24 +312,19 @@ def empirical_cover_variance(
     the O(1/n) mean bias; ``centering="dk"`` subtracts the asymptotic
     mean d(k) instead.
     """
-    from .variance import character_id
-
     rank = _require_free(spectrum)
-    if spectrum.certified_l_max < L:
-        raise SpectrumTooShort(
-            f"spectrum certified to {spectrum.certified_l_max:.6g} < L={L:.6g}"
-        )
+    _require_certified(spectrum, L)
     if centering not in ("batch", "dk"):
         raise ValueError(f"unknown centering {centering!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
-    recs = [r for r in unoriented_primitives(spectrum) if r.primitive_length <= L]
+    sub = replace(spectrum, records=tuple(unoriented_primitives(spectrum)))
+    table = coefficient_table(sub, char, window, lam, L)
+    by_id = {r.class_id: r for r in sub.records}
+    recs = [by_id[int(c)] for c in table.class_ids]
     kmaxes = [max(1, int(L / r.primitive_length)) for r in recs]
-    coeffs = [
-        np.array([coeff_A(r, k, char, window, lam, L) for k in range(1, km + 1)])
-        for r, km in zip(recs, kmaxes)
-    ]
+    coeffs = [table.coeffs[:km, i] for i, km in enumerate(kmaxes)]
 
     images = _batch_images(rank, n, samples, seed)
     vals = np.zeros(samples)

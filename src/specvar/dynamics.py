@@ -20,16 +20,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .fuchsian import GeodesicRecord, LengthSpectrum
+from .characters import FluxCharacter, phases_on_lattice
+from .fuchsian import LengthSpectrum
 from .rng import stream
 from .variance import (
     SigmaEvaluator,
-    SpectrumTooShort,
-    _pair_value,
+    _pair_values_bulk,
+    _require_certified,
     character_id,
     energy_average,
 )
-from .characters import FluxCharacter
 from .windows import Window, sigma2_goe, sigma2_gue
 
 
@@ -72,16 +72,13 @@ def _flux_array(flux_vector, rank: int) -> np.ndarray:
     return flux
 
 
-def _is_trivial_character(char) -> bool:
-    if char is None:
-        return True
-    if isinstance(char, FluxCharacter):
-        return all(
-            abs(char.scale * f - 2.0 * math.pi * round(char.scale * f / (2.0 * math.pi)))
-            <= 1e-12
-            for f in char.flux
-        )
-    raise TypeError("sum rules support the trivial or flux characters only")
+def _orbit_weights(spectrum: LengthSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and equidistribution weights l_sharp / |I - P| of all records."""
+    recs = spectrum.records
+    length = np.array([r.length for r in recs])
+    ell = np.array([r.primitive_length for r in recs])
+    log_det = np.array([r.log_det for r in recs])
+    return length, ell * np.exp(-log_det)
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +125,12 @@ def sum_rule_check(
     term.  All classes enter, powers included (their |I - P| weight makes
     them negligible but they belong to the sum).
     """
-    if spectrum.certified_l_max < L:
-        raise SpectrumTooShort(
-            f"spectrum certified to {spectrum.certified_l_max:.6g} < L={L:.6g}"
-        )
+    _require_certified(spectrum, L)
     _warn_if_not_cocompact(spectrum)
-    d_trivial = 1.0 if _is_trivial_character(char) else 0.0
-    total = 0.0
-    for rec in spectrum.records:
-        psi = float(phi.psi_hat(rec.length / L))
-        if psi == 0.0:
-            continue
-        re_chi = 0.5 * _pair_value(char, rec, 1)
-        total += re_chi * rec.primitive_length * psi * math.exp(-rec.log_det)
+    d_trivial = 1.0 if phases_on_lattice(char, 2.0 * math.pi) else 0.0
+    length, weight = _orbit_weights(spectrum)
+    re_chi = 0.5 * _pair_values_bulk(char, spectrum.records, 1)[0]
+    total = float(np.sum(re_chi * weight * phi.psi_hat(length / L)))
     half_mass, err = quad(phi.psi_hat, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     if err > 1e-11:
         raise RuntimeError(f"quadrature error {err} above tolerance")
@@ -182,20 +172,12 @@ def cluster_sum(spectrum: LengthSpectrum, omega: Window, T: float) -> ClusterRep
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if spectrum.certified_l_max < T + 1.0:
-        raise SpectrumTooShort(
-            f"spectrum certified to {spectrum.certified_l_max:.6g} < T+1="
-            f"{T + 1.0:.6g}"
-        )
-    value = 0.0
-    unit = 0.0
-    for rec in spectrum.records:
-        x = rec.length - T
-        if abs(x) >= 1.0:
-            continue
-        w = rec.primitive_length * math.exp(-rec.log_det)
-        value += w * float(omega.psi_hat(x))
-        unit += w
+    _require_certified(spectrum, T + 1.0, "T+1")
+    length, weight = _orbit_weights(spectrum)
+    x = length - T
+    near = np.abs(x) < 1.0
+    value = float(np.sum(weight[near] * omega.psi_hat(x[near])))
+    unit = float(np.sum(weight[near]))
     return ClusterReport(
         value=value,
         mass=window_mass(omega),
@@ -238,28 +220,18 @@ class OrbitEnsemble:
     ) -> None:
         if omega is None:
             omega = unit_mass_bump()
-        if spectrum.certified_l_max < T + 1.0:
-            raise SpectrumTooShort(
-                f"spectrum certified to {spectrum.certified_l_max:.6g} < T+1="
-                f"{T + 1.0:.6g}"
-            )
-        records: list[GeodesicRecord] = []
-        weights: list[float] = []
-        for rec in spectrum.records:
-            x = rec.length - T
-            if abs(x) >= 1.0:
-                continue
-            w = rec.primitive_length * float(omega.psi_hat(x)) * math.exp(-rec.log_det)
-            if w > 0.0:
-                records.append(rec)
-                weights.append(w)
-        if not records:
+        _require_certified(spectrum, T + 1.0, "T+1")
+        length, weight = _orbit_weights(spectrum)
+        near = np.flatnonzero(np.abs(length - T) < 1.0)
+        w = weight[near] * omega.psi_hat(length[near] - T)
+        keep = w > 0.0
+        if not keep.any():
             raise EmptyEnsemble(f"no class within distance 1 of T={T:.6g}")
-        probs = np.array(weights)
+        probs = w[keep]
         probs /= probs.sum()
         self.T = float(T)
         self.omega = omega
-        self.records = tuple(records)
+        self.records = tuple(spectrum.records[i] for i in near[keep])
         self.probs = probs
         self._prob, self._alias = _alias_table(probs)
 
@@ -362,17 +334,13 @@ def variance_estimator(
         raise ValueError("eps must lie in (0, 1]")
     if T <= 0:
         raise ValueError("T must be positive")
-    if spectrum.certified_l_max < T + eps:
-        raise SpectrumTooShort(
-            f"spectrum certified to {spectrum.certified_l_max:.6g} < T+eps="
-            f"{T + eps:.6g}"
-        )
+    _require_certified(spectrum, T + eps, "T+eps")
     flux = _flux_array(flux_vector, spectrum.group.rank)
-    total = 0.0
-    for rec in spectrum.records:
-        if T <= rec.length <= T + eps:
-            pairing = float(np.dot(flux, rec.homology))
-            total += rec.primitive_length * math.exp(-rec.log_det) * pairing**2
+    length, weight = _orbit_weights(spectrum)
+    sel = np.flatnonzero((T <= length) & (length <= T + eps))
+    hom = np.array([spectrum.records[i].homology for i in sel], dtype=float)
+    pairing = hom.reshape(len(sel), len(flux)) @ flux
+    total = float(np.sum(weight[sel] * pairing**2))
     return total / (eps * T)
 
 
@@ -494,10 +462,7 @@ def empirical_transition(
     ``variance`` defaults to variance_estimator at the deepest certified
     window (T = certified - 1, eps = 1).
     """
-    if spectrum.certified_l_max < L:
-        raise SpectrumTooShort(
-            f"spectrum certified to {spectrum.certified_l_max:.6g} < L={L:.6g}"
-        )
+    _require_certified(spectrum, L)
     s = np.asarray(s_grid, dtype=float)
     flux = _flux_array(flux_vector, spectrum.group.rank)
     if variance is None:

@@ -18,13 +18,14 @@ cyclically reduced enumeration with an empirical minimum-length margin.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
+from .report import _atomic_write
 from .words import (
     ConjugacyClass,
     GroupPreset,
@@ -110,13 +111,6 @@ def length_of(trace: float) -> float:
     if t <= 2.0:
         raise NonHyperbolicElement(f"|trace| = {t} <= 2 is not hyperbolic")
     return 2.0 * math.acosh(t / 2.0)
-
-
-def poincare_det(ell: float) -> float:
-    """|det(I - P)| = 4*sinh^2(ell/2) for the return map P = diag(e^l, e^-l)."""
-    if ell <= 0:
-        raise InvalidParameters(f"geodesic length must be positive, got {ell}")
-    return 4.0 * math.sinh(ell / 2.0) ** 2
 
 
 def log_poincare_det(ell: float) -> float:
@@ -710,51 +704,6 @@ def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# spectrum checks and tail sums
-
-
-def anosov_power_check(spectrum: LengthSpectrum) -> dict:
-    """Verify |det(I-P_{g^k})| >= e^{(k-1) ell0} |det(I-P_g)| on all records.
-
-    In curvature -1 the contraction bound holds with C = 1, theta = 1:
-    sinh(k x) >= e^{(k-1) x} sinh(x).
-    """
-    checked = 0
-    min_margin = math.inf
-    for rec in spectrum.records:
-        lhs = rec.log_det
-        rhs = (rec.power - 1) * rec.primitive_length + log_poincare_det(
-            rec.primitive_length
-        )
-        min_margin = min(min_margin, lhs - rhs)
-        checked += 1
-    return {
-        "checked": checked,
-        "min_log_margin": min_margin,
-        "all_pass": min_margin >= -1e-12,
-    }
-
-
-def exponential_tail(spectrum: LengthSpectrum, degree: int, s: float) -> float:
-    """Sum of ell^degree * e^{-s*ell} / |det(I-P)| over the spectrum.
-
-    Accumulated from log-space with compensated summation; the terms decay
-    like e^{-(1+s) ell} so the value is finite and decreasing in s.
-    """
-    total = 0.0
-    comp = 0.0
-    for rec in spectrum.records:
-        term = math.exp(
-            degree * math.log(rec.length) - s * rec.length - rec.log_det
-        )
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-# ---------------------------------------------------------------------------
 # CSV round trip
 
 
@@ -784,36 +733,39 @@ def word_from_text(text: str) -> Word:
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
-    """Write records with full decimal precision (repr round trip)."""
+    """Write records with full decimal precision (repr round trip).
+
+    The two comment lines end in \\n and the csv rows in \\r\\n; the
+    file lands atomically through the report writer.
+    """
     rank = spectrum.group.rank
     header = (
         ["classId", "word", "ell", "ell_sharp", "k", "log_detIminusP"]
         + [f"h{i}" for i in range(rank)]
     )
-    tmp = f"{path}.tmp"
     params = ",".join(repr(p) for p in spectrum.group.params)
-    with open(tmp, "w", newline="") as fh:
-        fh.write(f"# preset={spectrum.group.name} params={params}\n")
-        fh.write(
-            f"# format_version={SPECTRUM_FORMAT_VERSION} "
-            f"l_max={spectrum.l_max!r} oriented={spectrum.oriented} "
-            f"certified_l_max={spectrum.certified_l_max!r}\n"
+    buf = io.StringIO()
+    buf.write(f"# preset={spectrum.group.name} params={params}\n")
+    buf.write(
+        f"# format_version={SPECTRUM_FORMAT_VERSION} "
+        f"l_max={spectrum.l_max!r} oriented={spectrum.oriented} "
+        f"certified_l_max={spectrum.certified_l_max!r}\n"
+    )
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for rec in spectrum.records:
+        writer.writerow(
+            [
+                rec.class_id,
+                word_to_text(rec.word),
+                repr(rec.length),
+                repr(rec.primitive_length),
+                rec.power,
+                repr(rec.log_det),
+            ]
+            + [str(h) for h in rec.homology]
         )
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in spectrum.records:
-            writer.writerow(
-                [
-                    rec.class_id,
-                    word_to_text(rec.word),
-                    repr(rec.length),
-                    repr(rec.primitive_length),
-                    rec.power,
-                    repr(rec.log_det),
-                ]
-                + [str(h) for h in rec.homology]
-            )
-    os.replace(tmp, path)
+    _atomic_write(path, buf.getvalue())
 
 
 def spectrum_from_csv(path: str) -> tuple[list[dict], dict]:

@@ -26,7 +26,7 @@ from .characters import breaks_time_reversal
 from .fuchsian import LengthSpectrum, unoriented_primitives
 from .rng import stream
 from .variance import (
-    SpectrumTooShort,
+    _require_certified,
     _resolved_grid,
     character_id,
     coefficient_table,
@@ -77,14 +77,6 @@ def _poisson_draws(seed: int, class_id: int, d: int, draws: int) -> np.ndarray:
     return _invert_cdf(_poisson_cdf(d), stream(seed, class_id, d).random(draws))
 
 
-def sample_cycle_counts(seed: int, class_id: int, dmax: int, draws: int) -> np.ndarray:
-    """(draws, dmax) matrix of Z_{gamma,d} draws, d = 1..dmax."""
-    out = np.empty((draws, dmax), dtype=np.int64)
-    for d in range(1, dmax + 1):
-        out[:, d - 1] = _poisson_draws(seed, class_id, d, draws)
-    return out
-
-
 class PoissonSurrogate:
     """Sampler for N_tilde at fixed (spectrum, character, window, lambda, L).
 
@@ -102,10 +94,7 @@ class PoissonSurrogate:
         L: float,
         seed: int,
     ) -> None:
-        if spectrum.certified_l_max < L:
-            raise SpectrumTooShort(
-                f"spectrum certified to {spectrum.certified_l_max:.6g} < L={L:.6g}"
-            )
+        _require_certified(spectrum, L)
         self.spectrum = spectrum
         self.char = char
         self.window = window
@@ -152,11 +141,6 @@ class PoissonSurrogate:
         for j, (cid, d) in enumerate(zip(self.pair_class_ids, self.pair_d)):
             out[:, j] = _poisson_draws(self.seed, int(cid), int(d), draws) - 1.0 / d
         return out
-
-
-def sample_Ninfty(surrogate: PoissonSurrogate) -> float:
-    """A single draw (index 0) of the limiting fluctuation."""
-    return float(surrogate.sample(1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,9 @@ import numpy as np
 
 from scipy.integrate import simpson
 
-from .characters import FluxCharacter, MatrixRep, char_trace
-from .fuchsian import GeodesicRecord, LengthSpectrum, log_poincare_det
+from .characters import FluxCharacter, MatrixRep
+from .fuchsian import GeodesicRecord, LengthSpectrum
 from .windows import Window
-from .words import word_power
 
 
 class SpectrumTooShort(ValueError):
@@ -47,6 +46,13 @@ class UnderResolved(ValueError):
 
 class DirichletNotFound(LookupError):
     """No frequency met the constraints below the search ceiling."""
+
+
+def _require_certified(spectrum: LengthSpectrum, needed: float, what: str = "L") -> None:
+    if spectrum.certified_l_max < needed:
+        raise SpectrumTooShort(
+            f"spectrum certified to {spectrum.certified_l_max:.6g} < {what}={needed:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +102,6 @@ def character_id(char) -> str:
     raise TypeError(f"unsupported character {type(char).__name__}")
 
 
-def _pair_value(char, record: GeodesicRecord, k: int) -> float:
-    """(chi + conj chi) evaluated on the k-th power of the record's root."""
-    if char is None:
-        return 2.0
-    if isinstance(char, FluxCharacter):
-        theta = char.scale * sum(f * h for f, h in zip(char.flux, record.homology))
-        return 2.0 * math.cos(k * theta)
-    if isinstance(char, MatrixRep):
-        return 2.0 * char_trace(char, word_power(record.word, k)).real
-    raise TypeError(f"unsupported character {type(char).__name__}")
-
-
 def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
     """(kmax, n) array of (chi+conj)(g^k) for k = 1..kmax."""
     n = len(records)
@@ -115,7 +109,9 @@ def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
     if char is None:
         return np.full((kmax, n), 2.0)
     if isinstance(char, FluxCharacter):
-        hom = np.array([r.homology for r in records], dtype=float)
+        if n and len(records[0].homology) != char.rank:
+            raise ValueError(f"flux has {char.rank} entries for rank {len(records[0].homology)}")
+        hom = np.array([r.homology for r in records], dtype=float).reshape(n, char.rank)
         theta = char.scale * (hom @ np.asarray(char.flux))
         return 2.0 * np.cos(ks * theta[None, :])
     if isinstance(char, MatrixRep):
@@ -132,6 +128,24 @@ def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
 # trace-formula coefficients
 
 
+def _coefficient_factors(
+    prims: Sequence[GeodesicRecord], char, window: Window, L: float, kmax: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lambda-free factors of A(gamma,k) = weight * cos(lambda * freq).
+
+    Returns (weights, freqs), each (kmax, len(prims)) with row k-1 for the
+    k-th power; the determinant is evaluated in log space so long geodesics
+    cannot overflow, and psi_hat zeroes every k*l > L exactly.
+    """
+    ells = np.array([r.primitive_length for r in prims])
+    ks = np.arange(1, kmax + 1)[:, None]
+    kl = ks * ells[None, :]
+    psi = window.psi_hat(kl / L)
+    log_det = kl + 2.0 * np.log1p(-np.exp(-kl))
+    chi2 = _pair_values_bulk(char, prims, kmax)
+    return chi2 * psi * ells[None, :] * np.exp(-0.5 * log_det), kl
+
+
 def coeff_A(
     record: GeodesicRecord,
     k: int,
@@ -142,8 +156,7 @@ def coeff_A(
 ) -> float:
     """A(gamma,k): one term of the variance double sum.
 
-    Zero whenever k*l > L by the psi_hat support; the determinant is
-    evaluated in log space so long geodesics cannot overflow.
+    The one-record slice of the coefficient table; zero whenever k*l > L.
     """
     if record.power != 1:
         raise ValueError("record must be primitive (power 1)")
@@ -151,20 +164,8 @@ def coeff_A(
         raise ValueError("k must be >= 1")
     if lam <= 0 or L <= 0:
         raise ValueError("lambda and L must be positive")
-    ell = record.primitive_length
-    psi = window.psi_hat(k * ell / L)
-    if psi == 0.0:
-        return 0.0
-    det_half = math.exp(0.5 * log_poincare_det(k * ell))
-    return _pair_value(char, record, k) * math.cos(lam * k * ell) * psi * ell / det_half
-
-
-def coeff_bound(record: GeodesicRecord, k: int, char, window: Window) -> float:
-    """Upper bound 2N * l * max psi_hat / |det|^(1/2), independent of lambda."""
-    dim = char.dimension if isinstance(char, MatrixRep) else 1
-    ell = record.primitive_length
-    det_half = math.exp(0.5 * log_poincare_det(k * ell))
-    return 2.0 * dim * ell * abs(window.psi_hat(0.0)) / det_half
+    weights, freqs = _coefficient_factors([record], char, window, L, k)
+    return float(weights[k - 1, 0] * np.cos(lam * freqs[k - 1, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +199,7 @@ def coefficient_table(
         kmax = int(L / min(r.primitive_length for r in prims))
     else:
         kmax = 1
-    ells = np.array([r.primitive_length for r in prims])
-    ks = np.arange(1, kmax + 1)[:, None]
-    kl = ks * ells[None, :]
-    psi = window.psi_hat(kl / L)
-    log_det = kl + 2.0 * np.log1p(-np.exp(-kl))
-    chi2 = _pair_values_bulk(char, prims, kmax)
-    weights = chi2 * psi * ells[None, :] * np.exp(-0.5 * log_det)
+    weights, freqs = _coefficient_factors(prims, char, window, L, kmax)
     return CoefficientTable(
         lam=lam,
         L=L,
@@ -213,8 +208,8 @@ def coefficient_table(
         char_id=character_id(char),
         class_ids=np.array([r.class_id for r in prims], dtype=int),
         weights=weights,
-        freqs=kl,
-        coeffs=weights * np.cos(lam * kl),
+        freqs=freqs,
+        coeffs=weights * np.cos(lam * freqs),
     )
 
 
@@ -261,10 +256,7 @@ class SigmaEvaluator:
     """
 
     def __init__(self, spectrum: LengthSpectrum, char, window: Window, L: float):
-        if spectrum.certified_l_max < L:
-            raise SpectrumTooShort(
-                f"spectrum certified to {spectrum.certified_l_max:.6g} < L={L:.6g}"
-            )
+        _require_certified(spectrum, L)
         self.L = float(L)
         self.window = window
         self.char_id = character_id(char)
@@ -358,20 +350,6 @@ def energy_average(
     grid = _resolved_grid(lam, delta, l_max, points)
     vals = np.array([fn(mu) for mu in grid])
     return float(simpson(vals, x=grid)) / delta
-
-
-def quadratic_average(
-    fn: Callable[[float], float],
-    lam: float,
-    span: float,
-    target: float,
-    l_max: float,
-    points: int | None = None,
-) -> float:
-    """(1/span) * integral of |fn - target|^2 over [lam, lam+span]."""
-    grid = _resolved_grid(lam, span, l_max, points)
-    vals = np.array([abs(fn(mu) - target) ** 2 for mu in grid])
-    return float(simpson(vals, x=grid)) / span
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ surface groups) so that classes can be deduplicated by equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -369,51 +368,3 @@ def primitive_root(cls: ConjugacyClass, preset: GroupPreset) -> tuple[ConjugacyC
     if k == 1:
         return cls, 1
     return canonical_class(root_word, preset), k
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-def _cyclically_reduced_words(preset: GroupPreset, length: int):
-    """Yield freely and cyclically reduced words of exactly this length."""
-    letters = [i for g in range(1, preset.rank + 1) for i in (g, -g)]
-    if length == 1:
-        yield from ((l,) for l in letters)
-        return
-    for first in letters:
-        stack = [(first,)]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                if w[-1] != -w[0]:
-                    yield w
-                continue
-            for l in letters:
-                if l != -w[-1]:
-                    stack.append(w + (l,))
-
-
-def enumerate_classes(preset: GroupPreset, max_word_len: int) -> list[ConjugacyClass]:
-    """Every conjugacy class with a cyclically reduced spelling of length
-    <= max_word_len, each exactly once, in a deterministic order."""
-    if max_word_len < 1:
-        raise ValueError("max_word_len must be >= 1")
-    seen: dict[Word, ConjugacyClass] = {}
-    for n in range(1, max_word_len + 1):
-        for w in _cyclically_reduced_words(preset, n):
-            try:
-                cls = canonical_class(w, preset)
-            except TrivialElementError:
-                continue
-            if len(cls.canonical) <= max_word_len and cls.canonical not in seen:
-                seen[cls.canonical] = cls
-    return [seen[w] for w in sorted(seen, key=word_sort_key)]
-
-
-def conjugate_by_all(word: Word, preset: GroupPreset, conj_len: int):
-    """All conjugates u w u^-1 over words u up to the given length."""
-    letters = [i for g in range(1, preset.rank + 1) for i in (g, -g)]
-    for n in range(conj_len + 1):
-        for u in itertools.product(letters, repeat=n):
-            yield concat(u, word, invert_word(u))

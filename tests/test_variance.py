@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from specvar import fuchsian as F
 from specvar import variance as V
 from specvar.characters import FluxCharacter, MatrixRep
@@ -96,7 +97,7 @@ def test_coeff_bound_dominates(pants_spec, tri, bump):
         for r in list(pants_spec.primitives())[:20]:
             for k in (1, 2, 3):
                 a = V.coeff_A(r, k, None, w, 123.456, 7.0)
-                assert abs(a) <= V.coeff_bound(r, k, None, w) + 1e-15
+                assert abs(a) <= oracles.coeff_bound(r, k, None, w) + 1e-15
 
 
 def test_coefficient_table_matches_scalar(pants_spec, tri):
@@ -106,7 +107,7 @@ def test_coefficient_table_matches_scalar(pants_spec, tri):
     for j, cid in enumerate(table.class_ids):
         for k in range(1, table.kmax + 1):
             assert table.coeffs[k - 1, j] == pytest.approx(
-                V.coeff_A(by_id[cid], k, None, tri, lam, L), abs=1e-14
+                oracles.coeff_A(by_id[cid], k, None, tri, lam, L), abs=1e-14
             )
 
 
@@ -121,7 +122,7 @@ def test_coefficient_table_matrix_char(pants_spec, tri):
     for j, cid in enumerate(table.class_ids[:10]):
         for k in (1, 2):
             assert table.coeffs[k - 1, j] == pytest.approx(
-                V.coeff_A(by_id[cid], k, rep, tri, lam, L), abs=1e-12
+                oracles.coeff_A(by_id[cid], k, rep, tri, lam, L), abs=1e-12
             )
 
 
@@ -139,8 +140,8 @@ def brute_sigma2(spec, char, w, lam, L):
             for k2 in range(1, kmax + 1):
                 total += (
                     V.gcd_weight(k1, k2)
-                    * V.coeff_A(p, k1, char, w, lam, L)
-                    * V.coeff_A(p, k2, char, w, lam, L)
+                    * oracles.coeff_A(p, k1, char, w, lam, L)
+                    * oracles.coeff_A(p, k2, char, w, lam, L)
                 )
     orient = 0.5 if spec.oriented else 1.0
     return 4.0 * orient / L**2 * total
@@ -234,8 +235,8 @@ def test_nonprimitive_tail_bounded(pants_spec, tri):
                     continue
                 bound += (
                     V.gcd_weight(k1, k2)
-                    * V.coeff_bound(p, k1, None, tri)
-                    * V.coeff_bound(p, k2, None, tri)
+                    * oracles.coeff_bound(p, k1, None, tri)
+                    * oracles.coeff_bound(p, k2, None, tri)
                 )
     bound *= 4.0 * 0.5 / L**2
     assert abs(rep.nonprimitive_tail) <= bound + 1e-15
@@ -280,7 +281,7 @@ def test_energy_average_underresolved():
 
 
 def test_quadratic_average_constant():
-    got = V.quadratic_average(lambda m: 2.0, 50.0, 3.0, 0.5, 7.0)
+    got = oracles.quadratic_average(lambda m: 2.0, 50.0, 3.0, 0.5, 7.0)
     assert got == pytest.approx(2.25, rel=1e-12)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import conjugate_by_all, enumerate_classes
 from specvar.words import (
     ConjugacyClass,
     TrivialElementError,
@@ -13,10 +14,8 @@ from specvar.words import (
     abelianize,
     canonical_class,
     concat,
-    conjugate_by_all,
     cyclic_reduce,
     dehn_cyclic_reduce,
-    enumerate_classes,
     free_group,
     invert_word,
     min_rotation,
