@@ -169,6 +169,19 @@ def _get_spectrum(args, needed: float):
     return spectrum
 
 
+def _unit_flux(spectrum) -> tuple[float, ...]:
+    """The default flux 1, 0, ..., 0 at the spectrum's rank."""
+    return (1.0,) + (0.0,) * (spectrum.group.rank - 1)
+
+
+def _refuse_matrix_target(char, hint: str) -> None:
+    """The GOE/GUE target is read off a flux character; a matrix twist has none."""
+    from .characters import MatrixRep
+
+    if isinstance(char, MatrixRep):
+        raise ConfigError(f"no GOE/GUE target is defined for matrix twists; {hint}")
+
+
 def _get_window(args):
     from .windows import window
 
@@ -256,6 +269,8 @@ def _check_average(args, cfg, spectrum, char, ev) -> int:
     from .variance import energy_average
     from .windows import sigma2_goe, sigma2_gue
 
+    if args.target == "auto":
+        _refuse_matrix_target(char, "pass --target goe or --target gue")
     w = _get_window(args)
     average = energy_average(ev.sigma2, args.lam, args.delta, args.L, args.points)
     goe, gue = sigma2_goe(w), sigma2_gue(w)
@@ -389,8 +404,10 @@ def _cmd_ergodicity(args) -> int:
     if eps is None:
         # smallest eps the almost-sure bound supports at this L and span
         eps = math.sqrt(10.0 * (1.0 / args.L + 1.0 / args.span)) * 1.0001
+    char = _parse_character(args)
+    _refuse_matrix_target(char, "ergodicity needs a flux character or none")
     surrogate = PoissonSurrogate(
-        spectrum, _parse_character(args), _get_window(args), args.lam, args.L, args.seed
+        spectrum, char, _get_window(args), args.lam, args.L, args.seed
     )
     report = ergodicity_experiment(
         surrogate, args.lam, args.span, args.points, args.draws, eps
@@ -424,7 +441,7 @@ def _cmd_orbit_clt(args) -> int:
 
     cfg = _resolved_config(args)
     spectrum = _get_spectrum(args, needed=args.T + 1.0)
-    flux = args.flux if args.flux else (1.0,)
+    flux = args.flux or _unit_flux(spectrum)
     rep = orbit_clt_experiment(spectrum, flux, args.T, args.draws, args.seed)
     estimator = variance_estimator(spectrum, flux, args.T, args.epsilon)
     sweep = [estimator]
@@ -461,7 +478,7 @@ def _cmd_transition(args) -> int:
 
     cfg = _resolved_config(args)
     spectrum = _get_spectrum(args, needed=args.L)
-    flux = args.flux if args.flux else (1.0,)
+    flux = args.flux or _unit_flux(spectrum)
     _warn_scale(args.lam, args.L)
     cmp_ = empirical_transition(
         spectrum,

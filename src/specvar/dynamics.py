@@ -61,14 +61,15 @@ def unit_mass_bump() -> Window:
 
 
 def _flux_array(flux_vector, rank: int) -> np.ndarray:
-    """Flux vector padded or cut to the generator rank."""
-    flux = np.zeros(rank)
-    if flux_vector is not None:
-        fv = np.asarray(
-            flux_vector.flux if isinstance(flux_vector, FluxCharacter) else flux_vector,
-            dtype=float,
-        )
-        flux[: min(len(fv), rank)] = fv[:rank]
+    """Flux vector as an array, one entry per generator (zero if None)."""
+    if flux_vector is None:
+        return np.zeros(rank)
+    flux = np.asarray(
+        flux_vector.flux if isinstance(flux_vector, FluxCharacter) else flux_vector,
+        dtype=float,
+    )
+    if flux.shape != (rank,):
+        raise ValueError(f"flux has {flux.size} entries for rank {rank}")
     return flux
 
 

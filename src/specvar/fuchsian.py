@@ -6,13 +6,22 @@ comes from the trace, ell = 2*arccosh(|tr|/2), and the linearized Poincare
 return map P contributes the weight |det(I - P)| = 4*sinh^2(ell/2).
 
 Enumeration works on word-length shells with vectorized matrix products.
-For the co-compact octagon preset, shells are pruned by orbit displacement:
-every class with ell <= Lmax has a cyclically reduced spelling whose prefixes
-all move the base point by at most ell + 2R (R = circumradius of the
-fundamental octagon), because the spelling can be read off the tiles crossed
-by the axis.  Pruned shells therefore empty out on their own and the last
-nonempty shell is the completeness certificate.  Free presets use plain
-cyclically reduced enumeration with an empirical minimum-length margin.
+Letters are coded in the canonical letter order (a1 < a1^-1 < a2 < ...), and
+each shell grows only prenecklaces by the Fredricksen-Kessler-Maiorana rule,
+so every cyclic spelling is built once, as its least rotation, and the
+survivors need no rotation dedup.  For the co-compact octagon preset, shells
+are also pruned by orbit displacement: every class with ell <= Lmax has a
+cyclically reduced spelling whose prefixes all move the base point by at
+most ell + 2R (R = circumradius of the fundamental octagon), because the
+spelling can be read off the tiles crossed by the axis; its rotations start
+at other crossings, so its least rotation qualifies too.  Pruned shells
+therefore empty out on their own and the last nonempty shell is the
+completeness certificate.  Free presets use plain cyclically reduced
+enumeration with an empirical minimum-length margin.
+
+A primitive length is taken from one trace per inversion pair, chosen by a
+rule of the class (``_trace_spelling``), so the bits of every length are
+independent of the order in which the enumeration meets the class.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -30,12 +39,14 @@ from .words import (
     ConjugacyClass,
     GroupPreset,
     Word,
+    _letter_key,
     abelianize,
     canonical_class,
     free_group,
     invert_word,
     min_rotation,
     primitive_root,
+    shortest_spellings,
     surface_group,
     word_power,
     word_sort_key,
@@ -81,27 +92,24 @@ class FuchsianGroup:
         return self.group.rank
 
     def generator_array(self) -> np.ndarray:
-        """Generators and inverses, indexed 0..rank-1 and rank..2*rank-1."""
-        r = self.rank
-        out = np.empty((2 * r, 2, 2))
-        out[:r] = self.generators
+        """Matrices by letter code: generator i at 2(i-1), its inverse at 2(i-1)+1."""
+        out = np.empty((2 * self.rank, 2, 2))
+        out[0::2] = self.generators
         # SL(2) inverse: [[d, -b], [-c, a]]
         g = self.generators
-        out[r:, 0, 0] = g[:, 1, 1]
-        out[r:, 0, 1] = -g[:, 0, 1]
-        out[r:, 1, 0] = -g[:, 1, 0]
-        out[r:, 1, 1] = g[:, 0, 0]
+        out[1::2, 0, 0] = g[:, 1, 1]
+        out[1::2, 0, 1] = -g[:, 0, 1]
+        out[1::2, 1, 0] = -g[:, 1, 0]
+        out[1::2, 1, 1] = g[:, 0, 0]
         return out
 
 
 def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
     """Product of generator matrices and inverses in word order."""
     mats = group.generator_array()
-    r = group.rank
     out = np.eye(2)
     for letter in word:
-        idx = letter - 1 if letter > 0 else r - letter - 1
-        out = out @ mats[idx]
+        out = out @ mats[_letter_code(letter)]
     return out
 
 
@@ -290,121 +298,71 @@ class LengthSpectrum:
 _CHUNK = 1_500_000  # rows per vectorized extension block
 
 
-def _letter_matrices(group: FuchsianGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices indexed by letter code i in 0..2r-1 plus the inverse table."""
-    r = group.rank
-    mats = group.generator_array()
-    inv = np.concatenate([np.arange(r, 2 * r), np.arange(r)])
-    return mats, inv
+def _letter_code(letter: int) -> int:
+    # canonical letter order: generator i -> 2(i-1), its inverse -> 2(i-1)+1,
+    # so code c ^ 1 is the inverse of code c
+    return _letter_key(letter) - 2
 
 
-def _codes_to_word(codes: Iterable[int], rank: int) -> Word:
-    return tuple(int(c) + 1 if c < rank else rank - int(c) - 1 for c in codes)
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a < b for equal-shape 2-d unsigned arrays."""
-    less = np.zeros(len(a), dtype=bool)
-    decided = np.zeros(len(a), dtype=bool)
-    for j in range(a.shape[1]):
-        lt = a[:, j] < b[:, j]
-        gt = a[:, j] > b[:, j]
-        less |= lt & ~decided
-        decided |= lt | gt
-    return less
-
-
-def _pack_rows(block: np.ndarray) -> np.ndarray:
-    """Pack uint8 code rows into big-endian uint64 words for fast compares."""
-    n = block.shape[1]
-    pad = (-n) % 8
-    if pad:
-        block = np.concatenate(
-            [block, np.zeros((len(block), pad), np.uint8)], axis=1
-        )
-    return np.ascontiguousarray(block).view(">u8").reshape(len(block), -1)
-
-
-def _unique_min_rotations(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Deduplicate code rows up to cyclic rotation, vectorized per length.
-
-    Rotation order here is plain byte order, which differs from the word
-    canonical order; that is fine because any fixed rotation rule collapses
-    identical cyclic words equally.
-    """
-    out: list[np.ndarray] = []
-    by_len: dict[int, list[np.ndarray]] = {}
-    for b in blocks:
-        if len(b):
-            by_len.setdefault(b.shape[1], []).append(b)
-    for n, parts in sorted(by_len.items()):
-        block = np.concatenate(parts).astype(np.uint8, copy=False)
-        best = _pack_rows(block)
-        best_start = np.zeros(len(block), dtype=np.int32)
-        for r in range(1, n):
-            packed = _pack_rows(
-                np.concatenate([block[:, r:], block[:, :r]], axis=1)
-            )
-            swap = _lex_less(packed, best)
-            best[swap] = packed[swap]
-            best_start[swap] = r
-        _, first = np.unique(
-            best.view(np.dtype((np.void, best.shape[1] * 8))), return_index=True
-        )
-        rows = block[first]
-        starts = best_start[first]
-        rotated = np.empty_like(rows)
-        for r in np.unique(starts):
-            sel = starts == r
-            rotated[sel] = np.concatenate(
-                [rows[sel][:, r:], rows[sel][:, :r]], axis=1
-            )
-        out.append(rotated)
-    return out
+def _codes_to_words(block: np.ndarray) -> list[Word]:
+    """Signed-letter words of a block of code rows."""
+    block = block.astype(np.int64)
+    letters = (block >> 1) + 1
+    return [tuple(row) for row in np.where(block & 1, -letters, letters).tolist()]
 
 
 def _shell_survivors(
-    words: np.ndarray, mats: np.ndarray, inv: np.ndarray, tr_cut: float
+    words: np.ndarray, mats: np.ndarray, period: np.ndarray, tr_cut: float
 ) -> np.ndarray:
-    """Rows that are cyclically reduced and hyperbolic with ell <= Lmax."""
+    """Necklace rows that are cyclically reduced and hyperbolic with ell <= Lmax."""
     tr = np.abs(mats[:, 0] + mats[:, 3])
-    keep = (tr > 2.0 + 1e-9) & (tr <= tr_cut)
+    keep = (tr > 2.0 + 1e-9) & (tr <= tr_cut) & (words.shape[1] % period == 0)
     if words.shape[1] > 1:
-        keep &= words[:, 0] != inv[words[:, -1]]
+        keep &= words[:, 0] != words[:, -1] ^ 1
     return keep
 
 
 def _extend_shell(
     words: np.ndarray,
     mats: np.ndarray,
+    period: np.ndarray,
     gen_mats: np.ndarray,
-    inv: np.ndarray,
     forbidden_codes: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append every non-cancelling letter to every row, in chunks."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append every letter that keeps a row a reduced prenecklace, in chunks.
+
+    FKM rule: a prenecklace w of length t whose longest Lyndon prefix has
+    period p extends by c only if c >= w[t-p]; p is kept when c equals
+    w[t-p] and becomes t+1 when c is greater.  Rows are filtered before
+    their word and 2x2 product are built.
+    """
     n_letters = len(gen_mats)
-    new_words, new_mats = [], []
+    n, t = words.shape
+    ref = words[np.arange(n), t - period]
+    tail = None
+    if forbidden_codes is not None and t >= 4:
+        # base-(2r) code of the last four letters; a letter makes it a 5-gram
+        tail = np.zeros(n, dtype=np.int64)
+        for j in range(t - 4, t):
+            tail = tail * n_letters + words[:, j]
+    new_words = [np.empty((0, t + 1), np.int8)]
+    new_mats = [np.empty((0, 4))]
+    new_period = [np.empty(0, np.int16)]
     for letter in range(n_letters):
-        ok = words[:, -1] != inv[letter]
+        ok = (words[:, -1] != letter ^ 1) & (ref <= letter)
+        if tail is not None:
+            ok &= ~np.isin(tail * n_letters + letter, forbidden_codes)
         idx = np.flatnonzero(ok)
         for start in range(0, len(idx), _CHUNK):
             sel = idx[start : start + _CHUNK]
-            w2 = np.concatenate(
-                [words[sel], np.full((len(sel), 1), letter, np.int8)], axis=1
+            column = np.full((len(sel), 1), letter, np.int8)
+            new_words.append(np.concatenate([words[sel], column], axis=1))
+            new_period.append(
+                np.where(ref[sel] == letter, period[sel], t + 1).astype(np.int16)
             )
-            m2 = mats[sel]
-            if forbidden_codes is not None and w2.shape[1] >= 5:
-                code = np.zeros(len(w2), dtype=np.int64)
-                for j in range(5):
-                    code = code * n_letters + w2[:, w2.shape[1] - 5 + j]
-                good = ~np.isin(code, forbidden_codes)
-                w2, m2 = w2[good], m2[good]
-            prod = np.einsum(
-                "nij,jk->nik", m2.reshape(-1, 2, 2), gen_mats[letter]
-            ).reshape(-1, 4)
-            new_words.append(w2)
-            new_mats.append(prod)
-    return np.concatenate(new_words), np.concatenate(new_mats)
+            prod = np.einsum("nij,jk->nik", mats[sel].reshape(-1, 2, 2), gen_mats[letter])
+            new_mats.append(prod.reshape(-1, 4))
+    return tuple(np.concatenate(parts) for parts in (new_words, new_mats, new_period))
 
 
 def _forbidden_5gram_codes(group: GroupPreset, n_letters: int) -> np.ndarray:
@@ -415,14 +373,9 @@ def _forbidden_5gram_codes(group: GroupPreset, n_letters: int) -> np.ndarray:
     around a vertex), so such rows can be dropped without losing classes.
     """
     rel = group.relator
-
-    def to_codes(word: Word) -> list[int]:
-        r = group.rank
-        return [l - 1 if l > 0 else r - l - 1 for l in word]
-
     grams = set()
     for base_word in (rel, invert_word(rel)):
-        codes = to_codes(base_word)
+        codes = [_letter_code(l) for l in base_word]
         doubled = codes + codes
         for i in range(len(codes)):
             grams.add(tuple(doubled[i : i + 5]))
@@ -432,14 +385,22 @@ def _forbidden_5gram_codes(group: GroupPreset, n_letters: int) -> np.ndarray:
     return np.asarray(packed, dtype=np.int64)
 
 
+def _first_shell(gen_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-letter rows: every letter is a Lyndon word of period 1."""
+    n = len(gen_mats)
+    return np.arange(n, dtype=np.int8)[:, None], gen_mats.reshape(n, 4).copy(), np.ones(n, np.int16)
+
+
 def _enumerate_cocompact(
     group: FuchsianGroup, l_max: float
 ) -> tuple[list[np.ndarray], dict]:
-    """Displacement-pruned shell BFS; complete for the octagon preset.
+    """Displacement-pruned necklace shell BFS; complete for the octagon preset.
 
     Prunes rows whose prefix moves the base point farther than
     l_max + 2R + margin.  Shells then empty out on their own; the certificate
-    is the last nonempty shell.
+    is the last nonempty shell.  Every rotation of an axis-crossing spelling
+    starts at another crossing, so the least rotation of each class's
+    crossing spelling passes the cut too, and only necklaces are grown.
     """
     big_r = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
     margin = 0.5
@@ -448,39 +409,61 @@ def _enumerate_cocompact(
     # slack keeps borderline classes; records re-filter with exact traces
     tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
 
-    gen_mats, inv = _letter_matrices(group)
+    gen_mats = group.generator_array()
     forbidden = _forbidden_5gram_codes(group.group, len(gen_mats))
 
-    words = np.arange(len(gen_mats), dtype=np.int8)[:, None]
-    mats = gen_mats.reshape(len(gen_mats), 4).copy()
+    words, mats, period = _first_shell(gen_mats)
     survivors: list[np.ndarray] = []
-    shell = 1
-    total_rows = 0
+    shell_rows: list[int] = []
     while len(words):
-        total_rows += len(words)
-        keep = _shell_survivors(words, mats, inv, tr_cut)
+        shell_rows.append(len(words))
+        keep = _shell_survivors(words, mats, period, tr_cut)
         if keep.any():
             survivors.append(words[keep].copy())
-        norm2 = (mats * mats).sum(axis=1)
-        within = norm2 <= norm2_cut
-        words, mats = words[within], mats[within]
+        within = (mats * mats).sum(axis=1) <= norm2_cut
+        words, mats, period = words[within], mats[within], period[within]
         if not len(words):
             break
-        words, mats = _extend_shell(words, mats, gen_mats, inv, forbidden)
-        shell += 1
-        if shell > 64:
+        if len(shell_rows) >= 64:
             raise IncompleteEnumeration(
                 "displacement-pruned shells failed to terminate"
             )
+        words, mats, period = _extend_shell(words, mats, period, gen_mats, forbidden)
     cert = {
-        "method": "displacement-pruned shells",
-        "word_length_bound": shell,
+        "method": "displacement-pruned necklace shells",
+        "word_length_bound": len(shell_rows),
         "displacement_cut": d_cut,
-        "rows_visited": total_rows,
+        "rows_visited": sum(shell_rows),
+        "shell_rows": shell_rows,
         "certified_l_max": l_max,
         "complete": True,
     }
     return survivors, cert
+
+
+def _shell_min_length(words: np.ndarray, mats: np.ndarray, gen_mats: np.ndarray) -> float:
+    """Least length of a cyclically reduced hyperbolic word in the shell.
+
+    The shell holds one rotation of each cyclic word.  The traces of its
+    other rotations differ only by rounding, so the rows near the least
+    trace are multiplied out in every rotation, in shell order, and the
+    minimum is taken over all of them.
+    """
+    tr = np.abs(mats[:, 0] + mats[:, 3])
+    hyp = tr > 2.0 + 1e-9
+    if words.shape[1] > 1:
+        hyp &= words[:, 0] != words[:, -1] ^ 1
+    if not hyp.any():
+        return math.inf
+    rows = words[hyp & (tr <= tr[hyp].min() * (1.0 + 1e-6))]
+    rot = np.concatenate([np.roll(rows, -s, axis=1) for s in range(rows.shape[1])])
+    prod = gen_mats[rot[:, 0]]
+    for j in range(1, rot.shape[1]):
+        for letter in np.unique(rot[:, j]):
+            sel = rot[:, j] == letter
+            prod[sel] = np.einsum("nij,jk->nik", prod[sel], gen_mats[letter])
+    tr_rot = np.abs(prod[:, 0, 0] + prod[:, 1, 1])
+    return float(2 * np.arccosh(tr_rot[tr_rot > 2.0 + 1e-9].min() / 2))
 
 
 def _enumerate_free(
@@ -489,61 +472,46 @@ def _enumerate_free(
     max_word_length: int,
     allow_incomplete: bool,
 ) -> tuple[list[np.ndarray], dict]:
-    """Cyclically reduced shell enumeration for free presets.
+    """Cyclically reduced necklace shell enumeration for free presets.
 
     In a free group every conjugacy class is a unique cyclic word, so plain
     enumeration is complete once the per-shell minimum length clears l_max.
     Two consecutive clear shells are required: the minimum can dip once when
-    mixed spellings first appear.  For the cusped preset minimum lengths grow
-    only logarithmically in the shell, so the cap triggers capped mode.
+    mixed spellings first appear.  Each cyclically reduced word has a
+    necklace rotation with the same trace, so the prenecklace shells keep
+    the per-shell minimum.  For the cusped preset minimum lengths grow only
+    logarithmically in the shell, so the cap triggers capped mode.
     """
     tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
-    gen_mats, inv = _letter_matrices(group)
-    words = np.arange(len(gen_mats), dtype=np.int8)[:, None]
-    mats = gen_mats.reshape(len(gen_mats), 4).copy()
+    gen_mats = group.generator_array()
+    words, mats, period = _first_shell(gen_mats)
     survivors: list[tuple[np.ndarray, np.ndarray]] = []
     shell_mins: list[float] = []
-    shell = 1
-    total_rows = 0
+    shell_rows: list[int] = []
     clear = 0
     while True:
-        total_rows += len(words)
-        keep = _shell_survivors(words, mats, inv, tr_cut)
+        shell_rows.append(len(words))
+        keep = _shell_survivors(words, mats, period, tr_cut)
         if keep.any():
             m = mats[keep]
             survivors.append((words[keep].copy(), np.abs(m[:, 0] + m[:, 3])))
-        tr = np.abs(mats[:, 0] + mats[:, 3])
-        cyc = (
-            words[:, 0] != inv[words[:, -1]]
-            if words.shape[1] > 1
-            else np.ones(len(words), bool)
-        )
-        hyp = tr[cyc] > 2.0 + 1e-9
-        shell_min = (
-            float(2 * np.arccosh(tr[cyc][hyp].min() / 2)) if hyp.any() else math.inf
-        )
-        shell_mins.append(shell_min)
-        clear = clear + 1 if shell_min > l_max else 0
-        if clear >= 2:
+        shell_mins.append(_shell_min_length(words, mats, gen_mats))
+        clear = clear + 1 if shell_mins[-1] > l_max else 0
+        complete = clear >= 2
+        if complete or len(shell_rows) >= max_word_length:
+            certified = l_max if complete else min(min(shell_mins[-2:]), l_max)
             cert = {
-                "method": "cyclically reduced shells, two-shell margin",
-                "word_length_bound": shell,
+                "method": "cyclically reduced necklace shells, "
+                + ("two-shell margin" if complete else "capped"),
+                "word_length_bound": len(shell_rows),
                 "shell_min_lengths": shell_mins,
-                "rows_visited": total_rows,
-                "certified_l_max": l_max,
-                "complete": True,
-            }
-            return [w for w, _ in survivors], cert
-        if shell >= max_word_length:
-            certified = min(min(shell_mins[-2:]), l_max)
-            cert = {
-                "method": "cyclically reduced shells, capped",
-                "word_length_bound": shell,
-                "shell_min_lengths": shell_mins,
-                "rows_visited": total_rows,
+                "rows_visited": sum(shell_rows),
+                "shell_rows": shell_rows,
                 "certified_l_max": certified,
-                "complete": False,
+                "complete": complete,
             }
+            if complete:
+                return [w for w, _ in survivors], cert
             if not allow_incomplete:
                 raise IncompleteEnumeration(
                     f"word length {max_word_length} certifies only "
@@ -552,8 +520,31 @@ def _enumerate_free(
                 )
             cap_tr = 2.0 * math.cosh(certified / 2) * (1.0 + 1e-9)
             return [w[t <= cap_tr] for w, t in survivors], cert
-        words, mats = _extend_shell(words, mats, gen_mats, inv, None)
-        shell += 1
+        words, mats, period = _extend_shell(words, mats, period, gen_mats, None)
+
+
+def _trace_spelling(root: ConjugacyClass, preset: GroupPreset) -> Word:
+    """Canonical word of the orientation whose trace sets a pair's length.
+
+    The traces of gamma and gamma^-1 can differ in the last bit, and tied
+    lengths sort by that bit.  A chiral pair takes its length from the
+    orientation whose shortest spellings hold the least one under minimal
+    rotation in generator-first code order (a1 < b1 < a2 < ... < a1^-1 <
+    b1^-1 < ...), so the length depends on the class alone, not on the
+    order in which enumeration meets it.
+    """
+    if root.is_inverse_self:
+        return root.canonical
+    rank = preset.rank
+
+    def least(spellings: Iterable[Word]) -> list[int]:
+        codes = ([l - 1 if l > 0 else rank - l - 1 for l in w] for w in spellings)
+        return min(min(c[i:] + c[:i] for i in range(len(c))) for c in codes)
+
+    spellings = shortest_spellings(root.canonical, preset)
+    if least(spellings) < least(invert_word(w) for w in spellings):
+        return root.canonical
+    return root.inverse_canonical
 
 
 def build_spectrum(
@@ -578,24 +569,22 @@ def build_spectrum(
         raw, cert = _enumerate_free(group, l_max, max_word_length, allow_incomplete)
     effective_l_max = cert["certified_l_max"]
 
-    # dedup spellings cheaply by minimal rotation before full
-    # canonicalization (surface groups fold Dehn-equivalent spellings there)
+    # each survivor is the least rotation of its spelling, so no two rows
+    # are rotations of each other; surface groups still fold the
+    # Dehn-equivalent spellings of one class here
     preset_group = group.group
-    rank = group.rank
     roots: dict[Word, ConjugacyClass] = {}
-    for block in _unique_min_rotations(raw):
-        for row in block:
-            cls = canonical_class(_codes_to_word(row, rank), preset_group)
-            root, _ = primitive_root(cls, preset_group)
-            if root.canonical not in roots:
-                roots[root.canonical] = root
+    for block in raw:
+        for word in _codes_to_words(block):
+            root, _ = primitive_root(canonical_class(word, preset_group), preset_group)
+            roots.setdefault(root.canonical, root)
 
     records: list[GeodesicRecord] = []
     seen: set[Word] = set()
     for root in roots.values():
         if root.canonical in seen:
             continue
-        trace = float(np.trace(holonomy(group, root.canonical)))
+        trace = float(np.trace(holonomy(group, _trace_spelling(root, preset_group))))
         try:
             ell0 = length_of(trace)
         except NonHyperbolicElement:
@@ -613,20 +602,11 @@ def build_spectrum(
         if not oriented and root.pick_unoriented() != root.canonical:
             pair = [inv_cls]
         for cls0 in pair:
-            hom = (
-                hom0
-                if cls0.canonical == root.canonical
-                else tuple(-h for h in hom0)
-            )
+            sign = 1 if cls0.canonical == root.canonical else -1
             k = 1
             while k * ell0 <= effective_l_max:
-                word_k = (
-                    cls0.canonical
-                    if k == 1
-                    else min_rotation(word_power(cls0.canonical, k))
-                )
-                cls_k = (
-                    cls0 if k == 1 else canonical_class(word_k, preset_group)
+                cls_k = cls0 if k == 1 else canonical_class(
+                    min_rotation(word_power(cls0.canonical, k)), preset_group
                 )
                 ell = k * ell0
                 records.append(
@@ -637,31 +617,14 @@ def build_spectrum(
                         primitive_length=ell0,
                         power=k,
                         log_det=log_poincare_det(ell),
-                        homology=tuple(k * h for h in hom),
+                        homology=tuple(sign * k * h for h in hom0),
                     )
                 )
                 k += 1
 
     records.sort(key=lambda r: (r.length, word_sort_key(r.word)))
-    final = [
-        GeodesicRecord(
-            class_id=i,
-            cls=r.cls,
-            length=r.length,
-            primitive_length=r.primitive_length,
-            power=r.power,
-            log_det=r.log_det,
-            homology=r.homology,
-        )
-        for i, r in enumerate(records)
-    ]
-    return LengthSpectrum(
-        group=group,
-        l_max=l_max,
-        oriented=oriented,
-        records=tuple(final),
-        certificate=cert,
-    )
+    final = tuple(replace(r, class_id=i) for i, r in enumerate(records))
+    return LengthSpectrum(group, l_max, oriented, final, certificate=cert)
 
 
 def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:

@@ -297,14 +297,23 @@ class ConjugacyClass:
         return min(self.canonical, self.inverse_canonical, key=word_sort_key)
 
 
-def _canonical_word(word: Word, preset: GroupPreset) -> Word:
+def shortest_spellings(word: Word, preset: GroupPreset) -> set[Word]:
+    """Every shortest cyclic spelling of the class of ``word``, as min-rotations.
+
+    A free group has one, a surface group the half-swap closure; the
+    identity has none.
+    """
     w = dehn_cyclic_reduce(word, preset)
     if not w:
-        return ()
+        return set()
     if preset.kind == "free":
-        return min_rotation(w)
-    closure = _half_swap_closure(w, preset)
-    return min(closure, key=word_sort_key)
+        return {min_rotation(w)}
+    return _half_swap_closure(w, preset)
+
+
+def _canonical_word(word: Word, preset: GroupPreset) -> Word:
+    spellings = shortest_spellings(word, preset)
+    return min(spellings, key=word_sort_key) if spellings else ()
 
 
 def _class_word(word: Word, preset: GroupPreset) -> Word:
@@ -341,17 +350,22 @@ def _root_of_canonical(w: Word, preset: GroupPreset) -> tuple[Word, int]:
     # periodic (half-relator swaps can mix spellings of the root), so probe
     # every rotation prefix whose repetition lands in the same class.  The
     # homology of a k-th power is divisible by k, which rules out most k
-    # without touching the expensive canonical form.
+    # without touching the expensive canonical form.  A class word of a
+    # power is normalized to min_rotation(root^k), which need not be its
+    # least shortest spelling, so candidates are compared with the latter.
     hom = abelianize(w, preset)
+    target = None
     for k in sorted((k for k in range(2, n + 1) if n % k == 0), reverse=True):
         if any(h % k for h in hom):
             continue
+        if target is None:
+            target = _canonical_word(w, preset)
         p = n // k
         for start in range(n):
             candidate = _cyclic_window(w, start, p)
             if len(reduce_word(candidate)) != p:
                 continue
-            if _canonical_word(candidate * k, preset) == w:
+            if _canonical_word(candidate * k, preset) == target:
                 return _canonical_word(candidate, preset), k
     return w, 1
 

@@ -194,6 +194,133 @@ def exponential_tail(spectrum: LengthSpectrum, degree: int, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# fuchsian: the shell BFS without the necklace rule, and its rotation dedup
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic a < b for equal-shape 2-d unsigned arrays."""
+    less = np.zeros(len(a), dtype=bool)
+    decided = np.zeros(len(a), dtype=bool)
+    for j in range(a.shape[1]):
+        lt = a[:, j] < b[:, j]
+        gt = a[:, j] > b[:, j]
+        less |= lt & ~decided
+        decided |= lt | gt
+    return less
+
+
+def _pack_rows(block: np.ndarray) -> np.ndarray:
+    """Pack uint8 code rows into big-endian uint64 words for fast compares."""
+    n = block.shape[1]
+    pad = (-n) % 8
+    if pad:
+        block = np.concatenate(
+            [block, np.zeros((len(block), pad), np.uint8)], axis=1
+        )
+    return np.ascontiguousarray(block).view(">u8").reshape(len(block), -1)
+
+
+def _unique_min_rotations(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Deduplicate code rows up to cyclic rotation, vectorized per length.
+
+    Each kept row is the least rotation of its spelling in byte order.
+    """
+    out: list[np.ndarray] = []
+    by_len: dict[int, list[np.ndarray]] = {}
+    for b in blocks:
+        if len(b):
+            by_len.setdefault(b.shape[1], []).append(b)
+    for n, parts in sorted(by_len.items()):
+        block = np.concatenate(parts).astype(np.uint8, copy=False)
+        best = _pack_rows(block)
+        best_start = np.zeros(len(block), dtype=np.int32)
+        for r in range(1, n):
+            packed = _pack_rows(
+                np.concatenate([block[:, r:], block[:, :r]], axis=1)
+            )
+            swap = _lex_less(packed, best)
+            best[swap] = packed[swap]
+            best_start[swap] = r
+        _, first = np.unique(
+            best.view(np.dtype((np.void, best.shape[1] * 8))), return_index=True
+        )
+        rows = block[first]
+        starts = best_start[first]
+        rotated = np.empty_like(rows)
+        for r in np.unique(starts):
+            sel = starts == r
+            rotated[sel] = np.concatenate(
+                [rows[sel][:, r:], rows[sel][:, :r]], axis=1
+            )
+        out.append(rotated)
+    return out
+
+
+def extend_shell_unpruned(
+    words: np.ndarray,
+    mats: np.ndarray,
+    gen_mats: np.ndarray,
+    forbidden_codes: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append every non-cancelling letter to every row, in every rotation."""
+    n_letters = len(gen_mats)
+    new_words, new_mats = [], []
+    for letter in range(n_letters):
+        sel = np.flatnonzero(words[:, -1] != letter ^ 1)
+        w2 = np.concatenate(
+            [words[sel], np.full((len(sel), 1), letter, np.int8)], axis=1
+        )
+        m2 = mats[sel]
+        if forbidden_codes is not None and w2.shape[1] >= 5:
+            code = np.zeros(len(w2), dtype=np.int64)
+            for j in range(5):
+                code = code * n_letters + w2[:, w2.shape[1] - 5 + j]
+            good = ~np.isin(code, forbidden_codes)
+            w2, m2 = w2[good], m2[good]
+        prod = np.einsum(
+            "nij,jk->nik", m2.reshape(-1, 2, 2), gen_mats[letter]
+        ).reshape(-1, 4)
+        new_words.append(w2)
+        new_mats.append(prod)
+    return np.concatenate(new_words), np.concatenate(new_mats)
+
+
+def unpruned_shells(
+    group, l_max: float, n_shells: int, displacement_cut: float | None = None
+) -> list[np.ndarray]:
+    """Survivor rows of the shell BFS that grows every rotation of every spelling.
+
+    Survivors are the cyclically reduced hyperbolic rows with ell <= l_max.
+    With a displacement cut (the co-compact preset) rows that move the base
+    point farther are dropped, as are forbidden relator 5-grams.
+    """
+    from specvar.fuchsian import _forbidden_5gram_codes
+
+    tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
+    gen_mats = group.generator_array()
+    forbidden = None
+    if displacement_cut is not None:
+        norm2_cut = 2.0 * math.cosh(displacement_cut)
+        forbidden = _forbidden_5gram_codes(group.group, len(gen_mats))
+    words = np.arange(len(gen_mats), dtype=np.int8)[:, None]
+    mats = gen_mats.reshape(len(gen_mats), 4).copy()
+    survivors = []
+    for shell in range(1, n_shells + 1):
+        tr = np.abs(mats[:, 0] + mats[:, 3])
+        keep = (tr > 2.0 + 1e-9) & (tr <= tr_cut)
+        if shell > 1:
+            keep &= words[:, 0] != words[:, -1] ^ 1
+        survivors.append(words[keep].copy())
+        if displacement_cut is not None:
+            within = (mats * mats).sum(axis=1) <= norm2_cut
+            words, mats = words[within], mats[within]
+        if not len(words) or shell == n_shells:
+            break
+        words, mats = extend_shell_unpruned(words, mats, gen_mats, forbidden)
+    return survivors
+
+
+# ---------------------------------------------------------------------------
 # variance: the scalar coefficient path
 
 

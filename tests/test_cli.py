@@ -258,11 +258,54 @@ def test_bad_flux_list():
     assert exc.value.code == EXIT_INVALID
 
 
-@pytest.mark.parametrize("cmd", [["sumrule", "--L", "5"], ["average", "--L", "5", "--lambda", "1e4"]])
+ORBIT_CLT = ["orbit-clt", "--T", "4", "--draws", "1000"]
+TRANSITION = ["transition", "--L", "5", "--lambda", "1e4", "--no-average"]
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [["sumrule", "--L", "5"], ["average", "--L", "5", "--lambda", "1e4"], ORBIT_CLT, TRANSITION],
+)
 def test_flux_of_wrong_rank_is_invalid(tmp_path, pants_csv, capsys, cmd):
     code = main(cmd + ["--spectrum-file", pants_csv, "--flux", "1,0,0", "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID
     assert "flux has 3 entries for rank 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [ORBIT_CLT, TRANSITION])
+def test_short_flux_is_invalid_not_padded(tmp_path, pants_csv, capsys, cmd):
+    code = main(cmd + ["--spectrum-file", pants_csv, "--flux", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert "flux has 1 entries for rank 2" in capsys.readouterr().err
+    # without --flux both default to 1, 0, ..., 0 at the spectrum's rank
+    assert main(cmd + ["--spectrum-file", pants_csv, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+IDENTITY2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+MATRIX_CHARACTER = json.dumps({"images": [IDENTITY2, IDENTITY2]})
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["average", "--L", "5", "--lambda", "5000"],
+        ["ergodicity", "--L", "5", "--lambda", "5000", "--Lambda", "100", "--draws", "10"],
+    ],
+)
+def test_matrix_character_without_target_is_invalid(tmp_path, pants_csv, capsys, cmd):
+    out = str(tmp_path / "out.json")
+    code = main(cmd + ["--spectrum-file", pants_csv, "--character", MATRIX_CHARACTER, "--out", out])
+    assert code == EXIT_INVALID
+    assert "no GOE/GUE target is defined for matrix twists" in capsys.readouterr().err
+
+
+def test_matrix_character_variance_and_explicit_target(tmp_path, pants_csv):
+    common = ["--spectrum-file", pants_csv, "--lambda", "5000", "--L", "5",
+              "--character", MATRIX_CHARACTER]
+    assert main(["variance", *common, "--out", str(tmp_path / "v.csv")]) == EXIT_OK
+    out = str(tmp_path / "a.json")
+    assert main(["average", *common, "--target", "goe", "--out", out]) == EXIT_OK
+    assert read_json(out)["result"]["target"] == read_json(out)["result"]["sigma2Goe"]
 
 
 def test_thread_budget_flag(tmp_path, pants_csv):

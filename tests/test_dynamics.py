@@ -225,11 +225,13 @@ def test_orbit_clt_moments_match_ensemble(octagon12):
     assert abs(rep.excess_kurtosis - exact_kurt) <= 4.0 * math.sqrt(24.0 / draws)
 
 
-def test_orbit_clt_flux_padding(octagon12):
-    short = orbit_clt_experiment(octagon12, (1.0,), 9.0, 1000, seed=3)
-    full = orbit_clt_experiment(octagon12, FLUX1, 9.0, 1000, seed=3)
-    assert short.variance == full.variance
-    assert short.flux == full.flux
+def test_orbit_clt_refuses_flux_of_wrong_rank(octagon12):
+    # a flux vector is neither padded nor cut to the rank
+    for flux in ((1.0,), FLUX1 + (0.0,)):
+        with pytest.raises(ValueError, match=f"flux has {len(flux)} entries for rank 4"):
+            orbit_clt_experiment(octagon12, flux, 9.0, 1000, seed=3)
+        with pytest.raises(ValueError, match=f"flux has {len(flux)} entries for rank 4"):
+            variance_estimator(octagon12, flux, 9.0)
 
 
 def test_orbit_clt_accepts_flux_character(octagon12):

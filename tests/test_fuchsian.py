@@ -22,6 +22,8 @@ from specvar.words import (
     canonical_class,
     free_group,
     invert_word,
+    min_rotation,
+    rotation_period,
     surface_group,
     word_power,
     word_sort_key,
@@ -103,14 +105,13 @@ def test_octagon_generators_hyperbolic(octagon):
 def test_octagon_no_elliptic_short_words(octagon):
     # discreteness probe: in a torsion-free Fuchsian group no nontrivial
     # element is elliptic, so every short word has |tr| >= 2
-    group = octagon.group
-    mats, inv = F._letter_matrices(octagon)
+    mats = octagon.generator_array()
     words = np.arange(8, dtype=np.int8)[:, None]
     flat = mats.reshape(8, 4).copy()
     for _ in range(4):
         tr = np.abs(flat[:, 0] + flat[:, 3])
         assert (tr > 2 - 1e-9).all()
-        words, flat = F._extend_shell(words, flat, mats, inv, None)
+        words, flat = oracles.extend_shell_unpruned(words, flat, mats, None)
     tr = np.abs(flat[:, 0] + flat[:, 3])
     assert (tr > 2 - 1e-9).all()
 
@@ -270,11 +271,12 @@ def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):
 def test_octagon_pruning_margin_stable(octagon, octagon_spectrum6):
     # widening the displacement cut (and the trace window with it) must not
     # reveal any additional classes below the original bound
-    wide, _ = F._enumerate_cocompact(octagon, 6.0 + 1.0)
+    cut = F._enumerate_cocompact(octagon, 6.0 + 1.0)[1]["displacement_cut"]
+    wide = oracles.unpruned_shells(octagon, 6.0 + 1.0, 64, cut)
     found = set()
-    for block in F._unique_min_rotations(wide):
-        for row in block:
-            cls = canonical_class(F._codes_to_word(row, 4), octagon.group)
+    for block in oracles._unique_min_rotations(wide):
+        for word in F._codes_to_words(block):
+            cls = canonical_class(word, octagon.group)
             tr = np.trace(F.holonomy(octagon, cls.canonical))
             if abs(tr) > 2 + 1e-9 and F.length_of(tr) <= 6.0:
                 found.add(cls.canonical)
@@ -372,15 +374,101 @@ def test_invalid_l_max(pants):
         F.build_spectrum(pants, -1.0)
 
 
+def _survivor_classes(blocks, preset):
+    return {
+        canonical_class(w, preset).canonical
+        for block in blocks
+        for w in F._codes_to_words(block)
+    }
+
+
+@pytest.mark.parametrize("l_max", [8.0, 10.0])
+def test_octagon_necklace_pruning_keeps_classes(octagon, l_max):
+    pruned, cert = F._enumerate_cocompact(octagon, l_max)
+    oracle = oracles._unique_min_rotations(
+        oracles.unpruned_shells(octagon, l_max, 64, cert["displacement_cut"])
+    )
+    assert sum(len(b) for b in pruned) < sum(len(b) for b in oracle)
+    assert _survivor_classes(pruned, octagon.group) == _survivor_classes(
+        oracle, octagon.group
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params, l_max, cap",
+    [
+        ("schottky_pants", (2, 2, 2), 6.0, 14),
+        ("schottky_pants", (1.9, 2.1, 2.4), 9.0, 14),
+        ("punctured_torus", (), 8.0, 10),
+    ],
+)
+def test_free_necklace_pruning_keeps_classes(name, params, l_max, cap):
+    group = F.preset(name, *params)
+    pruned, cert = F._enumerate_free(group, l_max, cap, True)
+    # capped mode keeps only the survivors up to the certified length
+    oracle = oracles.unpruned_shells(
+        group, cert["certified_l_max"], cert["word_length_bound"]
+    )
+    assert sum(len(b) for b in pruned) < sum(len(b) for b in oracle)
+    assert _survivor_classes(pruned, group.group) == _survivor_classes(
+        oracle, group.group
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params, l_max", [("octagon_genus2", (), 8.0), ("schottky_pants", (2, 2, 2), 6.0)]
+)
+def test_survivors_are_necklaces(name, params, l_max):
+    group = F.preset(name, *params)
+    if group.cocompact:
+        blocks, _ = F._enumerate_cocompact(group, l_max)
+    else:
+        blocks, _ = F._enumerate_free(group, l_max, 14, False)
+    words = [w for b in blocks for w in F._codes_to_words(b)]
+    assert words
+    assert all(w == min_rotation(w) for w in words)
+    assert len(set(words)) == len(words)
+
+
+def test_certificate_counts_rows_per_shell(octagon, torus):
+    for sp in (
+        F.build_spectrum(octagon, 6.0),
+        F.build_spectrum(torus, 6.0, allow_incomplete=True, max_word_length=8),
+    ):
+        cert = sp.certificate
+        assert "necklace" in cert["method"]
+        assert len(cert["shell_rows"]) == cert["word_length_bound"]
+        assert sum(cert["shell_rows"]) == cert["rows_visited"]
+
+
+def test_octagon_bench_csv_pinned(tmp_path, octagon):
+    # the octagon Lmax 9.5 spectrum the benchmark builds and reads, with
+    # the sha256 its reference was recorded with
+    path = tmp_path / "octagon9.5.csv"
+    F.spectrum_to_csv(F.build_spectrum(octagon, 9.5), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "28d22148ef84dfd5906d4b154c672153179495bb7e39678905444993380863f6"
+    )
+
+
+def test_powers_listed_once(octagon12):
+    # a proper power whose least shortest spelling is not the repetition of
+    # its root (e.g. (a^-1 b^-1 a2 b1)^2) once also came out as a primitive
+    for sp in (F.truncate_spectrum(octagon12, 10.0), octagon12):
+        words = [r.word for r in sp.records]
+        assert len(set(words)) == len(words)
+        assert all(rotation_period(r.word) == len(r.word) for r in sp.primitives())
+
+
 # ---------------------------------------------------------------------------
-# rotation dedup helper
+# rotation dedup oracle
 
 
 def test_unique_min_rotations_collapses_rotations():
     rows = np.array(
         [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [3, 3, 3]], dtype=np.int8
     )
-    blocks = F._unique_min_rotations([rows])
+    blocks = oracles._unique_min_rotations([rows])
     assert len(blocks) == 1
     got = {tuple(int(x) for x in row) for row in blocks[0]}
     assert got == {(0, 1, 2), (0, 2, 1), (3, 3, 3)}
