@@ -21,7 +21,13 @@ from scipy.integrate import simpson
 from specvar.characters import FluxCharacter, MatrixRep
 from specvar.covers import _cycle_scan
 from specvar.dynamics import _flux_array
-from specvar.fuchsian import GeodesicRecord, InvalidParameters, LengthSpectrum, log_poincare_det
+from specvar.fuchsian import (
+    GeodesicRecord,
+    InvalidParameters,
+    LengthSpectrum,
+    _forbidden_5gram_codes,
+    log_poincare_det,
+)
 from specvar.poisson import PoissonSurrogate, _poisson_draws
 from specvar.rng import stream
 from specvar.variance import _resolved_grid
@@ -294,8 +300,6 @@ def unpruned_shells(
     With a displacement cut (the co-compact preset) rows that move the base
     point farther are dropped, as are forbidden relator 5-grams.
     """
-    from specvar.fuchsian import _forbidden_5gram_codes
-
     tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
     gen_mats = group.generator_array()
     forbidden = None
