@@ -338,21 +338,25 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_covers(args) -> int:
-    from . import fuchsian as F
-    from .covers import empirical_cover_variance, moment_experiment
+    from .covers import _batch_images, _require_free, empirical_cover_variance, moment_experiment
 
     cfg = _resolved_config(args)
+    if args.n < 1:
+        raise ConfigError(f"--n must be a positive cover degree, got {args.n}")
+    if args.kmax < 1:
+        raise ConfigError(f"--kmax must be at least 1, got {args.kmax}")
+    if args.L is not None and args.lam is None:
+        raise ConfigError("the variance bridge needs --lambda alongside --L")
     needed = args.L if args.L is not None else args.moment_lmax
     spectrum = _get_spectrum(args, needed=needed)
     records = [r for r in spectrum.records if r.length <= args.moment_lmax]
     if not records:
         raise ConfigError(f"no classes of length <= {args.moment_lmax:g} for the moment test")
-    stats = moment_experiment(records, args.n, args.samples, args.seed, kmax=args.kmax)
+    images = _batch_images(_require_free(spectrum), args.n, args.samples, args.seed)
+    stats = moment_experiment(records, images, args.n, args.samples, kmax=args.kmax)
     result = {"moments": stats.as_dict(), "bridge": None}
     passed = stats.passed
     if args.L is not None:
-        if args.lam is None:
-            raise ConfigError("the variance bridge needs --lambda alongside --L")
         _warn_scale(args.lam, args.L)
         bridge = empirical_cover_variance(
             spectrum,
@@ -360,6 +364,7 @@ def _cmd_covers(args) -> int:
             _get_window(args),
             args.lam,
             args.L,
+            images,
             args.n,
             args.samples,
             args.seed,

@@ -7,6 +7,16 @@ through its cycle structure, F_n(gamma^k) = sum_{d | k} d * C_n(gamma, d),
 so each sampled cover costs one permutation product per class and a few
 vectorized power compositions.
 
+A run draws its batch of covers once (``_batch_images``) and hands the
+same images to the moment test and to the variance bridge.  The images
+are flat absolute indices: sample s owns the points s*n .. s*n + n - 1
+and each generator maps them among themselves, so composing two images
+is one gather ``p.take(q)`` across many samples and an inverse is one
+scatter.  The experiments walk the batch in blocks of whole samples
+sized to stay in cache; no count depends on the block size.  Cycle
+counts come from a pointer-doubling scan that never reads the power
+images, so the divisor identity between the two is a real check.
+
 Sampling is restricted to free presets: uniform sampling of surface-group
 homomorphisms has no known efficient exact sampler, and the fixed-point
 asymptotics being tested hold in both models.  Reports carry a
@@ -17,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -39,69 +48,116 @@ class NotFreePreset(ValueError):
     """Cover sampling requires a free (Schottky) preset."""
 
 
-def _cycle_scan(perm, dmax: int) -> np.ndarray:
-    p = perm.tolist()
-    counts = np.zeros(dmax, dtype=np.int64)
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        if length <= dmax:
-            counts[length - 1] += 1
-    return counts
+# Points per block of samples: a block's word images, powers and cycle
+# labels (a few int64 arrays of this length) stay in a core's L2 cache
+# instead of streaming through memory on every composition.
+_BLOCK_POINTS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
 # batch machinery: vectorized over samples, per-sample streams kept intact
 
 
-def _batch_images(rank: int, n: int, samples: int, seed: int) -> list[np.ndarray]:
-    """Stacked generator images, one (samples, n) array per generator.
+def _batch_images(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
+    """Generator images of a batch of covers, shape (rank, samples, n).
 
-    Each row still comes from its own (seed, sampleIndex, generatorIndex)
-    stream, so results are bit-identical to a per-sample draw and
-    independent of any batching or parallel split.
+    Entry [g, s, i] is s*n + pi(i), where pi is the permutation that
+    generator g + 1 takes in sample s, drawn from its own
+    (seed, sampleIndex, generatorIndex) stream.  Results are therefore
+    bit-identical to a per-sample draw and independent of any batching
+    or parallel split.  A run draws its batch once and every experiment
+    of the run reads it.
     """
-    out = [np.empty((samples, n), dtype=np.int64) for _ in range(rank)]
+    out = np.empty((rank, samples, n), dtype=np.int64)
     for s in range(samples):
         for g in range(rank):
-            out[g][s] = stream(seed, s, g).permutation(n)
+            out[g, s] = stream(seed, s, g).permutation(n)
+    out += (np.arange(samples, dtype=np.int64) * n)[:, None]
     return out
 
 
-def _word_images(images: Sequence[np.ndarray], word: Word) -> np.ndarray:
-    samples, n = images[0].shape
+def _sample_blocks(images: np.ndarray):
+    """Split a batch into blocks of whole samples, each re-based to start at 0.
+
+    Yields (rows, block): ``block`` holds the generator images of the
+    samples ``rows`` in the flat layout of ``_batch_images``.
+    """
+    _, samples, n = images.shape
+    step = max(1, _BLOCK_POINTS // n)
+    for a in range(0, samples, step):
+        yield slice(a, a + step), images[:, a : a + step] - a * n
+
+
+def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
+    if n < 1:
+        raise ValueError(f"cover degree must be at least 1, got {n}")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if images.shape[1:] != (samples, n):
+        raise ValueError(
+            f"batch images have shape {images.shape[1:]}, expected ({samples}, {n})"
+        )
+
+
+def _word_images(images: np.ndarray, word: Word) -> np.ndarray:
+    """Batch image of a word, composed left to right like ``eval_perm``."""
+    rank = images.shape[0]
+    for letter in word:
+        if letter == 0 or abs(letter) > rank:
+            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    if not word:
+        return np.arange(images[0].size).reshape(images[0].shape)
     inverses: dict[int, np.ndarray] = {}
-    out = np.tile(np.arange(n), (samples, 1))
+    out = None
     for letter in word:
         g = abs(letter) - 1
         if letter > 0:
             p = images[g]
         else:
             if g not in inverses:
-                inverses[g] = np.argsort(images[g], axis=1)
+                inv = np.empty_like(images[g])
+                np.put(inv, images[g], np.arange(inv.size))
+                inverses[g] = inv
             p = inverses[g]
-        out = np.take_along_axis(out, p, axis=1)
+        out = p if out is None else out.take(p)
     return out
 
 
 def _power_fixed_counts(word_img: np.ndarray, kmax: int) -> np.ndarray:
     """F(gamma^k) for k = 1..kmax on every row, by iterated composition."""
     samples, n = word_img.shape
-    ident = np.arange(n)
+    ident = np.arange(word_img.size).reshape(samples, n)
     out = np.empty((samples, kmax), dtype=np.int64)
     q = word_img
-    out[:, 0] = np.count_nonzero(q == ident, axis=1)
-    for k in range(1, kmax):
-        q = np.take_along_axis(q, word_img, axis=1)
+    for k in range(kmax):
+        if k:
+            q = q.take(word_img)
         out[:, k] = np.count_nonzero(q == ident, axis=1)
     return out
+
+
+def _cycle_scan(word_img: np.ndarray, dmax: int) -> np.ndarray:
+    """C(gamma, d) for d = 1..dmax on every row: the number of d-cycles.
+
+    An independent witness of the power counts: pointer doubling labels
+    every point with the least point of its cycle, and a cycle's length
+    is the number of points that carry its label.  After r rounds a label
+    is the least point among the next 2**r points, so ceil(log2 n) rounds
+    cover every cycle.
+    """
+    samples, n = word_img.shape
+    step = word_img.reshape(-1)
+    point = np.arange(step.size)
+    label = point.copy()
+    for r in range((n - 1).bit_length()):
+        if r:
+            step = step.take(step)
+        np.minimum(label, label.take(step), out=label)
+    leader = np.flatnonzero(label == point)
+    length = np.bincount(label, minlength=step.size)[leader]
+    short = length <= dmax
+    cell = leader[short] // n * dmax + length[short] - 1
+    return np.bincount(cell, minlength=samples * dmax).reshape(samples, dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -164,35 +220,31 @@ def _as_words(records) -> tuple[Word, ...]:
 
 def moment_experiment(
     records,
+    images: np.ndarray,
     n: int,
     samples: int,
-    seed: int,
     kmax: int = 6,
-    rank: int | None = None,
 ) -> CoverStatistics:
     """Empirical F_n moments against their n -> infinity laws.
 
-    Classes must be primitive and pairwise non-inverse for the
-    cross-class decorrelation target to apply.  F is counted from powers
-    of the word image and cycle counts from an independent cycle scan;
-    F(gamma^k) = sum_{d|k} d*C(gamma,d) is asserted on every sample.
+    ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
+    degree ``n``.  Classes must be primitive and pairwise non-inverse for
+    the cross-class decorrelation target to apply.  F is counted from
+    powers of the word image and cycle counts from an independent cycle
+    scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is asserted on every sample.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    _check_batch(images, n, samples)
     words = _as_words(records)
-    if rank is None:
-        rank = max(abs(l) for w in words for l in w)
-    images = _batch_images(rank, n, samples, seed)
 
     nc = len(words)
     f = np.empty((samples, nc, kmax), dtype=np.int64)
     cycles = np.empty((samples, nc, kmax), dtype=np.int64)
     divisors = [[d for d in range(1, k + 1) if k % d == 0] for k in range(1, kmax + 1)]
-    for i, w in enumerate(words):
-        img = _word_images(images, w)
-        f[:, i, :] = _power_fixed_counts(img, kmax)
-        for s in range(samples):
-            cycles[s, i] = _cycle_scan(img[s], kmax)
+    for rows, block in _sample_blocks(images):
+        for i, w in enumerate(words):
+            img = _word_images(block, w)
+            f[rows, i, :] = _power_fixed_counts(img, kmax)
+            cycles[rows, i, :] = _cycle_scan(img, kmax)
     # hard consistency: the divisor identity must hold on every sample
     for k in range(1, kmax + 1):
         lhs = f[:, :, k - 1]
@@ -299,6 +351,7 @@ def empirical_cover_variance(
     window: Window,
     lam: float,
     L: float,
+    images: np.ndarray,
     n: int,
     samples: int,
     seed: int,
@@ -307,17 +360,17 @@ def empirical_cover_variance(
 ) -> CoverVarianceReport:
     """Variance of the smoothed count fluctuation over sampled covers.
 
-    Per sample, N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k)
-    * A(gamma, k) over unoriented primitives.  Batch centering removes
-    the O(1/n) mean bias; ``centering="dk"`` subtracts the asymptotic
-    mean d(k) instead.
+    ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
+    degree ``n``; ``seed`` keys the bootstrap stream.  Per sample,
+    N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k) * A(gamma, k)
+    over unoriented primitives.  Batch centering removes the O(1/n) mean
+    bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
     """
-    rank = _require_free(spectrum)
+    _require_free(spectrum)
     _require_certified(spectrum, L)
     if centering not in ("batch", "dk"):
         raise ValueError(f"unknown centering {centering!r}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    _check_batch(images, n, samples)
 
     sub = replace(spectrum, records=tuple(unoriented_primitives(spectrum)))
     table = coefficient_table(sub, char, window, lam, L)
@@ -326,10 +379,13 @@ def empirical_cover_variance(
     kmaxes = [max(1, int(L / r.primitive_length)) for r in recs]
     coeffs = [table.coeffs[:km, i] for i, km in enumerate(kmaxes)]
 
-    images = _batch_images(rank, n, samples, seed)
+    counts = [np.empty((samples, km), dtype=np.int64) for km in kmaxes]
+    for rows, block in _sample_blocks(images):
+        for r, km, f in zip(recs, kmaxes, counts):
+            f[rows] = _power_fixed_counts(_word_images(block, r.word), km)
     vals = np.zeros(samples)
-    for r, km, a in zip(recs, kmaxes, coeffs):
-        f = _power_fixed_counts(_word_images(images, r.word), km).astype(float)
+    for km, a, f in zip(kmaxes, coeffs, counts):
+        f = f.astype(float)
         if centering == "batch":
             f -= f.mean(axis=0)
         else:

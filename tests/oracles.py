@@ -19,7 +19,6 @@ import numpy as np
 from scipy.integrate import simpson
 
 from specvar.characters import FluxCharacter, MatrixRep
-from specvar.covers import _cycle_scan
 from specvar.dynamics import _flux_array
 from specvar.fuchsian import (
     GeodesicRecord,
@@ -423,6 +422,25 @@ class PermutationRep:
         for p in self.images:
             if sorted(p.tolist()) != list(range(self.n)):
                 raise ValueError("image is not a permutation of 0..n-1")
+
+
+def _cycle_scan(perm, dmax: int) -> np.ndarray:
+    """Number of d-cycles of one permutation of 0..n-1, d = 1..dmax, by walking them."""
+    p = perm.tolist()
+    counts = np.zeros(dmax, dtype=np.int64)
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        if length <= dmax:
+            counts[length - 1] += 1
+    return counts
 
 
 def sample_rep(rank: int, n: int, seed: int, sample_index: int = 0) -> PermutationRep:

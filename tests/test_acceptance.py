@@ -15,7 +15,7 @@ import pytest
 import specvar.fuchsian as F
 from oracles import exact_cover_moment
 from specvar.characters import FluxCharacter, haar_sigma_constant
-from specvar.covers import empirical_cover_variance, moment_experiment
+from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
 from specvar.dynamics import (
     cluster_sum,
     empirical_transition,
@@ -96,7 +96,7 @@ def test_criterion_03_haar_moments():
 
 def test_criterion_04_cover_moments():
     # distinct primitives: the two free generators; targets d(k), V(k1,k2), 0
-    stats = moment_experiment([(0,), (1,)], 300, 20000, 7, kmax=6, rank=2)
+    stats = moment_experiment([(2,), (1,)], _batch_images(2, 300, 20000, 7), 300, 20000, kmax=6)
     checks = {
         "E[F(g)]": (stats.f_mean[0][0], 1.0, stats.f_mean_se[0][0]),
         "E[F(g^6)]": (stats.f_mean[0][5], 4.0, stats.f_mean_se[0][5]),
@@ -106,7 +106,7 @@ def test_criterion_04_cover_moments():
     zmax = max(abs(got - want) / se for got, want, se in checks.values())
     exact_err = 0.0
     for n in range(1, 5):
-        got = exact_cover_moment((0,), n, kmax=4)
+        got = exact_cover_moment((1,), n, kmax=4)
         want = np.array([sum(1 for d in range(1, k + 1) if k % d == 0 and d <= n) for k in range(1, 5)], float)
         exact_err = max(exact_err, float(np.max(np.abs(got - want))))
     ok = zmax <= 3.0 and exact_err <= 1e-12
@@ -114,7 +114,8 @@ def test_criterion_04_cover_moments():
 
 
 def test_criterion_05_cover_variance_bridge(pants12):
-    rep = empirical_cover_variance(pants12, None, TRI, 1e4, 8.0, 300, 20000, SEED)
+    images = _batch_images(2, 300, 20000, SEED)
+    rep = empirical_cover_variance(pants12, None, TRI, 1e4, 8.0, images, 300, 20000, SEED)
     z = abs(rep.estimate - rep.sigma2_limit) / rep.se
     _verdict(5, rep.agrees, f"cover variance {rep.estimate:.5f} vs limit {rep.sigma2_limit:.5f}, |z| {z:.2f} <= 3")
 

@@ -1,5 +1,6 @@
 """CLI contracts: dispatch, artifacts, exit codes, determinism, config."""
 
+import hashlib
 import json
 import os
 
@@ -195,6 +196,60 @@ def test_covers_byte_identical(tmp_path):
     moments = doc["result"]["moments"]
     assert moments["model"] == "free"
     assert doc["config"]["seed"] == 7
+
+
+def test_covers_result_pinned(tmp_path):
+    # moment test plus bridge; the digest was recorded before the batch
+    # layout moved to flat indices and one shared draw per run
+    out = str(tmp_path / "covers.json")
+    assert main(["covers", "--n", "50", "--samples", "500", "--L", "6",
+                 "--lambda", "1e4", "--seed", "7", "--out", out]) == EXIT_OK
+    result = read_json(out)["result"]
+    canonical = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == (
+        "df9769f3325b45a83d95cf1e844ad9001b7fd67d4bd03af926c20cf13872c61c"
+    )
+
+
+def test_covers_draws_each_stream_once(tmp_path, monkeypatch):
+    # the moment test and the bridge read one batch: rank * samples
+    # permutation streams plus the bootstrap stream
+    import specvar.covers
+
+    calls = []
+    real = specvar.covers.stream
+
+    def counting(*key):
+        calls.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(specvar.covers, "stream", counting)
+    assert main(["covers", "--n", "20", "--samples", "300", "--L", "5",
+                 "--lambda", "1e3", "--seed", "3",
+                 "--out", str(tmp_path / "c.json")]) == EXIT_OK
+    assert len(calls) == len(set(calls)) == 2 * 300 + 1
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--kmax", "0")])
+def test_covers_refuses_bad_sizes(tmp_path, capsys, flag, value):
+    out = tmp_path / "c.json"
+    args = {"--n": "20", "--kmax": "6"}
+    args[flag] = value
+    code = main(["covers", "--n", args["--n"], "--kmax", args["--kmax"],
+                 "--samples", "100", "--seed", "1", "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_covers_refuses_cocompact_preset(tmp_path, capsys):
+    # the moment test samples the free model, as the bridge does
+    out = tmp_path / "c.json"
+    code = main(["covers", "--preset", "octagon_genus2", "--n", "5",
+                 "--samples", "100", "--seed", "1", "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "free presets" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_covers_seed_changes_output(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specvar.covers as covers
 import specvar.fuchsian as F
 from oracles import (
     PermutationRep,
@@ -21,6 +22,7 @@ from specvar.covers import (
     CoverStatistics,
     NotFreePreset,
     _batch_images,
+    _cycle_scan,
     _power_fixed_counts,
     _word_images,
     empirical_cover_variance,
@@ -34,6 +36,15 @@ from specvar.windows import window
 @pytest.fixture(scope="module")
 def pants():
     return F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
+
+
+def moments(records, n, samples, seed, kmax, rank=2):
+    return moment_experiment(records, _batch_images(rank, n, samples, seed), n, samples, kmax)
+
+
+def bridge(spectrum, char, win, lam, L, n, samples, seed, **kw):
+    images = _batch_images(spectrum.group.rank, n, samples, seed)
+    return empirical_cover_variance(spectrum, char, win, lam, L, images, n, samples, seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +176,66 @@ def test_inverse_word_same_cycle_type(letters, seed):
 
 
 def test_batch_matches_scalar_rows():
+    # row s of a batch image holds sample s's permutation offset by s*n
     rank, n, samples, seed = 2, 23, 15, 77
     images = _batch_images(rank, n, samples, seed)
     for w in [(1,), (1, 2), (-2, 1, 1)]:
         batch = _word_images(images, w)
         fbatch = _power_fixed_counts(batch, 5)
+        cbatch = _cycle_scan(batch, 5)
         for s in range(samples):
             rep = sample_rep(rank, n, seed, sample_index=s)
-            assert np.array_equal(batch[s], eval_perm(rep, w))
+            assert np.array_equal(batch[s] - s * n, eval_perm(rep, w))
             assert np.array_equal(fbatch[s], fixed_points_of_powers(rep, w, 5))
+            assert np.array_equal(cbatch[s], cycle_counts(rep, w, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)
+))
+def test_cycle_scan_matches_walk(rows):
+    # pointer doubling against the plain cycle walk, every cycle length
+    n = len(rows[0])
+    batch = np.array(rows, dtype=np.int64) + np.arange(len(rows))[:, None] * n
+    scan = _cycle_scan(batch, n)
+    for s, row in enumerate(rows):
+        rep = PermutationRep(n=n, images=(np.array(row),), seed=0)
+        assert np.array_equal(scan[s], cycle_counts(rep, (1,), n))
+
+
+def test_word_images_rejects_out_of_range_letters():
+    images = _batch_images(2, 5, 3, seed=1)
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError):
+            _word_images(images, (1, letter))
+    with pytest.raises(ValueError):
+        moment_experiment([(0,)], images, 5, 3)
+
+
+def test_sample_blocks_do_not_change_results(monkeypatch, pants):
+    # blocks of 2 samples (the last one short) against a single block
+    n, samples, seed = 23, 15, 4
+    images = _batch_images(2, n, samples, seed)
+    tri = window("triangle")
+    whole_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
+    whole_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, n, samples, seed)
+    monkeypatch.setattr(covers, "_BLOCK_POINTS", 2 * n)
+    assert len(list(covers._sample_blocks(images))) == 8
+    blocked_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
+    blocked_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, n, samples, seed)
+    assert blocked_m.as_dict() == whole_m.as_dict()
+    assert blocked_b.as_dict() == whole_b.as_dict()
+
+
+def test_batch_shape_must_match_degree_and_samples():
+    images = _batch_images(2, 5, 4, seed=1)
+    with pytest.raises(ValueError):
+        moment_experiment([(1,)], images, 6, 4)
+    with pytest.raises(ValueError):
+        moment_experiment([(1,)], images, 5, 3)
+    with pytest.raises(ValueError):
+        moment_experiment([(1,)], _batch_images(2, 0, 4, seed=1), 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +257,7 @@ def test_exact_cover_moment_small_degrees():
 
 
 def test_moment_experiment_matches_exhaustive_oracle():
-    st_ = moment_experiment([(1, 2)], n=3, samples=8000, seed=5, kmax=4)
+    st_ = moments([(1, 2)], n=3, samples=8000, seed=5, kmax=4)
     ex = exact_cover_moment((1, 2), 3, kmax=4)
     assert np.all(np.abs(st_.f_mean[0] - ex) <= 3 * st_.f_mean_se[0])
 
@@ -203,7 +265,7 @@ def test_moment_experiment_matches_exhaustive_oracle():
 def test_moment_experiment_named_asymptotics(pants):
     prim = F.unoriented_primitives(pants)
     recs = [prim[0], prim[2]]
-    st_ = moment_experiment(recs, n=100, samples=4000, seed=11, kmax=6)
+    st_ = moments(recs, n=100, samples=4000, seed=11, kmax=6)
     # E[F(g)] -> d(1) = 1, E[F(g^6)] -> d(6) = 4
     assert abs(st_.f_mean[0, 0] - 1.0) <= 3 * st_.f_mean_se[0, 0]
     assert abs(st_.f_mean[0, 5] - 4.0) <= 3 * st_.f_mean_se[0, 5]
@@ -219,7 +281,7 @@ def test_moment_experiment_named_asymptotics(pants):
 
 
 def test_moment_experiment_cycle_means(pants):
-    st_ = moment_experiment([(1,)], n=100, samples=4000, seed=2, kmax=4)
+    st_ = moments([(1,)], n=100, samples=4000, seed=2, kmax=4, rank=1)
     # C(g,d) -> Poisson(1/d) means
     assert np.all(
         np.abs(st_.cycle_mean[0] - st_.cycle_mean_target[0])
@@ -234,31 +296,23 @@ def test_moment_experiment_cycle_means(pants):
 def test_cover_variance_requires_free_preset():
     oct3 = F.build_spectrum(F.preset("octagon_genus2"), 3.0)
     with pytest.raises(NotFreePreset):
-        empirical_cover_variance(
-            oct3, None, window("triangle"), 100.0, 3.0, 10, 10, seed=1
-        )
+        bridge(oct3, None, window("triangle"), 100.0, 3.0, 10, 10, seed=1)
 
 
 def test_cover_variance_requires_complete_spectrum(pants):
     with pytest.raises(SpectrumTooShort):
-        empirical_cover_variance(
-            pants, None, window("triangle"), 100.0, 10.0, 10, 10, seed=1
-        )
+        bridge(pants, None, window("triangle"), 100.0, 10.0, 10, 10, seed=1)
 
 
 def test_cover_variance_degree_one_is_zero(pants):
-    rep = empirical_cover_variance(
-        pants, None, window("triangle"), 100.0, 6.0, n=1, samples=50, seed=4
-    )
+    rep = bridge(pants, None, window("triangle"), 100.0, 6.0, n=1, samples=50, seed=4)
     assert rep.estimate == 0.0
     assert rep.se == 0.0
 
 
 def test_cover_variance_matches_limit(pants):
     tri = window("triangle")
-    rep = empirical_cover_variance(
-        pants, None, tri, lam=100.0, L=6.0, n=100, samples=4000, seed=21
-    )
+    rep = bridge(pants, None, tri, lam=100.0, L=6.0, n=100, samples=4000, seed=21)
     assert rep.sigma2_limit == sigma2_limit(pants, None, tri, 100.0, 6.0).sigma2
     assert abs(rep.estimate - rep.sigma2_limit) <= 3 * rep.se
     assert rep.agrees
@@ -268,26 +322,24 @@ def test_cover_variance_matches_limit(pants):
 def test_cover_variance_flux_character(pants):
     tri = window("triangle")
     chi = FluxCharacter(flux=(0.7, 0.3))
-    rep = empirical_cover_variance(
-        pants, chi, tri, lam=100.0, L=6.0, n=100, samples=4000, seed=31
-    )
+    rep = bridge(pants, chi, tri, lam=100.0, L=6.0, n=100, samples=4000, seed=31)
     assert abs(rep.estimate - rep.sigma2_limit) <= 3 * rep.se
 
 
 def test_cover_variance_centering_shift_invariance(pants):
     tri = window("triangle")
     kw = dict(lam=100.0, L=6.0, n=50, samples=500, seed=9)
-    a = empirical_cover_variance(pants, None, tri, **kw, centering="batch")
-    b = empirical_cover_variance(pants, None, tri, **kw, centering="dk")
+    a = bridge(pants, None, tri, **kw, centering="batch")
+    b = bridge(pants, None, tri, **kw, centering="dk")
     # centering shifts every sample by the same constant; variance unmoved
     assert a.estimate == b.estimate
     with pytest.raises(ValueError):
-        empirical_cover_variance(pants, None, tri, **kw, centering="median")
+        bridge(pants, None, tri, **kw, centering="median")
 
 
 def test_cover_variance_deterministic(pants):
     tri = window("triangle")
     kw = dict(lam=100.0, L=6.0, n=50, samples=500, seed=9)
-    a = empirical_cover_variance(pants, None, tri, **kw)
-    b = empirical_cover_variance(pants, None, tri, **kw)
+    a = bridge(pants, None, tri, **kw)
+    b = bridge(pants, None, tri, **kw)
     assert a.as_dict() == b.as_dict()
