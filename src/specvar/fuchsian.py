@@ -22,15 +22,22 @@ enumeration with an empirical minimum-length margin.
 A primitive length is taken from one trace per inversion pair, chosen by a
 rule of the class (``_trace_spelling``), so the bits of every length are
 independent of the order in which the enumeration meets the class.
+
+A spectrum is cached as a format-2 CSV whose rows name their inverse rows.
+Loading rebuilds each conjugacy class from its word and its partner's word
+without canonicalising either; instead it checks every row against the
+invariants a build guarantees and against the length of its word's
+holonomy trace, and refuses a file that fails (``load_spectrum``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +59,7 @@ from .words import (
     word_sort_key,
 )
 
-SPECTRUM_FORMAT_VERSION = 1
+SPECTRUM_FORMAT_VERSION = 2
 
 
 class InvalidParameters(ValueError):
@@ -104,13 +111,40 @@ class FuchsianGroup:
         return out
 
 
+def _word_blocks(words: Sequence[Word]) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """Equal-length words as (row indices, signed letter array) blocks."""
+    by_length: dict[int, list[int]] = {}
+    for i, word in enumerate(words):
+        by_length.setdefault(len(word), []).append(i)
+    for n, idx in by_length.items():
+        letters = np.array([words[i] for i in idx], dtype=np.int64).reshape(len(idx), n)
+        yield np.array(idx), letters
+
+
+def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
+    """Holonomy matrices of many words, shape (len(words), 2, 2).
+
+    Words are grouped by length and multiplied left to right from the
+    identity with batched ``@``, which gives the same bits as multiplying
+    one word at a time.  Raises InvalidParameters for a letter outside the
+    group's rank.
+    """
+    mats = group.generator_array()
+    out = np.empty((len(words), 2, 2))
+    for idx, letters in _word_blocks(words):
+        codes = 2 * (np.abs(letters) - 1) + (letters < 0)  # _letter_code, by rows
+        if codes.size and (codes.min() < 0 or codes.max() >= len(mats)):
+            raise InvalidParameters(f"word letter out of range for rank {group.rank}")
+        prod = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
+        for j in range(letters.shape[1]):
+            prod = prod @ mats[codes[:, j]]
+        out[idx] = prod
+    return out
+
+
 def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
     """Product of generator matrices and inverses in word order."""
-    mats = group.generator_array()
-    out = np.eye(2)
-    for letter in word:
-        out = out @ mats[_letter_code(letter)]
-    return out
+    return holonomies(group, [word])[0]
 
 
 def length_of(trace: float) -> float:
@@ -685,27 +719,35 @@ def word_to_text(word: Word) -> str:
     return "".join(out)
 
 
+_LETTER_OF = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {
+    ch.upper(): -(i + 1) for i, ch in enumerate(_LETTERS)
+}
+
+
 def word_from_text(text: str) -> Word:
-    out = []
-    for ch in text:
-        idx = _LETTERS.find(ch.lower())
-        if idx < 0:
-            raise ValueError(f"bad word letter {ch!r}")
-        out.append(idx + 1 if ch.islower() else -(idx + 1))
-    return tuple(out)
+    try:
+        return tuple([_LETTER_OF[ch] for ch in text])
+    except KeyError as exc:
+        raise ValueError(f"bad word letter {exc.args[0]!r}") from None
+
+
+_COLUMNS = ["classId", "inverseId", "word", "ell", "ell_sharp", "k", "log_detIminusP"]
+_CERTIFICATE_PREFIX = "# certificate="
+_REBUILD = "rebuild it with `specvar spectrum`"
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
     """Write records with full decimal precision (repr round trip).
 
-    The two comment lines end in \\n and the csv rows in \\r\\n; the
-    file lands atomically through the report writer.
+    Format 2: ``inverseId`` is the ``classId`` of the record whose word is
+    the record's ``inverse_canonical`` (its own id for an achiral class),
+    and a ``# certificate=<json>`` line carries the enumeration
+    certificate.  Only oriented spectra, which hold both records of every
+    pair, can be written.  The comment lines end in \\n and the csv rows
+    in \\r\\n; the file lands atomically through the report writer.
     """
-    rank = spectrum.group.rank
-    header = (
-        ["classId", "word", "ell", "ell_sharp", "k", "log_detIminusP"]
-        + [f"h{i}" for i in range(rank)]
-    )
+    ids = {rec.word: rec.class_id for rec in spectrum.records}
+    header = _COLUMNS + [f"h{i}" for i in range(spectrum.group.rank)]
     params = ",".join(repr(p) for p in spectrum.group.params)
     buf = io.StringIO()
     buf.write(f"# preset={spectrum.group.name} params={params}\n")
@@ -714,12 +756,20 @@ def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
         f"l_max={spectrum.l_max!r} oriented={spectrum.oriented} "
         f"certified_l_max={spectrum.certified_l_max!r}\n"
     )
+    buf.write(f"{_CERTIFICATE_PREFIX}{json.dumps(spectrum.certificate, sort_keys=True)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     for rec in spectrum.records:
+        partner = ids.get(rec.cls.inverse_canonical)
+        if partner is None:
+            raise InvalidParameters(
+                f"record {rec.class_id} has no inverse record; "
+                "the spectrum CSV holds oriented spectra only"
+            )
         writer.writerow(
             [
                 rec.class_id,
+                partner,
                 word_to_text(rec.word),
                 repr(rec.length),
                 repr(rec.primitive_length),
@@ -732,73 +782,224 @@ def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
 
 
 def spectrum_from_csv(path: str) -> tuple[list[dict], dict]:
-    """Read back rows as dicts plus the meta header."""
-    meta: dict = {}
-    rows: list[dict] = []
+    """Read back a format-2 file: rows as dicts plus the meta header.
+
+    ``meta["certificate"]`` is the parsed certificate.  Other format
+    versions and column headers are refused; the values are parsed but
+    not checked (``load_spectrum`` checks them).
+    """
     with open(path, newline="") as fh:
-        header: list[str] | None = None
-        for line in fh:
-            if line.startswith("#"):
-                for token in line[1:].strip().split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        meta[key] = val
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-                continue
-            row = dict(zip(header, cells))
+        lines = fh.readlines()
+    n_comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    meta: dict = {}
+    for line in lines[:n_comments]:
+        if line.startswith(_CERTIFICATE_PREFIX):
+            try:
+                meta["certificate"] = json.loads(line[len(_CERTIFICATE_PREFIX) :])
+            except ValueError as exc:
+                raise InvalidParameters(f"unreadable certificate line: {exc}") from None
+            continue
+        for token in line[1:].strip().split():
+            if "=" in token:
+                key, val = token.split("=", 1)
+                meta[key] = val
+    version = meta.get("format_version")
+    if version != str(SPECTRUM_FORMAT_VERSION):
+        raise InvalidParameters(
+            f"spectrum CSV format_version {version} is not supported (format "
+            f"{SPECTRUM_FORMAT_VERSION} stores each record's inverse row); {_REBUILD}"
+        )
+    table = csv.reader(lines[n_comments:])
+    header = next(table, [])
+    n_hom = len(header) - len(_COLUMNS)
+    if header[: len(_COLUMNS)] != _COLUMNS or header[len(_COLUMNS) :] != [
+        f"h{i}" for i in range(n_hom)
+    ]:
+        raise InvalidParameters(f"unexpected spectrum CSV columns {header}")
+    rows: list[dict] = []
+    for cells in table:
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells under {len(header)} columns")
             rows.append(
                 {
-                    "classId": int(row["classId"]),
-                    "word": word_from_text(row["word"]),
-                    "ell": float(row["ell"]),
-                    "ell_sharp": float(row["ell_sharp"]),
-                    "k": int(row["k"]),
-                    "log_detIminusP": float(row["log_detIminusP"]),
-                    "homology": tuple(
-                        int(row[k]) for k in header if k.startswith("h")
-                    ),
+                    "classId": int(cells[0]),
+                    "inverseId": int(cells[1]),
+                    "word": word_from_text(cells[2]),
+                    "ell": float(cells[3]),
+                    "ell_sharp": float(cells[4]),
+                    "k": int(cells[5]),
+                    "log_detIminusP": float(cells[6]),
+                    "homology": tuple(int(c) for c in cells[len(_COLUMNS) :]),
                 }
             )
+        except ValueError as exc:
+            raise InvalidParameters(f"row {len(rows)}: {exc}") from None
     return rows, meta
 
 
-def load_spectrum(path: str) -> LengthSpectrum:
-    """Reconstruct a spectrum, conjugacy classes included, from its CSV."""
-    rows, meta = spectrum_from_csv(path)
-    if int(meta.get("format_version", -1)) != SPECTRUM_FORMAT_VERSION:
+def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict:
+    """The file's certificate, refused unless its certified_l_max follows.
+
+    The enumerators certify l_max on the co-compact preset and
+    min(min(last two shell minimum lengths), l_max) on free presets.
+    """
+    cert = meta.get("certificate")
+    if not isinstance(cert, dict):
+        raise InvalidParameters("no certificate line")
+    certified = cert.get("certified_l_max")
+    if certified != float(meta["certified_l_max"]):
         raise InvalidParameters(
-            f"unsupported spectrum format_version {meta.get('format_version')}"
+            f"certificate certifies {certified!r}, header {meta['certified_l_max']}"
         )
-    params = [float(p) for p in meta.get("params", "").split(",") if p]
-    group = preset(meta["preset"], *params)
-    records = []
-    for row in rows:
-        cls = canonical_class(row["word"], group.group)
-        records.append(
-            GeodesicRecord(
-                class_id=row["classId"],
-                cls=cls,
-                length=row["ell"],
-                primitive_length=row["ell_sharp"],
-                power=row["k"],
-                log_det=row["log_detIminusP"],
-                homology=row["homology"],
-            )
+    if not certified <= l_max:
+        raise InvalidParameters(f"certified_l_max {certified!r} exceeds l_max {l_max!r}")
+    try:
+        expected = l_max if group.cocompact else min(min(cert["shell_min_lengths"][-2:]), l_max)
+    except (KeyError, TypeError, ValueError):
+        raise InvalidParameters("certificate lacks shell_min_lengths") from None
+    if certified != expected:
+        raise InvalidParameters(
+            f"certified_l_max {certified!r} does not follow from the certificate "
+            f"(its fields give {expected!r})"
         )
-    l_max = float(meta["l_max"])
-    certified_l_max = float(meta["certified_l_max"])
-    certificate = {
-        "method": "csv",
-        "certified_l_max": certified_l_max,
-        "complete": certified_l_max >= l_max,
-    }
+    return cert
+
+
+def _word_faults(words: Sequence[Word], rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per word: whether it is not a cyclically reduced least rotation over
+    the letters +-1..+-rank (or is empty), and its exponent sums."""
+    bad = np.zeros(len(words), dtype=bool)
+    sums = np.zeros((len(words), rank), dtype=np.int64)
+    for idx, letters in _word_blocks(words):
+        n = letters.shape[1]
+        if n == 0:
+            bad[idx] = True
+            continue
+        size = np.abs(letters)
+        wrong = ((size < 1) | (size > rank)).any(axis=1)
+        wrong |= (letters == -np.roll(letters, -1, axis=1)).any(axis=1)
+        keys = 2 * size + (letters < 0)  # _letter_key, by rows
+        rows = np.arange(len(idx))
+        for shift in range(1, n):
+            diff = np.roll(keys, -shift, axis=1) - keys
+            wrong |= diff[rows, np.argmax(diff != 0, axis=1)] < 0
+        bad[idx] = wrong
+        for g in range(rank):
+            sums[idx, g] = (letters == g + 1).sum(axis=1) - (letters == -(g + 1)).sum(axis=1)
+    return bad, sums
+
+
+def _row_fault(rows: list[dict], i: int, certified_l_max: float) -> str | None:
+    """What is wrong with row i on its own and beside its inverse row."""
+    row = rows[i]
+    ell, k, j = row["ell"], row["k"], row["inverseId"]
+    if row["classId"] != i:
+        return f"classId {row['classId']} is not the row index"
+    if not (0 <= j < len(rows) and rows[j]["inverseId"] == i):
+        return f"inverseId {j} is not an involution"
+    partner = rows[j]
+    if (partner["ell"], partner["ell_sharp"], partner["k"], partner["log_detIminusP"]) != (
+        ell, row["ell_sharp"], k, row["log_detIminusP"]
+    ):
+        return f"inverse row {j} differs in ell, ell_sharp, k or log_detIminusP"
+    if partner["homology"] != tuple(-h for h in row["homology"]):
+        return f"inverse row {j} does not carry the negated homology"
+    if k < 1 or ell != k * row["ell_sharp"]:
+        return "ell is not k * ell_sharp"
+    if not 0 < ell <= certified_l_max:
+        return f"ell {ell!r} is outside (0, certified_l_max]"
+    if row["log_detIminusP"] != log_poincare_det(ell):
+        return "log_detIminusP is not log_poincare_det(ell)"
+    return None
+
+
+def _check_rows(group: FuchsianGroup, rows: list[dict], certified_l_max: float) -> None:
+    """Refuse rows that a build of ``group`` could not have written."""
+
+    def refuse(i: int, fault: str) -> InvalidParameters:
+        return InvalidParameters(f"row {i}: {fault}")
+
+    words = [row["word"] for row in rows]
+    bad, sums = _word_faults(words, group.rank)
+    if bad.any():
+        raise refuse(
+            int(np.argmax(bad)),
+            f"word is not a cyclically reduced least rotation over rank {group.rank}",
+        )
+    for i, (row, exponent_sums) in enumerate(zip(rows, sums.tolist())):
+        if row["homology"] != tuple(exponent_sums):
+            raise refuse(i, "homology is not the word's exponent sums")
+
+    keys = [(row["ell"], word_sort_key(row["word"])) for row in rows]
+    for i in range(len(rows)):
+        fault = _row_fault(rows, i, certified_l_max)
+        if fault is None and i and not keys[i - 1] < keys[i]:
+            fault = "rows are not sorted by (ell, word)"
+        if fault is not None:
+            raise refuse(i, fault)
+
+    hol = holonomies(group, words)
+    traces = hol[:, 0, 0] + hol[:, 1, 1]
+    ells = np.array([row["ell"] for row in rows])
+    with np.errstate(invalid="ignore"):
+        traced = 2.0 * np.arccosh(np.abs(traces) / 2.0)
+    off = ~(np.abs(traced - ells) <= 1e-9 * ells)
+    if off.any():
+        i = int(np.argmax(off))
+        raise refuse(i, f"ell {ells[i]!r} is not the length {traced[i]!r} of the word's trace")
+    for i, row in enumerate(rows):
+        if row["k"] == 1 and row["ell_sharp"] not in (
+            length_of(traces[i]),
+            length_of(traces[row["inverseId"]]),
+        ):
+            raise refuse(i, "ell_sharp is not the length of its own trace or its inverse's")
+
+
+def load_spectrum(path: str) -> LengthSpectrum:
+    """Reconstruct a spectrum from its format-2 CSV, checking every row.
+
+    Each class is rebuilt as ``ConjugacyClass(word, inverse row's word)``,
+    with no canonicalisation, and the certificate comes back whole.  The
+    file is refused (InvalidParameters, CLI exit 2) unless classIds are
+    the row indices and rows are sorted by (ell, word); inverseId is an
+    involution whose partners share ell, ell_sharp, k and log_detIminusP
+    bit for bit and carry the negated homology; ell == k * ell_sharp,
+    log_detIminusP == log_poincare_det(ell) and ell <= certified_l_max; each
+    word is a cyclically reduced least rotation over the rank's letters
+    with the stated homology; ell is within 1e-9 relative of the length
+    of the word's trace; each primitive's ell_sharp is, bit for bit, the
+    length of its own trace or its inverse's; and certified_l_max follows
+    from the certificate.  Format 1 files and unoriented spectra are
+    refused with a request to rebuild.
+    """
+    try:
+        rows, meta = spectrum_from_csv(path)
+        if meta.get("oriented") != "True":
+            raise InvalidParameters(f"only oriented spectra load; {_REBUILD}")
+        params = [float(p) for p in meta.get("params", "").split(",") if p]
+        group = preset(meta.get("preset", ""), *params)
+        l_max = float(meta["l_max"])
+        certificate = _checked_certificate(meta, group, l_max)
+        _check_rows(group, rows, certificate["certified_l_max"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameters(f"spectrum file {path}: {exc}") from None
+    records = tuple(
+        GeodesicRecord(
+            class_id=row["classId"],
+            cls=ConjugacyClass(row["word"], rows[row["inverseId"]]["word"]),
+            length=row["ell"],
+            primitive_length=row["ell_sharp"],
+            power=row["k"],
+            log_det=row["log_detIminusP"],
+            homology=row["homology"],
+        )
+        for row in rows
+    )
     return LengthSpectrum(
         group=group,
         l_max=l_max,
-        oriented=meta["oriented"] == "True",
-        records=tuple(records),
+        oriented=True,
+        records=records,
         certificate=certificate,
     )

@@ -21,10 +21,12 @@ from scipy.integrate import simpson
 from specvar.characters import FluxCharacter, MatrixRep
 from specvar.dynamics import _flux_array
 from specvar.fuchsian import (
+    FuchsianGroup,
     GeodesicRecord,
     InvalidParameters,
     LengthSpectrum,
     _forbidden_5gram_codes,
+    _letter_code,
     log_poincare_det,
 )
 from specvar.poisson import PoissonSurrogate, _poisson_draws
@@ -147,7 +149,16 @@ def char_trace(rep: MatrixRep, cls) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# fuchsian: determinant, power check, tail sum
+# fuchsian: holonomy, determinant, power check, tail sum
+
+
+def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
+    """Product of generator matrices and inverses in word order, one word at a time."""
+    mats = group.generator_array()
+    out = np.eye(2)
+    for letter in word:
+        out = out @ mats[_letter_code(letter)]
+    return out
 
 
 def poincare_det(ell: float) -> float:

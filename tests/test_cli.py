@@ -403,3 +403,94 @@ def test_character_malformed_json_is_invalid(pants_csv, spec):
          "--L", "5", "--character", spec]
     )
     assert code == EXIT_INVALID
+
+
+# ---------------------------------------------------------------------------
+# spectrum CSV load checks
+
+
+def _rewrite(src, dst, rows=None, comments=None):
+    """Copy a spectrum CSV through edits of its cells and comment lines.
+
+    ``rows`` maps a data row index to {column: new cell}; ``comments``
+    maps old comment text to new.  Lines keep their endings.
+    """
+    with open(src, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    header = lines[3].rstrip("\r\n").split(",")
+    for i, edits in (rows or {}).items():
+        cells = lines[4 + i].rstrip("\r\n").split(",")
+        for column, value in edits.items():
+            cells[header.index(column)] = value
+        lines[4 + i] = ",".join(cells) + "\r\n"
+    for old, new in (comments or {}).items():
+        lines[:3] = [line.replace(old, new) for line in lines[:3]]
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    return dst
+
+
+def _average(spectrum_file, out):
+    return main(["average", "--spectrum-file", spectrum_file, "--L", "5",
+                 "--lambda", "5000", "--out", out])
+
+
+def _shifted_pair(cell, log_det):
+    # rows 14/15 (aab, AAB) with ell, ell_sharp and log_detIminusP moved
+    # together, so only the trace can tell
+    ell = float(cell)
+    edits = {"ell": repr(ell), "ell_sharp": repr(ell), "log_detIminusP": repr(log_det(ell))}
+    return {14: edits, 15: edits}
+
+
+@pytest.mark.parametrize(
+    "rows, comments, fault",
+    [
+        ({0: {"word": "c"}}, None, "row 0: word is not a cyclically reduced least rotation over rank 2"),
+        ({0: {"ell": "1.8"}}, None, "row 0: inverse row 1 differs"),
+        ({0: {"ell": "999"}, 1: {"ell": "999"}}, None, "row 0: ell is not k * ell_sharp"),
+        ({0: {"word": "ab"}, 4: {"word": "a"}}, None, "row 0: homology is not the word's exponent sums"),
+        ({6: {"k": "3"}, 7: {"k": "3"}}, None, "row 6: ell is not k * ell_sharp"),
+        ({0: {"inverseId": "2"}}, None, "row 0: inverseId 2 is not an involution"),
+        ({5: {"classId": "6"}}, None, "row 5: classId 6 is not the row index"),
+        ({12: {"word": "Ab", "h0": "-1", "h1": "1"}, 13: {"word": "aB", "h0": "1", "h1": "-1"}},
+         None, "row 13: rows are not sorted"),
+        (_shifted_pair("5.2737", F.log_poincare_det), None, "of the word's trace"),
+        (_shifted_pair("5.263750948332726", F.log_poincare_det), None,
+         "row 14: ell_sharp is not the length of its own trace or its inverse's"),
+        (None, {"certified_l_max=6.0": "certified_l_max=5.5",
+                '"certified_l_max": 6.0': '"certified_l_max": 5.5'},
+         "certified_l_max 5.5 does not follow from the certificate"),
+        (None, {"certified_l_max=6.0": "certified_l_max=6.5",
+                '"certified_l_max": 6.0': '"certified_l_max": 6.5'},
+         "certified_l_max 6.5 exceeds l_max 6.0"),
+        (None, {"oriented=True": "oriented=False"}, "rebuild it with `specvar spectrum`"),
+    ],
+    ids=["letter", "ell-digit", "ell-pair", "swapped-words", "k", "inverse-id",
+         "class-id", "unsorted", "ell-vs-trace", "ell-sharp-bits", "certified-forged",
+         "certified-over-l-max", "unoriented"],
+)
+def test_tampered_spectrum_is_refused(tmp_path, pants_csv, capsys, rows, comments, fault):
+    assert _average(pants_csv, str(tmp_path / "ok.json")) == EXIT_OK
+    capsys.readouterr()
+    bad = _rewrite(pants_csv, str(tmp_path / "bad.csv"), rows, comments)
+    assert _average(bad, str(tmp_path / "avg.json")) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"spectrum file {bad}" in err and fault in err, err
+    assert not (tmp_path / "avg.json").exists()
+
+
+def test_format_1_spectrum_asks_for_rebuild(tmp_path, pants_csv, capsys):
+    # the format-1 layout: no inverseId column and no certificate line
+    with open(pants_csv, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    old = [lines[0], lines[1].replace("format_version=2", "format_version=1")]
+    for line in lines[3:]:
+        cells = line.split(",")
+        old.append(",".join(cells[:1] + cells[2:]))
+    path = tmp_path / "v1.csv"
+    path.write_text("".join(old), encoding="utf-8", newline="")
+    assert _average(str(path), str(tmp_path / "avg.json")) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "format_version 1 is not supported" in err
+    assert "rebuild it with `specvar spectrum`" in err

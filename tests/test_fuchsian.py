@@ -131,6 +131,22 @@ def test_holonomy_empty_word_is_identity(pants):
     assert np.allclose(F.holonomy(pants, ()), np.eye(2))
 
 
+def test_holonomies_match_oracle(octagon12, pants_spectrum6, capped_torus):
+    # batched products give the bits of the one-word-at-a-time loop
+    for sp in (octagon12, pants_spectrum6, capped_torus):
+        words = [()] + [r.word for r in sp.records]
+        got = F.holonomies(sp.group, words)
+        want = np.array([oracles.holonomy(sp.group, w) for w in words])
+        assert np.array_equal(got, want)
+        assert np.array_equal(F.holonomy(sp.group, words[-1]), want[-1])
+
+
+@pytest.mark.parametrize("word", [(3,), (1, -3), (0, 1)])
+def test_holonomies_reject_out_of_range_letters(pants, word):
+    with pytest.raises(F.InvalidParameters, match="out of range"):
+        F.holonomies(pants, [(1, 2), word])
+
+
 def test_holonomy_word_times_inverse(octagon):
     w = (1, 2, -3, 4, 4, -1)
     m = F.holonomy(octagon, w) @ F.holonomy(octagon, invert_word(w))
@@ -442,12 +458,17 @@ def test_certificate_counts_rows_per_shell(octagon, torus):
 
 
 def test_octagon_bench_csv_pinned(tmp_path, octagon):
-    # the octagon Lmax 9.5 spectrum the benchmark builds and reads, with
-    # the sha256 its reference was recorded with
+    # the octagon Lmax 9.5 spectrum the benchmark builds and reads: its
+    # column header and data rows without inverseId hash as they did in
+    # format 1, and the whole format-2 file is pinned too
     path = tmp_path / "octagon9.5.csv"
     F.spectrum_to_csv(F.build_spectrum(octagon, 9.5), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "28d22148ef84dfd5906d4b154c672153179495bb7e39678905444993380863f6"
+    data = path.read_bytes()
+    assert hashlib.sha256(_rows_without_inverse_id(data)).hexdigest() == (
+        "21fabfd82e0749498512728d5c82f5b1ce072da5509298306cb40dcbfa92d451"
+    )
+    assert hashlib.sha256(data).hexdigest() == (
+        "5582b29c937a158155146d8505361fad5420f6a8a11c78f8756503693d988e64"
     )
 
 
@@ -506,6 +527,7 @@ def test_csv_round_trip(tmp_path, pants_spectrum6):
     assert len(rows) == len(pants_spectrum6.records)
     for row, rec in zip(rows, pants_spectrum6.records):
         assert row["classId"] == rec.class_id
+        assert rows[row["inverseId"]]["word"] == rec.cls.inverse_canonical
         assert row["word"] == rec.word
         assert row["ell"] == rec.length  # repr round trip is bit exact
         assert row["ell_sharp"] == rec.primitive_length
@@ -514,33 +536,77 @@ def test_csv_round_trip(tmp_path, pants_spectrum6):
         assert row["homology"] == rec.homology
 
 
+def _rows_without_inverse_id(data: bytes) -> bytes:
+    """Column header and data rows of a spectrum CSV, inverseId cut out."""
+    out = []
+    for line in data.split(b"\n")[:-1]:
+        if not line.startswith(b"#"):
+            cells = line.split(b",")
+            del cells[1]
+            out.append(b",".join(cells) + b"\n")
+    return b"".join(out)
+
+
 def test_csv_bytes_pinned(tmp_path):
-    # sha256 of this file as the writer produced it before it moved onto
-    # the report layer's atomic writer; comment lines end in \n, csv rows
-    # (header included) in \r\n
+    # the column header and data rows without inverseId hash as the whole
+    # format-1 file's did before the writer moved onto the report layer's
+    # atomic writer (full-file sha256 acaa27cc...); the format-2 file is
+    # pinned whole; comment lines end in \n, csv rows (header included)
+    # in \r\n
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 6.0)
     path = tmp_path / "pants6.csv"
     F.spectrum_to_csv(spectrum, str(path))
     data = path.read_bytes()
+    assert hashlib.sha256(_rows_without_inverse_id(data)).hexdigest() == (
+        "59e3ba6bf4f6bcc8ea9706c792caa3a3a3ea1c649bce782c4c8eda4de50cda57"
+    )
     assert hashlib.sha256(data).hexdigest() == (
-        "acaa27ccc597759627732bd18732ccf22a5c82667675b0aec8c11c4ec9c43e3e"
+        "a6875633ac4e9187c32a55217afeb0bcc61e57511fd83580131e123de8769de8"
     )
     lines = data.split(b"\n")[:-1]
-    assert [line.endswith(b"\r") for line in lines] == [False, False] + [True] * (len(lines) - 2)
+    assert [line.endswith(b"\r") for line in lines] == [False] * 3 + [True] * (len(lines) - 3)
     assert os.listdir(tmp_path) == ["pants6.csv"]
 
 
-def test_csv_round_trip_keeps_capped_certificate(tmp_path, torus, pants_spectrum6):
-    capped = F.build_spectrum(torus, 7.0, allow_incomplete=True, max_word_length=10)
-    assert not capped.certificate["complete"]
-    assert capped.certified_l_max < capped.l_max
-    for sp, name in [(capped, "torus.csv"), (pants_spectrum6, "pants.csv")]:
+@pytest.fixture(scope="module")
+def capped_torus(torus):
+    return F.build_spectrum(torus, 7.0, allow_incomplete=True, max_word_length=10)
+
+
+def test_csv_round_trip_keeps_capped_certificate(tmp_path, capped_torus, pants_spectrum6):
+    assert not capped_torus.certificate["complete"]
+    assert capped_torus.certified_l_max < capped_torus.l_max
+    for sp, name in [(capped_torus, "torus.csv"), (pants_spectrum6, "pants.csv")]:
         path = str(tmp_path / name)
         F.spectrum_to_csv(sp, path)
         loaded = F.load_spectrum(path)
-        assert loaded.certificate["complete"] == sp.certificate["complete"]
+        assert loaded.certificate == sp.certificate
         assert loaded.certified_l_max == sp.certified_l_max
         assert loaded.l_max == sp.l_max
+
+
+@pytest.mark.parametrize("which", ["octagon12", "pants", "capped torus"])
+def test_load_returns_the_built_records(
+    request, tmp_path, which, octagon_csv, pants_spectrum6, capped_torus
+):
+    if which == "octagon12":
+        sp, path = request.getfixturevalue("octagon12"), octagon_csv
+    else:
+        sp = pants_spectrum6 if which == "pants" else capped_torus
+        path = str(tmp_path / "spec.csv")
+        F.spectrum_to_csv(sp, path)
+    loaded = F.load_spectrum(path)
+    assert loaded.records == sp.records  # GeodesicRecord equality, cls included
+    assert (loaded.group.name, loaded.group.params) == (sp.group.name, sp.group.params)
+    assert (loaded.l_max, loaded.oriented) == (sp.l_max, sp.oriented)
+    assert loaded.certificate == sp.certificate
+
+
+def test_csv_writer_refuses_unoriented_spectrum(tmp_path, pants):
+    folded = F.build_spectrum(pants, 5.0, oriented=False)
+    with pytest.raises(F.InvalidParameters, match="oriented spectra only"):
+        F.spectrum_to_csv(folded, str(tmp_path / "folded.csv"))
+    assert not os.listdir(tmp_path)
 
 
 def test_word_text_round_trip():
