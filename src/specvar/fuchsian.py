@@ -49,10 +49,12 @@ from .words import (
     _letter_key,
     abelianize,
     canonical_class,
+    cyclic_reduce,
     free_group,
     invert_word,
     min_rotation,
     primitive_root,
+    reduce_word,
     shortest_spellings,
     surface_group,
     word_power,
@@ -111,16 +113,6 @@ class FuchsianGroup:
         return out
 
 
-def _word_blocks(words: Sequence[Word]) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """Equal-length words as (row indices, signed letter array) blocks."""
-    by_length: dict[int, list[int]] = {}
-    for i, word in enumerate(words):
-        by_length.setdefault(len(word), []).append(i)
-    for n, idx in by_length.items():
-        letters = np.array([words[i] for i in idx], dtype=np.int64).reshape(len(idx), n)
-        yield np.array(idx), letters
-
-
 def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
     """Holonomy matrices of many words, shape (len(words), 2, 2).
 
@@ -131,12 +123,16 @@ def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
     """
     mats = group.generator_array()
     out = np.empty((len(words), 2, 2))
-    for idx, letters in _word_blocks(words):
+    by_length: dict[int, list[int]] = {}
+    for i, word in enumerate(words):
+        by_length.setdefault(len(word), []).append(i)
+    for n, idx in by_length.items():
+        letters = np.array([words[i] for i in idx], dtype=np.int64).reshape(len(idx), n)
         codes = 2 * (np.abs(letters) - 1) + (letters < 0)  # _letter_code, by rows
         if codes.size and (codes.min() < 0 or codes.max() >= len(mats)):
             raise InvalidParameters(f"word letter out of range for rank {group.rank}")
         prod = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
-        for j in range(letters.shape[1]):
+        for j in range(n):
             prod = prod @ mats[codes[:, j]]
         out[idx] = prod
     return out
@@ -866,36 +862,20 @@ def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict
     return cert
 
 
-def _word_faults(words: Sequence[Word], rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per word: whether it is not a cyclically reduced least rotation over
-    the letters +-1..+-rank (or is empty), and its exponent sums."""
-    bad = np.zeros(len(words), dtype=bool)
-    sums = np.zeros((len(words), rank), dtype=np.int64)
-    for idx, letters in _word_blocks(words):
-        n = letters.shape[1]
-        if n == 0:
-            bad[idx] = True
-            continue
-        size = np.abs(letters)
-        wrong = ((size < 1) | (size > rank)).any(axis=1)
-        wrong |= (letters == -np.roll(letters, -1, axis=1)).any(axis=1)
-        keys = 2 * size + (letters < 0)  # _letter_key, by rows
-        rows = np.arange(len(idx))
-        for shift in range(1, n):
-            diff = np.roll(keys, -shift, axis=1) - keys
-            wrong |= diff[rows, np.argmax(diff != 0, axis=1)] < 0
-        bad[idx] = wrong
-        for g in range(rank):
-            sums[idx, g] = (letters == g + 1).sum(axis=1) - (letters == -(g + 1)).sum(axis=1)
-    return bad, sums
-
-
-def _row_fault(rows: list[dict], i: int, certified_l_max: float) -> str | None:
+def _row_fault(
+    group: FuchsianGroup, rows: list[dict], i: int, certified_l_max: float
+) -> str | None:
     """What is wrong with row i on its own and beside its inverse row."""
     row = rows[i]
-    ell, k, j = row["ell"], row["k"], row["inverseId"]
+    word, ell, k, j = row["word"], row["ell"], row["k"], row["inverseId"]
     if row["classId"] != i:
         return f"classId {row['classId']} is not the row index"
+    if not word or max(map(abs, word)) > group.rank or 0 in word:
+        return f"word uses a letter outside rank {group.rank}"
+    if cyclic_reduce(reduce_word(word)) != word or min_rotation(word) != word:
+        return "word is not a cyclically reduced least rotation"
+    if abelianize(word, group.group) != row["homology"]:
+        return "homology is not the word's exponent sums"
     if not (0 <= j < len(rows) and rows[j]["inverseId"] == i):
         return f"inverseId {j} is not an involution"
     partner = rows[j]
@@ -920,26 +900,15 @@ def _check_rows(group: FuchsianGroup, rows: list[dict], certified_l_max: float) 
     def refuse(i: int, fault: str) -> InvalidParameters:
         return InvalidParameters(f"row {i}: {fault}")
 
-    words = [row["word"] for row in rows]
-    bad, sums = _word_faults(words, group.rank)
-    if bad.any():
-        raise refuse(
-            int(np.argmax(bad)),
-            f"word is not a cyclically reduced least rotation over rank {group.rank}",
-        )
-    for i, (row, exponent_sums) in enumerate(zip(rows, sums.tolist())):
-        if row["homology"] != tuple(exponent_sums):
-            raise refuse(i, "homology is not the word's exponent sums")
-
     keys = [(row["ell"], word_sort_key(row["word"])) for row in rows]
     for i in range(len(rows)):
-        fault = _row_fault(rows, i, certified_l_max)
+        fault = _row_fault(group, rows, i, certified_l_max)
         if fault is None and i and not keys[i - 1] < keys[i]:
             fault = "rows are not sorted by (ell, word)"
         if fault is not None:
             raise refuse(i, fault)
 
-    hol = holonomies(group, words)
+    hol = holonomies(group, [row["word"] for row in rows])
     traces = hol[:, 0, 0] + hol[:, 1, 1]
     ells = np.array([row["ell"] for row in rows])
     with np.errstate(invalid="ignore"):

@@ -446,7 +446,7 @@ def _shifted_pair(cell, log_det):
 @pytest.mark.parametrize(
     "rows, comments, fault",
     [
-        ({0: {"word": "c"}}, None, "row 0: word is not a cyclically reduced least rotation over rank 2"),
+        ({0: {"word": "c"}}, None, "row 0: word uses a letter outside rank 2"),
         ({0: {"ell": "1.8"}}, None, "row 0: inverse row 1 differs"),
         ({0: {"ell": "999"}, 1: {"ell": "999"}}, None, "row 0: ell is not k * ell_sharp"),
         ({0: {"word": "ab"}, 4: {"word": "a"}}, None, "row 0: homology is not the word's exponent sums"),

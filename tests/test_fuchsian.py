@@ -548,11 +548,11 @@ def _rows_without_inverse_id(data: bytes) -> bytes:
 
 
 def test_csv_bytes_pinned(tmp_path):
-    # the column header and data rows without inverseId hash as the whole
-    # format-1 file's did before the writer moved onto the report layer's
-    # atomic writer (full-file sha256 acaa27cc...); the format-2 file is
-    # pinned whole; comment lines end in \n, csv rows (header included)
-    # in \r\n
+    # the column header and data rows, inverseId cut out, hash as the same
+    # section of the format-1 file did (whole-file sha256 acaa27cc..., as
+    # written before the writer moved onto the report layer's atomic
+    # writer); the format-2 file is pinned whole; comment lines end in \n,
+    # csv rows (header included) in \r\n
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 6.0)
     path = tmp_path / "pants6.csv"
     F.spectrum_to_csv(spectrum, str(path))
