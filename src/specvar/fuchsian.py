@@ -609,22 +609,26 @@ def build_spectrum(
             root, _ = primitive_root(canonical_class(word, preset_group), preset_group)
             roots.setdefault(root.canonical, root)
 
-    records: list[GeodesicRecord] = []
+    # one representative per inversion pair; both orientations share the
+    # trace spelling, so a pair whose trace fails would fail from either
+    pair_roots: list[ConjugacyClass] = []
     seen: set[Word] = set()
     for root in roots.values():
-        if root.canonical in seen:
-            continue
-        trace = float(np.trace(holonomy(group, _trace_spelling(root, preset_group))))
+        if root.canonical not in seen:
+            seen.update((root.canonical, root.inverse_canonical))
+            pair_roots.append(root)
+    mats = holonomies(group, [_trace_spelling(root, preset_group) for root in pair_roots])
+
+    records: list[GeodesicRecord] = []
+    for root, mat in zip(pair_roots, mats):
         try:
-            ell0 = length_of(trace)
+            ell0 = length_of(float(np.trace(mat)))
         except NonHyperbolicElement:
             continue  # cusp word on the non-compact preset
         if ell0 > effective_l_max:
             continue
         hom0 = abelianize(root.canonical, preset_group)
         inv_cls = canonical_class(root.inverse_canonical, preset_group)
-        seen.add(root.canonical)
-        seen.add(inv_cls.canonical)
         chiral = inv_cls.canonical != root.canonical
         pair = [root]
         if oriented and chiral:

@@ -585,14 +585,18 @@ def test_csv_round_trip_keeps_capped_certificate(tmp_path, capped_torus, pants_s
         assert loaded.l_max == sp.l_max
 
 
-@pytest.mark.parametrize("which", ["octagon12", "pants", "capped torus"])
+@pytest.mark.parametrize("which", ["octagon12", "pants", "capped torus", "truncated torus"])
 def test_load_returns_the_built_records(
     request, tmp_path, which, octagon_csv, pants_spectrum6, capped_torus
 ):
     if which == "octagon12":
         sp, path = request.getfixturevalue("octagon12"), octagon_csv
     else:
-        sp = pants_spectrum6 if which == "pants" else capped_torus
+        sp = {
+            "pants": pants_spectrum6,
+            "capped torus": capped_torus,
+            "truncated torus": F.truncate_spectrum(capped_torus, 5.0),
+        }[which]
         path = str(tmp_path / "spec.csv")
         F.spectrum_to_csv(sp, path)
     loaded = F.load_spectrum(path)
