@@ -349,11 +349,11 @@ def _cmd_covers(args) -> int:
         raise ConfigError("the variance bridge needs --lambda alongside --L")
     needed = args.L if args.L is not None else args.moment_lmax
     spectrum = _get_spectrum(args, needed=needed)
-    records = [r for r in spectrum.records if r.length <= args.moment_lmax]
-    if not records:
+    words = [r.word for r in spectrum.records if r.length <= args.moment_lmax]
+    if not words:
         raise ConfigError(f"no classes of length <= {args.moment_lmax:g} for the moment test")
     images = _batch_images(_require_free(spectrum), args.n, args.samples, args.seed)
-    stats = moment_experiment(records, images, args.n, args.samples, kmax=args.kmax)
+    stats = moment_experiment(words, images, args.n, args.samples, kmax=args.kmax)
     result = {"moments": stats.as_dict(), "bridge": None}
     passed = stats.passed
     if args.L is not None:
@@ -373,7 +373,7 @@ def _cmd_covers(args) -> int:
         result["bridge"] = bridge.as_dict()
         passed = passed and bridge.agrees
     json_report(args.out, cfg, result)
-    return _emit(args, passed, f"{args.out}: {len(records)} classes, n={args.n}, samples={args.samples}")
+    return _emit(args, passed, f"{args.out}: {len(words)} classes, n={args.n}, samples={args.samples}")
 
 
 def _cmd_poisson(args) -> int:

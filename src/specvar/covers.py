@@ -26,7 +26,7 @@ asymptotics being tested hold in both models.  Reports carry a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,12 +214,8 @@ class CoverStatistics:
         }
 
 
-def _as_words(records) -> tuple[Word, ...]:
-    return tuple(r.word if hasattr(r, "word") else tuple(r) for r in records)
-
-
 def moment_experiment(
-    records,
+    words: list[Word],
     images: np.ndarray,
     n: int,
     samples: int,
@@ -228,13 +224,13 @@ def moment_experiment(
     """Empirical F_n moments against their n -> infinity laws.
 
     ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
-    degree ``n``.  Classes must be primitive and pairwise non-inverse for
-    the cross-class decorrelation target to apply.  F is counted from
-    powers of the word image and cycle counts from an independent cycle
-    scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is asserted on every sample.
+    degree ``n``.  The words' classes must be primitive and pairwise
+    non-inverse for the cross-class decorrelation target to apply.  F is
+    counted from powers of the word image and cycle counts from an
+    independent cycle scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is
+    asserted on every sample.
     """
     _check_batch(images, n, samples)
-    words = _as_words(records)
 
     nc = len(words)
     f = np.empty((samples, nc, kmax), dtype=np.int64)
@@ -372,9 +368,9 @@ def empirical_cover_variance(
         raise ValueError(f"unknown centering {centering!r}")
     _check_batch(images, n, samples)
 
-    sub = replace(spectrum, records=tuple(unoriented_primitives(spectrum)))
-    table = coefficient_table(sub, char, window, lam, L)
-    by_id = {r.class_id: r for r in sub.records}
+    prims = unoriented_primitives(spectrum)
+    table = coefficient_table(prims, char, window, lam, L)
+    by_id = {r.class_id: r for r in prims}
     recs = [by_id[int(c)] for c in table.class_ids]
     kmaxes = [max(1, int(L / r.primitive_length)) for r in recs]
     coeffs = [table.coeffs[:km, i] for i, km in enumerate(kmaxes)]

@@ -25,6 +25,7 @@ from .fuchsian import LengthSpectrum
 from .rng import stream
 from .variance import (
     SigmaEvaluator,
+    _check_flux_rank,
     _pair_values_bulk,
     _require_certified,
     character_id,
@@ -68,8 +69,7 @@ def _flux_array(flux_vector, rank: int) -> np.ndarray:
         flux_vector.flux if isinstance(flux_vector, FluxCharacter) else flux_vector,
         dtype=float,
     )
-    if flux.shape != (rank,):
-        raise ValueError(f"flux has {flux.size} entries for rank {rank}")
+    _check_flux_rank(flux, rank)
     return flux
 
 
@@ -479,12 +479,11 @@ def empirical_transition(
         * np.asarray(w.psi_hat(ells / L)) ** 2
         * np.exp(-np.array([r.log_det for r in prims]))
     )
-    orient = 1.0 if spectrum.oriented else 2.0
     alpha = s / math.sqrt(L)
     gue = sigma2_gue(w)
     empirical = np.array(
         [
-            gue + orient * 2.0 / L**2 * float(np.dot(np.cos(2.0 * a * theta), base))
+            gue + 2.0 / L**2 * float(np.dot(np.cos(2.0 * a * theta), base))
             for a in alpha
         ]
     )

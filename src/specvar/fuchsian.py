@@ -57,7 +57,6 @@ from .words import (
     reduce_word,
     shortest_spellings,
     surface_group,
-    word_power,
     word_sort_key,
 )
 
@@ -306,6 +305,8 @@ class GeodesicRecord:
 class LengthSpectrum:
     """All conjugacy classes with ell <= l_max, sorted by length.
 
+    Both orientations of every geodesic are records: a chiral class and
+    its inverse class appear side by side, an achiral class once.
     ``certificate`` records the word-length bound that guarantees
     completeness and how it was obtained.  In capped mode (non-co-compact
     presets) ``certified_l_max`` may fall short of ``l_max``.
@@ -313,7 +314,6 @@ class LengthSpectrum:
 
     group: FuchsianGroup
     l_max: float
-    oriented: bool
     records: tuple[GeodesicRecord, ...]
     certificate: dict = field(default_factory=dict)
 
@@ -580,16 +580,17 @@ def _trace_spelling(root: ConjugacyClass, preset: GroupPreset) -> Word:
 def build_spectrum(
     group: FuchsianGroup,
     l_max: float,
-    oriented: bool = True,
     max_word_length: int = 14,
     allow_incomplete: bool = False,
 ) -> LengthSpectrum:
     """Enumerate all conjugacy classes with ell <= l_max.
 
-    Returns primitive classes and their powers.  Lengths of powers are
-    computed as k times the primitive length, never from power traces.
-    When ``oriented`` both orientations of each class appear; otherwise one
-    representative per inversion pair is kept.
+    Returns primitive classes and their powers, both orientations of
+    each.  Lengths of powers are computed as k times the primitive length,
+    never from power traces.  Only the enumeration survivors are
+    canonicalised: a root's class names its inverse class, and the k-th
+    power class is the least rotation of the k-fold words, the spelling
+    ``canonical_class`` normalises powers to.
     """
     if l_max <= 0:
         raise InvalidParameters("l_max must be positive")
@@ -628,25 +629,17 @@ def build_spectrum(
         if ell0 > effective_l_max:
             continue
         hom0 = abelianize(root.canonical, preset_group)
-        inv_cls = canonical_class(root.inverse_canonical, preset_group)
-        chiral = inv_cls.canonical != root.canonical
-        pair = [root]
-        if oriented and chiral:
-            pair.append(inv_cls)
-        if not oriented and root.pick_unoriented() != root.canonical:
-            pair = [inv_cls]
-        for cls0 in pair:
-            sign = 1 if cls0.canonical == root.canonical else -1
+        pair = [(root.canonical, root.inverse_canonical, 1)]
+        if not root.is_inverse_self:
+            pair.append((root.inverse_canonical, root.canonical, -1))
+        for word, inv, sign in pair:
             k = 1
             while k * ell0 <= effective_l_max:
-                cls_k = cls0 if k == 1 else canonical_class(
-                    min_rotation(word_power(cls0.canonical, k)), preset_group
-                )
                 ell = k * ell0
                 records.append(
                     GeodesicRecord(
                         class_id=-1,
-                        cls=cls_k,
+                        cls=ConjugacyClass(min_rotation(word * k), min_rotation(inv * k)),
                         length=ell,
                         primitive_length=ell0,
                         power=k,
@@ -658,19 +651,17 @@ def build_spectrum(
 
     records.sort(key=lambda r: (r.length, word_sort_key(r.word)))
     final = tuple(replace(r, class_id=i) for i, r in enumerate(records))
-    return LengthSpectrum(group, l_max, oriented, final, certificate=cert)
+    return LengthSpectrum(group, l_max, final, certificate=cert)
 
 
 def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
-    """One primitive record per geodesic, orientation folded away.
+    """P0: one primitive record per unoriented geodesic.
 
-    In an oriented spectrum each geodesic appears as a chiral pair of
-    records; random-cover and Poisson models must treat the pair as one
-    random object (a permutation and its inverse share fixed points), so
-    the representative with the smaller canonical word is kept.
+    A spectrum lists a chiral geodesic as two records, one per
+    orientation; random-cover and Poisson models must treat the pair as
+    one random object (a permutation and its inverse share fixed points),
+    so the record with the smaller canonical word is kept.
     """
-    if not spectrum.oriented:
-        return spectrum.primitives()
     return [
         rec
         for rec in spectrum.primitives()
@@ -694,7 +685,6 @@ def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
     return LengthSpectrum(
         group=spectrum.group,
         l_max=l_max,
-        oriented=spectrum.oriented,
         records=tuple(r for r in spectrum.records if r.length <= l_max),
         certificate=cert,
     )
@@ -742,9 +732,10 @@ def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
     Format 2: ``inverseId`` is the ``classId`` of the record whose word is
     the record's ``inverse_canonical`` (its own id for an achiral class),
     and a ``# certificate=<json>`` line carries the enumeration
-    certificate.  Only oriented spectra, which hold both records of every
-    pair, can be written.  The comment lines end in \\n and the csv rows
-    in \\r\\n; the file lands atomically through the report writer.
+    certificate.  Every record's inverse record must be present, so a
+    subset such as the P0 records is refused.  The comment lines end in
+    \\n and the csv rows in \\r\\n; the file lands atomically through the
+    report writer.
     """
     ids = {rec.word: rec.class_id for rec in spectrum.records}
     header = _COLUMNS + [f"h{i}" for i in range(spectrum.group.rank)]
@@ -753,7 +744,7 @@ def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
     buf.write(f"# preset={spectrum.group.name} params={params}\n")
     buf.write(
         f"# format_version={SPECTRUM_FORMAT_VERSION} "
-        f"l_max={spectrum.l_max!r} oriented={spectrum.oriented} "
+        f"l_max={spectrum.l_max!r} oriented=True "
         f"certified_l_max={spectrum.certified_l_max!r}\n"
     )
     buf.write(f"{_CERTIFICATE_PREFIX}{json.dumps(spectrum.certificate, sort_keys=True)}\n")
@@ -943,8 +934,8 @@ def load_spectrum(path: str) -> LengthSpectrum:
     with the stated homology; ell is within 1e-9 relative of the length
     of the word's trace; each primitive's ell_sharp is, bit for bit, the
     length of its own trace or its inverse's; and certified_l_max follows
-    from the certificate.  Format 1 files and unoriented spectra are
-    refused with a request to rebuild.
+    from the certificate.  Format 1 files and headers with any other
+    token than ``oriented=True`` are refused with a request to rebuild.
     """
     try:
         rows, meta = spectrum_from_csv(path)
@@ -972,7 +963,6 @@ def load_spectrum(path: str) -> LengthSpectrum:
     return LengthSpectrum(
         group=group,
         l_max=l_max,
-        oriented=True,
         records=records,
         certificate=certificate,
     )

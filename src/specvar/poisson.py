@@ -16,7 +16,7 @@ the surrogate both a sampler (CLT, ergodicity experiments) and an oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -101,8 +101,7 @@ class PoissonSurrogate:
         self.lam = float(lam)
         self.L = float(L)
         self.seed = int(seed)
-        sub = replace(spectrum, records=tuple(unoriented_primitives(spectrum)))
-        self._table = coefficient_table(sub, char, window, lam, L)
+        self._table = coefficient_table(unoriented_primitives(spectrum), char, window, lam, L)
 
         t = self._table
         n = len(t.class_ids)

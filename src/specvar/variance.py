@@ -16,9 +16,10 @@ The psi_hat support cuts every k-sum at floor(L/l) exactly, so no
 truncation is approximate.  V is positive semidefinite (V = sum_d d u_d
 u_d^T with u_d the divisibility indicator), hence Sigma^2 >= 0.
 
-Oriented spectra carry two records per geodesic; A is invariant under
-orientation reversal (unitary characters give chi(g^-1) = conj chi(g)),
-so such sums are halved rather than filtered.
+A spectrum lists both orientations of every chiral geodesic, and A is
+invariant under orientation reversal (unitary characters give chi(g^-1) =
+conj chi(g)), so the variance halves its sum over all primitive records
+instead of filtering them down to P0.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ def character_id(char) -> str:
     raise TypeError(f"unsupported character {type(char).__name__}")
 
 
+def _check_flux_rank(flux, rank: int) -> None:
+    """The one rule for flux vectors: a vector with one entry per generator."""
+    if np.shape(flux) != (rank,):
+        raise ValueError(f"flux has {np.size(flux)} entries for rank {rank}")
+
+
 def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
     """(kmax, n) array of (chi+conj)(g^k) for k = 1..kmax."""
     n = len(records)
@@ -109,8 +116,8 @@ def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
     if char is None:
         return np.full((kmax, n), 2.0)
     if isinstance(char, FluxCharacter):
-        if n and len(records[0].homology) != char.rank:
-            raise ValueError(f"flux has {char.rank} entries for rank {len(records[0].homology)}")
+        if n:
+            _check_flux_rank(char.flux, len(records[0].homology))
         hom = np.array([r.homology for r in records], dtype=float).reshape(n, char.rank)
         theta = char.scale * (hom @ np.asarray(char.flux))
         return 2.0 * np.cos(ks * theta[None, :])
@@ -189,11 +196,16 @@ class CoefficientTable:
 
 
 def coefficient_table(
-    spectrum: LengthSpectrum, char, window: Window, lam: float, L: float
+    primitives: Sequence[GeodesicRecord], char, window: Window, lam: float, L: float
 ) -> CoefficientTable:
+    """A(gamma,k) over the given primitive records with l <= L.
+
+    The caller chooses the records: every primitive record of a spectrum
+    (both orientations) or the P0 records of ``unoriented_primitives``.
+    """
     if lam <= 0 or L <= 0:
         raise ValueError("lambda and L must be positive")
-    prims = [r for r in spectrum.primitives() if r.primitive_length <= L]
+    prims = [r for r in primitives if r.primitive_length <= L]
     prims.sort(key=lambda r: r.class_id)
     if prims:
         kmax = int(L / min(r.primitive_length for r in prims))
@@ -260,9 +272,8 @@ class SigmaEvaluator:
         self.L = float(L)
         self.window = window
         self.char_id = character_id(char)
-        self.orient = 0.5 if spectrum.oriented else 1.0
         self.certified_l_max = spectrum.certified_l_max
-        table = coefficient_table(spectrum, char, window, 1.0, L)
+        table = coefficient_table(spectrum.primitives(), char, window, 1.0, L)
         self._weights = table.weights
         self._freqs = table.freqs
         self.kmax = table.kmax
@@ -277,7 +288,8 @@ class SigmaEvaluator:
         cross = a @ a.T  # (kmax, kmax) of sums over classes
         total = float(np.sum(self._vmat * cross))
         primitive = float(cross[0, 0])
-        scale = 4.0 * self.orient / self.L**2
+        # both orientations of each chiral geodesic are summed: halve
+        scale = 2.0 / self.L**2
         w1, f1 = w[0], f[0]
         smooth = 0.5 * scale * float(np.dot(w1, w1))
         osc = 0.5 * scale * float(np.dot(w1 * w1, np.cos(2.0 * lam * f1)))
@@ -300,7 +312,7 @@ class SigmaEvaluator:
 
     def smooth(self) -> float:
         w1 = self._weights[0]
-        return 2.0 * self.orient / self.L**2 * float(np.dot(w1, w1))
+        return 1.0 / self.L**2 * float(np.dot(w1, w1))
 
 
 def sigma2_limit(

@@ -292,10 +292,6 @@ class ConjugacyClass:
     def is_inverse_self(self) -> bool:
         return self.canonical == self.inverse_canonical
 
-    def pick_unoriented(self) -> Word:
-        """Deterministic representative of the pair {class, inverse class}."""
-        return min(self.canonical, self.inverse_canonical, key=word_sort_key)
-
 
 def shortest_spellings(word: Word, preset: GroupPreset) -> set[Word]:
     """Every shortest cyclic spelling of the class of ``word``, as min-rotations.

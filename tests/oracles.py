@@ -95,6 +95,11 @@ def conjugate_by_all(word: Word, preset: GroupPreset, conj_len: int):
             yield concat(u, word, invert_word(u))
 
 
+def pick_unoriented(cls: ConjugacyClass) -> Word:
+    """Deterministic representative of the pair {class, inverse class}."""
+    return min(cls.canonical, cls.inverse_canonical, key=word_sort_key)
+
+
 # ---------------------------------------------------------------------------
 # characters: flux values, traces, the pi-lattice predicate
 

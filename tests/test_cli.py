@@ -211,6 +211,57 @@ def test_covers_result_pinned(tmp_path):
     )
 
 
+# digests of the canonical ``result`` JSON, or of the column header and
+# data rows of a CSV report, on the octagon Lmax 12 CSV
+ANALYSIS_PINS = {
+    "average": (
+        ["average", "--L", "8", "--window", "bump", "--lambda", "1e4", "--delta", "2"],
+        "json",
+        "867add6559477106f7e10d28b25674a615f44c84ea34ac69747f72c61da4a136",
+    ),
+    "average-flux": (
+        ["average", "--L", "8", "--window", "bump", "--lambda", "1e4", "--delta", "2",
+         "--flux", "1.5707963267948966,0,0,0"],
+        "json",
+        "8b4ea67417866e2b165d067a60b5c4519a2eb7f25650f2a781b5600611e976b1",
+    ),
+    "poisson": (
+        ["poisson", "--L", "8", "--lambda", "1e4", "--draws", "20000", "--seed", "3"],
+        "json",
+        "72248a1fc32d8a6dc032b0e4bf6617fa48bda5cb4ac11339022edc44b22ba1c3",
+    ),
+    "sumrule": (
+        ["sumrule", "--L", "8,9,9.5", "--window", "bump"],
+        "csv",
+        "725cf9dc46bc72ddacb624529e104651818f88593fd79f937955d4bf0834d2f2",
+    ),
+    "transition": (
+        ["transition", "--L", "8", "--lambda", "1e4", "--flux", "1,0,0,0"],
+        "csv",
+        "0cff6cd7136e7bb70aa45e4844a73a58262e57cd894e613ca2c24127b31977f7",
+    ),
+    "orbit-clt": (
+        ["orbit-clt", "--T", "8.5", "--draws", "20000", "--flux", "1,0,0,0", "--seed", "5"],
+        "csv",
+        "4a8ea4c7aa46f7a3236f33ea5e639e6a70864cd966523678e151332a3f3574f6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYSIS_PINS))
+def test_analysis_result_pinned(tmp_path, octagon_csv, name):
+    argv, kind, digest = ANALYSIS_PINS[name]
+    out = str(tmp_path / f"out.{kind}")
+    assert main(argv + ["--spectrum-file", octagon_csv, "--out", out]) == EXIT_OK
+    if kind == "json":
+        result = read_json(out)["result"]
+        payload = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+    else:
+        with open(out, "rb") as fh:
+            payload = b"".join(fh.readlines()[2:])
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 def test_covers_draws_each_stream_once(tmp_path, monkeypatch):
     # the moment test and the bridge read one batch: rank * samples
     # permutation streams plus the bootstrap stream

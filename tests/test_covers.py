@@ -38,8 +38,8 @@ def pants():
     return F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
 
 
-def moments(records, n, samples, seed, kmax, rank=2):
-    return moment_experiment(records, _batch_images(rank, n, samples, seed), n, samples, kmax)
+def moments(words, n, samples, seed, kmax, rank=2):
+    return moment_experiment(words, _batch_images(rank, n, samples, seed), n, samples, kmax)
 
 
 def bridge(spectrum, char, win, lam, L, n, samples, seed, **kw):
@@ -264,8 +264,8 @@ def test_moment_experiment_matches_exhaustive_oracle():
 
 def test_moment_experiment_named_asymptotics(pants):
     prim = F.unoriented_primitives(pants)
-    recs = [prim[0], prim[2]]
-    st_ = moments(recs, n=100, samples=4000, seed=11, kmax=6)
+    words = [prim[0].word, prim[2].word]
+    st_ = moments(words, n=100, samples=4000, seed=11, kmax=6)
     # E[F(g)] -> d(1) = 1, E[F(g^6)] -> d(6) = 4
     assert abs(st_.f_mean[0, 0] - 1.0) <= 3 * st_.f_mean_se[0, 0]
     assert abs(st_.f_mean[0, 5] - 4.0) <= 3 * st_.f_mean_se[0, 5]

@@ -6,6 +6,7 @@ sign of the lift; spectra are compared against exhaustive word enumeration
 with every pruning rule disabled.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import enumerate_classes
+from oracles import enumerate_classes, pick_unoriented
 from specvar import fuchsian as F
 from specvar.words import (
     canonical_class,
@@ -222,21 +223,36 @@ def test_pants_spectrum_matches_brute_force(pants, pants_spectrum6):
 
 
 def test_pants_spectrum_just_above_generators(pants):
-    sp = F.build_spectrum(pants, 2.05, oriented=False)
+    prims = F.unoriented_primitives(F.build_spectrum(pants, 2.05))
     # X, Y and the third boundary XY all have length exactly 2
-    assert len(sp.records) == 3
-    assert all(r.length == pytest.approx(2.0, abs=1e-9) for r in sp.records)
+    assert len(prims) == 3
+    assert all(r.length == pytest.approx(2.0, abs=1e-9) for r in prims)
     oracle = brute_classes(pants, 2.05, 4)
-    kept = {canonical_class(w, pants.group).pick_unoriented() for w in oracle}
-    assert {r.cls.pick_unoriented() for r in sp.records} == kept
+    kept = {pick_unoriented(canonical_class(w, pants.group)) for w in oracle}
+    assert {pick_unoriented(r.cls) for r in prims} == kept
 
 
 def test_oriented_doubles_chiral_classes(pants):
-    oriented = F.build_spectrum(pants, 5.0, oriented=True)
-    folded = F.build_spectrum(pants, 5.0, oriented=False)
-    chiral = sum(1 for r in folded.records if not r.cls.is_inverse_self)
-    achiral = len(folded.records) - chiral
-    assert len(oriented.records) == 2 * chiral + achiral
+    oriented = F.build_spectrum(pants, 5.0)
+    folded = F.unoriented_primitives(oriented)
+    chiral = sum(1 for r in folded if not r.cls.is_inverse_self)
+    achiral = len(folded) - chiral
+    assert len(oriented.primitives()) == 2 * chiral + achiral
+
+
+@pytest.fixture(scope="module")
+def pants9():
+    return F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
+
+
+@pytest.mark.parametrize("which", ["octagon12", "pants9", "capped_torus"])
+def test_record_classes_match_canonical_class(request, which):
+    # the build canonicalises only enumeration survivors and writes the
+    # inverse and power classes down; canonical_class must agree on each
+    sp = request.getfixturevalue(which)
+    preset_group = sp.group.group
+    for r in sp.records:
+        assert r.cls == canonical_class(r.word, preset_group)
 
 
 def test_oriented_spectrum_closed_under_inversion(octagon_spectrum6):
@@ -602,12 +618,13 @@ def test_load_returns_the_built_records(
     loaded = F.load_spectrum(path)
     assert loaded.records == sp.records  # GeodesicRecord equality, cls included
     assert (loaded.group.name, loaded.group.params) == (sp.group.name, sp.group.params)
-    assert (loaded.l_max, loaded.oriented) == (sp.l_max, sp.oriented)
+    assert loaded.l_max == sp.l_max
     assert loaded.certificate == sp.certificate
 
 
 def test_csv_writer_refuses_unoriented_spectrum(tmp_path, pants):
-    folded = F.build_spectrum(pants, 5.0, oriented=False)
+    sp = F.build_spectrum(pants, 5.0)
+    folded = dataclasses.replace(sp, records=tuple(F.unoriented_primitives(sp)))
     with pytest.raises(F.InvalidParameters, match="oriented spectra only"):
         F.spectrum_to_csv(folded, str(tmp_path / "folded.csv"))
     assert not os.listdir(tmp_path)

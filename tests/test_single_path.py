@@ -84,7 +84,7 @@ def test_vectorised_paths_match_loops(request, case):
     tri = window("triangle")
     by_id = {r.class_id: r for r in spec.primitives()}
     for char in (None, flux, _matrix_rep(rank)):
-        table = coefficient_table(spec, char, tri, 61.3, L)
+        table = coefficient_table(spec.primitives(), char, tri, 61.3, L)
         want = np.array(
             [
                 [oracles.coeff_A(by_id[cid], k, char, tri, 61.3, L) for cid in table.class_ids]

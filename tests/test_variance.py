@@ -102,7 +102,7 @@ def test_coeff_bound_dominates(pants_spec, tri, bump):
 
 def test_coefficient_table_matches_scalar(pants_spec, tri):
     lam, L = 61.3, 7.0
-    table = V.coefficient_table(pants_spec, None, tri, lam, L)
+    table = V.coefficient_table(pants_spec.primitives(), None, tri, lam, L)
     by_id = {r.class_id: r for r in pants_spec.primitives()}
     for j, cid in enumerate(table.class_ids):
         for k in range(1, table.kmax + 1):
@@ -117,7 +117,7 @@ def test_coefficient_table_matrix_char(pants_spec, tri):
     v = np.diag([np.exp(0.31j), np.exp(-0.31j)])
     rep = MatrixRep(images=(u, v))
     lam, L = 41.0, 7.0
-    table = V.coefficient_table(pants_spec, rep, tri, lam, L)
+    table = V.coefficient_table(pants_spec.primitives(), rep, tri, lam, L)
     by_id = {r.class_id: r for r in pants_spec.primitives()}
     for j, cid in enumerate(table.class_ids[:10]):
         for k in (1, 2):
@@ -143,8 +143,8 @@ def brute_sigma2(spec, char, w, lam, L):
                     * oracles.coeff_A(p, k1, char, w, lam, L)
                     * oracles.coeff_A(p, k2, char, w, lam, L)
                 )
-    orient = 0.5 if spec.oriented else 1.0
-    return 4.0 * orient / L**2 * total
+    # both orientations of each chiral geodesic are summed: halve
+    return 4.0 * 0.5 / L**2 * total
 
 
 def test_sigma2_matches_brute_force(pants_spec, tri):
@@ -169,9 +169,9 @@ def test_sigma2_flux_char_matches_brute_force(pants_spec, tri):
 
 def test_sigma2_single_class_oracle(pants, tri):
     # spectrum truncated below twice the systole: single unoriented class
-    spec = F.build_spectrum(pants, 2.0, oriented=False)
-    assert len(spec.records) == 1
-    (r,) = spec.records
+    spec = F.build_spectrum(pants, 2.0)
+    assert len(F.unoriented_primitives(spec)) == 1
+    (r,) = F.unoriented_primitives(spec)
     lam = 17.0
     rep = V.sigma2_limit(spec, None, tri, lam, 2.0)
     a = V.coeff_A(r, 1, None, tri, lam, 2.0)
@@ -208,8 +208,8 @@ def test_smooth_part_lambda_independent(pants_spec, tri):
 
 
 def test_osc_sign_structure_single_class(pants, tri):
-    spec = F.build_spectrum(pants, 2.0, oriented=False)
-    (r,) = spec.records
+    spec = F.build_spectrum(pants, 2.0)
+    (r,) = F.unoriented_primitives(spec)
     ell = r.primitive_length
     lam = 40.0
     a = V.sigma2_limit(spec, None, tri, lam, 2.0)
