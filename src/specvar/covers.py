@@ -215,7 +215,7 @@ class CoverStatistics:
 
 
 def moment_experiment(
-    words: list[Word],
+    records: list[Word],
     images: np.ndarray,
     n: int,
     samples: int,
@@ -223,21 +223,23 @@ def moment_experiment(
 ) -> CoverStatistics:
     """Empirical F_n moments against their n -> infinity laws.
 
-    ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
-    degree ``n``.  The words' classes must be primitive and pairwise
-    non-inverse for the cross-class decorrelation target to apply.  F is
+    ``records`` holds one class word per class (``bench/tracer.py``
+    binds the argument by this name).  ``images`` is a batch from
+    ``_batch_images`` of ``samples`` covers of degree ``n``.  The words'
+    classes must be primitive and pairwise non-inverse for the
+    cross-class decorrelation target to apply.  F is
     counted from powers of the word image and cycle counts from an
     independent cycle scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is
     asserted on every sample.
     """
     _check_batch(images, n, samples)
 
-    nc = len(words)
+    nc = len(records)
     f = np.empty((samples, nc, kmax), dtype=np.int64)
     cycles = np.empty((samples, nc, kmax), dtype=np.int64)
     divisors = [[d for d in range(1, k + 1) if k % d == 0] for k in range(1, kmax + 1)]
     for rows, block in _sample_blocks(images):
-        for i, w in enumerate(words):
+        for i, w in enumerate(records):
             img = _word_images(block, w)
             f[rows, i, :] = _power_fixed_counts(img, kmax)
             cycles[rows, i, :] = _cycle_scan(img, kmax)
@@ -279,7 +281,7 @@ def moment_experiment(
         n=n,
         samples=samples,
         kmax=kmax,
-        class_words=words,
+        class_words=tuple(records),
         f_mean=mean.reshape(shape),
         f_mean_se=mean_se.reshape(shape),
         f_mean_target=f_target.reshape(shape),

@@ -306,7 +306,7 @@ class LengthSpectrum:
     """All conjugacy classes with ell <= l_max, sorted by length.
 
     Both orientations of every geodesic are records: a chiral class and
-    its inverse class appear side by side, an achiral class once.
+    its inverse class are two records, an achiral class is one.
     ``certificate`` records the word-length bound that guarantees
     completeness and how it was obtained.  In capped mode (non-co-compact
     presets) ``certified_l_max`` may fall short of ``l_max``.
