@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .characters import FluxCharacter, phases_on_lattice
 from .fuchsian import LengthSpectrum
@@ -31,7 +30,7 @@ from .variance import (
     character_id,
     energy_average,
 )
-from .windows import Window, sigma2_goe, sigma2_gue
+from .windows import Window, _unit_integral, sigma2_goe, sigma2_gue
 
 
 class NonCompactPreset(UserWarning):
@@ -43,22 +42,21 @@ class EmptyEnsemble(LookupError):
 
 
 @lru_cache(maxsize=None)
-def _base_mass(kind: str) -> float:
-    """integral of psi_hat over [-1, 1] at unit amplitude."""
-    w = Window(kind)
-    value, err = quad(w.psi_hat, -1.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > 1e-11:
-        raise RuntimeError(f"quadrature error {err} above tolerance")
-    return value
+def _half_mass(kind: str) -> float:
+    """integral of psi_hat over [0, 1] at unit amplitude.
+
+    psi_hat is even, so the mass over [-1, 1] is twice this.
+    """
+    return _unit_integral(Window(kind).psi_hat, 1e-11)
 
 
 def window_mass(w: Window) -> float:
-    return w.amplitude * _base_mass(w.kind)
+    return w.amplitude * (2.0 * _half_mass(w.kind))
 
 
 def unit_mass_bump() -> Window:
     """The default orbit weight: smooth bump rescaled to unit mass."""
-    return Window("smooth_bump", amplitude=1.0 / _base_mass("smooth_bump"))
+    return Window("smooth_bump", amplitude=1.0 / (2.0 * _half_mass("smooth_bump")))
 
 
 def _flux_array(flux_vector, rank: int) -> np.ndarray:
@@ -132,10 +130,7 @@ def sum_rule_check(
     length, weight = _orbit_weights(spectrum)
     re_chi = 0.5 * _pair_values_bulk(char, spectrum.records, 1)[0]
     total = float(np.sum(re_chi * weight * phi.psi_hat(length / L)))
-    half_mass, err = quad(phi.psi_hat, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > 1e-11:
-        raise RuntimeError(f"quadrature error {err} above tolerance")
-    target = d_trivial * half_mass
+    target = d_trivial * phi.amplitude * _half_mass(phi.kind)
     value = total / L
     return SumRuleReport(
         value=value,
@@ -384,16 +379,13 @@ def transition_curve(w: Window, variance: float, s_grid) -> TransitionCurve:
     vals = np.empty(len(s))
     for i, si in enumerate(s):
         rate = 2.0 * variance * si * si
-        value, err = quad(
-            lambda t: math.exp(-rate * t) * t * w.psi_hat(t) ** 2,
-            0.0,
-            1.0,
-            epsabs=w.tolerance / 4,
-            epsrel=w.tolerance,
-            limit=200,
+        # past t = 40/rate the integrand's tail holds under 2e-16 of the
+        # integral, so the nodes span [0, min(1, 40/rate)] only
+        span = min(1.0, 40.0 / rate) if rate > 0 else 1.0
+        value = span * _unit_integral(
+            lambda u: np.exp(-rate * span * u) * (span * u) * w.psi_hat(span * u) ** 2,
+            w.tolerance,
         )
-        if err > w.tolerance:
-            raise RuntimeError(f"quadrature error {err} above tolerance")
         vals[i] = gue + 2.0 * value
     return TransitionCurve(
         variance=float(variance),

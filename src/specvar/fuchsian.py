@@ -651,7 +651,14 @@ def build_spectrum(
 
     records.sort(key=lambda r: (r.length, word_sort_key(r.word)))
     final = tuple(replace(r, class_id=i) for i, r in enumerate(records))
+    cert["shell_classes"] = _shell_classes(r.word for r in final)
     return LengthSpectrum(group, l_max, final, certificate=cert)
+
+
+def _shell_classes(words: Iterable[Word]) -> list[int]:
+    """Classes per word-length shell: entry i counts the words of i + 1 letters."""
+    lengths = np.fromiter((len(w) for w in words), dtype=np.int64)
+    return np.bincount(lengths, minlength=1)[1:].tolist()
 
 
 def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
@@ -679,13 +686,15 @@ def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
         raise ValueError(
             f"cannot truncate to {l_max}: certified only to {spectrum.certified_l_max}"
         )
+    records = tuple(r for r in spectrum.records if r.length <= l_max)
     cert = dict(spectrum.certificate)
     cert["certified_l_max"] = l_max
     cert["truncated_from"] = spectrum.l_max
+    cert["shell_classes"] = _shell_classes(r.word for r in records)
     return LengthSpectrum(
         group=spectrum.group,
         l_max=l_max,
-        records=tuple(r for r in spectrum.records if r.length <= l_max),
+        records=records,
         certificate=cert,
     )
 
@@ -854,6 +863,8 @@ def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict
             f"certified_l_max {certified!r} does not follow from the certificate "
             f"(its fields give {expected!r})"
         )
+    if not isinstance(cert.get("shell_classes"), list):
+        raise InvalidParameters(f"certificate lacks shell_classes; {_REBUILD}")
     return cert
 
 
@@ -920,6 +931,16 @@ def _check_rows(group: FuchsianGroup, rows: list[dict], certified_l_max: float) 
             raise refuse(i, "ell_sharp is not the length of its own trace or its inverse's")
 
 
+def _check_class_count(rows: list[dict], certificate: dict) -> None:
+    """Refuse rows whose classes per word length differ from the build's count."""
+    found = _shell_classes(row["word"] for row in rows)
+    if found != certificate["shell_classes"]:
+        raise InvalidParameters(
+            f"rows hold {found} classes per word length, the certificate "
+            f"{certificate['shell_classes']}: rows are missing or added"
+        )
+
+
 def load_spectrum(path: str) -> LengthSpectrum:
     """Reconstruct a spectrum from its format-2 CSV, checking every row.
 
@@ -933,9 +954,12 @@ def load_spectrum(path: str) -> LengthSpectrum:
     word is a cyclically reduced least rotation over the rank's letters
     with the stated homology; ell is within 1e-9 relative of the length
     of the word's trace; each primitive's ell_sharp is, bit for bit, the
-    length of its own trace or its inverse's; and certified_l_max follows
-    from the certificate.  Format 1 files and headers with any other
-    token than ``oriented=True`` are refused with a request to rebuild.
+    length of its own trace or its inverse's; certified_l_max follows
+    from the certificate; and the rows hold, word length by word length,
+    as many classes as the certificate's ``shell_classes`` counted at
+    build time.  Format 1 files, certificates without ``shell_classes``
+    and headers with any other token than ``oriented=True`` are refused
+    with a request to rebuild.
     """
     try:
         rows, meta = spectrum_from_csv(path)
@@ -946,6 +970,7 @@ def load_spectrum(path: str) -> LengthSpectrum:
         l_max = float(meta["l_max"])
         certificate = _checked_certificate(meta, group, l_max)
         _check_rows(group, rows, certificate["certified_l_max"])
+        _check_class_count(rows, certificate)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameters(f"spectrum file {path}: {exc}") from None
     records = tuple(

@@ -19,15 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.stats import kstest
 
 from .characters import breaks_time_reversal
 from .fuchsian import LengthSpectrum, unoriented_primitives
+from .ks import ks_normal
 from .rng import stream
 from .variance import (
     _require_certified,
     _resolved_grid,
+    _simpson,
     character_id,
     coefficient_table,
     sigma2_limit,
@@ -40,6 +40,7 @@ class VarianceTooSmall(ValueError):
 
 
 _POISSON_CDF_TERMS = 30
+_LOG_FACTORIALS = np.array([math.lgamma(j + 1) for j in range(_POISSON_CDF_TERMS)])
 _cdf_cache: dict[int, np.ndarray] = {}
 
 
@@ -47,9 +48,7 @@ def _poisson_cdf(d: int) -> np.ndarray:
     if d not in _cdf_cache:
         mu = 1.0 / d
         j = np.arange(_POISSON_CDF_TERMS)
-        from scipy.special import gammaln
-
-        pmf = np.exp(-mu + j * math.log(mu) - gammaln(j + 1))
+        pmf = np.exp(-mu + j * math.log(mu) - _LOG_FACTORIALS)
         _cdf_cache[d] = np.cumsum(pmf)
     return _cdf_cache[d]
 
@@ -277,20 +276,22 @@ def clt_test(surrogate: PoissonSurrogate, draws: int) -> CltReport:
         )
     vals = surrogate.sample(draws)
     std = vals / math.sqrt(sigma2)
-    from scipy.stats import kurtosis, skew
-
-    ks = kstest(std, "norm")
+    # biased sample moments; Fisher's excess kurtosis
+    dev = std - std.mean()
+    sq = dev * dev
+    m2 = sq.mean()
+    ks_stat, ks_pvalue = ks_normal(std)
     return CltReport(
         draws=draws,
         sigma2=sigma2,
-        skewness=float(skew(std)),
+        skewness=float((sq * dev).mean() / m2**1.5),
         skewness_target=rep.kappa[1] / sigma2**1.5,
         skewness_se=math.sqrt(6.0 / draws),
-        excess_kurtosis=float(kurtosis(std)),
+        excess_kurtosis=float((sq * sq).mean() / m2**2.0 - 3.0),
         kurtosis_target=rep.kappa[2] / sigma2**2,
         kurtosis_se=math.sqrt(24.0 / draws),
-        ks_stat=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
+        ks_stat=ks_stat,
+        ks_pvalue=ks_pvalue,
         mean=float(std.mean()),
         mean_se=float(std.std(ddof=1) / math.sqrt(draws)),
     )
@@ -368,7 +369,7 @@ def ergodicity_experiment(
         coeff[:, j] = (2.0 / L) * d * (np.cos(np.outer(mu, f)) @ w)
 
     z = surrogate._z_matrix(draws)
-    averages = simpson((z @ coeff.T) ** 2, x=mu, axis=1) / span
+    averages = _simpson((z @ coeff.T) ** 2, mu) / span
     viol = np.abs(averages - target) > eps
     frac = float(viol.mean())
     return ErgodicityReport(

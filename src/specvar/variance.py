@@ -30,8 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from scipy.integrate import simpson
-
 from .characters import FluxCharacter, MatrixRep
 from .fuchsian import GeodesicRecord, LengthSpectrum
 from .windows import Window
@@ -346,6 +344,40 @@ def _resolved_grid(
     return np.linspace(lo, lo + span, points)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of y over its last axis, sampled at x.
+
+    The arithmetic of SciPy's ``integrate.simpson`` (1.11 and later), so
+    the results keep their bits: the rule for unequal spacings on each
+    pair of intervals, and on an even number of points Cartwright's
+    correction for the last interval.  Needs at least 3 strictly
+    increasing points.
+    """
+    n = len(x)
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    h0_over_h1 = h0 / h1
+    result = np.sum(
+        hsum
+        / 6.0
+        * (
+            y[..., 0:stop:2] * (2.0 - 1.0 / h0_over_h1)
+            + y[..., 1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+            + y[..., 2 : stop + 2 : 2] * (2.0 - h0_over_h1)
+        ),
+        axis=-1,
+    )
+    if n % 2 == 0:
+        a, b = h[-2:]
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    return result
+
+
 def energy_average(
     fn: Callable[[float], float],
     lam: float,
@@ -361,7 +393,7 @@ def energy_average(
     """
     grid = _resolved_grid(lam, delta, l_max, points)
     vals = np.array([fn(mu) for mu in grid])
-    return float(simpson(vals, x=grid)) / delta
+    return float(_simpson(vals, grid)) / delta
 
 
 # ---------------------------------------------------------------------------

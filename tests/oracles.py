@@ -16,7 +16,7 @@ from itertools import permutations, product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
+import pytest
 
 from specvar.characters import FluxCharacter, MatrixRep
 from specvar.dynamics import _flux_array
@@ -399,6 +399,7 @@ def quadratic_average(
     points: int | None = None,
 ) -> float:
     """(1/span) * integral of |fn - target|^2 over [lam, lam+span]."""
+    simpson = pytest.importorskip("scipy.integrate").simpson
     grid = _resolved_grid(lam, span, l_max, points)
     vals = np.array([abs(fn(mu) - target) ** 2 for mu in grid])
     return float(simpson(vals, x=grid)) / span

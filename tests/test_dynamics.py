@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import chi2
 
 import specvar.fuchsian as F
 from specvar.characters import FluxCharacter
@@ -43,6 +41,7 @@ def pants():
 
 
 def test_bump_half_mass_frozen():
+    quad = pytest.importorskip("scipy.integrate").quad
     w = window("bump")
     val, _ = quad(w.psi_hat, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     assert abs(val - BUMP_HALF_MASS) < 1e-14
@@ -178,6 +177,7 @@ def test_ensemble_sampling_deterministic(pants):
 
 
 def test_alias_frequencies_chi_square(pants):
+    chi2 = pytest.importorskip("scipy.stats").chi2
     # lump classes with tiny expected counts into one bin, then chi-square
     draws = 100000
     ens = OrbitEnsemble(pants, 4.0)

@@ -8,6 +8,7 @@ with every pruning rule disabled.
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 
@@ -473,18 +474,32 @@ def test_certificate_counts_rows_per_shell(octagon, torus):
         assert sum(cert["shell_rows"]) == cert["rows_visited"]
 
 
+def _without_shell_classes(data: bytes) -> bytes:
+    # the file as written before the certificate counted classes per shell
+    lines = data.split(b"\n")
+    prefix = b"# certificate="
+    cert = json.loads(lines[2][len(prefix):])
+    del cert["shell_classes"]
+    lines[2] = prefix + json.dumps(cert, sort_keys=True).encode()
+    return b"\n".join(lines)
+
+
 def test_octagon_bench_csv_pinned(tmp_path, octagon):
     # the octagon Lmax 9.5 spectrum the benchmark builds and reads: its
     # column header and data rows without inverseId hash as they did in
-    # format 1, and the whole format-2 file is pinned too
+    # format 1, the file hashes as before the certificate gained
+    # shell_classes once that field is cut out, and it is pinned whole
     path = tmp_path / "octagon9.5.csv"
     F.spectrum_to_csv(F.build_spectrum(octagon, 9.5), str(path))
     data = path.read_bytes()
     assert hashlib.sha256(_rows_without_inverse_id(data)).hexdigest() == (
         "21fabfd82e0749498512728d5c82f5b1ce072da5509298306cb40dcbfa92d451"
     )
-    assert hashlib.sha256(data).hexdigest() == (
+    assert hashlib.sha256(_without_shell_classes(data)).hexdigest() == (
         "5582b29c937a158155146d8505361fad5420f6a8a11c78f8756503693d988e64"
+    )
+    assert hashlib.sha256(data).hexdigest() == (
+        "8dcb492dc0b68d279cd4297c0489c7ca0b3dad45ff9e944ca039a7ebbde089c4"
     )
 
 
@@ -567,8 +582,9 @@ def test_csv_bytes_pinned(tmp_path):
     # the column header and data rows, inverseId cut out, hash as the same
     # section of the format-1 file did (whole-file sha256 acaa27cc..., as
     # written before the writer moved onto the report layer's atomic
-    # writer); the format-2 file is pinned whole; comment lines end in \n,
-    # csv rows (header included) in \r\n
+    # writer); the format-2 file is pinned whole, and without the
+    # certificate's shell_classes as it was written before that field;
+    # comment lines end in \n, csv rows (header included) in \r\n
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 6.0)
     path = tmp_path / "pants6.csv"
     F.spectrum_to_csv(spectrum, str(path))
@@ -576,8 +592,11 @@ def test_csv_bytes_pinned(tmp_path):
     assert hashlib.sha256(_rows_without_inverse_id(data)).hexdigest() == (
         "59e3ba6bf4f6bcc8ea9706c792caa3a3a3ea1c649bce782c4c8eda4de50cda57"
     )
-    assert hashlib.sha256(data).hexdigest() == (
+    assert hashlib.sha256(_without_shell_classes(data)).hexdigest() == (
         "a6875633ac4e9187c32a55217afeb0bcc61e57511fd83580131e123de8769de8"
+    )
+    assert hashlib.sha256(data).hexdigest() == (
+        "7ab68f129730d9ca109ff0f18f7aa35f6b62ff9244d89133230ea508d91b9ca9"
     )
     lines = data.split(b"\n")[:-1]
     assert [line.endswith(b"\r") for line in lines] == [False] * 3 + [True] * (len(lines) - 3)

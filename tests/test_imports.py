@@ -1,7 +1,10 @@
-"""Every name a ``specvar`` module imports is used in that module."""
+"""Every name a ``specvar`` module imports is used there, and none is SciPy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +30,44 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def _scipy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        yield from (name for name in names if name.split(".")[0] == "scipy")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # function-local imports included: the runtime needs numpy only
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(set(_scipy_imports(tree)))
+    assert not found, f"{path.name} imports {found}"
+
+
+def test_importing_every_module_loads_no_scipy():
+    code = (
+        "import importlib, pkgutil, sys, specvar\n"
+        "for info in pkgutil.iter_modules(specvar.__path__):\n"
+        "    importlib.import_module('specvar.' + info.name)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+        "print(sorted(n for n in sys.modules if n.startswith('specvar.')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    scipy_modules, specvar_modules = done.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert len(ast.literal_eval(specvar_modules)) == len(list(SRC.glob("*.py"))) - 1  # all but __init__

@@ -76,3 +76,10 @@ def test_tolerance_refinement_consistent():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         W.window("hann")
+
+
+def test_tolerance_bounds_the_node_count_difference():
+    # the 128- and 256-node values of the bump constant differ by ~1e-16
+    W.sigma2_goe(W.Window("smooth_bump", tolerance=1e-14))
+    with pytest.raises(RuntimeError, match="quadrature error"):
+        W.sigma2_goe(W.Window("smooth_bump", tolerance=1e-18))
