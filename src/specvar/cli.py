@@ -309,9 +309,8 @@ def _cmd_dirichlet(args) -> int:
 
     cfg = _resolved_config(args)
     spectrum = _get_spectrum(args, needed=args.L)
-    lengths = sorted(
-        {r.primitive_length for r in F.unoriented_primitives(spectrum) if r.primitive_length <= args.L}
-    )
+    lengths = spectrum.primitive_length[F.unoriented_rows(spectrum)]
+    lengths = lengths[lengths <= args.L]
     lam = dirichlet_lambda_search(lengths, args.Y, args.M, args.lam_max, args.mode)
     ev = SigmaEvaluator(spectrum, None, _get_window(args), args.L)
     sigma2 = ev.sigma2(lam)
@@ -338,6 +337,8 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_covers(args) -> int:
+    import numpy as np
+
     from .covers import _batch_images, _require_free, empirical_cover_variance, moment_experiment
 
     cfg = _resolved_config(args)
@@ -349,7 +350,7 @@ def _cmd_covers(args) -> int:
         raise ConfigError("the variance bridge needs --lambda alongside --L")
     needed = args.L if args.L is not None else args.moment_lmax
     spectrum = _get_spectrum(args, needed=needed)
-    words = [r.word for r in spectrum.records if r.length <= args.moment_lmax]
+    words = [spectrum.records[i].word for i in np.flatnonzero(spectrum.length <= args.moment_lmax)]
     if not words:
         raise ConfigError(f"no classes of length <= {args.moment_lmax:g} for the moment test")
     images = _batch_images(_require_free(spectrum), args.n, args.samples, args.seed)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import LengthSpectrum, unoriented_primitives
+from .fuchsian import LengthSpectrum, unoriented_rows
 from .rng import stream
 from .variance import (
     _require_certified,
@@ -370,17 +370,15 @@ def empirical_cover_variance(
         raise ValueError(f"unknown centering {centering!r}")
     _check_batch(images, n, samples)
 
-    prims = unoriented_primitives(spectrum)
-    table = coefficient_table(prims, char, window, lam, L)
-    by_id = {r.class_id: r for r in prims}
-    recs = [by_id[int(c)] for c in table.class_ids]
-    kmaxes = [max(1, int(L / r.primitive_length)) for r in recs]
+    table = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, lam, L)
+    words = [spectrum.records[i].word for i in table.rows]
+    kmaxes = [max(1, int(L / ell)) for ell in spectrum.primitive_length[table.rows]]
     coeffs = [table.coeffs[:km, i] for i, km in enumerate(kmaxes)]
 
     counts = [np.empty((samples, km), dtype=np.int64) for km in kmaxes]
     for rows, block in _sample_blocks(images):
-        for r, km, f in zip(recs, kmaxes, counts):
-            f[rows] = _power_fixed_counts(_word_images(block, r.word), km)
+        for word, km, f in zip(words, kmaxes, counts):
+            f[rows] = _power_fixed_counts(_word_images(block, word), km)
     vals = np.zeros(samples)
     for km, a, f in zip(kmaxes, coeffs, counts):
         f = f.astype(float)

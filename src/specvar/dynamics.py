@@ -24,7 +24,7 @@ from .fuchsian import LengthSpectrum
 from .rng import stream
 from .variance import (
     SigmaEvaluator,
-    _check_flux_rank,
+    _flux_pairing,
     _pair_values_bulk,
     _require_certified,
     character_id,
@@ -60,24 +60,18 @@ def unit_mass_bump() -> Window:
 
 
 def _flux_array(flux_vector, rank: int) -> np.ndarray:
-    """Flux vector as an array, one entry per generator (zero if None)."""
+    """Flux vector as an array (zero if None); ``_flux_pairing`` checks its rank."""
     if flux_vector is None:
         return np.zeros(rank)
-    flux = np.asarray(
+    return np.asarray(
         flux_vector.flux if isinstance(flux_vector, FluxCharacter) else flux_vector,
         dtype=float,
     )
-    _check_flux_rank(flux, rank)
-    return flux
 
 
-def _orbit_weights(spectrum: LengthSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and equidistribution weights l_sharp / |I - P| of all records."""
-    recs = spectrum.records
-    length = np.array([r.length for r in recs])
-    ell = np.array([r.primitive_length for r in recs])
-    log_det = np.array([r.log_det for r in recs])
-    return length, ell * np.exp(-log_det)
+def _equidistribution_weight(spectrum: LengthSpectrum, rows) -> np.ndarray:
+    """l_sharp / |I - P| on the given rows."""
+    return spectrum.primitive_length[rows] * np.exp(-spectrum.log_det[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +121,10 @@ def sum_rule_check(
     _require_certified(spectrum, L)
     _warn_if_not_cocompact(spectrum)
     d_trivial = 1.0 if phases_on_lattice(char, 2.0 * math.pi) else 0.0
-    length, weight = _orbit_weights(spectrum)
-    re_chi = 0.5 * _pair_values_bulk(char, spectrum.records, 1)[0]
-    total = float(np.sum(re_chi * weight * phi.psi_hat(length / L)))
+    rows = np.arange(len(spectrum.records))
+    weight = _equidistribution_weight(spectrum, rows)
+    re_chi = 0.5 * _pair_values_bulk(char, spectrum, rows, 1)[0]
+    total = float(np.sum(re_chi * weight * phi.psi_hat(spectrum.length / L)))
     target = d_trivial * phi.amplitude * _half_mass(phi.kind)
     value = total / L
     return SumRuleReport(
@@ -169,11 +164,10 @@ def cluster_sum(spectrum: LengthSpectrum, omega: Window, T: float) -> ClusterRep
     if T < 0:
         raise ValueError("T must be nonnegative")
     _require_certified(spectrum, T + 1.0, "T+1")
-    length, weight = _orbit_weights(spectrum)
-    x = length - T
-    near = np.abs(x) < 1.0
-    value = float(np.sum(weight[near] * omega.psi_hat(x[near])))
-    unit = float(np.sum(weight[near]))
+    near = np.flatnonzero(np.abs(spectrum.length - T) < 1.0)
+    weight = _equidistribution_weight(spectrum, near)
+    value = float(np.sum(weight * omega.psi_hat(spectrum.length[near] - T)))
+    unit = float(np.sum(weight))
     return ClusterReport(
         value=value,
         mass=window_mass(omega),
@@ -209,7 +203,7 @@ def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class OrbitEnsemble:
-    """Classes near length T weighted by l_sharp omega(l - T) / |I - P|."""
+    """Spectrum ``rows`` near length T, ``probs`` ~ l_sharp omega(l - T) / |I - P|."""
 
     def __init__(
         self, spectrum: LengthSpectrum, T: float, omega: Window | None = None
@@ -217,9 +211,8 @@ class OrbitEnsemble:
         if omega is None:
             omega = unit_mass_bump()
         _require_certified(spectrum, T + 1.0, "T+1")
-        length, weight = _orbit_weights(spectrum)
-        near = np.flatnonzero(np.abs(length - T) < 1.0)
-        w = weight[near] * omega.psi_hat(length[near] - T)
+        near = np.flatnonzero(np.abs(spectrum.length - T) < 1.0)
+        w = _equidistribution_weight(spectrum, near) * omega.psi_hat(spectrum.length[near] - T)
         keep = w > 0.0
         if not keep.any():
             raise EmptyEnsemble(f"no class within distance 1 of T={T:.6g}")
@@ -227,7 +220,7 @@ class OrbitEnsemble:
         probs /= probs.sum()
         self.T = float(T)
         self.omega = omega
-        self.records = tuple(spectrum.records[i] for i in near[keep])
+        self.rows = near[keep]
         self.probs = probs
         self._prob, self._alias = _alias_table(probs)
 
@@ -288,8 +281,7 @@ def orbit_clt_experiment(
     """
     ens = OrbitEnsemble(spectrum, T, omega)
     flux = _flux_array(flux_vector, spectrum.group.rank)
-    pairing = np.array([np.dot(flux, r.homology) for r in ens.records])
-    x_class = pairing / math.sqrt(T)
+    x_class = _flux_pairing(spectrum, ens.rows, flux) / math.sqrt(T)
 
     idx = ens.sample_indices(draws, seed)
     x = x_class[idx]
@@ -312,7 +304,7 @@ def orbit_clt_experiment(
         excess_kurtosis=m4 / m2**2 - 3.0 if m2 > 0 else 0.0,
         exact_mean=exact_mean,
         exact_variance=exact_var,
-        n_classes=len(ens.records),
+        n_classes=len(ens.rows),
         flux=tuple(flux.tolist()),
     )
 
@@ -332,11 +324,10 @@ def variance_estimator(
         raise ValueError("T must be positive")
     _require_certified(spectrum, T + eps, "T+eps")
     flux = _flux_array(flux_vector, spectrum.group.rank)
-    length, weight = _orbit_weights(spectrum)
+    length = spectrum.length
     sel = np.flatnonzero((T <= length) & (length <= T + eps))
-    hom = np.array([spectrum.records[i].homology for i in sel], dtype=float)
-    pairing = hom.reshape(len(sel), len(flux)) @ flux
-    total = float(np.sum(weight[sel] * pairing**2))
+    pairing = _flux_pairing(spectrum, sel, flux)
+    total = float(np.sum(_equidistribution_weight(spectrum, sel) * pairing**2))
     return total / (eps * T)
 
 
@@ -463,14 +454,10 @@ def empirical_transition(
             spectrum, flux, spectrum.certified_l_max - 1.0, 1.0
         )
 
-    prims = [r for r in spectrum.primitives() if r.primitive_length <= L]
-    ells = np.array([r.primitive_length for r in prims])
-    theta = np.array([np.dot(flux, r.homology) for r in prims])
-    base = (
-        ells**2
-        * np.asarray(w.psi_hat(ells / L)) ** 2
-        * np.exp(-np.array([r.log_det for r in prims]))
-    )
+    prims = np.flatnonzero((spectrum.power == 1) & (spectrum.primitive_length <= L))
+    ells = spectrum.primitive_length[prims]
+    theta = _flux_pairing(spectrum, prims, flux)
+    base = ells**2 * np.asarray(w.psi_hat(ells / L)) ** 2 * np.exp(-spectrum.log_det[prims])
     alpha = s / math.sqrt(L)
     gue = sigma2_gue(w)
     empirical = np.array(

@@ -305,17 +305,44 @@ class GeodesicRecord:
 class LengthSpectrum:
     """All conjugacy classes with ell <= l_max, sorted by length.
 
-    Both orientations of every geodesic are records: a chiral class and
-    its inverse class are two records, an achiral class is one.
-    ``certificate`` records the word-length bound that guarantees
-    completeness and how it was obtained.  In capped mode (non-co-compact
-    presets) ``certified_l_max`` may fall short of ``l_max``.
+    Both orientations of every geodesic are records: no hyperbolic class
+    of a torsion-free Fuchsian group is its own inverse.  ``certificate``
+    records the word-length bound that guarantees completeness and how it
+    was obtained.  In capped mode (non-co-compact presets)
+    ``certified_l_max`` may fall short of ``l_max``.
+
+    Row i of each numeric column is read from records[i] when the
+    spectrum is made.  ``homology`` has shape (n, rank); ``inverse_id`` is
+    the class_id of the inverse class's record, or -1 if none is held.
     """
 
     group: FuchsianGroup
     l_max: float
     records: tuple[GeodesicRecord, ...]
     certificate: dict = field(default_factory=dict)
+    length: np.ndarray = field(init=False, repr=False)
+    primitive_length: np.ndarray = field(init=False, repr=False)
+    log_det: np.ndarray = field(init=False, repr=False)
+    power: np.ndarray = field(init=False, repr=False)
+    class_id: np.ndarray = field(init=False, repr=False)
+    homology: np.ndarray = field(init=False, repr=False)
+    inverse_id: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        recs = self.records
+        ids = {r.word: r.class_id for r in recs}
+        dtypes = {"length": float, "primitive_length": float, "log_det": float}
+        columns = {
+            name: np.array([getattr(r, name) for r in recs], dtype=dtypes.get(name, np.int64))
+            for name in ("length", "primitive_length", "log_det", "power", "class_id", "homology")
+        }
+        columns["homology"] = columns["homology"].reshape(len(recs), self.group.rank)
+        columns["inverse_id"] = np.array(
+            [ids.get(r.cls.inverse_canonical, -1) for r in recs], dtype=np.int64
+        )
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def certified_l_max(self) -> float:
@@ -563,8 +590,6 @@ def _trace_spelling(root: ConjugacyClass, preset: GroupPreset) -> Word:
     b1^-1 < ...), so the length depends on the class alone, not on the
     order in which enumeration meets it.
     """
-    if root.is_inverse_self:
-        return root.canonical
     rank = preset.rank
 
     def least(spellings: Iterable[Word]) -> list[int]:
@@ -629,9 +654,7 @@ def build_spectrum(
         if ell0 > effective_l_max:
             continue
         hom0 = abelianize(root.canonical, preset_group)
-        pair = [(root.canonical, root.inverse_canonical, 1)]
-        if not root.is_inverse_self:
-            pair.append((root.inverse_canonical, root.canonical, -1))
+        pair = ((root.canonical, root.inverse_canonical, 1), (root.inverse_canonical, root.canonical, -1))
         for word, inv, sign in pair:
             k = 1
             while k * ell0 <= effective_l_max:
@@ -661,19 +684,21 @@ def _shell_classes(words: Iterable[Word]) -> list[int]:
     return np.bincount(lengths, minlength=1)[1:].tolist()
 
 
-def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
-    """P0: one primitive record per unoriented geodesic.
+def unoriented_rows(spectrum: LengthSpectrum) -> np.ndarray:
+    """Rows of P0, one primitive record per unoriented geodesic.
 
-    A spectrum lists a chiral geodesic as two records, one per
-    orientation; random-cover and Poisson models must treat the pair as
+    Random-cover and Poisson models must treat the two orientations as
     one random object (a permutation and its inverse share fixed points),
-    so the record with the smaller canonical word is kept.
+    so of each pair the record with the smaller class_id is kept: the one
+    with the smaller word, as partners share ell bit for bit and rows sort
+    by (ell, word).  A record with no inverse record is not in P0.
     """
-    return [
-        rec
-        for rec in spectrum.primitives()
-        if word_sort_key(rec.cls.canonical) <= word_sort_key(rec.cls.inverse_canonical)
-    ]
+    return np.flatnonzero((spectrum.power == 1) & (spectrum.class_id < spectrum.inverse_id))
+
+
+def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
+    """P0 as records: the records of ``unoriented_rows``."""
+    return [spectrum.records[i] for i in unoriented_rows(spectrum)]
 
 
 def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
@@ -738,15 +763,12 @@ _REBUILD = "rebuild it with `specvar spectrum`"
 def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
     """Write records with full decimal precision (repr round trip).
 
-    Format 2: ``inverseId`` is the ``classId`` of the record whose word is
-    the record's ``inverse_canonical`` (its own id for an achiral class),
-    and a ``# certificate=<json>`` line carries the enumeration
-    certificate.  Every record's inverse record must be present, so a
-    subset such as the P0 records is refused.  The comment lines end in
-    \\n and the csv rows in \\r\\n; the file lands atomically through the
-    report writer.
+    Format 2: ``inverseId`` is the ``inverse_id`` column, and a
+    ``# certificate=<json>`` line carries the enumeration certificate.
+    Every record's inverse record must be present, so a subset such as
+    the P0 records is refused.  The comment lines end in \\n and the csv
+    rows in \\r\\n; the file lands atomically through the report writer.
     """
-    ids = {rec.word: rec.class_id for rec in spectrum.records}
     header = _COLUMNS + [f"h{i}" for i in range(spectrum.group.rank)]
     params = ",".join(repr(p) for p in spectrum.group.params)
     buf = io.StringIO()
@@ -759,9 +781,8 @@ def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
     buf.write(f"{_CERTIFICATE_PREFIX}{json.dumps(spectrum.certificate, sort_keys=True)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
-    for rec in spectrum.records:
-        partner = ids.get(rec.cls.inverse_canonical)
-        if partner is None:
+    for rec, partner in zip(spectrum.records, spectrum.inverse_id.tolist()):
+        if partner < 0:
             raise InvalidParameters(
                 f"record {rec.class_id} has no inverse record; "
                 "the spectrum CSV holds oriented spectra only"
@@ -882,6 +903,8 @@ def _row_fault(
         return "word is not a cyclically reduced least rotation"
     if abelianize(word, group.group) != row["homology"]:
         return "homology is not the word's exponent sums"
+    if j == i:
+        return f"inverseId {j} is the row's own classId; no class is its own inverse"
     if not (0 <= j < len(rows) and rows[j]["inverseId"] == i):
         return f"inverseId {j} is not an involution"
     partner = rows[j]
@@ -948,8 +971,9 @@ def load_spectrum(path: str) -> LengthSpectrum:
     with no canonicalisation, and the certificate comes back whole.  The
     file is refused (InvalidParameters, CLI exit 2) unless classIds are
     the row indices and rows are sorted by (ell, word); inverseId is an
-    involution whose partners share ell, ell_sharp, k and log_detIminusP
-    bit for bit and carry the negated homology; ell == k * ell_sharp,
+    involution with no fixed point (no class is its own inverse) whose
+    partners share ell, ell_sharp, k and log_detIminusP bit for bit and
+    carry the negated homology; ell == k * ell_sharp,
     log_detIminusP == log_poincare_det(ell) and ell <= certified_l_max; each
     word is a cyclically reduced least rotation over the rank's letters
     with the stated homology; ell is within 1e-9 relative of the length

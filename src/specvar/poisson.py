@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import breaks_time_reversal
-from .fuchsian import LengthSpectrum, unoriented_primitives
+from .fuchsian import LengthSpectrum, unoriented_rows
 from .ks import ks_normal
 from .rng import stream
 from .variance import (
+    CoefficientTable,
     _require_certified,
     _resolved_grid,
     _simpson,
@@ -76,12 +77,27 @@ def _poisson_draws(seed: int, class_id: int, d: int, draws: int) -> np.ndarray:
     return _invert_cdf(_poisson_cdf(d), stream(seed, class_id, d).random(draws))
 
 
+def _pair_coefficients(
+    table: CoefficientTable, col: int, d: int, L: float, mu: np.ndarray
+) -> np.ndarray:
+    """c_{gamma,d}(mu) = (2/L) d sum_j A(gamma, d j) at each energy in mu.
+
+    gamma is the class of table column ``col``; the j-sum stops where the
+    window support cuts it, at d j <= floor(L / l).
+    """
+    ki = int(L / table.freqs[0, col])
+    w = table.weights[d - 1 :: d, col][: ki // d]
+    f = table.freqs[d - 1 :: d, col][: ki // d]
+    return (2.0 / L) * d * (np.cos(np.outer(mu, f)) @ w)
+
+
 class PoissonSurrogate:
     """Sampler for N_tilde at fixed (spectrum, character, window, lambda, L).
 
     Precomputes the pair coefficients c_{gamma,d} over unoriented
     primitives; zero-support pairs are dropped so every retained pair has
-    its own Poisson stream keyed by (seed, classId, d).
+    its own Poisson stream keyed by (seed, classId, d).  ``pair_col`` is
+    each pair's column in the coefficient table.
     """
 
     def __init__(
@@ -100,22 +116,19 @@ class PoissonSurrogate:
         self.lam = float(lam)
         self.L = float(L)
         self.seed = int(seed)
-        self._table = coefficient_table(unoriented_primitives(spectrum), char, window, lam, L)
+        self._table = t = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, lam, L)
 
-        t = self._table
-        n = len(t.class_ids)
-        ells = t.freqs[0, :] if n else np.empty(0)
-        pair_class, pair_d, pair_c = [], [], []
-        for i in range(n):
-            ki = int(self.L / ells[i])
-            for d in range(1, ki + 1):
-                s = float(t.coeffs[d - 1 :: d, i][: ki // d].sum())
-                c = (2.0 / self.L) * d * s
+        at_lam = np.array([self.lam])
+        pair_col, pair_d, pair_c = [], [], []
+        for col in range(len(t.rows)):
+            for d in range(1, int(self.L / t.freqs[0, col]) + 1):
+                c = float(_pair_coefficients(t, col, d, self.L, at_lam)[0])
                 if c != 0.0:
-                    pair_class.append(int(t.class_ids[i]))
+                    pair_col.append(col)
                     pair_d.append(d)
                     pair_c.append(c)
-        self.pair_class_ids = np.array(pair_class, dtype=np.int64)
+        self.pair_col = np.array(pair_col, dtype=np.int64)
+        self.pair_class_ids = spectrum.class_id[t.rows[self.pair_col]]
         self.pair_d = np.array(pair_d, dtype=np.int64)
         self.pair_c = np.array(pair_c)
 
@@ -358,15 +371,9 @@ def ergodicity_experiment(
         target = sigma2_goe(surrogate.window)
 
     # pair coefficients as functions of energy: c_{gamma,d}(mu)
-    t = surrogate._table
-    cid_to_col = {int(c): i for i, c in enumerate(t.class_ids)}
-    coeff = np.zeros((len(mu), surrogate.n_pairs))
-    for j, (cid, d) in enumerate(zip(surrogate.pair_class_ids, surrogate.pair_d)):
-        i = cid_to_col[int(cid)]
-        ki = int(L / t.freqs[0, i])
-        w = t.weights[d - 1 :: d, i][: ki // d]
-        f = t.freqs[d - 1 :: d, i][: ki // d]
-        coeff[:, j] = (2.0 / L) * d * (np.cos(np.outer(mu, f)) @ w)
+    coeff = np.empty((len(mu), surrogate.n_pairs))
+    for j, (col, d) in enumerate(zip(surrogate.pair_col, surrogate.pair_d)):
+        coeff[:, j] = _pair_coefficients(surrogate._table, int(col), int(d), L, mu)
 
     z = surrogate._z_matrix(draws)
     averages = _simpson((z @ coeff.T) ** 2, mu) / span

@@ -16,7 +16,7 @@ The psi_hat support cuts every k-sum at floor(L/l) exactly, so no
 truncation is approximate.  V is positive semidefinite (V = sum_d d u_d
 u_d^T with u_d the divisibility indicator), hence Sigma^2 >= 0.
 
-A spectrum lists both orientations of every chiral geodesic, and A is
+A spectrum lists both orientations of every geodesic, and A is
 invariant under orientation reversal (unitary characters give chi(g^-1) =
 conj chi(g)), so the variance halves its sum over all primitive records
 instead of filtering them down to P0.
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characters import FluxCharacter, MatrixRep
-from .fuchsian import GeodesicRecord, LengthSpectrum
+from .fuchsian import LengthSpectrum
 from .windows import Window
 
 
@@ -101,30 +101,33 @@ def character_id(char) -> str:
     raise TypeError(f"unsupported character {type(char).__name__}")
 
 
-def _check_flux_rank(flux, rank: int) -> None:
-    """The one rule for flux vectors: a vector with one entry per generator."""
+def _flux_pairing(spectrum: LengthSpectrum, rows, flux) -> np.ndarray:
+    """<flux, h> on the given rows; the flux needs one entry per generator.
+
+    The rank is read off the homology column, which has it even with no
+    rows, so the check does not depend on which rows are selected.
+    """
+    rank = spectrum.homology.shape[1]
     if np.shape(flux) != (rank,):
         raise ValueError(f"flux has {np.size(flux)} entries for rank {rank}")
+    return spectrum.homology[rows] @ np.asarray(flux, dtype=float)
 
 
-def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
-    """(kmax, n) array of (chi+conj)(g^k) for k = 1..kmax."""
-    n = len(records)
+def _pair_values_bulk(char, spectrum: LengthSpectrum, rows, kmax: int) -> np.ndarray:
+    """(kmax, len(rows)) array of (chi+conj)(g^k) for k = 1..kmax."""
+    n = len(rows)
     ks = np.arange(1, kmax + 1)[:, None]
     if char is None:
         return np.full((kmax, n), 2.0)
     if isinstance(char, FluxCharacter):
-        if n:
-            _check_flux_rank(char.flux, len(records[0].homology))
-        hom = np.array([r.homology for r in records], dtype=float).reshape(n, char.rank)
-        theta = char.scale * (hom @ np.asarray(char.flux))
+        theta = char.scale * _flux_pairing(spectrum, rows, char.flux)
         return 2.0 * np.cos(ks * theta[None, :])
     if isinstance(char, MatrixRep):
         out = np.empty((kmax, n))
-        for i, r in enumerate(records):
-            eig = np.linalg.eigvals(char.image_of(r.word))
+        for j, i in enumerate(rows):
+            eig = np.linalg.eigvals(char.image_of(spectrum.records[i].word))
             for k in range(1, kmax + 1):
-                out[k - 1, i] = 2.0 * np.sum(eig**k).real
+                out[k - 1, j] = 2.0 * np.sum(eig**k).real
         return out
     raise TypeError(f"unsupported character {type(char).__name__}")
 
@@ -134,93 +137,72 @@ def _pair_values_bulk(char, records, kmax: int) -> np.ndarray:
 
 
 def _coefficient_factors(
-    prims: Sequence[GeodesicRecord], char, window: Window, L: float, kmax: int
+    spectrum: LengthSpectrum, rows, char, window: Window, L: float, kmax: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lambda-free factors of A(gamma,k) = weight * cos(lambda * freq).
 
-    Returns (weights, freqs), each (kmax, len(prims)) with row k-1 for the
+    Returns (weights, freqs), each (kmax, len(rows)) with row k-1 for the
     k-th power; the determinant is evaluated in log space so long geodesics
     cannot overflow, and psi_hat zeroes every k*l > L exactly.
     """
-    ells = np.array([r.primitive_length for r in prims])
+    ells = spectrum.primitive_length[rows]
     ks = np.arange(1, kmax + 1)[:, None]
     kl = ks * ells[None, :]
     psi = window.psi_hat(kl / L)
     log_det = kl + 2.0 * np.log1p(-np.exp(-kl))
-    chi2 = _pair_values_bulk(char, prims, kmax)
+    chi2 = _pair_values_bulk(char, spectrum, rows, kmax)
     return chi2 * psi * ells[None, :] * np.exp(-0.5 * log_det), kl
 
 
 def coeff_A(
-    record: GeodesicRecord,
-    k: int,
-    char,
-    window: Window,
-    lam: float,
-    L: float,
+    spectrum: LengthSpectrum, row: int, k: int, char, window: Window, lam: float, L: float
 ) -> float:
-    """A(gamma,k): one term of the variance double sum.
+    """A(gamma,k) of the primitive record in the given row; zero whenever k*l > L.
 
-    The one-record slice of the coefficient table; zero whenever k*l > L.
+    The one-entry slice of the coefficient table.
     """
-    if record.power != 1:
+    if spectrum.power[row] != 1:
         raise ValueError("record must be primitive (power 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lam <= 0 or L <= 0:
-        raise ValueError("lambda and L must be positive")
-    weights, freqs = _coefficient_factors([record], char, window, L, k)
-    return float(weights[k - 1, 0] * np.cos(lam * freqs[k - 1, 0]))
+    table = coefficient_table(spectrum, [row], char, window, lam, L)
+    return float(table.coeffs[k - 1, 0]) if len(table.rows) and k <= table.kmax else 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Dense A(gamma,k) values for the primitive classes of a spectrum.
 
-    Row k-1 holds A(gamma,k); columns follow ``class_ids``.  ``weights``
-    and ``freqs`` factor A = weight * cos(lambda * freq) so the same table
-    can be re-evaluated across lambda without touching the spectrum.
+    Row k-1 holds A(gamma,k); column j belongs to spectrum row ``rows[j]``.
+    ``weights`` and ``freqs`` factor A = weight * cos(lambda * freq) so the
+    same table can be re-evaluated across lambda without touching the
+    spectrum.
     """
 
-    lam: float
-    L: float
     kmax: int
-    window_kind: str
-    char_id: str
-    class_ids: np.ndarray
+    rows: np.ndarray
     weights: np.ndarray
     freqs: np.ndarray
     coeffs: np.ndarray
 
 
 def coefficient_table(
-    primitives: Sequence[GeodesicRecord], char, window: Window, lam: float, L: float
+    spectrum: LengthSpectrum, rows, char, window: Window, lam: float, L: float
 ) -> CoefficientTable:
-    """A(gamma,k) over the given primitive records with l <= L.
+    """A(gamma,k) over the given primitive rows of the spectrum with l <= L.
 
-    The caller chooses the records: every primitive record of a spectrum
-    (both orientations) or the P0 records of ``unoriented_primitives``.
+    The caller chooses the rows, in the order the columns take: every
+    primitive row (both orientations) or the P0 rows of
+    ``unoriented_rows``.
     """
     if lam <= 0 or L <= 0:
         raise ValueError("lambda and L must be positive")
-    prims = [r for r in primitives if r.primitive_length <= L]
-    prims.sort(key=lambda r: r.class_id)
-    if prims:
-        kmax = int(L / min(r.primitive_length for r in prims))
-    else:
-        kmax = 1
-    weights, freqs = _coefficient_factors(prims, char, window, L, kmax)
-    return CoefficientTable(
-        lam=lam,
-        L=L,
-        kmax=kmax,
-        window_kind=window.kind,
-        char_id=character_id(char),
-        class_ids=np.array([r.class_id for r in prims], dtype=int),
-        weights=weights,
-        freqs=freqs,
-        coeffs=weights * np.cos(lam * freqs),
-    )
+    rows = np.asarray(rows, dtype=np.int64)
+    rows = rows[spectrum.primitive_length[rows] <= L]
+    kmax = int(L / spectrum.primitive_length[rows].min()) if len(rows) else 1
+    weights, freqs = _coefficient_factors(spectrum, rows, char, window, L, kmax)
+    coeffs = weights * np.cos(lam * freqs)
+    return CoefficientTable(kmax=kmax, rows=rows, weights=weights, freqs=freqs, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +253,7 @@ class SigmaEvaluator:
         self.window = window
         self.char_id = character_id(char)
         self.certified_l_max = spectrum.certified_l_max
-        table = coefficient_table(spectrum.primitives(), char, window, 1.0, L)
+        table = coefficient_table(spectrum, np.flatnonzero(spectrum.power == 1), char, window, 1.0, L)
         self._weights = table.weights
         self._freqs = table.freqs
         self.kmax = table.kmax
@@ -286,7 +268,7 @@ class SigmaEvaluator:
         cross = a @ a.T  # (kmax, kmax) of sums over classes
         total = float(np.sum(self._vmat * cross))
         primitive = float(cross[0, 0])
-        # both orientations of each chiral geodesic are summed: halve
+        # both orientations of each geodesic are summed: halve
         scale = 2.0 / self.L**2
         w1, f1 = w[0], f[0]
         smooth = 0.5 * scale * float(np.dot(w1, w1))

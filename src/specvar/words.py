@@ -288,10 +288,6 @@ class ConjugacyClass:
     canonical: Word
     inverse_canonical: Word
 
-    @property
-    def is_inverse_self(self) -> bool:
-        return self.canonical == self.inverse_canonical
-
 
 def shortest_spellings(word: Word, preset: GroupPreset) -> set[Word]:
     """Every shortest cyclic spelling of the class of ``word``, as min-rotations.

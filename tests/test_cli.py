@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import specvar.fuchsian as F
@@ -374,7 +375,14 @@ TRANSITION = ["transition", "--L", "5", "--lambda", "1e4", "--no-average"]
 
 @pytest.mark.parametrize(
     "cmd",
-    [["sumrule", "--L", "5"], ["average", "--L", "5", "--lambda", "1e4"], ORBIT_CLT, TRANSITION],
+    [
+        ["sumrule", "--L", "5"],
+        ["average", "--L", "5", "--lambda", "1e4"],
+        ORBIT_CLT,
+        TRANSITION,
+        # below the systole: no primitive enters the sum, the rank still counts
+        ["average", "--L", "1", "--lambda", "100", "--target", "goe"],
+    ],
 )
 def test_flux_of_wrong_rank_is_invalid(tmp_path, pants_csv, capsys, cmd):
     code = main(cmd + ["--spectrum-file", pants_csv, "--flux", "1,0,0", "--out", str(tmp_path / "out")])
@@ -533,6 +541,31 @@ def test_tampered_spectrum_is_refused(tmp_path, pants_csv, capsys, rows, comment
     err = capsys.readouterr().err
     assert f"spectrum file {bad}" in err and fault in err, err
     assert not (tmp_path / "avg.json").exists()
+
+
+def test_self_inverse_rows_are_refused(tmp_path, octagon_csv, capsys):
+    # a zero-homology primitive pair whose own traces both give ell_sharp
+    # bit for bit passes every other row check when each row names itself
+    # as its inverse, though no class of the group is its own inverse
+    rows, _ = F.spectrum_from_csv(octagon_csv)
+    octagon = F.preset("octagon_genus2")
+
+    def traced(row):
+        return F.length_of(np.trace(F.holonomy(octagon, row["word"])))
+
+    i, j = next(
+        (i, row["inverseId"])
+        for i, row in enumerate(rows)
+        if i < row["inverseId"]
+        and row["k"] == 1
+        and not any(row["homology"])
+        and traced(row) == traced(rows[row["inverseId"]]) == row["ell_sharp"]
+    )
+    edits = {i: {"inverseId": str(i)}, j: {"inverseId": str(j)}}
+    bad = _rewrite(octagon_csv, str(tmp_path / "self-inverse.csv"), edits)
+    assert _average(bad, str(tmp_path / "avg.json")) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"row {i}: inverseId {i} is the row's own classId" in err, err
 
 
 def test_deleted_pair_is_refused(tmp_path, pants_csv, capsys):

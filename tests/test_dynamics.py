@@ -154,7 +154,7 @@ def test_ensemble_weights(octagon12):
     ens = OrbitEnsemble(octagon12, 9.0)
     assert abs(ens.probs.sum() - 1.0) < 1e-12
     assert (ens.probs > 0).all()
-    assert all(abs(r.length - 9.0) < 1.0 for r in ens.records)
+    assert all(abs(octagon12.records[i].length - 9.0) < 1.0 for i in ens.rows)
 
 
 def test_ensemble_empty_window(octagon12):
@@ -218,7 +218,7 @@ def test_orbit_clt_moments_match_ensemble(octagon12):
     assert abs(rep.variance - rep.exact_variance) <= 3.0 * rep.variance_se
 
     ens = OrbitEnsemble(octagon12, 9.0)
-    x = np.array([np.dot(FLUX1, r.homology) for r in ens.records]) / 3.0
+    x = np.array([np.dot(FLUX1, octagon12.records[i].homology) for i in ens.rows]) / 3.0
     m2 = float(ens.probs @ x**2)
     exact_kurt = float(ens.probs @ x**4) / m2**2 - 3.0
     assert abs(rep.skewness) <= 4.0 * math.sqrt(6.0 / draws)

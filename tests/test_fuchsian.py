@@ -234,11 +234,9 @@ def test_pants_spectrum_just_above_generators(pants):
 
 
 def test_oriented_doubles_chiral_classes(pants):
+    # no class of a free group is conjugate to its inverse
     oriented = F.build_spectrum(pants, 5.0)
-    folded = F.unoriented_primitives(oriented)
-    chiral = sum(1 for r in folded if not r.cls.is_inverse_self)
-    achiral = len(folded) - chiral
-    assert len(oriented.primitives()) == 2 * chiral + achiral
+    assert len(oriented.primitives()) == 2 * len(F.unoriented_primitives(oriented))
 
 
 @pytest.fixture(scope="module")
@@ -279,9 +277,38 @@ def test_unoriented_primitives_matches_oracle(tmp_path, pants_spectrum6, octagon
         got = F.unoriented_primitives(sp)
         assert got == unoriented_primitives_oracle(sp)
         # both orientations are present, and exactly one of each pair is kept
-        chiral = [r for r in sp.primitives() if not r.cls.is_inverse_self]
-        assert chiral
-        assert 2 * len(got) == 2 * len(sp.primitives()) - len(chiral)
+        assert got
+        assert len(sp.primitives()) == 2 * len(got)
+
+
+@pytest.mark.parametrize("which", ["octagon12", "pants9", "capped_torus", "loaded octagon12"])
+def test_columns_follow_the_records(request, which, octagon_csv):
+    if which == "loaded octagon12":
+        sp = F.load_spectrum(octagon_csv)
+    else:
+        sp = request.getfixturevalue(which)
+    recs = sp.records
+    for name in ("length", "primitive_length", "power", "log_det", "class_id"):
+        assert getattr(sp, name).tolist() == [getattr(r, name) for r in recs], name
+    assert sp.homology.shape == (len(recs), sp.group.rank)
+    assert sp.homology.tolist() == [list(r.homology) for r in recs]
+    by_word = {r.word: r.class_id for r in recs}
+    assert sp.inverse_id.tolist() == [by_word[r.cls.inverse_canonical] for r in recs]
+    assert [recs[i] for i in F.unoriented_rows(sp)] == unoriented_primitives_oracle(sp)
+
+
+def test_columns_follow_reordered_and_folded_records(pants):
+    sp = F.build_spectrum(pants, 5.0)
+    reordered = dataclasses.replace(sp, records=sp.records[::-1])
+    assert reordered.class_id.tolist() == sp.class_id.tolist()[::-1]
+    assert reordered.inverse_id.tolist() == sp.inverse_id.tolist()[::-1]
+    assert F.unoriented_primitives(reordered) == F.unoriented_primitives(sp)[::-1]
+    # P0 alone holds no partner: every inverse_id is the sentinel
+    folded = dataclasses.replace(sp, records=tuple(F.unoriented_primitives(sp)))
+    assert folded.inverse_id.tolist() == [-1] * len(folded.records)
+    assert F.unoriented_primitives(folded) == []
+    empty = dataclasses.replace(sp, records=())
+    assert empty.homology.shape == (0, sp.group.rank)
 
 
 def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):

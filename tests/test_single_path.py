@@ -69,7 +69,7 @@ def test_vectorised_paths_match_loops(request, case):
 
     ens = OrbitEnsemble(spec, T)
     records, probs = oracles.orbit_ensemble_weights(spec, T, omega)
-    assert ens.records == records
+    assert tuple(spec.records[i] for i in ens.rows) == records
     assert np.all(np.abs(ens.probs - probs) <= REL * probs)
     prob, alias = _alias_table(probs)
     looped = SimpleNamespace(probs=probs, _prob=prob, _alias=alias)
@@ -82,12 +82,12 @@ def test_vectorised_paths_match_loops(request, case):
         _close(variance_estimator(spec, fv, T, 1.0), want, abs(want))
 
     tri = window("triangle")
-    by_id = {r.class_id: r for r in spec.primitives()}
+    primitive_ids = [r.class_id for r in spec.primitives()]
     for char in (None, flux, _matrix_rep(rank)):
-        table = coefficient_table(spec.primitives(), char, tri, 61.3, L)
+        table = coefficient_table(spec, primitive_ids, char, tri, 61.3, L)
         want = np.array(
             [
-                [oracles.coeff_A(by_id[cid], k, char, tri, 61.3, L) for cid in table.class_ids]
+                [oracles.coeff_A(spec.records[row], k, char, tri, 61.3, L) for row in table.rows]
                 for k in range(1, table.kmax + 1)
             ]
         )

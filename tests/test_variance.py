@@ -65,14 +65,14 @@ def test_gcd_weight_matrix_psd():
 def test_coeff_support(pants_spec, tri):
     r = min(pants_spec.primitives(), key=lambda p: p.length)
     k_over = int(7.0 / r.primitive_length) + 1
-    assert V.coeff_A(r, k_over, None, tri, 50.0, 7.0) == 0.0
+    assert V.coeff_A(pants_spec, r.class_id, k_over, None, tri, 50.0, 7.0) == 0.0
 
 
 def test_coeff_trivial_char_at_aligned_frequency(pants_spec, tri):
     r = min(pants_spec.primitives(), key=lambda p: p.length)
     ell = r.primitive_length
     lam = 2.0 * math.pi * round(50.0 * ell / (2 * math.pi)) / ell
-    got = V.coeff_A(r, 1, None, tri, lam, 7.0)
+    got = V.coeff_A(pants_spec, r.class_id, 1, None, tri, lam, 7.0)
     expect = 2.0 * tri.psi_hat(ell / 7.0) * ell / (2.0 * math.sinh(ell / 2.0))
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -81,33 +81,36 @@ def test_coeff_flux_pi_sign_flip(pants_spec, tri):
     recs = [r for r in pants_spec.primitives() if r.homology == (1, 0)]
     r = recs[0]
     ch = FluxCharacter(flux=(math.pi, 0.0))
-    plain = V.coeff_A(r, 1, None, tri, 37.0, 7.0)
-    flipped = V.coeff_A(r, 1, ch, tri, 37.0, 7.0)
+    plain = V.coeff_A(pants_spec, r.class_id, 1, None, tri, 37.0, 7.0)
+    flipped = V.coeff_A(pants_spec, r.class_id, 1, ch, tri, 37.0, 7.0)
     assert flipped == pytest.approx(-plain, rel=1e-12)
 
 
 def test_coeff_requires_primitive(pants_spec, tri):
     power = next(r for r in pants_spec.records if r.power > 1)
     with pytest.raises(ValueError):
-        V.coeff_A(power, 1, None, tri, 50.0, 7.0)
+        V.coeff_A(pants_spec, power.class_id, 1, None, tri, 50.0, 7.0)
 
 
 def test_coeff_bound_dominates(pants_spec, tri, bump):
     for w in (tri, bump):
         for r in list(pants_spec.primitives())[:20]:
             for k in (1, 2, 3):
-                a = V.coeff_A(r, k, None, w, 123.456, 7.0)
+                a = V.coeff_A(pants_spec, r.class_id, k, None, w, 123.456, 7.0)
                 assert abs(a) <= oracles.coeff_bound(r, k, None, w) + 1e-15
+
+
+def primitive_ids(spec):
+    return [r.class_id for r in spec.primitives()]
 
 
 def test_coefficient_table_matches_scalar(pants_spec, tri):
     lam, L = 61.3, 7.0
-    table = V.coefficient_table(pants_spec.primitives(), None, tri, lam, L)
-    by_id = {r.class_id: r for r in pants_spec.primitives()}
-    for j, cid in enumerate(table.class_ids):
+    table = V.coefficient_table(pants_spec, primitive_ids(pants_spec), None, tri, lam, L)
+    for j, row in enumerate(table.rows):
         for k in range(1, table.kmax + 1):
             assert table.coeffs[k - 1, j] == pytest.approx(
-                oracles.coeff_A(by_id[cid], k, None, tri, lam, L), abs=1e-14
+                oracles.coeff_A(pants_spec.records[row], k, None, tri, lam, L), abs=1e-14
             )
 
 
@@ -117,12 +120,11 @@ def test_coefficient_table_matrix_char(pants_spec, tri):
     v = np.diag([np.exp(0.31j), np.exp(-0.31j)])
     rep = MatrixRep(images=(u, v))
     lam, L = 41.0, 7.0
-    table = V.coefficient_table(pants_spec.primitives(), rep, tri, lam, L)
-    by_id = {r.class_id: r for r in pants_spec.primitives()}
-    for j, cid in enumerate(table.class_ids[:10]):
+    table = V.coefficient_table(pants_spec, primitive_ids(pants_spec), rep, tri, lam, L)
+    for j, row in enumerate(table.rows[:10]):
         for k in (1, 2):
             assert table.coeffs[k - 1, j] == pytest.approx(
-                oracles.coeff_A(by_id[cid], k, rep, tri, lam, L), abs=1e-12
+                oracles.coeff_A(pants_spec.records[row], k, rep, tri, lam, L), abs=1e-12
             )
 
 
@@ -174,7 +176,7 @@ def test_sigma2_single_class_oracle(pants, tri):
     (r,) = F.unoriented_primitives(spec)
     lam = 17.0
     rep = V.sigma2_limit(spec, None, tri, lam, 2.0)
-    a = V.coeff_A(r, 1, None, tri, lam, 2.0)
+    a = V.coeff_A(spec, r.class_id, 1, None, tri, lam, 2.0)
     assert rep.sigma2 == pytest.approx(a * a, rel=1e-12)
     assert rep.nonprimitive_tail == 0.0
 
@@ -218,8 +220,8 @@ def test_osc_sign_structure_single_class(pants, tri):
     assert b.osc_part == pytest.approx(-a.osc_part, rel=1e-6)
     assert b.smooth_part == pytest.approx(a.smooth_part, rel=1e-12)
     # pi/ell flips the coefficient A itself
-    a1 = V.coeff_A(r, 1, None, tri, lam, 2.0)
-    b1 = V.coeff_A(r, 1, None, tri, lam + math.pi / ell, 2.0)
+    a1 = V.coeff_A(spec, r.class_id, 1, None, tri, lam, 2.0)
+    b1 = V.coeff_A(spec, r.class_id, 1, None, tri, lam + math.pi / ell, 2.0)
     assert b1 == pytest.approx(-a1, rel=1e-6)
 
 
