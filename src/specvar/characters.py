@@ -118,6 +118,8 @@ class MatrixRep:
 # ---------------------------------------------------------------------------
 # Haar-measure variance constants
 
+_HAAR_BATCH = 4096  # draws per (seed, batch index) stream
+
 
 def _haar_f_batch(kind: str, dim: int, g: np.random.Generator, size: int) -> np.ndarray:
     if kind == "U1":
@@ -143,7 +145,6 @@ def haar_sigma_constant(
     samples: int,
     seed: int,
     dim: int = 3,
-    batch: int = 4096,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Haar average of (Tr g + conj Tr g)^2.
 
@@ -162,7 +163,7 @@ def haar_sigma_constant(
     done = 0
     index = 0
     while done < samples:
-        size = min(batch, samples - done)
+        size = min(_HAAR_BATCH, samples - done)
         vals = _haar_f_batch(kind, dim, stream(seed, index), size)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))

@@ -53,6 +53,8 @@ class NotFreePreset(ValueError):
 # instead of streaming through memory on every composition.
 _BLOCK_POINTS = 1 << 15
 
+_BOOTSTRAP_DRAWS = 1000  # resamples behind the cover variance's standard error
+
 
 # ---------------------------------------------------------------------------
 # batch machinery: vectorized over samples, per-sample streams kept intact
@@ -354,7 +356,6 @@ def empirical_cover_variance(
     samples: int,
     seed: int,
     centering: str = "batch",
-    bootstrap: int = 1000,
 ) -> CoverVarianceReport:
     """Variance of the smoothed count fluctuation over sampled covers.
 
@@ -391,8 +392,8 @@ def empirical_cover_variance(
 
     estimate = float(np.var(vals, ddof=1))
     g = stream(seed, 0xB00)
-    boots = np.empty(bootstrap)
-    for b in range(bootstrap):
+    boots = np.empty(_BOOTSTRAP_DRAWS)
+    for b in range(_BOOTSTRAP_DRAWS):
         idx = g.integers(0, samples, samples)
         boots[b] = np.var(vals[idx], ddof=1)
     se = float(boots.std(ddof=1))

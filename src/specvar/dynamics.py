@@ -87,16 +87,6 @@ class SumRuleReport:
     char_id: str
     window_kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "target": self.target,
-            "gap": self.gap,
-            "L": self.L,
-            "character": self.char_id,
-            "window": self.window_kind,
-        }
-
 
 def _warn_if_not_cocompact(spectrum: LengthSpectrum) -> None:
     if not spectrum.group.cocompact:
@@ -144,15 +134,6 @@ class ClusterReport:
     T: float
     unit_window_sum: float
     window_kind: str
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "mass": self.mass,
-            "T": self.T,
-            "unitWindowSum": self.unit_window_sum,
-            "window": self.window_kind,
-        }
 
 
 def cluster_sum(spectrum: LengthSpectrum, omega: Window, T: float) -> ClusterReport:
@@ -248,22 +229,6 @@ class OrbitCltReport:
     n_classes: int
     flux: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "T": self.T,
-            "mean": self.mean,
-            "meanSE": self.mean_se,
-            "variance": self.variance,
-            "varianceSE": self.variance_se,
-            "skewness": self.skewness,
-            "excessKurtosis": self.excess_kurtosis,
-            "exactMean": self.exact_mean,
-            "exactVariance": self.exact_variance,
-            "nClasses": self.n_classes,
-            "flux": list(self.flux),
-        }
-
 
 def orbit_clt_experiment(
     spectrum: LengthSpectrum,
@@ -345,17 +310,6 @@ class TransitionCurve:
     gue: float
     window_kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "variance": self.variance,
-            "s": self.s.tolist(),
-            "sigma2": self.sigma2.tolist(),
-            "damping": self.damping.tolist(),
-            "goe": self.goe,
-            "gue": self.gue,
-            "window": self.window_kind,
-        }
-
 
 def transition_curve(w: Window, variance: float, s_grid) -> TransitionCurve:
     """Sigma^2(s) = 2 * integral (1 + e^{-2 variance s^2 t}) t psi_hat^2 dt.
@@ -404,23 +358,6 @@ class TransitionComparison:
     delta: float
     window_kind: str
     flux: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s.tolist(),
-            "alpha": self.alpha.tolist(),
-            "sigma2Pred": self.predicted.tolist(),
-            "sigma2Emp": self.empirical.tolist(),
-            "sigma2Averaged": self.averaged.tolist(),
-            "variance": self.variance,
-            "goe": self.goe,
-            "gue": self.gue,
-            "lambda": self.lam,
-            "L": self.L,
-            "delta": self.delta,
-            "window": self.window_kind,
-            "flux": list(self.flux),
-        }
 
 
 def empirical_transition(

@@ -19,8 +19,12 @@ therefore empty out on their own and the last nonempty shell is the
 completeness certificate.  Free presets use plain cyclically reduced
 enumeration with an empirical minimum-length margin.
 
-A primitive length is taken from one trace per inversion pair, chosen by a
-rule of the class (``_trace_spelling``), so the bits of every length are
+The survivors are turned into classes with one closure of shortest
+spellings per inversion pair: a survivor already in a closure is skipped,
+and a closure holding a periodic spelling is a proper power, whose records
+are made from its root (the ``words`` rules).  A primitive length is taken
+from one trace per inversion pair, chosen from that closure by a rule of
+the class (``_trace_spelling``), so the bits of every length are
 independent of the order in which the enumeration meets the class.
 
 A spectrum is cached as a format-2 CSV whose rows name their inverse rows.
@@ -48,13 +52,15 @@ from .words import (
     Word,
     _letter_key,
     abelianize,
-    canonical_class,
     cyclic_reduce,
+    dehn_cyclic_reduce,
     free_group,
+    inverse_spellings,
     invert_word,
     min_rotation,
-    primitive_root,
+    named_class,
     reduce_word,
+    root_spelling,
     shortest_spellings,
     surface_group,
     word_sort_key,
@@ -580,15 +586,15 @@ def _enumerate_free(
         words, mats, period = _extend_shell(words, mats, period, gen_mats, None)
 
 
-def _trace_spelling(root: ConjugacyClass, preset: GroupPreset) -> Word:
+def _trace_spelling(root: ConjugacyClass, spellings: set[Word], preset: GroupPreset) -> Word:
     """Canonical word of the orientation whose trace sets a pair's length.
 
     The traces of gamma and gamma^-1 can differ in the last bit, and tied
     lengths sort by that bit.  A chiral pair takes its length from the
-    orientation whose shortest spellings hold the least one under minimal
-    rotation in generator-first code order (a1 < b1 < a2 < ... < a1^-1 <
-    b1^-1 < ...), so the length depends on the class alone, not on the
-    order in which enumeration meets it.
+    orientation whose shortest spellings (``spellings`` are the root's)
+    hold the least one under minimal rotation in generator-first code order
+    (a1 < b1 < a2 < ... < a1^-1 < b1^-1 < ...), so the length depends on
+    the class alone, not on the order in which enumeration meets it.
     """
     rank = preset.rank
 
@@ -596,7 +602,6 @@ def _trace_spelling(root: ConjugacyClass, preset: GroupPreset) -> Word:
         codes = ([l - 1 if l > 0 else rank - l - 1 for l in w] for w in spellings)
         return min(min(c[i:] + c[:i] for i in range(len(c))) for c in codes)
 
-    spellings = shortest_spellings(root.canonical, preset)
     if least(spellings) < least(invert_word(w) for w in spellings):
         return root.canonical
     return root.inverse_canonical
@@ -612,10 +617,11 @@ def build_spectrum(
 
     Returns primitive classes and their powers, both orientations of
     each.  Lengths of powers are computed as k times the primitive length,
-    never from power traces.  Only the enumeration survivors are
-    canonicalised: a root's class names its inverse class, and the k-th
-    power class is the least rotation of the k-fold words, the spelling
-    ``canonical_class`` normalises powers to.
+    never from power traces.  Each inversion pair of primitive classes is
+    read from one closure of shortest spellings, that of the first survivor
+    in either orientation, by the ``words`` rules ``canonical_class``
+    applies; the k-th power class is named by the k-fold repetition of the
+    root's words, as ``canonical_class`` names powers.
     """
     if l_max <= 0:
         raise InvalidParameters("l_max must be positive")
@@ -626,24 +632,31 @@ def build_spectrum(
     effective_l_max = cert["certified_l_max"]
 
     # each survivor is the least rotation of its spelling, so no two rows
-    # are rotations of each other; surface groups still fold the
-    # Dehn-equivalent spellings of one class here
+    # are rotations of each other; surface groups still meet several
+    # Dehn-equivalent spellings of one class.  A power class is skipped:
+    # its root is shorter, so it is a survivor too.
     preset_group = group.group
-    roots: dict[Word, ConjugacyClass] = {}
-    for block in raw:
-        for word in _codes_to_words(block):
-            root, _ = primitive_root(canonical_class(word, preset_group), preset_group)
-            roots.setdefault(root.canonical, root)
-
-    # one representative per inversion pair; both orientations share the
-    # trace spelling, so a pair whose trace fails would fail from either
-    pair_roots: list[ConjugacyClass] = []
     seen: set[Word] = set()
-    for root in roots.values():
-        if root.canonical not in seen:
-            seen.update((root.canonical, root.inverse_canonical))
+    pair_roots: list[ConjugacyClass] = []
+    trace_words: list[Word] = []
+    for block in raw:
+        for row in _codes_to_words(block):
+            word = min_rotation(dehn_cyclic_reduce(row, preset_group))
+            if word in seen:
+                continue
+            spellings = shortest_spellings(word, preset_group)
+            if not spellings.isdisjoint(seen):
+                continue  # Dehn reduction left a longer spelling of a known class
+            inverse = inverse_spellings(spellings)
+            seen |= spellings | inverse
+            if root_spelling(spellings)[1] > 1:
+                continue
+            root = named_class(spellings, inverse)
             pair_roots.append(root)
-    mats = holonomies(group, [_trace_spelling(root, preset_group) for root in pair_roots])
+            trace_words.append(_trace_spelling(root, spellings, preset_group))
+    # both orientations share the trace spelling, so a pair whose trace
+    # fails would fail from either
+    mats = holonomies(group, trace_words)
 
     records: list[GeodesicRecord] = []
     for root, mat in zip(pair_roots, mats):
@@ -662,7 +675,7 @@ def build_spectrum(
                 records.append(
                     GeodesicRecord(
                         class_id=-1,
-                        cls=ConjugacyClass(min_rotation(word * k), min_rotation(inv * k)),
+                        cls=ConjugacyClass(word * k, inv * k),
                         length=ell,
                         primitive_length=ell0,
                         power=k,

@@ -223,21 +223,6 @@ class VarianceReport:
     window_kind: str
     char_id: str
 
-    def as_dict(self) -> dict:
-        return {
-            "sigma2": self.sigma2,
-            "smoothPart": self.smooth_part,
-            "oscPart": self.osc_part,
-            "nonprimitiveTail": self.nonprimitive_tail,
-            "lambda": self.lam,
-            "L": self.L,
-            "kmax": self.kmax,
-            "nClasses": self.n_classes,
-            "certifiedLmax": self.certified_l_max,
-            "window": self.window_kind,
-            "character": self.char_id,
-        }
-
 
 class SigmaEvaluator:
     """Sigma^2(lambda) for fixed spectrum/character/window/L.
@@ -381,6 +366,8 @@ def energy_average(
 # ---------------------------------------------------------------------------
 # Dirichlet oscillation search
 
+_SEARCH_CHUNK = 1_000_000  # grid points per vectorised block
+
 
 def dirichlet_lambda_search(
     lengths: Sequence[float],
@@ -388,7 +375,6 @@ def dirichlet_lambda_search(
     M: float,
     lam_max: float,
     mode: str = "plus",
-    chunk: int = 1_000_000,
 ) -> float:
     """First frequency aligning all phases lambda*r_j at quality 1/Y.
 
@@ -415,7 +401,7 @@ def dirichlet_lambda_search(
     bound = 1.0 / Y
     start = M
     while start <= ceiling:
-        count = min(chunk, int((ceiling - start) / step) + 1)
+        count = min(_SEARCH_CHUNK, int((ceiling - start) / step) + 1)
         grid = start + step * np.arange(count)
         if mode == "plus":
             # |e^{i l r} - 1| = 2|sin(l r / 2)|

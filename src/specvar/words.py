@@ -5,12 +5,20 @@ signed 1-based generator indices: ``+i`` is the i-th generator, ``-i`` its
 inverse.  Conjugacy classes of cyclically reduced words are put into a
 canonical form (lexicographically minimal rotation, after Dehn reduction for
 surface groups) so that classes can be deduplicated by equality.
+
+Every rule about a class is read from its shortest cyclic spellings, all
+found by one closure (``shortest_spellings``): the class is a proper power
+exactly when one spelling is periodic, its root is spelled by that
+spelling's period block, and the inverse class's spellings are the
+min-rotations of the inverted ones.  The same rules hold on free and
+surface presets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -280,9 +288,10 @@ def _half_swap_closure(word: Word, preset: GroupPreset) -> set[Word]:
 class ConjugacyClass:
     """Canonical representative of an oriented conjugacy class.
 
-    ``canonical`` is the lexicographically minimal shortest cyclic spelling;
-    ``inverse_canonical`` is the canonical form of the inverse class, so the
-    non-oriented class is the unordered pair of the two.
+    ``canonical`` is the lexicographically minimal shortest cyclic spelling
+    of a primitive class and the k-fold repetition of its root's for a k-th
+    power; ``inverse_canonical`` is the canonical form of the inverse class,
+    so the non-oriented class is the unordered pair of the two.
     """
 
     canonical: Word
@@ -293,7 +302,8 @@ def shortest_spellings(word: Word, preset: GroupPreset) -> set[Word]:
     """Every shortest cyclic spelling of the class of ``word``, as min-rotations.
 
     A free group has one, a surface group the half-swap closure; the
-    identity has none.
+    identity has none.  The class's power structure and its name are read
+    from this one set (``root_spelling``, ``named_class``).
     """
     w = dehn_cyclic_reduce(word, preset)
     if not w:
@@ -303,74 +313,74 @@ def shortest_spellings(word: Word, preset: GroupPreset) -> set[Word]:
     return _half_swap_closure(w, preset)
 
 
-def _canonical_word(word: Word, preset: GroupPreset) -> Word:
-    spellings = shortest_spellings(word, preset)
-    return min(spellings, key=word_sort_key) if spellings else ()
+def inverse_spellings(spellings: Iterable[Word]) -> set[Word]:
+    """Shortest spellings of the inverse class: the inverted ones, min-rotated."""
+    return {min_rotation(invert_word(w)) for w in spellings}
 
 
-def _class_word(word: Word, preset: GroupPreset) -> Word:
-    # canonical spelling; powers are normalized to repetitions of the root's
-    # canonical spelling so word-level periodicity reflects power structure
-    w = _canonical_word(word, preset)
-    if not w:
-        return ()
-    root, k = _root_of_canonical(w, preset)
-    if k > 1:
-        w = min_rotation(root * k)
-    return w
+def root_spelling(spellings: Iterable[Word]) -> tuple[Word, int]:
+    """Root spelling and power k of a class, from its shortest spellings.
+
+    A class is a proper power exactly when one of its shortest spellings is
+    periodic; that spelling's period block spells the root, and the least
+    period gives the largest k (k = 1 for a primitive class).
+
+    >>> root_spelling({(1, 2, 1, 2)})
+    ((1, 2), 2)
+    """
+    period, word = min((rotation_period(w), w) for w in spellings)
+    return word[:period], len(word) // period
+
+
+def named_class(spellings: set[Word], inverse: set[Word], k: int = 1) -> ConjugacyClass:
+    """k-th power of the primitive class with these (and inverse) spellings.
+
+    A primitive class is named by its least spelling, its k-th power by the
+    k-fold repetition of that name, so powers can be read off the word.
+    """
+    return ConjugacyClass(*(min(s, key=word_sort_key) * k for s in (spellings, inverse)))
 
 
 def canonical_class(word: Word, preset: GroupPreset) -> ConjugacyClass:
     """Canonical form of the conjugacy class of ``word``.
 
-    Raises TrivialElementError if the word represents the identity.
+    One closure of shortest spellings decides a primitive class; a proper
+    power takes a second one, of its root.  Raises TrivialElementError if
+    the word represents the identity.
+
+    The least shortest spelling of a power need not be periodic: half-relator
+    swaps mix spellings of the root, as in the square of a1^-1 b1^-1 a2 b1.
+
+    >>> G = surface_group(2)
+    >>> cls = canonical_class((-1, -2, 3, 2) * 2, G)
+    >>> min(shortest_spellings(cls.canonical, G), key=word_sort_key)
+    (-1, -2, 3, -1, 4, 3, -4, 2)
+    >>> root, k = primitive_root(cls, G)
+    >>> root.canonical, k
+    ((-1, -2, 3, 2), 2)
     """
-    w = _class_word(word, preset)
-    if not w:
+    spellings = shortest_spellings(word, preset)
+    if not spellings:
         raise TrivialElementError(f"word {word!r} reduces to the identity")
-    inv = _class_word(invert_word(w), preset)
-    return ConjugacyClass(w, inv)
-
-
-def _root_of_canonical(w: Word, preset: GroupPreset) -> tuple[Word, int]:
-    """Primitive root word and power of a canonical cyclic word."""
-    n = len(w)
-    if preset.kind == "free":
-        p = rotation_period(w)
-        return w[:p], n // p
-    # Surface group: a shortest spelling of a proper power need not be
-    # periodic (half-relator swaps can mix spellings of the root), so probe
-    # every rotation prefix whose repetition lands in the same class.  The
-    # homology of a k-th power is divisible by k, which rules out most k
-    # without touching the expensive canonical form.  A class word of a
-    # power is normalized to min_rotation(root^k), which need not be its
-    # least shortest spelling, so candidates are compared with the latter.
-    hom = abelianize(w, preset)
-    target = None
-    for k in sorted((k for k in range(2, n + 1) if n % k == 0), reverse=True):
-        if any(h % k for h in hom):
-            continue
-        if target is None:
-            target = _canonical_word(w, preset)
-        p = n // k
-        for start in range(n):
-            candidate = _cyclic_window(w, start, p)
-            if len(reduce_word(candidate)) != p:
-                continue
-            if _canonical_word(candidate * k, preset) == target:
-                return _canonical_word(candidate, preset), k
-    return w, 1
+    root, k = root_spelling(spellings)
+    if k > 1:
+        spellings = shortest_spellings(root, preset)
+    return named_class(spellings, inverse_spellings(spellings), k)
 
 
 def primitive_root(cls: ConjugacyClass, preset: GroupPreset) -> tuple[ConjugacyClass, int]:
     """Smallest root class and the power k with root^k conjugate to cls.
+
+    A canonical power repeats its root's name, so the root is read off the
+    word on every preset.
 
     >>> P = free_group(2)
     >>> root, k = primitive_root(canonical_class((1, 2, 1, 2), P), P)
     >>> root.canonical, k
     ((1, 2), 2)
     """
-    root_word, k = _root_of_canonical(cls.canonical, preset)
-    if k == 1:
+    n = len(cls.canonical)
+    p = rotation_period(cls.canonical)
+    if p == n:
         return cls, 1
-    return canonical_class(root_word, preset), k
+    return ConjugacyClass(cls.canonical[:p], cls.inverse_canonical[:p]), n // p

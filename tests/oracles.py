@@ -42,6 +42,10 @@ from specvar.words import (
     canonical_class,
     concat,
     invert_word,
+    min_rotation,
+    reduce_word,
+    rotation_period,
+    shortest_spellings,
     word_power,
     word_sort_key,
 )
@@ -98,6 +102,74 @@ def conjugate_by_all(word: Word, preset: GroupPreset, conj_len: int):
 def pick_unoriented(cls: ConjugacyClass) -> Word:
     """Deterministic representative of the pair {class, inverse class}."""
     return min(cls.canonical, cls.inverse_canonical, key=word_sort_key)
+
+
+# ---------------------------------------------------------------------------
+# words: the probing power rule the periodic-spelling rule replaced
+
+
+def _canonical_word(word: Word, preset: GroupPreset) -> Word:
+    spellings = shortest_spellings(word, preset)
+    return min(spellings, key=word_sort_key) if spellings else ()
+
+
+def _class_word(word: Word, preset: GroupPreset) -> Word:
+    # canonical spelling; powers are normalized to repetitions of the root's
+    # canonical spelling so word-level periodicity reflects power structure
+    w = _canonical_word(word, preset)
+    if not w:
+        return ()
+    root, k = _root_of_canonical(w, preset)
+    if k > 1:
+        w = min_rotation(root * k)
+    return w
+
+
+def _root_of_canonical(w: Word, preset: GroupPreset) -> tuple[Word, int]:
+    """Primitive root word and power of a canonical cyclic word."""
+    n = len(w)
+    if preset.kind == "free":
+        p = rotation_period(w)
+        return w[:p], n // p
+    # Surface group: a shortest spelling of a proper power need not be
+    # periodic (half-relator swaps can mix spellings of the root), so probe
+    # every rotation prefix whose repetition lands in the same class.  The
+    # homology of a k-th power is divisible by k, which rules out most k
+    # without touching the expensive canonical form.  A class word of a
+    # power is normalized to min_rotation(root^k), which need not be its
+    # least shortest spelling, so candidates are compared with the latter.
+    hom = abelianize(w, preset)
+    target = None
+    for k in sorted((k for k in range(2, n + 1) if n % k == 0), reverse=True):
+        if any(h % k for h in hom):
+            continue
+        if target is None:
+            target = _canonical_word(w, preset)
+        p = n // k
+        for start in range(n):
+            candidate = (w + w)[start : start + p]
+            if len(reduce_word(candidate)) != p:
+                continue
+            if _canonical_word(candidate * k, preset) == target:
+                return _canonical_word(candidate, preset), k
+    return w, 1
+
+
+def probed_canonical_class(word: Word, preset: GroupPreset) -> ConjugacyClass:
+    """Canonical class with the power structure found by probing root candidates."""
+    w = _class_word(word, preset)
+    if not w:
+        raise TrivialElementError(f"word {word!r} reduces to the identity")
+    inv = _class_word(invert_word(w), preset)
+    return ConjugacyClass(w, inv)
+
+
+def probed_primitive_root(cls: ConjugacyClass, preset: GroupPreset) -> tuple[ConjugacyClass, int]:
+    """Root class and power of a canonical class, by probing root candidates."""
+    root_word, k = _root_of_canonical(cls.canonical, preset)
+    if k == 1:
+        return cls, 1
+    return probed_canonical_class(root_word, preset), k
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 import oracles
 from oracles import enumerate_classes, pick_unoriented
 from specvar import fuchsian as F
+from specvar import words as W
 from specvar.words import (
     canonical_class,
     free_group,
     invert_word,
     min_rotation,
+    primitive_root,
     rotation_period,
     surface_group,
     word_power,
@@ -252,6 +254,32 @@ def test_record_classes_match_canonical_class(request, which):
     preset_group = sp.group.group
     for r in sp.records:
         assert r.cls == canonical_class(r.word, preset_group)
+
+
+@pytest.mark.parametrize("which", ["octagon12", "pants9", "pants_spectrum6", "capped_torus"])
+def test_power_rule_matches_probing_oracle(request, which):
+    # a periodic shortest spelling marks a power; the oracle instead probes
+    # every rotation block and divisor for a root
+    sp = request.getfixturevalue(which)
+    preset_group = sp.group.group
+    for r in sp.records:
+        cls = canonical_class(r.word, preset_group)
+        assert cls == oracles.probed_canonical_class(r.word, preset_group)
+        assert primitive_root(cls, preset_group) == oracles.probed_primitive_root(cls, preset_group)
+
+
+def test_octagon_build_makes_at_most_one_closure_per_record(octagon, monkeypatch):
+    calls = []
+    closure = W._half_swap_closure
+
+    def counted(word, preset):
+        calls.append(word)
+        return closure(word, preset)
+
+    monkeypatch.setattr(W, "_half_swap_closure", counted)
+    sp = F.build_spectrum(octagon, 9.5)
+    assert len(sp.records) == 1578
+    assert len(calls) <= len(sp.records)
 
 
 def test_oriented_spectrum_closed_under_inversion(octagon_spectrum6):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conjugate_by_all, enumerate_classes
+from oracles import (
+    conjugate_by_all,
+    enumerate_classes,
+    probed_canonical_class,
+    probed_primitive_root,
+)
 from specvar.words import (
     ConjugacyClass,
     TrivialElementError,
@@ -28,6 +33,7 @@ from specvar.words import (
 
 F2 = free_group(2)
 G2 = surface_group(2)
+G3 = surface_group(3)
 
 
 def letters_strategy(rank=2, max_len=10):
@@ -289,3 +295,30 @@ def test_canonical_surface_invariant_under_short_conjugators_exhaustive():
         cls = canonical_class(w, G2)
         for conj in conjugate_by_all(w, G2, 2):
             assert canonical_class(conj, G2) == cls
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([G2, G3, F2]).flatmap(
+        lambda preset: st.tuples(
+            st.just(preset),
+            letters_strategy(rank=preset.rank, max_len=7),
+            st.integers(min_value=1, max_value=4),
+        )
+    )
+)
+@example((G2, (-1, -2, 3, 2), 2))
+def test_power_rule_matches_probing_oracle(case):
+    # forced powers of random words: a periodic shortest spelling marks a
+    # power, and the oracle probes every rotation block and divisor instead
+    preset, w, k = case
+    word = word_power(w, k)
+    try:
+        want = probed_canonical_class(word, preset)
+    except TrivialElementError:
+        with pytest.raises(TrivialElementError):
+            canonical_class(word, preset)
+        return
+    cls = canonical_class(word, preset)
+    assert cls == want
+    assert primitive_root(cls, preset) == probed_primitive_root(want, preset)
