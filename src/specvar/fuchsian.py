@@ -21,11 +21,13 @@ enumeration with an empirical minimum-length margin.
 
 The survivors are turned into classes with one closure of shortest
 spellings per inversion pair: a survivor already in a closure is skipped,
-and a closure holding a periodic spelling is a proper power, whose records
-are made from its root (the ``words`` rules).  A primitive length is taken
-from one trace per inversion pair, chosen from that closure by a rule of
-the class (``_trace_spelling``), so the bits of every length are
-independent of the order in which the enumeration meets the class.
+a closure holding a periodic spelling is a proper power, whose records
+are made from its root, and a primitive pair is named by
+``canonical_class`` from that same closure (the ``words`` rules).  A
+primitive length is taken from one trace per inversion pair, chosen from
+that closure by a rule of the class (``_trace_spelling``), so the bits of
+every length are independent of the order in which the enumeration meets
+the class.
 
 A spectrum is cached as a format-2 CSV whose rows name their inverse rows.
 Loading rebuilds each conjugacy class from its word and its partner's word
@@ -52,13 +54,13 @@ from .words import (
     Word,
     _letter_key,
     abelianize,
+    canonical_class,
     cyclic_reduce,
     dehn_cyclic_reduce,
     free_group,
     inverse_spellings,
     invert_word,
     min_rotation,
-    named_class,
     reduce_word,
     root_spelling,
     shortest_spellings,
@@ -586,7 +588,7 @@ def _enumerate_free(
         words, mats, period = _extend_shell(words, mats, period, gen_mats, None)
 
 
-def _trace_spelling(root: ConjugacyClass, spellings: set[Word], preset: GroupPreset) -> Word:
+def _trace_spelling(root: ConjugacyClass, spellings: frozenset[Word], preset: GroupPreset) -> Word:
     """Canonical word of the orientation whose trace sets a pair's length.
 
     The traces of gamma and gamma^-1 can differ in the last bit, and tied
@@ -619,9 +621,8 @@ def build_spectrum(
     each.  Lengths of powers are computed as k times the primitive length,
     never from power traces.  Each inversion pair of primitive classes is
     read from one closure of shortest spellings, that of the first survivor
-    in either orientation, by the ``words`` rules ``canonical_class``
-    applies; the k-th power class is named by the k-fold repetition of the
-    root's words, as ``canonical_class`` names powers.
+    in either orientation, and named by ``canonical_class``; the k-th power
+    of a root is ``ConjugacyClass.power``, as ``canonical_class`` names powers.
     """
     if l_max <= 0:
         raise InvalidParameters("l_max must be positive")
@@ -634,7 +635,8 @@ def build_spectrum(
     # each survivor is the least rotation of its spelling, so no two rows
     # are rotations of each other; surface groups still meet several
     # Dehn-equivalent spellings of one class.  A power class is skipped:
-    # its root is shorter, so it is a survivor too.
+    # its root is shorter, so it is a survivor too.  canonical_class reads
+    # the closure shortest_spellings keeps, so a pair costs one closure.
     preset_group = group.group
     seen: set[Word] = set()
     pair_roots: list[ConjugacyClass] = []
@@ -647,11 +649,10 @@ def build_spectrum(
             spellings = shortest_spellings(word, preset_group)
             if not spellings.isdisjoint(seen):
                 continue  # Dehn reduction left a longer spelling of a known class
-            inverse = inverse_spellings(spellings)
-            seen |= spellings | inverse
+            seen |= spellings | inverse_spellings(spellings)
             if root_spelling(spellings)[1] > 1:
                 continue
-            root = named_class(spellings, inverse)
+            root = canonical_class(word, preset_group)
             pair_roots.append(root)
             trace_words.append(_trace_spelling(root, spellings, preset_group))
     # both orientations share the trace spelling, so a pair whose trace
@@ -667,15 +668,15 @@ def build_spectrum(
         if ell0 > effective_l_max:
             continue
         hom0 = abelianize(root.canonical, preset_group)
-        pair = ((root.canonical, root.inverse_canonical, 1), (root.inverse_canonical, root.canonical, -1))
-        for word, inv, sign in pair:
+        pair = ((root, 1), (ConjugacyClass(root.inverse_canonical, root.canonical), -1))
+        for cls, sign in pair:
             k = 1
             while k * ell0 <= effective_l_max:
                 ell = k * ell0
                 records.append(
                     GeodesicRecord(
                         class_id=-1,
-                        cls=ConjugacyClass(word * k, inv * k),
+                        cls=cls.power(k),
                         length=ell,
                         primitive_length=ell0,
                         power=k,

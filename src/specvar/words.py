@@ -10,8 +10,9 @@ Every rule about a class is read from its shortest cyclic spellings, all
 found by one closure (``shortest_spellings``): the class is a proper power
 exactly when one spelling is periodic, its root is spelled by that
 spelling's period block, and the inverse class's spellings are the
-min-rotations of the inverted ones.  The same rules hold on free and
-surface presets.
+min-rotations of the inverted ones.  A k-th power is named by k copies of
+its root's name (``ConjugacyClass.power``).  The same rules hold on free
+and surface presets.
 """
 
 from __future__ import annotations
@@ -297,20 +298,27 @@ class ConjugacyClass:
     canonical: Word
     inverse_canonical: Word
 
+    def power(self, k: int) -> ConjugacyClass:
+        """The k-th power of a primitive class: k copies of each name."""
+        return ConjugacyClass(self.canonical * k, self.inverse_canonical * k)
 
-def shortest_spellings(word: Word, preset: GroupPreset) -> set[Word]:
+
+@lru_cache(maxsize=64)
+def shortest_spellings(word: Word, preset: GroupPreset) -> frozenset[Word]:
     """Every shortest cyclic spelling of the class of ``word``, as min-rotations.
 
     A free group has one, a surface group the half-swap closure; the
     identity has none.  The class's power structure and its name are read
-    from this one set (``root_spelling``, ``named_class``).
+    from this one set (``root_spelling``, ``canonical_class``).  Recent sets
+    are kept, so a caller that reads a word's spellings and then its
+    ``canonical_class`` builds one closure.
     """
     w = dehn_cyclic_reduce(word, preset)
     if not w:
-        return set()
+        return frozenset()
     if preset.kind == "free":
-        return {min_rotation(w)}
-    return _half_swap_closure(w, preset)
+        return frozenset({min_rotation(w)})
+    return frozenset(_half_swap_closure(w, preset))
 
 
 def inverse_spellings(spellings: Iterable[Word]) -> set[Word]:
@@ -332,21 +340,13 @@ def root_spelling(spellings: Iterable[Word]) -> tuple[Word, int]:
     return word[:period], len(word) // period
 
 
-def named_class(spellings: set[Word], inverse: set[Word], k: int = 1) -> ConjugacyClass:
-    """k-th power of the primitive class with these (and inverse) spellings.
-
-    A primitive class is named by its least spelling, its k-th power by the
-    k-fold repetition of that name, so powers can be read off the word.
-    """
-    return ConjugacyClass(*(min(s, key=word_sort_key) * k for s in (spellings, inverse)))
-
-
 def canonical_class(word: Word, preset: GroupPreset) -> ConjugacyClass:
     """Canonical form of the conjugacy class of ``word``.
 
-    One closure of shortest spellings decides a primitive class; a proper
-    power takes a second one, of its root.  Raises TrivialElementError if
-    the word represents the identity.
+    One closure of shortest spellings decides a primitive class, named by
+    its least spelling and the least inverse spelling; a proper power takes
+    a second closure, of its root.  Raises TrivialElementError if the word
+    represents the identity.
 
     The least shortest spelling of a power need not be periodic: half-relator
     swaps mix spellings of the root, as in the square of a1^-1 b1^-1 a2 b1.
@@ -365,14 +365,15 @@ def canonical_class(word: Word, preset: GroupPreset) -> ConjugacyClass:
     root, k = root_spelling(spellings)
     if k > 1:
         spellings = shortest_spellings(root, preset)
-    return named_class(spellings, inverse_spellings(spellings), k)
+    names = (min(s, key=word_sort_key) for s in (spellings, inverse_spellings(spellings)))
+    return ConjugacyClass(*names).power(k)
 
 
 def primitive_root(cls: ConjugacyClass, preset: GroupPreset) -> tuple[ConjugacyClass, int]:
     """Smallest root class and the power k with root^k conjugate to cls.
 
-    A canonical power repeats its root's name, so the root is read off the
-    word on every preset.
+    A canonical power repeats its root's name (``ConjugacyClass.power``),
+    so the root is read off the word on every preset.
 
     >>> P = free_group(2)
     >>> root, k = primitive_root(canonical_class((1, 2, 1, 2), P), P)
