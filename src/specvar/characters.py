@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import stream
+from .rng import streams
 from .words import GroupPreset, Word
 
 HAAR_KINDS = ("U1", "SU2", "UN")
@@ -130,14 +130,29 @@ def _haar_f_batch(kind: str, dim: int, g: np.random.Generator, size: int) -> np.
         q = g.standard_normal((size, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         return 16.0 * q[:, 0] ** 2
-    # U(N): QR of a complex Ginibre matrix, with the phase correction
-    # R -> R/|R| on the diagonal that makes the distribution exactly Haar
-    z = g.standard_normal((size, dim, dim)) + 1j * g.standard_normal((size, dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (d / np.abs(d))[:, np.newaxis, :]
-    tr = np.trace(q, axis1=1, axis2=2)
-    return (2.0 * tr.real) ** 2
+    return (2.0 * _unitary_traces(dim, g, size).real) ** 2
+
+
+def _unitary_traces(dim: int, g: np.random.Generator, size: int) -> np.ndarray:
+    """Traces of ``size`` Haar-random elements of U(dim).
+
+    The Q factor of a complex Ginibre matrix whose R has a positive real
+    diagonal is exactly Haar (Mezzadri 2007).  Modified Gram-Schmidt on the
+    columns builds that unique Q directly, so no QR factorisation and no
+    phase correction is needed.  q[j, i] is entry (i, j) of every draw:
+    column j is q[j], with the batch axis last.
+    """
+    q = np.empty((dim, dim, size), dtype=complex)
+    q.real = g.standard_normal((size, dim, dim)).transpose(2, 1, 0)
+    q.imag = g.standard_normal((size, dim, dim)).transpose(2, 1, 0)
+    tr = np.zeros(size, dtype=complex)
+    for j in range(dim):
+        col = q[j]
+        col /= np.sqrt(np.sum(col.real**2 + col.imag**2, axis=0))
+        tr += col[j]
+        rest = q[j + 1 :]
+        rest -= col * np.sum(col.conj() * rest, axis=1, keepdims=True)
+    return tr
 
 
 def haar_sigma_constant(
@@ -160,15 +175,11 @@ def haar_sigma_constant(
         raise ValueError("U(N) needs N >= 1")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    index = 0
-    while done < samples:
-        size = min(_HAAR_BATCH, samples - done)
-        vals = _haar_f_batch(kind, dim, stream(seed, index), size)
+    batches = -(-samples // _HAAR_BATCH)
+    for index, g in enumerate(streams(seed, np.arange(batches)[:, None])):
+        vals = _haar_f_batch(kind, dim, g, min(_HAAR_BATCH, samples - index * _HAAR_BATCH))
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
-        done += size
-        index += 1
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fuchsian import LengthSpectrum, unoriented_rows
-from .rng import stream
+from .rng import stream, streams
 from .variance import (
     _require_certified,
     character_id,
@@ -71,9 +71,9 @@ def _batch_images(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
     of the run reads it.
     """
     out = np.empty((rank, samples, n), dtype=np.int64)
-    for s in range(samples):
-        for g in range(rank):
-            out[g, s] = stream(seed, s, g).permutation(n)
+    keys = np.column_stack(divmod(np.arange(samples * rank), rank))
+    for (s, g), rg in zip(np.ndindex(samples, rank), streams(seed, keys)):
+        out[g, s] = rg.permutation(n)
     out += (np.arange(samples, dtype=np.int64) * n)[:, None]
     return out
 

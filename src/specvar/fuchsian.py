@@ -301,10 +301,6 @@ class GeodesicRecord:
     homology: tuple[int, ...]
 
     @property
-    def det(self) -> float:
-        return math.exp(self.log_det)
-
-    @property
     def word(self) -> Word:
         return self.cls.canonical
 
@@ -355,9 +351,6 @@ class LengthSpectrum:
     @property
     def certified_l_max(self) -> float:
         return self.certificate.get("certified_l_max", self.l_max)
-
-    def primitives(self) -> list[GeodesicRecord]:
-        return [r for r in self.records if r.power == 1]
 
 
 _CHUNK = 1_500_000  # rows per vectorized extension block
@@ -713,29 +706,6 @@ def unoriented_rows(spectrum: LengthSpectrum) -> np.ndarray:
 def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
     """P0 as records: the records of ``unoriented_rows``."""
     return [spectrum.records[i] for i in unoriented_rows(spectrum)]
-
-
-def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
-    """Restrict to classes with ell <= l_max.
-
-    A complete spectrum stays complete under truncation, so one expensive
-    enumeration can serve every shorter cutoff.
-    """
-    if l_max > spectrum.certified_l_max:
-        raise ValueError(
-            f"cannot truncate to {l_max}: certified only to {spectrum.certified_l_max}"
-        )
-    records = tuple(r for r in spectrum.records if r.length <= l_max)
-    cert = dict(spectrum.certificate)
-    cert["certified_l_max"] = l_max
-    cert["truncated_from"] = spectrum.l_max
-    cert["shell_classes"] = _shell_classes(r.word for r in records)
-    return LengthSpectrum(
-        group=spectrum.group,
-        l_max=l_max,
-        records=records,
-        certificate=cert,
-    )
 
 
 # ---------------------------------------------------------------------------

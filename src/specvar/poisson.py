@@ -23,7 +23,7 @@ import numpy as np
 from .characters import breaks_time_reversal
 from .fuchsian import LengthSpectrum, unoriented_rows
 from .ks import ks_normal
-from .rng import stream
+from .rng import streams
 from .variance import (
     CoefficientTable,
     _require_certified,
@@ -67,14 +67,14 @@ def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return z.astype(np.int64)
 
 
-def _poisson_draws(seed: int, class_id: int, d: int, draws: int) -> np.ndarray:
+def _poisson_draws(g: np.random.Generator, d: int, draws: int) -> np.ndarray:
     """Z_{gamma,d} for consecutive draw indices, by CDF inversion.
 
-    One counter-based stream per (seed, classId, d); the draw index is the
-    position in the stream, so prefixes are stable and any partition of
-    the (classId, d) grid reproduces bit-identically.
+    ``g`` is the pair's own (seed, classId, d) stream; the draw index is
+    the position in the stream, so prefixes are stable and any partition
+    of the (classId, d) grid reproduces bit-identically.
     """
-    return _invert_cdf(_poisson_cdf(d), stream(seed, class_id, d).random(draws))
+    return _invert_cdf(_poisson_cdf(d), g.random(draws))
 
 
 def _pair_coefficients(
@@ -141,17 +141,21 @@ class PoissonSurrogate:
         if draws < 1:
             raise ValueError("draws must be >= 1")
         vals = np.zeros(draws)
-        for cid, d, c in zip(self.pair_class_ids, self.pair_d, self.pair_c):
-            z = _poisson_draws(self.seed, int(cid), int(d), draws)
+        for g, d, c in zip(self._pair_streams(), self.pair_d, self.pair_c):
+            z = _poisson_draws(g, int(d), draws)
             vals += c * (z - 1.0 / d)
         return vals
 
     def _z_matrix(self, draws: int) -> np.ndarray:
         """Centered Z draws for all retained pairs, (draws, n_pairs)."""
         out = np.empty((draws, self.n_pairs))
-        for j, (cid, d) in enumerate(zip(self.pair_class_ids, self.pair_d)):
-            out[:, j] = _poisson_draws(self.seed, int(cid), int(d), draws) - 1.0 / d
+        for j, (g, d) in enumerate(zip(self._pair_streams(), self.pair_d)):
+            out[:, j] = _poisson_draws(g, int(d), draws) - 1.0 / d
         return out
+
+    def _pair_streams(self):
+        """One counter-based stream per retained pair, keyed by (seed, classId, d)."""
+        return streams(self.seed, np.column_stack([self.pair_class_ids, self.pair_d]))
 
 
 # ---------------------------------------------------------------------------

@@ -184,11 +184,15 @@ def rotation_period(word: Word) -> int:
 # ---------------------------------------------------------------------------
 # Dehn reduction for surface groups
 
-# A cyclically reduced word in a surface group is a shortest representative
-# of its element iff it contains no subword longer than half the relator
-# (Dehn's algorithm).  Shortest words that contain exactly half the relator
-# are not unique; equal elements are then connected by swapping the half
-# against the inverse of the complementary half.
+# Dehn's algorithm replaces every subword longer than half the relator by
+# the shorter rest of the relator.  That decides whether a word is trivial,
+# but the cyclic word it leaves need not be a shortest spelling of its
+# class: swapping a subword of exactly half the relator against the inverse
+# of the complementary half keeps the length, and can expose a longer
+# subword.  The octagon survivor (-1, -2, -1, 4, 3, 3, -4, -3, 2) is
+# Dehn-reduced at 9 letters, yet its class is spelled with 7.  The closure
+# under half swaps therefore restarts from the shorter word whenever a swap
+# exposes one; it ends with every shortest spelling of the class.
 
 
 @lru_cache(maxsize=None)

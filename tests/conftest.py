@@ -11,7 +11,7 @@ def octagon_group():
 @pytest.fixture(scope="session")
 def octagon12(octagon_group):
     # one expensive enumeration shared by the whole session; shorter
-    # cutoffs are taken with truncate_spectrum
+    # cutoffs are taken with oracles.truncate_spectrum
     return F.build_spectrum(octagon_group, 12.0)
 
 

@@ -27,6 +27,7 @@ from specvar.fuchsian import (
     LengthSpectrum,
     _forbidden_5gram_codes,
     _letter_code,
+    _shell_classes,
     log_poincare_det,
 )
 from specvar.poisson import PoissonSurrogate, _poisson_draws
@@ -226,6 +227,27 @@ def char_trace(rep: MatrixRep, cls) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# rng and Haar draws: the per-stream seeding and the QR sampler
+
+
+def seedsequence_stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of (seed, *key), seeded through numpy's SeedSequence."""
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy.extend(int(k) & 0xFFFFFFFFFFFFFFFF for k in key)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def qr_unitary_traces(dim: int, g: np.random.Generator, size: int) -> np.ndarray:
+    """Traces of Haar U(dim) draws: QR of a complex Ginibre matrix, with the
+    phase correction R -> R/|R| on the diagonal that makes it exactly Haar."""
+    z = g.standard_normal((size, dim, dim)) + 1j * g.standard_normal((size, dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, np.newaxis, :]
+    return np.trace(q, axis1=1, axis2=2)
+
+
+# ---------------------------------------------------------------------------
 # fuchsian: holonomy, determinant, power check, tail sum
 
 
@@ -236,6 +258,39 @@ def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
     for letter in word:
         out = out @ mats[_letter_code(letter)]
     return out
+
+
+def record_det(record: GeodesicRecord) -> float:
+    """|det(I - P)| of a record, from the log it stores."""
+    return math.exp(record.log_det)
+
+
+def primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
+    """The power-1 records, both orientations."""
+    return [r for r in spectrum.records if r.power == 1]
+
+
+def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
+    """Restrict to classes with ell <= l_max.
+
+    A complete spectrum stays complete under truncation, so one expensive
+    enumeration can serve every shorter cutoff.
+    """
+    if l_max > spectrum.certified_l_max:
+        raise ValueError(
+            f"cannot truncate to {l_max}: certified only to {spectrum.certified_l_max}"
+        )
+    records = tuple(r for r in spectrum.records if r.length <= l_max)
+    cert = dict(spectrum.certificate)
+    cert["certified_l_max"] = l_max
+    cert["truncated_from"] = spectrum.l_max
+    cert["shell_classes"] = _shell_classes(r.word for r in records)
+    return LengthSpectrum(
+        group=spectrum.group,
+        l_max=l_max,
+        records=records,
+        certificate=cert,
+    )
 
 
 def poincare_det(ell: float) -> float:
@@ -485,7 +540,7 @@ def sample_cycle_counts(seed: int, class_id: int, dmax: int, draws: int) -> np.n
     """(draws, dmax) matrix of Z_{gamma,d} draws, d = 1..dmax."""
     out = np.empty((draws, dmax), dtype=np.int64)
     for d in range(1, dmax + 1):
-        out[:, d - 1] = _poisson_draws(seed, class_id, d, draws)
+        out[:, d - 1] = _poisson_draws(stream(seed, class_id, d), d, draws)
     return out
 
 

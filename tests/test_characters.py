@@ -1,14 +1,15 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from specvar import characters as C
-from specvar.rng import stream
+from specvar.rng import stream, streams
 from specvar.words import abelianize, concat, free_group, surface_group
 
 SG2 = surface_group(2)
@@ -37,6 +38,51 @@ def test_stream_distinct_keys_independent_values():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# components around the one-word/two-word boundary, the 64-bit ends and
+# negatives, which are read modulo 2**64
+EDGE_COMPONENTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**32), -(2**63)]
+components = st.one_of(st.sampled_from(EDGE_COMPONENTS), st.integers(-(2**63), 2**64 - 1))
+
+
+def _same_bits(g: np.random.Generator, want: np.random.Generator) -> bool:
+    return np.array_equal(g.random(5), want.random(5)) and np.array_equal(
+        g.permutation(11), want.permutation(11)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=components,
+    keys=st.integers(0, 5).flatmap(
+        lambda m: st.lists(st.lists(components, min_size=m, max_size=m), min_size=1, max_size=6)
+    ),
+)
+@example(seed=0, keys=[[]])
+@example(seed=2**64 - 1, keys=[[0, 2**32], [2**32 - 1, 1], [2**64 - 1, 2**32], [-1, 0]])
+@example(seed=7, keys=[[1, 2, 3, 4, 5], [2**40, 2**40, 2**40, 2**40, 2**40], [0, 0, 2**33, 0, 0]])
+def test_streams_match_seedsequence(seed, keys):
+    rows = np.array([[k & 0xFFFFFFFFFFFFFFFF for k in key] for key in keys], dtype=np.uint64)
+    bulk = list(streams(seed, rows))
+    assert len(bulk) == len(keys)
+    for g, key in zip(bulk, keys):
+        assert _same_bits(g, oracles.seedsequence_stream(seed, *key))
+        assert _same_bits(stream(seed, *key), oracles.seedsequence_stream(seed, *key))
+
+
+def test_streams_read_signed_keys_modulo_2_64():
+    keys = np.array([[-1, 3], [5, -(2**40)]], dtype=np.int64)
+    for g, key in zip(streams(-2, keys), keys.tolist()):
+        assert _same_bits(g, oracles.seedsequence_stream(-2, *key))
+
+
+def test_streams_builds_each_generator_when_read():
+    lazy = streams(3, np.arange(4)[:, None])
+    first = next(lazy)
+    assert inspect.isgenerator(lazy)
+    assert first is not next(lazy)
+    assert _same_bits(first, oracles.seedsequence_stream(3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +250,36 @@ def test_haar_su2():
 def test_haar_un():
     est, se = C.haar_sigma_constant("UN", 50_000, seed=3, dim=3)
     assert abs(est - 2.0) <= 3 * se
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_unitary_traces_match_qr_oracle(dim):
+    for seed, index in ((0, 0), (0, 61), (3, 1), (2**40, 7)):
+        got = C._unitary_traces(dim, stream(seed, index), 1024)
+        want = oracles.qr_unitary_traces(dim, stream(seed, index), 1024)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_unitary_trace_moments(dim):
+    # E|Tr g|^(2k) = k! for k <= N on U(N) (Diaconis & Shahshahani 1994)
+    size = 40_000
+    tr2 = np.abs(C._unitary_traces(dim, stream(11, dim), size)) ** 2
+    for k in range(1, dim + 1):
+        vals = tr2**k
+        se = vals.std() / math.sqrt(size)
+        assert abs(vals.mean() - math.factorial(k)) <= 4 * se, (k, vals.mean(), se)
+
+
+def test_haar_un_matches_qr_oracle():
+    samples, seed = 10_000, 3
+    sizes = [4096, 4096, samples - 2 * 4096]
+    vals = np.concatenate(
+        [(2.0 * oracles.qr_unitary_traces(3, stream(seed, i), n).real) ** 2 for i, n in enumerate(sizes)]
+    )
+    est, se = C.haar_sigma_constant("UN", samples, seed, dim=3)
+    assert est == pytest.approx(vals.mean(), rel=1e-12)
+    assert se == pytest.approx(vals.std() / math.sqrt(samples), rel=1e-9)
 
 
 def test_haar_deterministic_and_batch_invariant():

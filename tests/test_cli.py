@@ -269,17 +269,24 @@ def test_analysis_result_pinned(tmp_path, octagon_csv, name):
 
 def test_covers_draws_each_stream_once(tmp_path, monkeypatch):
     # the moment test and the bridge read one batch: rank * samples
-    # permutation streams plus the bootstrap stream
+    # permutation streams plus the bootstrap stream, each generator built
+    # once whether it comes alone (stream) or from a batch (streams)
     import specvar.covers
 
     calls = []
-    real = specvar.covers.stream
+    real_one, real_many = specvar.covers.stream, specvar.covers.streams
 
-    def counting(*key):
-        calls.append(key)
-        return real(*key)
+    def counting_one(seed, *key):
+        calls.append((seed, *key))
+        return real_one(seed, *key)
 
-    monkeypatch.setattr(specvar.covers, "stream", counting)
+    def counting_many(seed, keys):
+        for key, g in zip(np.asarray(keys).tolist(), real_many(seed, keys)):
+            calls.append((seed, *key))
+            yield g
+
+    monkeypatch.setattr(specvar.covers, "stream", counting_one)
+    monkeypatch.setattr(specvar.covers, "streams", counting_many)
     assert main(["covers", "--n", "20", "--samples", "300", "--L", "5",
                  "--lambda", "1e3", "--seed", "3",
                  "--out", str(tmp_path / "c.json")]) == EXIT_OK

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import enumerate_classes, pick_unoriented
+from oracles import enumerate_classes, pick_unoriented, primitives, truncate_spectrum
 from specvar import fuchsian as F
 from specvar import words as W
 from specvar.words import (
@@ -238,7 +238,7 @@ def test_pants_spectrum_just_above_generators(pants):
 def test_oriented_doubles_chiral_classes(pants):
     # no class of a free group is conjugate to its inverse
     oriented = F.build_spectrum(pants, 5.0)
-    assert len(oriented.primitives()) == 2 * len(F.unoriented_primitives(oriented))
+    assert len(primitives(oriented)) == 2 * len(F.unoriented_primitives(oriented))
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +291,7 @@ def test_oriented_spectrum_closed_under_inversion(octagon_spectrum6):
 def unoriented_primitives_oracle(spectrum):
     """Recomputes each inverse class instead of reading the stored one."""
     out = []
-    for rec in spectrum.primitives():
+    for rec in primitives(spectrum):
         inv = canonical_class(invert_word(rec.word), spectrum.group.group)
         if word_sort_key(rec.cls.canonical) <= word_sort_key(inv.canonical):
             out.append(rec)
@@ -306,7 +306,7 @@ def test_unoriented_primitives_matches_oracle(tmp_path, pants_spectrum6, octagon
         assert got == unoriented_primitives_oracle(sp)
         # both orientations are present, and exactly one of each pair is kept
         assert got
-        assert len(sp.primitives()) == 2 * len(got)
+        assert len(primitives(sp)) == 2 * len(got)
 
 
 @pytest.mark.parametrize("which", ["octagon12", "pants9", "capped_torus", "loaded octagon12"])
@@ -400,7 +400,7 @@ def test_det_identity_against_trace(octagon, octagon_spectrum6):
 
 def test_power_records(octagon_spectrum6):
     group = octagon_spectrum6.group.group
-    prims = octagon_spectrum6.primitives()
+    prims = primitives(octagon_spectrum6)
     powers = [r for r in octagon_spectrum6.records if r.power > 1]
     assert powers
     for r in powers:
@@ -561,10 +561,10 @@ def test_octagon_bench_csv_pinned(tmp_path, octagon):
 def test_powers_listed_once(octagon12):
     # a proper power whose least shortest spelling is not the repetition of
     # its root (e.g. (a^-1 b^-1 a2 b1)^2) once also came out as a primitive
-    for sp in (F.truncate_spectrum(octagon12, 10.0), octagon12):
+    for sp in (truncate_spectrum(octagon12, 10.0), octagon12):
         words = [r.word for r in sp.records]
         assert len(set(words)) == len(words)
-        assert all(rotation_period(r.word) == len(r.word) for r in sp.primitives())
+        assert all(rotation_period(r.word) == len(r.word) for r in primitives(sp))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +685,7 @@ def test_load_returns_the_built_records(
         sp = {
             "pants": pants_spectrum6,
             "capped torus": capped_torus,
-            "truncated torus": F.truncate_spectrum(capped_torus, 5.0),
+            "truncated torus": truncate_spectrum(capped_torus, 5.0),
         }[which]
         path = str(tmp_path / "spec.csv")
         F.spectrum_to_csv(sp, path)

@@ -1,4 +1,6 @@
-"""Every name a ``specvar`` module imports is used there, and none is SciPy."""
+"""Every name a ``specvar`` module imports is used there and none is SciPy;
+importing them loads no ``numpy.random``, no module calls a QR
+factorisation, and only ``rng`` builds a Philox."""
 
 import ast
 import os
@@ -51,14 +53,14 @@ def test_no_scipy_import(path):
     assert not found, f"{path.name} imports {found}"
 
 
-def test_importing_every_module_loads_no_scipy():
+def _import_every_module(report: str) -> list[str]:
+    """Import every specvar module in a fresh interpreter; return the
+    lines that ``report`` (Python source run afterwards) prints."""
     code = (
         "import importlib, pkgutil, sys, specvar\n"
         "for info in pkgutil.iter_modules(specvar.__path__):\n"
         "    importlib.import_module('specvar.' + info.name)\n"
-        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
-        "print(sorted(n for n in sys.modules if n.startswith('specvar.')))\n"
-    )
+    ) + report
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -68,6 +70,41 @@ def test_importing_every_module_loads_no_scipy():
         timeout=120,
         check=True,
     )
-    scipy_modules, specvar_modules = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_importing_every_module_loads_no_scipy():
+    scipy_modules, specvar_modules = _import_every_module(
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+        "print(sorted(n for n in sys.modules if n.startswith('specvar.')))\n"
+    )
     assert scipy_modules == "[]"
     assert len(ast.literal_eval(specvar_modules)) == len(list(SRC.glob("*.py"))) - 1  # all but __init__
+
+
+def test_importing_every_module_loads_no_numpy_random():
+    # numpy.random loads with the first stream, so start-up does not pay for it
+    assert _import_every_module("print('numpy.random' in sys.modules)\n") == ["False"]
+
+
+def _referenced(tree):
+    # every attribute and bare name a module reads, imported names included
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_qr_and_one_seeding_path(path):
+    # Haar traces come from Gram-Schmidt, and streams are keyed by rng's
+    # bulk hash: only rng.py builds a Philox, and none a SeedSequence
+    names = set(_referenced(ast.parse(path.read_text(encoding="utf-8"))))
+    assert "qr" not in names, f"{path.name} calls a QR factorisation"
+    assert "SeedSequence" not in names, f"{path.name} builds a SeedSequence"
+    if path.name != "rng.py":
+        assert "Philox" not in names, f"{path.name} builds a Philox outside rng.py"
+

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specvar.fuchsian as F
-from oracles import sample_Ninfty, sample_cycle_counts
+from oracles import sample_Ninfty, sample_cycle_counts, truncate_spectrum
 from specvar.characters import FluxCharacter
 from specvar.poisson import (
     CumulantReport,
@@ -163,7 +163,7 @@ def test_kappa2_equals_limiting_variance(pants, char, win):
 
 def test_single_class_single_k_cumulants(pants):
     # only the 1.9-geodesic survives below L=2; kmax=1 so kappa_m = c^m
-    short = F.truncate_spectrum(pants, 2.0)
+    short = truncate_spectrum(pants, 2.0)
     sur = PoissonSurrogate(short, None, window("triangle"), lam=50.0, L=2.0, seed=1)
     assert sur.n_pairs == 1
     rep = exact_cumulants(sur, mmax=5)
@@ -187,7 +187,7 @@ def test_cumulant_bounds_dominate(pants_sur):
 
 
 def test_clt_refuses_small_variance(pants):
-    short = F.truncate_spectrum(pants, 2.0)
+    short = truncate_spectrum(pants, 2.0)
     sur = PoissonSurrogate(short, None, window("triangle"), lam=50.0, L=2.0, seed=1)
     with pytest.raises(VarianceTooSmall):
         clt_test(sur, draws=1000)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import primitives
 import specvar.fuchsian as F
 from specvar.characters import FluxCharacter, MatrixRep
 from specvar.dynamics import (
@@ -82,7 +83,7 @@ def test_vectorised_paths_match_loops(request, case):
         _close(variance_estimator(spec, fv, T, 1.0), want, abs(want))
 
     tri = window("triangle")
-    primitive_ids = [r.class_id for r in spec.primitives()]
+    primitive_ids = [r.class_id for r in primitives(spec)]
     for char in (None, flux, _matrix_rep(rank)):
         table = coefficient_table(spec, primitive_ids, char, tri, 61.3, L)
         want = np.array(

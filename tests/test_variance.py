@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import primitives, truncate_spectrum
 from specvar import fuchsian as F
 from specvar import variance as V
 from specvar.characters import FluxCharacter, MatrixRep
@@ -63,13 +64,13 @@ def test_gcd_weight_matrix_psd():
 
 
 def test_coeff_support(pants_spec, tri):
-    r = min(pants_spec.primitives(), key=lambda p: p.length)
+    r = min(primitives(pants_spec), key=lambda p: p.length)
     k_over = int(7.0 / r.primitive_length) + 1
     assert V.coeff_A(pants_spec, r.class_id, k_over, None, tri, 50.0, 7.0) == 0.0
 
 
 def test_coeff_trivial_char_at_aligned_frequency(pants_spec, tri):
-    r = min(pants_spec.primitives(), key=lambda p: p.length)
+    r = min(primitives(pants_spec), key=lambda p: p.length)
     ell = r.primitive_length
     lam = 2.0 * math.pi * round(50.0 * ell / (2 * math.pi)) / ell
     got = V.coeff_A(pants_spec, r.class_id, 1, None, tri, lam, 7.0)
@@ -78,7 +79,7 @@ def test_coeff_trivial_char_at_aligned_frequency(pants_spec, tri):
 
 
 def test_coeff_flux_pi_sign_flip(pants_spec, tri):
-    recs = [r for r in pants_spec.primitives() if r.homology == (1, 0)]
+    recs = [r for r in primitives(pants_spec) if r.homology == (1, 0)]
     r = recs[0]
     ch = FluxCharacter(flux=(math.pi, 0.0))
     plain = V.coeff_A(pants_spec, r.class_id, 1, None, tri, 37.0, 7.0)
@@ -94,14 +95,14 @@ def test_coeff_requires_primitive(pants_spec, tri):
 
 def test_coeff_bound_dominates(pants_spec, tri, bump):
     for w in (tri, bump):
-        for r in list(pants_spec.primitives())[:20]:
+        for r in list(primitives(pants_spec))[:20]:
             for k in (1, 2, 3):
                 a = V.coeff_A(pants_spec, r.class_id, k, None, w, 123.456, 7.0)
                 assert abs(a) <= oracles.coeff_bound(r, k, None, w) + 1e-15
 
 
 def primitive_ids(spec):
-    return [r.class_id for r in spec.primitives()]
+    return [r.class_id for r in primitives(spec)]
 
 
 def test_coefficient_table_matches_scalar(pants_spec, tri):
@@ -134,7 +135,7 @@ def test_coefficient_table_matrix_char(pants_spec, tri):
 
 def brute_sigma2(spec, char, w, lam, L):
     total = 0.0
-    for p in spec.primitives():
+    for p in primitives(spec):
         if p.primitive_length > L:
             continue
         kmax = int(L / p.primitive_length) + 1
@@ -229,7 +230,7 @@ def test_nonprimitive_tail_bounded(pants_spec, tri):
     lam, L = 83.0, 7.0
     rep = V.sigma2_limit(pants_spec, None, tri, lam, L)
     bound = 0.0
-    for p in pants_spec.primitives():
+    for p in primitives(pants_spec):
         kmax = int(L / p.primitive_length)
         for k1 in range(1, kmax + 1):
             for k2 in range(1, kmax + 1):
@@ -256,7 +257,7 @@ def test_smooth_part_approaches_goe(octagon12, tri):
     target = 1.0 / 3.0
     ratios = []
     for L in (6.0, 9.0, 12.0):
-        ev = V.SigmaEvaluator(F.truncate_spectrum(octagon12, L), None, tri, L)
+        ev = V.SigmaEvaluator(truncate_spectrum(octagon12, L), None, tri, L)
         ratios.append(ev.smooth() / target)
     for r in ratios:
         assert abs(r - 1.0) < 0.15
@@ -313,7 +314,7 @@ def test_dirichlet_rationally_dependent():
 
 
 def test_dirichlet_spectrum_lengths(pants_spec):
-    lengths = sorted({round(p.primitive_length, 9) for p in pants_spec.primitives()})[:5]
+    lengths = sorted({round(p.primitive_length, 9) for p in primitives(pants_spec)})[:5]
     assert len(lengths) == 5
     lam = V.dirichlet_lambda_search(lengths, 8.0, 100.0, 1e12, mode="plus")
     for r in lengths:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from oracles import (
     probed_canonical_class,
     probed_primitive_root,
 )
+from specvar import fuchsian as F
 from specvar.words import (
     ConjugacyClass,
     TrivialElementError,
@@ -26,6 +28,7 @@ from specvar.words import (
     min_rotation,
     primitive_root,
     reduce_word,
+    shortest_spellings,
     surface_group,
     word_power,
     word_sort_key,
@@ -261,6 +264,28 @@ def test_overlong_relator_prefix_shortens():
     expected = invert_word(G2.relator[5:])
     assert dehn_cyclic_reduce(w, G2) == dehn_cyclic_reduce(expected, G2)
     assert dehn_cyclic_reduce(w, G2) == (3,)
+
+
+def test_dehn_reduced_survivor_is_not_shortest():
+    # one of the 19 octagon survivors at Lmax 9.5 that Dehn reduction leaves
+    # longer than their class: it has no subword longer than half the
+    # relator, but half swaps reach a 7-letter spelling
+    octagon = F.preset("octagon_genus2")
+    assert octagon.group == G2
+    w = (-1, -2, -1, 4, 3, 3, -4, -3, 2)
+    assert dehn_cyclic_reduce(w, G2) == w
+    shortest = (1, 2, -1, -1, -1, -2, 3)
+    assert shortest_spellings(w, G2) == {shortest}
+    assert canonical_class(w, G2).canonical == shortest
+    # conjugate elements have equal holonomy traces (necessary, not sufficient)
+    tw, ts = np.trace(F.holonomies(octagon, [w, shortest]), axis1=1, axis2=2)
+    assert ts == pytest.approx(tw, rel=1e-12)
+    # no swap or reduction applies to the 7-letter spelling: it holds no
+    # cyclic subword of half a relator form
+    forms = [f[i:] + f[:i] for f in (G2.relator, invert_word(G2.relator)) for i in range(len(f))]
+    halves = {f[: len(f) // 2] for f in forms}
+    doubled = shortest * 2
+    assert not {doubled[i : i + 4] for i in range(len(shortest))} & halves
 
 
 def test_half_relator_spellings_merge():
