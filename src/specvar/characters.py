@@ -17,9 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import streams
+from .windows import Window, sigma2_goe, sigma2_gue
 from .words import GroupPreset, Word
 
-HAAR_KINDS = ("U1", "SU2", "UN")
+# Haar average of (Tr g + conj Tr g)^2 on each closure group kind
+HAAR_TARGETS = {"U1": 2.0, "SU2": 4.0, "UN": 2.0}
+
+
+class UndefinedTarget(ValueError):
+    """The character has no GOE/GUE target: it is a matrix twist."""
 
 
 @dataclass(frozen=True)
@@ -44,44 +50,56 @@ class FluxCharacter:
         return len(self.flux)
 
 
-def phases_on_lattice(char: FluxCharacter | None, period: float, tol: float = 1e-12) -> bool:
-    """True iff every generator phase scale*flux_j lies in period*Z within tol.
+def phases_on_lattice(char: FluxCharacter | None, period: float) -> bool:
+    """True iff every generator phase scale*flux_j lies in period*Z within 1e-12.
 
     At period 2*pi this says the character is trivial; at period pi, that
-    its square is.  The trivial character (None) passes at every period;
-    characters other than flux characters raise TypeError.
+    its square is.  The trivial character (None) passes at every period.
+    A matrix twist raises UndefinedTarget, the one refusal of matrix
+    characters; other types raise TypeError.
     """
     if char is None:
         return True
+    if isinstance(char, MatrixRep):
+        raise UndefinedTarget(
+            "no GOE/GUE target is defined for matrix twists; only flux characters carry one"
+        )
     if not isinstance(char, FluxCharacter):
         raise TypeError(f"unsupported character {type(char).__name__}")
     for f in char.flux:
         phase = char.scale * f
         nearest = round(phase / period)
-        if abs(phase - nearest * period) > tol:
+        if abs(phase - nearest * period) > 1e-12:
             return False
     return True
 
 
-def breaks_time_reversal(char: FluxCharacter | None, tol: float = 1e-12) -> bool:
+def breaks_time_reversal(char: FluxCharacter | None) -> bool:
     """True iff the squared character is nontrivial.
 
     Equivalent to some generator phase scale*flux_j lying outside pi*Z.
     The trivial character (None) never breaks time reversal.
     """
-    return not phases_on_lattice(char, math.pi, tol)
+    return not phases_on_lattice(char, math.pi)
+
+
+def ensemble_target(char: FluxCharacter | None, window: Window) -> float:
+    """The limiting variance constant of the twist: GUE when the character
+    breaks time reversal, else GOE.  Matrix twists raise UndefinedTarget."""
+    return sigma2_gue(window) if breaks_time_reversal(char) else sigma2_goe(window)
 
 
 @dataclass(frozen=True)
 class MatrixRep:
     """Unitary matrix representation given by generator images.
 
-    Images must be unitary within 1e-10.  For surface presets the relator
-    image must be the identity within 1e-8; free presets carry no relation.
+    Images must be unitary within 1e-10, one per generator of ``preset``.
+    For surface presets the relator image must be the identity within
+    1e-8; free presets carry no relation.
     """
 
     images: tuple[np.ndarray, ...]
-    preset: GroupPreset | None = None
+    preset: GroupPreset
     dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -96,13 +114,14 @@ class MatrixRep:
                 raise ValueError("generator image is not unitary within 1e-10")
         object.__setattr__(self, "images", mats)
         object.__setattr__(self, "dimension", n)
-        if self.preset is not None:
-            if self.preset.rank != len(mats):
-                raise ValueError("one image per generator required")
-            if self.preset.relator:
-                rel = self.image_of(self.preset.relator)
-                if np.max(np.abs(rel - np.eye(n))) > 1e-8:
-                    raise ValueError("relator image differs from identity")
+        if self.preset.rank != len(mats):
+            raise ValueError(
+                f"{len(mats)} generator images for rank {self.preset.rank}; one per generator required"
+            )
+        if self.preset.relator:
+            rel = self.image_of(self.preset.relator)
+            if np.max(np.abs(rel - np.eye(n))) > 1e-8:
+                raise ValueError("relator image differs from identity")
 
     def image_of(self, word: Word) -> np.ndarray:
         """Holonomy image of a word; inverse letters use the adjoint."""
@@ -167,8 +186,8 @@ def haar_sigma_constant(
     counter-based streams keyed by (seed, batch index), so the result does
     not depend on how batches are scheduled.
     """
-    if kind not in HAAR_KINDS:
-        raise ValueError(f"unknown group kind {kind!r}")
+    if kind not in HAAR_TARGETS:
+        raise ValueError(f"unknown group kind {kind!r}; pick one of {', '.join(HAAR_TARGETS)}")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
     if kind == "UN" and dim < 1:

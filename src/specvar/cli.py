@@ -5,11 +5,12 @@ Exit code 0 means the artifact was written, 2 means the configuration was
 rejected before any computation, 3 means a ``--check`` assertion failed
 (the artifact is still written so the failure can be inspected).
 
-Heavy modules are imported inside the handlers: the thread budget
-(``--threads`` flag or ``SPECVAR_THREADS``) must cap the BLAS pools
-before numpy first loads, otherwise the cap silently does nothing.
 Config files are ``key=value`` lines mapped onto the same flags; values
-on the command line win.
+on the command line win.  The thread budget (``--threads``, from the
+command line or a config file, else ``SPECVAR_THREADS``, else 1) is
+applied after parsing: building and running the parser loads no numpy,
+and heavy modules are imported inside the handlers, so the cap reaches
+the BLAS pools before numpy first loads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .report import csv_report, json_report
 
@@ -34,8 +36,6 @@ _THREAD_VARS = (
 )
 
 DEFAULT_PANTS = (1.9, 2.1, 2.4)
-
-HAAR_TARGETS = {"U1": 2.0, "SU2": 4.0, "UN": 2.0}
 
 
 class ConfigError(ValueError):
@@ -53,14 +53,9 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
-def _apply_thread_budget(argv: list[str]) -> int:
-    """Cap BLAS/OpenMP pools before numpy loads; flag beats environment."""
-    budget = os.environ.get("SPECVAR_THREADS", "1")
-    for i, token in enumerate(argv):
-        if token == "--threads" and i + 1 < len(argv):
-            budget = argv[i + 1]
-        elif token.startswith("--threads="):
-            budget = token.split("=", 1)[1]
+def _apply_thread_budget(threads: int | None) -> int:
+    """Cap BLAS/OpenMP pools before numpy loads; the parsed flag beats the environment."""
+    budget = os.environ.get("SPECVAR_THREADS", "1") if threads is None else threads
     try:
         n = int(budget)
         if n < 1:
@@ -110,8 +105,12 @@ def _inject_config_file(argv: list[str]) -> list[str]:
     return rest[:1] + tokens + rest[1:]
 
 
-def _parse_character(args):
-    """Build the character from --character JSON or --flux/--flux-scale."""
+def _parse_character(args, group):
+    """Build the character from --character JSON or --flux/--flux-scale.
+
+    Matrix images are checked against ``group`` (a ``GroupPreset``): one
+    per generator, and the relator, if any, maps to the identity.
+    """
     from .characters import FluxCharacter, MatrixRep
 
     spec = getattr(args, "character", None)
@@ -136,7 +135,7 @@ def _parse_character(args):
                     [[complex(entry[0], entry[1]) for entry in row] for row in mat]
                     for mat in doc["images"]
                 ]
-                return MatrixRep(images=tuple(mats))
+                return MatrixRep(images=tuple(mats), preset=group)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad --character JSON: {exc}")
         raise ConfigError("--character JSON needs a 'flux' or 'images' key")
@@ -147,7 +146,11 @@ def _parse_character(args):
 
 
 def _get_spectrum(args, needed: float):
-    """Load or build the length spectrum, certified at least to ``needed``."""
+    """Load or build the length spectrum, certified at least to ``needed``.
+
+    The preset's own warning (the cusped torus) is issued for built and
+    loaded spectra alike.
+    """
     from . import fuchsian as F
 
     if getattr(args, "spectrum_file", None):
@@ -166,20 +169,14 @@ def _get_spectrum(args, needed: float):
             f"spectrum certified to {spectrum.certified_l_max:.6g}, "
             f"need {needed:.6g}; raise --Lmax"
         )
+    if spectrum.group.warning:
+        warnings.warn(spectrum.group.warning)
     return spectrum
 
 
 def _unit_flux(spectrum) -> tuple[float, ...]:
     """The default flux 1, 0, ..., 0 at the spectrum's rank."""
     return (1.0,) + (0.0,) * (spectrum.group.rank - 1)
-
-
-def _refuse_matrix_target(char, hint: str) -> None:
-    """The GOE/GUE target is read off a flux character; a matrix twist has none."""
-    from .characters import MatrixRep
-
-    if isinstance(char, MatrixRep):
-        raise ConfigError(f"no GOE/GUE target is defined for matrix twists; {hint}")
 
 
 def _get_window(args):
@@ -244,7 +241,7 @@ def _variance_profile(args):
     from .variance import SigmaEvaluator, _resolved_grid
 
     spectrum = _get_spectrum(args, needed=args.L)
-    char = _parse_character(args)
+    char = _parse_character(args, spectrum.group.group)
     _warn_scale(args.lam, args.L)
     ev = SigmaEvaluator(spectrum, char, _get_window(args), args.L)
     grid = _resolved_grid(args.lam, args.delta, args.L, args.points)
@@ -265,19 +262,17 @@ def _cmd_variance(args) -> int:
 
 
 def _check_average(args, cfg, spectrum, char, ev) -> int:
-    from .characters import breaks_time_reversal
+    from .characters import ensemble_target
     from .variance import energy_average
     from .windows import sigma2_goe, sigma2_gue
 
-    if args.target == "auto":
-        _refuse_matrix_target(char, "pass --target goe or --target gue")
     w = _get_window(args)
-    average = energy_average(ev.sigma2, args.lam, args.delta, args.L, args.points)
     goe, gue = sigma2_goe(w), sigma2_gue(w)
     if args.target == "auto":
-        target = gue if breaks_time_reversal(char) else goe
+        target = ensemble_target(char, w)
     else:
         target = goe if args.target == "goe" else gue
+    average = energy_average(ev.sigma2, args.lam, args.delta, args.L, args.points)
     gap = abs(average - target)
     passed = gap <= args.band * target
     out = args.out if args.out.endswith(".json") else args.out + ".json"
@@ -312,9 +307,8 @@ def _cmd_dirichlet(args) -> int:
     lengths = spectrum.primitive_length[F.unoriented_rows(spectrum)]
     lengths = lengths[lengths <= args.L]
     lam = dirichlet_lambda_search(lengths, args.Y, args.M, args.lam_max, args.mode)
-    ev = SigmaEvaluator(spectrum, None, _get_window(args), args.L)
-    sigma2 = ev.sigma2(lam)
-    smooth = ev.smooth()
+    rep = SigmaEvaluator(spectrum, None, _get_window(args), args.L).report(lam)
+    sigma2, smooth = rep.sigma2, rep.smooth_part
     slack = 3.0 / args.Y * smooth
     if args.mode == "plus":
         passed = sigma2 >= 1.5 * smooth - slack
@@ -350,6 +344,7 @@ def _cmd_covers(args) -> int:
         raise ConfigError("the variance bridge needs --lambda alongside --L")
     needed = args.L if args.L is not None else args.moment_lmax
     spectrum = _get_spectrum(args, needed=needed)
+    char = _parse_character(args, spectrum.group.group)
     words = [spectrum.records[i].word for i in np.flatnonzero(spectrum.length <= args.moment_lmax)]
     if not words:
         raise ConfigError(f"no classes of length <= {args.moment_lmax:g} for the moment test")
@@ -361,7 +356,7 @@ def _cmd_covers(args) -> int:
         _warn_scale(args.lam, args.L)
         bridge = empirical_cover_variance(
             spectrum,
-            _parse_character(args),
+            char,
             _get_window(args),
             args.lam,
             args.L,
@@ -383,9 +378,8 @@ def _cmd_poisson(args) -> int:
     cfg = _resolved_config(args)
     spectrum = _get_spectrum(args, needed=args.L)
     _warn_scale(args.lam, args.L)
-    surrogate = PoissonSurrogate(
-        spectrum, _parse_character(args), _get_window(args), args.lam, args.L, args.seed
-    )
+    char = _parse_character(args, spectrum.group.group)
+    surrogate = PoissonSurrogate(spectrum, char, _get_window(args), args.lam, args.L, args.seed)
     cumulants = exact_cumulants(surrogate, mmax=args.mmax)
     clt = clt_test(surrogate, args.draws)
     passed = (
@@ -401,6 +395,7 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_ergodicity(args) -> int:
+    from .characters import ensemble_target
     from .poisson import PoissonSurrogate, ergodicity_experiment
 
     cfg = _resolved_config(args)
@@ -410,11 +405,10 @@ def _cmd_ergodicity(args) -> int:
     if eps is None:
         # smallest eps the almost-sure bound supports at this L and span
         eps = math.sqrt(10.0 * (1.0 / args.L + 1.0 / args.span)) * 1.0001
-    char = _parse_character(args)
-    _refuse_matrix_target(char, "ergodicity needs a flux character or none")
-    surrogate = PoissonSurrogate(
-        spectrum, char, _get_window(args), args.lam, args.L, args.seed
-    )
+    char = _parse_character(args, spectrum.group.group)
+    w = _get_window(args)
+    ensemble_target(char, w)  # a matrix twist is refused before the surrogate is built
+    surrogate = PoissonSurrogate(spectrum, char, w, args.lam, args.L, args.seed)
     report = ergodicity_experiment(
         surrogate, args.lam, args.span, args.points, args.draws, eps
     )
@@ -429,7 +423,7 @@ def _cmd_sumrule(args) -> int:
     cfg = _resolved_config(args)
     grid = sorted(args.L)
     spectrum = _get_spectrum(args, needed=grid[-1])
-    char = _parse_character(args)
+    char = _parse_character(args, spectrum.group.group)
     w = _get_window(args)
     reports = [sum_rule_check(spectrum, w, L, char=char) for L in grid]
     rows = [(r.L, r.value, r.target, r.gap) for r in reports]
@@ -521,12 +515,10 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_haar(args) -> int:
-    from .characters import haar_sigma_constant
+    from .characters import HAAR_TARGETS, haar_sigma_constant
 
     cfg = _resolved_config(args)
     kind = args.group.upper()
-    if kind not in HAAR_TARGETS:
-        raise ConfigError(f"unknown group {args.group!r}; pick u1, su2 or un")
     estimate, se = haar_sigma_constant(kind, args.samples, args.seed, dim=args.dim)
     target = HAAR_TARGETS[kind]
     passed = abs(estimate - target) <= 3.0 * se
@@ -700,18 +692,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_thread_budget(argv)
-        argv = _inject_config_file(argv)
+        args = build_parser().parse_args(_inject_config_file(argv))
+        _apply_thread_budget(args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    import warnings
-
     warnings.showwarning = _show_warning
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
 
     from .fuchsian import IncompleteEnumeration, InvalidParameters
     from .variance import DirichletNotFound, SpectrumTooShort, UnderResolved

@@ -178,7 +178,6 @@ class CoverStatistics:
     n: int
     samples: int
     kmax: int
-    class_words: tuple[Word, ...]
     f_mean: np.ndarray
     f_mean_se: np.ndarray
     f_mean_target: np.ndarray
@@ -283,7 +282,6 @@ def moment_experiment(
         n=n,
         samples=samples,
         kmax=kmax,
-        class_words=tuple(records),
         f_mean=mean.reshape(shape),
         f_mean_se=mean_se.reshape(shape),
         f_mean_target=f_target.reshape(shape),

@@ -1,11 +1,11 @@
 """Orbit sums: equidistribution checks, the orbit CLT, and the flux transition.
 
-Three families of geodesic sums live here.  Sum rules and cluster sums
-weight each class by l_sharp/|I - P| and converge to window integrals;
-they certify that long orbits equidistribute at the rate the variance
-pipeline assumes.  The orbit ensemble puts the same weights, localized
-near length T, behind a sampler for the homology pairing X_T, whose
-Gaussian limit has variance Var(a) measurable from the spectrum itself.
+Three families of geodesic sums live here.  Sum rules weight each class
+by l_sharp/|I - P| and converge to window integrals; they certify that
+long orbits equidistribute at the rate the variance pipeline assumes.
+The orbit ensemble puts the same weights, localized near length T,
+behind a sampler for the homology pairing X_T, whose Gaussian limit has
+variance Var(a) measurable from the spectrum itself.
 That variance finally drives the interpolation between the GOE and GUE
 constants as the flux strength s grows.
 """
@@ -50,10 +50,6 @@ def _half_mass(kind: str) -> float:
     return _unit_integral(Window(kind).psi_hat, 1e-11)
 
 
-def window_mass(w: Window) -> float:
-    return w.amplitude * (2.0 * _half_mass(w.kind))
-
-
 def unit_mass_bump() -> Window:
     """The default orbit weight: smooth bump rescaled to unit mass."""
     return Window("smooth_bump", amplitude=1.0 / (2.0 * _half_mass("smooth_bump")))
@@ -75,7 +71,7 @@ def _equidistribution_weight(spectrum: LengthSpectrum, rows) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sum rules and cluster sums
+# sum rules
 
 
 @dataclass(frozen=True)
@@ -127,37 +123,6 @@ def sum_rule_check(
     )
 
 
-@dataclass(frozen=True)
-class ClusterReport:
-    value: float
-    mass: float
-    T: float
-    unit_window_sum: float
-    window_kind: str
-
-
-def cluster_sum(spectrum: LengthSpectrum, omega: Window, T: float) -> ClusterReport:
-    """sum of l_sharp omega(l - T) / |I - P|, limiting to the mass of omega.
-
-    The companion unit-window sum (indicator on [T-1, T+1]) is the
-    boundedness check: cluster sums stay O(1) uniformly in T.
-    """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    _require_certified(spectrum, T + 1.0, "T+1")
-    near = np.flatnonzero(np.abs(spectrum.length - T) < 1.0)
-    weight = _equidistribution_weight(spectrum, near)
-    value = float(np.sum(weight * omega.psi_hat(spectrum.length[near] - T)))
-    unit = float(np.sum(weight))
-    return ClusterReport(
-        value=value,
-        mass=window_mass(omega),
-        T=T,
-        unit_window_sum=unit,
-        window_kind=omega.kind,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the orbit ensemble and its CLT
 
@@ -184,13 +149,11 @@ def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class OrbitEnsemble:
-    """Spectrum ``rows`` near length T, ``probs`` ~ l_sharp omega(l - T) / |I - P|."""
+    """Spectrum ``rows`` near length T, ``probs`` ~ l_sharp omega(l - T) / |I - P|
+    with omega the ``unit_mass_bump``."""
 
-    def __init__(
-        self, spectrum: LengthSpectrum, T: float, omega: Window | None = None
-    ) -> None:
-        if omega is None:
-            omega = unit_mass_bump()
+    def __init__(self, spectrum: LengthSpectrum, T: float) -> None:
+        omega = unit_mass_bump()
         _require_certified(spectrum, T + 1.0, "T+1")
         near = np.flatnonzero(np.abs(spectrum.length - T) < 1.0)
         w = _equidistribution_weight(spectrum, near) * omega.psi_hat(spectrum.length[near] - T)
@@ -200,7 +163,6 @@ class OrbitEnsemble:
         probs = w[keep]
         probs /= probs.sum()
         self.T = float(T)
-        self.omega = omega
         self.rows = near[keep]
         self.probs = probs
         self._prob, self._alias = _alias_table(probs)
@@ -236,7 +198,6 @@ def orbit_clt_experiment(
     T: float,
     draws: int,
     seed: int,
-    omega: Window | None = None,
 ) -> OrbitCltReport:
     """Sample X_T = <flux, homology>/sqrt(T) from the orbit ensemble.
 
@@ -244,7 +205,7 @@ def orbit_clt_experiment(
     come along for free and separate Monte Carlo noise from the window
     bias when comparing against variance_estimator.
     """
-    ens = OrbitEnsemble(spectrum, T, omega)
+    ens = OrbitEnsemble(spectrum, T)
     flux = _flux_array(flux_vector, spectrum.group.rank)
     x_class = _flux_pairing(spectrum, ens.rows, flux) / math.sqrt(T)
 

@@ -145,11 +145,6 @@ def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
     return out
 
 
-def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
-    """Product of generator matrices and inverses in word order."""
-    return holonomies(group, [word])[0]
-
-
 def length_of(trace: float) -> float:
     """Geodesic length from a holonomy trace, ell = 2*arccosh(|tr|/2)."""
     t = abs(float(trace))

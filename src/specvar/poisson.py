@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import breaks_time_reversal
+from .characters import ensemble_target
 from .fuchsian import LengthSpectrum, unoriented_rows
 from .ks import ks_normal
 from .rng import streams
@@ -33,7 +33,7 @@ from .variance import (
     coefficient_table,
     sigma2_limit,
 )
-from .windows import Window, sigma2_goe, sigma2_gue
+from .windows import Window
 
 
 class VarianceTooSmall(ValueError):
@@ -357,7 +357,7 @@ def ergodicity_experiment(
     One Z-draw is shared across the whole energy window (the randomness is
     the cover; the integral is over energy), so each draw yields
     (1/span) integral of N_tilde(mu)^2 over [lam, lam+span], compared to
-    the GOE constant (GUE when the character breaks time reversal).
+    the character's ``ensemble_target``.
     """
     L = surrogate.L
     if eps**2 < 10.0 * (1.0 / L + 1.0 / span):
@@ -369,10 +369,7 @@ def ergodicity_experiment(
         raise ValueError("draws must be >= 1")
     mu = _resolved_grid(lam, span, L, energy_points)
 
-    if breaks_time_reversal(surrogate.char):
-        target = sigma2_gue(surrogate.window)
-    else:
-        target = sigma2_goe(surrogate.window)
+    target = ensemble_target(surrogate.char, surrogate.window)
 
     # pair coefficients as functions of energy: c_{gamma,d}(mu)
     coeff = np.empty((len(mu), surrogate.n_pairs))

@@ -275,10 +275,6 @@ class SigmaEvaluator:
     def sigma2(self, lam: float) -> float:
         return self.report(lam).sigma2
 
-    def smooth(self) -> float:
-        w1 = self._weights[0]
-        return 1.0 / self.L**2 * float(np.dot(w1, w1))
-
 
 def sigma2_limit(
     spectrum: LengthSpectrum, char, window: Window, lam: float, L: float

@@ -94,8 +94,3 @@ def sigma2_goe(w: Window) -> float:
 def sigma2_gue(w: Window) -> float:
     """Half the GOE constant: time-reversal symmetry is broken."""
     return sigma2_goe(w) / 2.0
-
-
-def sigma2_gse(w: Window) -> float:
-    """Quarter of the GOE constant (half of GUE)."""
-    return sigma2_goe(w) / 4.0

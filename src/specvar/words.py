@@ -115,20 +115,6 @@ def cyclic_reduce(word: Word) -> Word:
     return tuple(w)
 
 
-def concat(*parts: Word) -> Word:
-    """Freely reduced concatenation."""
-    out: Word = ()
-    for part in parts:
-        out = reduce_word(out + part)
-    return out
-
-
-def word_power(word: Word, k: int) -> Word:
-    if k < 0:
-        return word_power(invert_word(word), -k)
-    return concat(*([word] * k)) if k else ()
-
-
 def abelianize(word: Word, preset: GroupPreset) -> tuple[int, ...]:
     """Exponent-sum vector in Z^rank.
 

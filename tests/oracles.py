@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from specvar.characters import FluxCharacter, MatrixRep
-from specvar.dynamics import _flux_array
+from specvar.dynamics import _equidistribution_weight, _flux_array, _half_mass
 from specvar.fuchsian import (
     FuchsianGroup,
     GeodesicRecord,
@@ -32,8 +32,8 @@ from specvar.fuchsian import (
 )
 from specvar.poisson import PoissonSurrogate, _poisson_draws
 from specvar.rng import stream
-from specvar.variance import _resolved_grid
-from specvar.windows import Window
+from specvar.variance import _require_certified, _resolved_grid
+from specvar.windows import Window, sigma2_goe
 from specvar.words import (
     ConjugacyClass,
     GroupPreset,
@@ -41,19 +41,31 @@ from specvar.words import (
     Word,
     abelianize,
     canonical_class,
-    concat,
     invert_word,
     min_rotation,
     reduce_word,
     rotation_period,
     shortest_spellings,
-    word_power,
     word_sort_key,
 )
 
 
 # ---------------------------------------------------------------------------
-# words: class enumeration and conjugates
+# words: concatenation, powers, class enumeration and conjugates
+
+
+def concat(*parts: Word) -> Word:
+    """Freely reduced concatenation."""
+    out: Word = ()
+    for part in parts:
+        out = reduce_word(out + part)
+    return out
+
+
+def word_power(word: Word, k: int) -> Word:
+    if k < 0:
+        return word_power(invert_word(word), -k)
+    return concat(*([word] * k)) if k else ()
 
 
 def _cyclically_reduced_words(preset: GroupPreset, length: int):
@@ -174,7 +186,7 @@ def probed_primitive_root(cls: ConjugacyClass, preset: GroupPreset) -> tuple[Con
 
 
 # ---------------------------------------------------------------------------
-# characters: flux values, traces, the pi-lattice predicate
+# characters and windows: flux values, traces, the pi-lattice predicate, GSE
 
 
 def trivial_character(rank: int) -> FluxCharacter:
@@ -224,6 +236,11 @@ def char_trace(rep: MatrixRep, cls) -> complex:
     """Trace of the holonomy image; conjugation invariant."""
     word = cls.word if hasattr(cls, "word") else cls
     return complex(np.trace(rep.image_of(tuple(word))))
+
+
+def sigma2_gse(w: Window) -> float:
+    """Quarter of the GOE constant (half of GUE)."""
+    return sigma2_goe(w) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +716,41 @@ def cluster_sums(spectrum: LengthSpectrum, omega: Window, T: float) -> tuple[flo
         value += w * float(omega.psi_hat(x))
         unit += w
     return value, unit
+
+
+def window_mass(w: Window) -> float:
+    return w.amplitude * (2.0 * _half_mass(w.kind))
+
+
+@dataclass(frozen=True)
+class ClusterReport:
+    value: float
+    mass: float
+    T: float
+    unit_window_sum: float
+    window_kind: str
+
+
+def cluster_sum(spectrum: LengthSpectrum, omega: Window, T: float) -> ClusterReport:
+    """sum of l_sharp omega(l - T) / |I - P|, limiting to the mass of omega.
+
+    The companion unit-window sum (indicator on [T-1, T+1]) is the
+    boundedness check: cluster sums stay O(1) uniformly in T.
+    """
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    _require_certified(spectrum, T + 1.0, "T+1")
+    near = np.flatnonzero(np.abs(spectrum.length - T) < 1.0)
+    weight = _equidistribution_weight(spectrum, near)
+    value = float(np.sum(weight * omega.psi_hat(spectrum.length[near] - T)))
+    unit = float(np.sum(weight))
+    return ClusterReport(
+        value=value,
+        mass=window_mass(omega),
+        T=T,
+        unit_window_sum=unit,
+        window_kind=omega.kind,
+    )
 
 
 def orbit_ensemble_weights(

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 import specvar.fuchsian as F
-from oracles import exact_cover_moment, record_det
+from oracles import cluster_sum, exact_cover_moment, record_det, sigma2_gse
 from specvar.characters import FluxCharacter, haar_sigma_constant
 from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
 from specvar.dynamics import (
-    cluster_sum,
     empirical_transition,
     orbit_clt_experiment,
     sum_rule_check,
@@ -27,7 +26,7 @@ from specvar.dynamics import (
 )
 from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
 from specvar.variance import SigmaEvaluator, dirichlet_lambda_search, energy_average, sigma2_limit
-from specvar.windows import sigma2_goe, sigma2_gse, sigma2_gue, window
+from specvar.windows import sigma2_goe, sigma2_gue, window
 
 SEED = 20260815
 TRI = window("triangle")
@@ -164,9 +163,10 @@ def test_criterion_09_dirichlet_extremes():
     spectrum = F.build_spectrum(F.preset("schottky_pants", 2.0, 2.0, 2.0), 5.0)
     lengths = sorted({r.primitive_length for r in F.unoriented_primitives(spectrum) if r.primitive_length <= 5.0})
     ev = SigmaEvaluator(spectrum, None, TRI, 5.0)
-    smooth = ev.smooth()
+    aligned = ev.report(dirichlet_lambda_search(lengths, 8.0, 100.0, 1e9, "plus"))
+    smooth = aligned.smooth_part
     slack = 3.0 / 8.0 * smooth
-    up = ev.sigma2(dirichlet_lambda_search(lengths, 8.0, 100.0, 1e9, "plus"))
+    up = aligned.sigma2
     down = ev.sigma2(dirichlet_lambda_search(lengths, 8.0, 100.0, 1e9, "minus"))
     ok = up >= 1.5 * smooth - slack and down <= 0.5 * smooth + slack
     _verdict(9, ok, f"aligned {up:.4f} >= {1.5 * smooth - slack:.4f}, anti-aligned {down:.4f} <= {0.5 * smooth + slack:.4f}")

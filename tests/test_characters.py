@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from specvar import characters as C
 from specvar.rng import stream, streams
-from specvar.words import abelianize, concat, free_group, surface_group
+from oracles import concat
+from specvar.words import abelianize, free_group, surface_group
 
 SG2 = surface_group(2)
 F2 = free_group(2)
@@ -154,8 +155,8 @@ def test_phase_predicate_matches_old_bodies(phase):
 
 
 def test_phase_predicate_rejects_matrix_characters():
-    rep = C.MatrixRep(images=(np.eye(2), np.eye(2)))
-    with pytest.raises(TypeError):
+    rep = C.MatrixRep(images=(np.eye(2), np.eye(2)), preset=F2)
+    with pytest.raises(C.UndefinedTarget, match="no GOE/GUE target is defined for matrix twists"):
         C.phases_on_lattice(rep, math.pi)
 
 
@@ -194,7 +195,7 @@ def test_matrix_rep_free_preset():
 def test_matrix_rep_rejects_nonunitary():
     bad = np.array([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        C.MatrixRep(images=(bad,))
+        C.MatrixRep(images=(bad,), preset=free_group(1))
 
 
 def test_matrix_rep_relator_checked():
@@ -219,7 +220,7 @@ def test_matrix_rep_relator_checked():
 
 
 def test_char_trace_conjugation_invariant():
-    rep = C.MatrixRep(images=(_su2((0, 0, 1), 0.9), _su2((1, 0, 0), 2.1)))
+    rep = C.MatrixRep(images=(_su2((0, 0, 1), 0.9), _su2((1, 0, 0), 2.1)), preset=F2)
     w = (1, 2, 2, -1)
     for u in [(1,), (2, 1), (-2, -2, 1)]:
         conj = u + w + tuple(-l for l in reversed(u))
@@ -229,7 +230,7 @@ def test_char_trace_conjugation_invariant():
 
 
 def test_char_trace_trivial_rep():
-    rep = C.MatrixRep(images=(np.eye(3), np.eye(3)))
+    rep = C.MatrixRep(images=(np.eye(3), np.eye(3)), preset=F2)
     assert oracles.char_trace(rep, (1, 2, -1, 2)) == pytest.approx(3.0)
 
 

@@ -444,6 +444,65 @@ def test_thread_budget_flag(tmp_path, pants_csv):
                  "--out", str(tmp_path / "w.csv")]) == EXIT_INVALID
 
 
+def test_thread_budget_from_config_file(tmp_path, pants_csv, monkeypatch):
+    # the parsed budget is applied, so a config-file line counts like the
+    # flag and beats SPECVAR_THREADS
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("SPECVAR_THREADS", "4")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=3\n", encoding="utf-8")
+    out = str(tmp_path / "v.csv")
+    code = main(["variance", "--config", str(cfg), "--spectrum-file", pants_csv,
+                 "--lambda", "5000", "--L", "5", "--delta", "0.5", "--out", out])
+    assert code == EXIT_OK
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert read_csv(out)[0]["threads"] == 3
+
+
+SWAP2 = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+SIGN2 = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "images, fault",
+    [
+        # unitary, but the anticommuting pair maps the genus-2 relator to -I
+        ([SWAP2, SIGN2, IDENTITY2, IDENTITY2], "relator image differs from identity"),
+        ([IDENTITY2] * 5, "5 generator images for rank 4"),
+    ],
+)
+def test_matrix_character_is_checked_against_the_group(tmp_path, octagon_csv, capsys, images, fault):
+    out = tmp_path / "a.json"
+    code = main(["average", "--target", "goe", "--spectrum-file", octagon_csv, "--L", "5",
+                 "--lambda", "5000", "--character", json.dumps({"images": images}),
+                 "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert fault in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sumrule_refuses_matrix_character(tmp_path, pants_csv, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["sumrule", "--L", "5", "--spectrum-file", pants_csv,
+                 "--character", MATRIX_CHARACTER, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "no GOE/GUE target is defined for matrix twists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_torus_warning_is_shown(tmp_path, capsys, loaded):
+    if loaded:
+        path = str(tmp_path / "torus.csv")
+        torus = F.build_spectrum(F.preset("punctured_torus"), 5.0, allow_incomplete=True)
+        F.spectrum_to_csv(torus, path)
+        cmd = ["sumrule", "--L", "2", "--spectrum-file", path]
+    else:
+        cmd = ["spectrum", "--preset", "punctured_torus", "--Lmax", "5", "--allow-incomplete"]
+    assert main(cmd + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "warning: punctured_torus is not co-compact" in capsys.readouterr().err
+
+
 def test_character_json_inline(tmp_path, pants_csv):
     out = str(tmp_path / "v.json")
     code = main(
@@ -558,7 +617,7 @@ def test_self_inverse_rows_are_refused(tmp_path, octagon_csv, capsys):
     octagon = F.preset("octagon_genus2")
 
     def traced(row):
-        return F.length_of(np.trace(F.holonomy(octagon, row["word"])))
+        return F.length_of(np.trace(F.holonomies(octagon, [row["word"]])[0]))
 
     i, j = next(
         (i, row["inverseId"])

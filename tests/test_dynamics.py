@@ -7,18 +7,17 @@ import pytest
 
 import specvar.fuchsian as F
 from specvar.characters import FluxCharacter
+from oracles import cluster_sum, window_mass
 from specvar.dynamics import (
     EmptyEnsemble,
     NonCompactPreset,
     OrbitEnsemble,
-    cluster_sum,
     empirical_transition,
     orbit_clt_experiment,
     sum_rule_check,
     transition_curve,
     unit_mass_bump,
     variance_estimator,
-    window_mass,
 )
 from specvar.variance import SpectrumTooShort
 from specvar.windows import Window, sigma2_goe, sigma2_gue, window

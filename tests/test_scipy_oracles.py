@@ -13,7 +13,8 @@ special = pytest.importorskip("scipy.special")
 stats = pytest.importorskip("scipy.stats")
 
 import specvar.fuchsian as F  # noqa: E402
-from specvar.dynamics import _half_mass, sum_rule_check, transition_curve, window_mass  # noqa: E402
+from oracles import window_mass  # noqa: E402
+from specvar.dynamics import _half_mass, sum_rule_check, transition_curve  # noqa: E402
 from specvar.ks import kstwo_sf, ks_normal  # noqa: E402
 from specvar.poisson import PoissonSurrogate, _poisson_cdf, clt_test  # noqa: E402
 from specvar.variance import _resolved_grid, _simpson  # noqa: E402

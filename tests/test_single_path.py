@@ -14,10 +14,10 @@ import oracles
 from oracles import primitives
 import specvar.fuchsian as F
 from specvar.characters import FluxCharacter, MatrixRep
+from oracles import cluster_sum
 from specvar.dynamics import (
     OrbitEnsemble,
     _alias_table,
-    cluster_sum,
     sum_rule_check,
     unit_mass_bump,
     variance_estimator,
@@ -41,9 +41,12 @@ def _close(got, want, scale):
     assert abs(got - want) <= REL * scale, (got, want, scale)
 
 
-def _matrix_rep(rank):
-    phases = np.array([0.73, 0.31, -0.52, 1.1][:rank])
-    return MatrixRep(images=tuple(np.diag([np.exp(1j * t), np.exp(-1j * t)]) for t in phases))
+def _matrix_rep(group):
+    # diagonal images commute, so a surface relator maps to the identity
+    phases = np.array([0.73, 0.31, -0.52, 1.1][: group.rank])
+    return MatrixRep(
+        images=tuple(np.diag([np.exp(1j * t), np.exp(-1j * t)]) for t in phases), preset=group
+    )
 
 
 @pytest.mark.filterwarnings("ignore::specvar.dynamics.NonCompactPreset")
@@ -84,7 +87,7 @@ def test_vectorised_paths_match_loops(request, case):
 
     tri = window("triangle")
     primitive_ids = [r.class_id for r in primitives(spec)]
-    for char in (None, flux, _matrix_rep(rank)):
+    for char in (None, flux, _matrix_rep(spec.group.group)):
         table = coefficient_table(spec, primitive_ids, char, tri, 61.3, L)
         want = np.array(
             [

@@ -119,7 +119,7 @@ def test_coefficient_table_matrix_char(pants_spec, tri):
     theta = 0.73
     u = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     v = np.diag([np.exp(0.31j), np.exp(-0.31j)])
-    rep = MatrixRep(images=(u, v))
+    rep = MatrixRep(images=(u, v), preset=pants_spec.group.group)
     lam, L = 41.0, 7.0
     table = V.coefficient_table(pants_spec, primitive_ids(pants_spec), rep, tri, lam, L)
     for j, row in enumerate(table.rows[:10]):
@@ -258,7 +258,7 @@ def test_smooth_part_approaches_goe(octagon12, tri):
     ratios = []
     for L in (6.0, 9.0, 12.0):
         ev = V.SigmaEvaluator(truncate_spectrum(octagon12, L), None, tri, L)
-        ratios.append(ev.smooth() / target)
+        ratios.append(ev.report(1.0).smooth_part / target)  # smooth part is lambda-free
     for r in ratios:
         assert abs(r - 1.0) < 0.15
     assert abs(ratios[-1] - 1.0) < 0.08
@@ -293,7 +293,7 @@ def test_averaged_osc_small_relative_to_smooth(pants_spec, tri):
     ev = V.SigmaEvaluator(pants_spec, None, tri, 7.0)
     lam, delta = 200.0, 4.0
     avg_osc = V.energy_average(lambda m: ev.report(m).osc_part, lam, delta, 7.0)
-    smooth = ev.smooth()
+    smooth = ev.report(lam).smooth_part
     assert abs(avg_osc) <= 3.0 * smooth / (delta * 7.0)
 
 

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    concat,
     conjugate_by_all,
     enumerate_classes,
     probed_canonical_class,
     probed_primitive_root,
+    word_power,
 )
 from specvar import fuchsian as F
 from specvar.words import (
@@ -20,7 +22,6 @@ from specvar.words import (
     _letter_key,
     abelianize,
     canonical_class,
-    concat,
     cyclic_reduce,
     dehn_cyclic_reduce,
     free_group,
@@ -30,7 +31,6 @@ from specvar.words import (
     reduce_word,
     shortest_spellings,
     surface_group,
-    word_power,
     word_sort_key,
 )
 
