@@ -698,26 +698,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    warnings.showwarning = _show_warning
-
     from .fuchsian import IncompleteEnumeration, InvalidParameters
     from .variance import DirichletNotFound, SpectrumTooShort, UnderResolved
 
-    try:
-        return args.func(args)
-    except (
-        ConfigError,
-        InvalidParameters,
-        IncompleteEnumeration,
-        SpectrumTooShort,
-        UnderResolved,
-        DirichletNotFound,
-        ValueError,
-        LookupError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    # a fresh filter per run: under the once-per-call-site default a
+    # second run in one process would print no preset warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", UserWarning)
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (
+            ConfigError,
+            InvalidParameters,
+            IncompleteEnumeration,
+            SpectrumTooShort,
+            UnderResolved,
+            DirichletNotFound,
+            ValueError,
+            LookupError,
+            OSError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -25,10 +26,9 @@ from .fuchsian import LengthSpectrum, unoriented_rows
 from .ks import ks_normal
 from .rng import streams
 from .variance import (
-    CoefficientTable,
     _require_certified,
     _resolved_grid,
-    _simpson,
+    _simpson_weights,
     character_id,
     coefficient_table,
     sigma2_limit,
@@ -43,6 +43,7 @@ class VarianceTooSmall(ValueError):
 _POISSON_CDF_TERMS = 30
 _LOG_FACTORIALS = np.array([math.lgamma(j + 1) for j in range(_POISSON_CDF_TERMS)])
 _cdf_cache: dict[int, np.ndarray] = {}
+_ENERGY_BLOCK = 1024  # energies per cosine block of the ergodicity Gram matrix
 
 
 def _poisson_cdf(d: int) -> np.ndarray:
@@ -77,27 +78,22 @@ def _poisson_draws(g: np.random.Generator, d: int, draws: int) -> np.ndarray:
     return _invert_cdf(_poisson_cdf(d), g.random(draws))
 
 
-def _pair_coefficients(
-    table: CoefficientTable, col: int, d: int, L: float, mu: np.ndarray
-) -> np.ndarray:
-    """c_{gamma,d}(mu) = (2/L) d sum_j A(gamma, d j) at each energy in mu.
-
-    gamma is the class of table column ``col``; the j-sum stops where the
-    window support cuts it, at d j <= floor(L / l).
-    """
-    ki = int(L / table.freqs[0, col])
-    w = table.weights[d - 1 :: d, col][: ki // d]
-    f = table.freqs[d - 1 :: d, col][: ki // d]
-    return (2.0 / L) * d * (np.cos(np.outer(mu, f)) @ w)
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """1..counts[i] for each i in turn, concatenated."""
+    total = int(counts.sum())
+    return np.arange(1, total + 1) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 class PoissonSurrogate:
     """Sampler for N_tilde at fixed (spectrum, character, window, lambda, L).
 
-    Precomputes the pair coefficients c_{gamma,d} over unoriented
-    primitives; zero-support pairs are dropped so every retained pair has
-    its own Poisson stream keyed by (seed, classId, d).  ``pair_col`` is
-    each pair's column in the coefficient table.
+    Each pair coefficient is a cosine sum over frequencies k l of the
+    coefficient table, c_{gamma,d}(mu) = sum_j (2/L) d A-weight(gamma, d j)
+    cos(mu d j l) for d j <= floor(L / l).  ``_freqs`` holds the distinct
+    frequencies (tied lengths give bit-identical k l, so an arithmetic
+    group reads far fewer frequencies than pairs) and ``_pair_terms`` each
+    pair's (frequency indices, factors).  Zero-support pairs are dropped so
+    every retained pair has its own Poisson stream keyed by (seed, classId, d).
     """
 
     def __init__(
@@ -116,21 +112,29 @@ class PoissonSurrogate:
         self.lam = float(lam)
         self.L = float(L)
         self.seed = int(seed)
-        self._table = t = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, lam, L)
+        t = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, lam, L)
 
-        at_lam = np.array([self.lam])
-        pair_col, pair_d, pair_c = [], [], []
-        for col in range(len(t.rows)):
-            for d in range(1, int(self.L / t.freqs[0, col]) + 1):
-                c = float(_pair_coefficients(t, col, d, self.L, at_lam)[0])
-                if c != 0.0:
-                    pair_col.append(col)
-                    pair_d.append(d)
-                    pair_c.append(c)
-        self.pair_col = np.array(pair_col, dtype=np.int64)
-        self.pair_class_ids = spectrum.class_id[t.rows[self.pair_col]]
-        self.pair_d = np.array(pair_d, dtype=np.int64)
-        self.pair_c = np.array(pair_c)
+        # candidate pairs (col, d), d = 1..floor(L / l), in column order,
+        # and their terms k = d j, j = 1..floor(kcut / d)
+        kcut = (self.L / t.freqs[0]).astype(np.int64)
+        pair_col = np.repeat(np.arange(len(t.rows)), kcut)
+        pair_d = _ranks(kcut)
+        terms = kcut[pair_col] // pair_d
+        term_pair = np.repeat(np.arange(len(pair_d)), terms)
+        term_col = pair_col[term_pair]
+        term_k = pair_d[term_pair] * _ranks(terms)
+        freqs, term_f = np.unique(t.freqs[term_k - 1, term_col], return_inverse=True)
+        term_c = (2.0 / self.L) * pair_d[term_pair] * t.weights[term_k - 1, term_col]
+
+        at_lam = np.cos(self.lam * freqs)[term_f] * term_c
+        pair_c = np.bincount(term_pair, weights=at_lam, minlength=len(pair_d))
+        keep = pair_c != 0.0
+        split = np.cumsum(terms)[:-1]
+        self._freqs = freqs
+        self._pair_terms = list(compress(zip(np.split(term_f, split), np.split(term_c, split)), keep))
+        self.pair_class_ids = spectrum.class_id[t.rows[pair_col[keep]]]
+        self.pair_d = pair_d[keep]
+        self.pair_c = pair_c[keep]
 
     @property
     def n_pairs(self) -> int:
@@ -145,13 +149,6 @@ class PoissonSurrogate:
             z = _poisson_draws(g, int(d), draws)
             vals += c * (z - 1.0 / d)
         return vals
-
-    def _z_matrix(self, draws: int) -> np.ndarray:
-        """Centered Z draws for all retained pairs, (draws, n_pairs)."""
-        out = np.empty((draws, self.n_pairs))
-        for j, (g, d) in enumerate(zip(self._pair_streams(), self.pair_d)):
-            out[:, j] = _poisson_draws(g, int(d), draws) - 1.0 / d
-        return out
 
     def _pair_streams(self):
         """One counter-based stream per retained pair, keyed by (seed, classId, d)."""
@@ -344,6 +341,27 @@ class ErgodicityReport:
         }
 
 
+def _energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: int) -> np.ndarray:
+    """Simpson integral of N_tilde(mu)^2 over the grid mu, per draw.
+
+    N_tilde(mu) = sum_f y_f cos(mu F_f), where y_f collects the centered
+    counts z of every pair with a term at frequency F_f, so with Simpson
+    weights w the integral is the quadratic form y^T H y,
+    H = cos(mu F)^T diag(w) cos(mu F).  H is accumulated over blocks of
+    energies, so memory stays at (block x frequencies) and
+    (frequencies x frequencies) plus y, whatever the grid.
+    """
+    freqs, w = surrogate._freqs, _simpson_weights(mu)
+    gram = np.zeros((len(freqs), len(freqs)))
+    for lo in range(0, len(mu), _ENERGY_BLOCK):
+        c = np.cos(np.outer(mu[lo : lo + _ENERGY_BLOCK], freqs))
+        gram += c.T @ (w[lo : lo + _ENERGY_BLOCK, None] * c)
+    y = np.zeros((len(freqs), draws))
+    for g, d, (f, c) in zip(surrogate._pair_streams(), surrogate.pair_d, surrogate._pair_terms):
+        y[f] += np.outer(c, _poisson_draws(g, int(d), draws) - 1.0 / d)
+    return np.einsum("ij,ij->j", gram @ y, y)
+
+
 def ergodicity_experiment(
     surrogate: PoissonSurrogate,
     lam: float,
@@ -352,12 +370,14 @@ def ergodicity_experiment(
     draws: int,
     eps: float,
 ) -> ErgodicityReport:
-    """Fraction of draws whose energy-averaged N_tilde^2 leaves the eps band.
+    """Fraction of draws whose energy average of N_tilde^2 misses the target by more than eps.
 
     One Z-draw is shared across the whole energy window (the randomness is
     the cover; the integral is over energy), so each draw yields
     (1/span) integral of N_tilde(mu)^2 over [lam, lam+span], compared to
-    the character's ``ensemble_target``.
+    the character's ``ensemble_target``: a draw violates when
+    |average - target| > eps.  The integral is the Simpson rule on the
+    resolved grid, evaluated as a quadratic form (``_energy_integrals``).
     """
     L = surrogate.L
     if eps**2 < 10.0 * (1.0 / L + 1.0 / span):
@@ -370,14 +390,7 @@ def ergodicity_experiment(
     mu = _resolved_grid(lam, span, L, energy_points)
 
     target = ensemble_target(surrogate.char, surrogate.window)
-
-    # pair coefficients as functions of energy: c_{gamma,d}(mu)
-    coeff = np.empty((len(mu), surrogate.n_pairs))
-    for j, (col, d) in enumerate(zip(surrogate.pair_col, surrogate.pair_d)):
-        coeff[:, j] = _pair_coefficients(surrogate._table, int(col), int(d), L, mu)
-
-    z = surrogate._z_matrix(draws)
-    averages = _simpson((z @ coeff.T) ** 2, mu) / span
+    averages = _energy_integrals(surrogate, mu, draws) / span
     viol = np.abs(averages - target) > eps
     frac = float(viol.mean())
     return ErgodicityReport(

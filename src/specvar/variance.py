@@ -307,14 +307,16 @@ def _resolved_grid(
     return np.linspace(lo, lo + span, points)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson integral of y over its last axis, sampled at x.
+def _simpson_panels(x: np.ndarray):
+    """The coefficients of composite Simpson on the grid x.
 
-    The arithmetic of SciPy's ``integrate.simpson`` (1.11 and later), so
-    the results keep their bits: the rule for unequal spacings on each
-    pair of intervals, and on an even number of points Cartwright's
-    correction for the last interval.  Needs at least 3 strictly
-    increasing points.
+    The arithmetic of SciPy's ``integrate.simpson`` (1.11 and later): the
+    rule for unequal spacings on each pair of intervals, with panel j
+    weighing its three samples by ``scale[j] * (a[j], b[j], c[j])``, and
+    on an even number of points Cartwright's correction for the last
+    interval, ``(alpha, beta, eta)`` on the last, second-last and
+    third-last sample (``None`` on an odd count).  Needs at least 3
+    strictly increasing points.
     """
     n = len(x)
     stop = n - 2 if n % 2 else n - 3
@@ -322,23 +324,52 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
     hsum = h0 + h1
     h0_over_h1 = h0 / h1
+    a = 2.0 - 1.0 / h0_over_h1
+    b = hsum * (hsum / (h0 * h1))
+    c = 2.0 - h0_over_h1
+    tail = None
+    if n % 2 == 0:
+        ha, hb = h[-2:]
+        alpha = (2 * hb**2 + 3 * ha * hb) / (6 * (hb + ha))
+        beta = (hb**2 + 3.0 * ha * hb) / (6 * ha)
+        eta = hb**3 / (6 * ha * (ha + hb))
+        tail = (alpha, beta, eta)
+    return stop, hsum / 6.0, a, b, c, tail
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of y over its last axis, sampled at x.
+
+    Evaluated in SciPy's operation order, so the results keep its bits.
+    """
+    stop, scale, a, b, c, tail = _simpson_panels(x)
     result = np.sum(
-        hsum
-        / 6.0
-        * (
-            y[..., 0:stop:2] * (2.0 - 1.0 / h0_over_h1)
-            + y[..., 1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
-            + y[..., 2 : stop + 2 : 2] * (2.0 - h0_over_h1)
-        ),
+        scale * (y[..., 0:stop:2] * a + y[..., 1 : stop + 1 : 2] * b + y[..., 2 : stop + 2 : 2] * c),
         axis=-1,
     )
-    if n % 2 == 0:
-        a, b = h[-2:]
-        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
-        beta = (b**2 + 3.0 * a * b) / (6 * a)
-        eta = b**3 / (6 * a * (a + b))
+    if tail is not None:
+        alpha, beta, eta = tail
         result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return result
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Quadrature weights w with w @ y the Simpson integral of y over x.
+
+    The same panel coefficients as ``_simpson``; the sum is regrouped per
+    sample, so it agrees with ``_simpson`` to rounding, not bit for bit.
+    """
+    stop, scale, a, b, c, tail = _simpson_panels(x)
+    w = np.zeros(len(x))
+    w[0:stop:2] += scale * a
+    w[1 : stop + 1 : 2] += scale * b
+    w[2 : stop + 2 : 2] += scale * c
+    if tail is not None:
+        alpha, beta, eta = tail
+        w[-1] += alpha
+        w[-2] += beta
+        w[-3] -= eta
+    return w
 
 
 def energy_average(

@@ -29,10 +29,11 @@ from specvar.fuchsian import (
     _letter_code,
     _shell_classes,
     log_poincare_det,
+    unoriented_rows,
 )
 from specvar.poisson import PoissonSurrogate, _poisson_draws
 from specvar.rng import stream
-from specvar.variance import _require_certified, _resolved_grid
+from specvar.variance import _require_certified, _resolved_grid, _simpson, coefficient_table
 from specvar.windows import Window, sigma2_goe
 from specvar.words import (
     ConjugacyClass,
@@ -564,6 +565,55 @@ def sample_cycle_counts(seed: int, class_id: int, dmax: int, draws: int) -> np.n
 def sample_Ninfty(surrogate: PoissonSurrogate) -> float:
     """A single draw (index 0) of the limiting fluctuation."""
     return float(surrogate.sample(1)[0])
+
+
+def _pair_coefficient(table, col: int, d: int, L: float, mu: np.ndarray) -> np.ndarray:
+    """c_{gamma,d}(mu) = (2/L) d sum_j A(gamma, d j) at each energy in mu.
+
+    gamma is the class of table column ``col``; the j-sum stops where the
+    window support cuts it, at d j <= floor(L / l).
+    """
+    ki = int(L / table.freqs[0, col])
+    w = table.weights[d - 1 :: d, col][: ki // d]
+    f = table.freqs[d - 1 :: d, col][: ki // d]
+    return (2.0 / L) * d * (np.cos(np.outer(mu, f)) @ w)
+
+
+def _surrogate_table(surrogate: PoissonSurrogate):
+    s = surrogate
+    return coefficient_table(s.spectrum, unoriented_rows(s.spectrum), s.char, s.window, s.lam, s.L)
+
+
+def surrogate_pairs(surrogate: PoissonSurrogate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classIds, d, c at lambda) of the nonzero pairs, one (column, d) at a time."""
+    t = _surrogate_table(surrogate)
+    at_lam = np.array([surrogate.lam])
+    ids, ds, cs = [], [], []
+    for col in range(len(t.rows)):
+        for d in range(1, int(surrogate.L / t.freqs[0, col]) + 1):
+            c = float(_pair_coefficient(t, col, d, surrogate.L, at_lam)[0])
+            if c != 0.0:
+                ids.append(surrogate.spectrum.class_id[t.rows[col]])
+                ds.append(d)
+                cs.append(c)
+    return np.array(ids, dtype=np.int64), np.array(ds, dtype=np.int64), np.array(cs)
+
+
+def dense_energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: int) -> np.ndarray:
+    """Simpson integral of N_tilde(mu)^2 per draw from the dense matrices.
+
+    Builds the (energies x pairs) coefficient matrix and the
+    (draws x energies) values of N_tilde, so it needs memory in both.
+    """
+    t = _surrogate_table(surrogate)
+    col_of = {int(cid): j for j, cid in enumerate(surrogate.spectrum.class_id[t.rows])}
+    coeff = np.empty((len(mu), surrogate.n_pairs))
+    for j, (cid, d) in enumerate(zip(surrogate.pair_class_ids, surrogate.pair_d)):
+        coeff[:, j] = _pair_coefficient(t, col_of[int(cid)], int(d), surrogate.L, mu)
+    z = np.empty((draws, surrogate.n_pairs))
+    for j, (g, d) in enumerate(zip(surrogate._pair_streams(), surrogate.pair_d)):
+        z[:, j] = _poisson_draws(g, int(d), draws) - 1.0 / d
+    return _simpson((z @ coeff.T) ** 2, mu)
 
 
 # ---------------------------------------------------------------------------

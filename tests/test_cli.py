@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import specvar.fuchsian as F
-from specvar.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
+from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
 from specvar.report import FORMAT_VERSION
 
 
@@ -433,7 +434,15 @@ def test_matrix_character_variance_and_explicit_target(tmp_path, pants_csv):
     assert read_json(out)["result"]["target"] == read_json(out)["result"]["sigma2Goe"]
 
 
-def test_thread_budget_flag(tmp_path, pants_csv):
+@pytest.fixture
+def thread_env(monkeypatch):
+    """Restore the thread variables that main sets for the whole process."""
+    for var in ("SPECVAR_THREADS", *_THREAD_VARS):
+        monkeypatch.setenv(var, "1")
+    return monkeypatch
+
+
+def test_thread_budget_flag(tmp_path, pants_csv, thread_env):
     code = main(["variance", "--spectrum-file", pants_csv, "--lambda", "5000",
                  "--L", "5", "--delta", "0.5", "--threads", "2",
                  "--out", str(tmp_path / "v.csv")])
@@ -444,11 +453,10 @@ def test_thread_budget_flag(tmp_path, pants_csv):
                  "--out", str(tmp_path / "w.csv")]) == EXIT_INVALID
 
 
-def test_thread_budget_from_config_file(tmp_path, pants_csv, monkeypatch):
+def test_thread_budget_from_config_file(tmp_path, pants_csv, thread_env):
     # the parsed budget is applied, so a config-file line counts like the
     # flag and beats SPECVAR_THREADS
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    monkeypatch.setenv("SPECVAR_THREADS", "4")
+    thread_env.setenv("SPECVAR_THREADS", "4")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threads=3\n", encoding="utf-8")
     out = str(tmp_path / "v.csv")
@@ -501,6 +509,17 @@ def test_torus_warning_is_shown(tmp_path, capsys, loaded):
         cmd = ["spectrum", "--preset", "punctured_torus", "--Lmax", "5", "--allow-incomplete"]
     assert main(cmd + ["--out", str(tmp_path / "out")]) == EXIT_OK
     assert "warning: punctured_torus is not co-compact" in capsys.readouterr().err
+
+
+def test_torus_warning_on_every_in_process_run(tmp_path, capsys):
+    # each main call prints the preset warning, and the process's warning
+    # hook is back in place after it
+    shown = warnings.showwarning
+    cmd = ["spectrum", "--preset", "punctured_torus", "--Lmax", "5", "--allow-incomplete"]
+    for run in range(2):
+        assert main(cmd + ["--out", str(tmp_path / f"torus{run}.csv")]) == EXIT_OK
+        assert "warning: punctured_torus is not co-compact" in capsys.readouterr().err
+        assert warnings.showwarning is shown
 
 
 def test_character_json_inline(tmp_path, pants_csv):

@@ -1,25 +1,40 @@
 """Poisson surrogate: cumulants, CLT behavior, and energy-window ergodicity."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import specvar.fuchsian as F
-from oracles import sample_Ninfty, sample_cycle_counts, truncate_spectrum
+from oracles import (
+    dense_energy_integrals,
+    sample_Ninfty,
+    sample_cycle_counts,
+    surrogate_pairs,
+    truncate_spectrum,
+)
 from specvar.characters import FluxCharacter
 from specvar.poisson import (
     CumulantReport,
     PoissonSurrogate,
     VarianceTooSmall,
+    _energy_integrals,
     _invert_cdf,
     _poisson_cdf,
     clt_test,
     ergodicity_experiment,
     exact_cumulants,
 )
-from specvar.variance import SpectrumTooShort, UnderResolved, divisor_count, gcd_weight, sigma2_limit
+from specvar.variance import (
+    SpectrumTooShort,
+    UnderResolved,
+    _resolved_grid,
+    divisor_count,
+    gcd_weight,
+    sigma2_limit,
+)
 from specvar.windows import Window, sigma2_goe, sigma2_gue, window
 
 
@@ -112,6 +127,25 @@ def test_f_infty_moments_match_limit_law():
 def test_surrogate_requires_complete_spectrum(pants):
     with pytest.raises(SpectrumTooShort):
         PoissonSurrogate(pants, None, window("triangle"), 100.0, 10.0, seed=1)
+
+
+CHARACTERS_AND_WINDOWS = [
+    (None, Window("triangle")),
+    (None, Window("smooth_bump", amplitude=2.0)),
+    (FluxCharacter(flux=(0.8, 0.4)), Window("triangle")),
+    (FluxCharacter(flux=(0.8, 0.4)), Window("smooth_bump", amplitude=2.0)),
+]
+
+
+@pytest.mark.parametrize("char,win", CHARACTERS_AND_WINDOWS)
+def test_pairs_match_per_pair_oracle(pants, char, win):
+    # the terms over distinct frequencies give the per-(class, d) loop's
+    # pairs and coefficients; only the summation order differs
+    sur = PoissonSurrogate(pants, char, win, lam=1e4, L=8.0, seed=1)
+    ids, ds, cs = surrogate_pairs(sur)
+    assert np.array_equal(sur.pair_class_ids, ids)
+    assert np.array_equal(sur.pair_d, ds)
+    np.testing.assert_allclose(sur.pair_c, cs, rtol=1e-12, atol=0)
 
 
 def test_sample_mean_and_variance(pants_sur):
@@ -244,6 +278,47 @@ def test_ergodicity_fraction_nonincreasing(octagon12):
     ]
     assert all(f <= 0.1 for f in fracs)
     assert fracs[0] >= fracs[1] >= fracs[2]
+
+
+@pytest.mark.parametrize("points", [201, 200])
+@pytest.mark.parametrize("char,win", CHARACTERS_AND_WINDOWS)
+def test_energy_integrals_match_dense_oracle(pants, char, win, points):
+    # the quadratic form regroups the dense Simpson sum of N_tilde^2
+    sur = PoissonSurrogate(pants, char, win, lam=1e4, L=8.0, seed=3)
+    span, draws = 25.0, 400
+    mu = _resolved_grid(1e4, span, sur.L, points)
+    want = dense_energy_integrals(sur, mu, draws)
+    np.testing.assert_allclose(_energy_integrals(sur, mu, draws), want, rtol=1e-12, atol=0)
+    eps = math.sqrt(10.0 * (1 / sur.L + 1 / span)) * 1.0001
+    rep = ergodicity_experiment(sur, 1e4, span, points, draws, eps)
+    assert rep.energy_points == points
+    assert rep.fraction == float(np.mean(np.abs(want / span - rep.target) > eps))
+    assert rep.mean_average == pytest.approx(float(np.mean(want / span)), rel=1e-12)
+
+
+def test_octagon_tied_frequencies_match_dense_oracle(octagon12):
+    # the arithmetic octagon's tied lengths share one frequency per k l
+    sur = PoissonSurrogate(octagon12, None, window("bump"), lam=1e4, L=9.0, seed=0)
+    assert len(sur._freqs) < sur.n_pairs
+    ids, ds, cs = surrogate_pairs(sur)
+    assert np.array_equal(sur.pair_class_ids, ids) and np.array_equal(sur.pair_d, ds)
+    np.testing.assert_allclose(sur.pair_c, cs, rtol=1e-12, atol=0)
+    mu = _resolved_grid(1e4, 10.0, sur.L, None)
+    want = dense_energy_integrals(sur, mu, 200)
+    np.testing.assert_allclose(_energy_integrals(sur, mu, 200), want, rtol=1e-12, atol=0)
+
+
+def test_ergodicity_memory_independent_of_grid_and_draws(pants_sur):
+    # about 8,150 energies and 1,000 draws: a (draws x energies) array
+    # alone would take 65 MB
+    tracemalloc.start()
+    try:
+        rep = ergodicity_experiment(pants_sur, 1e4, 100.0, None, 1000, eps=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.energy_points > 8000
+    assert peak < 16 * 2**20, peak
 
 
 def test_ergodicity_report_fields(pants_sur):

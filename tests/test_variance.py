@@ -283,6 +283,23 @@ def test_energy_average_underresolved():
         V.energy_average(lambda m: 1.0, 100.0, 2.0, 7.0, points=5)
 
 
+@pytest.mark.parametrize("points", [3, 4, 9, 10, 1000, 1001])
+@pytest.mark.parametrize("irregular", [False, True], ids=["resolved", "irregular"])
+def test_simpson_weights_match_simpson(points, irregular):
+    # even counts reach Cartwright's last-interval correction; the error
+    # is relative to the integral of |y|, since y's integral may cancel
+    rng = np.random.default_rng(points)
+    if irregular:
+        x = np.cumsum(rng.uniform(0.1, 1.0, points))
+    else:
+        x = V._resolved_grid(1e4, 2.0, 1.0, points)
+    y = np.sin(x) + rng.standard_normal((5, points))
+    w = V._simpson_weights(x)
+    assert w.shape == (points,)
+    scale = np.abs(y) @ np.abs(w)
+    assert np.all(np.abs(y @ w - V._simpson(y, x)) <= 1e-14 * scale)
+
+
 def test_quadratic_average_constant():
     got = oracles.quadratic_average(lambda m: 2.0, 50.0, 3.0, 0.5, 7.0)
     assert got == pytest.approx(2.25, rel=1e-12)
