@@ -299,15 +299,12 @@ def _cmd_average(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    from . import fuchsian as F
     from .variance import SigmaEvaluator, dirichlet_lambda_search
 
     cfg = _resolved_config(args)
-    spectrum = _get_spectrum(args, needed=args.L)
-    lengths = spectrum.primitive_length[F.unoriented_rows(spectrum)]
-    lengths = lengths[lengths <= args.L]
-    lam = dirichlet_lambda_search(lengths, args.Y, args.M, args.lam_max, args.mode)
-    rep = SigmaEvaluator(spectrum, None, _get_window(args), args.L).report(lam)
+    ev = SigmaEvaluator(_get_spectrum(args, needed=args.L), None, _get_window(args), args.L)
+    lam = dirichlet_lambda_search(ev._freqs[0], args.Y, args.M, args.lam_max, args.mode)
+    rep = ev.report(lam)
     sigma2, smooth = rep.sigma2, rep.smooth_part
     slack = 3.0 / args.Y * smooth
     if args.mode == "plus":

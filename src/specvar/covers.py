@@ -33,11 +33,11 @@ import numpy as np
 from .fuchsian import LengthSpectrum, unoriented_rows
 from .rng import stream, streams
 from .variance import (
+    _gcd_weight_matrix,
     _require_certified,
     character_id,
     coefficient_table,
     divisor_count,
-    gcd_weight,
     sigma2_limit,
 )
 from .windows import Window
@@ -268,11 +268,7 @@ def moment_experiment(
     cycle_se = cyc.std(axis=0, ddof=1) / math.sqrt(samples)
 
     f_target = np.tile([divisor_count(k) for k in range(1, kmax + 1)], nc).astype(float)
-    cov_target = np.zeros((nc * kmax, nc * kmax))
-    for i in range(nc):
-        for k1 in range(1, kmax + 1):
-            for k2 in range(1, kmax + 1):
-                cov_target[i * kmax + k1 - 1, i * kmax + k2 - 1] = gcd_weight(k1, k2)
+    cov_target = np.kron(np.eye(nc), _gcd_weight_matrix(kmax))
     cycle_target = np.tile([1.0 / d for d in range(1, kmax + 1)], nc)
 
     mean_pass = np.abs(mean - f_target) <= 3.0 * mean_se

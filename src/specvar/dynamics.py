@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import FluxCharacter, phases_on_lattice
-from .fuchsian import LengthSpectrum
+from .fuchsian import LengthSpectrum, unoriented_rows
 from .rng import stream
 from .variance import (
     SigmaEvaluator,
@@ -335,7 +335,7 @@ def empirical_transition(
     """Desk-scale transition: geodesic sums against the predicted curve.
 
     For each s the flux phase is alpha = s/sqrt(L) and the empirical value
-    is Sigma^2_GUE + (2/L^2) sum over primitives of cos(2 alpha <flux, h>)
+    is Sigma^2_GUE + (4/L^2) sum over P0 of cos(2 alpha <flux, h>)
     * l^2 psi_hat^2(l/L) / |I - P| -- the squared character, phase 2 alpha,
     not alpha.  ``averaged`` holds the direct energy average of the full
     variance profile at character scale alpha over [lam, lam + delta],
@@ -352,7 +352,8 @@ def empirical_transition(
             spectrum, flux, spectrum.certified_l_max - 1.0, 1.0
         )
 
-    prims = np.flatnonzero((spectrum.power == 1) & (spectrum.primitive_length <= L))
+    prims = unoriented_rows(spectrum)
+    prims = prims[spectrum.primitive_length[prims] <= L]
     ells = spectrum.primitive_length[prims]
     theta = _flux_pairing(spectrum, prims, flux)
     base = ells**2 * np.asarray(w.psi_hat(ells / L)) ** 2 * np.exp(-spectrum.log_det[prims])
@@ -360,7 +361,7 @@ def empirical_transition(
     gue = sigma2_gue(w)
     empirical = np.array(
         [
-            gue + 2.0 / L**2 * float(np.dot(np.cos(2.0 * a * theta), base))
+            gue + 4.0 / L**2 * float(np.dot(np.cos(2.0 * a * theta), base))
             for a in alpha
         ]
     )

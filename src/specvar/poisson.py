@@ -55,27 +55,34 @@ def _poisson_cdf(d: int) -> np.ndarray:
     return _cdf_cache[d]
 
 
-def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Number of CDF entries <= u, per uniform draw u.
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray, count: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Number of CDF entries <= u, per uniform draw u, counted into ``count``.
 
     Counts thresholds directly instead of a binary search: only the few
-    entries up to max(u) can be hit, and each costs one vector compare.
+    entries up to max(u) can be hit, each one vector compare into ``hit``.
     A uint8 count cannot overflow: the table has _POISSON_CDF_TERMS entries.
     """
-    z = np.zeros(len(u), dtype=np.uint8)
+    count.fill(0)
     for c in cdf[cdf <= u.max(initial=0.0)]:
-        z += u >= c
-    return z.astype(np.int64)
+        count += np.greater_equal(u, c, out=hit)
+    return count
 
 
-def _poisson_draws(g: np.random.Generator, d: int, draws: int) -> np.ndarray:
-    """Z_{gamma,d} for consecutive draw indices, by CDF inversion.
+def _draw_buffers(draws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers ``_poisson_draws`` reuses across pairs: uniforms, uint8 counts, a compare."""
+    return np.empty(draws), np.empty(draws, dtype=np.uint8), np.empty(draws, dtype=bool)
+
+
+def _poisson_draws(g: np.random.Generator, d: int, buffers: tuple) -> np.ndarray:
+    """Z_{gamma,d} - 1/d by CDF inversion, over the uniforms of ``buffers``; Z in its counts.
 
     ``g`` is the pair's own (seed, classId, d) stream; the draw index is
     the position in the stream, so prefixes are stable and any partition
     of the (classId, d) grid reproduces bit-identically.
     """
-    return _invert_cdf(_poisson_cdf(d), g.random(draws))
+    u, count, hit = buffers
+    g.random(out=u)
+    return np.subtract(_invert_cdf(_poisson_cdf(d), u, count, hit), 1.0 / d, out=u)
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -145,9 +152,10 @@ class PoissonSurrogate:
         if draws < 1:
             raise ValueError("draws must be >= 1")
         vals = np.zeros(draws)
+        buffers = _draw_buffers(draws)
         for g, d, c in zip(self._pair_streams(), self.pair_d, self.pair_c):
-            z = _poisson_draws(g, int(d), draws)
-            vals += c * (z - 1.0 / d)
+            z = _poisson_draws(g, int(d), buffers)
+            vals += np.multiply(z, c, out=z)
         return vals
 
     def _pair_streams(self):
@@ -357,8 +365,9 @@ def _energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: int) -
         c = np.cos(np.outer(mu[lo : lo + _ENERGY_BLOCK], freqs))
         gram += c.T @ (w[lo : lo + _ENERGY_BLOCK, None] * c)
     y = np.zeros((len(freqs), draws))
+    buffers = _draw_buffers(draws)
     for g, d, (f, c) in zip(surrogate._pair_streams(), surrogate.pair_d, surrogate._pair_terms):
-        y[f] += np.outer(c, _poisson_draws(g, int(d), draws) - 1.0 / d)
+        y[f] += np.outer(c, _poisson_draws(g, int(d), buffers))
     return np.einsum("ij,ij->j", gram @ y, y)
 
 

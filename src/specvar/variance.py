@@ -16,10 +16,10 @@ The psi_hat support cuts every k-sum at floor(L/l) exactly, so no
 truncation is approximate.  V is positive semidefinite (V = sum_d d u_d
 u_d^T with u_d the divisibility indicator), hence Sigma^2 >= 0.
 
-A spectrum lists both orientations of every geodesic, and A is
-invariant under orientation reversal (unitary characters give chi(g^-1) =
-conj chi(g)), so the variance halves its sum over all primitive records
-instead of filtering them down to P0.
+A spectrum lists both orientations of every geodesic, and the sum reads
+one of each pair, the rows of ``unoriented_rows``: a permutation and its
+inverse fix the same points, so gamma and gamma^-1 are one random object
+on every cover (the time-reversal symmetry behind the GOE constant).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characters import FluxCharacter, MatrixRep
-from .fuchsian import LengthSpectrum
+from .fuchsian import LengthSpectrum, unoriented_rows
 from .windows import Window
 
 
@@ -191,9 +191,8 @@ def coefficient_table(
 ) -> CoefficientTable:
     """A(gamma,k) over the given primitive rows of the spectrum with l <= L.
 
-    The caller chooses the rows, in the order the columns take: every
-    primitive row (both orientations) or the P0 rows of
-    ``unoriented_rows``.
+    The caller chooses the rows, in the order the columns take; the
+    library passes P0, the rows of ``unoriented_rows``.
     """
     if lam <= 0 or L <= 0:
         raise ValueError("lambda and L must be positive")
@@ -227,9 +226,9 @@ class VarianceReport:
 class SigmaEvaluator:
     """Sigma^2(lambda) for fixed spectrum/character/window/L.
 
-    Precomputes the lambda-independent weights once, so frequency sweeps
-    (energy averages, Dirichlet scans, transition curves) cost one cosine
-    table per evaluation.
+    Precomputes the lambda-independent weights of the P0 columns with
+    l <= L once, so frequency sweeps (energy averages, Dirichlet scans,
+    transition curves) cost one cosine table per evaluation.
     """
 
     def __init__(self, spectrum: LengthSpectrum, char, window: Window, L: float):
@@ -238,7 +237,7 @@ class SigmaEvaluator:
         self.window = window
         self.char_id = character_id(char)
         self.certified_l_max = spectrum.certified_l_max
-        table = coefficient_table(spectrum, np.flatnonzero(spectrum.power == 1), char, window, 1.0, L)
+        table = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, 1.0, L)
         self._weights = table.weights
         self._freqs = table.freqs
         self.kmax = table.kmax
@@ -253,8 +252,7 @@ class SigmaEvaluator:
         cross = a @ a.T  # (kmax, kmax) of sums over classes
         total = float(np.sum(self._vmat * cross))
         primitive = float(cross[0, 0])
-        # both orientations of each geodesic are summed: halve
-        scale = 2.0 / self.L**2
+        scale = 4.0 / self.L**2
         w1, f1 = w[0], f[0]
         smooth = 0.5 * scale * float(np.dot(w1, w1))
         osc = 0.5 * scale * float(np.dot(w1 * w1, np.cos(2.0 * lam * f1)))
@@ -307,16 +305,14 @@ def _resolved_grid(
     return np.linspace(lo, lo + span, points)
 
 
-def _simpson_panels(x: np.ndarray):
-    """The coefficients of composite Simpson on the grid x.
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Quadrature weights w with w @ y the composite Simpson integral of y over x.
 
-    The arithmetic of SciPy's ``integrate.simpson`` (1.11 and later): the
-    rule for unequal spacings on each pair of intervals, with panel j
-    weighing its three samples by ``scale[j] * (a[j], b[j], c[j])``, and
-    on an even number of points Cartwright's correction for the last
-    interval, ``(alpha, beta, eta)`` on the last, second-last and
-    third-last sample (``None`` on an odd count).  Needs at least 3
-    strictly increasing points.
+    The coefficients of SciPy's ``integrate.simpson`` (1.11 and later):
+    the rule for unequal spacings on each pair of intervals, and on an
+    even number of points Cartwright's correction for the last interval.
+    The sum is grouped per sample, so it agrees with SciPy to rounding,
+    not bit for bit.  Needs at least 3 strictly increasing points.
     """
     n = len(x)
     stop = n - 2 if n % 2 else n - 3
@@ -324,51 +320,16 @@ def _simpson_panels(x: np.ndarray):
     h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
     hsum = h0 + h1
     h0_over_h1 = h0 / h1
-    a = 2.0 - 1.0 / h0_over_h1
-    b = hsum * (hsum / (h0 * h1))
-    c = 2.0 - h0_over_h1
-    tail = None
+    scale = hsum / 6.0
+    w = np.zeros(n)
+    w[0:stop:2] += scale * (2.0 - 1.0 / h0_over_h1)
+    w[1 : stop + 1 : 2] += scale * (hsum * (hsum / (h0 * h1)))
+    w[2 : stop + 2 : 2] += scale * (2.0 - h0_over_h1)
     if n % 2 == 0:
         ha, hb = h[-2:]
-        alpha = (2 * hb**2 + 3 * ha * hb) / (6 * (hb + ha))
-        beta = (hb**2 + 3.0 * ha * hb) / (6 * ha)
-        eta = hb**3 / (6 * ha * (ha + hb))
-        tail = (alpha, beta, eta)
-    return stop, hsum / 6.0, a, b, c, tail
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson integral of y over its last axis, sampled at x.
-
-    Evaluated in SciPy's operation order, so the results keep its bits.
-    """
-    stop, scale, a, b, c, tail = _simpson_panels(x)
-    result = np.sum(
-        scale * (y[..., 0:stop:2] * a + y[..., 1 : stop + 1 : 2] * b + y[..., 2 : stop + 2 : 2] * c),
-        axis=-1,
-    )
-    if tail is not None:
-        alpha, beta, eta = tail
-        result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
-    return result
-
-
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Quadrature weights w with w @ y the Simpson integral of y over x.
-
-    The same panel coefficients as ``_simpson``; the sum is regrouped per
-    sample, so it agrees with ``_simpson`` to rounding, not bit for bit.
-    """
-    stop, scale, a, b, c, tail = _simpson_panels(x)
-    w = np.zeros(len(x))
-    w[0:stop:2] += scale * a
-    w[1 : stop + 1 : 2] += scale * b
-    w[2 : stop + 2 : 2] += scale * c
-    if tail is not None:
-        alpha, beta, eta = tail
-        w[-1] += alpha
-        w[-2] += beta
-        w[-3] -= eta
+        w[-1] += (2 * hb**2 + 3 * ha * hb) / (6 * (hb + ha))
+        w[-2] += (hb**2 + 3.0 * ha * hb) / (6 * ha)
+        w[-3] -= hb**3 / (6 * ha * (ha + hb))
     return w
 
 
@@ -387,7 +348,7 @@ def energy_average(
     """
     grid = _resolved_grid(lam, delta, l_max, points)
     vals = np.array([fn(mu) for mu in grid])
-    return float(_simpson(vals, grid)) / delta
+    return float(_simpson_weights(grid) @ vals) / delta
 
 
 # ---------------------------------------------------------------------------

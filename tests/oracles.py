@@ -31,9 +31,9 @@ from specvar.fuchsian import (
     log_poincare_det,
     unoriented_rows,
 )
-from specvar.poisson import PoissonSurrogate, _poisson_draws
+from specvar.poisson import PoissonSurrogate, _draw_buffers, _invert_cdf, _poisson_draws
 from specvar.rng import stream
-from specvar.variance import _require_certified, _resolved_grid, _simpson, coefficient_table
+from specvar.variance import _require_certified, _resolved_grid, coefficient_table
 from specvar.windows import Window, sigma2_goe
 from specvar.words import (
     ConjugacyClass,
@@ -550,15 +550,70 @@ def quadratic_average(
     return float(simpson(vals, x=grid)) / span
 
 
+def _simpson_panels(x: np.ndarray):
+    """The coefficients of composite Simpson on the grid x.
+
+    The arithmetic of SciPy's ``integrate.simpson`` (1.11 and later): the
+    rule for unequal spacings on each pair of intervals, with panel j
+    weighing its three samples by ``scale[j] * (a[j], b[j], c[j])``, and
+    on an even number of points Cartwright's correction for the last
+    interval, ``(alpha, beta, eta)`` on the last, second-last and
+    third-last sample (``None`` on an odd count).  Needs at least 3
+    strictly increasing points.
+    """
+    n = len(x)
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    h0_over_h1 = h0 / h1
+    a = 2.0 - 1.0 / h0_over_h1
+    b = hsum * (hsum / (h0 * h1))
+    c = 2.0 - h0_over_h1
+    tail = None
+    if n % 2 == 0:
+        ha, hb = h[-2:]
+        alpha = (2 * hb**2 + 3 * ha * hb) / (6 * (hb + ha))
+        beta = (hb**2 + 3.0 * ha * hb) / (6 * ha)
+        eta = hb**3 / (6 * ha * (ha + hb))
+        tail = (alpha, beta, eta)
+    return stop, hsum / 6.0, a, b, c, tail
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of y over its last axis, sampled at x.
+
+    Evaluated in SciPy's operation order, so the results keep its bits;
+    the library's ``_simpson_weights`` regroups the same sum per sample.
+    """
+    stop, scale, a, b, c, tail = _simpson_panels(x)
+    result = np.sum(
+        scale * (y[..., 0:stop:2] * a + y[..., 1 : stop + 1 : 2] * b + y[..., 2 : stop + 2 : 2] * c),
+        axis=-1,
+    )
+    if tail is not None:
+        alpha, beta, eta = tail
+        result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    return result
+
+
 # ---------------------------------------------------------------------------
 # poisson: per-class draws
+
+
+def invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of CDF entries <= u, per uniform draw u, as int64."""
+    _, count, hit = _draw_buffers(len(u))
+    return _invert_cdf(cdf, u, count, hit).astype(np.int64)
 
 
 def sample_cycle_counts(seed: int, class_id: int, dmax: int, draws: int) -> np.ndarray:
     """(draws, dmax) matrix of Z_{gamma,d} draws, d = 1..dmax."""
     out = np.empty((draws, dmax), dtype=np.int64)
+    buffers = _draw_buffers(draws)
     for d in range(1, dmax + 1):
-        out[:, d - 1] = _poisson_draws(stream(seed, class_id, d), d, draws)
+        _poisson_draws(stream(seed, class_id, d), d, buffers)
+        out[:, d - 1] = buffers[1]
     return out
 
 
@@ -611,8 +666,9 @@ def dense_energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: i
     for j, (cid, d) in enumerate(zip(surrogate.pair_class_ids, surrogate.pair_d)):
         coeff[:, j] = _pair_coefficient(t, col_of[int(cid)], int(d), surrogate.L, mu)
     z = np.empty((draws, surrogate.n_pairs))
+    buffers = _draw_buffers(draws)
     for j, (g, d) in enumerate(zip(surrogate._pair_streams(), surrogate.pair_d)):
-        z[:, j] = _poisson_draws(g, int(d), draws) - 1.0 / d
+        z[:, j] = _poisson_draws(g, int(d), buffers)
     return _simpson((z @ coeff.T) ** 2, mu)
 
 

@@ -202,14 +202,16 @@ def test_covers_byte_identical(tmp_path):
 
 def test_covers_result_pinned(tmp_path):
     # moment test plus bridge; the digest was recorded before the batch
-    # layout moved to flat indices and one shared draw per run
+    # layout moved to flat indices and one shared draw per run, and
+    # re-pinned when Sigma^2 began to sum P0 once (bridge sigma2Limit
+    # moved by 5.4e-16 relative, the other leaves not at all)
     out = str(tmp_path / "covers.json")
     assert main(["covers", "--n", "50", "--samples", "500", "--L", "6",
                  "--lambda", "1e4", "--seed", "7", "--out", out]) == EXIT_OK
     result = read_json(out)["result"]
     canonical = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canonical).hexdigest() == (
-        "df9769f3325b45a83d95cf1e844ad9001b7fd67d4bd03af926c20cf13872c61c"
+        "a5e006bdb7b35d6b1a8f0e5dbaccb1510344a8bdd57b54040bf042e6250a1b49"
     )
 
 
@@ -218,23 +220,28 @@ def test_covers_result_pinned(tmp_path):
 # and transition were re-pinned when the integrals and the KS p-value
 # moved from SciPy to numpy; their leaves then differed from the old pins'
 # by at most 3.3e-15 relative (ksPvalue 9.5e-16, sumrule gap 3.3e-15,
-# transition sigma2 7.1e-16), the other leaves not at all
+# transition sigma2 7.1e-16), the other leaves not at all.  average,
+# average-flux, poisson and transition were re-pinned when Sigma^2 began
+# to sum P0 once instead of halving both orientations and energy averages
+# took the Simpson weights: average and gap moved by at most 9.6e-16
+# relative, poisson sigma2Ref by 1.4e-15 (kappa2RelErr by 6e-16 absolute),
+# transition sigma2_emp and sigma2_avg by at most 4.8e-16
 ANALYSIS_PINS = {
     "average": (
         ["average", "--L", "8", "--window", "bump", "--lambda", "1e4", "--delta", "2"],
         "json",
-        "867add6559477106f7e10d28b25674a615f44c84ea34ac69747f72c61da4a136",
+        "8cf653a1f2cb6df85169845748e6bc9159a4492ffd0387a8e1d14b466f37e8db",
     ),
     "average-flux": (
         ["average", "--L", "8", "--window", "bump", "--lambda", "1e4", "--delta", "2",
          "--flux", "1.5707963267948966,0,0,0"],
         "json",
-        "8b4ea67417866e2b165d067a60b5c4519a2eb7f25650f2a781b5600611e976b1",
+        "940e1c748107b36d5b1766d3683f5e585648f697916b03206970e5e030eb439b",
     ),
     "poisson": (
         ["poisson", "--L", "8", "--lambda", "1e4", "--draws", "20000", "--seed", "3"],
         "json",
-        "fd02bf8c68daa98e53a97276ef39f811e58037ba316b2a27303fe19b70c55fac",
+        "8b1f7a399d2f37b88c49f532053eccb8ec4d28b319df8fa5abe19c5e5c80ea8d",
     ),
     "sumrule": (
         ["sumrule", "--L", "8,9,9.5", "--window", "bump"],
@@ -244,7 +251,7 @@ ANALYSIS_PINS = {
     "transition": (
         ["transition", "--L", "8", "--lambda", "1e4", "--flux", "1,0,0,0"],
         "csv",
-        "560f801a64ceff2b3d0fb644e783ad1af927e535f7b81d68d2c0e4d4c917c78d",
+        "62230d7216b1dafa31e79af7389289cc20af7e69ba6f07a99728c2af6ecbfcce",
     ),
     "orbit-clt": (
         ["orbit-clt", "--T", "8.5", "--draws", "20000", "--flux", "1,0,0,0", "--seed", "5"],

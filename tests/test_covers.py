@@ -80,15 +80,16 @@ def test_permutation_rep_validates_images():
 
 
 def test_sample_rep_uniform_on_s3():
-    # all 6 permutations of S_3 equally likely: multinomial 3-SE band per cell
+    # all 6 permutations of S_3 equally likely: multinomial 3-SE band per
+    # cell.  Row s of the batch, less its offset 3s, is
+    # sample_rep(1, 3, seed=99, sample_index=s) (test_batch_matches_scalar_rows),
+    # so one batch draws the same permutations as 100,000 single streams
     n_samples = 100_000
-    counts = np.zeros(6, dtype=int)
+    perms = _batch_images(1, 3, n_samples, 99)[0] - 3 * np.arange(n_samples)[:, None]
     codes = {p: i for i, p in enumerate(
         [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     )}
-    for s in range(n_samples):
-        rep = sample_rep(1, 3, seed=99, sample_index=s)
-        counts[codes[tuple(rep.images[0].tolist())]] += 1
+    counts = np.bincount([codes[tuple(p)] for p in perms.tolist()], minlength=6)
     p = 1.0 / 6.0
     se = math.sqrt(n_samples * p * (1 - p))
     assert np.all(np.abs(counts - n_samples * p) <= 3 * se), counts

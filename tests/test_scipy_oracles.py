@@ -13,11 +13,11 @@ special = pytest.importorskip("scipy.special")
 stats = pytest.importorskip("scipy.stats")
 
 import specvar.fuchsian as F  # noqa: E402
-from oracles import window_mass  # noqa: E402
+from oracles import _simpson, window_mass  # noqa: E402
 from specvar.dynamics import _half_mass, sum_rule_check, transition_curve  # noqa: E402
 from specvar.ks import kstwo_sf, ks_normal  # noqa: E402
 from specvar.poisson import PoissonSurrogate, _poisson_cdf, clt_test  # noqa: E402
-from specvar.variance import _resolved_grid, _simpson  # noqa: E402
+from specvar.variance import _resolved_grid, _simpson_weights  # noqa: E402
 from specvar.windows import sigma2_goe, sigma2_gue, window  # noqa: E402
 
 # the CLI's default transition grid
@@ -88,6 +88,22 @@ def test_simpson_matches_on_irregular_grids(points):
     x = np.cumsum(rng.uniform(0.1, 1.0, points))
     y = np.sin(x) + rng.standard_normal(points)
     assert _simpson(y, x) == pytest.approx(integrate.simpson(y, x=x), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("points", [3, 4, 9, 10, 11, 12, 101, 1000, 1001])
+@pytest.mark.parametrize("irregular", [False, True], ids=["resolved", "irregular"])
+def test_simpson_weights_match_scipy(points, irregular):
+    # the library's one Simpson rule, grouped per sample: equal to SciPy
+    # to rounding, relative to the integral of |y| since y's may cancel
+    rng = np.random.default_rng(points)
+    if irregular:
+        x = np.cumsum(rng.uniform(0.1, 1.0, points))
+    else:
+        x = _resolved_grid(1e4, 2.0, 1.0, points)
+    y = np.sin(x) + rng.standard_normal((5, points))
+    w = _simpson_weights(x)
+    scale = integrate.simpson(np.abs(y), x=x, axis=1)
+    assert np.all(np.abs(y @ w - integrate.simpson(y, x=x, axis=1)) <= 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,23 @@ def test_sigma2_flux_char_matches_brute_force(pants_spec, tri):
     )
 
 
+@pytest.mark.parametrize("surface", ["pants", "octagon"])
+def test_sigma_columns_are_p0(surface, pants_spec, tri):
+    # one column per unoriented geodesic with l <= L; the brute force
+    # sums both orientations and halves, an orientation rule of its own
+    if surface == "pants":
+        spec, L, lam = pants_spec, 7.0, 83.0
+    else:
+        spec, L, lam = F.build_spectrum(F.preset("octagon_genus2"), 6.0), 6.0, 41.0
+    p0 = F.unoriented_rows(spec)
+    p0 = p0[spec.primitive_length[p0] <= L]
+    ev = V.SigmaEvaluator(spec, None, tri, L)
+    assert ev.n_classes == len(p0) > 0
+    assert 2 * ev.n_classes == sum(1 for p in primitives(spec) if p.primitive_length <= L)
+    assert np.array_equal(ev._weights, V.coefficient_table(spec, p0, None, tri, lam, L).weights)
+    assert ev.sigma2(lam) == pytest.approx(brute_sigma2(spec, None, tri, lam, L), rel=1e-12)
+
+
 def test_sigma2_single_class_oracle(pants, tri):
     # spectrum truncated below twice the systole: single unoriented class
     spec = F.build_spectrum(pants, 2.0)
@@ -297,7 +314,7 @@ def test_simpson_weights_match_simpson(points, irregular):
     w = V._simpson_weights(x)
     assert w.shape == (points,)
     scale = np.abs(y) @ np.abs(w)
-    assert np.all(np.abs(y @ w - V._simpson(y, x)) <= 1e-14 * scale)
+    assert np.all(np.abs(y @ w - oracles._simpson(y, x)) <= 1e-14 * scale)
 
 
 def test_quadratic_average_constant():
