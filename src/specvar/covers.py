@@ -8,14 +8,17 @@ so each sampled cover costs one permutation product per class and a few
 vectorized power compositions.
 
 A run draws its batch of covers once (``_batch_images``) and hands the
-same images to the moment test and to the variance bridge.  The images
-are flat absolute indices: sample s owns the points s*n .. s*n + n - 1
-and each generator maps them among themselves, so composing two images
-is one gather ``p.take(q)`` across many samples and an inverse is one
-scatter.  The experiments walk the batch in blocks of whole samples
-sized to stay in cache; no count depends on the block size.  Cycle
-counts come from a pointer-doubling scan that never reads the power
-images, so the divisor identity between the two is a real check.
+same images to the moment test and to the variance bridge.  The batch
+stores each permutation as it is, values 0 .. n - 1 in the narrowest
+unsigned dtype that holds n - 1 (2 bytes a point up to n = 65,536).
+The experiments walk it in blocks of whole samples sized to stay in
+cache, and ``_sample_blocks`` widens each block to flat absolute int64
+indices: sample s of the block owns the points s*n .. s*n + n - 1 and
+each generator maps them among themselves, so composing two images is
+one gather ``p.take(q)`` across many samples and an inverse is one
+scatter.  No count depends on the block size.  Cycle counts come from
+a pointer-doubling scan that never reads the power images, so the
+divisor identity between the two is a real check.
 
 Sampling is restricted to free presets: uniform sampling of surface-group
 homomorphisms has no known efficient exact sampler, and the fixed-point
@@ -63,31 +66,35 @@ _BOOTSTRAP_DRAWS = 1000  # resamples behind the cover variance's standard error
 def _batch_images(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
     """Generator images of a batch of covers, shape (rank, samples, n).
 
-    Entry [g, s, i] is s*n + pi(i), where pi is the permutation that
-    generator g + 1 takes in sample s, drawn from its own
-    (seed, sampleIndex, generatorIndex) stream.  Results are therefore
-    bit-identical to a per-sample draw and independent of any batching
-    or parallel split.  A run draws its batch once and every experiment
-    of the run reads it.
+    Entry [g, s, i] is pi(i), where pi is the permutation that generator
+    g + 1 takes in sample s, drawn from its own (seed, sampleIndex,
+    generatorIndex) stream.  Results are therefore bit-identical to a
+    per-sample draw and independent of any batching or parallel split.
+    The dtype is the narrowest unsigned one that holds n - 1; arithmetic
+    on it wraps, so only ``_sample_blocks`` reads it, widening first.  A
+    run draws its batch once and every experiment of the run reads it.
     """
-    out = np.empty((rank, samples, n), dtype=np.int64)
+    out = np.empty((rank, samples, n), dtype=np.min_scalar_type(n - 1))
     keys = np.column_stack(divmod(np.arange(samples * rank), rank))
     for (s, g), rg in zip(np.ndindex(samples, rank), streams(seed, keys)):
         out[g, s] = rg.permutation(n)
-    out += (np.arange(samples, dtype=np.int64) * n)[:, None]
     return out
 
 
 def _sample_blocks(images: np.ndarray):
-    """Split a batch into blocks of whole samples, each re-based to start at 0.
+    """Split a batch into blocks of whole samples in flat int64 indices.
 
     Yields (rows, block): ``block`` holds the generator images of the
-    samples ``rows`` in the flat layout of ``_batch_images``.
+    samples ``rows``, row s of the block offset by s*n, so the block is
+    one permutation of its own points.
     """
     _, samples, n = images.shape
     step = max(1, _BLOCK_POINTS // n)
     for a in range(0, samples, step):
-        yield slice(a, a + step), images[:, a : a + step] - a * n
+        rows = slice(a, a + step)
+        block = images[:, rows].astype(np.int64)
+        block += (np.arange(block.shape[1]) * n)[:, None]
+        yield rows, block
 
 
 def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
@@ -98,6 +105,11 @@ def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
     if images.shape[1:] != (samples, n):
         raise ValueError(
             f"batch images have shape {images.shape[1:]}, expected ({samples}, {n})"
+        )
+    if images.dtype.kind != "u":
+        raise ValueError(
+            f"batch images have dtype {images.dtype}; _batch_images stores "
+            "relative permutations in an unsigned dtype"
         )
 
 

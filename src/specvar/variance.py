@@ -355,6 +355,25 @@ def energy_average(
 # Dirichlet oscillation search
 
 _SEARCH_CHUNK = 1_000_000  # grid points per vectorised block
+_TIE_RTOL = 1e-12  # lengths this close (relative) are one length written twice
+
+
+def _distinct_lengths(lengths: Sequence[float]) -> np.ndarray:
+    """Sorted lengths, each run of ties collapsed to the run's first length.
+
+    A run continues while the gap to the previous length is at most
+    _TIE_RTOL times the run's first length, so one length computed along
+    different words (last-bit variants) counts once.
+    """
+    rs = np.sort(np.asarray(lengths, dtype=float))
+    keep = np.ones(len(rs), dtype=bool)
+    first = rs[0] if len(rs) else 0.0
+    for i in range(1, len(rs)):
+        if rs[i] - rs[i - 1] <= _TIE_RTOL * first:
+            keep[i] = False
+        else:
+            first = rs[i]
+    return rs[keep]
 
 
 def dirichlet_lambda_search(
@@ -376,15 +395,16 @@ def dirichlet_lambda_search(
     increment at 1/Y: every window contains at least two grid points and
     cannot be stepped over.  The box principle guarantees a hit below
     M*Y^N only for plus mode, so NotFound reports the ceiling scanned.
+    N counts tied lengths once (``_distinct_lengths``).
     """
-    rs = np.asarray(sorted(set(float(r) for r in lengths)))
+    rs = _distinct_lengths(lengths)
     if len(rs) == 0:
         raise ValueError("need at least one length")
     if Y <= 1:
         raise ValueError("Y must exceed 1")
     if mode not in ("plus", "minus"):
         raise ValueError(f"unknown mode {mode!r}")
-    step = 1.0 / (Y * float(rs.max()))
+    step = 1.0 / (Y * float(np.max(lengths)))  # the largest raw length, so no window is stepped over
     ceiling = min(float(lam_max), M * Y ** len(rs))
     bound = 1.0 / Y
     start = M

@@ -31,6 +31,7 @@ from specvar.fuchsian import (
     log_poincare_det,
     unoriented_rows,
 )
+from specvar.ks import kstwo_sf
 from specvar.poisson import PoissonSurrogate, _draw_buffers, _invert_cdf, _poisson_draws
 from specvar.rng import stream
 from specvar.variance import _require_certified, _resolved_grid, coefficient_table
@@ -595,6 +596,21 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         alpha, beta, eta = tail
         result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return result
+
+
+# ---------------------------------------------------------------------------
+# ks: the exact normal CDF at every sample point
+
+
+def ks_normal_exact(x) -> tuple[float, float]:
+    """(D, p) of the two-sided KS test against N(0, 1), math.erfc at every point."""
+    xs = np.sort(np.asarray(x, dtype=float))
+    n = len(xs)
+    cdf = 0.5 * np.fromiter(map(math.erfc, (-xs / math.sqrt(2.0)).tolist()), float, count=n)
+    d_plus = float(np.max(np.arange(1.0, n + 1) / n - cdf))
+    d_minus = float(np.max(cdf - np.arange(0.0, n) / n))
+    d = max(d_plus, d_minus)
+    return d, kstwo_sf(n, d)
 
 
 # ---------------------------------------------------------------------------

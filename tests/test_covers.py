@@ -24,6 +24,7 @@ from specvar.covers import (
     _batch_images,
     _cycle_scan,
     _power_fixed_counts,
+    _sample_blocks,
     _word_images,
     empirical_cover_variance,
     moment_experiment,
@@ -81,11 +82,11 @@ def test_permutation_rep_validates_images():
 
 def test_sample_rep_uniform_on_s3():
     # all 6 permutations of S_3 equally likely: multinomial 3-SE band per
-    # cell.  Row s of the batch, less its offset 3s, is
-    # sample_rep(1, 3, seed=99, sample_index=s) (test_batch_matches_scalar_rows),
-    # so one batch draws the same permutations as 100,000 single streams
+    # cell.  Row s of the batch is sample_rep(1, 3, seed=99, sample_index=s)
+    # (test_batch_matches_scalar_rows), so one batch draws the same
+    # permutations as 100,000 single streams
     n_samples = 100_000
-    perms = _batch_images(1, 3, n_samples, 99)[0] - 3 * np.arange(n_samples)[:, None]
+    perms = _batch_images(1, 3, n_samples, 99)[0]
     codes = {p: i for i, p in enumerate(
         [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     )}
@@ -177,11 +178,11 @@ def test_inverse_word_same_cycle_type(letters, seed):
 
 
 def test_batch_matches_scalar_rows():
-    # row s of a batch image holds sample s's permutation offset by s*n
+    # row s of a widened block holds sample s's permutation offset by s*n
     rank, n, samples, seed = 2, 23, 15, 77
-    images = _batch_images(rank, n, samples, seed)
+    ((_, block),) = _sample_blocks(_batch_images(rank, n, samples, seed))
     for w in [(1,), (1, 2), (-2, 1, 1)]:
-        batch = _word_images(images, w)
+        batch = _word_images(block, w)
         fbatch = _power_fixed_counts(batch, 5)
         cbatch = _cycle_scan(batch, 5)
         for s in range(samples):
@@ -189,6 +190,43 @@ def test_batch_matches_scalar_rows():
             assert np.array_equal(batch[s] - s * n, eval_perm(rep, w))
             assert np.array_equal(fbatch[s], fixed_points_of_powers(rep, w, 5))
             assert np.array_equal(cbatch[s], cycle_counts(rep, w, 5))
+
+
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
+def test_batch_dtype_is_narrowest_unsigned(n, dtype):
+    assert _batch_images(1, n, 2, seed=3).dtype == dtype
+
+
+def test_batch_rows_are_permutations():
+    images = _batch_images(2, 300, 40, seed=5)
+    assert np.array_equal(np.sort(images, axis=-1), np.broadcast_to(np.arange(300), images.shape))
+
+
+def test_batch_footprint_two_bytes_per_point():
+    # the benchmark's batch: rank 2, 5,000 covers of degree 300 in uint16
+    assert _batch_images(2, 300, 5000, 0).nbytes == 6_000_000
+
+
+def test_sample_blocks_widen_and_offset(monkeypatch):
+    # blocks of 3 samples: each block is int64, row s offset by s*n
+    n, samples = 256, 7
+    images = _batch_images(2, n, samples, seed=6)
+    monkeypatch.setattr(covers, "_BLOCK_POINTS", 3 * n)
+    blocks = list(_sample_blocks(images))
+    assert len(blocks) == 3
+    for rows, block in blocks:
+        assert block.dtype == np.int64
+        stored = images[:, rows]
+        offsets = np.arange(stored.shape[1])[:, None] * n
+        assert np.array_equal(block, stored + offsets)
+
+
+def test_batch_must_be_unsigned():
+    # the old absolute int64 layout would count wrongly, so it is refused
+    images = _batch_images(2, 5, 4, seed=1)
+    absolute = images.astype(np.int64) + (np.arange(4) * 5)[:, None]
+    with pytest.raises(ValueError, match="unsigned"):
+        moment_experiment([(1,)], absolute, 5, 4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -361,6 +361,18 @@ def test_dirichlet_spectrum_lengths(pants_spec):
         assert abs(math.cos(lam2 * r)) <= 1.0 / 8.0
 
 
+def test_dirichlet_counts_tied_lengths_once():
+    # the octagon's P0 lengths <= 5 are 18 distinct floats but 6 lengths
+    octagon = F.build_spectrum(F.preset("octagon_genus2"), 5.0)
+    raw = octagon.primitive_length[F.unoriented_rows(octagon)]
+    raw = raw[raw <= 5.0]
+    assert len(set(raw.tolist())) == 18
+    assert len(V._distinct_lengths(raw)) == 6
+    Y = 4.0
+    lam = V.dirichlet_lambda_search(raw, Y, 100.0, 1e9, mode="plus")
+    assert np.all(2.0 * np.abs(np.sin(0.5 * lam * raw)) <= 1.0 / Y + 1e-9)
+
+
 def test_dirichlet_not_found():
     with pytest.raises(V.DirichletNotFound):
         V.dirichlet_lambda_search([1.0, math.sqrt(2)], 50.0, 10.0, 11.0)
