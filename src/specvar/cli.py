@@ -245,14 +245,14 @@ def _variance_profile(args):
     _warn_scale(args.lam, args.L)
     ev = SigmaEvaluator(spectrum, char, _get_window(args), args.L)
     grid = _resolved_grid(args.lam, args.delta, args.L, args.points)
-    return spectrum, char, ev, grid
+    return char, ev, grid
 
 
 def _cmd_variance(args) -> int:
     cfg = _resolved_config(args)
-    spectrum, char, ev, grid = _variance_profile(args)
+    char, ev, grid = _variance_profile(args)
     if args.check:
-        return _check_average(args, cfg, spectrum, char, ev)
+        return _check_average(args, cfg, char, ev)
     rows = []
     for mu in grid:
         rep = ev.report(mu)
@@ -261,7 +261,7 @@ def _cmd_variance(args) -> int:
     return _emit(args, None, f"{args.out}: {len(rows)} grid points")
 
 
-def _check_average(args, cfg, spectrum, char, ev) -> int:
+def _check_average(args, cfg, char, ev) -> int:
     from .characters import ensemble_target
     from .variance import energy_average
     from .windows import sigma2_goe, sigma2_gue
@@ -294,8 +294,8 @@ def _check_average(args, cfg, spectrum, char, ev) -> int:
 
 def _cmd_average(args) -> int:
     cfg = _resolved_config(args)
-    spectrum, char, ev, _ = _variance_profile(args)
-    return _check_average(args, cfg, spectrum, char, ev)
+    char, ev, _ = _variance_profile(args)
+    return _check_average(args, cfg, char, ev)
 
 
 def _cmd_dirichlet(args) -> int:
@@ -303,7 +303,7 @@ def _cmd_dirichlet(args) -> int:
 
     cfg = _resolved_config(args)
     ev = SigmaEvaluator(_get_spectrum(args, needed=args.L), None, _get_window(args), args.L)
-    lam = dirichlet_lambda_search(ev._freqs[0], args.Y, args.M, args.lam_max, args.mode)
+    lam = dirichlet_lambda_search(ev.freqs[0], args.Y, args.M, args.lam_max, args.mode)
     rep = ev.report(lam)
     sigma2, smooth = rep.sigma2, rep.smooth_part
     slack = 3.0 / args.Y * smooth

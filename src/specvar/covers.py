@@ -33,16 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import LengthSpectrum, unoriented_rows
+from .fuchsian import LengthSpectrum
 from .rng import stream, streams
-from .variance import (
-    _gcd_weight_matrix,
-    _require_certified,
-    character_id,
-    coefficient_table,
-    divisor_count,
-    sigma2_limit,
-)
+from .variance import SigmaEvaluator, _divisor_table, _gcd_weight_matrix
 from .windows import Window
 from .words import Word
 
@@ -250,20 +243,17 @@ def moment_experiment(
     nc = len(records)
     f = np.empty((samples, nc, kmax), dtype=np.int64)
     cycles = np.empty((samples, nc, kmax), dtype=np.int64)
-    divisors = [[d for d in range(1, k + 1) if k % d == 0] for k in range(1, kmax + 1)]
     for rows, block in _sample_blocks(images):
         for i, w in enumerate(records):
             img = _word_images(block, w)
             f[rows, i, :] = _power_fixed_counts(img, kmax)
             cycles[rows, i, :] = _cycle_scan(img, kmax)
     # hard consistency: the divisor identity must hold on every sample
-    for k in range(1, kmax + 1):
-        lhs = f[:, :, k - 1]
-        rhs = sum(d * cycles[:, :, d - 1] for d in divisors[k - 1])
-        if not np.array_equal(lhs, rhs):
-            raise RuntimeError(
-                f"fixed-point/cycle-count identity violated at k={k}"
-            )
+    divisors = _divisor_table(kmax)
+    weighted = np.arange(1, kmax + 1)[:, None] * divisors  # entry [d-1, k-1] = d if d | k
+    bad = np.flatnonzero((f != cycles @ weighted).any(axis=(0, 1)))
+    if len(bad):
+        raise RuntimeError(f"fixed-point/cycle-count identity violated at k={bad[0] + 1}")
 
     flat = f.reshape(samples, -1).astype(float)
     mean = flat.mean(axis=0)
@@ -279,7 +269,7 @@ def moment_experiment(
     cycle_mean = cyc.mean(axis=0)
     cycle_se = cyc.std(axis=0, ddof=1) / math.sqrt(samples)
 
-    f_target = np.tile([divisor_count(k) for k in range(1, kmax + 1)], nc).astype(float)
+    f_target = np.tile(divisors.sum(axis=0), nc).astype(float)
     cov_target = np.kron(np.eye(nc), _gcd_weight_matrix(kmax))
     cycle_target = np.tile([1.0 / d for d in range(1, kmax + 1)], nc)
 
@@ -372,28 +362,25 @@ def empirical_cover_variance(
     bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
     """
     _require_free(spectrum)
-    _require_certified(spectrum, L)
+    ev = SigmaEvaluator(spectrum, char, window, L)
     if centering not in ("batch", "dk"):
         raise ValueError(f"unknown centering {centering!r}")
     _check_batch(images, n, samples)
 
-    table = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, lam, L)
-    words = [spectrum.records[i].word for i in table.rows]
-    kmaxes = [max(1, int(L / ell)) for ell in spectrum.primitive_length[table.rows]]
-    coeffs = [table.coeffs[:km, i] for i, km in enumerate(kmaxes)]
+    words = [spectrum.records[i].word for i in ev.rows]
+    kmaxes = [max(1, int(L / ell)) for ell in spectrum.primitive_length[ev.rows]]
+    coeffs = ev.coefficients(lam)
+    dk = _divisor_table(ev.kmax).sum(axis=0).astype(float)
 
     counts = [np.empty((samples, km), dtype=np.int64) for km in kmaxes]
     for rows, block in _sample_blocks(images):
         for word, km, f in zip(words, kmaxes, counts):
             f[rows] = _power_fixed_counts(_word_images(block, word), km)
     vals = np.zeros(samples)
-    for km, a, f in zip(kmaxes, coeffs, counts):
+    for i, (km, f) in enumerate(zip(kmaxes, counts)):
         f = f.astype(float)
-        if centering == "batch":
-            f -= f.mean(axis=0)
-        else:
-            f -= np.array([divisor_count(k) for k in range(1, km + 1)], dtype=float)
-        vals += f @ a
+        f -= f.mean(axis=0) if centering == "batch" else dk[:km]
+        vals += f @ coeffs[:km, i]
     vals *= 2.0 / L
 
     estimate = float(np.var(vals, ddof=1))
@@ -404,18 +391,17 @@ def empirical_cover_variance(
         boots[b] = np.var(vals[idx], ddof=1)
     se = float(boots.std(ddof=1))
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    limit = sigma2_limit(spectrum, char, window, lam, L).sigma2
     return CoverVarianceReport(
         estimate=estimate,
         se=se,
         ci_low=float(lo),
         ci_high=float(hi),
-        sigma2_limit=limit,
+        sigma2_limit=ev.report(lam).sigma2,
         n=n,
         samples=samples,
         lam=lam,
         L=L,
         centering=centering,
         window_kind=window.kind,
-        char_id=character_id(char),
+        char_id=ev.char_id,
     )

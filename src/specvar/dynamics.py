@@ -30,7 +30,7 @@ from .variance import (
     character_id,
     energy_average,
 )
-from .windows import Window, _unit_integral, sigma2_goe, sigma2_gue
+from .windows import _TOLERANCE, Window, _unit_integral, sigma2_goe, sigma2_gue
 
 
 class NonCompactPreset(UserWarning):
@@ -290,7 +290,7 @@ def transition_curve(w: Window, variance: float, s_grid) -> TransitionCurve:
         span = min(1.0, 40.0 / rate) if rate > 0 else 1.0
         value = span * _unit_integral(
             lambda u: np.exp(-rate * span * u) * (span * u) * w.psi_hat(span * u) ** 2,
-            w.tolerance,
+            _TOLERANCE,
         )
         vals[i] = gue + 2.0 * value
     return TransitionCurve(

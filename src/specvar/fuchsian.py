@@ -364,15 +364,17 @@ def _codes_to_words(block: np.ndarray) -> list[Word]:
     return [tuple(row) for row in np.where(block & 1, -letters, letters).tolist()]
 
 
+def _reduced_hyperbolic(words: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Hyperbolic rows (|trace| ``tr`` above 2) whose last letter is not their first's inverse."""
+    return (tr > 2.0 + 1e-9) & (words[:, 0] != words[:, -1] ^ 1)
+
+
 def _shell_survivors(
     words: np.ndarray, mats: np.ndarray, period: np.ndarray, tr_cut: float
 ) -> np.ndarray:
     """Necklace rows that are cyclically reduced and hyperbolic with ell <= Lmax."""
     tr = np.abs(mats[:, 0] + mats[:, 3])
-    keep = (tr > 2.0 + 1e-9) & (tr <= tr_cut) & (words.shape[1] % period == 0)
-    if words.shape[1] > 1:
-        keep &= words[:, 0] != words[:, -1] ^ 1
-    return keep
+    return _reduced_hyperbolic(words, tr) & (tr <= tr_cut) & (words.shape[1] % period == 0)
 
 
 def _extend_shell(
@@ -503,9 +505,7 @@ def _shell_min_length(words: np.ndarray, mats: np.ndarray, gen_mats: np.ndarray)
     minimum is taken over all of them.
     """
     tr = np.abs(mats[:, 0] + mats[:, 3])
-    hyp = tr > 2.0 + 1e-9
-    if words.shape[1] > 1:
-        hyp &= words[:, 0] != words[:, -1] ^ 1
+    hyp = _reduced_hyperbolic(words, tr)
     if not hyp.any():
         return math.inf
     rows = words[hyp & (tr <= tr[hyp].min() * (1.0 + 1e-6))]

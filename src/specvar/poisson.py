@@ -9,8 +9,10 @@ fluctuation collapses to a weighted sum of centered Poissons,
     c_{gamma,d} = (2/L) d sum_j A(gamma, d j),
 
 whose cumulants are exact finite sums: kappa_m = sum c^m / d.  That makes
-the surrogate both a sampler (CLT, ergodicity experiments) and an oracle
-(kappa_2 must reproduce the limiting variance).
+the surrogate both a sampler (CLT, ergodicity experiments) and an oracle:
+kappa_2 must reproduce the limiting variance, which the surrogate reads
+from the same ``SigmaEvaluator`` its pair coefficients come from, so one
+run builds one coefficient table.
 """
 
 from __future__ import annotations
@@ -22,17 +24,10 @@ from itertools import compress
 import numpy as np
 
 from .characters import ensemble_target
-from .fuchsian import LengthSpectrum, unoriented_rows
+from .fuchsian import LengthSpectrum
 from .ks import ks_normal
 from .rng import streams
-from .variance import (
-    _require_certified,
-    _resolved_grid,
-    _simpson_weights,
-    character_id,
-    coefficient_table,
-    sigma2_limit,
-)
+from .variance import SigmaEvaluator, _resolved_grid, _simpson_weights
 from .windows import Window
 
 
@@ -95,8 +90,9 @@ class PoissonSurrogate:
     """Sampler for N_tilde at fixed (spectrum, character, window, lambda, L).
 
     Each pair coefficient is a cosine sum over frequencies k l of the
-    coefficient table, c_{gamma,d}(mu) = sum_j (2/L) d A-weight(gamma, d j)
-    cos(mu d j l) for d j <= floor(L / l).  ``_freqs`` holds the distinct
+    coefficient table of ``sigma``, the run's one ``SigmaEvaluator``:
+    c_{gamma,d}(mu) = sum_j (2/L) d A-weight(gamma, d j) cos(mu d j l) for
+    d j <= floor(L / l).  ``_freqs`` holds the distinct
     frequencies (tied lengths give bit-identical k l, so an arithmetic
     group reads far fewer frequencies than pairs) and ``_pair_terms`` each
     pair's (frequency indices, factors).  Zero-support pairs are dropped so
@@ -112,14 +108,13 @@ class PoissonSurrogate:
         L: float,
         seed: int,
     ) -> None:
-        _require_certified(spectrum, L)
+        self.sigma = t = SigmaEvaluator(spectrum, char, window, L)
         self.spectrum = spectrum
         self.char = char
         self.window = window
         self.lam = float(lam)
         self.L = float(L)
         self.seed = int(seed)
-        t = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, lam, L)
 
         # candidate pairs (col, d), d = 1..floor(L / l), in column order,
         # and their terms k = d j, j = 1..floor(kcut / d)
@@ -221,18 +216,15 @@ def exact_cumulants(surrogate: PoissonSurrogate, mmax: int = 4) -> CumulantRepor
     c, d = surrogate.pair_c, surrogate.pair_d
     kappa = np.array([float(np.sum(c**m / d)) for m in ms])
     bounds = np.array([float(np.sum(np.abs(c) ** m / d)) for m in ms])
-    ref = sigma2_limit(
-        surrogate.spectrum, surrogate.char, surrogate.window, surrogate.lam, surrogate.L
-    ).sigma2
     return CumulantReport(
         mmax=mmax,
         kappa=kappa,
         bounds=bounds,
-        sigma2_ref=ref,
+        sigma2_ref=surrogate.sigma.report(surrogate.lam).sigma2,
         lam=surrogate.lam,
         L=surrogate.L,
         window_kind=surrogate.window.kind,
-        char_id=character_id(surrogate.char),
+        char_id=surrogate.sigma.char_id,
     )
 
 

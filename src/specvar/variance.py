@@ -20,6 +20,13 @@ A spectrum lists both orientations of every geodesic, and the sum reads
 one of each pair, the rows of ``unoriented_rows``: a permutation and its
 inverse fix the same points, so gamma and gamma^-1 are one random object
 on every cover (the time-reversal symmetry behind the GOE constant).
+
+Two lambda-free tables serve every consumer.  ``coefficient_table`` gives
+A(gamma,k) = weight * cos(lambda * freq); a run builds it once, in one
+``SigmaEvaluator``, which the Poisson surrogate and the cover bridge read.
+``_divisor_table`` holds D[d-1, k-1] = [d | k], whose rows are the u_d:
+V = D^T diag(1..K) D, the cover mean d(k) of F_n(gamma^k) is a column
+sum, and the cycle identity sum_{d|k} d C(gamma,d) is one product.
 """
 
 from __future__ import annotations
@@ -58,32 +65,16 @@ def _require_certified(spectrum: LengthSpectrum, needed: float, what: str = "L")
 # arithmetic weights
 
 
-def divisor_count(k: int) -> int:
-    """d(k), the number of divisors."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(1 for d in range(1, k + 1) if k % d == 0)
-
-
-def divisor_sum(k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(d for d in range(1, k + 1) if k % d == 0)
-
-
-def gcd_weight(k1: int, k2: int) -> int:
-    """V(k1,k2) = sum of divisors of gcd(k1,k2); V(1,1) = 1."""
-    if k1 < 1 or k2 < 1:
-        raise ValueError("k must be >= 1")
-    return divisor_sum(math.gcd(k1, k2))
+def _divisor_table(kmax: int) -> np.ndarray:
+    """D[d-1, k-1] = 1 when d divides k, else 0: every divisor sum is a product with it."""
+    ks = np.arange(1, kmax + 1)
+    return (ks[None, :] % ks[:, None] == 0).astype(np.int64)
 
 
 def _gcd_weight_matrix(kmax: int) -> np.ndarray:
-    v = np.empty((kmax, kmax))
-    for i in range(1, kmax + 1):
-        for j in range(1, kmax + 1):
-            v[i - 1, j - 1] = gcd_weight(i, j)
-    return v
+    """V[k1-1, k2-1] = sum of divisors of gcd(k1, k2)."""
+    table = _divisor_table(kmax)
+    return (table.T * np.arange(1, kmax + 1)) @ table
 
 
 # ---------------------------------------------------------------------------
@@ -136,72 +127,44 @@ def _pair_values_bulk(char, spectrum: LengthSpectrum, rows, kmax: int) -> np.nda
 # trace-formula coefficients
 
 
-def _coefficient_factors(
-    spectrum: LengthSpectrum, rows, char, window: Window, L: float, kmax: int
-) -> tuple[np.ndarray, np.ndarray]:
+def coefficient_table(
+    spectrum: LengthSpectrum, rows, char, window: Window, L: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lambda-free factors of A(gamma,k) = weight * cos(lambda * freq).
 
-    Returns (weights, freqs), each (kmax, len(rows)) with row k-1 for the
-    k-th power; the determinant is evaluated in log space so long geodesics
-    cannot overflow, and psi_hat zeroes every k*l > L exactly.
+    Returns (rows, weights, freqs): the given primitive rows of the
+    spectrum with l <= L, in the order given, and two (kmax, len(rows))
+    arrays with row k-1 for the k-th power, kmax = floor(L / min l).  The
+    library passes P0, the rows of ``unoriented_rows``.  The determinant
+    is evaluated in log space so long geodesics cannot overflow, and
+    psi_hat zeroes every k*l > L exactly.
     """
+    if L <= 0:
+        raise ValueError("L must be positive")
+    rows = np.asarray(rows, dtype=np.int64)
+    rows = rows[spectrum.primitive_length[rows] <= L]
     ells = spectrum.primitive_length[rows]
-    ks = np.arange(1, kmax + 1)[:, None]
-    kl = ks * ells[None, :]
+    kmax = int(L / ells.min()) if len(rows) else 1
+    kl = np.arange(1, kmax + 1)[:, None] * ells[None, :]
     psi = window.psi_hat(kl / L)
     log_det = kl + 2.0 * np.log1p(-np.exp(-kl))
     chi2 = _pair_values_bulk(char, spectrum, rows, kmax)
-    return chi2 * psi * ells[None, :] * np.exp(-0.5 * log_det), kl
+    return rows, chi2 * psi * ells[None, :] * np.exp(-0.5 * log_det), kl
 
 
 def coeff_A(
     spectrum: LengthSpectrum, row: int, k: int, char, window: Window, lam: float, L: float
 ) -> float:
-    """A(gamma,k) of the primitive record in the given row; zero whenever k*l > L.
-
-    The one-entry slice of the coefficient table.
-    """
+    """A(gamma,k) of the primitive record in the given row; zero whenever k*l > L."""
     if spectrum.power[row] != 1:
         raise ValueError("record must be primitive (power 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = coefficient_table(spectrum, [row], char, window, lam, L)
-    return float(table.coeffs[k - 1, 0]) if len(table.rows) and k <= table.kmax else 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientTable:
-    """Dense A(gamma,k) values for the primitive classes of a spectrum.
-
-    Row k-1 holds A(gamma,k); column j belongs to spectrum row ``rows[j]``.
-    ``weights`` and ``freqs`` factor A = weight * cos(lambda * freq) so the
-    same table can be re-evaluated across lambda without touching the
-    spectrum.
-    """
-
-    kmax: int
-    rows: np.ndarray
-    weights: np.ndarray
-    freqs: np.ndarray
-    coeffs: np.ndarray
-
-
-def coefficient_table(
-    spectrum: LengthSpectrum, rows, char, window: Window, lam: float, L: float
-) -> CoefficientTable:
-    """A(gamma,k) over the given primitive rows of the spectrum with l <= L.
-
-    The caller chooses the rows, in the order the columns take; the
-    library passes P0, the rows of ``unoriented_rows``.
-    """
-    if lam <= 0 or L <= 0:
-        raise ValueError("lambda and L must be positive")
-    rows = np.asarray(rows, dtype=np.int64)
-    rows = rows[spectrum.primitive_length[rows] <= L]
-    kmax = int(L / spectrum.primitive_length[rows].min()) if len(rows) else 1
-    weights, freqs = _coefficient_factors(spectrum, rows, char, window, L, kmax)
-    coeffs = weights * np.cos(lam * freqs)
-    return CoefficientTable(kmax=kmax, rows=rows, weights=weights, freqs=freqs, coeffs=coeffs)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    rows, weights, freqs = coefficient_table(spectrum, [row], char, window, L)
+    a = weights * np.cos(lam * freqs)
+    return float(a[k - 1, 0]) if len(rows) and k <= len(a) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +189,10 @@ class VarianceReport:
 class SigmaEvaluator:
     """Sigma^2(lambda) for fixed spectrum/character/window/L.
 
-    Precomputes the lambda-independent weights of the P0 columns with
-    l <= L once, so frequency sweeps (energy averages, Dirichlet scans,
-    transition curves) cost one cosine table per evaluation.
+    Holds the coefficient table of the P0 columns with l <= L (``rows``,
+    ``weights``, ``freqs``), built once, so frequency sweeps (energy
+    averages, Dirichlet scans, transition curves) and the samplers that
+    read the same A(gamma,k) cost one cosine table per frequency.
     """
 
     def __init__(self, spectrum: LengthSpectrum, char, window: Window, L: float):
@@ -237,23 +201,25 @@ class SigmaEvaluator:
         self.window = window
         self.char_id = character_id(char)
         self.certified_l_max = spectrum.certified_l_max
-        table = coefficient_table(spectrum, unoriented_rows(spectrum), char, window, 1.0, L)
-        self._weights = table.weights
-        self._freqs = table.freqs
-        self.kmax = table.kmax
-        self.n_classes = self._weights.shape[1]
+        self.rows, self.weights, self.freqs = coefficient_table(
+            spectrum, unoriented_rows(spectrum), char, window, L
+        )
+        self.kmax, self.n_classes = self.weights.shape
         self._vmat = _gcd_weight_matrix(self.kmax)
+
+    def coefficients(self, lam: float) -> np.ndarray:
+        """A(gamma,k) at lambda: row k-1, column j for spectrum row ``rows[j]``."""
+        return self.weights * np.cos(lam * self.freqs)
 
     def report(self, lam: float) -> VarianceReport:
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        w, f = self._weights, self._freqs
-        a = w * np.cos(lam * f)
+        a = self.coefficients(lam)
         cross = a @ a.T  # (kmax, kmax) of sums over classes
         total = float(np.sum(self._vmat * cross))
         primitive = float(cross[0, 0])
         scale = 4.0 / self.L**2
-        w1, f1 = w[0], f[0]
+        w1, f1 = self.weights[0], self.freqs[0]
         smooth = 0.5 * scale * float(np.dot(w1, w1))
         osc = 0.5 * scale * float(np.dot(w1 * w1, np.cos(2.0 * lam * f1)))
         return VarianceReport(
@@ -355,6 +321,9 @@ def energy_average(
 # Dirichlet oscillation search
 
 _SEARCH_CHUNK = 1_000_000  # grid points per vectorised block
+# grid points x distinct lengths one search may test (about 10 s of
+# compares); the octagon's plus-mode hit at L = 5, Y = 8 takes 1.8e8
+_SEARCH_BUDGET = 250_000_000
 _TIE_RTOL = 1e-12  # lengths this close (relative) are one length written twice
 
 
@@ -395,7 +364,9 @@ def dirichlet_lambda_search(
     increment at 1/Y: every window contains at least two grid points and
     cannot be stepped over.  The box principle guarantees a hit below
     M*Y^N only for plus mode, so NotFound reports the ceiling scanned.
-    N counts tied lengths once (``_distinct_lengths``).
+    N counts tied lengths once (``_distinct_lengths``).  A search that
+    would test more than _SEARCH_BUDGET grid points x lengths stops there
+    with NotFound naming the last frequency scanned.
     """
     rs = _distinct_lengths(lengths)
     if len(rs) == 0:
@@ -407,9 +378,16 @@ def dirichlet_lambda_search(
     step = 1.0 / (Y * float(np.max(lengths)))  # the largest raw length, so no window is stepped over
     ceiling = min(float(lam_max), M * Y ** len(rs))
     bound = 1.0 / Y
+    budget = _SEARCH_BUDGET // len(rs)  # grid points left
     start = M
     while start <= ceiling:
-        count = min(_SEARCH_CHUNK, int((ceiling - start) / step) + 1)
+        if budget <= 0:
+            raise DirichletNotFound(
+                f"search budget of {_SEARCH_BUDGET:.3g} grid points x lengths spent: no lambda in "
+                f"[{M:.9g}, {start - step:.9g}] met the {mode} constraints at Y={Y} (ceiling {ceiling:.9g})"
+            )
+        count = min(_SEARCH_CHUNK, budget, int((ceiling - start) / step) + 1)
+        budget -= count
         grid = start + step * np.arange(count)
         if mode == "plus":
             # |e^{i l r} - 1| = 2|sin(l r / 2)|

@@ -19,6 +19,8 @@ KINDS = ("triangle", "smooth_bump")
 # Gauss-Legendre node count of the coarse rule; the fine rule has twice
 # as many, and their difference is the error estimate
 _GAUSS_NODES = 128
+# bound on that difference for the variance constants
+_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -26,14 +28,11 @@ class Window:
     """Window defined through psi_hat, supported in [-1, 1].
 
     ``amplitude`` rescales psi_hat linearly; variance constants are then
-    quadratic in it.  ``tolerance`` bounds the quadrature error of the
-    variance constants: the difference between their Gauss-Legendre
-    values at 128 and at 256 nodes.
+    quadratic in it.
     """
 
     kind: str
     amplitude: float = 1.0
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -88,7 +87,7 @@ def _unit_integral(f, tolerance: float) -> float:
 
 def sigma2_goe(w: Window) -> float:
     """GOE variance constant 4 * integral_0^1 t * psi_hat(t)^2 dt."""
-    return 4.0 * _unit_integral(lambda t: t * w.psi_hat(t) ** 2, w.tolerance)
+    return 4.0 * _unit_integral(lambda t: t * w.psi_hat(t) ** 2, _TOLERANCE)
 
 
 def sigma2_gue(w: Window) -> float:

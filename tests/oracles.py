@@ -29,12 +29,11 @@ from specvar.fuchsian import (
     _letter_code,
     _shell_classes,
     log_poincare_det,
-    unoriented_rows,
 )
 from specvar.ks import kstwo_sf
 from specvar.poisson import PoissonSurrogate, _draw_buffers, _invert_cdf, _poisson_draws
 from specvar.rng import stream
-from specvar.variance import _require_certified, _resolved_grid, coefficient_table
+from specvar.variance import _require_certified, _resolved_grid
 from specvar.windows import Window, sigma2_goe
 from specvar.words import (
     ConjugacyClass,
@@ -486,7 +485,27 @@ def unpruned_shells(
 
 
 # ---------------------------------------------------------------------------
-# variance: the scalar coefficient path
+# variance: the scalar divisor functions and coefficient path
+
+
+def divisor_count(k: int) -> int:
+    """d(k), the number of divisors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return sum(1 for d in range(1, k + 1) if k % d == 0)
+
+
+def divisor_sum(k: int) -> int:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return sum(d for d in range(1, k + 1) if k % d == 0)
+
+
+def gcd_weight(k1: int, k2: int) -> int:
+    """V(k1,k2) = sum of divisors of gcd(k1,k2); V(1,1) = 1."""
+    if k1 < 1 or k2 < 1:
+        raise ValueError("k must be >= 1")
+    return divisor_sum(math.gcd(k1, k2))
 
 
 def _pair_value(char, record: GeodesicRecord, k: int) -> float:
@@ -650,14 +669,9 @@ def _pair_coefficient(table, col: int, d: int, L: float, mu: np.ndarray) -> np.n
     return (2.0 / L) * d * (np.cos(np.outer(mu, f)) @ w)
 
 
-def _surrogate_table(surrogate: PoissonSurrogate):
-    s = surrogate
-    return coefficient_table(s.spectrum, unoriented_rows(s.spectrum), s.char, s.window, s.lam, s.L)
-
-
 def surrogate_pairs(surrogate: PoissonSurrogate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(classIds, d, c at lambda) of the nonzero pairs, one (column, d) at a time."""
-    t = _surrogate_table(surrogate)
+    t = surrogate.sigma
     at_lam = np.array([surrogate.lam])
     ids, ds, cs = [], [], []
     for col in range(len(t.rows)):
@@ -676,7 +690,7 @@ def dense_energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: i
     Builds the (energies x pairs) coefficient matrix and the
     (draws x energies) values of N_tilde, so it needs memory in both.
     """
-    t = _surrogate_table(surrogate)
+    t = surrogate.sigma
     col_of = {int(cid): j for j, cid in enumerate(surrogate.spectrum.class_id[t.rows])}
     coeff = np.empty((len(mu), surrogate.n_pairs))
     for j, (cid, d) in enumerate(zip(surrogate.pair_class_ids, surrogate.pair_d)):

@@ -301,6 +301,37 @@ def test_covers_draws_each_stream_once(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) == 2 * 300 + 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poisson", "--L", "8", "--lambda", "1e4", "--draws", "1000", "--seed", "3"],
+        ["covers", "--n", "20", "--samples", "300", "--L", "5", "--lambda", "1e3", "--seed", "3"],
+    ],
+    ids=["poisson", "covers"],
+)
+def test_one_coefficient_table_per_run(tmp_path, octagon_csv, monkeypatch, argv):
+    # the surrogate's pairs, the cover bridge's coefficients and each
+    # run's Sigma^2 limit all read the one table of one SigmaEvaluator
+    import sys
+
+    import specvar.covers  # noqa: F401  (every consumer imported before patching)
+    import specvar.poisson  # noqa: F401
+    import specvar.variance
+
+    original, calls = specvar.variance.coefficient_table, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "specvar" and getattr(module, "coefficient_table", None) is original:
+            monkeypatch.setattr(module, "coefficient_table", counting)
+    source = ["--spectrum-file", octagon_csv] if argv[0] == "poisson" else []
+    assert main(argv + source + ["--out", str(tmp_path / "run.json")]) == EXIT_OK
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--kmax", "0")])
 def test_covers_refuses_bad_sizes(tmp_path, capsys, flag, value):
     out = tmp_path / "c.json"

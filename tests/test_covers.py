@@ -12,6 +12,7 @@ import specvar.fuchsian as F
 from oracles import (
     PermutationRep,
     cycle_counts,
+    divisor_count,
     eval_perm,
     exact_cover_moment,
     fixed_points,
@@ -30,7 +31,7 @@ from specvar.covers import (
     moment_experiment,
 )
 from specvar.characters import FluxCharacter
-from specvar.variance import SpectrumTooShort, divisor_count, sigma2_limit
+from specvar.variance import SpectrumTooShort, sigma2_limit
 from specvar.windows import window
 
 

@@ -517,6 +517,16 @@ def test_survivors_are_necklaces(name, params, l_max):
     assert len(set(words)) == len(words)
 
 
+def test_reduced_hyperbolic_predicate():
+    # codes c and c ^ 1 are a letter and its inverse; survivors and the
+    # shell minimum both read this one mask
+    words = np.array([[0, 2, 1], [0, 2, 0], [3, 3, 2], [0, 2, 3]], dtype=np.int8)
+    tr = np.array([3.0, 3.0, 3.0, 2.0])
+    assert F._reduced_hyperbolic(words, tr).tolist() == [False, True, False, False]
+    one_letter = np.arange(4, dtype=np.int8)[:, None]
+    assert F._reduced_hyperbolic(one_letter, np.full(4, 2.5)).all()
+
+
 def test_certificate_counts_rows_per_shell(octagon, torus):
     for sp in (
         F.build_spectrum(octagon, 6.0),

@@ -10,6 +10,8 @@ import pytest
 import specvar.fuchsian as F
 from oracles import (
     dense_energy_integrals,
+    divisor_count,
+    gcd_weight,
     invert_cdf,
     sample_Ninfty,
     sample_cycle_counts,
@@ -31,8 +33,6 @@ from specvar.variance import (
     SpectrumTooShort,
     UnderResolved,
     _resolved_grid,
-    divisor_count,
-    gcd_weight,
     sigma2_limit,
 )
 from specvar.windows import Window, sigma2_goe, sigma2_gue, window

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -38,19 +39,32 @@ def bump():
 
 
 def test_divisor_functions():
-    assert V.divisor_count(1) == 1
-    assert V.divisor_count(6) == 4
-    assert V.divisor_count(12) == 6
-    assert V.divisor_sum(1) == 1
-    assert V.divisor_sum(6) == 12
+    assert oracles.divisor_count(1) == 1
+    assert oracles.divisor_count(6) == 4
+    assert oracles.divisor_count(12) == 6
+    assert oracles.divisor_sum(1) == 1
+    assert oracles.divisor_sum(6) == 12
 
 
 def test_gcd_weight():
-    assert V.gcd_weight(1, 1) == 1
-    assert V.gcd_weight(4, 6) == 1 + 2
+    assert oracles.gcd_weight(1, 1) == 1
+    assert oracles.gcd_weight(4, 6) == 1 + 2
     for k in range(1, 9):
-        assert V.gcd_weight(k, k) == V.divisor_sum(k)
-    assert V.gcd_weight(3, 5) == 1
+        assert oracles.gcd_weight(k, k) == oracles.divisor_sum(k)
+    assert oracles.gcd_weight(3, 5) == 1
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 7, 30])
+def test_divisor_table_matches_scalar_oracles(kmax):
+    # d(k), V and the cycle map d * D all come from the one table
+    table = V._divisor_table(kmax)
+    ks = range(1, kmax + 1)
+    assert table.shape == (kmax, kmax)
+    assert table.sum(axis=0).tolist() == [oracles.divisor_count(k) for k in ks]
+    assert V._gcd_weight_matrix(kmax).tolist() == [[oracles.gcd_weight(a, b) for b in ks] for a in ks]
+    weighted = np.arange(1, kmax + 1)[:, None] * table
+    assert weighted.sum(axis=0).tolist() == [oracles.divisor_sum(k) for k in ks]
+    assert weighted.tolist() == [[d if k % d == 0 else 0 for k in ks] for d in ks]
 
 
 def test_gcd_weight_matrix_psd():
@@ -107,10 +121,11 @@ def primitive_ids(spec):
 
 def test_coefficient_table_matches_scalar(pants_spec, tri):
     lam, L = 61.3, 7.0
-    table = V.coefficient_table(pants_spec, primitive_ids(pants_spec), None, tri, lam, L)
-    for j, row in enumerate(table.rows):
-        for k in range(1, table.kmax + 1):
-            assert table.coeffs[k - 1, j] == pytest.approx(
+    rows, weights, freqs = V.coefficient_table(pants_spec, primitive_ids(pants_spec), None, tri, L)
+    coeffs = weights * np.cos(lam * freqs)
+    for j, row in enumerate(rows):
+        for k in range(1, len(coeffs) + 1):
+            assert coeffs[k - 1, j] == pytest.approx(
                 oracles.coeff_A(pants_spec.records[row], k, None, tri, lam, L), abs=1e-14
             )
 
@@ -121,10 +136,11 @@ def test_coefficient_table_matrix_char(pants_spec, tri):
     v = np.diag([np.exp(0.31j), np.exp(-0.31j)])
     rep = MatrixRep(images=(u, v), preset=pants_spec.group.group)
     lam, L = 41.0, 7.0
-    table = V.coefficient_table(pants_spec, primitive_ids(pants_spec), rep, tri, lam, L)
-    for j, row in enumerate(table.rows[:10]):
+    rows, weights, freqs = V.coefficient_table(pants_spec, primitive_ids(pants_spec), rep, tri, L)
+    coeffs = weights * np.cos(lam * freqs)
+    for j, row in enumerate(rows[:10]):
         for k in (1, 2):
-            assert table.coeffs[k - 1, j] == pytest.approx(
+            assert coeffs[k - 1, j] == pytest.approx(
                 oracles.coeff_A(pants_spec.records[row], k, rep, tri, lam, L), abs=1e-12
             )
 
@@ -142,7 +158,7 @@ def brute_sigma2(spec, char, w, lam, L):
         for k1 in range(1, kmax + 1):
             for k2 in range(1, kmax + 1):
                 total += (
-                    V.gcd_weight(k1, k2)
+                    oracles.gcd_weight(k1, k2)
                     * oracles.coeff_A(p, k1, char, w, lam, L)
                     * oracles.coeff_A(p, k2, char, w, lam, L)
                 )
@@ -183,7 +199,9 @@ def test_sigma_columns_are_p0(surface, pants_spec, tri):
     ev = V.SigmaEvaluator(spec, None, tri, L)
     assert ev.n_classes == len(p0) > 0
     assert 2 * ev.n_classes == sum(1 for p in primitives(spec) if p.primitive_length <= L)
-    assert np.array_equal(ev._weights, V.coefficient_table(spec, p0, None, tri, lam, L).weights)
+    rows, weights, freqs = V.coefficient_table(spec, p0, None, tri, L)
+    assert np.array_equal(ev.rows, rows) and np.array_equal(ev.weights, weights)
+    assert np.array_equal(ev.coefficients(lam), weights * np.cos(lam * freqs))
     assert ev.sigma2(lam) == pytest.approx(brute_sigma2(spec, None, tri, lam, L), rel=1e-12)
 
 
@@ -254,7 +272,7 @@ def test_nonprimitive_tail_bounded(pants_spec, tri):
                 if k1 + k2 < 3:
                     continue
                 bound += (
-                    V.gcd_weight(k1, k2)
+                    oracles.gcd_weight(k1, k2)
                     * oracles.coeff_bound(p, k1, None, tri)
                     * oracles.coeff_bound(p, k2, None, tri)
                 )
@@ -376,3 +394,27 @@ def test_dirichlet_counts_tied_lengths_once():
 def test_dirichlet_not_found():
     with pytest.raises(V.DirichletNotFound):
         V.dirichlet_lambda_search([1.0, math.sqrt(2)], 50.0, 10.0, 11.0)
+
+
+def test_dirichlet_budget_bounds_the_grid(monkeypatch):
+    # 3 lengths, first hit at grid point 206: a budget of 206 points
+    # finds it, one of 205 stops after the last point it may scan
+    lengths, Y, M = [1.0, 2.0, 4.0], 10.0, 20.0
+    unbounded = V.dirichlet_lambda_search(lengths, Y, M, 1e8)
+    monkeypatch.setattr(V, "_SEARCH_BUDGET", 3 * 206)
+    assert V.dirichlet_lambda_search(lengths, Y, M, 1e8) == unbounded
+    monkeypatch.setattr(V, "_SEARCH_BUDGET", 3 * 205)
+    last = M + 204 / (Y * 4.0)
+    with pytest.raises(V.DirichletNotFound, match=re.escape("budget of 615 grid points x lengths")) as err:
+        V.dirichlet_lambda_search(lengths, Y, M, 1e8)
+    assert f"[20, {last:.9g}]" in str(err.value)
+
+
+def test_dirichlet_budget_covers_octagon_plus_hit():
+    # the default CLI search (octagon, L = 5, Y = 8, M = 100) hits at
+    # 745,520.771488: its grid points x distinct lengths fit the budget
+    octagon = F.build_spectrum(F.preset("octagon_genus2"), 5.0)
+    raw = octagon.primitive_length[F.unoriented_rows(octagon)]
+    raw = raw[raw <= 5.0]
+    points = (745_520.771488 - 100.0) * 8.0 * raw.max() + 1
+    assert points * len(V._distinct_lengths(raw)) < V._SEARCH_BUDGET

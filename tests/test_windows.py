@@ -68,10 +68,15 @@ def test_psi_hat_scalar_and_array_agree():
         assert w.psi_hat(float(ti)) == vi
 
 
+def _bump_goe_integrand(t):
+    return t * W.window("bump").psi_hat(t) ** 2
+
+
 def test_tolerance_refinement_consistent():
-    loose = W.Window("smooth_bump", tolerance=1e-8)
-    tight = W.Window("smooth_bump", tolerance=1e-12)
-    assert W.sigma2_goe(loose) == pytest.approx(W.sigma2_goe(tight), abs=1e-8)
+    loose = 4.0 * W._unit_integral(_bump_goe_integrand, 1e-8)
+    tight = 4.0 * W._unit_integral(_bump_goe_integrand, 1e-12)
+    assert loose == pytest.approx(tight, abs=1e-8)
+    assert tight == pytest.approx(W.sigma2_goe(W.window("bump")), abs=1e-8)
 
 
 def test_unknown_kind_rejected():
@@ -81,6 +86,6 @@ def test_unknown_kind_rejected():
 
 def test_tolerance_bounds_the_node_count_difference():
     # the 128- and 256-node values of the bump constant differ by ~1e-16
-    W.sigma2_goe(W.Window("smooth_bump", tolerance=1e-14))
+    W._unit_integral(_bump_goe_integrand, 1e-14)
     with pytest.raises(RuntimeError, match="quadrature error"):
-        W.sigma2_goe(W.Window("smooth_bump", tolerance=1e-18))
+        W._unit_integral(_bump_goe_integrand, 1e-18)
