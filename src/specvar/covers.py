@@ -22,14 +22,14 @@ divisor identity between the two is a real check.
 
 Sampling is restricted to free presets: uniform sampling of surface-group
 homomorphisms has no known efficient exact sampler, and the fixed-point
-asymptotics being tested hold in both models.  Reports carry a
-``model: free`` marker for this reason.
+asymptotics being tested hold in both models.  Both experiments return
+their artifact mapping, JSON-ready, with a ``model: free`` marker for
+this reason.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,62 +171,13 @@ def _cycle_scan(word_img: np.ndarray, dmax: int) -> np.ndarray:
 # moment experiment
 
 
-@dataclass(frozen=True)
-class CoverStatistics:
-    """Empirical F_n and cycle-count moments for primitive classes.
-
-    ``cov`` indexes the flattened (class, k) grid; its target is V(k1, k2)
-    within a class and 0 across classes.  Mean targets are d(k) for F and
-    1/d for cycle counts.  Pass flags apply a 3-standard-error band.
-    """
-
-    n: int
-    samples: int
-    kmax: int
-    f_mean: np.ndarray
-    f_mean_se: np.ndarray
-    f_mean_target: np.ndarray
-    cov: np.ndarray
-    cov_se: np.ndarray
-    cov_target: np.ndarray
-    cycle_mean: np.ndarray
-    cycle_mean_se: np.ndarray
-    cycle_mean_target: np.ndarray
-    mean_pass: np.ndarray
-    cov_pass: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.mean_pass.all() and self.cov_pass.all())
-
-    def as_dict(self) -> dict:
-        return {
-            "model": "free",
-            "n": self.n,
-            "samples": self.samples,
-            "kmax": self.kmax,
-            "fMean": self.f_mean.tolist(),
-            "fMeanSE": self.f_mean_se.tolist(),
-            "fMeanTarget": self.f_mean_target.tolist(),
-            "cov": self.cov.tolist(),
-            "covSE": self.cov_se.tolist(),
-            "covTarget": self.cov_target.tolist(),
-            "cycleMean": self.cycle_mean.tolist(),
-            "cycleMeanSE": self.cycle_mean_se.tolist(),
-            "cycleMeanTarget": self.cycle_mean_target.tolist(),
-            "meanPass": self.mean_pass.tolist(),
-            "covPass": self.cov_pass.tolist(),
-            "passed": self.passed,
-        }
-
-
 def moment_experiment(
     records: list[Word],
     images: np.ndarray,
     n: int,
     samples: int,
     kmax: int = 6,
-) -> CoverStatistics:
+) -> dict:
     """Empirical F_n moments against their n -> infinity laws.
 
     ``records`` holds one class word per class (``bench/tracer.py``
@@ -237,6 +188,11 @@ def moment_experiment(
     counted from powers of the word image and cycle counts from an
     independent cycle scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is
     asserted on every sample.
+
+    Returns the ``moments`` mapping of the ``covers`` artifact.  ``cov``
+    indexes the flattened (class, k) grid; its target is V(k1, k2)
+    within a class and 0 across classes.  Mean targets are d(k) for F
+    and 1/d for cycle counts.  Pass flags apply a 3-standard-error band.
     """
     _check_batch(images, n, samples)
 
@@ -255,19 +211,21 @@ def moment_experiment(
     if len(bad):
         raise RuntimeError(f"fixed-point/cycle-count identity violated at k={bad[0] + 1}")
 
-    flat = f.reshape(samples, -1).astype(float)
-    mean = flat.mean(axis=0)
-    centered = flat - mean
-    cov = centered.T @ centered / (samples - 1)
-    mean_se = flat.std(axis=0, ddof=1) / math.sqrt(samples)
-    # SE of a covariance entry: sqrt((E[x^2 y^2] - cov^2) / samples)
-    sq = centered**2
-    second = sq.T @ sq / samples
-    cov_se = np.sqrt(np.maximum(second - cov**2, 0.0) / samples)
-
+    # one float copy of the counts at a time, centered and squared in place
     cyc = cycles.reshape(samples, -1).astype(float)
+    del cycles
     cycle_mean = cyc.mean(axis=0)
     cycle_se = cyc.std(axis=0, ddof=1) / math.sqrt(samples)
+    flat = f.reshape(samples, -1).astype(float)
+    del f, cyc
+    mean = flat.mean(axis=0)
+    mean_se = flat.std(axis=0, ddof=1) / math.sqrt(samples)
+    centered = np.subtract(flat, mean, out=flat)
+    cov = centered.T @ centered / (samples - 1)
+    # SE of a covariance entry: sqrt((E[x^2 y^2] - cov^2) / samples)
+    sq = np.square(centered, out=centered)
+    second = sq.T @ sq / samples
+    cov_se = np.sqrt(np.maximum(second - cov**2, 0.0) / samples)
 
     f_target = np.tile(divisors.sum(axis=0), nc).astype(float)
     cov_target = np.kron(np.eye(nc), _gcd_weight_matrix(kmax))
@@ -276,63 +234,28 @@ def moment_experiment(
     mean_pass = np.abs(mean - f_target) <= 3.0 * mean_se
     cov_pass = np.abs(cov - cov_target) <= 3.0 * cov_se
     shape = (nc, kmax)
-    return CoverStatistics(
-        n=n,
-        samples=samples,
-        kmax=kmax,
-        f_mean=mean.reshape(shape),
-        f_mean_se=mean_se.reshape(shape),
-        f_mean_target=f_target.reshape(shape),
-        cov=cov,
-        cov_se=cov_se,
-        cov_target=cov_target,
-        cycle_mean=cycle_mean.reshape(shape),
-        cycle_mean_se=cycle_se.reshape(shape),
-        cycle_mean_target=cycle_target.reshape(shape),
-        mean_pass=mean_pass.reshape(shape),
-        cov_pass=cov_pass,
-    )
+    return {
+        "model": "free",
+        "n": n,
+        "samples": samples,
+        "kmax": kmax,
+        "fMean": mean.reshape(shape).tolist(),
+        "fMeanSE": mean_se.reshape(shape).tolist(),
+        "fMeanTarget": f_target.reshape(shape).tolist(),
+        "cov": cov.tolist(),
+        "covSE": cov_se.tolist(),
+        "covTarget": cov_target.tolist(),
+        "cycleMean": cycle_mean.reshape(shape).tolist(),
+        "cycleMeanSE": cycle_se.reshape(shape).tolist(),
+        "cycleMeanTarget": cycle_target.reshape(shape).tolist(),
+        "meanPass": mean_pass.reshape(shape).tolist(),
+        "covPass": cov_pass.tolist(),
+        "passed": bool(mean_pass.all() and cov_pass.all()),
+    }
 
 
 # ---------------------------------------------------------------------------
 # empirical ensemble variance
-
-
-@dataclass(frozen=True)
-class CoverVarianceReport:
-    estimate: float
-    se: float
-    ci_low: float
-    ci_high: float
-    sigma2_limit: float
-    n: int
-    samples: int
-    lam: float
-    L: float
-    centering: str
-    window_kind: str
-    char_id: str
-
-    @property
-    def agrees(self) -> bool:
-        return abs(self.estimate - self.sigma2_limit) <= 3.0 * self.se
-
-    def as_dict(self) -> dict:
-        return {
-            "model": "free",
-            "estimate": self.estimate,
-            "bootstrapSE": self.se,
-            "ci95": [self.ci_low, self.ci_high],
-            "sigma2Limit": self.sigma2_limit,
-            "agrees": self.agrees,
-            "n": self.n,
-            "samples": self.samples,
-            "lambda": self.lam,
-            "L": self.L,
-            "centering": self.centering,
-            "window": self.window_kind,
-            "character": self.char_id,
-        }
 
 
 def _require_free(spectrum: LengthSpectrum) -> int:
@@ -352,7 +275,7 @@ def empirical_cover_variance(
     samples: int,
     seed: int,
     centering: str = "batch",
-) -> CoverVarianceReport:
+) -> dict:
     """Variance of the smoothed count fluctuation over sampled covers.
 
     ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
@@ -360,6 +283,7 @@ def empirical_cover_variance(
     N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k) * A(gamma, k)
     over unoriented primitives.  Batch centering removes the O(1/n) mean
     bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
+    Returns the ``bridge`` mapping of the ``covers`` artifact.
     """
     _require_free(spectrum)
     ev = SigmaEvaluator(spectrum, char, window, L)
@@ -391,17 +315,19 @@ def empirical_cover_variance(
         boots[b] = np.var(vals[idx], ddof=1)
     se = float(boots.std(ddof=1))
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    return CoverVarianceReport(
-        estimate=estimate,
-        se=se,
-        ci_low=float(lo),
-        ci_high=float(hi),
-        sigma2_limit=ev.report(lam).sigma2,
-        n=n,
-        samples=samples,
-        lam=lam,
-        L=L,
-        centering=centering,
-        window_kind=window.kind,
-        char_id=ev.char_id,
-    )
+    limit = ev.report(lam).sigma2
+    return {
+        "model": "free",
+        "estimate": estimate,
+        "bootstrapSE": se,
+        "ci95": [float(lo), float(hi)],
+        "sigma2Limit": limit,
+        "agrees": abs(estimate - limit) <= 3.0 * se,
+        "n": n,
+        "samples": samples,
+        "lambda": lam,
+        "L": L,
+        "centering": centering,
+        "window": window.kind,
+        "character": ev.char_id,
+    }

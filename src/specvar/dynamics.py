@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import FluxCharacter, phases_on_lattice
-from .fuchsian import LengthSpectrum, unoriented_rows
+from .fuchsian import LengthSpectrum
 from .rng import stream
 from .variance import (
     SigmaEvaluator,
@@ -344,7 +344,7 @@ def empirical_transition(
     ``variance`` defaults to variance_estimator at the deepest certified
     window (T = certified - 1, eps = 1).
     """
-    _require_certified(spectrum, L)
+    trivial = SigmaEvaluator(spectrum, None, w, L)
     s = np.asarray(s_grid, dtype=float)
     flux = _flux_array(flux_vector, spectrum.group.rank)
     if variance is None:
@@ -352,11 +352,9 @@ def empirical_transition(
             spectrum, flux, spectrum.certified_l_max - 1.0, 1.0
         )
 
-    prims = unoriented_rows(spectrum)
-    prims = prims[spectrum.primitive_length[prims] <= L]
-    ells = spectrum.primitive_length[prims]
-    theta = _flux_pairing(spectrum, prims, flux)
-    base = ells**2 * np.asarray(w.psi_hat(ells / L)) ** 2 * np.exp(-spectrum.log_det[prims])
+    # l^2 psi_hat^2(l/L) / |I - P| is (weight / 2)^2 of the trivial k = 1 coefficient
+    theta = _flux_pairing(spectrum, trivial.rows, flux)
+    base = (0.5 * trivial.weights[0]) ** 2
     alpha = s / math.sqrt(L)
     gue = sigma2_gue(w)
     empirical = np.array(
@@ -370,7 +368,7 @@ def empirical_transition(
     if with_average:
         for i, a in enumerate(alpha):
             chi = None if a == 0.0 else FluxCharacter(flux=tuple(flux.tolist()), scale=a)
-            ev = SigmaEvaluator(spectrum, chi, w, L)
+            ev = trivial if chi is None else SigmaEvaluator(spectrum, chi, w, L)
             averaged[i] = energy_average(ev.sigma2, lam, delta, L)
 
     curve = transition_curve(w, variance, s)

@@ -12,13 +12,14 @@ whose cumulants are exact finite sums: kappa_m = sum c^m / d.  That makes
 the surrogate both a sampler (CLT, ergodicity experiments) and an oracle:
 kappa_2 must reproduce the limiting variance, which the surrogate reads
 from the same ``SigmaEvaluator`` its pair coefficients come from, so one
-run builds one coefficient table.
+run builds one coefficient table.  ``exact_cumulants``, ``clt_test`` and
+``ergodicity_experiment`` return their artifact mapping, JSON-ready, with
+the keys of docs/artifact-schemas.md.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -162,128 +163,53 @@ class PoissonSurrogate:
 # exact cumulants
 
 
-@dataclass(frozen=True)
-class CumulantReport:
-    """kappa_m for m = 2..mmax, with the coarse bounds sum |c|^m / d.
-
-    kappa_2 must reproduce the limiting variance: the double sum over
-    (k1, k2) with V(gcd) weights regroups exactly into sum_d d S_d^2.
-    """
-
-    mmax: int
-    kappa: np.ndarray
-    bounds: np.ndarray
-    sigma2_ref: float
-    lam: float
-    L: float
-    window_kind: str
-    char_id: str
-
-    @property
-    def kappa2_rel_err(self) -> float:
-        scale = max(abs(self.sigma2_ref), 1e-300)
-        return float(abs(self.kappa[0] - self.sigma2_ref) / scale)
-
-    @property
-    def kappa2_matches(self) -> bool:
-        return bool(self.kappa2_rel_err <= 1e-9)
-
-    def as_dict(self) -> dict:
-        return {
-            "mmax": self.mmax,
-            "kappa": self.kappa.tolist(),
-            "bounds": self.bounds.tolist(),
-            "sigma2Ref": self.sigma2_ref,
-            "kappa2RelErr": self.kappa2_rel_err,
-            "kappa2Matches": self.kappa2_matches,
-            "lambda": self.lam,
-            "L": self.L,
-            "window": self.window_kind,
-            "character": self.char_id,
-        }
-
-
-def exact_cumulants(surrogate: PoissonSurrogate, mmax: int = 4) -> CumulantReport:
-    """kappa_m = sum_pairs c^m / d for m = 2..mmax, exactly.
+def exact_cumulants(surrogate: PoissonSurrogate, mmax: int = 4) -> dict:
+    """kappa_m = sum_pairs c^m / d for m = 2..mmax, exactly, as the
+    ``cumulants`` mapping of the ``poisson`` artifact.
 
     Every cumulant of Poisson(mu) equals mu and cumulants add over
     independent summands, so the full cumulant is a finite sum cut off by
-    the window support.
+    the window support.  ``bounds`` holds the coarse bounds sum |c|^m / d.
+    kappa_2 must reproduce the limiting variance: the double sum over
+    (k1, k2) with V(gcd) weights regroups exactly into sum_d d S_d^2.
     """
     if mmax < 2:
         raise ValueError("mmax must be >= 2")
     ms = np.arange(2, mmax + 1)
     c, d = surrogate.pair_c, surrogate.pair_d
-    kappa = np.array([float(np.sum(c**m / d)) for m in ms])
-    bounds = np.array([float(np.sum(np.abs(c) ** m / d)) for m in ms])
-    return CumulantReport(
-        mmax=mmax,
-        kappa=kappa,
-        bounds=bounds,
-        sigma2_ref=surrogate.sigma.report(surrogate.lam).sigma2,
-        lam=surrogate.lam,
-        L=surrogate.L,
-        window_kind=surrogate.window.kind,
-        char_id=surrogate.sigma.char_id,
-    )
+    kappa = [float(np.sum(c**m / d)) for m in ms]
+    sigma2_ref = surrogate.sigma.report(surrogate.lam).sigma2
+    rel_err = abs(kappa[0] - sigma2_ref) / max(abs(sigma2_ref), 1e-300)
+    return {
+        "mmax": mmax,
+        "kappa": kappa,
+        "bounds": [float(np.sum(np.abs(c) ** m / d)) for m in ms],
+        "sigma2Ref": sigma2_ref,
+        "kappa2RelErr": rel_err,
+        "kappa2Matches": rel_err <= 1e-9,
+        "lambda": surrogate.lam,
+        "L": surrogate.L,
+        "window": surrogate.window.kind,
+        "character": surrogate.sigma.char_id,
+    }
 
 
 # ---------------------------------------------------------------------------
 # central limit test
 
 
-@dataclass(frozen=True)
-class CltReport:
-    draws: int
-    sigma2: float
-    skewness: float
-    skewness_target: float
-    skewness_se: float
-    excess_kurtosis: float
-    kurtosis_target: float
-    kurtosis_se: float
-    ks_stat: float
-    ks_pvalue: float
-    mean: float
-    mean_se: float
-
-    @property
-    def skewness_pass(self) -> bool:
-        return abs(self.skewness - self.skewness_target) <= 3.0 * self.skewness_se
-
-    @property
-    def kurtosis_pass(self) -> bool:
-        return abs(self.excess_kurtosis - self.kurtosis_target) <= 3.0 * self.kurtosis_se
-
-    def as_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "sigma2": self.sigma2,
-            "mean": self.mean,
-            "meanSE": self.mean_se,
-            "skewness": self.skewness,
-            "skewnessTarget": self.skewness_target,
-            "skewnessSE": self.skewness_se,
-            "skewnessPass": self.skewness_pass,
-            "excessKurtosis": self.excess_kurtosis,
-            "kurtosisTarget": self.kurtosis_target,
-            "kurtosisSE": self.kurtosis_se,
-            "kurtosisPass": self.kurtosis_pass,
-            "ksStat": self.ks_stat,
-            "ksPvalue": self.ks_pvalue,
-        }
-
-
-def clt_test(surrogate: PoissonSurrogate, draws: int) -> CltReport:
+def clt_test(surrogate: PoissonSurrogate, draws: int) -> dict:
     """Standardize N_tilde by the exact sigma and test near-normality.
 
     Requires sigma2 >= 10/L^2: below that margin the limit theorem gives
-    no guarantee and a single Poisson summand can dominate.
+    no guarantee and a single Poisson summand can dominate.  Returns the
+    ``clt`` mapping of the ``poisson`` artifact; the pass flags apply a
+    3-standard-error band around the exact shape targets.
     """
     if draws < 8:
         raise ValueError("need at least 8 draws")
-    rep = exact_cumulants(surrogate, mmax=4)
-    sigma2 = rep.kappa[0]
+    kappa = exact_cumulants(surrogate, mmax=4)["kappa"]
+    sigma2 = kappa[0]
     if sigma2 < 10.0 / surrogate.L**2:
         raise VarianceTooSmall(
             f"sigma2={sigma2:.3g} < 10/L^2={10.0 / surrogate.L**2:.3g}"
@@ -294,51 +220,33 @@ def clt_test(surrogate: PoissonSurrogate, draws: int) -> CltReport:
     dev = std - std.mean()
     sq = dev * dev
     m2 = sq.mean()
+    skewness = float((sq * dev).mean() / m2**1.5)
+    skewness_target = kappa[1] / sigma2**1.5
+    skewness_se = math.sqrt(6.0 / draws)
+    kurtosis = float((sq * sq).mean() / m2**2.0 - 3.0)
+    kurtosis_target = kappa[2] / sigma2**2
+    kurtosis_se = math.sqrt(24.0 / draws)
     ks_stat, ks_pvalue = ks_normal(std)
-    return CltReport(
-        draws=draws,
-        sigma2=sigma2,
-        skewness=float((sq * dev).mean() / m2**1.5),
-        skewness_target=rep.kappa[1] / sigma2**1.5,
-        skewness_se=math.sqrt(6.0 / draws),
-        excess_kurtosis=float((sq * sq).mean() / m2**2.0 - 3.0),
-        kurtosis_target=rep.kappa[2] / sigma2**2,
-        kurtosis_se=math.sqrt(24.0 / draws),
-        ks_stat=ks_stat,
-        ks_pvalue=ks_pvalue,
-        mean=float(std.mean()),
-        mean_se=float(std.std(ddof=1) / math.sqrt(draws)),
-    )
+    return {
+        "draws": draws,
+        "sigma2": sigma2,
+        "mean": float(std.mean()),
+        "meanSE": float(std.std(ddof=1) / math.sqrt(draws)),
+        "skewness": skewness,
+        "skewnessTarget": skewness_target,
+        "skewnessSE": skewness_se,
+        "skewnessPass": abs(skewness - skewness_target) <= 3.0 * skewness_se,
+        "excessKurtosis": kurtosis,
+        "kurtosisTarget": kurtosis_target,
+        "kurtosisSE": kurtosis_se,
+        "kurtosisPass": abs(kurtosis - kurtosis_target) <= 3.0 * kurtosis_se,
+        "ksStat": ks_stat,
+        "ksPvalue": ks_pvalue,
+    }
 
 
 # ---------------------------------------------------------------------------
 # ergodicity in the energy window
-
-
-@dataclass(frozen=True)
-class ErgodicityReport:
-    fraction: float
-    fraction_se: float
-    draws: int
-    eps: float
-    target: float
-    lam: float
-    span: float
-    energy_points: int
-    mean_average: float
-
-    def as_dict(self) -> dict:
-        return {
-            "violationFraction": self.fraction,
-            "fractionSE": self.fraction_se,
-            "draws": self.draws,
-            "epsilon": self.eps,
-            "target": self.target,
-            "lambda": self.lam,
-            "span": self.span,
-            "energyPoints": self.energy_points,
-            "meanAverage": self.mean_average,
-        }
 
 
 def _energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: int) -> np.ndarray:
@@ -370,7 +278,7 @@ def ergodicity_experiment(
     energy_points: int | None,
     draws: int,
     eps: float,
-) -> ErgodicityReport:
+) -> dict:
     """Fraction of draws whose energy average of N_tilde^2 misses the target by more than eps.
 
     One Z-draw is shared across the whole energy window (the randomness is
@@ -379,6 +287,7 @@ def ergodicity_experiment(
     the character's ``ensemble_target``: a draw violates when
     |average - target| > eps.  The integral is the Simpson rule on the
     resolved grid, evaluated as a quadratic form (``_energy_integrals``).
+    Returns the ``ergodicity`` artifact's mapping.
     """
     L = surrogate.L
     if eps**2 < 10.0 * (1.0 / L + 1.0 / span):
@@ -392,16 +301,15 @@ def ergodicity_experiment(
 
     target = ensemble_target(surrogate.char, surrogate.window)
     averages = _energy_integrals(surrogate, mu, draws) / span
-    viol = np.abs(averages - target) > eps
-    frac = float(viol.mean())
-    return ErgodicityReport(
-        fraction=frac,
-        fraction_se=math.sqrt(max(frac * (1.0 - frac), 1.0 / draws) / draws),
-        draws=draws,
-        eps=eps,
-        target=target,
-        lam=lam,
-        span=span,
-        energy_points=len(mu),
-        mean_average=float(averages.mean()),
-    )
+    frac = float(np.mean(np.abs(averages - target) > eps))
+    return {
+        "violationFraction": frac,
+        "fractionSE": math.sqrt(max(frac * (1.0 - frac), 1.0 / draws) / draws),
+        "draws": draws,
+        "epsilon": eps,
+        "target": target,
+        "lambda": lam,
+        "span": span,
+        "energyPoints": len(mu),
+        "meanAverage": float(averages.mean()),
+    }

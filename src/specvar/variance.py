@@ -177,13 +177,6 @@ class VarianceReport:
     smooth_part: float
     osc_part: float
     nonprimitive_tail: float
-    lam: float
-    L: float
-    kmax: int
-    n_classes: int
-    certified_l_max: float
-    window_kind: str
-    char_id: str
 
 
 class SigmaEvaluator:
@@ -198,9 +191,7 @@ class SigmaEvaluator:
     def __init__(self, spectrum: LengthSpectrum, char, window: Window, L: float):
         _require_certified(spectrum, L)
         self.L = float(L)
-        self.window = window
         self.char_id = character_id(char)
-        self.certified_l_max = spectrum.certified_l_max
         self.rows, self.weights, self.freqs = coefficient_table(
             spectrum, unoriented_rows(spectrum), char, window, L
         )
@@ -227,13 +218,6 @@ class SigmaEvaluator:
             smooth_part=smooth,
             osc_part=osc,
             nonprimitive_tail=scale * (total - primitive),
-            lam=lam,
-            L=self.L,
-            kmax=self.kmax,
-            n_classes=self.n_classes,
-            certified_l_max=self.certified_l_max,
-            window_kind=self.window.kind,
-            char_id=self.char_id,
         )
 
     def sigma2(self, lam: float) -> float:

@@ -25,7 +25,7 @@ from specvar.dynamics import (
     variance_estimator,
 )
 from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
-from specvar.variance import SigmaEvaluator, dirichlet_lambda_search, energy_average, sigma2_limit
+from specvar.variance import SigmaEvaluator, dirichlet_lambda_search, energy_average
 from specvar.windows import sigma2_goe, sigma2_gue, window
 
 SEED = 20260815
@@ -97,10 +97,10 @@ def test_criterion_04_cover_moments():
     # distinct primitives: the two free generators; targets d(k), V(k1,k2), 0
     stats = moment_experiment([(2,), (1,)], _batch_images(2, 300, 20000, 7), 300, 20000, kmax=6)
     checks = {
-        "E[F(g)]": (stats.f_mean[0][0], 1.0, stats.f_mean_se[0][0]),
-        "E[F(g^6)]": (stats.f_mean[0][5], 4.0, stats.f_mean_se[0][5]),
-        "Var[F(g)]": (stats.cov[0, 0], 1.0, stats.cov_se[0, 0]),
-        "Cov[F(g),F(h)]": (stats.cov[0, 6], 0.0, stats.cov_se[0, 6]),
+        "E[F(g)]": (stats["fMean"][0][0], 1.0, stats["fMeanSE"][0][0]),
+        "E[F(g^6)]": (stats["fMean"][0][5], 4.0, stats["fMeanSE"][0][5]),
+        "Var[F(g)]": (stats["cov"][0][0], 1.0, stats["covSE"][0][0]),
+        "Cov[F(g),F(h)]": (stats["cov"][0][6], 0.0, stats["covSE"][0][6]),
     }
     zmax = max(abs(got - want) / se for got, want, se in checks.values())
     exact_err = 0.0
@@ -115,8 +115,9 @@ def test_criterion_04_cover_moments():
 def test_criterion_05_cover_variance_bridge(pants12):
     images = _batch_images(2, 300, 20000, SEED)
     rep = empirical_cover_variance(pants12, None, TRI, 1e4, 8.0, images, 300, 20000, SEED)
-    z = abs(rep.estimate - rep.sigma2_limit) / rep.se
-    _verdict(5, rep.agrees, f"cover variance {rep.estimate:.5f} vs limit {rep.sigma2_limit:.5f}, |z| {z:.2f} <= 3")
+    estimate, limit = rep["estimate"], rep["sigma2Limit"]
+    z = abs(estimate - limit) / rep["bootstrapSE"]
+    _verdict(5, rep["agrees"], f"cover variance {estimate:.5f} vs limit {limit:.5f}, |z| {z:.2f} <= 3")
 
 
 def test_criterion_06_cumulant_decay(octagon12, pants12, p222_12):
@@ -124,14 +125,14 @@ def test_criterion_06_cumulant_decay(octagon12, pants12, p222_12):
     rel = 0.0
     for spectrum, L in ((octagon12, 10.0), (pants12, 8.0), (p222_12, 8.0), (torus5, 4.5)):
         rep = exact_cumulants(PoissonSurrogate(spectrum, None, TRI, 1e4, L, seed=1), mmax=4)
-        rel = max(rel, rep.kappa2_rel_err)
+        rel = max(rel, rep["kappa2RelErr"])
     grid = np.array([6.0, 8.0, 10.0, 12.0])
     k3 = []
     k4 = []
     for L in grid:
         rep = exact_cumulants(PoissonSurrogate(p222_12, None, BUMP, 1e4, float(L), seed=1), mmax=4)
-        k3.append(abs(rep.kappa[1]))
-        k4.append(abs(rep.kappa[2]))
+        k3.append(abs(rep["kappa"][1]))
+        k4.append(abs(rep["kappa"][2]))
     s3 = float(np.polyfit(np.log(grid), np.log(k3), 1)[0])
     s4 = float(np.polyfit(np.log(grid), np.log(k4), 1)[0])
     ok = rel <= 1e-9 and s3 <= -2.7 and s4 <= -3.7
@@ -174,19 +175,21 @@ def test_criterion_09_dirichlet_extremes():
 
 def test_criterion_10_surrogate_clt(octagon12):
     rep = clt_test(PoissonSurrogate(octagon12, None, TRI, 1e4, 10.0, seed=SEED), 100000)
-    ok = rep.sigma2 >= 10.0 / 10.0**2 and rep.ks_stat <= 0.02 and rep.skewness_pass and rep.kurtosis_pass
+    ok = rep["sigma2"] >= 10.0 / 10.0**2 and rep["ksStat"] <= 0.02 and rep["skewnessPass"] and rep["kurtosisPass"]
     _verdict(
         10,
         ok,
-        f"KS {rep.ks_stat:.4f} <= 0.02, skew {rep.skewness:+.4f} ~ {rep.skewness_target:+.4f}, "
-        f"kurt {rep.excess_kurtosis:+.4f} ~ {rep.kurtosis_target:+.4f} within 3 SE",
+        f"KS {rep['ksStat']:.4f} <= 0.02, skew {rep['skewness']:+.4f} ~ {rep['skewnessTarget']:+.4f}, "
+        f"kurt {rep['excessKurtosis']:+.4f} ~ {rep['kurtosisTarget']:+.4f} within 3 SE",
     )
 
 
 def test_criterion_11_ergodic_average(octagon12):
     sur = PoissonSurrogate(octagon12, None, TRI, 1e4, 10.0, seed=17)
     eps = math.sqrt(10.0 * (1.0 / 10.0 + 1.0 / 25.0)) * 1.0001
-    fractions = [ergodicity_experiment(sur, 1e4, span, None, 1000, eps).fraction for span in (25.0, 50.0, 100.0)]
+    fractions = [
+        ergodicity_experiment(sur, 1e4, span, None, 1000, eps)["violationFraction"] for span in (25.0, 50.0, 100.0)
+    ]
     ok = all(f <= 0.1 for f in fractions) and all(a >= b for a, b in zip(fractions, fractions[1:]))
     _verdict(11, ok, f"violation fractions {fractions} <= 0.1 and non-increasing over spans 25/50/100")
 

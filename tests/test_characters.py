@@ -11,7 +11,7 @@ import oracles
 from specvar import characters as C
 from specvar.rng import stream, streams
 from oracles import concat
-from specvar.words import abelianize, free_group, surface_group
+from specvar.words import free_group, surface_group
 
 SG2 = surface_group(2)
 F2 = free_group(2)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +12,12 @@ import pytest
 
 import specvar.fuchsian as F
 from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
+from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
+from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
 from specvar.report import FORMAT_VERSION
+from specvar.windows import window
+
+SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "artifact-schemas.md"
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +47,33 @@ def read_json(path):
 
 # ---------------------------------------------------------------------------
 # artifacts and schemas
+
+
+def _documented_keys(anchor):
+    """Keys of the first key table after ``anchor`` in the artifact schemas."""
+    after = SCHEMAS.read_text(encoding="utf-8").split(anchor, 1)[1]
+    table = next(chunk for chunk in after.split("\n\n") if chunk.startswith("| key"))
+    first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
+    return {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_experiments_return_their_documented_artifact():
+    # the Monte Carlo experiments return the JSON mapping the CLI writes
+    spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
+    tri = window("triangle")
+    images = _batch_images(2, 20, 50, seed=3)
+    sur = PoissonSurrogate(spectrum, None, tri, lam=1e4, L=8.0, seed=3)
+    results = {
+        "`result.moments`": moment_experiment([(1,), (1, -2)], images, 20, 50, kmax=4),
+        "`result.bridge`": empirical_cover_variance(spectrum, None, tri, 1e4, 6.0, images, 20, 50, 3),
+        "`result.cumulants`": exact_cumulants(sur),
+        "`result.clt`": clt_test(sur, 100),
+        "## `ergodicity` JSON result": ergodicity_experiment(sur, 1e4, 25.0, None, 20, eps=50.0),
+    }
+    for anchor, result in results.items():
+        assert type(result) is dict, anchor
+        assert json.loads(json.dumps(result)) == result, anchor
+        assert set(result) == _documented_keys(anchor), anchor
 
 
 def test_spectrum_smoke(tmp_path):
@@ -225,7 +259,12 @@ def test_covers_result_pinned(tmp_path):
 # to sum P0 once instead of halving both orientations and energy averages
 # took the Simpson weights: average and gap moved by at most 9.6e-16
 # relative, poisson sigma2Ref by 1.4e-15 (kappa2RelErr by 6e-16 absolute),
-# transition sigma2_emp and sigma2_avg by at most 4.8e-16
+# transition sigma2_emp and sigma2_avg by at most 4.8e-16.  transition was
+# re-pinned when sigma2_emp began to read its l^2 psi_hat^2 / |I - P| weights
+# from the trivial-character coefficient table: two sigma2_emp leaves moved
+# in the last digit (0.34548696690374137 -> 0.3454869669037413 and
+# 0.20708704442689171 -> 0.20708704442689174, at most 1.6e-16 relative),
+# the other leaves not at all
 ANALYSIS_PINS = {
     "average": (
         ["average", "--L", "8", "--window", "bump", "--lambda", "1e4", "--delta", "2"],
@@ -251,7 +290,7 @@ ANALYSIS_PINS = {
     "transition": (
         ["transition", "--L", "8", "--lambda", "1e4", "--flux", "1,0,0,0"],
         "csv",
-        "62230d7216b1dafa31e79af7389289cc20af7e69ba6f07a99728c2af6ecbfcce",
+        "1f55a953bfa78e1d8eb6da48cad1dbf342e0da6fe50ea1b716f4a3ea82e721ea",
     ),
     "orbit-clt": (
         ["orbit-clt", "--T", "8.5", "--draws", "20000", "--flux", "1,0,0,0", "--seed", "5"],

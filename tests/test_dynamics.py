@@ -20,7 +20,7 @@ from specvar.dynamics import (
     variance_estimator,
 )
 from specvar.variance import SpectrumTooShort
-from specvar.windows import Window, sigma2_goe, sigma2_gue, window
+from specvar.windows import sigma2_goe, sigma2_gue, window
 
 # integral of the unit-amplitude bump over [0, 1]; frozen from two
 # independent quadratures (adaptive and 40-point composite Gauss-Legendre)

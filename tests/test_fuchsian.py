@@ -23,12 +23,10 @@ from specvar import fuchsian as F
 from specvar import words as W
 from specvar.words import (
     canonical_class,
-    free_group,
     invert_word,
     min_rotation,
     primitive_root,
     rotation_period,
-    surface_group,
     word_sort_key,
 )
 

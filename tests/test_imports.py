@@ -1,7 +1,8 @@
-"""Every name a ``specvar`` module imports is used there and none is SciPy;
-importing them loads no ``numpy.random``, parsing the command line loads
-no numpy, no module calls a QR factorisation, only ``rng`` builds a
-Philox, and every top-level def is reachable from the program."""
+"""Every name a ``specvar`` module or test file imports is used there and
+no ``specvar`` module imports SciPy; importing them loads no
+``numpy.random``, parsing the command line loads no numpy, no module calls
+a QR factorisation, only ``rng`` builds a Philox, and every top-level def
+is reachable from the program."""
 
 import ast
 import importlib.util
@@ -13,27 +14,38 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "specvar"
+TESTS = pathlib.Path(__file__).resolve().parent
 TRACER = SRC.parents[1] / "bench" / "tracer.py"
 
 
-def _imported(tree):
+def _imported(tree, lines):
+    """Names the source imports, less those marked ``# noqa: F401``
+    (imports kept for their side effect)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0]
+            names = [(alias, alias.asname or alias.name.split(".")[0]) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name
+            names = [(alias, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        for alias, name in names:
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                yield name
 
 
 def _used(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    unused = sorted(set(_imported(tree)) - _used(tree))
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    unused = sorted(set(_imported(tree, source.splitlines())) - _used(tree))
     assert not unused, f"{path.name} imports unused names {unused}"
 
 

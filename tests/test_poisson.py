@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from oracles import (
 )
 from specvar.characters import FluxCharacter
 from specvar.poisson import (
-    CumulantReport,
     PoissonSurrogate,
     VarianceTooSmall,
     _energy_integrals,
@@ -150,7 +148,7 @@ def test_pairs_match_per_pair_oracle(pants, char, win):
 
 def test_sample_mean_and_variance(pants_sur):
     vals = pants_sur.sample(30000)
-    k = exact_cumulants(pants_sur, 4).kappa
+    k = exact_cumulants(pants_sur, 4)["kappa"]
     assert abs(vals.mean()) <= 3 * vals.std() / math.sqrt(len(vals))
     var_se = math.sqrt((k[2] + 2 * k[0] ** 2) / len(vals))
     assert abs(vals.var(ddof=1) - k[0]) <= 3 * var_se
@@ -190,9 +188,9 @@ def test_sample_deterministic_across_instances(pants):
 def test_kappa2_equals_limiting_variance(pants, char, win):
     sur = PoissonSurrogate(pants, char, win, lam=1e4, L=8.0, seed=1)
     rep = exact_cumulants(sur, mmax=4)
-    assert rep.kappa2_matches, rep.kappa2_rel_err
-    assert rep.kappa2_rel_err <= 1e-9
-    assert rep.sigma2_ref == sigma2_limit(pants, char, win, 1e4, 8.0).sigma2
+    assert rep["kappa2Matches"], rep["kappa2RelErr"]
+    assert rep["kappa2RelErr"] <= 1e-9
+    assert rep["sigma2Ref"] == sigma2_limit(pants, char, win, 1e4, 8.0).sigma2
 
 
 def test_single_class_single_k_cumulants(pants):
@@ -202,18 +200,17 @@ def test_single_class_single_k_cumulants(pants):
     assert sur.n_pairs == 1
     rep = exact_cumulants(sur, mmax=5)
     c = sur.pair_c[0]
-    assert np.allclose(rep.kappa, [c**2, c**3, c**4, c**5], rtol=1e-14)
+    assert np.allclose(rep["kappa"], [c**2, c**3, c**4, c**5], rtol=1e-14)
 
 
 def test_cumulant_bounds_dominate(pants_sur):
     rep = exact_cumulants(pants_sur, mmax=5)
-    assert np.all(np.abs(rep.kappa) <= rep.bounds + 1e-15)
-    assert rep.mmax == 5
-    assert len(rep.kappa) == 4
+    assert np.all(np.abs(rep["kappa"]) <= np.asarray(rep["bounds"]) + 1e-15)
+    assert rep["mmax"] == 5
+    assert len(rep["kappa"]) == 4
     with pytest.raises(ValueError):
         exact_cumulants(pants_sur, mmax=1)
-    d = rep.as_dict()
-    assert d["kappa2Matches"] is True
+    assert rep["kappa2Matches"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +226,11 @@ def test_clt_refuses_small_variance(pants):
 
 def test_clt_moments_match_cumulant_targets(pants_sur):
     rep = clt_test(pants_sur, draws=20000)
-    assert rep.skewness_pass
-    assert rep.kurtosis_pass
-    assert abs(rep.mean) <= 3 * rep.mean_se
-    assert 0.0 <= rep.ks_stat <= 1.0
-    d = rep.as_dict()
-    assert d["draws"] == 20000
+    assert rep["skewnessPass"]
+    assert rep["kurtosisPass"]
+    assert abs(rep["mean"]) <= 3 * rep["meanSE"]
+    assert 0.0 <= rep["ksStat"] <= 1.0
+    assert rep["draws"] == 20000
     with pytest.raises(ValueError):
         clt_test(pants_sur, draws=4)
 
@@ -256,15 +252,15 @@ def test_ergodicity_underresolved(pants_sur):
 
 def test_ergodicity_huge_eps_never_violates(pants_sur):
     rep = ergodicity_experiment(pants_sur, 100.0, 25.0, None, 50, eps=100.0)
-    assert rep.fraction == 0.0
-    assert rep.target == sigma2_goe(window("triangle"))
+    assert rep["violationFraction"] == 0.0
+    assert rep["target"] == sigma2_goe(window("triangle"))
 
 
 def test_ergodicity_gue_target_under_flux(pants):
     chi = FluxCharacter(flux=(math.pi / 2, 0.0))
     sur = PoissonSurrogate(pants, chi, window("triangle"), 1e4, 8.0, seed=5)
     rep = ergodicity_experiment(sur, 1e4, 25.0, None, 50, eps=100.0)
-    assert rep.target == sigma2_gue(window("triangle"))
+    assert rep["target"] == sigma2_gue(window("triangle"))
 
 
 def test_ergodicity_fraction_nonincreasing(octagon12):
@@ -273,7 +269,7 @@ def test_ergodicity_fraction_nonincreasing(octagon12):
     sur = PoissonSurrogate(octagon12, None, window("triangle"), 1e4, 10.0, seed=17)
     eps = math.sqrt(10.0 * (1 / 10.0 + 1 / 25.0)) * 1.0001
     fracs = [
-        ergodicity_experiment(sur, 1e4, span, None, 400, eps).fraction
+        ergodicity_experiment(sur, 1e4, span, None, 400, eps)["violationFraction"]
         for span in (25.0, 50.0, 100.0)
     ]
     assert all(f <= 0.1 for f in fracs)
@@ -291,9 +287,9 @@ def test_energy_integrals_match_dense_oracle(pants, char, win, points):
     np.testing.assert_allclose(_energy_integrals(sur, mu, draws), want, rtol=1e-12, atol=0)
     eps = math.sqrt(10.0 * (1 / sur.L + 1 / span)) * 1.0001
     rep = ergodicity_experiment(sur, 1e4, span, points, draws, eps)
-    assert rep.energy_points == points
-    assert rep.fraction == float(np.mean(np.abs(want / span - rep.target) > eps))
-    assert rep.mean_average == pytest.approx(float(np.mean(want / span)), rel=1e-12)
+    assert rep["energyPoints"] == points
+    assert rep["violationFraction"] == float(np.mean(np.abs(want / span - rep["target"]) > eps))
+    assert rep["meanAverage"] == pytest.approx(float(np.mean(want / span)), rel=1e-12)
 
 
 def test_octagon_tied_frequencies_match_dense_oracle(octagon12):
@@ -317,13 +313,12 @@ def test_ergodicity_memory_independent_of_grid_and_draws(pants_sur):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.energy_points > 8000
+    assert rep["energyPoints"] > 8000
     assert peak < 16 * 2**20, peak
 
 
 def test_ergodicity_report_fields(pants_sur):
     rep = ergodicity_experiment(pants_sur, 500.0, 25.0, None, 20, eps=50.0)
-    d = rep.as_dict()
-    assert d["draws"] == 20
-    assert d["epsilon"] == 50.0
-    assert rep.energy_points >= 9
+    assert rep["draws"] == 20
+    assert rep["epsilon"] == 50.0
+    assert rep["energyPoints"] >= 9

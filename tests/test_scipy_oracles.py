@@ -122,12 +122,12 @@ def test_clt_moments_and_ks_match_scipy():
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
     sur = PoissonSurrogate(spectrum, None, window("triangle"), lam=1e4, L=8.0, seed=3)
     rep = clt_test(sur, 5000)
-    std = sur.sample(5000) / math.sqrt(rep.sigma2)
-    assert rep.skewness == pytest.approx(float(stats.skew(std)), rel=1e-12)
-    assert rep.excess_kurtosis == pytest.approx(float(stats.kurtosis(std)), rel=1e-12)
+    std = sur.sample(5000) / math.sqrt(rep["sigma2"])
+    assert rep["skewness"] == pytest.approx(float(stats.skew(std)), rel=1e-12)
+    assert rep["excessKurtosis"] == pytest.approx(float(stats.kurtosis(std)), rel=1e-12)
     ks = stats.kstest(std, "norm")
-    assert rep.ks_stat == pytest.approx(ks.statistic, rel=1e-12)
-    assert rep.ks_pvalue == pytest.approx(ks.pvalue, rel=1e-9)
+    assert rep["ksStat"] == pytest.approx(ks.statistic, rel=1e-12)
+    assert rep["ksPvalue"] == pytest.approx(ks.pvalue, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

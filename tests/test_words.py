@@ -17,7 +17,6 @@ from oracles import (
 )
 from specvar import fuchsian as F
 from specvar.words import (
-    ConjugacyClass,
     TrivialElementError,
     _letter_key,
     abelianize,
