@@ -421,92 +421,76 @@ def _cmd_sumrule(args) -> int:
     spectrum = _get_spectrum(args, needed=grid[-1])
     char = _parse_character(args, spectrum.group.group)
     w = _get_window(args)
-    reports = [sum_rule_check(spectrum, w, L, char=char) for L in grid]
-    rows = [(r.L, r.value, r.target, r.gap) for r in reports]
-    csv_report(args.out, cfg, ["L", "value", "target", "gap"], rows)
-    last = reports[-1]
-    gaps = [r.gap for r in reports]
+    rows = [sum_rule_check(spectrum, w, L, char=char) for L in grid]
+    csv_report(args.out, cfg, list(rows[0]), [list(r.values()) for r in rows])
+    last = rows[-1]
+    gaps = [r["gap"] for r in rows]
     passed = all(a > b for a, b in zip(gaps, gaps[1:])) if len(gaps) > 1 else True
-    if last.target != 0.0:
-        passed = passed and last.gap <= 0.2 * last.target
-    return _emit(args, passed, f"{args.out}: gap at L={last.L:g} is {last.gap:.6f} (target {last.target:.6f})")
+    if last["target"] != 0.0:
+        passed = passed and last["gap"] <= 0.2 * last["target"]
+    return _emit(
+        args, passed, f"{args.out}: gap at L={last['L']:g} is {last['gap']:.6f} (target {last['target']:.6f})"
+    )
 
 
 def _cmd_orbit_clt(args) -> int:
-    from .dynamics import orbit_clt_experiment, variance_estimator
+    from .dynamics import orbit_clt_experiment
 
     cfg = _resolved_config(args)
     spectrum = _get_spectrum(args, needed=args.T + 1.0)
     flux = args.flux or _unit_flux(spectrum)
-    rep = orbit_clt_experiment(spectrum, flux, args.T, args.draws, args.seed)
-    estimator = variance_estimator(spectrum, flux, args.T, args.epsilon)
-    sweep = [estimator]
-    for T in (args.T - 1.0, args.T + 1.0):
-        if 0.0 < T and T + args.epsilon <= spectrum.certified_l_max:
-            sweep.append(variance_estimator(spectrum, flux, T, args.epsilon))
-    band = 3.0 * rep.variance_se + 0.5 * (max(sweep) - min(sweep))
+    row = orbit_clt_experiment(spectrum, flux, args.T, args.draws, args.seed, args.epsilon)
     passed = (
-        abs(rep.skewness) <= 0.15
-        and abs(rep.excess_kurtosis) <= 0.3
-        and abs(rep.variance - estimator) <= band
+        abs(row["skewness"]) <= 0.15
+        and abs(row["excess_kurtosis"]) <= 0.3
+        and abs(row["variance"] - row["estimator"]) <= row["joint_band"]
     )
-    header = [
-        "T", "draws", "mean", "mean_se", "variance", "variance_se",
-        "skewness", "excess_kurtosis", "exact_mean", "exact_variance",
-        "n_classes", "estimator", "joint_band",
-    ]
-    row = (
-        rep.T, rep.draws, rep.mean, rep.mean_se, rep.variance, rep.variance_se,
-        rep.skewness, rep.excess_kurtosis, rep.exact_mean, rep.exact_variance,
-        rep.n_classes, estimator, band,
-    )
-    csv_report(args.out, cfg, header, [row])
+    csv_report(args.out, cfg, list(row), [list(row.values())])
     return _emit(
         args,
         passed,
-        f"{args.out}: var={rep.variance:.4f} est={estimator:.4f} "
-        f"skew={rep.skewness:+.4f} exkurt={rep.excess_kurtosis:+.4f}",
+        f"{args.out}: var={row['variance']:.4f} est={row['estimator']:.4f} "
+        f"skew={row['skewness']:+.4f} exkurt={row['excess_kurtosis']:+.4f}",
     )
 
 
 def _cmd_transition(args) -> int:
-    from .dynamics import empirical_transition
+    from .dynamics import empirical_transition, variance_estimator
+    from .windows import sigma2_goe, sigma2_gue
 
     cfg = _resolved_config(args)
     spectrum = _get_spectrum(args, needed=args.L)
     flux = args.flux or _unit_flux(spectrum)
     _warn_scale(args.lam, args.L)
-    cmp_ = empirical_transition(
+    w = _get_window(args)
+    variance = args.variance
+    if variance is None:
+        # the deepest window the spectrum certifies
+        variance = variance_estimator(spectrum, flux, spectrum.certified_l_max - 1.0, 1.0)
+    table = empirical_transition(
         spectrum,
         flux,
         args.s_grid,
         lam=args.lam,
         L=args.L,
         delta=args.delta,
-        w=_get_window(args),
-        variance=args.variance,
+        w=w,
+        variance=variance,
         with_average=not args.no_average,
     )
-    rows = [
-        (float(s), float(a), float(p), float(e), float(v))
-        for s, a, p, e, v in zip(
-            cmp_.s, cmp_.alpha, cmp_.predicted, cmp_.empirical, cmp_.averaged
-        )
-    ]
-    csv_report(
-        args.out, cfg, ["s", "alpha", "sigma2_pred", "sigma2_emp", "sigma2_avg"], rows
-    )
-    band = 0.1 * cmp_.goe
-    emp = cmp_.empirical
+    csv_report(args.out, cfg, list(table), zip(*table.values()))
+    goe, gue = sigma2_goe(w), sigma2_gue(w)
+    band = 0.1 * goe
+    emp = table["sigma2_emp"]
     passed = (
         all(b <= a + band for a, b in zip(emp, emp[1:]))
-        and all(cmp_.gue - band <= e <= cmp_.goe + band for e in emp)
+        and all(gue - band <= e <= goe + band for e in emp)
     )
     return _emit(
         args,
         passed,
-        f"{args.out}: {len(rows)} grid points, Var={cmp_.variance:.4f}, "
-        f"range [{emp.min():.4f}, {emp.max():.4f}]",
+        f"{args.out}: {len(emp)} grid points, Var={variance:.4f}, "
+        f"range [{min(emp):.4f}, {max(emp):.4f}]",
     )
 
 

@@ -171,6 +171,23 @@ def _cycle_scan(word_img: np.ndarray, dmax: int) -> np.ndarray:
 # moment experiment
 
 
+def _class_counts(records: list[Word], images: np.ndarray, kmax: int):
+    """F(gamma^k) and C(gamma, d) for k, d = 1..kmax, each (samples, classes, kmax).
+
+    The block loop lives here so its last block and word image are freed
+    on return, before the caller's statistics allocate.
+    """
+    shape = (images.shape[1], len(records), kmax)
+    f = np.empty(shape, dtype=np.int64)
+    cycles = np.empty(shape, dtype=np.int64)
+    for rows, block in _sample_blocks(images):
+        for i, w in enumerate(records):
+            img = _word_images(block, w)
+            f[rows, i, :] = _power_fixed_counts(img, kmax)
+            cycles[rows, i, :] = _cycle_scan(img, kmax)
+    return f, cycles
+
+
 def moment_experiment(
     records: list[Word],
     images: np.ndarray,
@@ -197,13 +214,7 @@ def moment_experiment(
     _check_batch(images, n, samples)
 
     nc = len(records)
-    f = np.empty((samples, nc, kmax), dtype=np.int64)
-    cycles = np.empty((samples, nc, kmax), dtype=np.int64)
-    for rows, block in _sample_blocks(images):
-        for i, w in enumerate(records):
-            img = _word_images(block, w)
-            f[rows, i, :] = _power_fixed_counts(img, kmax)
-            cycles[rows, i, :] = _cycle_scan(img, kmax)
+    f, cycles = _class_counts(records, images, kmax)
     # hard consistency: the divisor identity must hold on every sample
     divisors = _divisor_table(kmax)
     weighted = np.arange(1, kmax + 1)[:, None] * divisors  # entry [d-1, k-1] = d if d | k

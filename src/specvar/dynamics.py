@@ -7,14 +7,15 @@ The orbit ensemble puts the same weights, localized near length T,
 behind a sampler for the homology pairing X_T, whose Gaussian limit has
 variance Var(a) measurable from the spectrum itself.
 That variance finally drives the interpolation between the GOE and GUE
-constants as the flux strength s grows.
+constants as the flux strength s grows.  Each experiment returns the rows
+of its CSV artifact (``sumrule``, ``orbit-clt``, ``transition``) as a
+mapping of plain Python numbers keyed by column.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,10 +28,9 @@ from .variance import (
     _flux_pairing,
     _pair_values_bulk,
     _require_certified,
-    character_id,
     energy_average,
 )
-from .windows import _TOLERANCE, Window, _unit_integral, sigma2_goe, sigma2_gue
+from .windows import _TOLERANCE, Window, _unit_integral, sigma2_gue
 
 
 class NonCompactPreset(UserWarning):
@@ -74,16 +74,6 @@ def _equidistribution_weight(spectrum: LengthSpectrum, rows) -> np.ndarray:
 # sum rules
 
 
-@dataclass(frozen=True)
-class SumRuleReport:
-    value: float
-    target: float
-    gap: float
-    L: float
-    char_id: str
-    window_kind: str
-
-
 def _warn_if_not_cocompact(spectrum: LengthSpectrum) -> None:
     if not spectrum.group.cocompact:
         warnings.warn(
@@ -94,15 +84,14 @@ def _warn_if_not_cocompact(spectrum: LengthSpectrum) -> None:
         )
 
 
-def sum_rule_check(
-    spectrum: LengthSpectrum, phi: Window, L: float, char=None
-) -> SumRuleReport:
+def sum_rule_check(spectrum: LengthSpectrum, phi: Window, L: float, char=None) -> dict:
     """(1/L) sum of Re chi(gamma) l_sharp phi(l/L) / |I - P| vs its limit.
 
     The limit is the integral of phi over [0, inf) when chi is trivial and
     0 otherwise: nontrivial characters kill the leading equidistribution
     term.  All classes enter, powers included (their |I - P| weight makes
-    them negligible but they belong to the sum).
+    them negligible but they belong to the sum).  Returns the row of the
+    ``sumrule`` table at this cutoff.
     """
     _require_certified(spectrum, L)
     _warn_if_not_cocompact(spectrum)
@@ -111,16 +100,9 @@ def sum_rule_check(
     weight = _equidistribution_weight(spectrum, rows)
     re_chi = 0.5 * _pair_values_bulk(char, spectrum, rows, 1)[0]
     total = float(np.sum(re_chi * weight * phi.psi_hat(spectrum.length / L)))
-    target = d_trivial * phi.amplitude * _half_mass(phi.kind)
+    target = float(d_trivial * phi.amplitude * _half_mass(phi.kind))
     value = total / L
-    return SumRuleReport(
-        value=value,
-        target=target,
-        gap=abs(value - target),
-        L=L,
-        char_id=character_id(char),
-        window_kind=phi.kind,
-    )
+    return {"L": float(L), "value": value, "target": target, "gap": abs(value - target)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +158,25 @@ class OrbitEnsemble:
         return np.where(u < self._prob[idx], idx, self._alias[idx])
 
 
-@dataclass(frozen=True)
-class OrbitCltReport:
-    draws: int
-    T: float
-    mean: float
-    mean_se: float
-    variance: float
-    variance_se: float
-    skewness: float
-    excess_kurtosis: float
-    exact_mean: float
-    exact_variance: float
-    n_classes: int
-    flux: tuple[float, ...]
-
-
 def orbit_clt_experiment(
     spectrum: LengthSpectrum,
     flux_vector,
     T: float,
     draws: int,
     seed: int,
-) -> OrbitCltReport:
+    eps: float = 1.0,
+) -> dict:
     """Sample X_T = <flux, homology>/sqrt(T) from the orbit ensemble.
 
     The exact ensemble moments (weighted sums over the finite class list)
     come along for free and separate Monte Carlo noise from the window
-    bias when comparing against variance_estimator.
+    bias when comparing against variance_estimator, which is read on
+    [T, T + eps] and, where the spectrum certifies them, at T - 1 and
+    T + 1: ``joint_band`` is 3 variance SE plus half the spread of that
+    sweep.  Returns the row of the ``orbit-clt`` table.
     """
+    if draws < 2:
+        raise ValueError(f"draws must be >= 2 for a sample variance, got {draws}")
     ens = OrbitEnsemble(spectrum, T)
     flux = _flux_array(flux_vector, spectrum.group.rank)
     x_class = _flux_pairing(spectrum, ens.rows, flux) / math.sqrt(T)
@@ -217,22 +189,29 @@ def orbit_clt_experiment(
     m2 = var * (draws - 1) / draws
     m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
+    variance_se = math.sqrt(max(m4 - m2**2, 0.0) / draws)
     exact_mean = float(np.dot(ens.probs, x_class))
-    exact_var = float(np.dot(ens.probs, (x_class - exact_mean) ** 2))
-    return OrbitCltReport(
-        draws=draws,
-        T=ens.T,
-        mean=mean,
-        mean_se=math.sqrt(var / draws),
-        variance=var,
-        variance_se=math.sqrt(max(m4 - m2**2, 0.0) / draws),
-        skewness=m3 / m2**1.5 if m2 > 0 else 0.0,
-        excess_kurtosis=m4 / m2**2 - 3.0 if m2 > 0 else 0.0,
-        exact_mean=exact_mean,
-        exact_variance=exact_var,
-        n_classes=len(ens.rows),
-        flux=tuple(flux.tolist()),
-    )
+
+    estimator = variance_estimator(spectrum, flux, T, eps)
+    sweep = [estimator]
+    for t in (T - 1.0, T + 1.0):
+        if 0.0 < t and t + eps <= spectrum.certified_l_max:
+            sweep.append(variance_estimator(spectrum, flux, t, eps))
+    return {
+        "T": ens.T,
+        "draws": draws,
+        "mean": mean,
+        "mean_se": math.sqrt(var / draws),
+        "variance": var,
+        "variance_se": variance_se,
+        "skewness": m3 / m2**1.5 if m2 > 0 else 0.0,
+        "excess_kurtosis": m4 / m2**2 - 3.0 if m2 > 0 else 0.0,
+        "exact_mean": exact_mean,
+        "exact_variance": float(np.dot(ens.probs, (x_class - exact_mean) ** 2)),
+        "n_classes": len(ens.rows),
+        "estimator": estimator,
+        "joint_band": 3.0 * variance_se + 0.5 * (max(sweep) - min(sweep)),
+    }
 
 
 def variance_estimator(
@@ -261,22 +240,11 @@ def variance_estimator(
 # the GOE -> GUE transition
 
 
-@dataclass(frozen=True)
-class TransitionCurve:
-    variance: float
-    s: np.ndarray
-    sigma2: np.ndarray
-    damping: np.ndarray
-    goe: float
-    gue: float
-    window_kind: str
-
-
-def transition_curve(w: Window, variance: float, s_grid) -> TransitionCurve:
+def transition_curve(w: Window, variance: float, s_grid) -> np.ndarray:
     """Sigma^2(s) = 2 * integral (1 + e^{-2 variance s^2 t}) t psi_hat^2 dt.
 
-    Equals the GOE constant at s = 0 and decreases to the GUE constant;
-    the damping exponent 2 variance s^2 per unit t is reported alongside.
+    Equals the GOE constant at s = 0 and decreases to the GUE constant
+    as the damping exponent 2 variance s^2 per unit t grows.
     """
     if variance < 0:
         raise ValueError("variance must be nonnegative")
@@ -293,32 +261,7 @@ def transition_curve(w: Window, variance: float, s_grid) -> TransitionCurve:
             _TOLERANCE,
         )
         vals[i] = gue + 2.0 * value
-    return TransitionCurve(
-        variance=float(variance),
-        s=s,
-        sigma2=vals,
-        damping=2.0 * variance * s**2,
-        goe=sigma2_goe(w),
-        gue=gue,
-        window_kind=w.kind,
-    )
-
-
-@dataclass(frozen=True)
-class TransitionComparison:
-    s: np.ndarray
-    alpha: np.ndarray
-    predicted: np.ndarray
-    empirical: np.ndarray
-    averaged: np.ndarray
-    variance: float
-    goe: float
-    gue: float
-    lam: float
-    L: float
-    delta: float
-    window_kind: str
-    flux: tuple[float, ...]
+    return vals
 
 
 def empirical_transition(
@@ -329,40 +272,32 @@ def empirical_transition(
     L: float,
     delta: float,
     w: Window,
-    variance: float | None = None,
+    variance: float,
     with_average: bool = True,
-) -> TransitionComparison:
+) -> dict:
     """Desk-scale transition: geodesic sums against the predicted curve.
 
     For each s the flux phase is alpha = s/sqrt(L) and the empirical value
     is Sigma^2_GUE + (4/L^2) sum over P0 of cos(2 alpha <flux, h>)
     * l^2 psi_hat^2(l/L) / |I - P| -- the squared character, phase 2 alpha,
-    not alpha.  ``averaged`` holds the direct energy average of the full
+    not alpha.  ``sigma2_avg`` holds the direct energy average of the full
     variance profile at character scale alpha over [lam, lam + delta],
-    which the displayed sum approximates to O(1/L^2).
-
-    ``variance`` defaults to variance_estimator at the deepest certified
-    window (T = certified - 1, eps = 1).
+    which the displayed sum approximates to O(1/L^2) (nan without
+    ``with_average``); ``sigma2_pred`` is ``transition_curve`` at
+    ``variance``.  Returns the ``transition`` table as one list per column.
     """
     trivial = SigmaEvaluator(spectrum, None, w, L)
     s = np.asarray(s_grid, dtype=float)
     flux = _flux_array(flux_vector, spectrum.group.rank)
-    if variance is None:
-        variance = variance_estimator(
-            spectrum, flux, spectrum.certified_l_max - 1.0, 1.0
-        )
 
     # l^2 psi_hat^2(l/L) / |I - P| is (weight / 2)^2 of the trivial k = 1 coefficient
     theta = _flux_pairing(spectrum, trivial.rows, flux)
     base = (0.5 * trivial.weights[0]) ** 2
     alpha = s / math.sqrt(L)
     gue = sigma2_gue(w)
-    empirical = np.array(
-        [
-            gue + 4.0 / L**2 * float(np.dot(np.cos(2.0 * a * theta), base))
-            for a in alpha
-        ]
-    )
+    empirical = [
+        gue + 4.0 / L**2 * float(np.dot(np.cos(2.0 * a * theta), base)) for a in alpha
+    ]
 
     averaged = np.full(len(s), np.nan)
     if with_average:
@@ -371,19 +306,10 @@ def empirical_transition(
             ev = trivial if chi is None else SigmaEvaluator(spectrum, chi, w, L)
             averaged[i] = energy_average(ev.sigma2, lam, delta, L)
 
-    curve = transition_curve(w, variance, s)
-    return TransitionComparison(
-        s=s,
-        alpha=alpha,
-        predicted=curve.sigma2,
-        empirical=empirical,
-        averaged=averaged,
-        variance=float(variance),
-        goe=curve.goe,
-        gue=gue,
-        lam=lam,
-        L=L,
-        delta=delta,
-        window_kind=w.kind,
-        flux=tuple(flux.tolist()),
-    )
+    return {
+        "s": s.tolist(),
+        "alpha": alpha.tolist(),
+        "sigma2_pred": transition_curve(w, variance, s).tolist(),
+        "sigma2_emp": empirical,
+        "sigma2_avg": averaged.tolist(),
+    }

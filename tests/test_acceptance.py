@@ -198,7 +198,7 @@ def test_criterion_12_sum_rule_and_cluster(octagon12):
     rels = []
     for L in (8.0, 9.5, 11.0):
         rep = sum_rule_check(octagon12, BUMP, L)
-        rels.append(rep.gap / rep.target)
+        rels.append(rep["gap"] / rep["target"])
     cluster = cluster_sum(octagon12, unit_mass_bump(), 9.0)
     ratio = cluster.value / cluster.mass
     ok = rels[0] > rels[1] > rels[2] and rels[2] <= 0.20 and abs(ratio - 1.0) <= 0.25
@@ -208,13 +208,14 @@ def test_criterion_12_sum_rule_and_cluster(octagon12):
 def test_criterion_13_magnetic_transition(octagon12):
     goe, gue = sigma2_goe(TRI), sigma2_gue(TRI)
     curve = transition_curve(TRI, 0.2, [0.0, 50.0])
-    endpoints = curve.sigma2[0] == goe and abs(curve.sigma2[-1] - gue) <= 1e-5
-    cmp = empirical_transition(octagon12, FLUX1, [0.0, 0.5, 1.0, 2.0, 4.0], 1e4, 10.0, 2.0, TRI)
+    endpoints = curve[0] == goe and abs(curve[-1] - gue) <= 1e-5
+    variance = variance_estimator(octagon12, FLUX1, octagon12.certified_l_max - 1.0)
+    cmp = empirical_transition(octagon12, FLUX1, [0.0, 0.5, 1.0, 2.0, 4.0], 1e4, 10.0, 2.0, TRI, variance)
     band = 0.1 * goe
-    emp = cmp.empirical
+    emp = np.asarray(cmp["sigma2_emp"])
     monotone = all(emp[i + 1] <= emp[i] + band for i in range(len(emp) - 1))
     bracket = all(gue - band <= e <= goe + band for e in emp)
-    tracks = float(np.max(np.abs(emp - cmp.predicted))) <= band
+    tracks = float(np.max(np.abs(emp - cmp["sigma2_pred"]))) <= band
     ok = endpoints and monotone and bracket and tracks
     _verdict(
         13,
@@ -227,12 +228,12 @@ def test_criterion_13_magnetic_transition(octagon12):
 def test_criterion_14_orbit_clt(octagon12):
     rep = orbit_clt_experiment(octagon12, FLUX1, 9.0, 100000, SEED)
     ests = [variance_estimator(octagon12, FLUX1, T) for T in (8.0, 9.0, 10.0)]
-    band = 3.0 * rep.variance_se + 0.5 * (max(ests) - min(ests))
-    gap = abs(rep.variance - ests[1])
-    ok = abs(rep.skewness) <= 0.15 and abs(rep.excess_kurtosis) <= 0.3 and gap <= band
+    band = 3.0 * rep["variance_se"] + 0.5 * (max(ests) - min(ests))
+    gap = abs(rep["variance"] - ests[1])
+    ok = abs(rep["skewness"]) <= 0.15 and abs(rep["excess_kurtosis"]) <= 0.3 and gap <= band
     _verdict(
         14,
         ok,
-        f"skew {rep.skewness:+.4f} <= 0.15, excess kurtosis {rep.excess_kurtosis:+.4f} <= 0.3, "
+        f"skew {rep['skewness']:+.4f} <= 0.15, excess kurtosis {rep['excess_kurtosis']:+.4f} <= 0.3, "
         f"variance gap {gap:.4f} <= {band:.4f}",
     )

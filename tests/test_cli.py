@@ -13,6 +13,7 @@ import pytest
 import specvar.fuchsian as F
 from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
 from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
+from specvar.dynamics import empirical_transition, orbit_clt_experiment, sum_rule_check
 from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
 from specvar.report import FORMAT_VERSION
 from specvar.windows import window
@@ -49,15 +50,19 @@ def read_json(path):
 # artifacts and schemas
 
 
-def _documented_keys(anchor):
-    """Keys of the first key table after ``anchor`` in the artifact schemas."""
+def _documented_keys(anchor, head="| key"):
+    """Keys of the first table under ``anchor`` in the artifact schemas, in order.
+
+    ``head`` is the table's first header cell: ``| key`` for JSON
+    results, ``| column`` for CSV tables.
+    """
     after = SCHEMAS.read_text(encoding="utf-8").split(anchor, 1)[1]
-    table = next(chunk for chunk in after.split("\n\n") if chunk.startswith("| key"))
+    table = next(chunk for chunk in after.split("\n\n") if chunk.startswith(head))
     first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
-    return {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+    return [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
 
 
-def test_experiments_return_their_documented_artifact():
+def test_experiments_return_their_documented_artifact(octagon12):
     # the Monte Carlo experiments return the JSON mapping the CLI writes
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
     tri = window("triangle")
@@ -73,7 +78,24 @@ def test_experiments_return_their_documented_artifact():
     for anchor, result in results.items():
         assert type(result) is dict, anchor
         assert json.loads(json.dumps(result)) == result, anchor
-        assert set(result) == _documented_keys(anchor), anchor
+        assert set(result) == set(_documented_keys(anchor)), anchor
+
+    # the dynamics experiments return the row the CLI writes to its CSV
+    # (the transition table as one list per column), columns in order;
+    # every cell a plain int or float, since numpy scalars print differently
+    flux = (1.0, 0.0, 0.0, 0.0)
+    rows = {
+        "## `sumrule` CSV": sum_rule_check(octagon12, tri, 8.0),
+        "## `orbit-clt` CSV": orbit_clt_experiment(octagon12, flux, 8.5, 200, seed=5),
+        "## `transition` CSV": empirical_transition(
+            octagon12, flux, [0.0, 1.0], 1e4, 8.0, 2.0, tri, variance=0.17, with_average=False
+        ),
+    }
+    for anchor, row in rows.items():
+        assert type(row) is dict, anchor
+        assert list(row) == _documented_keys(anchor, "| column"), anchor
+        cells = [c for v in row.values() for c in (v if type(v) is list else [v])]
+        assert {type(c) for c in cells} <= {int, float}, anchor
 
 
 def test_spectrum_smoke(tmp_path):

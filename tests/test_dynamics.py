@@ -7,6 +7,7 @@ import pytest
 
 import specvar.fuchsian as F
 from specvar.characters import FluxCharacter
+from specvar.cli import EXIT_INVALID, main
 from oracles import cluster_sum, window_mass
 from specvar.dynamics import (
     EmptyEnsemble,
@@ -28,6 +29,8 @@ from specvar.windows import sigma2_goe, sigma2_gue, window
 BUMP_HALF_MASS = 0.6034501612189380
 
 FLUX1 = (1.0, 0.0, 0.0, 0.0)
+TRI = window("triangle")
+GOE, GUE = sigma2_goe(TRI), sigma2_gue(TRI)
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +68,14 @@ def test_mass_scales_with_amplitude():
 
 def test_sum_rule_trivial_target(octagon12):
     rep = sum_rule_check(octagon12, window("bump"), 8.0)
-    assert abs(rep.target - BUMP_HALF_MASS) < 1e-13
-    assert rep.gap == abs(rep.value - rep.target)
-    assert rep.gap <= 0.15 * rep.target
+    assert abs(rep["target"] - BUMP_HALF_MASS) < 1e-13
+    assert rep["gap"] == abs(rep["value"] - rep["target"])
+    assert rep["gap"] <= 0.15 * rep["target"]
 
 
 def test_sum_rule_gap_decreases_in_L(octagon12):
     gaps = [
-        sum_rule_check(octagon12, window("bump"), L).gap for L in (8.0, 9.5, 11.0)
+        sum_rule_check(octagon12, window("bump"), L)["gap"] for L in (8.0, 9.5, 11.0)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -80,18 +83,18 @@ def test_sum_rule_gap_decreases_in_L(octagon12):
 def test_sum_rule_flux_target_zero(octagon12):
     chi = FluxCharacter(flux=FLUX1, scale=math.pi / 2)
     rep = sum_rule_check(octagon12, window("bump"), 8.0, char=chi)
-    assert rep.target == 0.0
-    assert math.isfinite(rep.value)
+    assert rep["target"] == 0.0
+    assert math.isfinite(rep["value"])
     # a flux with every phase in 2*pi*Z is the trivial character in disguise
     wrapped = FluxCharacter(flux=FLUX1, scale=2.0 * math.pi)
-    assert sum_rule_check(octagon12, window("bump"), 8.0, char=wrapped).target > 0.0
+    assert sum_rule_check(octagon12, window("bump"), 8.0, char=wrapped)["target"] > 0.0
 
 
 def test_sum_rule_linear_in_phi(octagon12):
     one = sum_rule_check(octagon12, window("bump"), 8.0)
     two = sum_rule_check(octagon12, window("bump", 2.0), 8.0)
-    assert two.value == 2.0 * one.value
-    assert two.target == 2.0 * one.target
+    assert two["value"] == 2.0 * one["value"]
+    assert two["target"] == 2.0 * one["target"]
 
 
 def test_sum_rule_short_spectrum(octagon12):
@@ -197,31 +200,42 @@ def test_alias_frequencies_chi_square(pants):
 
 def test_orbit_clt_zero_flux(octagon12):
     rep = orbit_clt_experiment(octagon12, (0.0, 0.0, 0.0, 0.0), 9.0, 2000, seed=1)
-    assert rep.mean == 0.0
-    assert rep.variance == 0.0
-    assert rep.skewness == 0.0
-    assert rep.excess_kurtosis == 0.0
-    assert rep.exact_variance == 0.0
+    assert rep["mean"] == 0.0
+    assert rep["variance"] == 0.0
+    assert rep["skewness"] == 0.0
+    assert rep["excess_kurtosis"] == 0.0
+    assert rep["exact_variance"] == 0.0
 
 
 def test_orbit_clt_mean_vanishes(octagon12):
     rep = orbit_clt_experiment(octagon12, FLUX1, 9.0, 20000, seed=7)
     # orientation pairs cancel exactly in the ensemble expectation
-    assert abs(rep.exact_mean) < 1e-12
-    assert abs(rep.mean) <= 3.0 * rep.mean_se
+    assert abs(rep["exact_mean"]) < 1e-12
+    assert abs(rep["mean"]) <= 3.0 * rep["mean_se"]
 
 
 def test_orbit_clt_moments_match_ensemble(octagon12):
     draws = 20000
     rep = orbit_clt_experiment(octagon12, FLUX1, 9.0, draws, seed=7)
-    assert abs(rep.variance - rep.exact_variance) <= 3.0 * rep.variance_se
+    assert abs(rep["variance"] - rep["exact_variance"]) <= 3.0 * rep["variance_se"]
 
     ens = OrbitEnsemble(octagon12, 9.0)
     x = np.array([np.dot(FLUX1, octagon12.records[i].homology) for i in ens.rows]) / 3.0
     m2 = float(ens.probs @ x**2)
     exact_kurt = float(ens.probs @ x**4) / m2**2 - 3.0
-    assert abs(rep.skewness) <= 4.0 * math.sqrt(6.0 / draws)
-    assert abs(rep.excess_kurtosis - exact_kurt) <= 4.0 * math.sqrt(24.0 / draws)
+    assert abs(rep["skewness"]) <= 4.0 * math.sqrt(6.0 / draws)
+    assert abs(rep["excess_kurtosis"] - exact_kurt) <= 4.0 * math.sqrt(24.0 / draws)
+
+
+def test_orbit_clt_refuses_fewer_than_two_draws(octagon12, tmp_path):
+    # one draw has no sample variance: refused, not written as nan
+    with pytest.raises(ValueError, match="draws must be >= 2"):
+        orbit_clt_experiment(octagon12, FLUX1, 9.0, 1, seed=3)
+    out = tmp_path / "clt.csv"
+    argv = ["orbit-clt", "--preset", "octagon_genus2", "--Lmax", "5", "--T", "4",
+            "--draws", "1", "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    assert not out.exists()
 
 
 def test_orbit_clt_refuses_flux_of_wrong_rank(octagon12):
@@ -237,7 +251,7 @@ def test_orbit_clt_accepts_flux_character(octagon12):
     chi = FluxCharacter(flux=FLUX1, scale=0.7)
     a = orbit_clt_experiment(octagon12, chi, 9.0, 1000, seed=3)
     b = orbit_clt_experiment(octagon12, FLUX1, 9.0, 1000, seed=3)
-    assert a.variance == b.variance
+    assert a["variance"] == b["variance"]
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +294,9 @@ def test_estimator_consistent_with_ensemble_variance(octagon12):
     rep = orbit_clt_experiment(octagon12, FLUX1, 9.0, draws, seed=7)
     est = variance_estimator(octagon12, FLUX1, 9.0)
     sweep = [variance_estimator(octagon12, FLUX1, T) for T in (8.0, 9.0, 10.0)]
-    band = 3.0 * rep.variance_se + 0.5 * (max(sweep) - min(sweep))
-    assert abs(rep.variance - est) <= band
+    band = 3.0 * rep["variance_se"] + 0.5 * (max(sweep) - min(sweep))
+    assert abs(rep["variance"] - est) <= band
+    assert (rep["estimator"], rep["joint_band"]) == (est, band)
 
 
 # ---------------------------------------------------------------------------
@@ -292,35 +307,27 @@ def test_estimator_consistent_with_ensemble_variance(octagon12):
 def test_transition_goe_endpoint_exact(kind):
     w = window(kind)
     curve = transition_curve(w, 0.17, [0.0, 1.0])
-    assert curve.sigma2[0] == sigma2_goe(w)
-    assert curve.goe == sigma2_goe(w)
-    assert curve.gue == sigma2_gue(w)
+    assert curve[0] == sigma2_goe(w)
 
 
 def test_transition_zero_variance_constant():
     w = window("triangle")
     curve = transition_curve(w, 0.0, [0.0, 1.0, 5.0])
-    assert (curve.sigma2 == sigma2_goe(w)).all()
+    assert (curve == sigma2_goe(w)).all()
 
 
 def test_transition_large_s_reaches_gue():
     w = window("triangle")
     curve = transition_curve(w, 1.0, [50.0])
-    assert abs(curve.sigma2[0] - sigma2_gue(w)) < 1e-5
+    assert abs(curve[0] - sigma2_gue(w)) < 1e-5
 
 
 def test_transition_monotone_and_bracketed():
     w = window("bump")
     curve = transition_curve(w, 0.17, np.linspace(0.0, 4.0, 9))
-    assert (np.diff(curve.sigma2) <= 1e-12).all()
-    assert (curve.sigma2 >= curve.gue - 1e-12).all()
-    assert (curve.sigma2 <= curve.goe + 1e-12).all()
-
-
-def test_transition_damping_field():
-    curve = transition_curve(window("triangle"), 0.25, [0.0, 2.0])
-    assert curve.damping[0] == 0.0
-    assert curve.damping[1] == 2.0 * 0.25 * 4.0
+    assert (np.diff(curve) <= 1e-12).all()
+    assert (curve >= sigma2_gue(w) - 1e-12).all()
+    assert (curve <= sigma2_goe(w) + 1e-12).all()
 
 
 def test_transition_rejects_negative_variance():
@@ -332,60 +339,66 @@ def test_transition_rejects_negative_variance():
 # empirical transition
 
 
+def _deepest_variance(spectrum):
+    # the CLI's default: the estimator at the deepest certified window
+    return variance_estimator(spectrum, FLUX1, spectrum.certified_l_max - 1.0)
+
+
 @pytest.fixture(scope="module")
 def transition_cmp(octagon12):
-    return empirical_transition(
+    table = empirical_transition(
         octagon12, FLUX1, [0.0, 0.5, 1.0, 2.0, 4.0], lam=1e4, L=10.0, delta=2.0,
-        w=window("triangle"),
+        w=TRI, variance=_deepest_variance(octagon12),
     )
+    return {key: np.asarray(column) for key, column in table.items()}
 
 
 def test_empirical_transition_endpoints(transition_cmp):
     cmp_ = transition_cmp
-    assert cmp_.predicted[0] == cmp_.goe
-    assert abs(cmp_.empirical[0] - cmp_.goe) <= 0.05
-    assert cmp_.empirical[-1] - cmp_.gue <= 0.15 * cmp_.goe
+    assert cmp_["sigma2_pred"][0] == GOE
+    assert abs(cmp_["sigma2_emp"][0] - GOE) <= 0.05
+    assert cmp_["sigma2_emp"][-1] - GUE <= 0.15 * GOE
 
 
 def test_empirical_transition_monotone_within_band(transition_cmp):
-    emp = transition_cmp.empirical
-    band = 0.1 * transition_cmp.goe
+    emp = transition_cmp["sigma2_emp"]
+    band = 0.1 * GOE
     assert (np.diff(emp) <= band).all()
-    assert (emp >= transition_cmp.gue - band).all()
-    assert (emp <= transition_cmp.goe + band).all()
+    assert (emp >= GUE - band).all()
+    assert (emp <= GOE + band).all()
 
 
 def test_empirical_tracks_predicted(transition_cmp):
-    gaps = np.abs(transition_cmp.empirical - transition_cmp.predicted)
-    assert (gaps <= 0.1 * transition_cmp.goe).all()
+    gaps = np.abs(transition_cmp["sigma2_emp"] - transition_cmp["sigma2_pred"])
+    assert (gaps <= 0.1 * GOE).all()
 
 
 def test_energy_average_tracks_displayed_sum(transition_cmp):
     # the direct energy average carries the O(1/L^2) + finite-lambda
     # residual on top of the displayed sum; at L = 10 that is under
     # 0.15 * GOE pointwise
-    gaps = np.abs(transition_cmp.averaged - transition_cmp.empirical)
-    assert np.isfinite(transition_cmp.averaged).all()
-    assert (gaps <= 0.15 * transition_cmp.goe).all()
+    gaps = np.abs(transition_cmp["sigma2_avg"] - transition_cmp["sigma2_emp"])
+    assert np.isfinite(transition_cmp["sigma2_avg"]).all()
+    assert (gaps <= 0.15 * GOE).all()
 
 
 def test_empirical_transition_alpha_scaling(transition_cmp):
-    assert transition_cmp.alpha[0] == 0.0
-    assert abs(transition_cmp.alpha[-1] - 4.0 / math.sqrt(10.0)) < 1e-15
+    assert transition_cmp["alpha"][0] == 0.0
+    assert abs(transition_cmp["alpha"][-1] - 4.0 / math.sqrt(10.0)) < 1e-15
 
 
 def test_empirical_transition_no_average(octagon12):
     cmp_ = empirical_transition(
         octagon12, FLUX1, [0.0, 1.0], lam=1e4, L=10.0, delta=2.0,
-        w=window("triangle"), with_average=False,
+        w=TRI, variance=_deepest_variance(octagon12), with_average=False,
     )
-    assert np.isnan(cmp_.averaged).all()
-    assert np.isfinite(cmp_.empirical).all()
+    assert np.isnan(cmp_["sigma2_avg"]).all()
+    assert np.isfinite(cmp_["sigma2_emp"]).all()
 
 
 def test_empirical_transition_short_spectrum(octagon12):
     with pytest.raises(SpectrumTooShort):
         empirical_transition(
             octagon12, FLUX1, [0.0], lam=1e4, L=12.5, delta=2.0,
-            w=window("triangle"),
+            w=TRI, variance=_deepest_variance(octagon12),
         )

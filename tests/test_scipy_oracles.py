@@ -50,7 +50,7 @@ def test_masses_match_quad(kind):
 def test_sum_rule_target_is_the_half_mass():
     spectrum = F.build_spectrum(F.preset("octagon_genus2"), 6.0)
     w = window("bump", amplitude=2.5)
-    assert sum_rule_check(spectrum, w, 6.0).target == pytest.approx(_quad(w.psi_hat), rel=1e-14)
+    assert sum_rule_check(spectrum, w, 6.0)["target"] == pytest.approx(_quad(w.psi_hat), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -60,7 +60,7 @@ def test_transition_curve_matches_quad(kind, variance):
     # cover [0, 40/rate] only
     w = window(kind)
     curve = transition_curve(w, variance, S_GRID)
-    for s, got in zip(S_GRID, curve.sigma2):
+    for s, got in zip(S_GRID, curve):
         rate = 2.0 * variance * s * s
         # split where the damping has faded, so quad sees the peak
         cut = min(1.0, 50.0 / rate) if rate else 1.0

@@ -63,7 +63,7 @@ def test_vectorised_paths_match_loops(request, case):
     scale = abs(oracles.sum_rule_value(spec, bump, L))
     for char in (None, flux):
         rep = sum_rule_check(spec, bump, L, char)
-        _close(rep.value, oracles.sum_rule_value(spec, bump, L, char), scale)
+        _close(rep["value"], oracles.sum_rule_value(spec, bump, L, char), scale)
 
     omega = unit_mass_bump()
     rep = cluster_sum(spec, omega, T)
