@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import Refused
 from .rng import streams
 from .windows import Window, sigma2_goe, sigma2_gue
 from .words import GroupPreset, Word
@@ -24,7 +25,7 @@ from .words import GroupPreset, Word
 HAAR_TARGETS = {"U1": 2.0, "SU2": 4.0, "UN": 2.0}
 
 
-class UndefinedTarget(ValueError):
+class UndefinedTarget(Refused):
     """The character has no GOE/GUE target: it is a matrix twist."""
 
 
@@ -187,11 +188,11 @@ def haar_sigma_constant(
     not depend on how batches are scheduled.
     """
     if kind not in HAAR_TARGETS:
-        raise ValueError(f"unknown group kind {kind!r}; pick one of {', '.join(HAAR_TARGETS)}")
+        raise Refused(f"unknown group kind {kind!r}; pick one of {', '.join(HAAR_TARGETS)}")
     if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
+        raise Refused("need at least 1e4 samples")
     if kind == "UN" and dim < 1:
-        raise ValueError("U(N) needs N >= 1")
+        raise Refused("U(N) needs N >= 1")
     total = 0.0
     total_sq = 0.0
     batches = -(-samples // _HAAR_BATCH)

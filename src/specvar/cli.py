@@ -1,27 +1,35 @@
 """Command line front end.
 
 One subcommand per pipeline stage, plain CSV/JSON artifacts, no plotting.
-Exit code 0 means the artifact was written, 2 means the configuration was
-rejected before any computation, 3 means a ``--check`` assertion failed
-(the artifact is still written so the failure can be inspected).
+Each subcommand is a row of ``COMMANDS``, and ``_run`` takes every row
+through the same steps: validate; resolve the config, spectrum, character
+and window; call the experiment; write; print and apply ``--check``.
+Exit code 0 means the artifact was written; 2, that the inputs were
+refused (``specvar.Refused``, or an ``OSError`` on a named file) and
+nothing was written; 3, that a ``--check`` assertion failed (the artifact
+is still written so the failure can be inspected).  Any other exception
+is a bug and propagates with its traceback.
 
 Config files are ``key=value`` lines mapped onto the same flags; values
 on the command line win.  The thread budget (``--threads``, from the
 command line or a config file, else ``SPECVAR_THREADS``, else 1) is
 applied after parsing: building and running the parser loads no numpy,
-and heavy modules are imported inside the handlers, so the cap reaches
-the BLAS pools before numpy first loads.
+and heavy modules are imported inside the experiment calls, so the cap
+reaches the BLAS pools before numpy first loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import warnings
+from typing import Callable, NamedTuple
 
+from . import Refused
 from .report import csv_report, json_report
 
 EXIT_OK = 0
@@ -38,12 +46,12 @@ _THREAD_VARS = (
 DEFAULT_PANTS = (1.9, 2.1, 2.4)
 
 
-class ConfigError(ValueError):
+class ConfigError(Refused):
     """Invalid configuration; reported on stderr with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
-# flag parsing helpers
+# flags, config files and the inputs every run resolves
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -53,7 +61,24 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
-def _apply_thread_budget(threads: int | None) -> int:
+def _grid(text: str) -> tuple[float, ...]:
+    values = _floats(text)
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _apply_thread_budget(threads: int | None) -> None:
     """Cap BLAS/OpenMP pools before numpy loads; the parsed flag beats the environment."""
     budget = os.environ.get("SPECVAR_THREADS", "1") if threads is None else threads
     try:
@@ -64,7 +89,6 @@ def _apply_thread_budget(threads: int | None) -> int:
         raise ConfigError(f"thread budget must be a positive integer, got {budget!r}")
     for var in _THREAD_VARS:
         os.environ[var] = str(n)
-    return n
 
 
 def _inject_config_file(argv: list[str]) -> list[str]:
@@ -113,7 +137,7 @@ def _parse_character(args, group):
     """
     from .characters import FluxCharacter, MatrixRep
 
-    spec = getattr(args, "character", None)
+    spec = args.character
     if spec:
         try:
             if os.path.exists(spec):
@@ -139,9 +163,8 @@ def _parse_character(args, group):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad --character JSON: {exc}")
         raise ConfigError("--character JSON needs a 'flux' or 'images' key")
-    flux = getattr(args, "flux", None)
-    if flux is not None and any(flux):
-        return FluxCharacter(flux=flux, scale=getattr(args, "flux_scale", 1.0))
+    if args.flux is not None and any(args.flux):
+        return FluxCharacter(flux=args.flux, scale=args.flux_scale)
     return None
 
 
@@ -153,17 +176,13 @@ def _get_spectrum(args, needed: float):
     """
     from . import fuchsian as F
 
-    if getattr(args, "spectrum_file", None):
+    if args.spectrum_file:
         spectrum = F.load_spectrum(args.spectrum_file)
     else:
-        params = args.params if args.params else ()
-        if args.preset == "schottky_pants" and not params:
-            params = DEFAULT_PANTS
+        params = args.params or (DEFAULT_PANTS if args.preset == "schottky_pants" else ())
         group = F.preset(args.preset, *params)
         l_max = args.lmax if args.lmax is not None else needed
-        spectrum = F.build_spectrum(
-            group, l_max, allow_incomplete=getattr(args, "allow_incomplete", False)
-        )
+        spectrum = F.build_spectrum(group, l_max, allow_incomplete=args.allow_incomplete)
     if spectrum.certified_l_max < needed:
         raise ConfigError(
             f"spectrum certified to {spectrum.certified_l_max:.6g}, "
@@ -172,17 +191,6 @@ def _get_spectrum(args, needed: float):
     if spectrum.group.warning:
         warnings.warn(spectrum.group.warning)
     return spectrum
-
-
-def _unit_flux(spectrum) -> tuple[float, ...]:
-    """The default flux 1, 0, ..., 0 at the spectrum's rank."""
-    return (1.0,) + (0.0,) * (spectrum.group.rank - 1)
-
-
-def _get_window(args):
-    from .windows import window
-
-    return window(args.window)
 
 
 def _warn_scale(lam: float, L: float) -> None:
@@ -196,347 +204,365 @@ def _warn_scale(lam: float, L: float) -> None:
         )
 
 
-def _resolved_config(args) -> dict:
-    skip = {"func", "config"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _emit(args, passed: bool | None, summary: str) -> int:
-    print(summary)
-    if args.check and passed is False:
-        print("check: FAIL", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if args.check:
-        print("check: ok")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# experiment calls: (args, spectrum, char, window) -> (artifact, passed, summary)
 
 
-def _cmd_spectrum(args) -> int:
-    from . import fuchsian as F
-
-    if args.spectrum_file:
-        raise ConfigError("spectrum builds presets; --spectrum-file makes no sense here")
-    if args.lmax is None:
-        raise ConfigError("spectrum needs --Lmax")
-    spectrum = _get_spectrum(args, needed=0.0 if args.allow_incomplete else args.lmax)
-    F.spectrum_to_csv(spectrum, args.out)
-    return _emit(
-        args,
-        spectrum.certified_l_max >= args.lmax if args.check else None,
-        f"{args.out}: {len(spectrum.records)} records, "
-        f"certified to {spectrum.certified_l_max:.6g}",
-    )
+def _spectrum(a, spectrum, char, w):
+    summary = f"{len(spectrum.records)} records, certified to {spectrum.certified_l_max:.6g}"
+    return spectrum, spectrum.certified_l_max >= a.lmax, summary
 
 
-def _variance_profile(args):
+def _variance(a, spectrum, char, w):
     from .variance import SigmaEvaluator, _resolved_grid
 
-    spectrum = _get_spectrum(args, needed=args.L)
-    char = _parse_character(args, spectrum.group.group)
-    _warn_scale(args.lam, args.L)
-    ev = SigmaEvaluator(spectrum, char, _get_window(args), args.L)
-    grid = _resolved_grid(args.lam, args.delta, args.L, args.points)
-    return char, ev, grid
+    grid = _resolved_grid(a.lam, a.delta, a.L, a.points)
+    ev = SigmaEvaluator(spectrum, char, w, a.L)
+    reports = [ev.report(mu) for mu in grid]
+    table = {
+        "mu": grid.tolist(),
+        "sigma2": [r.sigma2 for r in reports],
+        "smooth": [r.smooth_part for r in reports],
+        "osc": [r.osc_part for r in reports],
+    }
+    return table, None, f"{len(grid)} grid points"
 
 
-def _cmd_variance(args) -> int:
-    cfg = _resolved_config(args)
-    char, ev, grid = _variance_profile(args)
-    if args.check:
-        return _check_average(args, cfg, char, ev)
-    rows = []
-    for mu in grid:
-        rep = ev.report(mu)
-        rows.append((float(mu), rep.sigma2, rep.smooth_part, rep.osc_part))
-    csv_report(args.out, cfg, ["mu", "sigma2", "smooth", "osc"], rows)
-    return _emit(args, None, f"{args.out}: {len(rows)} grid points")
-
-
-def _check_average(args, cfg, char, ev) -> int:
+def _average(a, spectrum, char, w):
     from .characters import ensemble_target
-    from .variance import energy_average
+    from .variance import SigmaEvaluator, energy_average
     from .windows import sigma2_goe, sigma2_gue
 
-    w = _get_window(args)
     goe, gue = sigma2_goe(w), sigma2_gue(w)
-    if args.target == "auto":
-        target = ensemble_target(char, w)
-    else:
-        target = goe if args.target == "goe" else gue
-    average = energy_average(ev.sigma2, args.lam, args.delta, args.L, args.points)
+    target = ensemble_target(char, w) if a.target == "auto" else {"goe": goe, "gue": gue}[a.target]
+    ev = SigmaEvaluator(spectrum, char, w, a.L)
+    average = energy_average(ev.sigma2, a.lam, a.delta, a.L, a.points)
     gap = abs(average - target)
-    passed = gap <= args.band * target
-    out = args.out if args.out.endswith(".json") else args.out + ".json"
-    json_report(
-        out,
-        cfg,
-        {
-            "average": average,
-            "target": target,
-            "gap": gap,
-            "band": args.band * target,
-            "sigma2Goe": goe,
-            "sigma2Gue": gue,
-            "passed": passed,
-        },
-    )
-    return _emit(args, passed, f"{out}: average={average:.6f} target={target:.6f} gap={gap:.6f}")
+    passed = gap <= a.band * target
+    result = {
+        "average": average,
+        "target": target,
+        "gap": gap,
+        "band": a.band * target,
+        "sigma2Goe": goe,
+        "sigma2Gue": gue,
+        "passed": passed,
+    }
+    return result, passed, f"average={average:.6f} target={target:.6f} gap={gap:.6f}"
 
 
-def _cmd_average(args) -> int:
-    cfg = _resolved_config(args)
-    char, ev, _ = _variance_profile(args)
-    return _check_average(args, cfg, char, ev)
-
-
-def _cmd_dirichlet(args) -> int:
+def _dirichlet(a, spectrum, char, w):
     from .variance import SigmaEvaluator, dirichlet_lambda_search
 
-    cfg = _resolved_config(args)
-    ev = SigmaEvaluator(_get_spectrum(args, needed=args.L), None, _get_window(args), args.L)
-    lam = dirichlet_lambda_search(ev.freqs[0], args.Y, args.M, args.lam_max, args.mode)
+    ev = SigmaEvaluator(spectrum, None, w, a.L)
+    lam = dirichlet_lambda_search(ev.freqs[0], a.Y, a.M, a.lam_max, a.mode)
     rep = ev.report(lam)
     sigma2, smooth = rep.sigma2, rep.smooth_part
-    slack = 3.0 / args.Y * smooth
-    if args.mode == "plus":
-        passed = sigma2 >= 1.5 * smooth - slack
-    else:
-        passed = sigma2 <= 0.5 * smooth + slack
-    json_report(
-        args.out,
-        cfg,
-        {
-            "lambda": lam,
-            "sigma2": sigma2,
-            "smoothPart": smooth,
-            "ratio": sigma2 / smooth,
-            "slack": slack,
-            "mode": args.mode,
-            "passed": passed,
-        },
-    )
-    return _emit(args, passed, f"{args.out}: lambda={lam:.6f} sigma2/smooth={sigma2 / smooth:.4f}")
+    slack = 3.0 / a.Y * smooth
+    passed = sigma2 >= 1.5 * smooth - slack if a.mode == "plus" else sigma2 <= 0.5 * smooth + slack
+    result = {
+        "lambda": lam,
+        "sigma2": sigma2,
+        "smoothPart": smooth,
+        "ratio": sigma2 / smooth,
+        "slack": slack,
+        "mode": a.mode,
+        "passed": passed,
+    }
+    return result, passed, f"lambda={lam:.6f} sigma2/smooth={sigma2 / smooth:.4f}"
 
 
-def _cmd_covers(args) -> int:
-    import numpy as np
-
+def _covers(a, spectrum, char, w):
     from .covers import _batch_images, _require_free, empirical_cover_variance, moment_experiment
 
-    cfg = _resolved_config(args)
-    if args.n < 1:
-        raise ConfigError(f"--n must be a positive cover degree, got {args.n}")
-    if args.kmax < 1:
-        raise ConfigError(f"--kmax must be at least 1, got {args.kmax}")
-    if args.L is not None and args.lam is None:
-        raise ConfigError("the variance bridge needs --lambda alongside --L")
-    needed = args.L if args.L is not None else args.moment_lmax
-    spectrum = _get_spectrum(args, needed=needed)
-    char = _parse_character(args, spectrum.group.group)
-    words = [spectrum.records[i].word for i in np.flatnonzero(spectrum.length <= args.moment_lmax)]
+    words = [r.word for r in spectrum.records if r.length <= a.moment_lmax]
     if not words:
-        raise ConfigError(f"no classes of length <= {args.moment_lmax:g} for the moment test")
-    images = _batch_images(_require_free(spectrum), args.n, args.samples, args.seed)
-    moments = moment_experiment(words, images, args.n, args.samples, kmax=args.kmax)
-    result = {"moments": moments, "bridge": None}
-    passed = moments["passed"]
-    if args.L is not None:
-        _warn_scale(args.lam, args.L)
-        result["bridge"] = bridge = empirical_cover_variance(
-            spectrum,
-            char,
-            _get_window(args),
-            args.lam,
-            args.L,
-            images,
-            args.n,
-            args.samples,
-            args.seed,
-            centering=args.centering,
-        )
-        passed = passed and bridge["agrees"]
-    json_report(args.out, cfg, result)
-    return _emit(args, passed, f"{args.out}: {len(words)} classes, n={args.n}, samples={args.samples}")
+        raise ConfigError(f"no classes of length <= {a.moment_lmax:g} for the moment test")
+    images = _batch_images(_require_free(spectrum), a.n, a.samples, a.seed)
+    moments = moment_experiment(words, images, a.n, a.samples, kmax=a.kmax)
+    bridge = None if a.L is None else empirical_cover_variance(
+        spectrum, char, w, a.lam, a.L, images, a.n, a.samples, a.seed, centering=a.centering
+    )
+    passed = moments["passed"] and (bridge is None or bridge["agrees"])
+    summary = f"{len(words)} classes, n={a.n}, samples={a.samples}"
+    return {"moments": moments, "bridge": bridge}, passed, summary
 
 
-def _cmd_poisson(args) -> int:
+def _poisson(a, spectrum, char, w):
     from .poisson import PoissonSurrogate, clt_test, exact_cumulants
 
-    cfg = _resolved_config(args)
-    spectrum = _get_spectrum(args, needed=args.L)
-    _warn_scale(args.lam, args.L)
-    char = _parse_character(args, spectrum.group.group)
-    surrogate = PoissonSurrogate(spectrum, char, _get_window(args), args.lam, args.L, args.seed)
-    cumulants = exact_cumulants(surrogate, mmax=args.mmax)
-    clt = clt_test(surrogate, args.draws)
+    surrogate = PoissonSurrogate(spectrum, char, w, a.lam, a.L, a.seed)
+    cumulants = exact_cumulants(surrogate, mmax=a.mmax)
+    clt = clt_test(surrogate, a.draws)
     passed = (
         cumulants["kappa2Matches"]
         and clt["ksStat"] <= 0.02
         and clt["skewnessPass"]
         and clt["kurtosisPass"]
     )
-    json_report(args.out, cfg, {"cumulants": cumulants, "clt": clt})
-    return _emit(
-        args, passed, f"{args.out}: ks={clt['ksStat']:.4f} kappa2RelErr={cumulants['kappa2RelErr']:.2e}"
-    )
+    summary = f"ks={clt['ksStat']:.4f} kappa2RelErr={cumulants['kappa2RelErr']:.2e}"
+    return {"cumulants": cumulants, "clt": clt}, passed, summary
 
 
-def _cmd_ergodicity(args) -> int:
+def _ergodicity(a, spectrum, char, w):
     from .characters import ensemble_target
     from .poisson import PoissonSurrogate, ergodicity_experiment
 
-    cfg = _resolved_config(args)
-    spectrum = _get_spectrum(args, needed=args.L)
-    _warn_scale(args.lam, args.L)
-    eps = args.epsilon
-    if eps is None:
-        # smallest eps the almost-sure bound supports at this L and span
-        eps = math.sqrt(10.0 * (1.0 / args.L + 1.0 / args.span)) * 1.0001
-    char = _parse_character(args, spectrum.group.group)
-    w = _get_window(args)
     ensemble_target(char, w)  # a matrix twist is refused before the surrogate is built
-    surrogate = PoissonSurrogate(spectrum, char, w, args.lam, args.L, args.seed)
-    report = ergodicity_experiment(
-        surrogate, args.lam, args.span, args.points, args.draws, eps
-    )
+    surrogate = PoissonSurrogate(spectrum, char, w, a.lam, a.L, a.seed)
+    report = ergodicity_experiment(surrogate, a.lam, a.span, a.points, a.draws, a.epsilon)
     fraction = report["violationFraction"]
-    json_report(args.out, cfg, report)
-    return _emit(args, fraction <= 0.1, f"{args.out}: violation fraction {fraction:.4f} (eps={eps:.4f})")
+    return report, fraction <= 0.1, f"violation fraction {fraction:.4f} (eps={report['epsilon']:.4f})"
 
 
-def _cmd_sumrule(args) -> int:
+def _sumrule(a, spectrum, char, w):
     from .dynamics import sum_rule_check
 
-    cfg = _resolved_config(args)
-    grid = sorted(args.L)
-    spectrum = _get_spectrum(args, needed=grid[-1])
-    char = _parse_character(args, spectrum.group.group)
-    w = _get_window(args)
-    rows = [sum_rule_check(spectrum, w, L, char=char) for L in grid]
-    csv_report(args.out, cfg, list(rows[0]), [list(r.values()) for r in rows])
+    rows = [sum_rule_check(spectrum, w, L, char=char) for L in sorted(a.L)]
+    table = {key: [r[key] for r in rows] for key in rows[0]}
     last = rows[-1]
-    gaps = [r["gap"] for r in rows]
-    passed = all(a > b for a, b in zip(gaps, gaps[1:])) if len(gaps) > 1 else True
+    passed = all(x > y for x, y in zip(table["gap"], table["gap"][1:]))
     if last["target"] != 0.0:
         passed = passed and last["gap"] <= 0.2 * last["target"]
-    return _emit(
-        args, passed, f"{args.out}: gap at L={last['L']:g} is {last['gap']:.6f} (target {last['target']:.6f})"
-    )
+    return table, passed, f"gap at L={last['L']:g} is {last['gap']:.6f} (target {last['target']:.6f})"
 
 
-def _cmd_orbit_clt(args) -> int:
+def _orbit_clt(a, spectrum, char, w):
     from .dynamics import orbit_clt_experiment
 
-    cfg = _resolved_config(args)
-    spectrum = _get_spectrum(args, needed=args.T + 1.0)
-    flux = args.flux or _unit_flux(spectrum)
-    row = orbit_clt_experiment(spectrum, flux, args.T, args.draws, args.seed, args.epsilon)
+    row = orbit_clt_experiment(spectrum, char, a.T, a.draws, a.seed, a.epsilon)
     passed = (
         abs(row["skewness"]) <= 0.15
         and abs(row["excess_kurtosis"]) <= 0.3
         and abs(row["variance"] - row["estimator"]) <= row["joint_band"]
     )
-    csv_report(args.out, cfg, list(row), [list(row.values())])
-    return _emit(
-        args,
-        passed,
-        f"{args.out}: var={row['variance']:.4f} est={row['estimator']:.4f} "
-        f"skew={row['skewness']:+.4f} exkurt={row['excess_kurtosis']:+.4f}",
+    summary = (
+        f"var={row['variance']:.4f} est={row['estimator']:.4f} "
+        f"skew={row['skewness']:+.4f} exkurt={row['excess_kurtosis']:+.4f}"
     )
+    return {key: [value] for key, value in row.items()}, passed, summary
 
 
-def _cmd_transition(args) -> int:
+def _transition(a, spectrum, char, w):
     from .dynamics import empirical_transition, variance_estimator
     from .windows import sigma2_goe, sigma2_gue
 
-    cfg = _resolved_config(args)
-    spectrum = _get_spectrum(args, needed=args.L)
-    flux = args.flux or _unit_flux(spectrum)
-    _warn_scale(args.lam, args.L)
-    w = _get_window(args)
-    variance = args.variance
+    variance = a.variance
     if variance is None:
         # the deepest window the spectrum certifies
-        variance = variance_estimator(spectrum, flux, spectrum.certified_l_max - 1.0, 1.0)
+        variance = variance_estimator(spectrum, char, spectrum.certified_l_max - 1.0, 1.0)
     table = empirical_transition(
-        spectrum,
-        flux,
-        args.s_grid,
-        lam=args.lam,
-        L=args.L,
-        delta=args.delta,
-        w=w,
-        variance=variance,
-        with_average=not args.no_average,
+        spectrum, char, a.s_grid, a.lam, a.L, a.delta, w, variance, with_average=not a.no_average
     )
-    csv_report(args.out, cfg, list(table), zip(*table.values()))
     goe, gue = sigma2_goe(w), sigma2_gue(w)
     band = 0.1 * goe
     emp = table["sigma2_emp"]
     passed = (
-        all(b <= a + band for a, b in zip(emp, emp[1:]))
+        all(y <= x + band for x, y in zip(emp, emp[1:]))
         and all(gue - band <= e <= goe + band for e in emp)
     )
-    return _emit(
-        args,
-        passed,
-        f"{args.out}: {len(emp)} grid points, Var={variance:.4f}, "
-        f"range [{min(emp):.4f}, {max(emp):.4f}]",
+    summary = (
+        f"{len(emp)} grid points, Var={variance:.4f}, "
+        f"range [{min(emp):.4f}, {max(emp):.4f}]"
     )
+    return table, passed, summary
 
 
-def _cmd_haar(args) -> int:
+def _haar(a, spectrum, char, w):
     from .characters import HAAR_TARGETS, haar_sigma_constant
 
-    cfg = _resolved_config(args)
-    kind = args.group.upper()
-    estimate, se = haar_sigma_constant(kind, args.samples, args.seed, dim=args.dim)
+    kind = a.group.upper()
+    estimate, se = haar_sigma_constant(kind, a.samples, a.seed, dim=a.dim)
     target = HAAR_TARGETS[kind]
-    passed = abs(estimate - target) <= 3.0 * se
-    json_report(
-        args.out,
-        cfg,
-        {"estimate": estimate, "se": se, "target": target, "group": kind, "dim": args.dim},
-    )
-    return _emit(args, passed, f"{args.out}: {kind} estimate {estimate:.5f} +- {se:.5f} (target {target:g})")
+    result = {"estimate": estimate, "se": se, "target": target, "group": kind, "dim": a.dim}
+    summary = f"{kind} estimate {estimate:.5f} +- {se:.5f} (target {target:g})"
+    return result, abs(estimate - target) <= 3.0 * se, summary
+
+
+def _spectrum_args(a) -> None:
+    if a.spectrum_file:
+        raise ConfigError("spectrum builds presets; --spectrum-file makes no sense here")
+    if a.lmax is None:
+        raise ConfigError("spectrum needs --Lmax")
+
+
+def _cover_args(a) -> None:
+    if a.n < 1:
+        raise ConfigError(f"--n must be a positive cover degree, got {a.n}")
+    if a.kmax < 1:
+        raise ConfigError(f"--kmax must be at least 1, got {a.kmax}")
+    if a.L is not None and a.lam is None:
+        raise ConfigError("the variance bridge needs --lambda alongside --L")
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the subcommand table
 
 
-def _add_common(sub, *, out_default: str) -> None:
-    sub.add_argument("--config", help="key=value file; explicit flags win")
-    sub.add_argument("--threads", type=int, default=None, help="BLAS thread budget (or SPECVAR_THREADS; default 1)")
-    sub.add_argument("--out", default=out_default, help=f"artifact path (default {out_default})")
-    sub.add_argument("--check", action="store_true", help="exit 3 when the acceptance-style check fails")
+def _flag(*names: str, **kwargs) -> tuple:
+    return names, kwargs
 
 
-def _add_spectrum_source(sub, *, preset_default: str = "octagon_genus2") -> None:
-    sub.add_argument("--preset", default=preset_default, help="octagon_genus2, schottky_pants or punctured_torus")
-    sub.add_argument("--params", type=_floats, default=None, help="preset parameters, comma separated")
-    sub.add_argument("--Lmax", dest="lmax", type=float, default=None, help="enumeration cutoff (defaults to what the run needs)")
-    sub.add_argument("--spectrum-file", default=None, help="reuse a spectrum CSV instead of enumerating")
-    sub.add_argument("--allow-incomplete", action="store_true", help="accept a spectrum whose certificate falls short of Lmax")
+def _source(preset: str = "octagon_genus2") -> tuple:
+    return (
+        _flag("--preset", default=preset, help="octagon_genus2, schottky_pants or punctured_torus"),
+        _flag("--params", type=_floats, default=None, help="preset parameters, comma separated"),
+        _flag("--Lmax", dest="lmax", type=float, default=None, help="enumeration cutoff (defaults to what the run needs)"),
+        _flag("--spectrum-file", default=None, help="reuse a spectrum CSV instead of enumerating"),
+        _flag("--allow-incomplete", action="store_true", help="accept a spectrum whose certificate falls short of Lmax"),
+    )
 
 
-def _add_character(sub) -> None:
-    sub.add_argument("--flux", type=_floats, default=None, help="flux vector, comma separated (trivial if omitted)")
-    sub.add_argument("--flux-scale", type=float, default=1.0, help="phase scale multiplying the flux pairing")
-    sub.add_argument("--character", default=None, help="character as JSON (inline or a file): {'flux':..,'scale':..} or {'images':..}")
+_CHARACTER = (
+    _flag("--flux", type=_floats, default=None, help="flux vector, comma separated (trivial if omitted)"),
+    _flag("--flux-scale", type=float, default=1.0, help="phase scale multiplying the flux pairing"),
+    _flag("--character", default=None, help="character as JSON (inline or a file): {'flux':..,'scale':..} or {'images':..}"),
+)
+_WINDOW = _flag("--window", default="triangle", choices=["triangle", "bump"], help="smoothing window")
+_LAMBDA = _flag("--lambda", dest="lam", type=_positive, required=True, help="base frequency")
+_CUTOFF = _flag("--L", type=_positive, required=True, help="geodesic cutoff")
+_DELTA = _flag("--delta", type=float, default=2.0, help="averaging span")
+_SEED = _flag("--seed", type=int, default=0, help="master seed")
+_UNIT_FLUX = _flag("--flux", type=_floats, default=None, help="flux vector (default 1,0,...)")
+_PROFILE = (
+    *_source(), *_CHARACTER, _WINDOW, _LAMBDA, _CUTOFF, _DELTA,
+    _flag("--points", type=int, default=None, help="grid points (default: resolves the fastest oscillation)"),
+    _flag("--target", default="auto", choices=["auto", "goe", "gue"], help="ensemble constant to compare against"),
+    _flag("--band", type=float, default=0.25, help="check band as a fraction of the target"),
+)
 
 
-def _add_window(sub) -> None:
-    sub.add_argument("--window", default="triangle", choices=["triangle", "bump"], help="smoothing window")
+class _Command(NamedTuple):
+    help: str
+    call: Callable  # (args, spectrum, char, window) -> (artifact, passed, summary)
+    writer: str  # "json", "csv" (the artifact maps columns to cells) or "spectrum"
+    depth: Callable | None  # args -> certified length the run needs; None reads no spectrum
+    flags: tuple  # (names, add_argument keywords); every row also takes --config, --threads, --out, --check
+    validate: Callable = lambda args: None  # raises ConfigError before any work
+    suffix: str = ""  # appended to --out unless it already ends with it
+
+
+COMMANDS = {
+    "spectrum": _Command(
+        "enumerate a preset length spectrum to CSV", _spectrum, "spectrum",
+        lambda a: 0.0 if a.allow_incomplete else a.lmax, _source(), validate=_spectrum_args,
+    ),
+    "variance": _Command("variance profile over an energy window", _variance, "csv", lambda a: a.L, _PROFILE),
+    "average": _Command(
+        "energy-averaged variance vs the ensemble constant", _average, "json", lambda a: a.L, _PROFILE,
+        suffix=".json",
+    ),
+    "dirichlet": _Command(
+        "find a frequency aligning all geodesic phases", _dirichlet, "json", lambda a: a.L, (
+            *_source(), _WINDOW, _CUTOFF,
+            _flag("--Y", type=float, default=8.0, help="alignment quality 1/Y"),
+            _flag("--M", type=float, default=100.0, help="search start"),
+            _flag("--lam-max", type=float, default=1e9, help="search ceiling"),
+            _flag("--mode", default="plus", choices=["plus", "minus"], help="push the variance up (plus) or down (minus)"),
+        ),
+    ),
+    "covers": _Command(
+        "random cover moments and the variance bridge", _covers, "json",
+        lambda a: a.L if a.L is not None else a.moment_lmax, (
+            *_source("schottky_pants"), *_CHARACTER, _WINDOW,
+            _flag("--n", type=int, required=True, help="cover degree"),
+            _flag("--samples", type=int, required=True, help="Monte Carlo samples"),
+            _flag("--seed", type=int, required=True, help="master seed"),
+            _flag("--kmax", type=int, default=6, help="highest power in the moment test"),
+            _flag("--moment-lmax", type=float, default=2.5, help="class cutoff for the moment test"),
+            _flag("--lambda", dest="lam", type=_positive, default=None, help="bridge frequency (with --L)"),
+            _flag("--L", type=_positive, default=None, help="bridge geodesic cutoff (enables the bridge)"),
+            _flag("--centering", default="batch", choices=["batch", "dk"], help="variance centering mode"),
+        ),
+        validate=_cover_args,
+    ),
+    "poisson": _Command(
+        "Poisson surrogate cumulants and CLT", _poisson, "json", lambda a: a.L, (
+            *_source(), *_CHARACTER, _WINDOW, _LAMBDA, _CUTOFF, _SEED,
+            _flag("--draws", type=int, default=100000, help="surrogate draws"),
+            _flag("--mmax", type=int, default=4, help="highest exact cumulant"),
+        ),
+    ),
+    "ergodicity": _Command(
+        "violation fraction of energy-averaged surrogate draws", _ergodicity, "json", lambda a: a.L, (
+            *_source(), *_CHARACTER, _WINDOW, _LAMBDA, _CUTOFF, _SEED,
+            _flag("--Lambda", dest="span", type=_positive, required=True, help="energy-averaging span"),
+            _flag("--epsilon", type=float, default=None, help="violation threshold (default: precondition bound)"),
+            _flag("--points", type=int, default=None, help="energy grid points"),
+            _flag("--draws", type=int, default=1000, help="surrogate draws"),
+        ),
+    ),
+    "sumrule": _Command(
+        "equidistribution sum rule over a cutoff grid", _sumrule, "csv", lambda a: max(a.L), (
+            *_source(), *_CHARACTER, _WINDOW,
+            _flag("--L", type=_grid, required=True, help="cutoff grid, comma separated"),
+        ),
+    ),
+    "orbit-clt": _Command(
+        "homology pairing moments over the orbit ensemble", _orbit_clt, "csv", lambda a: a.T + 1.0, (
+            *_source(), _UNIT_FLUX, _SEED,
+            _flag("--T", type=float, required=True, help="ensemble center length"),
+            _flag("--draws", type=int, default=100000, help="ensemble draws"),
+            _flag("--epsilon", type=float, default=1.0, help="estimator window width"),
+        ),
+    ),
+    "transition": _Command(
+        "flux transition: empirical sums vs the predicted curve", _transition, "csv", lambda a: a.L, (
+            *_source(), _WINDOW, _UNIT_FLUX, _LAMBDA, _CUTOFF, _DELTA,
+            _flag("--s-grid", dest="s_grid", type=_grid, default=(0.0, 0.5, 1.0, 2.0, 4.0), help="transition parameter grid"),
+            _flag("--variance", type=float, default=None, help="diffusion variance (default: estimator at the deepest window)"),
+            _flag("--no-average", action="store_true", help="skip the direct energy-average column"),
+        ),
+    ),
+    "haar": _Command(
+        "Haar moment constants by Monte Carlo", _haar, "json", None, (
+            _SEED,
+            _flag("--group", default="su2", help="u1, su2 or un"),
+            _flag("--dim", type=int, default=5, help="N for un"),
+            _flag("--samples", type=int, default=1000000, help="Monte Carlo samples"),
+        ),
+    ),
+}
+
+
+def _run(name: str, args) -> int:
+    """Validate, resolve the inputs, call, write, then print and apply --check."""
+    from .windows import window
+
+    # with --check the variance profile becomes the energy-average test
+    cmd = COMMANDS["average" if name == "variance" and args.check else name]
+    cmd.validate(args)
+    # the writers sort the keys and write tuples as lists; the handler (func) is not config
+    config = {key: value for key, value in vars(args).items() if key != "config" and not callable(value)}
+    spectrum = _get_spectrum(args, cmd.depth(args)) if cmd.depth else None
+    char = None
+    if "character" in args:
+        char = _parse_character(args, spectrum.group.group)
+    elif "flux" in args:  # a bare flux vector, 1, 0, ..., 0 by default
+        char = args.flux or (1.0,) + (0.0,) * (spectrum.group.rank - 1)
+    w = window(args.window) if "window" in args else None
+    if getattr(args, "lam", None) is not None and args.L is not None:
+        _warn_scale(args.lam, args.L)
+
+    artifact, passed, summary = cmd.call(args, spectrum, char, w)
+
+    out = args.out if args.out.endswith(cmd.suffix) else args.out + cmd.suffix
+    if cmd.writer == "json":
+        json_report(out, config, artifact)
+    elif cmd.writer == "csv":
+        csv_report(out, config, list(artifact), zip(*artifact.values()))
+    else:
+        from .fuchsian import spectrum_to_csv
+
+        spectrum_to_csv(artifact, out)
+
+    print(f"{out}: {summary}")
+    if args.check and not passed:
+        print("check: FAIL", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    if args.check:
+        print("check: ok")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,160 +571,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Length spectra of hyperbolic surfaces and the number variance of their random covers.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("spectrum", help="enumerate a preset length spectrum to CSV")
-    _add_spectrum_source(p)
-    _add_common(p, out_default="spectrum.csv")
-    p.set_defaults(func=_cmd_spectrum)
-
-    for name, handler, default_out in (
-        ("variance", _cmd_variance, "variance.csv"),
-        ("average", _cmd_average, "average.json"),
-    ):
-        p = subs.add_parser(
-            name,
-            help="variance profile over an energy window" if name == "variance" else "energy-averaged variance vs the ensemble constant",
-        )
-        _add_spectrum_source(p)
-        _add_character(p)
-        _add_window(p)
-        p.add_argument("--lambda", dest="lam", type=float, required=True, help="base frequency")
-        p.add_argument("--L", type=float, required=True, help="geodesic cutoff")
-        p.add_argument("--delta", type=float, default=2.0, help="averaging span")
-        p.add_argument("--points", type=int, default=None, help="grid points (default: resolves the fastest oscillation)")
-        p.add_argument("--target", default="auto", choices=["auto", "goe", "gue"], help="ensemble constant to compare against")
-        p.add_argument("--band", type=float, default=0.25, help="check band as a fraction of the target")
-        _add_common(p, out_default=default_out)
-        p.set_defaults(func=handler)
-
-    p = subs.add_parser("dirichlet", help="find a frequency aligning all geodesic phases")
-    _add_spectrum_source(p)
-    _add_window(p)
-    p.add_argument("--L", type=float, required=True, help="geodesic cutoff")
-    p.add_argument("--Y", type=float, default=8.0, help="alignment quality 1/Y")
-    p.add_argument("--M", type=float, default=100.0, help="search start")
-    p.add_argument("--lam-max", type=float, default=1e9, help="search ceiling")
-    p.add_argument("--mode", default="plus", choices=["plus", "minus"], help="push the variance up (plus) or down (minus)")
-    _add_common(p, out_default="dirichlet.json")
-    p.set_defaults(func=_cmd_dirichlet)
-
-    p = subs.add_parser("covers", help="random cover moments and the variance bridge")
-    _add_spectrum_source(p, preset_default="schottky_pants")
-    _add_character(p)
-    _add_window(p)
-    p.add_argument("--n", type=int, required=True, help="cover degree")
-    p.add_argument("--samples", type=int, required=True, help="Monte Carlo samples")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--kmax", type=int, default=6, help="highest power in the moment test")
-    p.add_argument("--moment-lmax", type=float, default=2.5, help="class cutoff for the moment test")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="bridge frequency (with --L)")
-    p.add_argument("--L", type=float, default=None, help="bridge geodesic cutoff (enables the bridge)")
-    p.add_argument("--centering", default="batch", choices=["batch", "dk"], help="variance centering mode")
-    _add_common(p, out_default="covers.json")
-    p.set_defaults(func=_cmd_covers)
-
-    p = subs.add_parser("poisson", help="Poisson surrogate cumulants and CLT")
-    _add_spectrum_source(p)
-    _add_character(p)
-    _add_window(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="base frequency")
-    p.add_argument("--L", type=float, required=True, help="geodesic cutoff")
-    p.add_argument("--draws", type=int, default=100000, help="surrogate draws")
-    p.add_argument("--mmax", type=int, default=4, help="highest exact cumulant")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_common(p, out_default="poisson.json")
-    p.set_defaults(func=_cmd_poisson)
-
-    p = subs.add_parser("ergodicity", help="violation fraction of energy-averaged surrogate draws")
-    _add_spectrum_source(p)
-    _add_character(p)
-    _add_window(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="base frequency")
-    p.add_argument("--L", type=float, required=True, help="geodesic cutoff")
-    p.add_argument("--Lambda", dest="span", type=float, required=True, help="energy-averaging span")
-    p.add_argument("--epsilon", type=float, default=None, help="violation threshold (default: precondition bound)")
-    p.add_argument("--points", type=int, default=None, help="energy grid points")
-    p.add_argument("--draws", type=int, default=1000, help="surrogate draws")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_common(p, out_default="ergodicity.json")
-    p.set_defaults(func=_cmd_ergodicity)
-
-    p = subs.add_parser("sumrule", help="equidistribution sum rule over a cutoff grid")
-    _add_spectrum_source(p)
-    _add_character(p)
-    _add_window(p)
-    p.add_argument("--L", type=_floats, required=True, help="cutoff grid, comma separated")
-    _add_common(p, out_default="sumrule.csv")
-    p.set_defaults(func=_cmd_sumrule)
-
-    p = subs.add_parser("orbit-clt", help="homology pairing moments over the orbit ensemble")
-    _add_spectrum_source(p)
-    p.add_argument("--T", type=float, required=True, help="ensemble center length")
-    p.add_argument("--flux", type=_floats, default=None, help="flux vector (default 1,0,...)")
-    p.add_argument("--draws", type=int, default=100000, help="ensemble draws")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--epsilon", type=float, default=1.0, help="estimator window width")
-    _add_common(p, out_default="orbit-clt.csv")
-    p.set_defaults(func=_cmd_orbit_clt)
-
-    p = subs.add_parser("transition", help="flux transition: empirical sums vs the predicted curve")
-    _add_spectrum_source(p)
-    _add_window(p)
-    p.add_argument("--flux", type=_floats, default=None, help="flux vector (default 1,0,...)")
-    p.add_argument("--s-grid", dest="s_grid", type=_floats, default=(0.0, 0.5, 1.0, 2.0, 4.0), help="transition parameter grid")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="base frequency")
-    p.add_argument("--L", type=float, required=True, help="geodesic cutoff")
-    p.add_argument("--delta", type=float, default=2.0, help="averaging span")
-    p.add_argument("--variance", type=float, default=None, help="diffusion variance (default: estimator at the deepest window)")
-    p.add_argument("--no-average", action="store_true", help="skip the direct energy-average column")
-    _add_common(p, out_default="transition.csv")
-    p.set_defaults(func=_cmd_transition)
-
-    p = subs.add_parser("haar", help="Haar moment constants by Monte Carlo")
-    p.add_argument("--group", default="su2", help="u1, su2 or un")
-    p.add_argument("--dim", type=int, default=5, help="N for un")
-    p.add_argument("--samples", type=int, default=1000000, help="Monte Carlo samples")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_common(p, out_default="haar.json")
-    p.set_defaults(func=_cmd_haar)
-
+    for name, cmd in COMMANDS.items():
+        out = f"{name}.json" if cmd.writer == "json" else f"{name}.csv"
+        p = subs.add_parser(name, help=cmd.help)
+        for names, kwargs in (
+            *cmd.flags,
+            _flag("--config", help="key=value file; explicit flags win"),
+            _flag("--threads", type=int, default=None, help="BLAS thread budget (or SPECVAR_THREADS; default 1)"),
+            _flag("--out", default=out, help=f"artifact path (default {out})"),
+            _flag("--check", action="store_true", help="exit 3 when the acceptance-style check fails"),
+        ):
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=functools.partial(_run, name))
     return parser
-
-
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        args = build_parser().parse_args(_inject_config_file(argv))
-        _apply_thread_budget(args.threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    from .fuchsian import IncompleteEnumeration, InvalidParameters
-    from .variance import DirichletNotFound, SpectrumTooShort, UnderResolved
-
     # a fresh filter per run: under the once-per-call-site default a
     # second run in one process would print no preset warning
     with warnings.catch_warnings():
         warnings.simplefilter("default", UserWarning)
-        warnings.showwarning = _show_warning
+        warnings.showwarning = lambda message, *rest, **kw: print(f"warning: {message}", file=sys.stderr)
         try:
+            args = build_parser().parse_args(_inject_config_file(argv))
+            _apply_thread_budget(args.threads)
             return args.func(args)
-        except (
-            ConfigError,
-            InvalidParameters,
-            IncompleteEnumeration,
-            SpectrumTooShort,
-            UnderResolved,
-            DirichletNotFound,
-            ValueError,
-            LookupError,
-            OSError,
-        ) as exc:
+        except (Refused, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
 

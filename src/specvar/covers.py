@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 
+from . import Refused
 from .fuchsian import LengthSpectrum
 from .rng import stream, streams
 from .variance import SigmaEvaluator, _divisor_table, _gcd_weight_matrix
@@ -40,7 +41,7 @@ from .windows import Window
 from .words import Word
 
 
-class NotFreePreset(ValueError):
+class NotFreePreset(Refused):
     """Cover sampling requires a free (Schottky) preset."""
 
 
@@ -67,6 +68,7 @@ def _batch_images(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
     on it wraps, so only ``_sample_blocks`` reads it, widening first.  A
     run draws its batch once and every experiment of the run reads it.
     """
+    _check_sizes(n, samples)
     out = np.empty((rank, samples, n), dtype=np.min_scalar_type(n - 1))
     keys = np.column_stack(divmod(np.arange(samples * rank), rank))
     for (s, g), rg in zip(np.ndindex(samples, rank), streams(seed, keys)):
@@ -90,11 +92,15 @@ def _sample_blocks(images: np.ndarray):
         yield rows, block
 
 
-def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
+def _check_sizes(n: int, samples: int) -> None:
     if n < 1:
-        raise ValueError(f"cover degree must be at least 1, got {n}")
+        raise Refused(f"cover degree must be at least 1, got {n}")
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise Refused(f"need at least 2 samples, got {samples}")
+
+
+def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
+    _check_sizes(n, samples)
     if images.shape[1:] != (samples, n):
         raise ValueError(
             f"batch images have shape {images.shape[1:]}, expected ({samples}, {n})"
@@ -299,7 +305,7 @@ def empirical_cover_variance(
     _require_free(spectrum)
     ev = SigmaEvaluator(spectrum, char, window, L)
     if centering not in ("batch", "dk"):
-        raise ValueError(f"unknown centering {centering!r}")
+        raise Refused(f"unknown centering {centering!r}")
     _check_batch(images, n, samples)
 
     words = [spectrum.records[i].word for i in ev.rows]

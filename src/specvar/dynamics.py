@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import Refused
 from .characters import FluxCharacter, phases_on_lattice
 from .fuchsian import LengthSpectrum
 from .rng import stream
@@ -37,7 +38,7 @@ class NonCompactPreset(UserWarning):
     """Sum-rule targets assume a co-compact group; cusps and funnels bias them."""
 
 
-class EmptyEnsemble(LookupError):
+class EmptyEnsemble(Refused):
     """No geodesic class falls inside the requested length window."""
 
 
@@ -151,7 +152,7 @@ class OrbitEnsemble:
 
     def sample_indices(self, draws: int, seed: int) -> np.ndarray:
         if draws < 1:
-            raise ValueError("draws must be >= 1")
+            raise Refused("draws must be >= 1")
         g = stream(seed)
         idx = g.integers(0, len(self.probs), draws)
         u = g.random(draws)
@@ -176,10 +177,16 @@ def orbit_clt_experiment(
     sweep.  Returns the row of the ``orbit-clt`` table.
     """
     if draws < 2:
-        raise ValueError(f"draws must be >= 2 for a sample variance, got {draws}")
+        raise Refused(f"draws must be >= 2 for a sample variance, got {draws}")
     ens = OrbitEnsemble(spectrum, T)
     flux = _flux_array(flux_vector, spectrum.group.rank)
     x_class = _flux_pairing(spectrum, ens.rows, flux) / math.sqrt(T)
+    # the estimator refuses its window before any draw is made
+    estimator = variance_estimator(spectrum, flux, T, eps)
+    sweep = [estimator]
+    for t in (T - 1.0, T + 1.0):
+        if 0.0 < t and t + eps <= spectrum.certified_l_max:
+            sweep.append(variance_estimator(spectrum, flux, t, eps))
 
     idx = ens.sample_indices(draws, seed)
     x = x_class[idx]
@@ -191,12 +198,6 @@ def orbit_clt_experiment(
     m4 = float(np.mean(centered**4))
     variance_se = math.sqrt(max(m4 - m2**2, 0.0) / draws)
     exact_mean = float(np.dot(ens.probs, x_class))
-
-    estimator = variance_estimator(spectrum, flux, T, eps)
-    sweep = [estimator]
-    for t in (T - 1.0, T + 1.0):
-        if 0.0 < t and t + eps <= spectrum.certified_l_max:
-            sweep.append(variance_estimator(spectrum, flux, t, eps))
     return {
         "T": ens.T,
         "draws": draws,
@@ -224,9 +225,9 @@ def variance_estimator(
     the diffusion variance of the flux observable.
     """
     if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+        raise Refused(f"window width epsilon must lie in (0, 1], got {eps:g}")
     if T <= 0:
-        raise ValueError("T must be positive")
+        raise Refused("T must be positive")
     _require_certified(spectrum, T + eps, "T+eps")
     flux = _flux_array(flux_vector, spectrum.group.rank)
     length = spectrum.length
@@ -247,7 +248,7 @@ def transition_curve(w: Window, variance: float, s_grid) -> np.ndarray:
     as the damping exponent 2 variance s^2 per unit t grows.
     """
     if variance < 0:
-        raise ValueError("variance must be nonnegative")
+        raise Refused("variance must be nonnegative")
     s = np.asarray(s_grid, dtype=float)
     gue = sigma2_gue(w)
     vals = np.empty(len(s))

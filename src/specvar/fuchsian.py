@@ -47,6 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import Refused
 from .report import _atomic_write
 from .words import (
     ConjugacyClass,
@@ -71,15 +72,15 @@ from .words import (
 SPECTRUM_FORMAT_VERSION = 2
 
 
-class InvalidParameters(ValueError):
+class InvalidParameters(Refused):
     """Raised for preset parameters outside their domain."""
 
 
-class NonHyperbolicElement(ValueError):
+class NonHyperbolicElement(Refused):
     """Raised when a trace belongs to an elliptic or parabolic element."""
 
 
-class IncompleteEnumeration(RuntimeError):
+class IncompleteEnumeration(Refused):
     """Raised when the word-length bound cannot certify coverage of Lmax."""
 
 

@@ -24,6 +24,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import Refused
 from .characters import ensemble_target
 from .fuchsian import LengthSpectrum
 from .ks import ks_normal
@@ -32,7 +33,7 @@ from .variance import SigmaEvaluator, _resolved_grid, _simpson_weights
 from .windows import Window
 
 
-class VarianceTooSmall(ValueError):
+class VarianceTooSmall(Refused):
     """The CLT hypothesis margin sigma2 >= 10/L^2 fails."""
 
 
@@ -146,7 +147,7 @@ class PoissonSurrogate:
     def sample(self, draws: int) -> np.ndarray:
         """N_tilde for draw indices 0..draws-1 (prefix-stable in draws)."""
         if draws < 1:
-            raise ValueError("draws must be >= 1")
+            raise Refused("draws must be >= 1")
         vals = np.zeros(draws)
         buffers = _draw_buffers(draws)
         for g, d, c in zip(self._pair_streams(), self.pair_d, self.pair_c):
@@ -174,7 +175,7 @@ def exact_cumulants(surrogate: PoissonSurrogate, mmax: int = 4) -> dict:
     (k1, k2) with V(gcd) weights regroups exactly into sum_d d S_d^2.
     """
     if mmax < 2:
-        raise ValueError("mmax must be >= 2")
+        raise Refused("mmax must be >= 2")
     ms = np.arange(2, mmax + 1)
     c, d = surrogate.pair_c, surrogate.pair_d
     kappa = [float(np.sum(c**m / d)) for m in ms]
@@ -207,7 +208,7 @@ def clt_test(surrogate: PoissonSurrogate, draws: int) -> dict:
     3-standard-error band around the exact shape targets.
     """
     if draws < 8:
-        raise ValueError("need at least 8 draws")
+        raise Refused("need at least 8 draws")
     kappa = exact_cumulants(surrogate, mmax=4)["kappa"]
     sigma2 = kappa[0]
     if sigma2 < 10.0 / surrogate.L**2:
@@ -277,7 +278,7 @@ def ergodicity_experiment(
     span: float,
     energy_points: int | None,
     draws: int,
-    eps: float,
+    eps: float | None = None,
 ) -> dict:
     """Fraction of draws whose energy average of N_tilde^2 misses the target by more than eps.
 
@@ -285,19 +286,20 @@ def ergodicity_experiment(
     the cover; the integral is over energy), so each draw yields
     (1/span) integral of N_tilde(mu)^2 over [lam, lam+span], compared to
     the character's ``ensemble_target``: a draw violates when
-    |average - target| > eps.  The integral is the Simpson rule on the
-    resolved grid, evaluated as a quadratic form (``_energy_integrals``).
-    Returns the ``ergodicity`` artifact's mapping.
+    |average - target| > eps, where eps^2 must clear the almost-sure
+    bound's margin 10 (1/L + 1/span); the default eps sits just above it.
+    The Simpson integral on the resolved grid is one quadratic form
+    (``_energy_integrals``).  Returns the ``ergodicity`` artifact's mapping.
     """
     L = surrogate.L
-    if eps**2 < 10.0 * (1.0 / L + 1.0 / span):
-        raise ValueError(
-            f"eps^2={eps**2:.3g} below the margin 10*(1/L + 1/span)="
-            f"{10.0 * (1.0 / L + 1.0 / span):.3g}"
-        )
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
     mu = _resolved_grid(lam, span, L, energy_points)
+    margin = 10.0 * (1.0 / L + 1.0 / span)
+    if eps is None:
+        eps = math.sqrt(margin) * 1.0001
+    if eps**2 < margin:
+        raise Refused(f"eps^2={eps**2:.3g} below the margin 10*(1/L + 1/span)={margin:.3g}")
+    if draws < 1:
+        raise Refused("draws must be >= 1")
 
     target = ensemble_target(surrogate.char, surrogate.window)
     averages = _energy_integrals(surrogate, mu, draws) / span

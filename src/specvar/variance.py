@@ -37,20 +37,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import Refused
 from .characters import FluxCharacter, MatrixRep
 from .fuchsian import LengthSpectrum, unoriented_rows
 from .windows import Window
 
 
-class SpectrumTooShort(ValueError):
+class SpectrumTooShort(Refused):
     """Spectrum is not certified out to the requested cutoff L."""
 
 
-class UnderResolved(ValueError):
+class UnderResolved(Refused):
     """Quadrature step too coarse for the fastest oscillation present."""
 
 
-class DirichletNotFound(LookupError):
+class DirichletNotFound(Refused):
     """No frequency met the constraints below the search ceiling."""
 
 
@@ -100,7 +101,7 @@ def _flux_pairing(spectrum: LengthSpectrum, rows, flux) -> np.ndarray:
     """
     rank = spectrum.homology.shape[1]
     if np.shape(flux) != (rank,):
-        raise ValueError(f"flux has {np.size(flux)} entries for rank {rank}")
+        raise Refused(f"flux has {np.size(flux)} entries for rank {rank}")
     return spectrum.homology[rows] @ np.asarray(flux, dtype=float)
 
 
@@ -140,7 +141,7 @@ def coefficient_table(
     psi_hat zeroes every k*l > L exactly.
     """
     if L <= 0:
-        raise ValueError("L must be positive")
+        raise Refused("L must be positive")
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows[spectrum.primitive_length[rows] <= L]
     ells = spectrum.primitive_length[rows]
@@ -204,7 +205,7 @@ class SigmaEvaluator:
 
     def report(self, lam: float) -> VarianceReport:
         if lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise Refused("lambda must be positive")
         a = self.coefficients(lam)
         cross = a @ a.T  # (kmax, kmax) of sums over classes
         total = float(np.sum(self._vmat * cross))
@@ -239,13 +240,13 @@ def _resolved_grid(
     lo: float, span: float, l_max: float, points: int | None
 ) -> np.ndarray:
     if span <= 0:
-        raise ValueError("averaging span must be positive")
+        raise Refused("averaging span must be positive")
     if points is None:
         # 32 points per period of the fastest oscillation cos(2 mu l_max)
         step = (math.pi / l_max) / 32.0
         points = max(int(math.ceil(span / step)) + 1, 9)
     if points < 3:
-        raise ValueError("need at least 3 quadrature points")
+        raise Refused("need at least 3 quadrature points")
     step = span / (points - 1)
     if step > math.pi / (2.0 * l_max):
         raise UnderResolved(
@@ -354,11 +355,11 @@ def dirichlet_lambda_search(
     """
     rs = _distinct_lengths(lengths)
     if len(rs) == 0:
-        raise ValueError("need at least one length")
+        raise Refused("need at least one length")
     if Y <= 1:
-        raise ValueError("Y must exceed 1")
+        raise Refused("Y must exceed 1")
     if mode not in ("plus", "minus"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise Refused(f"unknown mode {mode!r}")
     step = 1.0 / (Y * float(np.max(lengths)))  # the largest raw length, so no window is stepped over
     ceiling = min(float(lam_max), M * Y ** len(rs))
     bound = 1.0 / Y

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import specvar.fuchsian as F
-from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
+from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
 from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
 from specvar.dynamics import empirical_transition, orbit_clt_experiment, sum_rule_check
 from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
@@ -474,6 +474,158 @@ def test_bad_flux_list():
     with pytest.raises(SystemExit) as exc:
         main(["average", "--lambda", "1e4", "--L", "3", "--flux", "1,zap"])
     assert exc.value.code == EXIT_INVALID
+
+
+# ---------------------------------------------------------------------------
+# flag drift: the parsed namespace is the ``config`` block of every artifact
+
+_COMMON = {"check": False, "config": None, "threads": None}
+_SOURCE = {"allow_incomplete": False, "lmax": None, "params": None,
+           "preset": "octagon_genus2", "spectrum_file": None}
+_CHARACTER = {"character": None, "flux": None, "flux_scale": 1.0}
+_PROFILE = {"L": 5.0, "band": 0.25, "delta": 2.0, "lam": 1e4, "points": None,
+            "target": "auto", "window": "triangle"}
+
+# subcommand -> (minimal argv, every key of the parsed namespace but the
+# handler, with its value)
+NAMESPACES = {
+    "spectrum": ([], {**_COMMON, **_SOURCE, "out": "spectrum.csv"}),
+    "variance": (
+        ["--lambda", "1e4", "--L", "5"],
+        {**_COMMON, **_SOURCE, **_CHARACTER, **_PROFILE, "out": "variance.csv"},
+    ),
+    "average": (
+        ["--lambda", "1e4", "--L", "5"],
+        {**_COMMON, **_SOURCE, **_CHARACTER, **_PROFILE, "out": "average.json"},
+    ),
+    "dirichlet": (
+        ["--L", "5"],
+        {**_COMMON, **_SOURCE, "L": 5.0, "M": 100.0, "Y": 8.0, "lam_max": 1e9,
+         "mode": "plus", "out": "dirichlet.json", "window": "triangle"},
+    ),
+    "covers": (
+        ["--n", "20", "--samples", "100", "--seed", "1"],
+        {**_COMMON, **_SOURCE, **_CHARACTER, "L": None, "centering": "batch", "kmax": 6,
+         "lam": None, "moment_lmax": 2.5, "n": 20, "out": "covers.json",
+         "preset": "schottky_pants", "samples": 100, "seed": 1, "window": "triangle"},
+    ),
+    "poisson": (
+        ["--lambda", "1e4", "--L", "5"],
+        {**_COMMON, **_SOURCE, **_CHARACTER, "L": 5.0, "draws": 100000, "lam": 1e4,
+         "mmax": 4, "out": "poisson.json", "seed": 0, "window": "triangle"},
+    ),
+    "ergodicity": (
+        ["--lambda", "1e4", "--L", "5", "--Lambda", "100"],
+        {**_COMMON, **_SOURCE, **_CHARACTER, "L": 5.0, "draws": 1000, "epsilon": None,
+         "lam": 1e4, "out": "ergodicity.json", "points": None, "seed": 0,
+         "span": 100.0, "window": "triangle"},
+    ),
+    "sumrule": (
+        ["--L", "5,6"],
+        {**_COMMON, **_SOURCE, **_CHARACTER, "L": (5.0, 6.0), "out": "sumrule.csv",
+         "window": "triangle"},
+    ),
+    "orbit-clt": (
+        ["--T", "4"],
+        {**_COMMON, **_SOURCE, "T": 4.0, "draws": 100000, "epsilon": 1.0, "flux": None,
+         "out": "orbit-clt.csv", "seed": 0},
+    ),
+    "transition": (
+        ["--lambda", "1e4", "--L", "5"],
+        {**_COMMON, **_SOURCE, "L": 5.0, "delta": 2.0, "flux": None, "lam": 1e4,
+         "no_average": False, "out": "transition.csv",
+         "s_grid": (0.0, 0.5, 1.0, 2.0, 4.0), "variance": None, "window": "triangle"},
+    ),
+    "haar": ([], {**_COMMON, "dim": 5, "group": "su2", "out": "haar.json",
+                  "samples": 1000000, "seed": 0}),
+}
+
+
+def test_every_subcommand_keeps_its_namespace():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if a.dest == "subcommand")
+    assert set(subs.choices) == set(NAMESPACES)
+    for name, (argv, expected) in NAMESPACES.items():
+        parsed = vars(parser.parse_args([name, *argv]))
+        assert callable(parsed.pop("func")), name
+        assert parsed == {**expected, "subcommand": name}, name
+        # equal values of another type would print differently in the config
+        assert {k: type(v) for k, v in parsed.items() if v is not None} == {
+            k: type(v) for k, v in {**expected, "subcommand": name}.items() if v is not None
+        }, name
+
+
+# argv of each subcommand that reads a spectrum, needing more than the
+# pants CSV's certified 6.0
+TOO_DEEP = {
+    "variance": ["--lambda", "1e4", "--L", "7"],
+    "average": ["--lambda", "1e4", "--L", "7"],
+    "dirichlet": ["--L", "7"],
+    "covers": ["--n", "20", "--samples", "100", "--seed", "1", "--moment-lmax", "7"],
+    "poisson": ["--lambda", "1e4", "--L", "7", "--draws", "100"],
+    "ergodicity": ["--lambda", "1e4", "--L", "7", "--Lambda", "100", "--draws", "10"],
+    "sumrule": ["--L", "5,7"],
+    "orbit-clt": ["--T", "5.5", "--draws", "100"],
+    "transition": ["--lambda", "1e4", "--L", "7", "--no-average"],
+}
+
+
+@pytest.mark.parametrize("name", list(TOO_DEEP))
+def test_short_spectrum_file_is_refused_before_any_write(tmp_path, pants_csv, capsys, name):
+    out = tmp_path / "out"
+    code = main([name, *TOO_DEEP[name], "--spectrum-file", pants_csv, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "spectrum certified to 6" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["transition", "--L", "5", "--lambda", "1e4", "--s-grid", ""], "--s-grid"),
+        (["sumrule", "--L", ""], "--L"),
+        (["average", "--L", "5", "--lambda", "0"], "--lambda"),
+        (["ergodicity", "--L", "5", "--lambda", "1e4", "--Lambda", "-1"], "--Lambda"),
+    ],
+    ids=["empty-s-grid", "empty-L-grid", "zero-lambda", "negative-span"],
+)
+def test_bad_grid_or_scale_is_refused_at_parse_time(tmp_path, pants_csv, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spectrum-file", pants_csv, "--out", str(out)])
+    assert exc.value.code == EXIT_INVALID
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_module_refusal_is_typed():
+    from specvar import Refused
+    from specvar.characters import UndefinedTarget
+    from specvar.cli import ConfigError
+    from specvar.covers import NotFreePreset
+    from specvar.dynamics import EmptyEnsemble
+    from specvar.fuchsian import IncompleteEnumeration, InvalidParameters, NonHyperbolicElement
+    from specvar.poisson import VarianceTooSmall
+    from specvar.variance import DirichletNotFound, SpectrumTooShort, UnderResolved
+
+    for cls in (ConfigError, InvalidParameters, NonHyperbolicElement, IncompleteEnumeration,
+                SpectrumTooShort, UnderResolved, DirichletNotFound, UndefinedTarget,
+                NotFreePreset, EmptyEnsemble, VarianceTooSmall):
+        assert issubclass(cls, Refused), cls
+
+
+def test_a_bug_propagates_instead_of_exiting_2(tmp_path, monkeypatch):
+    # only a typed refusal (or an OSError) is a configuration error
+    import specvar.covers
+
+    def broken(*args, **kwargs):
+        raise IndexError("a computation bug")
+
+    monkeypatch.setattr(specvar.covers, "moment_experiment", broken)
+    out = tmp_path / "c.json"
+    with pytest.raises(IndexError, match="a computation bug"):
+        main(["covers", "--n", "20", "--samples", "100", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 ORBIT_CLT = ["orbit-clt", "--T", "4", "--draws", "1000"]

@@ -238,6 +238,19 @@ def test_orbit_clt_refuses_fewer_than_two_draws(octagon12, tmp_path):
     assert not out.exists()
 
 
+def test_orbit_clt_refuses_epsilon_before_any_draw(tmp_path, capsys, monkeypatch):
+    def no_draws(self, draws, seed):
+        raise AssertionError("drew the ensemble before refusing epsilon")
+
+    monkeypatch.setattr(OrbitEnsemble, "sample_indices", no_draws)
+    out = tmp_path / "clt.csv"
+    argv = ["orbit-clt", "--preset", "octagon_genus2", "--Lmax", "5", "--T", "4",
+            "--epsilon", "0", "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_orbit_clt_refuses_flux_of_wrong_rank(octagon12):
     # a flux vector is neither padded nor cut to the rank
     for flux in ((1.0,), FLUX1 + (0.0,)):
