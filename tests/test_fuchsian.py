@@ -665,6 +665,23 @@ def test_csv_bytes_pinned(tmp_path):
     assert os.listdir(tmp_path) == ["pants6.csv"]
 
 
+def test_deep_and_capped_csvs_pinned(tmp_path, octagon_csv, torus):
+    # the session's octagon Lmax 12 spectrum, and a capped torus (Lmax 8 at
+    # word length 13 certifies only ell <= 6.08; Lmax 6 at the default cap
+    # certifies in full), pinned whole, certificate line included
+    path = tmp_path / "torus8.csv"
+    F.spectrum_to_csv(
+        F.build_spectrum(torus, 8.0, allow_incomplete=True, max_word_length=13), str(path)
+    )
+    with open(octagon_csv, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "7b2ed4d6ad9e0aea76e45a46c6978b86bec86258a15f97e8ef879eda715af311"
+        )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "385d4ed7adb4cf3ac86161af48d021c8781e42c610bc8a23ebf7ea2cca53222f"
+    )
+
+
 @pytest.fixture(scope="module")
 def capped_torus(torus):
     return F.build_spectrum(torus, 7.0, allow_incomplete=True, max_word_length=10)
