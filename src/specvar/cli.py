@@ -463,7 +463,7 @@ COMMANDS = {
     ),
     "covers": _Command(
         "random cover moments and the variance bridge", _covers, "json",
-        lambda a: a.L if a.L is not None else a.moment_lmax, (
+        lambda a: max(a.moment_lmax, a.L or 0.0), (
             *_source("schottky_pants"), *_CHARACTER, _WINDOW,
             _flag("--n", type=int, required=True, help="cover degree"),
             _flag("--samples", type=int, required=True, help="Monte Carlo samples"),

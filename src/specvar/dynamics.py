@@ -94,6 +94,8 @@ def sum_rule_check(spectrum: LengthSpectrum, phi: Window, L: float, char=None) -
     them negligible but they belong to the sum).  Returns the row of the
     ``sumrule`` table at this cutoff.
     """
+    if not L > 0:
+        raise Refused(f"sum rule cutoff L must be positive, got {L:g}")
     _require_certified(spectrum, L)
     _warn_if_not_cocompact(spectrum)
     d_trivial = 1.0 if phases_on_lattice(char, 2.0 * math.pi) else 0.0
@@ -287,8 +289,9 @@ def empirical_transition(
     ``with_average``); ``sigma2_pred`` is ``transition_curve`` at
     ``variance``.  Returns the ``transition`` table as one list per column.
     """
-    trivial = SigmaEvaluator(spectrum, None, w, L)
     s = np.asarray(s_grid, dtype=float)
+    predicted = transition_curve(w, variance, s)  # refuses a bad variance before the sums
+    trivial = SigmaEvaluator(spectrum, None, w, L)
     flux = _flux_array(flux_vector, spectrum.group.rank)
 
     # l^2 psi_hat^2(l/L) / |I - P| is (weight / 2)^2 of the trivial k = 1 coefficient
@@ -310,7 +313,7 @@ def empirical_transition(
     return {
         "s": s.tolist(),
         "alpha": alpha.tolist(),
-        "sigma2_pred": transition_curve(w, variance, s).tolist(),
+        "sigma2_pred": predicted.tolist(),
         "sigma2_emp": empirical,
         "sigma2_avg": averaged.tolist(),
     }

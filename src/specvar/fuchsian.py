@@ -8,16 +8,17 @@ return map P contributes the weight |det(I - P)| = 4*sinh^2(ell/2).
 Enumeration works on word-length shells with vectorized matrix products.
 Letters are coded in the canonical letter order (a1 < a1^-1 < a2 < ...), and
 each shell grows only prenecklaces by the Fredricksen-Kessler-Maiorana rule,
-so every cyclic spelling is built once, as its least rotation, and the
-survivors need no rotation dedup.  For the co-compact octagon preset, shells
-are also pruned by orbit displacement: every class with ell <= Lmax has a
-cyclically reduced spelling whose prefixes all move the base point by at
-most ell + 2R (R = circumradius of the fundamental octagon), because the
-spelling can be read off the tiles crossed by the axis; its rotations start
-at other crossings, so its least rotation qualifies too.  Pruned shells
-therefore empty out on their own and the last nonempty shell is the
-completeness certificate.  Free presets use plain cyclically reduced
-enumeration with an empirical minimum-length margin.
+so every cyclic spelling is built once, as its least rotation.  For the
+co-compact octagon preset, shells are also pruned by orbit displacement:
+every class with ell <= Lmax has a cyclically reduced spelling whose
+prefixes all move the base point by at most ell + 2R (R = circumradius of
+the fundamental octagon), because the spelling can be read off the tiles
+crossed by the axis; its rotations start at other crossings, so its least
+rotation qualifies too.  Pruned shells therefore empty out on their own and
+the last nonempty shell is the completeness certificate.  Such a spelling
+holds no window of Dehn's relator table, even around its end, so the
+survivors are Dehn-reduced necklaces.  Free presets use plain cyclically
+reduced enumeration with an empirical minimum-length margin.
 
 The survivors are turned into classes with one closure of shortest
 spellings per inversion pair: a survivor already in a closure is skipped,
@@ -25,9 +26,9 @@ a closure holding a periodic spelling is a proper power, whose records
 are made from its root, and a primitive pair is named by
 ``canonical_class`` from that same closure (the ``words`` rules).  A
 primitive length is taken from one trace per inversion pair, chosen from
-that closure by a rule of the class (``_trace_spelling``), so the bits of
-every length are independent of the order in which the enumeration meets
-the class.
+that closure by a rule of the class (``_trace_spelling``), so its bits do
+not depend on the order in which the enumeration meets the class; the
+one length cut, at the certified length, is made on it.
 
 A spectrum is cached as a format-2 CSV whose rows name their inverse rows.
 Loading rebuilds each conjugacy class from its word and its partner's word
@@ -53,11 +54,10 @@ from .words import (
     ConjugacyClass,
     GroupPreset,
     Word,
-    _letter_key,
+    _overlong_replacements,
     abelianize,
     canonical_class,
     cyclic_reduce,
-    dehn_cyclic_reduce,
     free_group,
     inverse_spellings,
     invert_word,
@@ -135,8 +135,7 @@ def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
     for i, word in enumerate(words):
         by_length.setdefault(len(word), []).append(i)
     for n, idx in by_length.items():
-        letters = np.array([words[i] for i in idx], dtype=np.int64).reshape(len(idx), n)
-        codes = 2 * (np.abs(letters) - 1) + (letters < 0)  # _letter_code, by rows
+        codes = _letter_codes(np.array([words[i] for i in idx], dtype=np.int64))
         if codes.size and (codes.min() < 0 or codes.max() >= len(mats)):
             raise InvalidParameters(f"word letter out of range for rank {group.rank}")
         prod = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
@@ -190,10 +189,12 @@ def _schottky_pants(l1: float, l2: float, l3: float) -> FuchsianGroup:
     )
 
 
+# circumradius of the regular octagon with vertex angle pi/4: cosh R = cot^2(pi/8)
+_OCTAGON_R = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
+
+
 def _octagon_vertices() -> np.ndarray:
-    # regular octagon with vertex angle pi/4: cosh(circumradius) = cot^2(pi/8)
-    big_r = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
-    r_eucl = math.tanh(big_r / 2)
+    r_eucl = math.tanh(_OCTAGON_R / 2)
     return r_eucl * np.exp(1j * 2 * np.pi * np.arange(9) / 8)
 
 
@@ -352,16 +353,22 @@ class LengthSpectrum:
 _CHUNK = 1_500_000  # rows per vectorized extension block
 
 
-def _letter_code(letter: int) -> int:
-    # canonical letter order: generator i -> 2(i-1), its inverse -> 2(i-1)+1,
-    # so code c ^ 1 is the inverse of code c
-    return _letter_key(letter) - 2
+def _letter_codes(letters: np.ndarray) -> np.ndarray:
+    # generator i -> 2(i-1), its inverse -> 2(i-1)+1, so code c ^ 1 inverts c
+    return 2 * (np.abs(letters) - 1) + (letters < 0)
+
+
+def _packed(codes: np.ndarray, base: int) -> np.ndarray:
+    """Base-``base`` numbers of code rows, first letter most significant."""
+    out = np.zeros(len(codes), dtype=np.int64)
+    for column in codes.T:
+        out = out * base + column
+    return out
 
 
 def _codes_to_words(block: np.ndarray) -> list[Word]:
     """Signed-letter words of a block of code rows."""
-    block = block.astype(np.int64)
-    letters = (block >> 1) + 1
+    letters = (block.astype(np.int64) >> 1) + 1
     return [tuple(row) for row in np.where(block & 1, -letters, letters).tolist()]
 
 
@@ -383,31 +390,29 @@ def _extend_shell(
     mats: np.ndarray,
     period: np.ndarray,
     gen_mats: np.ndarray,
-    forbidden_codes: np.ndarray | None,
+    windows: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Append every letter that keeps a row a reduced prenecklace, in chunks.
 
     FKM rule: a prenecklace w of length t whose longest Lyndon prefix has
     period p extends by c only if c >= w[t-p]; p is kept when c equals
-    w[t-p] and becomes t+1 when c is greater.  Rows are filtered before
-    their word and 2x2 product are built.
+    w[t-p] and becomes t+1 when c is greater.  Rows are filtered, by
+    ``windows`` too, before their word and 2x2 product are built.
     """
     n_letters = len(gen_mats)
     n, t = words.shape
     ref = words[np.arange(n), t - period]
     tail = None
-    if forbidden_codes is not None and t >= 4:
-        # base-(2r) code of the last four letters; a letter makes it a 5-gram
-        tail = np.zeros(n, dtype=np.int64)
-        for j in range(t - 4, t):
-            tail = tail * n_letters + words[:, j]
+    if windows is not None and t >= 4:
+        # the last four letters, packed; a new letter makes a 5-letter window
+        tail = _packed(words[:, t - 4 :], n_letters) * n_letters
     new_words = [np.empty((0, t + 1), np.int8)]
     new_mats = [np.empty((0, 4))]
     new_period = [np.empty(0, np.int16)]
     for letter in range(n_letters):
         ok = (words[:, -1] != letter ^ 1) & (ref <= letter)
         if tail is not None:
-            ok &= ~np.isin(tail * n_letters + letter, forbidden_codes)
+            ok &= ~np.isin(tail + letter, windows)
         idx = np.flatnonzero(ok)
         for start in range(0, len(idx), _CHUNK):
             sel = idx[start : start + _CHUNK]
@@ -421,24 +426,15 @@ def _extend_shell(
     return tuple(np.concatenate(parts) for parts in (new_words, new_mats, new_period))
 
 
-def _forbidden_5gram_codes(group: GroupPreset, n_letters: int) -> np.ndarray:
-    """Base-(2r) codes of all 5-letter windows of the cyclic relator forms.
+def _relator_windows(group: GroupPreset, n_letters: int) -> np.ndarray:
+    """Dehn's overlong relator windows, 5 letters on genus 2, ``_packed``.
 
-    A reduced word containing one is Dehn-reducible, and spellings read off
-    axis crossings never contain one (a geodesic passes at most half way
+    A cyclic word holding one is not Dehn-reduced, and spellings read off
+    axis crossings never hold one (a geodesic passes at most half way
     around a vertex), so such rows can be dropped without losing classes.
     """
-    rel = group.relator
-    grams = set()
-    for base_word in (rel, invert_word(rel)):
-        codes = [_letter_code(l) for l in base_word]
-        doubled = codes + codes
-        for i in range(len(codes)):
-            grams.add(tuple(doubled[i : i + 5]))
-    packed = sorted(
-        sum(c * n_letters ** (4 - j) for j, c in enumerate(g)) for g in grams
-    )
-    return np.asarray(packed, dtype=np.int64)
+    keys = np.array(sorted(_overlong_replacements(group)), dtype=np.int64)
+    return _packed(_letter_codes(keys), n_letters)
 
 
 def _first_shell(gen_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -457,25 +453,29 @@ def _enumerate_cocompact(
     is the last nonempty shell.  Every rotation of an axis-crossing spelling
     starts at another crossing, so the least rotation of each class's
     crossing spelling passes the cut too, and only necklaces are grown.
+    Survivors are Dehn-reduced: no ``_relator_windows`` entry, even around the end.
     """
-    big_r = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
     margin = 0.5
-    d_cut = l_max + 2 * big_r + margin
+    d_cut = l_max + 2 * _OCTAGON_R + margin
     norm2_cut = 2.0 * math.cosh(d_cut)  # cosh d(i, g i) = ||g||_F^2 / 2
     # slack keeps borderline classes; records re-filter with exact traces
     tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
 
     gen_mats = group.generator_array()
-    forbidden = _forbidden_5gram_codes(group.group, len(gen_mats))
+    base = len(gen_mats)
+    windows = _relator_windows(group.group, base)
 
     words, mats, period = _first_shell(gen_mats)
     survivors: list[np.ndarray] = []
     shell_rows: list[int] = []
     while len(words):
         shell_rows.append(len(words))
-        keep = _shell_survivors(words, mats, period, tr_cut)
-        if keep.any():
-            survivors.append(words[keep].copy())
+        rows = words[_shell_survivors(words, mats, period, tr_cut)]
+        if rows.shape[1] >= 5:  # shorter rows repeat a letter, which no window does
+            ring = np.concatenate([rows[:, -4:], rows[:, :4]], axis=1)
+            wraps = [np.isin(_packed(ring[:, j : j + 5], base), windows) for j in range(4)]
+            rows = rows[~np.logical_or.reduce(wraps)]
+        survivors.append(rows)
         within = (mats * mats).sum(axis=1) <= norm2_cut
         words, mats, period = words[within], mats[within], period[within]
         if not len(words):
@@ -484,7 +484,7 @@ def _enumerate_cocompact(
             raise IncompleteEnumeration(
                 "displacement-pruned shells failed to terminate"
             )
-        words, mats, period = _extend_shell(words, mats, period, gen_mats, forbidden)
+        words, mats, period = _extend_shell(words, mats, period, gen_mats, windows)
     cert = {
         "method": "displacement-pruned necklace shells",
         "word_length_bound": len(shell_rows),
@@ -534,21 +534,19 @@ def _enumerate_free(
     mixed spellings first appear.  Each cyclically reduced word has a
     necklace rotation with the same trace, so the prenecklace shells keep
     the per-shell minimum.  For the cusped preset minimum lengths grow only
-    logarithmically in the shell, so the cap triggers capped mode.
+    logarithmically in the shell, so the cap triggers capped mode, whose
+    survivors ``build_spectrum`` cuts to the certified length.
     """
     tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
     gen_mats = group.generator_array()
     words, mats, period = _first_shell(gen_mats)
-    survivors: list[tuple[np.ndarray, np.ndarray]] = []
+    survivors: list[np.ndarray] = []
     shell_mins: list[float] = []
     shell_rows: list[int] = []
     clear = 0
     while True:
         shell_rows.append(len(words))
-        keep = _shell_survivors(words, mats, period, tr_cut)
-        if keep.any():
-            m = mats[keep]
-            survivors.append((words[keep].copy(), np.abs(m[:, 0] + m[:, 3])))
+        survivors.append(words[_shell_survivors(words, mats, period, tr_cut)])
         shell_mins.append(_shell_min_length(words, mats, gen_mats))
         clear = clear + 1 if shell_mins[-1] > l_max else 0
         complete = clear >= 2
@@ -564,16 +562,13 @@ def _enumerate_free(
                 "certified_l_max": certified,
                 "complete": complete,
             }
-            if complete:
-                return [w for w, _ in survivors], cert
-            if not allow_incomplete:
+            if not (complete or allow_incomplete):
                 raise IncompleteEnumeration(
                     f"word length {max_word_length} certifies only "
                     f"ell <= {certified:.3f} < {l_max}; "
                     "pass allow_incomplete=True for a capped spectrum"
                 )
-            cap_tr = 2.0 * math.cosh(certified / 2) * (1.0 + 1e-9)
-            return [w[t <= cap_tr] for w, t in survivors], cert
+            return survivors, cert
         words, mats, period = _extend_shell(words, mats, period, gen_mats, None)
 
 
@@ -621,18 +616,18 @@ def build_spectrum(
         raw, cert = _enumerate_free(group, l_max, max_word_length, allow_incomplete)
     effective_l_max = cert["certified_l_max"]
 
-    # each survivor is the least rotation of its spelling, so no two rows
-    # are rotations of each other; surface groups still meet several
-    # Dehn-equivalent spellings of one class.  A power class is skipped:
-    # its root is shorter, so it is a survivor too.  canonical_class reads
-    # the closure shortest_spellings keeps, so a pair costs one closure.
+    # each survivor is a Dehn-reduced necklace, so no two rows are rotations
+    # of each other; surface groups still meet several spellings of one
+    # class, and a Dehn-reduced one can be longer than its class.  A power
+    # class is skipped: its root is shorter, so it is a survivor too.
+    # canonical_class reads the closure shortest_spellings keeps, so a pair
+    # costs one closure.  The length cut below is the only one.
     preset_group = group.group
     seen: set[Word] = set()
     pair_roots: list[ConjugacyClass] = []
     trace_words: list[Word] = []
     for block in raw:
-        for row in _codes_to_words(block):
-            word = min_rotation(dehn_cyclic_reduce(row, preset_group))
+        for word in _codes_to_words(block):
             if word in seen:
                 continue
             spellings = shortest_spellings(word, preset_group)
@@ -709,23 +704,18 @@ def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
 
 
 _LETTERS = "abcdefgh"
+_LETTER_OF = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {
+    ch.upper(): -(i + 1) for i, ch in enumerate(_LETTERS)
+}
+_TEXT_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
 
 
 def word_to_text(word: Word) -> str:
     """Compact spelling: generator i -> letter, inverse -> uppercase."""
-    out = []
-    for letter in word:
-        idx = abs(letter) - 1
-        if idx >= len(_LETTERS):
-            raise InvalidParameters("word uses more generators than supported")
-        ch = _LETTERS[idx]
-        out.append(ch if letter > 0 else ch.upper())
-    return "".join(out)
-
-
-_LETTER_OF = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {
-    ch.upper(): -(i + 1) for i, ch in enumerate(_LETTERS)
-}
+    try:
+        return "".join([_TEXT_OF[letter] for letter in word])
+    except KeyError as exc:
+        raise InvalidParameters(f"word letter {exc.args[0]} has no spelling") from None
 
 
 def word_from_text(text: str) -> Word:

@@ -358,6 +358,8 @@ def dirichlet_lambda_search(
         raise Refused("need at least one length")
     if Y <= 1:
         raise Refused("Y must exceed 1")
+    if not M > 0:
+        raise Refused(f"search start M must be positive, got {M:g}")
     if mode not in ("plus", "minus"):
         raise Refused(f"unknown mode {mode!r}")
     step = 1.0 / (Y * float(np.max(lengths)))  # the largest raw length, so no window is stepped over

@@ -25,8 +25,6 @@ from specvar.fuchsian import (
     GeodesicRecord,
     InvalidParameters,
     LengthSpectrum,
-    _forbidden_5gram_codes,
-    _letter_code,
     _shell_classes,
     log_poincare_det,
 )
@@ -40,6 +38,7 @@ from specvar.words import (
     GroupPreset,
     TrivialElementError,
     Word,
+    _letter_key,
     abelianize,
     canonical_class,
     invert_word,
@@ -269,12 +268,36 @@ def qr_unitary_traces(dim: int, g: np.random.Generator, size: int) -> np.ndarray
 # fuchsian: holonomy, determinant, power check, tail sum
 
 
+def letter_code(letter: int) -> int:
+    """Code of one signed letter: generator i -> 2(i-1), its inverse -> 2(i-1)+1."""
+    return _letter_key(letter) - 2
+
+
+def forbidden_5gram_codes(group: GroupPreset, n_letters: int) -> np.ndarray:
+    """Base-(2r) codes of all 5-letter windows of the cyclic relator forms.
+
+    Read off the doubled relator and its doubled inverse, first letter most
+    significant; the library packs Dehn's overlong-window table instead.
+    """
+    rel = group.relator
+    grams = set()
+    for base_word in (rel, invert_word(rel)):
+        codes = [letter_code(l) for l in base_word]
+        doubled = codes + codes
+        for i in range(len(codes)):
+            grams.add(tuple(doubled[i : i + 5]))
+    packed = sorted(
+        sum(c * n_letters ** (4 - j) for j, c in enumerate(g)) for g in grams
+    )
+    return np.asarray(packed, dtype=np.int64)
+
+
 def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
     """Product of generator matrices and inverses in word order, one word at a time."""
     mats = group.generator_array()
     out = np.eye(2)
     for letter in word:
-        out = out @ mats[_letter_code(letter)]
+        out = out @ mats[letter_code(letter)]
     return out
 
 
@@ -465,7 +488,7 @@ def unpruned_shells(
     forbidden = None
     if displacement_cut is not None:
         norm2_cut = 2.0 * math.cosh(displacement_cut)
-        forbidden = _forbidden_5gram_codes(group.group, len(gen_mats))
+        forbidden = forbidden_5gram_codes(group.group, len(gen_mats))
     words = np.arange(len(gen_mats), dtype=np.int8)[:, None]
     mats = gen_mats.reshape(len(gen_mats), 4).copy()
     survivors = []

@@ -415,6 +415,25 @@ def test_covers_refuses_cocompact_preset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_covers_moment_classes_do_not_depend_on_the_bridge_cutoff(tmp_path, capsys):
+    # the build reaches --moment-lmax even when the bridge cutoff --L is shorter
+    common = ["covers", "--n", "20", "--samples", "100", "--seed", "1", "--moment-lmax", "5"]
+    counts = []
+    for extra in ([], ["--L", "2", "--lambda", "1e4"]):
+        assert main(common + extra + ["--out", str(tmp_path / "c.json")]) == EXIT_OK
+        counts.append(re.search(r"(\d+) classes", capsys.readouterr().out).group(1))
+    assert counts[0] == counts[1]
+
+
+def test_covers_refuses_a_spectrum_short_of_the_moment_cutoff(tmp_path, pants_csv, capsys):
+    out = tmp_path / "c.json"
+    code = main(["covers", "--n", "20", "--samples", "100", "--seed", "1", "--moment-lmax", "7",
+                 "--L", "2", "--lambda", "1e4", "--spectrum-file", pants_csv, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "spectrum certified to 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_covers_seed_changes_output(tmp_path):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

@@ -20,6 +20,7 @@ from specvar.dynamics import (
     unit_mass_bump,
     variance_estimator,
 )
+from specvar import Refused
 from specvar.variance import SpectrumTooShort
 from specvar.windows import sigma2_goe, sigma2_gue, window
 
@@ -100,6 +101,21 @@ def test_sum_rule_linear_in_phi(octagon12):
 def test_sum_rule_short_spectrum(octagon12):
     with pytest.raises(SpectrumTooShort):
         sum_rule_check(octagon12, window("bump"), 12.5)
+
+
+@pytest.mark.parametrize("L", [0.0, -3.0])
+def test_sum_rule_refuses_nonpositive_cutoff(octagon12, L):
+    # L = 0 divided by zero, and a negative L wrote a row
+    with pytest.raises(Refused, match="L must be positive"):
+        sum_rule_check(octagon12, window("bump"), L)
+
+
+@pytest.mark.parametrize("grid", [["--L", "0,8"], ["--L=-3,8"]], ids=["zero", "negative"])
+def test_sumrule_cli_refuses_nonpositive_cutoff(tmp_path, capsys, octagon_csv, grid):
+    out = tmp_path / "sumrule.csv"
+    assert main(["sumrule", *grid, "--spectrum-file", octagon_csv, "--out", str(out)]) == EXIT_INVALID
+    assert "L must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sum_rule_warns_off_cocompact(pants):
@@ -346,6 +362,21 @@ def test_transition_monotone_and_bracketed():
 def test_transition_rejects_negative_variance():
     with pytest.raises(ValueError):
         transition_curve(window("triangle"), -0.1, [0.0])
+
+
+def test_transition_refuses_variance_before_any_sum(tmp_path, capsys, monkeypatch):
+    import specvar.dynamics
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("built the coefficient table before refusing the variance")
+
+    monkeypatch.setattr(specvar.dynamics, "SigmaEvaluator", no_sums)
+    out = tmp_path / "transition.csv"
+    argv = ["transition", "--preset", "schottky_pants", "--L", "5", "--lambda", "1e4",
+            "--variance=-1", "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    assert "variance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -490,10 +490,9 @@ def test_octagon_necklace_pruning_keeps_classes(octagon, l_max):
 def test_free_necklace_pruning_keeps_classes(name, params, l_max, cap):
     group = F.preset(name, *params)
     pruned, cert = F._enumerate_free(group, l_max, cap, True)
-    # capped mode keeps only the survivors up to the certified length
-    oracle = oracles.unpruned_shells(
-        group, cert["certified_l_max"], cert["word_length_bound"]
-    )
+    # capped mode too keeps every survivor up to l_max; build_spectrum cuts
+    # them to the certified length
+    oracle = oracles.unpruned_shells(group, l_max, cert["word_length_bound"])
     assert sum(len(b) for b in pruned) < sum(len(b) for b in oracle)
     assert _survivor_classes(pruned, group.group) == _survivor_classes(
         oracle, group.group
@@ -513,6 +512,33 @@ def test_survivors_are_necklaces(name, params, l_max):
     assert words
     assert all(w == min_rotation(w) for w in words)
     assert len(set(words)) == len(words)
+
+
+@pytest.mark.parametrize("l_max", [8.0, 9.5])
+def test_octagon_survivors_are_dehn_reduced_necklaces(octagon, l_max):
+    # no survivor holds a relator window, not even around its end, so
+    # build_spectrum takes each row as its word
+    blocks, _ = F._enumerate_cocompact(octagon, l_max)
+    words = [w for b in blocks for w in F._codes_to_words(b)]
+    assert words
+    assert all(min_rotation(W.dehn_cyclic_reduce(w, octagon.group)) == w for w in words)
+
+
+def test_build_takes_survivors_as_words(monkeypatch, octagon, torus):
+    def refuse(word):
+        raise AssertionError("survivors are already least rotations")
+
+    monkeypatch.setattr(F, "min_rotation", refuse)
+    assert F.build_spectrum(octagon, 6.0).records
+    assert F.build_spectrum(torus, 8.0, allow_incomplete=True, max_word_length=10).records
+
+
+def test_relator_windows_are_the_relator_5grams(octagon):
+    # Dehn's overlong-window table, packed, is the set of 5-letter windows
+    # of the doubled relator and its inverse
+    got = F._relator_windows(octagon.group, 8)
+    assert len(got) == 16
+    assert sorted(got.tolist()) == oracles.forbidden_5gram_codes(octagon.group, 8).tolist()
 
 
 def test_reduced_hyperbolic_predicate():
@@ -731,3 +757,7 @@ def test_csv_writer_refuses_unoriented_spectrum(tmp_path, pants):
 def test_word_text_round_trip():
     for w in [(1,), (1, -2, 3, -4), (-1, -1, 2)]:
         assert F.word_from_text(F.word_to_text(w)) == w
+    # letter 0 used to be spelled as the last letter, h
+    for w in [(9,), (1, 0)]:
+        with pytest.raises(F.InvalidParameters, match="has no spelling"):
+            F.word_to_text(w)

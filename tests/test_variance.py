@@ -391,6 +391,13 @@ def test_dirichlet_counts_tied_lengths_once():
     assert np.all(2.0 * np.abs(np.sin(0.5 * lam * raw)) <= 1.0 / Y + 1e-9)
 
 
+@pytest.mark.parametrize("M", [0.0, -5.0])
+def test_dirichlet_refuses_nonpositive_start(M):
+    # M = 0 found lambda = 0; a negative M searched down from M
+    with pytest.raises(V.Refused, match="search start M must be positive"):
+        V.dirichlet_lambda_search([2.0, 3.0], 8.0, M, 1e7)
+
+
 def test_dirichlet_not_found():
     with pytest.raises(V.DirichletNotFound):
         V.dirichlet_lambda_search([1.0, math.sqrt(2)], 50.0, 10.0, 11.0)
