@@ -68,14 +68,22 @@ def _grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
+def _number(what: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """A flag type: a number that ``ok`` accepts; NaN passes no comparison."""
+
+    def number(text: str) -> float:
+        value = float(text)  # argparse reports a ValueError as "invalid number value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return number
+
+
+_positive = _number("a positive number", lambda v: v > 0.0)
+_finite = _number("a finite number", math.isfinite)
+_nonnegative = _number("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_above_one = _number("a finite number above 1", lambda v: 1.0 < v < math.inf)
 
 
 def _apply_thread_budget(threads: int | None) -> None:
@@ -216,7 +224,7 @@ def _spectrum(a, spectrum, char, w):
 def _variance(a, spectrum, char, w):
     from .variance import SigmaEvaluator, _resolved_grid
 
-    grid = _resolved_grid(a.lam, a.delta, a.L, a.points)
+    grid = _resolved_grid(a.lam, a.delta, a.L)
     ev = SigmaEvaluator(spectrum, char, w, a.L)
     reports = [ev.report(mu) for mu in grid]
     table = {
@@ -236,7 +244,7 @@ def _average(a, spectrum, char, w):
     goe, gue = sigma2_goe(w), sigma2_gue(w)
     target = ensemble_target(char, w) if a.target == "auto" else {"goe": goe, "gue": gue}[a.target]
     ev = SigmaEvaluator(spectrum, char, w, a.L)
-    average = energy_average(ev.sigma2, a.lam, a.delta, a.L, a.points)
+    average = energy_average(ev, a.lam, a.delta)
     gap = abs(average - target)
     passed = gap <= a.band * target
     result = {
@@ -281,7 +289,7 @@ def _covers(a, spectrum, char, w):
     images = _batch_images(_require_free(spectrum), a.n, a.samples, a.seed)
     moments = moment_experiment(words, images, a.n, a.samples, kmax=a.kmax)
     bridge = None if a.L is None else empirical_cover_variance(
-        spectrum, char, w, a.lam, a.L, images, a.n, a.samples, a.seed, centering=a.centering
+        spectrum, char, w, a.lam, a.L, images, a.seed, centering=a.centering
     )
     passed = moments["passed"] and (bridge is None or bridge["agrees"])
     summary = f"{len(words)} classes, n={a.n}, samples={a.samples}"
@@ -289,8 +297,9 @@ def _covers(a, spectrum, char, w):
 
 
 def _poisson(a, spectrum, char, w):
-    from .poisson import PoissonSurrogate, clt_test, exact_cumulants
+    from .poisson import PoissonSurrogate, _require_clt_draws, clt_test, exact_cumulants
 
+    _require_clt_draws(a.draws)  # before the surrogate and its cumulants are built
     surrogate = PoissonSurrogate(spectrum, char, w, a.lam, a.L, a.seed)
     cumulants = exact_cumulants(surrogate, mmax=a.mmax)
     clt = clt_test(surrogate, a.draws)
@@ -310,7 +319,7 @@ def _ergodicity(a, spectrum, char, w):
 
     ensemble_target(char, w)  # a matrix twist is refused before the surrogate is built
     surrogate = PoissonSurrogate(spectrum, char, w, a.lam, a.L, a.seed)
-    report = ergodicity_experiment(surrogate, a.lam, a.span, a.points, a.draws, a.epsilon)
+    report = ergodicity_experiment(surrogate, a.span, a.draws, a.epsilon)
     fraction = report["violationFraction"]
     return report, fraction <= 0.1, f"violation fraction {fraction:.4f} (eps={report['epsilon']:.4f})"
 
@@ -379,6 +388,11 @@ def _haar(a, spectrum, char, w):
     return result, abs(estimate - target) <= 3.0 * se, summary
 
 
+def _variance_args(a) -> None:
+    if a.check:
+        raise ConfigError("variance has no --check; run average --check for the energy-average test")
+
+
 def _spectrum_args(a) -> None:
     if a.spectrum_file:
         raise ConfigError("spectrum builds presets; --spectrum-file makes no sense here")
@@ -415,21 +429,16 @@ def _source(preset: str = "octagon_genus2") -> tuple:
 
 _CHARACTER = (
     _flag("--flux", type=_floats, default=None, help="flux vector, comma separated (trivial if omitted)"),
-    _flag("--flux-scale", type=float, default=1.0, help="phase scale multiplying the flux pairing"),
+    _flag("--flux-scale", type=_finite, default=1.0, help="phase scale multiplying the flux pairing"),
     _flag("--character", default=None, help="character as JSON (inline or a file): {'flux':..,'scale':..} or {'images':..}"),
 )
 _WINDOW = _flag("--window", default="triangle", choices=["triangle", "bump"], help="smoothing window")
 _LAMBDA = _flag("--lambda", dest="lam", type=_positive, required=True, help="base frequency")
 _CUTOFF = _flag("--L", type=_positive, required=True, help="geodesic cutoff")
-_DELTA = _flag("--delta", type=float, default=2.0, help="averaging span")
+_DELTA = _flag("--delta", type=_positive, default=2.0, help="averaging span")
 _SEED = _flag("--seed", type=int, default=0, help="master seed")
 _UNIT_FLUX = _flag("--flux", type=_floats, default=None, help="flux vector (default 1,0,...)")
-_PROFILE = (
-    *_source(), *_CHARACTER, _WINDOW, _LAMBDA, _CUTOFF, _DELTA,
-    _flag("--points", type=int, default=None, help="grid points (default: resolves the fastest oscillation)"),
-    _flag("--target", default="auto", choices=["auto", "goe", "gue"], help="ensemble constant to compare against"),
-    _flag("--band", type=float, default=0.25, help="check band as a fraction of the target"),
-)
+_PROFILE = (*_source(), *_CHARACTER, _WINDOW, _LAMBDA, _CUTOFF, _DELTA)
 
 
 class _Command(NamedTuple):
@@ -447,15 +456,21 @@ COMMANDS = {
         "enumerate a preset length spectrum to CSV", _spectrum, "spectrum",
         lambda a: 0.0 if a.allow_incomplete else a.lmax, _source(), validate=_spectrum_args,
     ),
-    "variance": _Command("variance profile over an energy window", _variance, "csv", lambda a: a.L, _PROFILE),
+    "variance": _Command(
+        "variance profile over an energy window", _variance, "csv", lambda a: a.L, _PROFILE, validate=_variance_args,
+    ),
     "average": _Command(
-        "energy-averaged variance vs the ensemble constant", _average, "json", lambda a: a.L, _PROFILE,
+        "energy-averaged variance vs the ensemble constant", _average, "json", lambda a: a.L, (
+            *_PROFILE,
+            _flag("--target", default="auto", choices=["auto", "goe", "gue"], help="ensemble constant to compare against"),
+            _flag("--band", type=float, default=0.25, help="check band as a fraction of the target"),
+        ),
         suffix=".json",
     ),
     "dirichlet": _Command(
         "find a frequency aligning all geodesic phases", _dirichlet, "json", lambda a: a.L, (
             *_source(), _WINDOW, _CUTOFF,
-            _flag("--Y", type=float, default=8.0, help="alignment quality 1/Y"),
+            _flag("--Y", type=_above_one, default=8.0, help="alignment quality 1/Y"),
             _flag("--M", type=float, default=100.0, help="search start"),
             _flag("--lam-max", type=float, default=1e9, help="search ceiling"),
             _flag("--mode", default="plus", choices=["plus", "minus"], help="push the variance up (plus) or down (minus)"),
@@ -487,8 +502,7 @@ COMMANDS = {
         "violation fraction of energy-averaged surrogate draws", _ergodicity, "json", lambda a: a.L, (
             *_source(), *_CHARACTER, _WINDOW, _LAMBDA, _CUTOFF, _SEED,
             _flag("--Lambda", dest="span", type=_positive, required=True, help="energy-averaging span"),
-            _flag("--epsilon", type=float, default=None, help="violation threshold (default: precondition bound)"),
-            _flag("--points", type=int, default=None, help="energy grid points"),
+            _flag("--epsilon", type=_positive, default=None, help="violation threshold (default: precondition bound)"),
             _flag("--draws", type=int, default=1000, help="surrogate draws"),
         ),
     ),
@@ -501,7 +515,7 @@ COMMANDS = {
     "orbit-clt": _Command(
         "homology pairing moments over the orbit ensemble", _orbit_clt, "csv", lambda a: a.T + 1.0, (
             *_source(), _UNIT_FLUX, _SEED,
-            _flag("--T", type=float, required=True, help="ensemble center length"),
+            _flag("--T", type=_positive, required=True, help="ensemble center length"),
             _flag("--draws", type=int, default=100000, help="ensemble draws"),
             _flag("--epsilon", type=float, default=1.0, help="estimator window width"),
         ),
@@ -510,7 +524,7 @@ COMMANDS = {
         "flux transition: empirical sums vs the predicted curve", _transition, "csv", lambda a: a.L, (
             *_source(), _WINDOW, _UNIT_FLUX, _LAMBDA, _CUTOFF, _DELTA,
             _flag("--s-grid", dest="s_grid", type=_grid, default=(0.0, 0.5, 1.0, 2.0, 4.0), help="transition parameter grid"),
-            _flag("--variance", type=float, default=None, help="diffusion variance (default: estimator at the deepest window)"),
+            _flag("--variance", type=_nonnegative, default=None, help="diffusion variance (default: estimator at the deepest window)"),
             _flag("--no-average", action="store_true", help="skip the direct energy-average column"),
         ),
     ),
@@ -529,8 +543,7 @@ def _run(name: str, args) -> int:
     """Validate, resolve the inputs, call, write, then print and apply --check."""
     from .windows import window
 
-    # with --check the variance profile becomes the energy-average test
-    cmd = COMMANDS["average" if name == "variance" and args.check else name]
+    cmd = COMMANDS[name]
     cmd.validate(args)
     # the writers sort the keys and write tuples as lists; the handler (func) is not config
     config = {key: value for key, value in vars(args).items() if key != "config" and not callable(value)}

@@ -203,9 +203,10 @@ def moment_experiment(
 ) -> dict:
     """Empirical F_n moments against their n -> infinity laws.
 
-    ``records`` holds one class word per class (``bench/tracer.py``
-    binds the argument by this name).  ``images`` is a batch from
-    ``_batch_images`` of ``samples`` covers of degree ``n``.  The words'
+    ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
+    degree ``n``: both sizes repeat its shape and are checked against it,
+    but stay, since ``bench/tracer.py`` binds ``records`` (one class word
+    per class) and ``samples`` by name.  The words'
     classes must be primitive and pairwise non-inverse for the
     cross-class decorrelation target to apply.  F is
     counted from powers of the word image and cycle counts from an
@@ -288,15 +289,14 @@ def empirical_cover_variance(
     lam: float,
     L: float,
     images: np.ndarray,
-    n: int,
-    samples: int,
     seed: int,
     centering: str = "batch",
 ) -> dict:
     """Variance of the smoothed count fluctuation over sampled covers.
 
-    ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
-    degree ``n``; ``seed`` keys the bootstrap stream.  Per sample,
+    ``images`` is a batch from ``_batch_images``, of shape (rank,
+    samples, n) for ``samples`` covers of degree n; ``seed`` keys the
+    bootstrap stream.  Per sample,
     N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k) * A(gamma, k)
     over unoriented primitives.  Batch centering removes the O(1/n) mean
     bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
@@ -306,6 +306,7 @@ def empirical_cover_variance(
     ev = SigmaEvaluator(spectrum, char, window, L)
     if centering not in ("batch", "dk"):
         raise Refused(f"unknown centering {centering!r}")
+    samples, n = images.shape[1:]
     _check_batch(images, n, samples)
 
     words = [spectrum.records[i].word for i in ev.rows]

@@ -228,7 +228,7 @@ def variance_estimator(
     """
     if not 0.0 < eps <= 1.0:
         raise Refused(f"window width epsilon must lie in (0, 1], got {eps:g}")
-    if T <= 0:
+    if not T > 0:
         raise Refused("T must be positive")
     _require_certified(spectrum, T + eps, "T+eps")
     flux = _flux_array(flux_vector, spectrum.group.rank)
@@ -249,7 +249,7 @@ def transition_curve(w: Window, variance: float, s_grid) -> np.ndarray:
     Equals the GOE constant at s = 0 and decreases to the GUE constant
     as the damping exponent 2 variance s^2 per unit t grows.
     """
-    if variance < 0:
+    if not variance >= 0:
         raise Refused("variance must be nonnegative")
     s = np.asarray(s_grid, dtype=float)
     gue = sigma2_gue(w)
@@ -308,7 +308,7 @@ def empirical_transition(
         for i, a in enumerate(alpha):
             chi = None if a == 0.0 else FluxCharacter(flux=tuple(flux.tolist()), scale=a)
             ev = trivial if chi is None else SigmaEvaluator(spectrum, chi, w, L)
-            averaged[i] = energy_average(ev.sigma2, lam, delta, L)
+            averaged[i] = energy_average(ev, lam, delta)
 
     return {
         "s": s.tolist(),

@@ -884,6 +884,8 @@ def _row_fault(
         return f"inverse row {j} differs in ell, ell_sharp, k or log_detIminusP"
     if partner["homology"] != tuple(-h for h in row["homology"]):
         return f"inverse row {j} does not carry the negated homology"
+    if len(partner["word"]) != len(word):
+        return f"inverse row {j} has a word of another length"
     if k < 1 or ell != k * row["ell_sharp"]:
         return "ell is not k * ell_sharp"
     if not 0 < ell <= certified_l_max:
@@ -939,21 +941,22 @@ def load_spectrum(path: str) -> LengthSpectrum:
 
     Each class is rebuilt as ``ConjugacyClass(word, inverse row's word)``,
     with no canonicalisation, and the certificate comes back whole.  The
-    file is refused (InvalidParameters, CLI exit 2) unless classIds are
-    the row indices and rows are sorted by (ell, word); inverseId is an
+    file is refused (InvalidParameters, CLI exit 2) unless classIds are the
+    row indices and rows are sorted by (ell, word); inverseId is an
     involution with no fixed point (no class is its own inverse) whose
-    partners share ell, ell_sharp, k and log_detIminusP bit for bit and
-    carry the negated homology; ell == k * ell_sharp,
+    partners share ell, ell_sharp, k and log_detIminusP bit for bit, carry
+    the negated homology and have words of one length; ell == k * ell_sharp,
     log_detIminusP == log_poincare_det(ell) and ell <= certified_l_max; each
-    word is a cyclically reduced least rotation over the rank's letters
-    with the stated homology; ell is within 1e-9 relative of the length
-    of the word's trace; each primitive's ell_sharp is, bit for bit, the
-    length of its own trace or its inverse's; certified_l_max follows
-    from the certificate; and the rows hold, word length by word length,
-    as many classes as the certificate's ``shell_classes`` counted at
-    build time.  Format 1 files, certificates without ``shell_classes``
-    and headers with any other token than ``oriented=True`` are refused
-    with a request to rebuild.
+    word is a cyclically reduced least rotation over the rank's letters with
+    the stated homology; ell is within 1e-9 relative of the length of the
+    word's trace; each primitive's ell_sharp is, bit for bit, the length of
+    its own trace or its inverse's; certified_l_max follows from the
+    certificate; and the rows hold, word length by word length, as many
+    classes as the certificate's ``shell_classes`` counted at build time.
+    Partners are thus checked by length, trace, homology and word length,
+    not by canonicalisation.  Format 1 files, certificates without
+    ``shell_classes`` and headers with any other token than
+    ``oriented=True`` are refused with a request to rebuild.
     """
     try:
         rows, meta = spectrum_from_csv(path)

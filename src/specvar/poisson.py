@@ -199,6 +199,11 @@ def exact_cumulants(surrogate: PoissonSurrogate, mmax: int = 4) -> dict:
 # central limit test
 
 
+def _require_clt_draws(draws: int) -> None:
+    if draws < 8:
+        raise Refused("need at least 8 draws")
+
+
 def clt_test(surrogate: PoissonSurrogate, draws: int) -> dict:
     """Standardize N_tilde by the exact sigma and test near-normality.
 
@@ -207,8 +212,7 @@ def clt_test(surrogate: PoissonSurrogate, draws: int) -> dict:
     ``clt`` mapping of the ``poisson`` artifact; the pass flags apply a
     3-standard-error band around the exact shape targets.
     """
-    if draws < 8:
-        raise Refused("need at least 8 draws")
+    _require_clt_draws(draws)
     kappa = exact_cumulants(surrogate, mmax=4)["kappa"]
     sigma2 = kappa[0]
     if sigma2 < 10.0 / surrogate.L**2:
@@ -274,9 +278,7 @@ def _energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: int) -
 
 def ergodicity_experiment(
     surrogate: PoissonSurrogate,
-    lam: float,
     span: float,
-    energy_points: int | None,
     draws: int,
     eps: float | None = None,
 ) -> dict:
@@ -284,19 +286,19 @@ def ergodicity_experiment(
 
     One Z-draw is shared across the whole energy window (the randomness is
     the cover; the integral is over energy), so each draw yields
-    (1/span) integral of N_tilde(mu)^2 over [lam, lam+span], compared to
-    the character's ``ensemble_target``: a draw violates when
-    |average - target| > eps, where eps^2 must clear the almost-sure
-    bound's margin 10 (1/L + 1/span); the default eps sits just above it.
-    The Simpson integral on the resolved grid is one quadratic form
-    (``_energy_integrals``).  Returns the ``ergodicity`` artifact's mapping.
+    (1/span) integral of N_tilde(mu)^2 over [lam, lam+span] (lam and L the
+    surrogate's), compared to the character's ``ensemble_target``: a draw
+    violates when |average - target| > eps, where eps^2 must clear the
+    almost-sure bound's margin 10 (1/L + 1/span); the default eps sits just
+    above it.  The Simpson integral on ``_resolved_grid`` is one quadratic
+    form (``_energy_integrals``).  Returns the ``ergodicity`` artifact's mapping.
     """
     L = surrogate.L
-    mu = _resolved_grid(lam, span, L, energy_points)
+    mu = _resolved_grid(surrogate.lam, span, L)
     margin = 10.0 * (1.0 / L + 1.0 / span)
     if eps is None:
         eps = math.sqrt(margin) * 1.0001
-    if eps**2 < margin:
+    if not eps**2 >= margin:
         raise Refused(f"eps^2={eps**2:.3g} below the margin 10*(1/L + 1/span)={margin:.3g}")
     if draws < 1:
         raise Refused("draws must be >= 1")
@@ -310,7 +312,7 @@ def ergodicity_experiment(
         "draws": draws,
         "epsilon": eps,
         "target": target,
-        "lambda": lam,
+        "lambda": surrogate.lam,
         "span": span,
         "energyPoints": len(mu),
         "meanAverage": float(averages.mean()),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +45,6 @@ from .windows import Window
 
 class SpectrumTooShort(Refused):
     """Spectrum is not certified out to the requested cutoff L."""
-
-
-class UnderResolved(Refused):
-    """Quadrature step too coarse for the fastest oscillation present."""
 
 
 class DirichletNotFound(Refused):
@@ -140,7 +136,7 @@ def coefficient_table(
     is evaluated in log space so long geodesics cannot overflow, and
     psi_hat zeroes every k*l > L exactly.
     """
-    if L <= 0:
+    if not L > 0:
         raise Refused("L must be positive")
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows[spectrum.primitive_length[rows] <= L]
@@ -161,7 +157,7 @@ def coeff_A(
         raise ValueError("record must be primitive (power 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     rows, weights, freqs = coefficient_table(spectrum, [row], char, window, L)
     a = weights * np.cos(lam * freqs)
@@ -204,7 +200,7 @@ class SigmaEvaluator:
         return self.weights * np.cos(lam * self.freqs)
 
     def report(self, lam: float) -> VarianceReport:
-        if lam <= 0:
+        if not lam > 0:
             raise Refused("lambda must be positive")
         a = self.coefficients(lam)
         cross = a @ a.T  # (kmax, kmax) of sums over classes
@@ -236,23 +232,12 @@ def sigma2_limit(
 # frequency averaging
 
 
-def _resolved_grid(
-    lo: float, span: float, l_max: float, points: int | None
-) -> np.ndarray:
-    if span <= 0:
+def _resolved_grid(lo: float, span: float, l_max: float) -> np.ndarray:
+    """The averaging grid on [lo, lo + span]: 32 points per period of cos(2 mu l_max), at least 9."""
+    if not span > 0:
         raise Refused("averaging span must be positive")
-    if points is None:
-        # 32 points per period of the fastest oscillation cos(2 mu l_max)
-        step = (math.pi / l_max) / 32.0
-        points = max(int(math.ceil(span / step)) + 1, 9)
-    if points < 3:
-        raise Refused("need at least 3 quadrature points")
-    step = span / (points - 1)
-    if step > math.pi / (2.0 * l_max):
-        raise UnderResolved(
-            f"quadrature step {step:.4g} exceeds pi/(2*l_max) = "
-            f"{math.pi / (2 * l_max):.4g}"
-        )
+    step = (math.pi / l_max) / 32.0
+    points = max(int(math.ceil(span / step)) + 1, 9)
     return np.linspace(lo, lo + span, points)
 
 
@@ -284,21 +269,14 @@ def _simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def energy_average(
-    fn: Callable[[float], float],
-    lam: float,
-    delta: float,
-    l_max: float,
-    points: int | None = None,
-) -> float:
-    """(1/delta) * integral of fn over [lam, lam+delta], Simpson rule.
+def energy_average(evaluator: SigmaEvaluator, lam: float, delta: float) -> float:
+    """(1/delta) * integral of Sigma^2 over [lam, lam+delta], Simpson rule.
 
-    The grid must resolve the fastest oscillation cos(2 mu l_max) present
-    in variance profiles; coarser steps raise UnderResolved rather than
-    silently aliasing.
+    The grid resolves the fastest oscillation cos(2 mu L) of the
+    evaluator's profile (``_resolved_grid`` at its cutoff L).
     """
-    grid = _resolved_grid(lam, delta, l_max, points)
-    vals = np.array([fn(mu) for mu in grid])
+    grid = _resolved_grid(lam, delta, evaluator.L)
+    vals = np.array([evaluator.sigma2(mu) for mu in grid])
     return float(_simpson_weights(grid) @ vals) / delta
 
 
@@ -356,7 +334,7 @@ def dirichlet_lambda_search(
     rs = _distinct_lengths(lengths)
     if len(rs) == 0:
         raise Refused("need at least one length")
-    if Y <= 1:
+    if not Y > 1:
         raise Refused("Y must exceed 1")
     if not M > 0:
         raise Refused(f"search start M must be positive, got {M:g}")

@@ -584,11 +584,10 @@ def quadratic_average(
     span: float,
     target: float,
     l_max: float,
-    points: int | None = None,
 ) -> float:
     """(1/span) * integral of |fn - target|^2 over [lam, lam+span]."""
     simpson = pytest.importorskip("scipy.integrate").simpson
-    grid = _resolved_grid(lam, span, l_max, points)
+    grid = _resolved_grid(lam, span, l_max)
     vals = np.array([abs(fn(mu) - target) ** 2 for mu in grid])
     return float(simpson(vals, x=grid)) / span
 

@@ -114,7 +114,7 @@ def test_criterion_04_cover_moments():
 
 def test_criterion_05_cover_variance_bridge(pants12):
     images = _batch_images(2, 300, 20000, SEED)
-    rep = empirical_cover_variance(pants12, None, TRI, 1e4, 8.0, images, 300, 20000, SEED)
+    rep = empirical_cover_variance(pants12, None, TRI, 1e4, 8.0, images, SEED)
     estimate, limit = rep["estimate"], rep["sigma2Limit"]
     z = abs(estimate - limit) / rep["bootstrapSE"]
     _verdict(5, rep["agrees"], f"cover variance {estimate:.5f} vs limit {limit:.5f}, |z| {z:.2f} <= 3")
@@ -143,7 +143,7 @@ def test_criterion_07_goe_average(octagon12):
     goe = sigma2_goe(BUMP)
     gaps = []
     for L in (7.0, 9.0, 11.0):
-        avg = energy_average(SigmaEvaluator(octagon12, None, BUMP, L).sigma2, 1e4, 2.0, L)
+        avg = energy_average(SigmaEvaluator(octagon12, None, BUMP, L), 1e4, 2.0)
         gaps.append(abs(avg - goe))
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 0.25 * goe
     _verdict(7, ok, f"GOE gaps {[f'{g:.4f}' for g in gaps]} decreasing, final {gaps[2] / goe:.3f} <= 0.25 of GOE")
@@ -154,7 +154,7 @@ def test_criterion_08_gue_switch(octagon12):
     char = FluxCharacter((math.pi / 2.0, 0.0, 0.0, 0.0))
     gaps = []
     for L in (7.0, 9.0, 11.0):
-        avg = energy_average(SigmaEvaluator(octagon12, char, BUMP, L).sigma2, 1e4, 2.0, L)
+        avg = energy_average(SigmaEvaluator(octagon12, char, BUMP, L), 1e4, 2.0)
         gaps.append(abs(avg - gue))
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 0.25 * gue
     _verdict(8, ok, f"GUE gaps {[f'{g:.4f}' for g in gaps]} decreasing, final {gaps[2] / gue:.3f} <= 0.25 of GUE")
@@ -188,7 +188,7 @@ def test_criterion_11_ergodic_average(octagon12):
     sur = PoissonSurrogate(octagon12, None, TRI, 1e4, 10.0, seed=17)
     eps = math.sqrt(10.0 * (1.0 / 10.0 + 1.0 / 25.0)) * 1.0001
     fractions = [
-        ergodicity_experiment(sur, 1e4, span, None, 1000, eps)["violationFraction"] for span in (25.0, 50.0, 100.0)
+        ergodicity_experiment(sur, span, 1000, eps)["violationFraction"] for span in (25.0, 50.0, 100.0)
     ]
     ok = all(f <= 0.1 for f in fractions) and all(a >= b for a, b in zip(fractions, fractions[1:]))
     _verdict(11, ok, f"violation fractions {fractions} <= 0.1 and non-increasing over spans 25/50/100")

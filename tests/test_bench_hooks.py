@@ -1,24 +1,37 @@
-"""The benchmark's tracer still finds every hook in ``specvar``.
+"""The benchmark's tracer still finds every hook in ``specvar``, and its
+workloads still parse.
 
 ``bench/tracer.py`` patches functions by module and name and binds its
 counters to argument names and return-value attributes, so renaming one
 of them turns a layer into a missing metric or a failed run.  A small
 traced CLI run in process checks every binding; ``bench/selftest.py``
 checks the same on spawned workers, but it is not part of this test
-suite.
+suite.  ``bench/workloads.py`` holds the command lines the benchmark
+runs, so a flag it passes that the CLI no longer declares fails here.
 """
 
 import importlib.util
 import inspect
 import os
+import sys
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    # registered while it runs: a dataclass looks its module up by name
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
+    tracer_module = _bench_module("tracer")
     import specvar.cli  # noqa: F401  (every hooked module imported, as in the worker)
     import specvar.covers  # noqa: F401
     import specvar.dynamics  # noqa: F401
@@ -71,3 +84,14 @@ def test_counters_bind_existing_argument_names():
     assert {"records", "samples"} <= set(inspect.signature(moment_experiment).parameters)
     assert "draws" in inspect.signature(PoissonSurrogate.sample).parameters
     assert "path" in inspect.signature(spectrum_to_csv).parameters
+
+
+def test_every_workload_operation_parses():
+    from specvar.cli import build_parser
+
+    workloads = _bench_module("workloads")
+    parser = build_parser()
+    for ops in workloads.WORKLOADS.values():
+        for op in ops:
+            argv = op.command("out", workloads.REFERENCE_SEED, "spectrum.csv")
+            assert parser.parse_args(argv).subcommand == op.argv[0], op.name

@@ -70,10 +70,10 @@ def test_experiments_return_their_documented_artifact(octagon12):
     sur = PoissonSurrogate(spectrum, None, tri, lam=1e4, L=8.0, seed=3)
     results = {
         "`result.moments`": moment_experiment([(1,), (1, -2)], images, 20, 50, kmax=4),
-        "`result.bridge`": empirical_cover_variance(spectrum, None, tri, 1e4, 6.0, images, 20, 50, 3),
+        "`result.bridge`": empirical_cover_variance(spectrum, None, tri, 1e4, 6.0, images, 3),
         "`result.cumulants`": exact_cumulants(sur),
         "`result.clt`": clt_test(sur, 100),
-        "## `ergodicity` JSON result": ergodicity_experiment(sur, 1e4, 25.0, None, 20, eps=50.0),
+        "## `ergodicity` JSON result": ergodicity_experiment(sur, 25.0, 20, eps=50.0),
     }
     for anchor, result in results.items():
         assert type(result) is dict, anchor
@@ -126,10 +126,10 @@ def test_variance_profile_columns(tmp_path, pants_csv):
     assert all(float(r[1]) >= 0.0 for r in rows)
 
 
-def test_variance_check_writes_json(tmp_path, octagon_csv):
+def test_average_check_writes_json(tmp_path, octagon_csv):
     out = str(tmp_path / "avg")
     code = main(
-        ["variance", "--spectrum-file", octagon_csv, "--lambda", "1e4",
+        ["average", "--spectrum-file", octagon_csv, "--lambda", "1e4",
          "--L", "11", "--delta", "2", "--window", "bump", "--check",
          "--out", out]
     )
@@ -139,6 +139,27 @@ def test_variance_check_writes_json(tmp_path, octagon_csv):
     assert result["passed"] is True
     assert result["gap"] == pytest.approx(abs(result["average"] - result["target"]))
     assert result["target"] == result["sigma2Goe"]
+
+
+def test_variance_check_is_refused(tmp_path, pants_csv, capsys):
+    # the profile checks nothing; the energy-average test is its own row
+    out = tmp_path / "v.csv"
+    code = main(["variance", "--spectrum-file", pants_csv, "--lambda", "1e4", "--L", "5",
+                 "--check", "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "average --check" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_no_flag_sets_the_energy_grid():
+    # the averaging grid follows from (lambda, delta, L) alone
+    parser = build_parser()
+    subs = next(a for a in parser._actions if a.dest == "subcommand")
+    flags = {name: {opt for a in sub._actions for opt in a.option_strings}
+             for name, sub in subs.choices.items()}
+    assert not [name for name, opts in flags.items() if "--points" in opts]
+    assert not flags["variance"] & {"--target", "--band"}
+    assert {"--target", "--band"} <= flags["average"]
 
 
 def test_average_gue_switch(tmp_path, octagon_csv):
@@ -489,6 +510,21 @@ def test_validation_exit_codes(tmp_path, pants_csv):
                  "--out", str(tmp_path / "z.json")]) == EXIT_INVALID
 
 
+def test_poisson_refuses_few_draws_before_any_work(tmp_path, pants_csv, capsys, monkeypatch):
+    import specvar.poisson
+
+    def no_surrogate(*args, **kwargs):
+        raise AssertionError("built the surrogate before refusing the draws")
+
+    monkeypatch.setattr(specvar.poisson, "PoissonSurrogate", no_surrogate)
+    out = tmp_path / "p.json"
+    code = main(["poisson", "--spectrum-file", pants_csv, "--lambda", "1e4", "--L", "5",
+                 "--draws", "5", "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "need at least 8 draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flux_list():
     with pytest.raises(SystemExit) as exc:
         main(["average", "--lambda", "1e4", "--L", "3", "--flux", "1,zap"])
@@ -502,8 +538,7 @@ _COMMON = {"check": False, "config": None, "threads": None}
 _SOURCE = {"allow_incomplete": False, "lmax": None, "params": None,
            "preset": "octagon_genus2", "spectrum_file": None}
 _CHARACTER = {"character": None, "flux": None, "flux_scale": 1.0}
-_PROFILE = {"L": 5.0, "band": 0.25, "delta": 2.0, "lam": 1e4, "points": None,
-            "target": "auto", "window": "triangle"}
+_PROFILE = {"L": 5.0, "delta": 2.0, "lam": 1e4, "window": "triangle"}
 
 # subcommand -> (minimal argv, every key of the parsed namespace but the
 # handler, with its value)
@@ -515,7 +550,8 @@ NAMESPACES = {
     ),
     "average": (
         ["--lambda", "1e4", "--L", "5"],
-        {**_COMMON, **_SOURCE, **_CHARACTER, **_PROFILE, "out": "average.json"},
+        {**_COMMON, **_SOURCE, **_CHARACTER, **_PROFILE, "band": 0.25, "out": "average.json",
+         "target": "auto"},
     ),
     "dirichlet": (
         ["--L", "5"],
@@ -536,7 +572,7 @@ NAMESPACES = {
     "ergodicity": (
         ["--lambda", "1e4", "--L", "5", "--Lambda", "100"],
         {**_COMMON, **_SOURCE, **_CHARACTER, "L": 5.0, "draws": 1000, "epsilon": None,
-         "lam": 1e4, "out": "ergodicity.json", "points": None, "seed": 0,
+         "lam": 1e4, "out": "ergodicity.json", "seed": 0,
          "span": 100.0, "window": "triangle"},
     ),
     "sumrule": (
@@ -605,8 +641,20 @@ def test_short_spectrum_file_is_refused_before_any_write(tmp_path, pants_csv, ca
         (["sumrule", "--L", ""], "--L"),
         (["average", "--L", "5", "--lambda", "0"], "--lambda"),
         (["ergodicity", "--L", "5", "--lambda", "1e4", "--Lambda", "-1"], "--Lambda"),
+        (["average", "--L", "5", "--lambda", "1e4", "--delta", "nan"], "--delta"),
+        (["transition", "--L", "5", "--lambda", "1e4", "--delta", "nan"], "--delta"),
+        (["dirichlet", "--L", "5", "--Y", "nan"], "--Y"),
+        (["dirichlet", "--L", "5", "--Y", "1"], "--Y"),
+        (["average", "--L", "5", "--lambda", "1e4", "--flux", "1,0", "--flux-scale", "nan"],
+         "--flux-scale"),
+        (["transition", "--L", "5", "--lambda", "1e4", "--variance", "nan"], "--variance"),
+        (["ergodicity", "--L", "5", "--lambda", "1e4", "--Lambda", "100", "--epsilon", "nan"],
+         "--epsilon"),
+        (["orbit-clt", "--T", "-3"], "--T"),
     ],
-    ids=["empty-s-grid", "empty-L-grid", "zero-lambda", "negative-span"],
+    ids=["empty-s-grid", "empty-L-grid", "zero-lambda", "negative-span", "nan-delta",
+         "nan-transition-delta", "nan-Y", "unit-Y", "nan-flux-scale", "nan-variance",
+         "nan-epsilon", "negative-T"],
 )
 def test_bad_grid_or_scale_is_refused_at_parse_time(tmp_path, pants_csv, capsys, argv, flag):
     out = tmp_path / "out"
@@ -625,10 +673,10 @@ def test_every_module_refusal_is_typed():
     from specvar.dynamics import EmptyEnsemble
     from specvar.fuchsian import IncompleteEnumeration, InvalidParameters, NonHyperbolicElement
     from specvar.poisson import VarianceTooSmall
-    from specvar.variance import DirichletNotFound, SpectrumTooShort, UnderResolved
+    from specvar.variance import DirichletNotFound, SpectrumTooShort
 
     for cls in (ConfigError, InvalidParameters, NonHyperbolicElement, IncompleteEnumeration,
-                SpectrumTooShort, UnderResolved, DirichletNotFound, UndefinedTarget,
+                SpectrumTooShort, DirichletNotFound, UndefinedTarget,
                 NotFreePreset, EmptyEnsemble, VarianceTooSmall):
         assert issubclass(cls, Refused), cls
 
@@ -895,6 +943,21 @@ def test_tampered_spectrum_is_refused(tmp_path, pants_csv, capsys, rows, comment
     assert _average(bad, str(tmp_path / "avg.json")) == EXIT_INVALID
     err = capsys.readouterr().err
     assert f"spectrum file {bad}" in err and fault in err, err
+    assert not (tmp_path / "avg.json").exists()
+
+
+def test_partners_of_another_word_length_are_refused(tmp_path, octagon_csv, capsys):
+    # bD and bdcDDC share ell bits and homology; with their partners
+    # swapped, P0 would hold bD and Bd (one geodesic twice) and drop bdcDDC
+    rows, _ = F.spectrum_from_csv(octagon_csv)
+    words = [F.word_to_text(rows[i]["word"]) for i in (102, 103, 104, 105)]
+    assert words == ["bD", "Bd", "bdcDDC", "BcddCD"]
+    edits = {102: {"inverseId": "105"}, 105: {"inverseId": "102"},
+             103: {"inverseId": "104"}, 104: {"inverseId": "103"}}
+    bad = _rewrite(octagon_csv, str(tmp_path / "swapped.csv"), edits)
+    assert _average(bad, str(tmp_path / "avg.json")) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "row 102: inverse row 105 has a word of another length" in err, err
     assert not (tmp_path / "avg.json").exists()
 
 

@@ -45,7 +45,7 @@ def moments(words, n, samples, seed, kmax, rank=2):
 
 def bridge(spectrum, char, win, lam, L, n, samples, seed, **kw):
     images = _batch_images(spectrum.group.rank, n, samples, seed)
-    return empirical_cover_variance(spectrum, char, win, lam, L, images, n, samples, seed, **kw)
+    return empirical_cover_variance(spectrum, char, win, lam, L, images, seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +258,11 @@ def test_sample_blocks_do_not_change_results(monkeypatch, pants):
     images = _batch_images(2, n, samples, seed)
     tri = window("triangle")
     whole_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
-    whole_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, n, samples, seed)
+    whole_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, seed)
     monkeypatch.setattr(covers, "_BLOCK_POINTS", 2 * n)
     assert len(list(covers._sample_blocks(images))) == 8
     blocked_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
-    blocked_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, n, samples, seed)
+    blocked_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, seed)
     assert blocked_m == whole_m
     assert blocked_b == whole_b
 

@@ -374,8 +374,10 @@ def test_transition_refuses_variance_before_any_sum(tmp_path, capsys, monkeypatc
     out = tmp_path / "transition.csv"
     argv = ["transition", "--preset", "schottky_pants", "--L", "5", "--lambda", "1e4",
             "--variance=-1", "--out", str(out)]
-    assert main(argv) == EXIT_INVALID
-    assert "variance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    assert "argument --variance:" in capsys.readouterr().err
     assert not out.exists()
 
 

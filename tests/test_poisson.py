@@ -29,7 +29,6 @@ from specvar.poisson import (
 )
 from specvar.variance import (
     SpectrumTooShort,
-    UnderResolved,
     _resolved_grid,
     sigma2_limit,
 )
@@ -241,17 +240,11 @@ def test_clt_moments_match_cumulant_targets(pants_sur):
 
 def test_ergodicity_rejects_small_eps(pants_sur):
     with pytest.raises(ValueError):
-        ergodicity_experiment(pants_sur, 100.0, 50.0, None, 10, eps=0.5)
-
-
-def test_ergodicity_underresolved(pants_sur):
-    eps = math.sqrt(10.0 * (1 / 8.0 + 1 / 50.0)) + 0.01
-    with pytest.raises(UnderResolved):
-        ergodicity_experiment(pants_sur, 100.0, 50.0, 20, 10, eps=eps)
+        ergodicity_experiment(pants_sur, 50.0, 10, eps=0.5)
 
 
 def test_ergodicity_huge_eps_never_violates(pants_sur):
-    rep = ergodicity_experiment(pants_sur, 100.0, 25.0, None, 50, eps=100.0)
+    rep = ergodicity_experiment(pants_sur, 25.0, 50, eps=100.0)
     assert rep["violationFraction"] == 0.0
     assert rep["target"] == sigma2_goe(window("triangle"))
 
@@ -259,7 +252,7 @@ def test_ergodicity_huge_eps_never_violates(pants_sur):
 def test_ergodicity_gue_target_under_flux(pants):
     chi = FluxCharacter(flux=(math.pi / 2, 0.0))
     sur = PoissonSurrogate(pants, chi, window("triangle"), 1e4, 8.0, seed=5)
-    rep = ergodicity_experiment(sur, 1e4, 25.0, None, 50, eps=100.0)
+    rep = ergodicity_experiment(sur, 25.0, 50, eps=100.0)
     assert rep["target"] == sigma2_gue(window("triangle"))
 
 
@@ -269,7 +262,7 @@ def test_ergodicity_fraction_nonincreasing(octagon12):
     sur = PoissonSurrogate(octagon12, None, window("triangle"), 1e4, 10.0, seed=17)
     eps = math.sqrt(10.0 * (1 / 10.0 + 1 / 25.0)) * 1.0001
     fracs = [
-        ergodicity_experiment(sur, 1e4, span, None, 400, eps)["violationFraction"]
+        ergodicity_experiment(sur, span, 400, eps)["violationFraction"]
         for span in (25.0, 50.0, 100.0)
     ]
     assert all(f <= 0.1 for f in fracs)
@@ -282,12 +275,22 @@ def test_energy_integrals_match_dense_oracle(pants, char, win, points):
     # the quadratic form regroups the dense Simpson sum of N_tilde^2
     sur = PoissonSurrogate(pants, char, win, lam=1e4, L=8.0, seed=3)
     span, draws = 25.0, 400
-    mu = _resolved_grid(1e4, span, sur.L, points)
+    mu = np.linspace(1e4, 1e4 + span, points)
     want = dense_energy_integrals(sur, mu, draws)
     np.testing.assert_allclose(_energy_integrals(sur, mu, draws), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("char,win", CHARACTERS_AND_WINDOWS)
+def test_ergodicity_averages_on_the_derived_grid(pants, char, win):
+    # the report integrates on the grid that lambda, span and L fix, from the surrogate's lambda up
+    sur = PoissonSurrogate(pants, char, win, lam=1e4, L=8.0, seed=3)
+    span, draws = 5.0, 100
+    mu = _resolved_grid(sur.lam, span, sur.L)
+    want = dense_energy_integrals(sur, mu, draws)
     eps = math.sqrt(10.0 * (1 / sur.L + 1 / span)) * 1.0001
-    rep = ergodicity_experiment(sur, 1e4, span, points, draws, eps)
-    assert rep["energyPoints"] == points
+    rep = ergodicity_experiment(sur, span, draws, eps)
+    assert rep["lambda"] == mu[0] == 1e4
+    assert rep["energyPoints"] == len(mu)
     assert rep["violationFraction"] == float(np.mean(np.abs(want / span - rep["target"]) > eps))
     assert rep["meanAverage"] == pytest.approx(float(np.mean(want / span)), rel=1e-12)
 
@@ -299,7 +302,7 @@ def test_octagon_tied_frequencies_match_dense_oracle(octagon12):
     ids, ds, cs = surrogate_pairs(sur)
     assert np.array_equal(sur.pair_class_ids, ids) and np.array_equal(sur.pair_d, ds)
     np.testing.assert_allclose(sur.pair_c, cs, rtol=1e-12, atol=0)
-    mu = _resolved_grid(1e4, 10.0, sur.L, None)
+    mu = _resolved_grid(1e4, 10.0, sur.L)
     want = dense_energy_integrals(sur, mu, 200)
     np.testing.assert_allclose(_energy_integrals(sur, mu, 200), want, rtol=1e-12, atol=0)
 
@@ -309,7 +312,7 @@ def test_ergodicity_memory_independent_of_grid_and_draws(pants_sur):
     # alone would take 65 MB
     tracemalloc.start()
     try:
-        rep = ergodicity_experiment(pants_sur, 1e4, 100.0, None, 1000, eps=100.0)
+        rep = ergodicity_experiment(pants_sur, 100.0, 1000, eps=100.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,7 +321,8 @@ def test_ergodicity_memory_independent_of_grid_and_draws(pants_sur):
 
 
 def test_ergodicity_report_fields(pants_sur):
-    rep = ergodicity_experiment(pants_sur, 500.0, 25.0, None, 20, eps=50.0)
+    rep = ergodicity_experiment(pants_sur, 25.0, 20, eps=50.0)
     assert rep["draws"] == 20
     assert rep["epsilon"] == 50.0
+    assert rep["lambda"] == pants_sur.lam
     assert rep["energyPoints"] >= 9

@@ -17,7 +17,7 @@ from oracles import _simpson, window_mass  # noqa: E402
 from specvar.dynamics import _half_mass, sum_rule_check, transition_curve  # noqa: E402
 from specvar.ks import kstwo_sf, ks_normal  # noqa: E402
 from specvar.poisson import PoissonSurrogate, _poisson_cdf, clt_test  # noqa: E402
-from specvar.variance import _resolved_grid, _simpson_weights  # noqa: E402
+from specvar.variance import _simpson_weights  # noqa: E402
 from specvar.windows import sigma2_goe, sigma2_gue, window  # noqa: E402
 
 # the CLI's default transition grid
@@ -75,7 +75,7 @@ def test_transition_curve_matches_quad(kind, variance):
 
 @pytest.mark.parametrize("points", [3, 4, 9, 10, 101, 1000, 1001])
 def test_simpson_matches_on_resolved_grids(points):
-    grid = _resolved_grid(1e4, 2.0, 1.0, points)
+    grid = np.linspace(1e4, 1e4 + 2.0, points)
     rng = np.random.default_rng(points)
     y = rng.standard_normal((5, points))
     assert np.array_equal(_simpson(y, grid), integrate.simpson(y, x=grid, axis=1))
@@ -99,7 +99,7 @@ def test_simpson_weights_match_scipy(points, irregular):
     if irregular:
         x = np.cumsum(rng.uniform(0.1, 1.0, points))
     else:
-        x = _resolved_grid(1e4, 2.0, 1.0, points)
+        x = np.linspace(1e4, 1e4 + 2.0, points)
     y = np.sin(x) + rng.standard_normal((5, points))
     w = _simpson_weights(x)
     scale = integrate.simpson(np.abs(y), x=x, axis=1)
