@@ -81,6 +81,7 @@ def _number(what: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
 
 
 _positive = _number("a positive number", lambda v: v > 0.0)
+_finite_positive = _number("a finite positive number", lambda v: 0.0 < v < math.inf)
 _finite = _number("a finite number", math.isfinite)
 _nonnegative = _number("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
 _above_one = _number("a finite number above 1", lambda v: 1.0 < v < math.inf)
@@ -421,7 +422,7 @@ def _source(preset: str = "octagon_genus2") -> tuple:
     return (
         _flag("--preset", default=preset, help="octagon_genus2, schottky_pants or punctured_torus"),
         _flag("--params", type=_floats, default=None, help="preset parameters, comma separated"),
-        _flag("--Lmax", dest="lmax", type=float, default=None, help="enumeration cutoff (defaults to what the run needs)"),
+        _flag("--Lmax", dest="lmax", type=_finite_positive, default=None, help="enumeration cutoff (defaults to what the run needs)"),
         _flag("--spectrum-file", default=None, help="reuse a spectrum CSV instead of enumerating"),
         _flag("--allow-incomplete", action="store_true", help="accept a spectrum whose certificate falls short of Lmax"),
     )
@@ -463,7 +464,7 @@ COMMANDS = {
         "energy-averaged variance vs the ensemble constant", _average, "json", lambda a: a.L, (
             *_PROFILE,
             _flag("--target", default="auto", choices=["auto", "goe", "gue"], help="ensemble constant to compare against"),
-            _flag("--band", type=float, default=0.25, help="check band as a fraction of the target"),
+            _flag("--band", type=_finite_positive, default=0.25, help="check band as a fraction of the target"),
         ),
         suffix=".json",
     ),

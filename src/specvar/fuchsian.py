@@ -5,11 +5,11 @@ geodesic corresponds to a conjugacy class of hyperbolic elements; its length
 comes from the trace, ell = 2*arccosh(|tr|/2), and the linearized Poincare
 return map P contributes the weight |det(I - P)| = 4*sinh^2(ell/2).
 
-Enumeration works on word-length shells with vectorized matrix products.
-Letters are coded in the canonical letter order (a1 < a1^-1 < a2 < ...), and
-each shell grows only prenecklaces by the Fredricksen-Kessler-Maiorana rule,
-so every cyclic spelling is built once, as its least rotation.  For the
-co-compact octagon preset, shells are also pruned by orbit displacement:
+Enumeration grows prenecklaces letter by letter with vectorized matrix
+products, by the Fredricksen-Kessler-Maiorana rule over the canonical letter
+order (a1 < a1^-1 < a2 < ...), so every cyclic spelling is built once, as
+its least rotation.  The octagon's tree is walked depth first in blocks and
+pruned by orbit displacement:
 every class with ell <= Lmax has a cyclically reduced spelling whose
 prefixes all move the base point by at most ell + 2R (R = circumradius of
 the fundamental octagon), because the spelling can be read off the tiles
@@ -350,7 +350,7 @@ class LengthSpectrum:
         return self.certificate.get("certified_l_max", self.l_max)
 
 
-_CHUNK = 1_500_000  # rows per vectorized extension block
+_BLOCK_ROWS = 1 << 13  # rows per _extend_shell call; bounds its (letters x rows) temporaries
 
 
 def _letter_codes(letters: np.ndarray) -> np.ndarray:
@@ -359,11 +359,8 @@ def _letter_codes(letters: np.ndarray) -> np.ndarray:
 
 
 def _packed(codes: np.ndarray, base: int) -> np.ndarray:
-    """Base-``base`` numbers of code rows, first letter most significant."""
-    out = np.zeros(len(codes), dtype=np.int64)
-    for column in codes.T:
-        out = out * base + column
-    return out
+    """Base-``base`` numbers of code rows (the last axis), first letter most significant."""
+    return codes.astype(np.int64) @ base ** np.arange(codes.shape[-1] - 1, -1, -1)
 
 
 def _codes_to_words(block: np.ndarray) -> list[Word]:
@@ -378,63 +375,58 @@ def _reduced_hyperbolic(words: np.ndarray, tr: np.ndarray) -> np.ndarray:
 
 
 def _shell_survivors(
-    words: np.ndarray, mats: np.ndarray, period: np.ndarray, tr_cut: float
+    words: np.ndarray, mats: np.ndarray, period: np.ndarray, l_max: float
 ) -> np.ndarray:
-    """Necklace rows that are cyclically reduced and hyperbolic with ell <= Lmax."""
+    """Necklace rows that are cyclically reduced and hyperbolic with ell <= l_max."""
     tr = np.abs(mats[:, 0] + mats[:, 3])
+    tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)  # slack; the build cuts by length
     return _reduced_hyperbolic(words, tr) & (tr <= tr_cut) & (words.shape[1] % period == 0)
 
 
+def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """2x2 products m @ g of row-major entry rows (last axis 4): four multiply-adds."""
+    return m[..., [0, 0, 2, 2]] * g[..., [0, 1, 0, 1]] + m[..., [1, 1, 3, 3]] * g[..., [2, 3, 2, 3]]
+
+
 def _extend_shell(
-    words: np.ndarray,
-    mats: np.ndarray,
-    period: np.ndarray,
-    gen_mats: np.ndarray,
-    windows: np.ndarray | None,
+    words: np.ndarray, mats: np.ndarray, period: np.ndarray,
+    gen_mats: np.ndarray, table: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Append every letter that keeps a row a reduced prenecklace, in chunks.
+    """Append every letter that keeps a row a reduced prenecklace, in one gather.
 
     FKM rule: a prenecklace w of length t whose longest Lyndon prefix has
     period p extends by c only if c >= w[t-p]; p is kept when c equals
-    w[t-p] and becomes t+1 when c is greater.  Rows are filtered, by
-    ``windows`` too, before their word and 2x2 product are built.
+    w[t-p] and becomes t+1 when c is greater.  One (letters x rows) mask
+    holds it, the reduced-word rule and, if given, a ``_relator_windows``
+    table; the children are gathered from it letter by letter, in row order.
     """
     n_letters = len(gen_mats)
     n, t = words.shape
     ref = words[np.arange(n), t - period]
-    tail = None
-    if windows is not None and t >= 4:
-        # the last four letters, packed; a new letter makes a 5-letter window
-        tail = _packed(words[:, t - 4 :], n_letters) * n_letters
-    new_words = [np.empty((0, t + 1), np.int8)]
-    new_mats = [np.empty((0, 4))]
-    new_period = [np.empty(0, np.int16)]
-    for letter in range(n_letters):
-        ok = (words[:, -1] != letter ^ 1) & (ref <= letter)
-        if tail is not None:
-            ok &= ~np.isin(tail + letter, windows)
-        idx = np.flatnonzero(ok)
-        for start in range(0, len(idx), _CHUNK):
-            sel = idx[start : start + _CHUNK]
-            column = np.full((len(sel), 1), letter, np.int8)
-            new_words.append(np.concatenate([words[sel], column], axis=1))
-            new_period.append(
-                np.where(ref[sel] == letter, period[sel], t + 1).astype(np.int16)
-            )
-            prod = np.einsum("nij,jk->nik", mats[sel].reshape(-1, 2, 2), gen_mats[letter])
-            new_mats.append(prod.reshape(-1, 4))
-    return tuple(np.concatenate(parts) for parts in (new_words, new_mats, new_period))
+    letters = np.arange(n_letters, dtype=np.int8)[:, None]
+    ok = (words[:, -1] != letters ^ 1) & (ref <= letters)
+    if table is not None and t >= 4:
+        # the last four letters, packed, pick a table row; a new letter makes a 5-letter window
+        ok &= ~table.reshape(-1, n_letters).T[:, _packed(words[:, t - 4 :], n_letters)]
+    flat = np.flatnonzero(ok)
+    letter, row = np.divmod(flat, n)
+    new_words = np.take(np.concatenate([words, words[:, :1]], axis=1), row, axis=0)
+    new_words[:, t] = letter  # over the copied first letter
+    new_period = np.where(ref == letters, period, t + 1).astype(np.int16).take(flat)
+    prods = _times(mats, gen_mats.reshape(n_letters, 1, 4))  # every (letter, row)
+    return new_words, np.take(prods.reshape(-1, 4), flat, axis=0), new_period
 
 
 def _relator_windows(group: GroupPreset, n_letters: int) -> np.ndarray:
-    """Dehn's overlong relator windows, 5 letters on genus 2, ``_packed``.
+    """Dehn's overlong relator windows, 5 letters on genus 2, as a lookup table.
 
-    A cyclic word holding one is not Dehn-reduced, and spellings read off
-    axis crossings never hold one (a geodesic passes at most half way
-    around a vertex), so such rows can be dropped without losing classes.
+    Entry k is True when the 5-letter window whose ``_packed`` number is k
+    is one.  A cyclic word holding one is not Dehn-reduced, and spellings
+    read off axis crossings never hold one (a geodesic passes at most half
+    way around a vertex), so such rows can be dropped without losing classes.
     """
     keys = np.array(sorted(_overlong_replacements(group)), dtype=np.int64)
-    return _packed(_letter_codes(keys), n_letters)
+    return np.isin(np.arange(n_letters**5), _packed(_letter_codes(keys), n_letters))
 
 
 def _first_shell(gen_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -443,48 +435,60 @@ def _first_shell(gen_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.arange(n, dtype=np.int8)[:, None], gen_mats.reshape(n, 4).copy(), np.ones(n, np.int16)
 
 
-def _enumerate_cocompact(
-    group: FuchsianGroup, l_max: float
-) -> tuple[list[np.ndarray], dict]:
-    """Displacement-pruned necklace shell BFS; complete for the octagon preset.
+def _enumerate_cocompact(group: FuchsianGroup, l_max: float) -> tuple[list[np.ndarray], dict]:
+    """Displacement-pruned necklace tree walk; complete for the octagon preset.
 
     Prunes rows whose prefix moves the base point farther than
-    l_max + 2R + margin.  Shells then empty out on their own; the certificate
+    l_max + 2R + margin, so shells empty out on their own; the certificate
     is the last nonempty shell.  Every rotation of an axis-crossing spelling
     starts at another crossing, so the least rotation of each class's
     crossing spelling passes the cut too, and only necklaces are grown.
     Survivors are Dehn-reduced: no ``_relator_windows`` entry, even around the end.
+
+    A row's subtree depends only on its word, product and period, and every
+    test is prefix-closed, so the tree is walked depth first: new rows are
+    visited once (counted, survivors kept) and those within the cut pushed
+    in blocks of at most ``_BLOCK_ROWS``; the last block pushed is extended
+    next.  A depth holds one block's children at most, so live rows stay
+    within depth x letters x ``_BLOCK_ROWS`` however wide a shell is.
+    Survivors come back as one array per word length, in shell order
+    (colexicographic, as breadth-first shells are); ``shell_rows`` sums
+    each length's blocks.
     """
-    margin = 0.5
-    d_cut = l_max + 2 * _OCTAGON_R + margin
+    d_cut = l_max + 2 * _OCTAGON_R + 0.5  # a margin of 0.5 over the bound ell + 2R
     norm2_cut = 2.0 * math.cosh(d_cut)  # cosh d(i, g i) = ||g||_F^2 / 2
-    # slack keeps borderline classes; records re-filter with exact traces
-    tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
-
     gen_mats = group.generator_array()
-    base = len(gen_mats)
-    windows = _relator_windows(group.group, base)
-
-    words, mats, period = _first_shell(gen_mats)
-    survivors: list[np.ndarray] = []
+    table = _relator_windows(group.group, len(gen_mats))
+    survivors: list[list[np.ndarray]] = []
     shell_rows: list[int] = []
-    while len(words):
-        shell_rows.append(len(words))
-        rows = words[_shell_survivors(words, mats, period, tr_cut)]
-        if rows.shape[1] >= 5:  # shorter rows repeat a letter, which no window does
-            ring = np.concatenate([rows[:, -4:], rows[:, :4]], axis=1)
-            wraps = [np.isin(_packed(ring[:, j : j + 5], base), windows) for j in range(4)]
-            rows = rows[~np.logical_or.reduce(wraps)]
-        survivors.append(rows)
-        within = (mats * mats).sum(axis=1) <= norm2_cut
-        words, mats, period = words[within], mats[within], period[within]
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def visit(words: np.ndarray, mats: np.ndarray, period: np.ndarray) -> None:
         if not len(words):
-            break
-        if len(shell_rows) >= 64:
-            raise IncompleteEnumeration(
-                "displacement-pruned shells failed to terminate"
-            )
-        words, mats, period = _extend_shell(words, mats, period, gen_mats, windows)
+            return
+        depth = words.shape[1]
+        if depth > len(shell_rows):  # the walk goes one letter deeper at a time
+            shell_rows.append(0)
+            survivors.append([])
+        shell_rows[depth - 1] += len(words)
+        rows = words[_shell_survivors(words, mats, period, l_max)]
+        if depth >= 5:  # shorter rows repeat a letter, which no window does
+            ring = np.concatenate([rows[:, -4:], rows[:, :4]], axis=1)
+            windows = np.lib.stride_tricks.sliding_window_view(ring, 5, axis=1)
+            rows = rows[~table[_packed(windows, len(gen_mats))].any(axis=1)]
+        survivors[depth - 1].append(rows)
+        sq = mats * mats  # the squared norm, summed left to right as a row sum does
+        within = np.flatnonzero(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= norm2_cut)
+        if len(within) and depth >= 64:
+            raise IncompleteEnumeration("displacement-pruned shells failed to terminate")
+        for lo in range(0, len(within), _BLOCK_ROWS):
+            rows_in = within[lo : lo + _BLOCK_ROWS]
+            stack.append((words[rows_in], mats[rows_in], period[rows_in]))
+
+    visit(*_first_shell(gen_mats))
+    while stack:
+        visit(*_extend_shell(*stack.pop(), gen_mats, table))
+    survivors = [rows[np.lexsort(rows.T)] for rows in map(np.concatenate, survivors)]  # shell order
     cert = {
         "method": "displacement-pruned necklace shells",
         "word_length_bound": len(shell_rows),
@@ -511,20 +515,16 @@ def _shell_min_length(words: np.ndarray, mats: np.ndarray, gen_mats: np.ndarray)
         return math.inf
     rows = words[hyp & (tr <= tr[hyp].min() * (1.0 + 1e-6))]
     rot = np.concatenate([np.roll(rows, -s, axis=1) for s in range(rows.shape[1])])
-    prod = gen_mats[rot[:, 0]]
+    g = gen_mats.reshape(-1, 4)
+    prod = g[rot[:, 0]]
     for j in range(1, rot.shape[1]):
-        for letter in np.unique(rot[:, j]):
-            sel = rot[:, j] == letter
-            prod[sel] = np.einsum("nij,jk->nik", prod[sel], gen_mats[letter])
-    tr_rot = np.abs(prod[:, 0, 0] + prod[:, 1, 1])
+        prod = _times(prod, g[rot[:, j]])
+    tr_rot = np.abs(prod[:, 0] + prod[:, 3])
     return float(2 * np.arccosh(tr_rot[tr_rot > 2.0 + 1e-9].min() / 2))
 
 
 def _enumerate_free(
-    group: FuchsianGroup,
-    l_max: float,
-    max_word_length: int,
-    allow_incomplete: bool,
+    group: FuchsianGroup, l_max: float, max_word_length: int, allow_incomplete: bool
 ) -> tuple[list[np.ndarray], dict]:
     """Cyclically reduced necklace shell enumeration for free presets.
 
@@ -537,7 +537,6 @@ def _enumerate_free(
     logarithmically in the shell, so the cap triggers capped mode, whose
     survivors ``build_spectrum`` cuts to the certified length.
     """
-    tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
     gen_mats = group.generator_array()
     words, mats, period = _first_shell(gen_mats)
     survivors: list[np.ndarray] = []
@@ -546,7 +545,7 @@ def _enumerate_free(
     clear = 0
     while True:
         shell_rows.append(len(words))
-        survivors.append(words[_shell_survivors(words, mats, period, tr_cut)])
+        survivors.append(words[_shell_survivors(words, mats, period, l_max)])
         shell_mins.append(_shell_min_length(words, mats, gen_mats))
         clear = clear + 1 if shell_mins[-1] > l_max else 0
         complete = clear >= 2
@@ -569,7 +568,10 @@ def _enumerate_free(
                     "pass allow_incomplete=True for a capped spectrum"
                 )
             return survivors, cert
-        words, mats, period = _extend_shell(words, mats, period, gen_mats, None)
+        # whole shells (the rule above reads them), extended a block at a time
+        blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(words), _BLOCK_ROWS)]
+        children = [_extend_shell(words[b], mats[b], period[b], gen_mats, None) for b in blocks]
+        words, mats, period = map(np.concatenate, zip(*children))
 
 
 def _trace_spelling(root: ConjugacyClass, spellings: frozenset[Word], preset: GroupPreset) -> Word:
@@ -594,10 +596,7 @@ def _trace_spelling(root: ConjugacyClass, spellings: frozenset[Word], preset: Gr
 
 
 def build_spectrum(
-    group: FuchsianGroup,
-    l_max: float,
-    max_word_length: int = 14,
-    allow_incomplete: bool = False,
+    group: FuchsianGroup, l_max: float, max_word_length: int = 14, allow_incomplete: bool = False
 ) -> LengthSpectrum:
     """Enumerate all conjugacy classes with ell <= l_max.
 
@@ -608,8 +607,8 @@ def build_spectrum(
     in either orientation, and named by ``canonical_class``; the k-th power
     of a root is ``ConjugacyClass.power``, as ``canonical_class`` names powers.
     """
-    if l_max <= 0:
-        raise InvalidParameters("l_max must be positive")
+    if not 0 < l_max < math.inf:  # no cut prunes an infinite or NaN l_max
+        raise InvalidParameters(f"l_max must be a finite positive number, got {l_max!r}")
     if group.cocompact:
         raw, cert = _enumerate_cocompact(group, l_max)
     else:

@@ -474,6 +474,39 @@ def extend_shell_unpruned(
     return np.concatenate(new_words), np.concatenate(new_mats)
 
 
+def extend_shell_by_letter(
+    words: np.ndarray,
+    mats: np.ndarray,
+    period: np.ndarray,
+    gen_mats: np.ndarray,
+    windows: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The FKM prenecklace extension one letter at a time, products by einsum.
+
+    The loop form of ``fuchsian._extend_shell``: for each letter in turn,
+    the rows it extends (reduced, FKM, and with no packed relator window
+    from ``windows`` ending at the new letter), in row order.
+    """
+    n_letters = len(gen_mats)
+    n, t = words.shape
+    ref = words[np.arange(n), t - period]
+    new_words, new_mats, new_period = [np.empty((0, t + 1), np.int8)], [np.empty((0, 4))], []
+    for letter in range(n_letters):
+        ok = (words[:, -1] != letter ^ 1) & (ref <= letter)
+        if windows is not None and t >= 4:
+            tail = np.zeros(n, dtype=np.int64)
+            for column in words[:, t - 4 :].T:
+                tail = tail * n_letters + column
+            ok &= ~np.isin(tail * n_letters + letter, windows)
+        sel = np.flatnonzero(ok)
+        column = np.full((len(sel), 1), letter, np.int8)
+        new_words.append(np.concatenate([words[sel], column], axis=1))
+        new_period.append(np.where(ref[sel] == letter, period[sel], t + 1).astype(np.int16))
+        prod = np.einsum("nij,jk->nik", mats[sel].reshape(-1, 2, 2), gen_mats[letter])
+        new_mats.append(prod.reshape(-1, 4))
+    return np.concatenate(new_words), np.concatenate(new_mats), np.concatenate(new_period)
+
+
 def unpruned_shells(
     group, l_max: float, n_shells: int, displacement_cut: float | None = None
 ) -> list[np.ndarray]:

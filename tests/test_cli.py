@@ -651,10 +651,12 @@ def test_short_spectrum_file_is_refused_before_any_write(tmp_path, pants_csv, ca
         (["ergodicity", "--L", "5", "--lambda", "1e4", "--Lambda", "100", "--epsilon", "nan"],
          "--epsilon"),
         (["orbit-clt", "--T", "-3"], "--T"),
+        (["average", "--L", "5", "--lambda", "1e4", "--band", "nan"], "--band"),
+        (["average", "--L", "5", "--lambda", "1e4", "--band", "inf"], "--band"),
     ],
     ids=["empty-s-grid", "empty-L-grid", "zero-lambda", "negative-span", "nan-delta",
          "nan-transition-delta", "nan-Y", "unit-Y", "nan-flux-scale", "nan-variance",
-         "nan-epsilon", "negative-T"],
+         "nan-epsilon", "negative-T", "nan-band", "inf-band"],
 )
 def test_bad_grid_or_scale_is_refused_at_parse_time(tmp_path, pants_csv, capsys, argv, flag):
     out = tmp_path / "out"
@@ -662,6 +664,18 @@ def test_bad_grid_or_scale_is_refused_at_parse_time(tmp_path, pants_csv, capsys,
         main(argv + ["--spectrum-file", pants_csv, "--out", str(out)])
     assert exc.value.code == EXIT_INVALID
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_spectrum_refuses_a_cutoff_that_prunes_nothing(tmp_path, capsys, value):
+    # a NaN cutoff once wrote an empty spectrum "certified to nan", and an
+    # infinite one grew shells until memory ran out
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--Lmax", value, "--out", str(out)])
+    assert exc.value.code == EXIT_INVALID
+    assert "argument --Lmax: must be a finite positive number" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,15 @@ def test_invalid_l_max(pants):
         F.build_spectrum(pants, -1.0)
 
 
+@pytest.mark.parametrize("l_max", [math.nan, math.inf])
+def test_non_finite_l_max_is_refused(pants, octagon, l_max):
+    # no cut prunes an infinite or NaN cutoff: refused before any shell is
+    # grown (a NaN cutoff once built an empty spectrum "certified to nan")
+    for group in (pants, octagon):
+        with pytest.raises(F.InvalidParameters, match="finite positive"):
+            F.build_spectrum(group, l_max)
+
+
 def _survivor_classes(blocks, preset):
     return {
         canonical_class(w, preset).canonical
@@ -534,11 +544,69 @@ def test_build_takes_survivors_as_words(monkeypatch, octagon, torus):
 
 
 def test_relator_windows_are_the_relator_5grams(octagon):
-    # Dehn's overlong-window table, packed, is the set of 5-letter windows
-    # of the doubled relator and its inverse
-    got = F._relator_windows(octagon.group, 8)
-    assert len(got) == 16
-    assert sorted(got.tolist()) == oracles.forbidden_5gram_codes(octagon.group, 8).tolist()
+    # Dehn's overlong-window table, as a lookup table over all packed
+    # 5-letter windows, marks exactly the 16 windows of the doubled relator
+    # and its inverse
+    table = F._relator_windows(octagon.group, 8)
+    assert table.shape == (8**5,) and table.dtype == bool
+    assert np.flatnonzero(table).tolist() == oracles.forbidden_5gram_codes(octagon.group, 8).tolist()
+
+
+@pytest.mark.parametrize("name, params", [("octagon_genus2", ()), ("schottky_pants", (2, 2, 2))])
+def test_extension_kernel_matches_the_per_letter_loop(name, params):
+    # one mask and one gather give the loop's children, periods and
+    # products bit for bit, in the loop's letter-major order
+    group = F.preset(name, *params)
+    gen_mats = group.generator_array()
+    table = windows = None
+    if group.cocompact:
+        table = F._relator_windows(group.group, len(gen_mats))
+        windows = oracles.forbidden_5gram_codes(group.group, len(gen_mats))
+    rows = F._first_shell(gen_mats)
+    for _ in range(6):
+        got = F._extend_shell(*rows, gen_mats, table)
+        want = oracles.extend_shell_by_letter(*rows, gen_mats, windows)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        rows = got
+    assert len(rows[0]) > 500
+
+
+def test_octagon_walk_does_not_depend_on_the_block_size(monkeypatch, tmp_path, octagon):
+    # the depth-first walk hands over the same survivors, depth by depth and
+    # in the same order, and the same certificate, whether its blocks hold
+    # 5 rows or a whole shell; so the spectrum CSV is the same file
+    walk, handed = F._enumerate_cocompact, []
+
+    def recorded(group, l_max):
+        handed.append(walk(group, l_max))
+        return handed[-1]
+
+    monkeypatch.setattr(F, "_enumerate_cocompact", recorded)
+    csvs = []
+    for rows in (5, 1 << 30):
+        monkeypatch.setattr(F, "_BLOCK_ROWS", rows)
+        path = tmp_path / f"octagon-{rows}.csv"
+        F.spectrum_to_csv(F.build_spectrum(octagon, 9.5), str(path))
+        csvs.append(path.read_bytes())
+    ((small, small_cert), (whole, whole_cert)), (small_csv, whole_csv) = handed, csvs
+    assert len(small) == len(whole) == small_cert["word_length_bound"]
+    for a, b in zip(small, whole):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert small_cert == whole_cert
+    assert small_csv == whole_csv
+
+
+def test_octagon_walk_memory_stays_bounded(octagon):
+    # the widest shell at Lmax 11 holds 900,216 rows, about 40 MB of words,
+    # products and periods: the walk never holds a shell whole
+    tracemalloc.start()
+    try:
+        F._enumerate_cocompact(octagon, 11.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def test_reduced_hyperbolic_predicate():
