@@ -218,7 +218,7 @@ def _warn_scale(lam: float, L: float) -> None:
 
 
 def _spectrum(a, spectrum, char, w):
-    summary = f"{len(spectrum.records)} records, certified to {spectrum.certified_l_max:.6g}"
+    summary = f"{len(spectrum.length)} records, certified to {spectrum.certified_l_max:.6g}"
     return spectrum, spectrum.certified_l_max >= a.lmax, summary
 
 
@@ -284,7 +284,7 @@ def _dirichlet(a, spectrum, char, w):
 def _covers(a, spectrum, char, w):
     from .covers import _batch_images, _require_free, empirical_cover_variance, moment_experiment
 
-    words = [r.word for r in spectrum.records if r.length <= a.moment_lmax]
+    words = spectrum.words(spectrum.length <= a.moment_lmax)
     if not words:
         raise ConfigError(f"no classes of length <= {a.moment_lmax:g} for the moment test")
     images = _batch_images(_require_free(spectrum), a.n, a.samples, a.seed)

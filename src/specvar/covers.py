@@ -309,7 +309,7 @@ def empirical_cover_variance(
     samples, n = images.shape[1:]
     _check_batch(images, n, samples)
 
-    words = [spectrum.records[i].word for i in ev.rows]
+    words = spectrum.words(ev.rows)
     kmaxes = [max(1, int(L / ell)) for ell in spectrum.primitive_length[ev.rows]]
     coeffs = ev.coefficients(lam)
     dk = _divisor_table(ev.kmax).sum(axis=0).astype(float)

@@ -99,7 +99,7 @@ def sum_rule_check(spectrum: LengthSpectrum, phi: Window, L: float, char=None) -
     _require_certified(spectrum, L)
     _warn_if_not_cocompact(spectrum)
     d_trivial = 1.0 if phases_on_lattice(char, 2.0 * math.pi) else 0.0
-    rows = np.arange(len(spectrum.records))
+    rows = np.arange(len(spectrum.length))
     weight = _equidistribution_weight(spectrum, rows)
     re_chi = 0.5 * _pair_values_bulk(char, spectrum, rows, 1)[0]
     total = float(np.sum(re_chi * weight * phi.psi_hat(spectrum.length / L)))

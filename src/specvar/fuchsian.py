@@ -22,7 +22,7 @@ reduced enumeration with an empirical minimum-length margin.
 
 The survivors are turned into classes with one closure of shortest
 spellings per inversion pair: a survivor already in a closure is skipped,
-a closure holding a periodic spelling is a proper power, whose records
+a closure holding a periodic spelling is a proper power, whose rows
 are made from its root, and a primitive pair is named by
 ``canonical_class`` from that same closure (the ``words`` rules).  A
 primitive length is taken from one trace per inversion pair, chosen from
@@ -30,21 +30,22 @@ that closure by a rule of the class (``_trace_spelling``), so its bits do
 not depend on the order in which the enumeration meets the class; the
 one length cut, at the certified length, is made on it.
 
-A spectrum is cached as a format-2 CSV whose rows name their inverse rows.
-Loading rebuilds each conjugacy class from its word and its partner's word
-without canonicalising either; instead it checks every row against the
-invariants a build guarantees and against the length of its word's
-holonomy trace, and refuses a file that fails (``load_spectrum``).
+A spectrum is a set of columns, one row per class, its words an int8
+matrix of the enumerator's letter codes.  It is cached as a format-2 CSV
+whose rows name their inverse rows; loading parses the file into columns,
+checks them with array masks against the invariants a build guarantees and
+the words' traces, and refuses a file that fails (``load_spectrum``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,18 +56,13 @@ from .words import (
     GroupPreset,
     Word,
     _overlong_replacements,
-    abelianize,
     canonical_class,
-    cyclic_reduce,
     free_group,
     inverse_spellings,
     invert_word,
-    min_rotation,
-    reduce_word,
     root_spelling,
     shortest_spellings,
     surface_group,
-    word_sort_key,
 )
 
 SPECTRUM_FORMAT_VERSION = 2
@@ -122,25 +118,21 @@ class FuchsianGroup:
 
 
 def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
-    """Holonomy matrices of many words, shape (len(words), 2, 2).
+    """Holonomy matrices of many words, (len(words), 2, 2); a letter outside the rank is refused."""
+    return _products(group.generator_array(), *_code_matrix(words, 2 * group.rank))
 
-    Words are grouped by length and multiplied left to right from the
-    identity with batched ``@``, which gives the same bits as multiplying
-    one word at a time.  Raises InvalidParameters for a letter outside the
-    group's rank.
-    """
-    mats = group.generator_array()
-    out = np.empty((len(words), 2, 2))
-    by_length: dict[int, list[int]] = {}
-    for i, word in enumerate(words):
-        by_length.setdefault(len(word), []).append(i)
-    for n, idx in by_length.items():
-        codes = _letter_codes(np.array([words[i] for i in idx], dtype=np.int64))
-        if codes.size and (codes.min() < 0 or codes.max() >= len(mats)):
-            raise InvalidParameters(f"word letter out of range for rank {group.rank}")
+
+def _products(mats: np.ndarray, codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
+    """Holonomy matrices of code rows, ``mats`` by letter code: each word length
+    multiplied left to right from the identity with batched ``@``, which
+    gives the bits of multiplying one word at a time."""
+    out = np.empty((len(codes), 2, 2))
+    for n in sorted(set(word_len.tolist())):
+        idx = np.flatnonzero(word_len == n)
+        block = codes[idx]
         prod = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
         for j in range(n):
-            prod = prod @ mats[codes[:, j]]
+            prod = prod @ mats[block[:, j]]
         out[idx] = prod
     return out
 
@@ -280,74 +272,56 @@ def preset(name: str, *params: float) -> FuchsianGroup:
 # length spectrum
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
-    """One conjugacy class gamma = (primitive root)^power with ell <= Lmax.
-
-    ``length`` is exactly ``power * primitive_length``; the primitive length
-    is extracted once from the root's trace so that power identities hold
-    bit-for-bit.  ``homology`` is the abelianized word.
-    """
-
-    class_id: int
-    cls: ConjugacyClass
-    length: float
-    primitive_length: float
-    power: int
-    log_det: float
-    homology: tuple[int, ...]
-
-    @property
-    def word(self) -> Word:
-        return self.cls.canonical
-
-
 @dataclass(frozen=True, eq=False)
 class LengthSpectrum:
-    """All conjugacy classes with ell <= l_max, sorted by length.
+    """All conjugacy classes with ell <= l_max as read-only columns, one row per class.
 
-    Both orientations of every geodesic are records: no hyperbolic class
-    of a torsion-free Fuchsian group is its own inverse.  ``certificate``
-    records the word-length bound that guarantees completeness and how it
-    was obtained.  In capped mode (non-co-compact presets)
+    Rows sort by (ell, word) and a row's index is its class id.  Both
+    orientations of every geodesic are rows: no hyperbolic class of a
+    torsion-free Fuchsian group is its own inverse.  ``codes`` (rows x
+    longest word, int8) holds the words in ``_letter_codes``, padded with -1
+    past ``word_len``, and ``words`` spells them.  ``length`` is exactly
+    ``power * primitive_length``, so power identities hold bit for bit;
+    ``log_det`` is ``log_poincare_det(length)``, ``homology`` (rows x rank)
+    the abelianized word and ``inverse_id`` the inverse class's row (-1 if
+    none is held).  ``certificate`` records the word-length bound that
+    guarantees completeness; in capped mode (non-co-compact presets)
     ``certified_l_max`` may fall short of ``l_max``.
-
-    Row i of each numeric column is read from records[i] when the
-    spectrum is made.  ``homology`` has shape (n, rank); ``inverse_id`` is
-    the class_id of the inverse class's record, or -1 if none is held.
     """
 
     group: FuchsianGroup
     l_max: float
-    records: tuple[GeodesicRecord, ...]
+    codes: np.ndarray
+    word_len: np.ndarray
+    length: np.ndarray
+    primitive_length: np.ndarray
+    power: np.ndarray
+    log_det: np.ndarray
+    homology: np.ndarray
+    inverse_id: np.ndarray
     certificate: dict = field(default_factory=dict)
-    length: np.ndarray = field(init=False, repr=False)
-    primitive_length: np.ndarray = field(init=False, repr=False)
-    log_det: np.ndarray = field(init=False, repr=False)
-    power: np.ndarray = field(init=False, repr=False)
-    class_id: np.ndarray = field(init=False, repr=False)
-    homology: np.ndarray = field(init=False, repr=False)
-    inverse_id: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        recs = self.records
-        ids = {r.word: r.class_id for r in recs}
-        dtypes = {"length": float, "primitive_length": float, "log_det": float}
-        columns = {
-            name: np.array([getattr(r, name) for r in recs], dtype=dtypes.get(name, np.int64))
-            for name in ("length", "primitive_length", "log_det", "power", "class_id", "homology")
-        }
-        columns["homology"] = columns["homology"].reshape(len(recs), self.group.rank)
-        columns["inverse_id"] = np.array(
-            [ids.get(r.cls.inverse_canonical, -1) for r in recs], dtype=np.int64
-        )
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        for name in _ROW_COLUMNS:
+            getattr(self, name).flags.writeable = False
 
     @property
     def certified_l_max(self) -> float:
         return self.certificate.get("certified_l_max", self.l_max)
+
+    @property
+    def records(self) -> range:
+        """The row indices, kept only for the benchmark tracer, which counts
+        ``len(spectrum.records)`` until the library reports its own counts."""
+        return range(len(self.length))
+
+    def words(self, rows=None) -> list[Word]:
+        """Signed-letter words of ``rows`` (every row by default)."""
+        pick = slice(None) if rows is None else rows
+        return [w[:n] for w, n in zip(_codes_to_words(self.codes[pick]), self.word_len[pick].tolist())]
+
+
+_ROW_COLUMNS = ("codes", "word_len", "length", "primitive_length", "power", "log_det", "homology", "inverse_id")
 
 
 _BLOCK_ROWS = 1 << 13  # rows per _extend_shell call; bounds its (letters x rows) temporaries
@@ -369,9 +343,36 @@ def _codes_to_words(block: np.ndarray) -> list[Word]:
     return [tuple(row) for row in np.where(block & 1, -letters, letters).tolist()]
 
 
+def _padded(codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
+    """The (words x longest word) int8 matrix of concatenated codes, padded with -1."""
+    out = np.full((len(word_len), word_len.max(initial=0)), -1, dtype=np.int8)
+    out[np.arange(out.shape[1]) < word_len[:, None]] = codes
+    return out
+
+
+def _code_matrix(words: Sequence[Word], n_letters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded code matrix and lengths of words; a code outside range(n_letters) is refused."""
+    word_len = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    codes = _letter_codes(np.fromiter(itertools.chain.from_iterable(words), dtype=np.int64))
+    if codes.size and (codes.min() < 0 or codes.max() >= n_letters):
+        raise InvalidParameters(f"word letter out of range for rank {n_letters // 2}")
+    return _padded(codes, word_len), word_len
+
+
+def _homology(codes: np.ndarray, rank: int) -> np.ndarray:
+    """Exponent sums of code rows, (rows x rank): a generator's letters less its inverse's."""
+    counts = (codes[:, :, None] == np.arange(2 * rank, dtype=np.int8)).sum(axis=1)
+    return counts[:, 0::2] - counts[:, 1::2]
+
+
 def _reduced_hyperbolic(words: np.ndarray, tr: np.ndarray) -> np.ndarray:
     """Hyperbolic rows (|trace| ``tr`` above 2) whose last letter is not their first's inverse."""
     return (tr > 2.0 + 1e-9) & (words[:, 0] != words[:, -1] ^ 1)
+
+
+def _within_trace_cut(tr: np.ndarray, l_max: float) -> np.ndarray:
+    """|trace| rows that may have ell <= l_max: a slack cut, the build cuts by length."""
+    return tr <= 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
 
 
 def _shell_survivors(
@@ -379,8 +380,7 @@ def _shell_survivors(
 ) -> np.ndarray:
     """Necklace rows that are cyclically reduced and hyperbolic with ell <= l_max."""
     tr = np.abs(mats[:, 0] + mats[:, 3])
-    tr_cut = 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)  # slack; the build cuts by length
-    return _reduced_hyperbolic(words, tr) & (tr <= tr_cut) & (words.shape[1] % period == 0)
+    return _reduced_hyperbolic(words, tr) & _within_trace_cut(tr, l_max) & (words.shape[1] % period == 0)
 
 
 def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -523,6 +523,9 @@ def _shell_min_length(words: np.ndarray, mats: np.ndarray, gen_mats: np.ndarray)
     return float(2 * np.arccosh(tr_rot[tr_rot > 2.0 + 1e-9].min() / 2))
 
 
+_SHELL_ROW_BUDGET = 1 << 23  # rows of one free shell; pants (2, 2, 2) at Lmax 16 needs 5,636,755
+
+
 def _enumerate_free(
     group: FuchsianGroup, l_max: float, max_word_length: int, allow_incomplete: bool
 ) -> tuple[list[np.ndarray], dict]:
@@ -535,17 +538,20 @@ def _enumerate_free(
     necklace rotation with the same trace, so the prenecklace shells keep
     the per-shell minimum.  For the cusped preset minimum lengths grow only
     logarithmically in the shell, so the cap triggers capped mode, whose
-    survivors ``build_spectrum`` cuts to the certified length.
+    survivors are cut by trace at the certified length; ``build_spectrum``
+    then cuts them by length.  A shell wider than ``_SHELL_ROW_BUDGET`` rows
+    raises IncompleteEnumeration instead of exhausting memory.
     """
     gen_mats = group.generator_array()
     words, mats, period = _first_shell(gen_mats)
-    survivors: list[np.ndarray] = []
+    survivors: list[tuple[np.ndarray, np.ndarray]] = []  # rows and their |traces|, per shell
     shell_mins: list[float] = []
     shell_rows: list[int] = []
     clear = 0
     while True:
         shell_rows.append(len(words))
-        survivors.append(words[_shell_survivors(words, mats, period, l_max)])
+        keep = _shell_survivors(words, mats, period, l_max)
+        survivors.append((words[keep], np.abs(mats[keep, 0] + mats[keep, 3])))
         shell_mins.append(_shell_min_length(words, mats, gen_mats))
         clear = clear + 1 if shell_mins[-1] > l_max else 0
         complete = clear >= 2
@@ -567,10 +573,17 @@ def _enumerate_free(
                     f"ell <= {certified:.3f} < {l_max}; "
                     "pass allow_incomplete=True for a capped spectrum"
                 )
-            return survivors, cert
+            return [rows[_within_trace_cut(tr, certified)] for rows, tr in survivors], cert
         # whole shells (the rule above reads them), extended a block at a time
-        blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(words), _BLOCK_ROWS)]
-        children = [_extend_shell(words[b], mats[b], period[b], gen_mats, None) for b in blocks]
+        children, width = [], 0
+        for lo in range(0, len(words), _BLOCK_ROWS):
+            b = slice(lo, lo + _BLOCK_ROWS)
+            children.append(_extend_shell(words[b], mats[b], period[b], gen_mats, None))
+            if (width := width + len(children[-1][0])) > _SHELL_ROW_BUDGET:
+                raise IncompleteEnumeration(
+                    f"the shell of word length {len(shell_rows) + 1} exceeds the row budget of "
+                    f"{_SHELL_ROW_BUDGET:,} rows; lower max_word_length or Lmax"
+                )
         words, mats, period = map(np.concatenate, zip(*children))
 
 
@@ -601,7 +614,7 @@ def build_spectrum(
     """Enumerate all conjugacy classes with ell <= l_max.
 
     Returns primitive classes and their powers, both orientations of
-    each.  Lengths of powers are computed as k times the primitive length,
+    each, as rows.  Lengths of powers are computed as k times the primitive length,
     never from power traces.  Each inversion pair of primitive classes is
     read from one closure of shortest spellings, that of the first survivor
     in either orientation, and named by ``canonical_class``; the k-th power
@@ -642,102 +655,111 @@ def build_spectrum(
     # fails would fail from either
     mats = holonomies(group, trace_words)
 
-    records: list[GeodesicRecord] = []
+    words: list[Word] = []
+    primitive_length: list[float] = []
+    power: list[int] = []
     for root, mat in zip(pair_roots, mats):
         try:
             ell0 = length_of(float(np.trace(mat)))
         except NonHyperbolicElement:
             continue  # cusp word on the non-compact preset
-        if ell0 > effective_l_max:
-            continue
-        hom0 = abelianize(root.canonical, preset_group)
-        pair = ((root, 1), (ConjugacyClass(root.inverse_canonical, root.canonical), -1))
-        for cls, sign in pair:
-            k = 1
-            while k * ell0 <= effective_l_max:
-                ell = k * ell0
-                records.append(
-                    GeodesicRecord(
-                        class_id=-1,
-                        cls=cls.power(k),
-                        length=ell,
-                        primitive_length=ell0,
-                        power=k,
-                        log_det=log_poincare_det(ell),
-                        homology=tuple(sign * k * h for h in hom0),
-                    )
-                )
-                k += 1
+        k = 1
+        while k * ell0 <= effective_l_max:
+            cls = root.power(k)  # a row's inverse row is its neighbour, 2i and 2i + 1, until the sort
+            words += (cls.canonical, cls.inverse_canonical)
+            primitive_length += (ell0, ell0)
+            power += (k, k)
+            k += 1
 
-    records.sort(key=lambda r: (r.length, word_sort_key(r.word)))
-    final = tuple(replace(r, class_id=i) for i, r in enumerate(records))
-    cert["shell_classes"] = _shell_classes(r.word for r in final)
-    return LengthSpectrum(group, l_max, final, certificate=cert)
+    codes, word_len = _code_matrix(words, 2 * group.rank)
+    ell0s, ks = np.array(primitive_length, dtype=float), np.array(power, dtype=np.int64)
+    order = np.lexsort([*codes.T[::-1], word_len, ks * ell0s])  # the order of (ell, word_sort_key)
+    codes, length = codes[order], (ks * ell0s)[order]
+    new_row = np.argsort(order)  # where the sort puts each built row
+    cert["shell_classes"] = _shell_classes(word_len)
+    return LengthSpectrum(
+        group, l_max, codes=codes, word_len=word_len[order], length=length,
+        primitive_length=ell0s[order], power=ks[order],
+        log_det=np.array([log_poincare_det(ell) for ell in length.tolist()]),
+        homology=_homology(codes, group.rank), inverse_id=new_row[order ^ 1], certificate=cert,
+    )
 
 
-def _shell_classes(words: Iterable[Word]) -> list[int]:
+def _shell_classes(word_len: np.ndarray) -> list[int]:
     """Classes per word-length shell: entry i counts the words of i + 1 letters."""
-    lengths = np.fromiter((len(w) for w in words), dtype=np.int64)
-    return np.bincount(lengths, minlength=1)[1:].tolist()
+    return np.bincount(word_len, minlength=1)[1:].tolist()
 
 
 def unoriented_rows(spectrum: LengthSpectrum) -> np.ndarray:
-    """Rows of P0, one primitive record per unoriented geodesic.
+    """Rows of P0, one primitive row per unoriented geodesic.
 
     Random-cover and Poisson models must treat the two orientations as
     one random object (a permutation and its inverse share fixed points),
-    so of each pair the record with the smaller class_id is kept: the one
-    with the smaller word, as partners share ell bit for bit and rows sort
-    by (ell, word).  A record with no inverse record is not in P0.
+    so of each pair the earlier row is kept: the one with the smaller
+    word, as partners share ell bit for bit and rows sort by (ell, word).
+    A row with no inverse row is not in P0.
     """
-    return np.flatnonzero((spectrum.power == 1) & (spectrum.class_id < spectrum.inverse_id))
+    rows = np.arange(len(spectrum.power))
+    return np.flatnonzero((spectrum.power == 1) & (rows < spectrum.inverse_id))
 
 
-def unoriented_primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
-    """P0 as records: the records of ``unoriented_rows``."""
-    return [spectrum.records[i] for i in unoriented_rows(spectrum)]
+def unoriented_primitives(spectrum: LengthSpectrum) -> list[Word]:
+    """P0 as words: the words of ``unoriented_rows``."""
+    return spectrum.words(unoriented_rows(spectrum))
 
 
 # ---------------------------------------------------------------------------
 # CSV round trip
 
 
-_LETTERS = "abcdefgh"
-_LETTER_OF = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {
-    ch.upper(): -(i + 1) for i, ch in enumerate(_LETTERS)
-}
-_TEXT_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
+# letter code c is spelled _SPELLING[c]: generator i by the i-th letter, its inverse in upper case
+_SPELLING = np.frombuffer(b"aAbBcCdDeEfFgGhH", dtype=np.uint8)
+_CODE_OF_CHAR = np.full(128, -1, dtype=np.int8)  # the codes of ASCII characters, -1 for none
+_CODE_OF_CHAR[_SPELLING] = np.arange(len(_SPELLING))
 
 
-def word_to_text(word: Word) -> str:
-    """Compact spelling: generator i -> letter, inverse -> uppercase."""
-    try:
-        return "".join([_TEXT_OF[letter] for letter in word])
-    except KeyError as exc:
-        raise InvalidParameters(f"word letter {exc.args[0]} has no spelling") from None
+def _spelled(codes: np.ndarray, word_len: np.ndarray) -> list[str]:
+    """The spelling of each code row."""
+    text = _SPELLING[codes[np.arange(codes.shape[1]) < word_len[:, None]]].tobytes().decode()
+    ends = np.cumsum(word_len).tolist()
+    return [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def word_from_text(text: str) -> Word:
-    try:
-        return tuple([_LETTER_OF[ch] for ch in text])
-    except KeyError as exc:
-        raise ValueError(f"bad word letter {exc.args[0]!r}") from None
+def _unspelled(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Padded code matrix and lengths of spelled words; ValueError names a bad letter."""
+    word_len = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    chars = np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
+    codes = _CODE_OF_CHAR[np.minimum(chars, 127)]  # 127 (DEL) stands for every non-ASCII one
+    bad = np.flatnonzero(codes < 0)
+    if len(bad):
+        raise ValueError(f"bad word letter {chr(chars[bad[0]])!r}")
+    return _padded(codes, word_len), word_len
+
+
+def _numbers(kind: type) -> Callable[[Sequence[str]], np.ndarray]:
+    return lambda cells: np.fromiter(map(kind, cells), dtype=np.int64 if kind is int else float, count=len(cells))
 
 
 _COLUMNS = ["classId", "inverseId", "word", "ell", "ell_sharp", "k", "log_detIminusP"]
+_PARSERS = [_numbers(int), _numbers(int), _unspelled, _numbers(float), _numbers(float), _numbers(int), _numbers(float)]
 _CERTIFICATE_PREFIX = "# certificate="
 _REBUILD = "rebuild it with `specvar spectrum`"
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
-    """Write records with full decimal precision (repr round trip).
+    """Write the rows with full decimal precision (repr round trip).
 
     Format 2: ``inverseId`` is the ``inverse_id`` column, and a
     ``# certificate=<json>`` line carries the enumeration certificate.
-    Every record's inverse record must be present, so a subset such as
-    the P0 records is refused.  The comment lines end in \\n and the csv
-    rows in \\r\\n; the file lands atomically through the report writer.
+    Every row's inverse row must be present, so a subset such as the P0
+    rows is refused.  The comment lines end in \\n and the csv rows in
+    \\r\\n; the file lands atomically through the report writer.
     """
+    orphans = np.flatnonzero(spectrum.inverse_id < 0)
+    if len(orphans):
+        raise InvalidParameters(
+            f"record {orphans[0]} has no inverse record; the spectrum CSV holds oriented spectra only"
+        )
     header = _COLUMNS + [f"h{i}" for i in range(spectrum.group.rank)]
     params = ",".join(repr(p) for p in spectrum.group.params)
     buf = io.StringIO()
@@ -750,33 +772,32 @@ def spectrum_to_csv(spectrum: LengthSpectrum, path: str) -> None:
     buf.write(f"{_CERTIFICATE_PREFIX}{json.dumps(spectrum.certificate, sort_keys=True)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
-    for rec, partner in zip(spectrum.records, spectrum.inverse_id.tolist()):
-        if partner < 0:
-            raise InvalidParameters(
-                f"record {rec.class_id} has no inverse record; "
-                "the spectrum CSV holds oriented spectra only"
-            )
-        writer.writerow(
-            [
-                rec.class_id,
-                partner,
-                word_to_text(rec.word),
-                repr(rec.length),
-                repr(rec.primitive_length),
-                rec.power,
-                repr(rec.log_det),
-            ]
-            + [str(h) for h in rec.homology]
-        )
+    sp = spectrum
+    ell, ell_sharp, log_det = (map(repr, col.tolist()) for col in (sp.length, sp.primitive_length, sp.log_det))
+    writer.writerows(zip(
+        range(len(sp.length)), sp.inverse_id.tolist(), _spelled(sp.codes, sp.word_len),
+        ell, ell_sharp, sp.power.tolist(), log_det, *sp.homology.T.tolist(),
+    ))
     _atomic_write(path, buf.getvalue())
 
 
-def spectrum_from_csv(path: str) -> tuple[list[dict], dict]:
-    """Read back a format-2 file: rows as dicts plus the meta header.
+def _bad_cell(cells: list[list[str]], parsers: list[Callable]) -> str | None:
+    """The first cell, row by row, that does not parse, as its refusal reads."""
+    for i, row in enumerate(cells):
+        if len(row) != len(parsers):
+            return f"row {i}: {len(row)} cells under {len(parsers)} columns"
+        for parse, cell in zip(parsers, row):
+            try:
+                parse([cell])
+            except (ValueError, OverflowError) as exc:
+                return f"row {i}: {exc}"
 
-    ``meta["certificate"]`` is the parsed certificate.  Other format
-    versions and column headers are refused; the values are parsed but
-    not checked (``load_spectrum`` checks them).
+
+def spectrum_from_csv(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read back a format-2 file: its columns, keyed by the ``LengthSpectrum``
+    fields they fill (classId by ``class_id``), and the meta header with the
+    parsed ``certificate``.  Other format versions and column headers, and
+    cells that do not parse, are refused; ``load_spectrum`` checks the values.
     """
     with open(path, newline="") as fh:
         lines = fh.readlines()
@@ -802,30 +823,22 @@ def spectrum_from_csv(path: str) -> tuple[list[dict], dict]:
     table = csv.reader(lines[n_comments:])
     header = next(table, [])
     n_hom = len(header) - len(_COLUMNS)
-    if header[: len(_COLUMNS)] != _COLUMNS or header[len(_COLUMNS) :] != [
-        f"h{i}" for i in range(n_hom)
-    ]:
+    if header != _COLUMNS + [f"h{i}" for i in range(n_hom)]:
         raise InvalidParameters(f"unexpected spectrum CSV columns {header}")
-    rows: list[dict] = []
-    for cells in table:
-        try:
-            if len(cells) != len(header):
-                raise ValueError(f"{len(cells)} cells under {len(header)} columns")
-            rows.append(
-                {
-                    "classId": int(cells[0]),
-                    "inverseId": int(cells[1]),
-                    "word": word_from_text(cells[2]),
-                    "ell": float(cells[3]),
-                    "ell_sharp": float(cells[4]),
-                    "k": int(cells[5]),
-                    "log_detIminusP": float(cells[6]),
-                    "homology": tuple(int(c) for c in cells[len(_COLUMNS) :]),
-                }
-            )
-        except ValueError as exc:
-            raise InvalidParameters(f"row {len(rows)}: {exc}") from None
-    return rows, meta
+    cells = list(table)
+    parsers = _PARSERS + [_numbers(int)] * n_hom
+    try:
+        if not set(map(len, cells)) <= {len(header)}:
+            raise ValueError("a row of another width")
+        values = [parse(column) for parse, column in zip(parsers, list(zip(*cells)) or [()] * len(header))]
+    except (ValueError, OverflowError):
+        raise InvalidParameters(_bad_cell(cells, parsers)) from None
+    class_id, inverse_id, (codes, word_len), length, primitive_length, power, log_det, *homology = values
+    homology = np.array(homology, dtype=np.int64).reshape(n_hom, len(cells)).T
+    return dict(
+        class_id=class_id, inverse_id=inverse_id, codes=codes, word_len=word_len, length=length,
+        primitive_length=primitive_length, power=power, log_det=log_det, homology=homology,
+    ), meta
 
 
 def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict:
@@ -839,9 +852,7 @@ def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict
         raise InvalidParameters("no certificate line")
     certified = cert.get("certified_l_max")
     if certified != float(meta["certified_l_max"]):
-        raise InvalidParameters(
-            f"certificate certifies {certified!r}, header {meta['certified_l_max']}"
-        )
+        raise InvalidParameters(f"certificate certifies {certified!r}, header {meta['certified_l_max']}")
     if not certified <= l_max:
         raise InvalidParameters(f"certified_l_max {certified!r} exceeds l_max {l_max!r}")
     try:
@@ -850,140 +861,128 @@ def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict
         raise InvalidParameters("certificate lacks shell_min_lengths") from None
     if certified != expected:
         raise InvalidParameters(
-            f"certified_l_max {certified!r} does not follow from the certificate "
-            f"(its fields give {expected!r})"
-        )
+            f"certified_l_max {certified!r} does not follow from the certificate (its fields give {expected!r})")
     if not isinstance(cert.get("shell_classes"), list):
         raise InvalidParameters(f"certificate lacks shell_classes; {_REBUILD}")
     return cert
 
 
-def _row_fault(
-    group: FuchsianGroup, rows: list[dict], i: int, certified_l_max: float
-) -> str | None:
-    """What is wrong with row i on its own and beside its inverse row."""
-    row = rows[i]
-    word, ell, k, j = row["word"], row["ell"], row["k"], row["inverseId"]
-    if row["classId"] != i:
-        return f"classId {row['classId']} is not the row index"
-    if not word or max(map(abs, word)) > group.rank or 0 in word:
-        return f"word uses a letter outside rank {group.rank}"
-    if cyclic_reduce(reduce_word(word)) != word or min_rotation(word) != word:
-        return "word is not a cyclically reduced least rotation"
-    if abelianize(word, group.group) != row["homology"]:
-        return "homology is not the word's exponent sums"
-    if j == i:
-        return f"inverseId {j} is the row's own classId; no class is its own inverse"
-    if not (0 <= j < len(rows) and rows[j]["inverseId"] == i):
-        return f"inverseId {j} is not an involution"
-    partner = rows[j]
-    if (partner["ell"], partner["ell_sharp"], partner["k"], partner["log_detIminusP"]) != (
-        ell, row["ell_sharp"], k, row["log_detIminusP"]
-    ):
-        return f"inverse row {j} differs in ell, ell_sharp, k or log_detIminusP"
-    if partner["homology"] != tuple(-h for h in row["homology"]):
-        return f"inverse row {j} does not carry the negated homology"
-    if len(partner["word"]) != len(word):
-        return f"inverse row {j} has a word of another length"
-    if k < 1 or ell != k * row["ell_sharp"]:
-        return "ell is not k * ell_sharp"
-    if not 0 < ell <= certified_l_max:
-        return f"ell {ell!r} is outside (0, certified_l_max]"
-    if row["log_detIminusP"] != log_poincare_det(ell):
-        return "log_detIminusP is not log_poincare_det(ell)"
-    return None
+def _refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Refuse the first row any mask holds, with the first of its faults."""
+    masks = np.array([mask for mask, _ in checks]).reshape(len(checks), -1)
+    hit = masks.any(axis=0)
+    if hit.any():
+        i = int(hit.argmax())
+        raise InvalidParameters(f"row {i}: {checks[int(masks[:, i].argmax())][1](i)}")
 
 
-def _check_rows(group: FuchsianGroup, rows: list[dict], certified_l_max: float) -> None:
-    """Refuse rows that a build of ``group`` could not have written."""
+def _least_rotations(codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
+    """Rows whose word is no greater than any of its rotations, in code order."""
+    least = np.ones(len(codes), dtype=bool)
+    for n in sorted(set(word_len.tolist())):
+        idx = np.flatnonzero(word_len == n)
+        block, at = codes[idx, :n], np.arange(len(idx))
+        for shift in range(1, n):
+            rotated = np.roll(block, -shift, axis=1)
+            first = (rotated != block).argmax(axis=1)  # 0 where they are equal
+            least[idx] &= ~(rotated[at, first] < block[at, first])
+    return least
 
-    def refuse(i: int, fault: str) -> InvalidParameters:
-        return InvalidParameters(f"row {i}: {fault}")
 
-    keys = [(row["ell"], word_sort_key(row["word"])) for row in rows]
-    for i in range(len(rows)):
-        fault = _row_fault(group, rows, i, certified_l_max)
-        if fault is None and i and not keys[i - 1] < keys[i]:
-            fault = "rows are not sorted by (ell, word)"
-        if fault is not None:
-            raise refuse(i, fault)
+def _increasing(keys: list[np.ndarray]) -> np.ndarray:
+    """Rows whose key, its arrays compared in turn, exceeds the previous row's; the first row does."""
+    less = np.arange(len(keys[0])) == 0
+    tied = ~less
+    for key in keys:
+        less[1:] |= tied[1:] & (key[:-1] < key[1:])
+        tied[1:] &= key[:-1] == key[1:]
+    return less
 
-    hol = holonomies(group, [row["word"] for row in rows])
-    traces = hol[:, 0, 0] + hol[:, 1, 1]
-    ells = np.array([row["ell"] for row in rows])
+
+def _check_rows(sp: LengthSpectrum, class_id: np.ndarray) -> None:
+    """Refuse rows that a build of ``sp.group`` could not have written (``load_spectrum``).
+
+    Each check is a mask over the rows.  Partner masks read the clipped
+    inverseId, wrong only where the involution mask, listed first, refuses.
+    """
+    codes, word_len, ell, ell_sharp, k, hom, j = (
+        sp.codes, sp.word_len, sp.length, sp.primitive_length, sp.power, sp.homology, sp.inverse_id
+    )
+    rows, column, rank = np.arange(len(ell)), np.arange(codes.shape[1]), sp.group.rank
+    inside = column < word_len[:, None]
+    after = np.take_along_axis(codes, (column + 1) % np.maximum(word_len, 1)[:, None], axis=1)
+    p = np.clip(j, 0, max(len(ell) - 1, 0))
+    log_det = np.array([log_poincare_det(x) if x > 0 else math.nan for x in ell.tolist()])
+    _refuse_first([
+        (class_id != rows, lambda i: f"classId {class_id[i]} is not the row index"),
+        ((word_len == 0) | (inside & (codes >= 2 * rank)).any(axis=1),
+         lambda i: f"word uses a letter outside rank {rank}"),
+        ((inside & (after == codes ^ 1)).any(axis=1) | ~_least_rotations(codes, word_len),
+         lambda i: "word is not a cyclically reduced least rotation"),
+        ((_homology(codes, rank) != hom).any(axis=1) if hom.shape[1] == rank else rows >= 0,
+         lambda i: "homology is not the word's exponent sums"),
+        (j == rows, lambda i: f"inverseId {j[i]} is the row's own classId; no class is its own inverse"),
+        ((j < 0) | (j >= len(ell)) | (j[p] != rows), lambda i: f"inverseId {j[i]} is not an involution"),
+        ((ell[p] != ell) | (ell_sharp[p] != ell_sharp) | (k[p] != k) | (sp.log_det[p] != sp.log_det),
+         lambda i: f"inverse row {j[i]} differs in ell, ell_sharp, k or log_detIminusP"),
+        ((hom[p] != -hom).any(axis=1), lambda i: f"inverse row {j[i]} does not carry the negated homology"),
+        (word_len[p] != word_len, lambda i: f"inverse row {j[i]} has a word of another length"),
+        ((k < 1) | (ell != k * ell_sharp), lambda i: "ell is not k * ell_sharp"),
+        (~((0 < ell) & (ell <= sp.certified_l_max)),
+         lambda i: f"ell {ell[i].item()!r} is outside (0, certified_l_max]"),
+        (sp.log_det != log_det, lambda i: "log_detIminusP is not log_poincare_det(ell)"),
+        (~_increasing([ell, word_len, *codes.T]), lambda i: "rows are not sorted by (ell, word)"),
+    ])
+    hol = _products(sp.group.generator_array(), codes, word_len)
+    traces = np.abs(hol[:, 0, 0] + hol[:, 1, 1])
     with np.errstate(invalid="ignore"):
-        traced = 2.0 * np.arccosh(np.abs(traces) / 2.0)
-    off = ~(np.abs(traced - ells) <= 1e-9 * ells)
-    if off.any():
-        i = int(np.argmax(off))
-        raise refuse(i, f"ell {ells[i]!r} is not the length {traced[i]!r} of the word's trace")
-    for i, row in enumerate(rows):
-        if row["k"] == 1 and row["ell_sharp"] not in (
-            length_of(traces[i]),
-            length_of(traces[row["inverseId"]]),
-        ):
-            raise refuse(i, "ell_sharp is not the length of its own trace or its inverse's")
-
-
-def _check_class_count(rows: list[dict], certificate: dict) -> None:
-    """Refuse rows whose classes per word length differ from the build's count."""
-    found = _shell_classes(row["word"] for row in rows)
-    if found != certificate["shell_classes"]:
+        traced = 2.0 * np.arccosh(traces / 2.0)
+    _refuse_first([(
+        ~(np.abs(traced - ell) <= 1e-9 * ell),
+        lambda i: f"ell {ell[i].item()!r} is not the length {traced[i].item()!r} of the word's trace",
+    )])
+    own = np.array([length_of(t) for t in traces.tolist()])  # each |trace| > 2: its length is near an ell > 0
+    _refuse_first([(
+        (k == 1) & (ell_sharp != own) & (ell_sharp != own[j]),
+        lambda i: "ell_sharp is not the length of its own trace or its inverse's",
+    )])
+    found, counted = _shell_classes(word_len), sp.certificate["shell_classes"]
+    if found != counted:
         raise InvalidParameters(
-            f"rows hold {found} classes per word length, the certificate "
-            f"{certificate['shell_classes']}: rows are missing or added"
-        )
+            f"rows hold {found} classes per word length, the certificate {counted}: rows are missing or added")
 
 
 def load_spectrum(path: str) -> LengthSpectrum:
     """Reconstruct a spectrum from its format-2 CSV, checking every row.
 
-    Each class is rebuilt as ``ConjugacyClass(word, inverse row's word)``,
-    with no canonicalisation, and the certificate comes back whole.  The
-    file is refused (InvalidParameters, CLI exit 2) unless classIds are the
-    row indices and rows are sorted by (ell, word); inverseId is an
-    involution with no fixed point (no class is its own inverse) whose
-    partners share ell, ell_sharp, k and log_detIminusP bit for bit, carry
-    the negated homology and have words of one length; ell == k * ell_sharp,
-    log_detIminusP == log_poincare_det(ell) and ell <= certified_l_max; each
-    word is a cyclically reduced least rotation over the rank's letters with
-    the stated homology; ell is within 1e-9 relative of the length of the
-    word's trace; each primitive's ell_sharp is, bit for bit, the length of
-    its own trace or its inverse's; certified_l_max follows from the
-    certificate; and the rows hold, word length by word length, as many
-    classes as the certificate's ``shell_classes`` counted at build time.
-    Partners are thus checked by length, trace, homology and word length,
-    not by canonicalisation.  Format 1 files, certificates without
-    ``shell_classes`` and headers with any other token than
-    ``oriented=True`` are refused with a request to rebuild.
+    The file is parsed into the spectrum's columns, with no
+    canonicalisation, and the certificate comes back whole.  It is refused
+    (InvalidParameters, CLI exit 2) unless certified_l_max follows from the
+    certificate and the rows pass, in this order: classId is the row index;
+    letters are within the rank; the word is cyclically reduced, across its
+    end too, and its least rotation; the homology is its signed letter
+    counts; inverseId is an involution with no fixed point whose partners
+    share ell, ell_sharp, k and log_detIminusP bit for bit, carry the negated
+    homology and have words of one length; ell == k * ell_sharp; 0 < ell <=
+    certified_l_max; log_detIminusP == log_poincare_det(ell); rows sort by
+    (ell, word).  The first row with a fault is refused, naming its first
+    fault.  Then each ell must be within 1e-9 relative of its word's trace
+    length, each primitive's ell_sharp bit for bit its own or its inverse's
+    trace length, and the classes per word length the certificate's
+    ``shell_classes``.  Format 1 files, certificates without
+    ``shell_classes`` and headers without ``oriented=True`` ask for a rebuild.
     """
     try:
-        rows, meta = spectrum_from_csv(path)
+        cols, meta = spectrum_from_csv(path)
         if meta.get("oriented") != "True":
             raise InvalidParameters(f"only oriented spectra load; {_REBUILD}")
         params = [float(p) for p in meta.get("params", "").split(",") if p]
         group = preset(meta.get("preset", ""), *params)
         l_max = float(meta["l_max"])
         certificate = _checked_certificate(meta, group, l_max)
-        _check_rows(group, rows, certificate["certified_l_max"])
-        _check_class_count(rows, certificate)
+        class_id = cols.pop("class_id")
+        spectrum = LengthSpectrum(group, l_max, **cols, certificate=certificate)
+        _check_rows(spectrum, class_id)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameters(f"spectrum file {path}: {exc}") from None
-    records = tuple(
-        GeodesicRecord(
-            class_id=row["classId"],
-            cls=ConjugacyClass(row["word"], rows[row["inverseId"]]["word"]),
-            length=row["ell"],
-            primitive_length=row["ell_sharp"],
-            power=row["k"],
-            log_det=row["log_detIminusP"],
-            homology=row["homology"],
-        )
-        for row in rows
-    )
-    return LengthSpectrum(
-        group=group,
-        l_max=l_max,
-        records=records,
-        certificate=certificate,
-    )
+    return spectrum

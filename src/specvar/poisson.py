@@ -136,7 +136,7 @@ class PoissonSurrogate:
         split = np.cumsum(terms)[:-1]
         self._freqs = freqs
         self._pair_terms = list(compress(zip(np.split(term_f, split), np.split(term_c, split)), keep))
-        self.pair_class_ids = spectrum.class_id[t.rows[pair_col[keep]]]
+        self.pair_class_ids = t.rows[pair_col[keep]]
         self.pair_d = pair_d[keep]
         self.pair_c = pair_c[keep]
 

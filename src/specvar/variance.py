@@ -112,8 +112,8 @@ def _pair_values_bulk(char, spectrum: LengthSpectrum, rows, kmax: int) -> np.nda
         return 2.0 * np.cos(ks * theta[None, :])
     if isinstance(char, MatrixRep):
         out = np.empty((kmax, n))
-        for j, i in enumerate(rows):
-            eig = np.linalg.eigvals(char.image_of(spectrum.records[i].word))
+        for j, word in enumerate(spectrum.words(rows)):
+            eig = np.linalg.eigvals(char.image_of(word))
             for k in range(1, kmax + 1):
                 out[k - 1, j] = 2.0 * np.sum(eig**k).real
         return out

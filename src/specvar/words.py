@@ -115,23 +115,6 @@ def cyclic_reduce(word: Word) -> Word:
     return tuple(w)
 
 
-def abelianize(word: Word, preset: GroupPreset) -> tuple[int, ...]:
-    """Exponent-sum vector in Z^rank.
-
-    Well defined on surface groups because the relator is a product of
-    commutators and abelianizes to zero.
-
-    >>> abelianize((1, 1, -2), free_group(2))
-    (2, -1)
-    """
-    vec = [0] * preset.rank
-    for letter in word:
-        if abs(letter) > preset.rank:
-            raise ValueError(f"letter {letter} out of range for rank {preset.rank}")
-        vec[abs(letter) - 1] += 1 if letter > 0 else -1
-    return tuple(vec)
-
-
 def _letter_key(letter: int) -> int:
     # fixed total order a1 < a1^-1 < a2 < a2^-1 < ...
     return 2 * letter if letter > 0 else 2 * (-letter) + 1

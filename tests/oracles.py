@@ -9,11 +9,13 @@ test can compare the vectorised path with the plain definition.
 from __future__ import annotations
 
 import cmath
+import csv
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from specvar.characters import FluxCharacter, MatrixRep
 from specvar.dynamics import _equidistribution_weight, _flux_array, _half_mass
 from specvar.fuchsian import (
     FuchsianGroup,
-    GeodesicRecord,
     InvalidParameters,
     LengthSpectrum,
     _shell_classes,
+    length_of,
     log_poincare_det,
+    unoriented_rows,
 )
 from specvar.ks import kstwo_sf
 from specvar.poisson import PoissonSurrogate, _draw_buffers, _invert_cdf, _poisson_draws
@@ -39,8 +42,8 @@ from specvar.words import (
     TrivialElementError,
     Word,
     _letter_key,
-    abelianize,
     canonical_class,
+    cyclic_reduce,
     invert_word,
     min_rotation,
     reduce_word,
@@ -52,6 +55,20 @@ from specvar.words import (
 
 # ---------------------------------------------------------------------------
 # words: concatenation, powers, class enumeration and conjugates
+
+
+def abelianize(word: Word, preset: GroupPreset) -> tuple[int, ...]:
+    """Exponent-sum vector in Z^rank, one letter at a time.
+
+    Well defined on surface groups because the relator is a product of
+    commutators and abelianizes to zero.
+    """
+    vec = [0] * preset.rank
+    for letter in word:
+        if abs(letter) > preset.rank:
+            raise ValueError(f"letter {letter} out of range for rank {preset.rank}")
+        vec[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(vec)
 
 
 def concat(*parts: Word) -> Word:
@@ -203,7 +220,7 @@ def eval_flux(char: FluxCharacter, cls) -> complex:
     """Value of the character on a class, a modulus-1 complex number.
 
     ``cls`` is a homology vector or anything carrying a ``homology``
-    attribute (geodesic records do).
+    attribute (spectrum rows do).
     """
     hom = _homology_of(cls)
     if len(hom) != char.rank:
@@ -301,14 +318,70 @@ def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
     return out
 
 
-def record_det(record: GeodesicRecord) -> float:
-    """|det(I - P)| of a record, from the log it stores."""
+class Row(NamedTuple):
+    """One spectrum row as a record, for the row-by-row reference loops."""
+
+    class_id: int
+    word: Word
+    inverse_word: Word | None
+    length: float
+    primitive_length: float
+    power: int
+    log_det: float
+    homology: tuple[int, ...]
+
+
+def spectrum_rows(spectrum: LengthSpectrum) -> list[Row]:
+    """Every row of a spectrum as a ``Row``, read off its columns."""
+    words = spectrum.words()
+    columns = zip(
+        words,
+        spectrum.inverse_id.tolist(),
+        spectrum.length.tolist(),
+        spectrum.primitive_length.tolist(),
+        spectrum.power.tolist(),
+        spectrum.log_det.tolist(),
+        map(tuple, spectrum.homology.tolist()),
+    )
+    return [
+        Row(i, w, words[j] if j >= 0 else None, ell, ell0, k, log_det, hom)
+        for i, (w, j, ell, ell0, k, log_det, hom) in enumerate(columns)
+    ]
+
+
+def take_rows(spectrum: LengthSpectrum, rows, **changes) -> LengthSpectrum:
+    """The spectrum of the given rows, in that order, with inverse ids renumbered.
+
+    A row whose inverse row is not taken gets inverse id -1; ``changes``
+    replaces other fields, such as the certificate.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    new_id = np.full(len(spectrum.length) + 1, -1, dtype=np.int64)  # the last entry is for -1
+    new_id[rows] = np.arange(len(rows))
+    columns = {
+        name: getattr(spectrum, name)[rows]
+        for name in ("codes", "word_len", "length", "primitive_length", "power", "log_det", "homology")
+    }
+    columns["codes"] = columns["codes"][:, : columns["word_len"].max(initial=0)]  # the longest word taken
+    return dataclasses.replace(
+        spectrum, **columns, inverse_id=new_id[spectrum.inverse_id[rows]], **changes
+    )
+
+
+def p0_rows(spectrum: LengthSpectrum) -> list[Row]:
+    """The rows of ``unoriented_rows``: P0, one orientation per primitive pair."""
+    rows = spectrum_rows(spectrum)
+    return [rows[i] for i in unoriented_rows(spectrum)]
+
+
+def record_det(record: Row) -> float:
+    """|det(I - P)| of a row, from the log it stores."""
     return math.exp(record.log_det)
 
 
-def primitives(spectrum: LengthSpectrum) -> list[GeodesicRecord]:
-    """The power-1 records, both orientations."""
-    return [r for r in spectrum.records if r.power == 1]
+def primitives(spectrum: LengthSpectrum) -> list[Row]:
+    """The power-1 rows, both orientations."""
+    return [r for r in spectrum_rows(spectrum) if r.power == 1]
 
 
 def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
@@ -321,17 +394,12 @@ def truncate_spectrum(spectrum: LengthSpectrum, l_max: float) -> LengthSpectrum:
         raise ValueError(
             f"cannot truncate to {l_max}: certified only to {spectrum.certified_l_max}"
         )
-    records = tuple(r for r in spectrum.records if r.length <= l_max)
+    rows = np.flatnonzero(spectrum.length <= l_max)
     cert = dict(spectrum.certificate)
     cert["certified_l_max"] = l_max
     cert["truncated_from"] = spectrum.l_max
-    cert["shell_classes"] = _shell_classes(r.word for r in records)
-    return LengthSpectrum(
-        group=spectrum.group,
-        l_max=l_max,
-        records=records,
-        certificate=cert,
-    )
+    cert["shell_classes"] = _shell_classes(spectrum.word_len[rows])
+    return take_rows(spectrum, rows, l_max=l_max, certificate=cert)
 
 
 def poincare_det(ell: float) -> float:
@@ -349,7 +417,7 @@ def anosov_power_check(spectrum: LengthSpectrum) -> dict:
     """
     checked = 0
     min_margin = math.inf
-    for rec in spectrum.records:
+    for rec in spectrum_rows(spectrum):
         lhs = rec.log_det
         rhs = (rec.power - 1) * rec.primitive_length + log_poincare_det(
             rec.primitive_length
@@ -371,7 +439,7 @@ def exponential_tail(spectrum: LengthSpectrum, degree: int, s: float) -> float:
     """
     total = 0.0
     comp = 0.0
-    for rec in spectrum.records:
+    for rec in spectrum_rows(spectrum):
         term = math.exp(
             degree * math.log(rec.length) - s * rec.length - rec.log_det
         )
@@ -564,7 +632,7 @@ def gcd_weight(k1: int, k2: int) -> int:
     return divisor_sum(math.gcd(k1, k2))
 
 
-def _pair_value(char, record: GeodesicRecord, k: int) -> float:
+def _pair_value(char, record: Row, k: int) -> float:
     """(chi + conj chi) evaluated on the k-th power of the record's root."""
     if char is None:
         return 2.0
@@ -577,7 +645,7 @@ def _pair_value(char, record: GeodesicRecord, k: int) -> float:
 
 
 def coeff_A(
-    record: GeodesicRecord,
+    record: Row,
     k: int,
     char,
     window: Window,
@@ -603,7 +671,7 @@ def coeff_A(
     return _pair_value(char, record, k) * math.cos(lam * k * ell) * psi * ell / det_half
 
 
-def coeff_bound(record: GeodesicRecord, k: int, char, window: Window) -> float:
+def coeff_bound(record: Row, k: int, char, window: Window) -> float:
     """Upper bound 2N * l * max psi_hat / |det|^(1/2), independent of lambda."""
     dim = char.dimension if isinstance(char, MatrixRep) else 1
     ell = record.primitive_length
@@ -733,7 +801,7 @@ def surrogate_pairs(surrogate: PoissonSurrogate) -> tuple[np.ndarray, np.ndarray
         for d in range(1, int(surrogate.L / t.freqs[0, col]) + 1):
             c = float(_pair_coefficient(t, col, d, surrogate.L, at_lam)[0])
             if c != 0.0:
-                ids.append(surrogate.spectrum.class_id[t.rows[col]])
+                ids.append(t.rows[col])
                 ds.append(d)
                 cs.append(c)
     return np.array(ids, dtype=np.int64), np.array(ds, dtype=np.int64), np.array(cs)
@@ -746,7 +814,7 @@ def dense_energy_integrals(surrogate: PoissonSurrogate, mu: np.ndarray, draws: i
     (draws x energies) values of N_tilde, so it needs memory in both.
     """
     t = surrogate.sigma
-    col_of = {int(cid): j for j, cid in enumerate(surrogate.spectrum.class_id[t.rows])}
+    col_of = {int(cid): j for j, cid in enumerate(t.rows)}
     coeff = np.empty((len(mu), surrogate.n_pairs))
     for j, (cid, d) in enumerate(zip(surrogate.pair_class_ids, surrogate.pair_d)):
         coeff[:, j] = _pair_coefficient(t, col_of[int(cid)], int(d), surrogate.L, mu)
@@ -886,7 +954,7 @@ def _is_trivial_character(char) -> bool:
 def sum_rule_value(spectrum: LengthSpectrum, phi: Window, L: float, char=None) -> float:
     """The sum rule's (1/L) sum as the record loop computed it."""
     total = 0.0
-    for rec in spectrum.records:
+    for rec in spectrum_rows(spectrum):
         psi = float(phi.psi_hat(rec.length / L))
         if psi == 0.0:
             continue
@@ -899,7 +967,7 @@ def cluster_sums(spectrum: LengthSpectrum, omega: Window, T: float) -> tuple[flo
     """(value, unit-window sum) of the cluster sum, record by record."""
     value = 0.0
     unit = 0.0
-    for rec in spectrum.records:
+    for rec in spectrum_rows(spectrum):
         x = rec.length - T
         if abs(x) >= 1.0:
             continue
@@ -946,11 +1014,11 @@ def cluster_sum(spectrum: LengthSpectrum, omega: Window, T: float) -> ClusterRep
 
 def orbit_ensemble_weights(
     spectrum: LengthSpectrum, T: float, omega: Window
-) -> tuple[tuple[GeodesicRecord, ...], np.ndarray]:
-    """Records and normalised weights of the orbit ensemble near T."""
-    records: list[GeodesicRecord] = []
+) -> tuple[tuple[Row, ...], np.ndarray]:
+    """Rows and normalised weights of the orbit ensemble near T."""
+    records: list[Row] = []
     weights: list[float] = []
-    for rec in spectrum.records:
+    for rec in spectrum_rows(spectrum):
         x = rec.length - T
         if abs(x) >= 1.0:
             continue
@@ -967,8 +1035,97 @@ def variance_estimate(spectrum: LengthSpectrum, flux_vector, T: float, eps: floa
     """Var(a) over the window [T, T+eps], record by record."""
     flux = _flux_array(flux_vector, spectrum.group.rank)
     total = 0.0
-    for rec in spectrum.records:
+    for rec in spectrum_rows(spectrum):
         if T <= rec.length <= T + eps:
             pairing = float(np.dot(flux, rec.homology))
             total += rec.primitive_length * math.exp(-rec.log_det) * pairing**2
     return total / (eps * T)
+
+
+# ---------------------------------------------------------------------------
+# spectrum CSV rows, checked one at a time as the loader once did
+
+
+_LETTER_OF = {ch: i + 1 for i, ch in enumerate("abcdefgh")} | {
+    ch: -(i + 1) for i, ch in enumerate("ABCDEFGH")
+}
+
+
+def csv_rows(path: str) -> list[dict]:
+    """The data rows of a spectrum CSV as dicts, parsed cell by cell."""
+    with open(path, newline="") as fh:
+        table = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(table)
+        return [
+            {
+                "classId": int(cells[0]),
+                "inverseId": int(cells[1]),
+                "word": tuple(_LETTER_OF[ch] for ch in cells[2]),
+                "ell": float(cells[3]),
+                "ell_sharp": float(cells[4]),
+                "k": int(cells[5]),
+                "log_detIminusP": float(cells[6]),
+                "homology": tuple(int(c) for c in cells[7 : len(header)]),
+            }
+            for cells in table
+        ]
+
+
+def _row_fault(
+    group: FuchsianGroup, rows: list[dict], i: int, certified_l_max: float
+) -> str | None:
+    """What is wrong with row i on its own and beside its inverse row."""
+    row = rows[i]
+    word, ell, k, j = row["word"], row["ell"], row["k"], row["inverseId"]
+    if row["classId"] != i:
+        return f"classId {row['classId']} is not the row index"
+    if not word or max(map(abs, word)) > group.rank or 0 in word:
+        return f"word uses a letter outside rank {group.rank}"
+    if cyclic_reduce(reduce_word(word)) != word or min_rotation(word) != word:
+        return "word is not a cyclically reduced least rotation"
+    if abelianize(word, group.group) != row["homology"]:
+        return "homology is not the word's exponent sums"
+    if j == i:
+        return f"inverseId {j} is the row's own classId; no class is its own inverse"
+    if not (0 <= j < len(rows) and rows[j]["inverseId"] == i):
+        return f"inverseId {j} is not an involution"
+    partner = rows[j]
+    if (partner["ell"], partner["ell_sharp"], partner["k"], partner["log_detIminusP"]) != (
+        ell, row["ell_sharp"], k, row["log_detIminusP"]
+    ):
+        return f"inverse row {j} differs in ell, ell_sharp, k or log_detIminusP"
+    if partner["homology"] != tuple(-h for h in row["homology"]):
+        return f"inverse row {j} does not carry the negated homology"
+    if len(partner["word"]) != len(word):
+        return f"inverse row {j} has a word of another length"
+    if k < 1 or ell != k * row["ell_sharp"]:
+        return "ell is not k * ell_sharp"
+    if not 0 < ell <= certified_l_max:
+        return f"ell {ell!r} is outside (0, certified_l_max]"
+    if row["log_detIminusP"] != log_poincare_det(ell):
+        return "log_detIminusP is not log_poincare_det(ell)"
+    return None
+
+
+def row_refusal(group: FuchsianGroup, rows: list[dict], certified_l_max: float) -> str | None:
+    """The loader's row checks, row by row: the refusal of the first faulty row, or None."""
+    keys = [(row["ell"], word_sort_key(row["word"])) for row in rows]
+    for i in range(len(rows)):
+        fault = _row_fault(group, rows, i, certified_l_max)
+        if fault is None and i and not keys[i - 1] < keys[i]:
+            fault = "rows are not sorted by (ell, word)"
+        if fault is not None:
+            return f"row {i}: {fault}"
+    traces = [np.trace(holonomy(group, row["word"])) for row in rows]
+    for i, (row, trace) in enumerate(zip(rows, traces)):
+        with np.errstate(invalid="ignore"):
+            traced = float(2.0 * np.arccosh(abs(trace) / 2.0))
+        if not abs(traced - row["ell"]) <= 1e-9 * row["ell"]:
+            return f"row {i}: ell {row['ell']!r} is not the length {traced!r} of the word's trace"
+    for i, row in enumerate(rows):
+        if row["k"] == 1 and row["ell_sharp"] not in (
+            length_of(traces[i]),
+            length_of(traces[row["inverseId"]]),
+        ):
+            return f"row {i}: ell_sharp is not the length of its own trace or its inverse's"
+    return None

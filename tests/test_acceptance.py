@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import specvar.fuchsian as F
-from oracles import cluster_sum, exact_cover_moment, record_det, sigma2_gse
+from oracles import cluster_sum, exact_cover_moment, record_det, sigma2_gse, spectrum_rows
 from specvar.characters import FluxCharacter, haar_sigma_constant
 from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
 from specvar.dynamics import (
@@ -61,8 +61,9 @@ def test_criterion_01_hyperbolic_identities(octagon12, pants12, p222_12, torus12
     violations = 0
     checked = 0
     for spectrum in (octagon12, pants12, p222_12, torus12):
-        roots = {r.word: r for r in spectrum.records if r.power == 1}
-        for r in spectrum.records:
+        rows = spectrum_rows(spectrum)
+        roots = {r.word: r for r in rows if r.power == 1}
+        for r in rows:
             target = 4.0 * math.sinh(r.length / 2.0) ** 2
             worst = max(worst, abs(record_det(r) - target) / target)
             if r.power >= 2:
@@ -162,7 +163,8 @@ def test_criterion_08_gue_switch(octagon12):
 
 def test_criterion_09_dirichlet_extremes():
     spectrum = F.build_spectrum(F.preset("schottky_pants", 2.0, 2.0, 2.0), 5.0)
-    lengths = sorted({r.primitive_length for r in F.unoriented_primitives(spectrum) if r.primitive_length <= 5.0})
+    p0 = spectrum.primitive_length[F.unoriented_rows(spectrum)]
+    lengths = sorted(set(p0[p0 <= 5.0].tolist()))
     ev = SigmaEvaluator(spectrum, None, TRI, 5.0)
     aligned = ev.report(dirichlet_lambda_search(lengths, 8.0, 100.0, 1e9, "plus"))
     smooth = aligned.smooth_part

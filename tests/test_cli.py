@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -10,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 import specvar.fuchsian as F
 from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
 from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
@@ -107,7 +109,7 @@ def test_spectrum_smoke(tmp_path):
     assert code == EXIT_OK
     loaded = F.load_spectrum(out)
     assert loaded.certified_l_max == 5.0
-    assert len(loaded.records) > 0
+    assert len(loaded.length) > 0
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -923,7 +925,7 @@ def _shifted_pair(cell, log_det):
     return {14: edits, 15: edits}
 
 
-@pytest.mark.parametrize(
+TAMPERS = pytest.mark.parametrize(
     "rows, comments, fault",
     [
         ({0: {"word": "c"}}, None, "row 0: word uses a letter outside rank 2"),
@@ -935,6 +937,8 @@ def _shifted_pair(cell, log_det):
         ({5: {"classId": "6"}}, None, "row 5: classId 6 is not the row index"),
         ({12: {"word": "Ab", "h0": "-1", "h1": "1"}, 13: {"word": "aB", "h0": "1", "h1": "-1"}},
          None, "row 13: rows are not sorted"),
+        ({12: {"word": "Ba"}}, None, "row 12: word is not a cyclically reduced least rotation"),
+        ({14: {"word": "abA"}}, None, "row 14: word is not a cyclically reduced least rotation"),
         (_shifted_pair("5.2737", F.log_poincare_det), None, "of the word's trace"),
         (_shifted_pair("5.263750948332726", F.log_poincare_det), None,
          "row 14: ell_sharp is not the length of its own trace or its inverse's"),
@@ -947,9 +951,12 @@ def _shifted_pair(cell, log_det):
         (None, {"oriented=True": "oriented=False"}, "rebuild it with `specvar spectrum`"),
     ],
     ids=["letter", "ell-digit", "ell-pair", "swapped-words", "k", "inverse-id",
-         "class-id", "unsorted", "ell-vs-trace", "ell-sharp-bits", "certified-forged",
+         "class-id", "unsorted", "rotated-word", "wrap-unreduced", "ell-vs-trace", "ell-sharp-bits", "certified-forged",
          "certified-over-l-max", "unoriented"],
 )
+
+
+@TAMPERS
 def test_tampered_spectrum_is_refused(tmp_path, pants_csv, capsys, rows, comments, fault):
     assert _average(pants_csv, str(tmp_path / "ok.json")) == EXIT_OK
     capsys.readouterr()
@@ -963,8 +970,8 @@ def test_tampered_spectrum_is_refused(tmp_path, pants_csv, capsys, rows, comment
 def test_partners_of_another_word_length_are_refused(tmp_path, octagon_csv, capsys):
     # bD and bdcDDC share ell bits and homology; with their partners
     # swapped, P0 would hold bD and Bd (one geodesic twice) and drop bdcDDC
-    rows, _ = F.spectrum_from_csv(octagon_csv)
-    words = [F.word_to_text(rows[i]["word"]) for i in (102, 103, 104, 105)]
+    cols, _ = F.spectrum_from_csv(octagon_csv)
+    words = F._spelled(cols["codes"][102:106], cols["word_len"][102:106])
     assert words == ["bD", "Bd", "bdcDDC", "BcddCD"]
     edits = {102: {"inverseId": "105"}, 105: {"inverseId": "102"},
              103: {"inverseId": "104"}, 104: {"inverseId": "103"}}
@@ -979,7 +986,7 @@ def test_self_inverse_rows_are_refused(tmp_path, octagon_csv, capsys):
     # a zero-homology primitive pair whose own traces both give ell_sharp
     # bit for bit passes every other row check when each row names itself
     # as its inverse, though no class of the group is its own inverse
-    rows, _ = F.spectrum_from_csv(octagon_csv)
+    rows = oracles.csv_rows(octagon_csv)
     octagon = F.preset("octagon_genus2")
 
     def traced(row):
@@ -998,6 +1005,70 @@ def test_self_inverse_rows_are_refused(tmp_path, octagon_csv, capsys):
     assert _average(bad, str(tmp_path / "avg.json")) == EXIT_INVALID
     err = capsys.readouterr().err
     assert f"row {i}: inverseId {i} is the row's own classId" in err, err
+
+
+def _oracle_refusal(path):
+    """The refusal of the loader's row-by-row reference, or None."""
+    _, meta = F.spectrum_from_csv(path)
+    if meta["oriented"] != "True":
+        return f"only oriented spectra load; {F._REBUILD}"
+    group = F.preset(meta["preset"], *[float(p) for p in meta["params"].split(",") if p])
+    try:
+        cert = F._checked_certificate(meta, group, float(meta["l_max"]))
+    except F.InvalidParameters as exc:
+        return str(exc)
+    return oracles.row_refusal(group, oracles.csv_rows(path), cert["certified_l_max"])
+
+
+def _assert_refused_as_the_oracle(path):
+    want = _oracle_refusal(path)
+    assert want is not None
+    with pytest.raises(F.InvalidParameters) as refused:
+        F.load_spectrum(path)
+    assert str(refused.value) == f"spectrum file {path}: {want}"
+
+
+@TAMPERS
+def test_array_checks_refuse_the_table_as_the_row_oracle(tmp_path, pants_csv, rows, comments, fault):
+    _assert_refused_as_the_oracle(_rewrite(pants_csv, str(tmp_path / "bad.csv"), rows, comments))
+
+
+@pytest.fixture(scope="module")
+def octagon95_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spectra") / "octagon9.5.csv"
+    F.spectrum_to_csv(F.build_spectrum(F.preset("octagon_genus2"), 9.5), str(path))
+    return str(path)
+
+
+def _perturbed(column, cell):
+    """The cell changed by the least step that still parses."""
+    if column == "word":
+        return cell[0].swapcase() + cell[1:]  # the first letter inverted
+    if column in ("ell", "ell_sharp", "log_detIminusP"):
+        return repr(math.nextafter(float(cell), math.inf))
+    return str(int(cell) + 1)
+
+
+@pytest.mark.parametrize(
+    "which, at, column",
+    [
+        (which, at, column)
+        for which, rank in (("pants_csv", 2), ("octagon95_csv", 4))
+        for at in ("first", "middle", "last")
+        for column in F._COLUMNS + [f"h{i}" for i in range(rank)]
+    ],
+)
+def test_array_checks_refuse_each_column_tamper_as_the_row_oracle(
+    request, tmp_path, which, at, column
+):
+    src = request.getfixturevalue(which)
+    with open(src, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    i = {"first": 0, "middle": (len(lines) - 4) // 2, "last": len(lines) - 5}[at]
+    cell = dict(zip(lines[3].rstrip("\r\n").split(","), lines[4 + i].rstrip("\r\n").split(",")))[column]
+    _assert_refused_as_the_oracle(
+        _rewrite(src, str(tmp_path / "bad.csv"), {i: {column: _perturbed(column, cell)}})
+    )
 
 
 def test_deleted_pair_is_refused(tmp_path, pants_csv, capsys):

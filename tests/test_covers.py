@@ -303,7 +303,7 @@ def test_moment_experiment_matches_exhaustive_oracle():
 
 def test_moment_experiment_named_asymptotics(pants):
     prim = F.unoriented_primitives(pants)
-    words = [prim[0].word, prim[2].word]
+    words = [prim[0], prim[2]]
     st_ = moments(words, n=100, samples=4000, seed=11, kmax=6)
     # E[F(g)] -> d(1) = 1, E[F(g^6)] -> d(6) = 4
     assert abs(st_["fMean"][0][0] - 1.0) <= 3 * st_["fMeanSE"][0][0]

@@ -6,11 +6,11 @@ sign of the lift; spectra are compared against exhaustive word enumeration
 with every pruning rule disabled.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,10 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import enumerate_classes, pick_unoriented, primitives, truncate_spectrum, word_power
+from oracles import (
+    abelianize,
+    enumerate_classes,
+    pick_unoriented,
+    primitives,
+    spectrum_rows,
+    take_rows,
+    truncate_spectrum,
+    word_power,
+)
 from specvar import fuchsian as F
 from specvar import words as W
 from specvar.words import (
+    ConjugacyClass,
     canonical_class,
     invert_word,
     min_rotation,
@@ -136,7 +146,7 @@ def test_holonomy_empty_word_is_identity(pants):
 def test_holonomies_match_oracle(octagon12, pants_spectrum6, capped_torus):
     # batched products give the bits of the one-word-at-a-time loop
     for sp in (octagon12, pants_spectrum6, capped_torus):
-        words = [()] + [r.word for r in sp.records]
+        words = [()] + sp.words()
         got = F.holonomies(sp.group, words)
         want = np.array([oracles.holonomy(sp.group, w) for w in words])
         assert np.array_equal(got, want)
@@ -217,20 +227,21 @@ def brute_classes(group, l_max, max_word_len):
 
 def test_pants_spectrum_matches_brute_force(pants, pants_spectrum6):
     oracle = brute_classes(pants, 6.0, 6)
-    got = {r.word: r.length for r in pants_spectrum6.records}
+    got = dict(zip(pants_spectrum6.words(), pants_spectrum6.length.tolist()))
     assert set(got) == set(oracle)
     for w, ell in oracle.items():
         assert got[w] == pytest.approx(ell, abs=1e-9)
 
 
 def test_pants_spectrum_just_above_generators(pants):
-    prims = F.unoriented_primitives(F.build_spectrum(pants, 2.05))
+    sp = F.build_spectrum(pants, 2.05)
+    prims = [spectrum_rows(sp)[i] for i in F.unoriented_rows(sp)]
     # X, Y and the third boundary XY all have length exactly 2
     assert len(prims) == 3
     assert all(r.length == pytest.approx(2.0, abs=1e-9) for r in prims)
     oracle = brute_classes(pants, 2.05, 4)
     kept = {pick_unoriented(canonical_class(w, pants.group)) for w in oracle}
-    assert {pick_unoriented(r.cls) for r in prims} == kept
+    assert {pick_unoriented(ConjugacyClass(r.word, r.inverse_word)) for r in prims} == kept
 
 
 def test_oriented_doubles_chiral_classes(pants):
@@ -250,8 +261,8 @@ def test_record_classes_match_canonical_class(request, which):
     # inverse and power classes down; canonical_class must agree on each
     sp = request.getfixturevalue(which)
     preset_group = sp.group.group
-    for r in sp.records:
-        assert r.cls == canonical_class(r.word, preset_group)
+    for r in spectrum_rows(sp):
+        assert ConjugacyClass(r.word, r.inverse_word) == canonical_class(r.word, preset_group)
 
 
 @pytest.mark.parametrize("which", ["octagon12", "pants9", "pants_spectrum6", "capped_torus"])
@@ -260,9 +271,9 @@ def test_power_rule_matches_probing_oracle(request, which):
     # every rotation block and divisor for a root
     sp = request.getfixturevalue(which)
     preset_group = sp.group.group
-    for r in sp.records:
-        cls = canonical_class(r.word, preset_group)
-        assert cls == oracles.probed_canonical_class(r.word, preset_group)
+    for word in sp.words():
+        cls = canonical_class(word, preset_group)
+        assert cls == oracles.probed_canonical_class(word, preset_group)
         assert primitive_root(cls, preset_group) == oracles.probed_primitive_root(cls, preset_group)
 
 
@@ -276,14 +287,15 @@ def test_octagon_build_makes_at_most_one_closure_per_record(octagon, monkeypatch
 
     monkeypatch.setattr(W, "_half_swap_closure", counted)
     sp = F.build_spectrum(octagon, 9.5)
-    assert len(sp.records) == 1578
-    assert len(calls) <= len(sp.records)
+    assert len(sp.length) == 1578
+    assert len(calls) <= len(sp.length)
 
 
 def test_oriented_spectrum_closed_under_inversion(octagon_spectrum6):
-    words = {r.word for r in octagon_spectrum6.records}
-    for r in octagon_spectrum6.records:
-        assert r.cls.inverse_canonical in words
+    group = octagon_spectrum6.group.group
+    words = octagon_spectrum6.words()
+    for word, j in zip(words, octagon_spectrum6.inverse_id.tolist()):
+        assert j >= 0 and words[j] == canonical_class(invert_word(word), group).canonical
 
 
 def unoriented_primitives_oracle(spectrum):
@@ -291,7 +303,7 @@ def unoriented_primitives_oracle(spectrum):
     out = []
     for rec in primitives(spectrum):
         inv = canonical_class(invert_word(rec.word), spectrum.group.group)
-        if word_sort_key(rec.cls.canonical) <= word_sort_key(inv.canonical):
+        if word_sort_key(rec.word) <= word_sort_key(inv.canonical):
             out.append(rec)
     return out
 
@@ -301,7 +313,7 @@ def test_unoriented_primitives_matches_oracle(tmp_path, pants_spectrum6, octagon
     F.spectrum_to_csv(octagon_spectrum6, path)
     for sp in (pants_spectrum6, octagon_spectrum6, F.load_spectrum(path)):
         got = F.unoriented_primitives(sp)
-        assert got == unoriented_primitives_oracle(sp)
+        assert got == [r.word for r in unoriented_primitives_oracle(sp)]
         # both orientations are present, and exactly one of each pair is kept
         assert got
         assert len(primitives(sp)) == 2 * len(got)
@@ -313,28 +325,39 @@ def test_columns_follow_the_records(request, which, octagon_csv):
         sp = F.load_spectrum(octagon_csv)
     else:
         sp = request.getfixturevalue(which)
-    recs = sp.records
-    for name in ("length", "primitive_length", "power", "log_det", "class_id"):
-        assert getattr(sp, name).tolist() == [getattr(r, name) for r in recs], name
-    assert sp.homology.shape == (len(recs), sp.group.rank)
-    assert sp.homology.tolist() == [list(r.homology) for r in recs]
-    by_word = {r.word: r.class_id for r in recs}
-    assert sp.inverse_id.tolist() == [by_word[r.cls.inverse_canonical] for r in recs]
-    assert [recs[i] for i in F.unoriented_rows(sp)] == unoriented_primitives_oracle(sp)
+    # each column against the row's word, spelled from the code matrix
+    group = sp.group.group
+    words = sp.words()
+    assert sp.codes.dtype == np.int8 and sp.codes.shape == (len(words), max(map(len, words)))
+    assert sp.word_len.tolist() == [len(w) for w in words]
+    for word, row in zip(words, sp.codes.tolist()):
+        assert row == [oracles.letter_code(c) for c in word] + [-1] * (len(row) - len(word))
+    assert np.array_equal(sp.length, sp.power * sp.primitive_length)
+    assert sp.log_det.tolist() == [F.log_poincare_det(ell) for ell in sp.length.tolist()]
+    assert sp.homology.shape == (len(words), sp.group.rank)
+    assert sp.homology.tolist() == [list(abelianize(w, group)) for w in words]
+    by_word = {w: i for i, w in enumerate(words)}
+    inverses = [canonical_class(invert_word(w), group).canonical for w in words]
+    assert sp.inverse_id.tolist() == [by_word[w] for w in inverses]
+    rows = spectrum_rows(sp)
+    assert [rows[i] for i in F.unoriented_rows(sp)] == unoriented_primitives_oracle(sp)
 
 
 def test_columns_follow_reordered_and_folded_records(pants):
     sp = F.build_spectrum(pants, 5.0)
-    reordered = dataclasses.replace(sp, records=sp.records[::-1])
-    assert reordered.class_id.tolist() == sp.class_id.tolist()[::-1]
-    assert reordered.inverse_id.tolist() == sp.inverse_id.tolist()[::-1]
-    assert F.unoriented_primitives(reordered) == F.unoriented_primitives(sp)[::-1]
+    n = len(sp.length)
+    reordered = take_rows(sp, np.arange(n)[::-1])
+    assert reordered.inverse_id.tolist() == (n - 1 - sp.inverse_id[::-1]).tolist()
+    assert reordered.words() == sp.words()[::-1]
+    # P0 keeps the earlier row of each pair: reversed, the other orientation
+    partners = sp.inverse_id[F.unoriented_rows(sp)]
+    assert F.unoriented_primitives(reordered) == sp.words(partners[::-1])
     # P0 alone holds no partner: every inverse_id is the sentinel
-    folded = dataclasses.replace(sp, records=tuple(F.unoriented_primitives(sp)))
-    assert folded.inverse_id.tolist() == [-1] * len(folded.records)
+    folded = take_rows(sp, F.unoriented_rows(sp))
+    assert folded.inverse_id.tolist() == [-1] * len(folded.length)
     assert F.unoriented_primitives(folded) == []
-    empty = dataclasses.replace(sp, records=())
-    assert empty.homology.shape == (0, sp.group.rank)
+    empty = take_rows(sp, [])
+    assert empty.homology.shape == (0, sp.group.rank) and empty.words() == []
 
 
 def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):
@@ -348,7 +371,7 @@ def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):
         ell = F.length_of(tr)
         if ell <= 6.0:
             oracle[cls.canonical] = ell
-    got = {r.word: r.length for r in octagon_spectrum6.records if len(r.word) <= 5}
+    got = {w: ell for w, ell in zip(octagon_spectrum6.words(), octagon_spectrum6.length) if len(w) <= 5}
     assert set(got) == set(oracle)
     for w, ell in oracle.items():
         assert got[w] == pytest.approx(ell, abs=1e-9)
@@ -366,29 +389,28 @@ def test_octagon_pruning_margin_stable(octagon, octagon_spectrum6):
             tr = np.trace(F.holonomies(octagon, [cls.canonical])[0])
             if abs(tr) > 2 + 1e-9 and F.length_of(tr) <= 6.0:
                 found.add(cls.canonical)
-    got = {r.word for r in octagon_spectrum6.records}
-    assert got == found
+    assert set(octagon_spectrum6.words()) == found
 
 
 def test_octagon_growth_trend(octagon):
     sp = F.build_spectrum(octagon, 9.0)
     for L in (6, 7, 8, 9):
-        n = sum(1 for r in sp.records if r.power == 1 and r.length <= L)
+        n = int(np.sum((sp.power == 1) & (sp.length <= L)))
         ratio = n / (math.exp(L) / L)
         assert 0.3 < ratio < 3.0
 
 
-def test_records_sorted_with_dense_ids(octagon_spectrum6):
-    lengths = [r.length for r in octagon_spectrum6.records]
-    assert lengths == sorted(lengths)
-    assert [r.class_id for r in octagon_spectrum6.records] == list(
-        range(len(octagon_spectrum6.records))
-    )
+def test_records_sorted_with_dense_ids(octagon_spectrum6, pants9):
+    # the build's lexsort over (ell, word length, codes) is the order of
+    # (ell, word_sort_key), strictly: a row's index is its class id
+    for sp in (octagon_spectrum6, pants9):
+        keys = [(ell, word_sort_key(w)) for ell, w in zip(sp.length.tolist(), sp.words())]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_det_identity_against_trace(octagon, octagon_spectrum6):
     # independent route: |det(I-P)| = |tr(g)^2 - 4| for hyperbolic g
-    for r in octagon_spectrum6.records:
+    for r in spectrum_rows(octagon_spectrum6):
         tr = np.trace(F.holonomies(octagon, [r.word])[0])
         assert abs(tr * tr - 4) == pytest.approx(
             oracles.poincare_det(r.length), rel=1e-10
@@ -399,7 +421,7 @@ def test_det_identity_against_trace(octagon, octagon_spectrum6):
 def test_power_records(octagon_spectrum6):
     group = octagon_spectrum6.group.group
     prims = primitives(octagon_spectrum6)
-    powers = [r for r in octagon_spectrum6.records if r.power > 1]
+    powers = [r for r in spectrum_rows(octagon_spectrum6) if r.power > 1]
     assert powers
     for r in powers:
         roots = [
@@ -415,7 +437,7 @@ def test_power_records(octagon_spectrum6):
 
 
 def test_power_trace_cross_check(octagon, octagon_spectrum6):
-    for r in octagon_spectrum6.records:
+    for r in spectrum_rows(octagon_spectrum6):
         tr = abs(np.trace(F.holonomies(octagon, [r.word])[0]))
         assert tr == pytest.approx(
             2 * math.cosh(r.power * r.primitive_length / 2), rel=1e-8
@@ -428,21 +450,47 @@ def test_torus_incomplete_enumeration(torus):
     sp = F.build_spectrum(torus, 12.0, allow_incomplete=True)
     assert not sp.certificate["complete"]
     assert sp.certified_l_max < 12.0
-    assert all(r.length <= sp.certified_l_max + 1e-9 for r in sp.records)
+    assert (sp.length <= sp.certified_l_max + 1e-9).all()
+
+
+def test_capped_torus_closes_no_survivor_above_its_certified_length(monkeypatch, tmp_path, torus):
+    # capped at word length 14, Lmax 12 certifies only ell <= 6.08; the
+    # survivors above that are cut by trace before the build names any
+    # class, so closures stay within the 96 rows kept (4,025 before the cut)
+    calls = []
+    spellings = F.shortest_spellings
+    monkeypatch.setattr(F, "shortest_spellings", lambda word, group: calls.append(word) or spellings(word, group))
+    sp = F.build_spectrum(torus, 12.0, allow_incomplete=True)
+    assert sp.certified_l_max < 6.1 and len(sp.length) == 96
+    assert len(calls) <= 96
+    path = tmp_path / "torus12.csv"
+    F.spectrum_to_csv(sp, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5687cf62f88cbed460d6901f3dc675346012d16d9a5f02c7ff59a07c72637779"
+    )
+
+
+def test_free_shell_over_the_row_budget_is_refused(monkeypatch, pants):
+    # pants (2, 2, 2) at Lmax 8 grows shells of 654 and then 1,711 rows
+    monkeypatch.setattr(F, "_SHELL_ROW_BUDGET", 1000)
+    with pytest.raises(F.IncompleteEnumeration, match="word length 8 exceeds the row budget of 1,000 rows"):
+        F.build_spectrum(pants, 8.0)
+    monkeypatch.setattr(F, "_SHELL_ROW_BUDGET", 1711)
+    assert F.build_spectrum(pants, 8.0).certificate["shell_rows"][-1] == 1711
 
 
 def test_torus_capped_consistent_with_longer_cap(torus):
     short = F.build_spectrum(torus, 8.0, allow_incomplete=True, max_word_length=10)
     longer = F.build_spectrum(torus, 8.0, allow_incomplete=True, max_word_length=13)
     cutoff = short.certified_l_max
-    short_set = {r.word for r in short.records}
-    longer_set = {r.word for r in longer.records if r.length <= cutoff + 1e-12}
+    short_set = set(short.words())
+    longer_set = set(longer.words(longer.length <= cutoff + 1e-12))
     assert short_set == longer_set
 
 
 def test_torus_cusp_words_excluded(torus):
     sp = F.build_spectrum(torus, 4.0, allow_incomplete=True, max_word_length=8)
-    words = {r.word for r in sp.records}
+    words = set(sp.words())
     comm = canonical_class((1, 2, -1, -2), torus.group).canonical
     assert comm not in words
 
@@ -450,9 +498,7 @@ def test_torus_cusp_words_excluded(torus):
 def test_build_spectrum_deterministic(pants):
     a = F.build_spectrum(pants, 5.0)
     b = F.build_spectrum(pants, 5.0)
-    assert [(r.word, r.length, r.log_det) for r in a.records] == [
-        (r.word, r.length, r.log_det) for r in b.records
-    ]
+    assert spectrum_rows(a) == spectrum_rows(b)
 
 
 def test_invalid_l_max(pants):
@@ -500,9 +546,11 @@ def test_octagon_necklace_pruning_keeps_classes(octagon, l_max):
 def test_free_necklace_pruning_keeps_classes(name, params, l_max, cap):
     group = F.preset(name, *params)
     pruned, cert = F._enumerate_free(group, l_max, cap, True)
-    # capped mode too keeps every survivor up to l_max; build_spectrum cuts
-    # them to the certified length
-    oracle = oracles.unpruned_shells(group, l_max, cert["word_length_bound"])
+    # every survivor up to the certified length, which capped mode (the
+    # torus) sets below l_max; build_spectrum then cuts them by length
+    certified = cert["certified_l_max"]
+    assert (certified < l_max) == (name == "punctured_torus")
+    oracle = oracles.unpruned_shells(group, certified, cert["word_length_bound"])
     assert sum(len(b) for b in pruned) < sum(len(b) for b in oracle)
     assert _survivor_classes(pruned, group.group) == _survivor_classes(
         oracle, group.group
@@ -534,13 +582,12 @@ def test_octagon_survivors_are_dehn_reduced_necklaces(octagon, l_max):
     assert all(min_rotation(W.dehn_cyclic_reduce(w, octagon.group)) == w for w in words)
 
 
-def test_build_takes_survivors_as_words(monkeypatch, octagon, torus):
-    def refuse(word):
-        raise AssertionError("survivors are already least rotations")
-
-    monkeypatch.setattr(F, "min_rotation", refuse)
-    assert F.build_spectrum(octagon, 6.0).records
-    assert F.build_spectrum(torus, 8.0, allow_incomplete=True, max_word_length=10).records
+def test_build_takes_survivors_as_words(octagon, torus):
+    # survivors are already least rotations: the module that builds and
+    # loads spectra does not even bind min_rotation
+    assert not hasattr(F, "min_rotation")
+    assert len(F.build_spectrum(octagon, 6.0).length)
+    assert len(F.build_spectrum(torus, 8.0, allow_incomplete=True, max_word_length=10).length)
 
 
 def test_relator_windows_are_the_relator_5grams(octagon):
@@ -663,7 +710,7 @@ def test_powers_listed_once(octagon12):
     # a proper power whose least shortest spelling is not the repetition of
     # its root (e.g. (a^-1 b^-1 a2 b1)^2) once also came out as a primitive
     for sp in (truncate_spectrum(octagon12, 10.0), octagon12):
-        words = [r.word for r in sp.records]
+        words = sp.words()
         assert len(set(words)) == len(words)
         assert all(rotation_period(r.word) == len(r.word) for r in primitives(sp))
 
@@ -689,7 +736,7 @@ def test_unique_min_rotations_collapses_rotations():
 def test_anosov_power_check(octagon_spectrum6):
     report = oracles.anosov_power_check(octagon_spectrum6)
     assert report["all_pass"]
-    assert report["checked"] == len(octagon_spectrum6.records)
+    assert report["checked"] == len(octagon_spectrum6.length)
     # curvature -1 bound with C=1, theta=1: sinh(2)/sinh(1) >= e
     assert 4 * math.sinh(2.0) ** 2 / (4 * math.sinh(1.0) ** 2) >= math.e**2
 
@@ -707,20 +754,16 @@ def test_exponential_tail_decreasing(pants_spectrum6):
 def test_csv_round_trip(tmp_path, pants_spectrum6):
     path = str(tmp_path / "spec.csv")
     F.spectrum_to_csv(pants_spectrum6, path)
-    rows, meta = F.spectrum_from_csv(path)
+    cols, meta = F.spectrum_from_csv(path)
     assert meta["preset"] == "schottky_pants"
     assert int(meta["format_version"]) == F.SPECTRUM_FORMAT_VERSION
     assert float(meta["l_max"]) == pants_spectrum6.l_max
-    assert len(rows) == len(pants_spectrum6.records)
-    for row, rec in zip(rows, pants_spectrum6.records):
-        assert row["classId"] == rec.class_id
-        assert rows[row["inverseId"]]["word"] == rec.cls.inverse_canonical
-        assert row["word"] == rec.word
-        assert row["ell"] == rec.length  # repr round trip is bit exact
-        assert row["ell_sharp"] == rec.primitive_length
-        assert row["k"] == rec.power
-        assert row["log_detIminusP"] == rec.log_det
-        assert row["homology"] == rec.homology
+    assert cols.pop("class_id").tolist() == list(range(len(pants_spectrum6.length)))
+    assert sorted(cols) == sorted(F._ROW_COLUMNS)
+    for name, got in cols.items():
+        # bit exact: floats make the repr round trip
+        want = getattr(pants_spectrum6, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def _rows_without_inverse_id(data: bytes) -> bytes:
@@ -808,7 +851,9 @@ def test_load_returns_the_built_records(
         path = str(tmp_path / "spec.csv")
         F.spectrum_to_csv(sp, path)
     loaded = F.load_spectrum(path)
-    assert loaded.records == sp.records  # GeodesicRecord equality, cls included
+    for name in F._ROW_COLUMNS:
+        got, want = getattr(loaded, name), getattr(sp, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert (loaded.group.name, loaded.group.params) == (sp.group.name, sp.group.params)
     assert loaded.l_max == sp.l_max
     assert loaded.certificate == sp.certificate
@@ -816,16 +861,23 @@ def test_load_returns_the_built_records(
 
 def test_csv_writer_refuses_unoriented_spectrum(tmp_path, pants):
     sp = F.build_spectrum(pants, 5.0)
-    folded = dataclasses.replace(sp, records=tuple(F.unoriented_primitives(sp)))
+    folded = take_rows(sp, F.unoriented_rows(sp))
     with pytest.raises(F.InvalidParameters, match="oriented spectra only"):
         F.spectrum_to_csv(folded, str(tmp_path / "folded.csv"))
     assert not os.listdir(tmp_path)
 
 
 def test_word_text_round_trip():
-    for w in [(1,), (1, -2, 3, -4), (-1, -1, 2)]:
-        assert F.word_from_text(F.word_to_text(w)) == w
+    words = [(1,), (1, -2, 3, -4), (-1, -1, 2), (4, -4, -3, 3, 2, -2, -1, 1)]
+    codes, word_len = F._code_matrix(words, 8)
+    texts = F._spelled(codes, word_len)
+    assert texts == ["a", "aBcD", "AAb", "dDCcbBAa"]
+    back, back_len = F._unspelled(texts)
+    assert np.array_equal(back, codes) and np.array_equal(back_len, word_len)
+    for text, bad in [("abx", "'x'"), ("é", "'é'"), ("a\x7f", "'\\x7f'")]:
+        with pytest.raises(ValueError, match=re.escape(f"bad word letter {bad}")):
+            F._unspelled(["ab", text])
     # letter 0 used to be spelled as the last letter, h
     for w in [(9,), (1, 0)]:
-        with pytest.raises(F.InvalidParameters, match="has no spelling"):
-            F.word_to_text(w)
+        with pytest.raises(F.InvalidParameters, match="out of range for rank 4"):
+            F._code_matrix([w], 8)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import primitives
+from oracles import primitives, spectrum_rows
 import specvar.fuchsian as F
 from specvar.characters import FluxCharacter, MatrixRep
 from oracles import cluster_sum
@@ -72,8 +72,9 @@ def test_vectorised_paths_match_loops(request, case):
     _close(rep.unit_window_sum, unit, abs(unit))
 
     ens = OrbitEnsemble(spec, T)
+    all_rows = spectrum_rows(spec)
     records, probs = oracles.orbit_ensemble_weights(spec, T, omega)
-    assert tuple(spec.records[i] for i in ens.rows) == records
+    assert tuple(all_rows[i] for i in ens.rows) == records
     assert np.all(np.abs(ens.probs - probs) <= REL * probs)
     prob, alias = _alias_table(probs)
     looped = SimpleNamespace(probs=probs, _prob=prob, _alias=alias)
@@ -91,7 +92,7 @@ def test_vectorised_paths_match_loops(request, case):
         rows, weights, freqs = coefficient_table(spec, primitive_ids, char, tri, L)
         want = np.array(
             [
-                [oracles.coeff_A(spec.records[row], k, char, tri, 61.3, L) for row in rows]
+                [oracles.coeff_A(all_rows[row], k, char, tri, 61.3, L) for row in rows]
                 for k in range(1, len(weights) + 1)
             ]
         )

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    abelianize,
     concat,
     conjugate_by_all,
     enumerate_classes,
@@ -19,7 +20,6 @@ from specvar import fuchsian as F
 from specvar.words import (
     TrivialElementError,
     _letter_key,
-    abelianize,
     canonical_class,
     cyclic_reduce,
     dehn_cyclic_reduce,
