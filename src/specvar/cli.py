@@ -424,7 +424,7 @@ def _source(preset: str = "octagon_genus2") -> tuple:
         _flag("--params", type=_floats, default=None, help="preset parameters, comma separated"),
         _flag("--Lmax", dest="lmax", type=_finite_positive, default=None, help="enumeration cutoff (defaults to what the run needs)"),
         _flag("--spectrum-file", default=None, help="reuse a spectrum CSV instead of enumerating"),
-        _flag("--allow-incomplete", action="store_true", help="accept a spectrum whose certificate falls short of Lmax"),
+        _flag("--allow-incomplete", action="store_true", help="accept a capped spectrum, as every punctured_torus one is"),
     )
 
 

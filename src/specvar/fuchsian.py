@@ -8,17 +8,13 @@ return map P contributes the weight |det(I - P)| = 4*sinh^2(ell/2).
 Enumeration grows prenecklaces letter by letter with vectorized matrix
 products, by the Fredricksen-Kessler-Maiorana rule over the canonical letter
 order (a1 < a1^-1 < a2 < ...), so every cyclic spelling is built once, as
-its least rotation.  The octagon's tree is walked depth first in blocks and
-pruned by orbit displacement:
-every class with ell <= Lmax has a cyclically reduced spelling whose
-prefixes all move the base point by at most ell + 2R (R = circumradius of
-the fundamental octagon), because the spelling can be read off the tiles
-crossed by the axis; its rotations start at other crossings, so its least
-rotation qualifies too.  Pruned shells therefore empty out on their own and
-the last nonempty shell is the completeness certificate.  Such a spelling
-holds no window of Dehn's relator table, even around its end, so the
-survivors are Dehn-reduced necklaces.  Free presets use plain cyclically
-reduced enumeration with an empirical minimum-length margin.
+its least rotation.  One walk serves every preset, depth first in blocks
+(``_enumerate_necklaces``, which states the proof).  On a preset with a
+compact core, the octagon or the pants' two right-angled hexagons, it
+prunes by orbit displacement and its emptied tree certifies completeness;
+the surface group's survivors are Dehn-reduced necklaces.  The cusped torus
+has no compact core: its walk stops at a word-length cap, and its
+certificate says it is not complete.
 
 The survivors are turned into classes with one closure of shortest
 spellings per inversion pair: a survivor already in a closure is skipped,
@@ -89,8 +85,9 @@ class FuchsianGroup:
     """A finitely generated Fuchsian group given by generator matrices.
 
     ``generators`` has shape (rank, 2, 2).  ``group`` carries the word
-    algebra (free or surface presentation).  ``warning`` is set for the
-    non-compact preset whose cusp words are parabolic.
+    algebra (free or surface presentation).  ``core_radius`` is the radius
+    of a compact domain for the convex core around the base point i; it is
+    None for the cusped preset, whose ``warning`` says its cusp words are parabolic.
     """
 
     name: str
@@ -99,6 +96,7 @@ class FuchsianGroup:
     cocompact: bool
     params: tuple[float, ...] = ()
     warning: str | None = None
+    core_radius: float | None = None
 
     @property
     def rank(self) -> int:
@@ -156,12 +154,48 @@ def log_poincare_det(ell: float) -> float:
 # presets
 
 
+def _foot(u: tuple[float, float], v: tuple[float, float]) -> complex:
+    """The foot on axis v of the common perpendicular of axes u and v.
+
+    An axis (s', p') is the semicircle |z|^2 - s' Re z + p' = 0 over the roots
+    of z^2 - s' z + p'.  The perpendicular's endpoints, the roots of z^2 - s z
+    + t, are harmonic with respect to both axes' endpoints: 2(t + p') = s s'.
+    """
+    (s1, p1), (s2, p2) = u, v
+    s = 2 * (p1 - p2) / (s1 - s2)
+    t = s * s1 / 2 - p1
+    x = (t - p2) / (s - s2)
+    return complex(x, math.sqrt(s * x - t - x * x))
+
+
+def _pants_seams(x: np.ndarray, y: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The (XY, X) and (Y, XY) seams of the pants' right-angled hexagon H, as
+    their feet (on XY, on X) and (on Y, on XY).
+
+    The axes of X and Y are the semicircles of radius 1 and mu > 1, and XY's
+    lies between them on the right.  H has sides on these axes, the seams
+    (their common perpendiculars) and the imaginary axis.  H and its mirror
+    image H' under z -> -conj(z) make a compact domain for the convex core:
+    X maps the mirrored (XY, X) seam onto the (XY, X) seam, Y^-1 the mirrored
+    (Y, XY) seam onto the (Y, XY) seam (Buser, 1992, ch. 2).
+    """
+    ax, ay, axy = (((m[0, 0] - m[1, 1]) / m[1, 0], -m[0, 1] / m[1, 0]) for m in (x, y, x @ y))
+    s, p = axy
+    half = math.sqrt(max(s * s / 4 - p, 0.0))  # XY's endpoints are s/2 -+ half
+    if not 1.0 < s / 2 - half < s / 2 + half < math.sqrt(-ay[1]):
+        raise RuntimeError("pants hexagon: the XY axis does not lie between the X and Y axes on the right")
+    return (_foot(ax, axy), _foot(axy, ax)), (_foot(axy, ay), _foot(ay, axy))
+
+
 def _schottky_pants(l1: float, l2: float, l3: float) -> FuchsianGroup:
     """Free rank-2 Schottky group uniformizing a pair of pants.
 
     The generators X, Y and (XY)^-1 are the three boundary geodesics with
     lengths l1, l2, l3: tr X = 2 cosh(l1/2), tr Y = 2 cosh(l2/2) and
-    tr XY = -2 cosh(l3/2), the standard trace-triple normal form.
+    tr XY = -2 cosh(l3/2), the standard trace-triple normal form.  The core
+    radius is that of the convex H u H' (``_pants_seams``) around i, its
+    farthest vertex's distance: a seam's foot z (its mirror image is as far),
+    with cosh d(i, z) = 1 + |z - i|^2 / (2 Im z).
     """
     if min(l1, l2, l3) <= 0:
         raise InvalidParameters("boundary lengths must be positive")
@@ -178,16 +212,12 @@ def _schottky_pants(l1: float, l2: float, l3: float) -> FuchsianGroup:
         group=free_group(2),
         cocompact=False,
         params=(float(l1), float(l2), float(l3)),
+        core_radius=max(math.acosh(1 + abs(z - 1j) ** 2 / (2 * z.imag)) for z in itertools.chain(*_pants_seams(x, y))),
     )
 
 
 # circumradius of the regular octagon with vertex angle pi/4: cosh R = cot^2(pi/8)
 _OCTAGON_R = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
-
-
-def _octagon_vertices() -> np.ndarray:
-    r_eucl = math.tanh(_OCTAGON_R / 2)
-    return r_eucl * np.exp(1j * 2 * np.pi * np.arange(9) / 8)
 
 
 def _disk_segment_to_standard(p: complex, q: complex) -> np.ndarray:
@@ -210,7 +240,7 @@ def _octagon_genus2() -> FuchsianGroup:
     The (src, dst) assignment below is the labeling for which the boundary
     word equals the commutator relator.
     """
-    v = _octagon_vertices()
+    v = math.tanh(_OCTAGON_R / 2) * np.exp(1j * 2 * np.pi * np.arange(9) / 8)  # vertices, the first repeated
     cayley = np.array([[1.0, -1j], [1.0, 1j]])
     cayley_inv = np.linalg.inv(cayley)
     gens = []
@@ -228,6 +258,7 @@ def _octagon_genus2() -> FuchsianGroup:
         generators=np.array(gens),
         group=surface_group(2),
         cocompact=True,
+        core_radius=_OCTAGON_R,
     )
 
 
@@ -285,7 +316,7 @@ class LengthSpectrum:
     ``log_det`` is ``log_poincare_det(length)``, ``homology`` (rows x rank)
     the abelianized word and ``inverse_id`` the inverse class's row (-1 if
     none is held).  ``certificate`` records the word-length bound that
-    guarantees completeness; in capped mode (non-co-compact presets)
+    guarantees completeness; in capped mode (the cusped torus)
     ``certified_l_max`` may fall short of ``l_max``.
     """
 
@@ -375,14 +406,6 @@ def _within_trace_cut(tr: np.ndarray, l_max: float) -> np.ndarray:
     return tr <= 2.0 * math.cosh(l_max / 2) * (1.0 + 1e-9)
 
 
-def _shell_survivors(
-    words: np.ndarray, mats: np.ndarray, period: np.ndarray, l_max: float
-) -> np.ndarray:
-    """Necklace rows that are cyclically reduced and hyperbolic with ell <= l_max."""
-    tr = np.abs(mats[:, 0] + mats[:, 3])
-    return _reduced_hyperbolic(words, tr) & _within_trace_cut(tr, l_max) & (words.shape[1] % period == 0)
-
-
 def _times(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """2x2 products m @ g of row-major entry rows (last axis 4): four multiply-adds."""
     return m[..., [0, 0, 2, 2]] * g[..., [0, 1, 0, 1]] + m[..., [1, 1, 3, 3]] * g[..., [2, 3, 2, 3]]
@@ -435,15 +458,32 @@ def _first_shell(gen_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.arange(n, dtype=np.int8)[:, None], gen_mats.reshape(n, 4).copy(), np.ones(n, np.int16)
 
 
-def _enumerate_cocompact(group: FuchsianGroup, l_max: float) -> tuple[list[np.ndarray], dict]:
-    """Displacement-pruned necklace tree walk; complete for the octagon preset.
+def _enumerate_necklaces(
+    group: FuchsianGroup, l_max: float, max_word_length: int
+) -> tuple[list[np.ndarray], dict]:
+    """Displacement-pruned necklace tree walk, one for every preset.
 
-    Prunes rows whose prefix moves the base point farther than
-    l_max + 2R + margin, so shells empty out on their own; the certificate
-    is the last nonempty shell.  Every rotation of an axis-crossing spelling
-    starts at another crossing, so the least rotation of each class's
-    crossing spelling passes the cut too, and only necklaces are grown.
-    Survivors are Dehn-reduced: no ``_relator_windows`` entry, even around the end.
+    The proof of the cut.  Let D be the preset's compact domain for its
+    convex core (the octagon; the pants' H u H', ``_pants_seams``), of radius
+    R = ``core_radius`` around the base point i.  The translates of D, glued
+    along sides paired by the generators, tile the convex hull of the limit
+    set, which holds the axis of every hyperbolic class.  A period of the
+    axis, of length ell, starts in D and crosses tiles g_1 D, ..., g_n D; the
+    side pairings crossed spell the class, each prefix g_k taking D onto a
+    tile that holds a point of the period, within ell of its start, so
+    d(i, g_k i) <= R + ell + R.  Rotations of
+    the spelling start at other crossings, so its least rotation passes with
+    all its prefixes; rows moving i farther than l_max + 2R + 0.5 are not
+    extended, and the emptied tree's depth is the certificate.  In the free
+    pants group the crossing spelling is the class's one cyclically reduced
+    word (a geodesic crosses each seam's line once); on the surface group it
+    holds no ``_relator_windows`` entry, even around its end, so the
+    survivors are Dehn-reduced.
+
+    The cusped torus has no compact core.  Its walk stops at
+    ``max_word_length`` and certifies the least of its last two shells'
+    ``_shell_min_length`` (if below l_max), an estimate, so it says
+    ``complete: false``; survivors are cut by trace at that length.
 
     A row's subtree depends only on its word, product and period, and every
     test is prefix-closed, so the tree is walked depth first: new rows are
@@ -453,14 +493,17 @@ def _enumerate_cocompact(group: FuchsianGroup, l_max: float) -> tuple[list[np.nd
     within depth x letters x ``_BLOCK_ROWS`` however wide a shell is.
     Survivors come back as one array per word length, in shell order
     (colexicographic, as breadth-first shells are); ``shell_rows`` sums
-    each length's blocks.
+    each length's blocks and a shell minimum is the least over its blocks.
     """
-    d_cut = l_max + 2 * _OCTAGON_R + 0.5  # a margin of 0.5 over the bound ell + 2R
+    capped = group.core_radius is None
+    d_cut = math.inf if capped else l_max + 2 * group.core_radius + 0.5  # a margin of 0.5 over ell + 2R
+    depth_cap = max_word_length if capped else 64
     norm2_cut = 2.0 * math.cosh(d_cut)  # cosh d(i, g i) = ||g||_F^2 / 2
     gen_mats = group.generator_array()
-    table = _relator_windows(group.group, len(gen_mats))
-    survivors: list[list[np.ndarray]] = []
+    table = _relator_windows(group.group, len(gen_mats)) if group.group.relator else None
+    survivors: list[list[tuple[np.ndarray, np.ndarray]]] = []  # rows and their |traces|, per depth
     shell_rows: list[int] = []
+    shell_mins: list[float] = []
     stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def visit(words: np.ndarray, mats: np.ndarray, period: np.ndarray) -> None:
@@ -470,17 +513,24 @@ def _enumerate_cocompact(group: FuchsianGroup, l_max: float) -> tuple[list[np.nd
         if depth > len(shell_rows):  # the walk goes one letter deeper at a time
             shell_rows.append(0)
             survivors.append([])
+            shell_mins.append(math.inf)
         shell_rows[depth - 1] += len(words)
-        rows = words[_shell_survivors(words, mats, period, l_max)]
-        if depth >= 5:  # shorter rows repeat a letter, which no window does
-            ring = np.concatenate([rows[:, -4:], rows[:, :4]], axis=1)
+        tr = np.abs(mats[:, 0] + mats[:, 3])
+        # necklace survivors: cyclically reduced and hyperbolic with ell <= l_max
+        keep = np.flatnonzero(_reduced_hyperbolic(words, tr) & _within_trace_cut(tr, l_max) & (depth % period == 0))
+        if table is not None and depth >= 5:  # shorter rows repeat a letter, which no window does
+            ring = np.concatenate([words[keep, -4:], words[keep, :4]], axis=1)
             windows = np.lib.stride_tricks.sliding_window_view(ring, 5, axis=1)
-            rows = rows[~table[_packed(windows, len(gen_mats))].any(axis=1)]
-        survivors[depth - 1].append(rows)
+            keep = keep[~table[_packed(windows, len(gen_mats))].any(axis=1)]
+        survivors[depth - 1].append((words[keep], tr[keep]))
+        if capped:
+            shell_mins[depth - 1] = min(shell_mins[depth - 1], _shell_min_length(words, tr, gen_mats))
         sq = mats * mats  # the squared norm, summed left to right as a row sum does
         within = np.flatnonzero(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= norm2_cut)
-        if len(within) and depth >= 64:
-            raise IncompleteEnumeration("displacement-pruned shells failed to terminate")
+        if depth >= depth_cap:
+            if len(within) and not capped:
+                raise IncompleteEnumeration("displacement-pruned shells failed to terminate")
+            return
         for lo in range(0, len(within), _BLOCK_ROWS):
             rows_in = within[lo : lo + _BLOCK_ROWS]
             stack.append((words[rows_in], mats[rows_in], period[rows_in]))
@@ -488,28 +538,31 @@ def _enumerate_cocompact(group: FuchsianGroup, l_max: float) -> tuple[list[np.nd
     visit(*_first_shell(gen_mats))
     while stack:
         visit(*_extend_shell(*stack.pop(), gen_mats, table))
-    survivors = [rows[np.lexsort(rows.T)] for rows in map(np.concatenate, survivors)]  # shell order
+    certified = min(min(shell_mins[-2:]), l_max) if capped else l_max
+    blocks = []
+    for rows, tr in (map(np.concatenate, zip(*shell)) for shell in survivors):
+        order = np.lexsort(rows.T)  # shell order
+        blocks.append(rows[order][_within_trace_cut(tr[order], certified)])
     cert = {
-        "method": "displacement-pruned necklace shells",
         "word_length_bound": len(shell_rows),
-        "displacement_cut": d_cut,
         "rows_visited": sum(shell_rows),
         "shell_rows": shell_rows,
-        "certified_l_max": l_max,
-        "complete": True,
+        "certified_l_max": certified,
+        "complete": not capped,
+        **({"method": "cyclically reduced necklace shells, capped", "shell_min_lengths": shell_mins} if capped
+           else {"method": "displacement-pruned necklace shells", "displacement_cut": d_cut}),
     }
-    return survivors, cert
+    return blocks, cert
 
 
-def _shell_min_length(words: np.ndarray, mats: np.ndarray, gen_mats: np.ndarray) -> float:
-    """Least length of a cyclically reduced hyperbolic word in the shell.
+def _shell_min_length(words: np.ndarray, tr: np.ndarray, gen_mats: np.ndarray) -> float:
+    """Least length of a cyclically reduced hyperbolic word among necklace rows.
 
-    The shell holds one rotation of each cyclic word.  The traces of its
-    other rotations differ only by rounding, so the rows near the least
-    trace are multiplied out in every rotation, in shell order, and the
-    minimum is taken over all of them.
+    The capped torus's estimate, not a proof.  The rows (|traces| ``tr``)
+    hold one rotation of each cyclic word; the traces of its other rotations
+    differ only by rounding, so the rows near the least trace are multiplied
+    out in every rotation, in row order, and the least is taken.
     """
-    tr = np.abs(mats[:, 0] + mats[:, 3])
     hyp = _reduced_hyperbolic(words, tr)
     if not hyp.any():
         return math.inf
@@ -521,70 +574,6 @@ def _shell_min_length(words: np.ndarray, mats: np.ndarray, gen_mats: np.ndarray)
         prod = _times(prod, g[rot[:, j]])
     tr_rot = np.abs(prod[:, 0] + prod[:, 3])
     return float(2 * np.arccosh(tr_rot[tr_rot > 2.0 + 1e-9].min() / 2))
-
-
-_SHELL_ROW_BUDGET = 1 << 23  # rows of one free shell; pants (2, 2, 2) at Lmax 16 needs 5,636,755
-
-
-def _enumerate_free(
-    group: FuchsianGroup, l_max: float, max_word_length: int, allow_incomplete: bool
-) -> tuple[list[np.ndarray], dict]:
-    """Cyclically reduced necklace shell enumeration for free presets.
-
-    In a free group every conjugacy class is a unique cyclic word, so plain
-    enumeration is complete once the per-shell minimum length clears l_max.
-    Two consecutive clear shells are required: the minimum can dip once when
-    mixed spellings first appear.  Each cyclically reduced word has a
-    necklace rotation with the same trace, so the prenecklace shells keep
-    the per-shell minimum.  For the cusped preset minimum lengths grow only
-    logarithmically in the shell, so the cap triggers capped mode, whose
-    survivors are cut by trace at the certified length; ``build_spectrum``
-    then cuts them by length.  A shell wider than ``_SHELL_ROW_BUDGET`` rows
-    raises IncompleteEnumeration instead of exhausting memory.
-    """
-    gen_mats = group.generator_array()
-    words, mats, period = _first_shell(gen_mats)
-    survivors: list[tuple[np.ndarray, np.ndarray]] = []  # rows and their |traces|, per shell
-    shell_mins: list[float] = []
-    shell_rows: list[int] = []
-    clear = 0
-    while True:
-        shell_rows.append(len(words))
-        keep = _shell_survivors(words, mats, period, l_max)
-        survivors.append((words[keep], np.abs(mats[keep, 0] + mats[keep, 3])))
-        shell_mins.append(_shell_min_length(words, mats, gen_mats))
-        clear = clear + 1 if shell_mins[-1] > l_max else 0
-        complete = clear >= 2
-        if complete or len(shell_rows) >= max_word_length:
-            certified = l_max if complete else min(min(shell_mins[-2:]), l_max)
-            cert = {
-                "method": "cyclically reduced necklace shells, "
-                + ("two-shell margin" if complete else "capped"),
-                "word_length_bound": len(shell_rows),
-                "shell_min_lengths": shell_mins,
-                "rows_visited": sum(shell_rows),
-                "shell_rows": shell_rows,
-                "certified_l_max": certified,
-                "complete": complete,
-            }
-            if not (complete or allow_incomplete):
-                raise IncompleteEnumeration(
-                    f"word length {max_word_length} certifies only "
-                    f"ell <= {certified:.3f} < {l_max}; "
-                    "pass allow_incomplete=True for a capped spectrum"
-                )
-            return [rows[_within_trace_cut(tr, certified)] for rows, tr in survivors], cert
-        # whole shells (the rule above reads them), extended a block at a time
-        children, width = [], 0
-        for lo in range(0, len(words), _BLOCK_ROWS):
-            b = slice(lo, lo + _BLOCK_ROWS)
-            children.append(_extend_shell(words[b], mats[b], period[b], gen_mats, None))
-            if (width := width + len(children[-1][0])) > _SHELL_ROW_BUDGET:
-                raise IncompleteEnumeration(
-                    f"the shell of word length {len(shell_rows) + 1} exceeds the row budget of "
-                    f"{_SHELL_ROW_BUDGET:,} rows; lower max_word_length or Lmax"
-                )
-        words, mats, period = map(np.concatenate, zip(*children))
 
 
 def _trace_spelling(root: ConjugacyClass, spellings: frozenset[Word], preset: GroupPreset) -> Word:
@@ -619,13 +608,19 @@ def build_spectrum(
     read from one closure of shortest spellings, that of the first survivor
     in either orientation, and named by ``canonical_class``; the k-th power
     of a root is ``ConjugacyClass.power``, as ``canonical_class`` names powers.
+
+    One walk enumerates every preset (``_enumerate_necklaces``).  The cusped
+    torus, which no cut proves complete, is refused unless
+    ``allow_incomplete``; only its capped walk reads ``max_word_length``.
     """
     if not 0 < l_max < math.inf:  # no cut prunes an infinite or NaN l_max
         raise InvalidParameters(f"l_max must be a finite positive number, got {l_max!r}")
-    if group.cocompact:
-        raw, cert = _enumerate_cocompact(group, l_max)
-    else:
-        raw, cert = _enumerate_free(group, l_max, max_word_length, allow_incomplete)
+    if group.core_radius is None and not allow_incomplete:
+        raise IncompleteEnumeration(
+            f"{group.name} has a cusp, so no word length certifies its spectrum complete; "
+            "pass allow_incomplete=True for a capped spectrum"
+        )
+    raw, cert = _enumerate_necklaces(group, l_max, max_word_length)
     effective_l_max = cert["certified_l_max"]
 
     # each survivor is a Dehn-reduced necklace, so no two rows are rotations
@@ -844,8 +839,9 @@ def spectrum_from_csv(path: str) -> tuple[dict[str, np.ndarray], dict]:
 def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict:
     """The file's certificate, refused unless its certified_l_max follows.
 
-    The enumerators certify l_max on the co-compact preset and
-    min(min(last two shell minimum lengths), l_max) on free presets.
+    The walk certifies l_max on a preset with a compact core (so an older
+    pants "two-shell margin" certificate is read) and min(min(last two shell
+    minimum lengths), l_max) on the cusped torus, never complete.
     """
     cert = meta.get("certificate")
     if not isinstance(cert, dict):
@@ -856,9 +852,11 @@ def _checked_certificate(meta: dict, group: FuchsianGroup, l_max: float) -> dict
     if not certified <= l_max:
         raise InvalidParameters(f"certified_l_max {certified!r} exceeds l_max {l_max!r}")
     try:
-        expected = l_max if group.cocompact else min(min(cert["shell_min_lengths"][-2:]), l_max)
+        expected = l_max if group.core_radius is not None else min(min(cert["shell_min_lengths"][-2:]), l_max)
     except (KeyError, TypeError, ValueError):
         raise InvalidParameters("certificate lacks shell_min_lengths") from None
+    if group.core_radius is None and cert.get("complete") is not False:
+        raise InvalidParameters(f"{group.name} has a cusp, so its certificate cannot be complete; {_REBUILD}")
     if certified != expected:
         raise InvalidParameters(
             f"certified_l_max {certified!r} does not follow from the certificate (its fields give {expected!r})")
@@ -970,7 +968,8 @@ def load_spectrum(path: str) -> LengthSpectrum:
     length, each primitive's ell_sharp bit for bit its own or its inverse's
     trace length, and the classes per word length the certificate's
     ``shell_classes``.  Format 1 files, certificates without
-    ``shell_classes`` and headers without ``oriented=True`` ask for a rebuild.
+    ``shell_classes`` or calling a torus complete, and headers without
+    ``oriented=True`` ask for a rebuild.
     """
     try:
         cols, meta = spectrum_from_csv(path)

@@ -845,6 +845,15 @@ def test_torus_warning_is_shown(tmp_path, capsys, loaded):
     assert "warning: punctured_torus is not co-compact" in capsys.readouterr().err
 
 
+def test_torus_spectrum_needs_allow_incomplete(tmp_path, capsys):
+    # the cusped torus has no proof of completeness at any Lmax, so a build
+    # without --allow-incomplete is refused and writes nothing
+    out = tmp_path / "torus.csv"
+    assert main(["spectrum", "--preset", "punctured_torus", "--Lmax", "5", "--out", str(out)]) == EXIT_INVALID
+    assert "punctured_torus has a cusp" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_torus_warning_on_every_in_process_run(tmp_path, capsys):
     # each main call prints the preset warning, and the process's warning
     # hook is back in place after it

@@ -91,6 +91,58 @@ def test_pants_rejects_nonpositive_lengths():
         F.preset("schottky_pants", -1, 2, 2)
 
 
+# boundary lengths and the core radius around i, to four places
+PANTS_CORES = [((1.9, 2.1, 2.4), 2.3527), ((2, 2, 2), 2.3679), ((1.4, 2.2, 3.1), 2.7040)]
+
+
+def _moebius(m, z):
+    return (m[..., 0, 0] * z + m[..., 0, 1]) / (m[..., 1, 0] * z + m[..., 1, 1])
+
+
+def _distance(z, w):
+    # d(z, w) = 2 asinh(|z - w| / (2 sqrt(Im z Im w))) in the upper half-plane
+    return 2 * np.arcsinh(np.abs(z - w) / (2 * np.sqrt(z.imag * w.imag)))
+
+
+@pytest.mark.parametrize("params, radius", PANTS_CORES)
+def test_pants_hexagons_glue_into_a_core_of_radius_r(params, radius):
+    # X maps the mirrored (XY, X) seam onto the (XY, X) seam and Y^-1 the
+    # mirrored (Y, XY) seam onto the (Y, XY) seam, foot to foot; the
+    # vertices of H u H', the feet and their mirror images, lie within R of
+    # i, and the farthest at R
+    group = F.preset("schottky_pants", *params)
+    x, y = group.generators
+    seams = F._pants_seams(x, y)
+    for g, seam in zip((x, np.linalg.inv(y)), seams):
+        for foot in seam:
+            assert abs(_moebius(g, -foot.conjugate()) - foot) < 1e-9
+    feet = np.array([foot for seam in seams for foot in seam])
+    far = _distance(np.concatenate([feet, -feet.conjugate()]), 1j)
+    assert far.max() <= group.core_radius + 1e-12
+    assert far.max() == pytest.approx(group.core_radius, abs=1e-12)
+    assert group.core_radius == pytest.approx(radius, abs=1e-4)
+    with pytest.raises(RuntimeError, match="XY axis"):
+        F._pants_seams(y, x)
+
+
+@pytest.mark.parametrize("params, l_max", [((1.9, 2.1, 2.4), 12.0), ((2, 2, 2), 16.0)])
+def test_pants_prefixes_within_the_displacement_bound(params, l_max):
+    # in a free group every rotation of a class's word is a crossing
+    # spelling, so each of its prefixes g moves i by d(i, g i) <= ell + 2R
+    group = F.preset("schottky_pants", *params)
+    sp = F.build_spectrum(group, l_max)
+    mats = group.generator_array()
+    for n in sorted(set(sp.word_len.tolist())):
+        idx = np.flatnonzero(sp.word_len == n)
+        bound = sp.length[idx] + 2 * group.core_radius
+        for shift in range(n):
+            word = np.roll(sp.codes[idx, :n], -shift, axis=1)
+            prefix = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
+            for j in range(n):
+                prefix = prefix @ mats[word[:, j]]
+                assert (_distance(_moebius(prefix, 1j), 1j) <= bound).all()
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(F.InvalidParameters):
         F.preset("flat_torus")
@@ -380,7 +432,7 @@ def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):
 def test_octagon_pruning_margin_stable(octagon, octagon_spectrum6):
     # widening the displacement cut (and the trace window with it) must not
     # reveal any additional classes below the original bound
-    cut = F._enumerate_cocompact(octagon, 6.0 + 1.0)[1]["displacement_cut"]
+    cut = F._enumerate_necklaces(octagon, 6.0 + 1.0, 14)[1]["displacement_cut"]
     wide = oracles.unpruned_shells(octagon, 6.0 + 1.0, 64, cut)
     found = set()
     for block in oracles._unique_min_rotations(wide):
@@ -445,12 +497,29 @@ def test_power_trace_cross_check(octagon, octagon_spectrum6):
 
 
 def test_torus_incomplete_enumeration(torus):
-    with pytest.raises(F.IncompleteEnumeration):
+    with pytest.raises(F.IncompleteEnumeration, match="punctured_torus has a cusp"):
         F.build_spectrum(torus, 12.0)
     sp = F.build_spectrum(torus, 12.0, allow_incomplete=True)
     assert not sp.certificate["complete"]
     assert sp.certified_l_max < 12.0
     assert (sp.length <= sp.certified_l_max + 1e-9).all()
+
+
+def test_torus_classes_past_the_two_shell_rule(torus):
+    # the shell minima at word lengths 7 and 8 clear 5.5, yet 12 classes of
+    # ell 5.4072 have 9 and 10 letters: the whole-shell enumeration stopped
+    # at 8 with 48 rows certified complete; the capped walk keeps 60 and
+    # says it is not complete
+    with pytest.raises(F.IncompleteEnumeration, match="punctured_torus has a cusp"):
+        F.build_spectrum(torus, 5.5)
+    sp = F.build_spectrum(torus, 5.5, allow_incomplete=True)
+    assert len(sp.length) == 60 and sp.certificate["complete"] is False
+    mins = sp.certificate["shell_min_lengths"]
+    assert min(mins[6:8]) > 5.5 > mins[8]
+    late = np.flatnonzero(sp.word_len >= 9)
+    assert sp.word_len[late].tolist() == [9] * 8 + [10] * 4
+    assert set(sp.length[late].tolist()) == {5.407151661862804}
+    assert (1, 2, -1, -2, 1, 2, 2, -1, -2) in sp.words(late)
 
 
 def test_capped_torus_closes_no_survivor_above_its_certified_length(monkeypatch, tmp_path, torus):
@@ -468,15 +537,6 @@ def test_capped_torus_closes_no_survivor_above_its_certified_length(monkeypatch,
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "5687cf62f88cbed460d6901f3dc675346012d16d9a5f02c7ff59a07c72637779"
     )
-
-
-def test_free_shell_over_the_row_budget_is_refused(monkeypatch, pants):
-    # pants (2, 2, 2) at Lmax 8 grows shells of 654 and then 1,711 rows
-    monkeypatch.setattr(F, "_SHELL_ROW_BUDGET", 1000)
-    with pytest.raises(F.IncompleteEnumeration, match="word length 8 exceeds the row budget of 1,000 rows"):
-        F.build_spectrum(pants, 8.0)
-    monkeypatch.setattr(F, "_SHELL_ROW_BUDGET", 1711)
-    assert F.build_spectrum(pants, 8.0).certificate["shell_rows"][-1] == 1711
 
 
 def test_torus_capped_consistent_with_longer_cap(torus):
@@ -525,7 +585,7 @@ def _survivor_classes(blocks, preset):
 
 @pytest.mark.parametrize("l_max", [8.0, 10.0])
 def test_octagon_necklace_pruning_keeps_classes(octagon, l_max):
-    pruned, cert = F._enumerate_cocompact(octagon, l_max)
+    pruned, cert = F._enumerate_necklaces(octagon, l_max, 14)
     oracle = oracles._unique_min_rotations(
         oracles.unpruned_shells(octagon, l_max, 64, cert["displacement_cut"])
     )
@@ -544,13 +604,15 @@ def test_octagon_necklace_pruning_keeps_classes(octagon, l_max):
     ],
 )
 def test_free_necklace_pruning_keeps_classes(name, params, l_max, cap):
+    # the pants' displacement-pruned walk against every spelling two letters
+    # deeper than it went; the capped torus against every spelling up to its
+    # cap, at the certified length it sets below l_max
     group = F.preset(name, *params)
-    pruned, cert = F._enumerate_free(group, l_max, cap, True)
-    # every survivor up to the certified length, which capped mode (the
-    # torus) sets below l_max; build_spectrum then cuts them by length
+    pruned, cert = F._enumerate_necklaces(group, l_max, cap)
     certified = cert["certified_l_max"]
     assert (certified < l_max) == (name == "punctured_torus")
-    oracle = oracles.unpruned_shells(group, certified, cert["word_length_bound"])
+    depth = cert["word_length_bound"] + (2 if group.core_radius else 0)
+    oracle = oracles.unpruned_shells(group, certified, depth)
     assert sum(len(b) for b in pruned) < sum(len(b) for b in oracle)
     assert _survivor_classes(pruned, group.group) == _survivor_classes(
         oracle, group.group
@@ -561,11 +623,7 @@ def test_free_necklace_pruning_keeps_classes(name, params, l_max, cap):
     "name, params, l_max", [("octagon_genus2", (), 8.0), ("schottky_pants", (2, 2, 2), 6.0)]
 )
 def test_survivors_are_necklaces(name, params, l_max):
-    group = F.preset(name, *params)
-    if group.cocompact:
-        blocks, _ = F._enumerate_cocompact(group, l_max)
-    else:
-        blocks, _ = F._enumerate_free(group, l_max, 14, False)
+    blocks, _ = F._enumerate_necklaces(F.preset(name, *params), l_max, 14)
     words = [w for b in blocks for w in F._codes_to_words(b)]
     assert words
     assert all(w == min_rotation(w) for w in words)
@@ -576,7 +634,7 @@ def test_survivors_are_necklaces(name, params, l_max):
 def test_octagon_survivors_are_dehn_reduced_necklaces(octagon, l_max):
     # no survivor holds a relator window, not even around its end, so
     # build_spectrum takes each row as its word
-    blocks, _ = F._enumerate_cocompact(octagon, l_max)
+    blocks, _ = F._enumerate_necklaces(octagon, l_max, 14)
     words = [w for b in blocks for w in F._codes_to_words(b)]
     assert words
     assert all(min_rotation(W.dehn_cyclic_reduce(w, octagon.group)) == w for w in words)
@@ -606,7 +664,7 @@ def test_extension_kernel_matches_the_per_letter_loop(name, params):
     group = F.preset(name, *params)
     gen_mats = group.generator_array()
     table = windows = None
-    if group.cocompact:
+    if group.group.relator:
         table = F._relator_windows(group.group, len(gen_mats))
         windows = oracles.forbidden_5gram_codes(group.group, len(gen_mats))
     rows = F._first_shell(gen_mats)
@@ -619,22 +677,22 @@ def test_extension_kernel_matches_the_per_letter_loop(name, params):
     assert len(rows[0]) > 500
 
 
-def test_octagon_walk_does_not_depend_on_the_block_size(monkeypatch, tmp_path, octagon):
+def _walks_by_block_size(monkeypatch, tmp_path, group, l_max, **kwargs):
     # the depth-first walk hands over the same survivors, depth by depth and
     # in the same order, and the same certificate, whether its blocks hold
     # 5 rows or a whole shell; so the spectrum CSV is the same file
-    walk, handed = F._enumerate_cocompact, []
+    walk, handed = F._enumerate_necklaces, []
 
-    def recorded(group, l_max):
-        handed.append(walk(group, l_max))
+    def recorded(*args):
+        handed.append(walk(*args))
         return handed[-1]
 
-    monkeypatch.setattr(F, "_enumerate_cocompact", recorded)
+    monkeypatch.setattr(F, "_enumerate_necklaces", recorded)
     csvs = []
     for rows in (5, 1 << 30):
         monkeypatch.setattr(F, "_BLOCK_ROWS", rows)
-        path = tmp_path / f"octagon-{rows}.csv"
-        F.spectrum_to_csv(F.build_spectrum(octagon, 9.5), str(path))
+        path = tmp_path / f"{group.name}-{rows}.csv"
+        F.spectrum_to_csv(F.build_spectrum(group, l_max, **kwargs), str(path))
         csvs.append(path.read_bytes())
     ((small, small_cert), (whole, whole_cert)), (small_csv, whole_csv) = handed, csvs
     assert len(small) == len(whole) == small_cert["word_length_bound"]
@@ -642,6 +700,17 @@ def test_octagon_walk_does_not_depend_on_the_block_size(monkeypatch, tmp_path, o
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert small_cert == whole_cert
     assert small_csv == whole_csv
+    return small_cert
+
+
+def test_octagon_walk_does_not_depend_on_the_block_size(monkeypatch, tmp_path, octagon):
+    _walks_by_block_size(monkeypatch, tmp_path, octagon, 9.5)
+
+
+def test_capped_walk_does_not_depend_on_the_block_size(monkeypatch, tmp_path, torus):
+    # the shell minima are taken block by block, the least over a depth's blocks
+    cert = _walks_by_block_size(monkeypatch, tmp_path, torus, 7.0, allow_incomplete=True, max_word_length=10)
+    assert cert["certified_l_max"] == min(cert["shell_min_lengths"][-2:]) < 7.0
 
 
 def test_octagon_walk_memory_stays_bounded(octagon):
@@ -649,7 +718,7 @@ def test_octagon_walk_memory_stays_bounded(octagon):
     # products and periods: the walk never holds a shell whole
     tracemalloc.start()
     try:
-        F._enumerate_cocompact(octagon, 11.0)
+        F._enumerate_necklaces(octagon, 11.0, 14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -782,8 +851,10 @@ def test_csv_bytes_pinned(tmp_path):
     # section of the format-1 file did (whole-file sha256 acaa27cc..., as
     # written before the writer moved onto the report layer's atomic
     # writer); the format-2 file is pinned whole, and without the
-    # certificate's shell_classes as it was written before that field;
-    # comment lines end in \n, csv rows (header included) in \r\n
+    # certificate's shell_classes; both moved (from a6875633... and
+    # 7ab68f12...) when the pants' certificate became the displacement
+    # cut's, the rows did not; comment lines end in \n, csv rows (header
+    # included) in \r\n
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 6.0)
     path = tmp_path / "pants6.csv"
     F.spectrum_to_csv(spectrum, str(path))
@@ -792,14 +863,58 @@ def test_csv_bytes_pinned(tmp_path):
         "59e3ba6bf4f6bcc8ea9706c792caa3a3a3ea1c649bce782c4c8eda4de50cda57"
     )
     assert hashlib.sha256(_without_shell_classes(data)).hexdigest() == (
-        "a6875633ac4e9187c32a55217afeb0bcc61e57511fd83580131e123de8769de8"
+        "4c3a49835374247153f7f6187bdb8fe670e18490a37058acd9822b861491d99e"
     )
     assert hashlib.sha256(data).hexdigest() == (
-        "7ab68f129730d9ca109ff0f18f7aa35f6b62ff9244d89133230ea508d91b9ca9"
+        "8a806b5b1e4b9eab94c1921dabfd859ded454708872248835ced947f25b52a71"
     )
     lines = data.split(b"\n")[:-1]
     assert [line.endswith(b"\r") for line in lines] == [False] * 3 + [True] * (len(lines) - 3)
     assert os.listdir(tmp_path) == ["pants6.csv"]
+
+
+# the certificate line of the pants file above as the whole-shell
+# enumeration wrote it, before the pants had a displacement cut
+_TWO_SHELL_CERTIFICATE = (
+    b'# certificate={"certified_l_max": 6.0, "complete": true, "method": "cyclically reduced necklace shells, '
+    b'two-shell margin", "rows_visited": 420, "shell_classes": [4, 8, 6, 2], "shell_min_lengths": '
+    b'[1.8999999999999997, 2.3999999999999995, 5.263750948332725, 4.799999999999998, 7.7257757513046315, '
+    b'7.199999999999998], "shell_rows": [4, 8, 18, 40, 101, 249], "word_length_bound": 6}'
+)
+
+
+def test_pants_csv_with_the_two_shell_certificate_is_read(tmp_path):
+    # the file as written before, byte for byte, still loads: its rows are
+    # the same and its certified_l_max is l_max, which a pants certificate
+    # must certify; a forged certified_l_max is refused as before
+    sp = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 6.0)
+    path = tmp_path / "pants6.csv"
+    F.spectrum_to_csv(sp, str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = _TWO_SHELL_CERTIFICATE
+    path.write_bytes(b"\n".join(lines))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7ab68f129730d9ca109ff0f18f7aa35f6b62ff9244d89133230ea508d91b9ca9"
+    )
+    loaded = F.load_spectrum(str(path))
+    assert loaded.certificate["method"].endswith("two-shell margin")
+    for name in F._ROW_COLUMNS:
+        assert np.array_equal(getattr(loaded, name), getattr(sp, name)), name
+    forged = tmp_path / "forged.csv"
+    forged.write_bytes(path.read_bytes().replace(b"certified_l_max=6.0", b"certified_l_max=5.5").replace(
+        b'"certified_l_max": 6.0', b'"certified_l_max": 5.5'))
+    with pytest.raises(F.InvalidParameters, match="certified_l_max 5.5 does not follow from the certificate"):
+        F.load_spectrum(str(forged))
+
+
+def test_torus_certificate_claiming_completeness_is_refused(tmp_path, torus):
+    # the whole-shell enumeration once certified the torus complete by a
+    # rule that missed classes; a cusped preset's certificate never is
+    path = tmp_path / "torus.csv"
+    F.spectrum_to_csv(F.build_spectrum(torus, 6.0, allow_incomplete=True, max_word_length=8), str(path))
+    path.write_bytes(path.read_bytes().replace(b'"complete": false', b'"complete": true'))
+    with pytest.raises(F.InvalidParameters, match="punctured_torus has a cusp, so its certificate cannot be complete"):
+        F.load_spectrum(str(path))
 
 
 def test_deep_and_capped_csvs_pinned(tmp_path, octagon_csv, torus):
