@@ -282,15 +282,20 @@ def _dirichlet(a, spectrum, char, w):
 
 
 def _covers(a, spectrum, char, w):
-    from .covers import _batch_images, _require_free, empirical_cover_variance, moment_experiment
+    from .covers import _batch_images, _require_free, count_covers, empirical_cover_variance, moment_experiment
+    from .variance import SigmaEvaluator
 
     words = spectrum.words(spectrum.length <= a.moment_lmax)
     if not words:
         raise ConfigError(f"no classes of length <= {a.moment_lmax:g} for the moment test")
-    images = _batch_images(_require_free(spectrum), a.n, a.samples, a.seed)
-    moments = moment_experiment(words, images, a.n, a.samples, kmax=a.kmax)
-    bridge = None if a.L is None else empirical_cover_variance(
-        spectrum, char, w, a.lam, a.L, images, a.seed, centering=a.centering
+    rank = _require_free(spectrum)
+    ev = None if a.L is None else SigmaEvaluator(spectrum, char, w, a.L)
+    images = _batch_images(rank, a.n, a.samples, a.seed)
+    # one counting pass over the batch serves both experiments
+    counts = count_covers(images, words, a.kmax, ev)
+    moments = moment_experiment(words, images, a.n, a.samples, kmax=a.kmax, counts=counts)
+    bridge = None if ev is None else empirical_cover_variance(
+        ev, a.lam, images, a.seed, centering=a.centering, counts=counts
     )
     passed = moments["passed"] and (bridge is None or bridge["agrees"])
     summary = f"{len(words)} classes, n={a.n}, samples={a.samples}"
@@ -473,7 +478,7 @@ COMMANDS = {
             *_source(), _WINDOW, _CUTOFF,
             _flag("--Y", type=_above_one, default=8.0, help="alignment quality 1/Y"),
             _flag("--M", type=float, default=100.0, help="search start"),
-            _flag("--lam-max", type=float, default=1e9, help="search ceiling"),
+            _flag("--lam-max", type=_finite_positive, default=1e9, help="search ceiling"),
             _flag("--mode", default="plus", choices=["plus", "minus"], help="push the variance up (plus) or down (minus)"),
         ),
     ),
@@ -485,7 +490,7 @@ COMMANDS = {
             _flag("--samples", type=int, required=True, help="Monte Carlo samples"),
             _flag("--seed", type=int, required=True, help="master seed"),
             _flag("--kmax", type=int, default=6, help="highest power in the moment test"),
-            _flag("--moment-lmax", type=float, default=2.5, help="class cutoff for the moment test"),
+            _flag("--moment-lmax", type=_finite_positive, default=2.5, help="class cutoff for the moment test"),
             _flag("--lambda", dest="lam", type=_positive, default=None, help="bridge frequency (with --L)"),
             _flag("--L", type=_positive, default=None, help="bridge geodesic cutoff (enables the bridge)"),
             _flag("--centering", default="batch", choices=["batch", "dk"], help="variance centering mode"),

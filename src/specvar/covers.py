@@ -7,18 +7,23 @@ through its cycle structure, F_n(gamma^k) = sum_{d | k} d * C_n(gamma, d),
 so each sampled cover costs one permutation product per class and a few
 vectorized power compositions.
 
-A run draws its batch of covers once (``_batch_images``) and hands the
-same images to the moment test and to the variance bridge.  The batch
-stores each permutation as it is, values 0 .. n - 1 in the narrowest
-unsigned dtype that holds n - 1 (2 bytes a point up to n = 65,536).
-The experiments walk it in blocks of whole samples sized to stay in
-cache, and ``_sample_blocks`` widens each block to flat absolute int64
-indices: sample s of the block owns the points s*n .. s*n + n - 1 and
-each generator maps them among themselves, so composing two images is
-one gather ``p.take(q)`` across many samples and an inverse is one
-scatter.  No count depends on the block size.  Cycle counts come from
-a pointer-doubling scan that never reads the power images, so the
-divisor identity between the two is a real check.
+A run draws its batch of covers once (``_batch_images``) and counts it
+once (``count_covers``) for the moment test and the variance bridge
+together.  The batch stores each permutation as it is, values
+0 .. n - 1 in the narrowest unsigned dtype that holds n - 1 (2 bytes a
+point up to n = 65,536).  The counting pass walks it in blocks of whole
+samples sized to stay in cache, and ``_sample_blocks`` widens each
+block to flat absolute int64 indices: sample s of the block owns the
+points s*n .. s*n + n - 1 and each generator maps them among
+themselves, so composing two images is one gather ``p.take(q)`` across
+many samples and an inverse is one scatter.  Per block, each letter's
+image is built once and the words are walked in prefix-trie order, so a
+shared prefix is composed once.  No count depends on the block size.
+Cycle counts come from a pointer-doubling scan that stops once its
+window covers the longest cycle it reports; a closure check rejects the
+points that lead only a window of a longer cycle.  The scan never reads
+the power images, so the divisor identity between the two is a real
+check.
 
 Sampling is restricted to free presets: uniform sampling of surface-group
 homomorphisms has no known efficient exact sampler, and the fixed-point
@@ -30,6 +35,7 @@ this reason.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +43,6 @@ from . import Refused
 from .fuchsian import LengthSpectrum
 from .rng import stream, streams
 from .variance import SigmaEvaluator, _divisor_table, _gcd_weight_matrix
-from .windows import Window
 from .words import Word
 
 
@@ -112,40 +117,32 @@ def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
         )
 
 
-def _word_images(images: np.ndarray, word: Word) -> np.ndarray:
-    """Batch image of a word, composed left to right like ``eval_perm``."""
-    rank = images.shape[0]
-    for letter in word:
-        if letter == 0 or abs(letter) > rank:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
-    if not word:
-        return np.arange(images[0].size).reshape(images[0].shape)
-    inverses: dict[int, np.ndarray] = {}
-    out = None
-    for letter in word:
-        g = abs(letter) - 1
-        if letter > 0:
-            p = images[g]
-        else:
-            if g not in inverses:
-                inv = np.empty_like(images[g])
-                np.put(inv, images[g], np.arange(inv.size))
-                inverses[g] = inv
-            p = inverses[g]
-        out = p if out is None else out.take(p)
-    return out
+def _letter_images(block: np.ndarray, letters: set[int], ident: np.ndarray) -> dict[int, np.ndarray]:
+    """Image of each letter on a block, shaped like ``ident``; an inverse is one scatter."""
+    gens = {}
+    for letter in letters:
+        p = block[abs(letter) - 1].reshape(ident.shape)
+        if letter < 0:
+            inv = np.empty_like(p)
+            np.put(inv, p, ident)
+            p = inv
+        gens[letter] = p
+    return gens
 
 
-def _power_fixed_counts(word_img: np.ndarray, kmax: int) -> np.ndarray:
-    """F(gamma^k) for k = 1..kmax on every row, by iterated composition."""
+def _power_fixed_counts(word_img: np.ndarray, kmax: int, ident: np.ndarray) -> np.ndarray:
+    """F(gamma^k) for k = 1..kmax on every row, by iterated composition.
+
+    ``ident`` is the identity of the block, ``np.arange(word_img.size)``
+    in the image's shape.
+    """
     samples, n = word_img.shape
-    ident = np.arange(word_img.size).reshape(samples, n)
     out = np.empty((samples, kmax), dtype=np.int64)
     q = word_img
     for k in range(kmax):
         if k:
             q = q.take(word_img)
-        out[:, k] = np.count_nonzero(q == ident, axis=1)
+        out[:, k] = np.bincount(np.flatnonzero(q == ident) // n, minlength=samples)
     return out
 
 
@@ -153,45 +150,99 @@ def _cycle_scan(word_img: np.ndarray, dmax: int) -> np.ndarray:
     """C(gamma, d) for d = 1..dmax on every row: the number of d-cycles.
 
     An independent witness of the power counts: pointer doubling labels
-    every point with the least point of its cycle, and a cycle's length
-    is the number of points that carry its label.  After r rounds a label
-    is the least point among the next 2**r points, so ceil(log2 n) rounds
-    cover every cycle.
+    every point with the least point of its window, the next 2**r points
+    after r rounds, and stops once the window holds min(dmax, n) points.
+    A cycle no longer than the window then labels all its points with its
+    least point, its leader, and its length is the number of points that
+    carry that label.  A point p of a longer cycle can also be its own
+    label, but the window of its successor then ends before the cycle
+    comes back to p, so the successor carries another label; that closure
+    check, one gather on the candidate leaders, rejects p.  The scan never
+    reads the power images, so the divisor identity remains a real check.
     """
     samples, n = word_img.shape
-    step = word_img.reshape(-1)
+    base = word_img.reshape(-1)
+    step = base
     point = np.arange(step.size)
     label = point.copy()
-    for r in range((n - 1).bit_length()):
+    for r in range((min(dmax, n) - 1).bit_length()):
         if r:
             step = step.take(step)
         np.minimum(label, label.take(step), out=label)
     leader = np.flatnonzero(label == point)
+    leader = leader[label.take(base.take(leader)) == leader]
     length = np.bincount(label, minlength=step.size)[leader]
     short = length <= dmax
     cell = leader[short] // n * dmax + length[short] - 1
     return np.bincount(cell, minlength=samples * dmax).reshape(samples, dmax)
 
 
+class CoverCounts(NamedTuple):
+    """Integer counts of one batch, per word: the input of both experiments.
+
+    ``fixed[w]`` is F(w^k) for k = 1.. (samples, highest k asked), and
+    ``cycles[w]`` is C(w, d) for d = 1..dmax, for the scanned words only.
+    """
+
+    fixed: dict[Word, np.ndarray]
+    cycles: dict[Word, np.ndarray]
+
+
+def _bridge_powers(ev: SigmaEvaluator) -> list[tuple[Word, int]]:
+    """The bridge's class words in ``ev.rows`` order, each with its highest power."""
+    spectrum = ev.spectrum
+    kmaxes = [max(1, int(ev.L / ell)) for ell in spectrum.primitive_length[ev.rows]]
+    return list(zip(spectrum.words(ev.rows), kmaxes))
+
+
+def count_covers(
+    images: np.ndarray, records: list[Word], kmax: int, ev: SigmaEvaluator | None = None
+) -> CoverCounts:
+    """Count a batch once for the moment test and, given ``ev``, the bridge.
+
+    The moment words ``records`` get F(w^k) and C(w, d) up to ``kmax``;
+    the bridge words of ``ev`` get F(w^k) up to their own cutoff; a word
+    both need is counted once, to the higher k.  Per block of samples
+    each letter's image is built once and the words are walked in
+    prefix-trie (sorted) order, so a shared prefix is composed once and
+    one root-to-leaf path of images is alive at a time.  The counts are
+    stored in the narrowest dtype that holds n.
+    """
+    rank, samples, n = images.shape
+    powers = dict.fromkeys(records, kmax)
+    for word, km in [] if ev is None else _bridge_powers(ev):
+        powers[word] = max(km, powers.get(word, 0))
+    letters = {letter for word in powers for letter in word}
+    for letter in letters:
+        if letter == 0 or abs(letter) > rank:
+            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    dtype = np.min_scalar_type(n)
+    counts = CoverCounts(
+        {w: np.empty((samples, k), dtype) for w, k in powers.items()},
+        {w: np.empty((samples, kmax), dtype) for w in records},
+    )
+    for rows, block in _sample_blocks(images):
+        ident = np.arange(block[0].size).reshape(-1, n)
+        gens = _letter_images(block, letters, ident)
+        path: list[np.ndarray] = []  # images of the prefixes of the last word
+        last: Word = ()
+        for word in sorted(powers):
+            shared = next(
+                (i for i, (a, b) in enumerate(zip(last, word)) if a != b), min(len(last), len(word))
+            )
+            del path[shared:]
+            for letter in word[shared:]:
+                path.append(path[-1].take(gens[letter]) if path else gens[letter])
+            img = path[-1] if path else ident
+            counts.fixed[word][rows] = _power_fixed_counts(img, powers[word], ident)
+            if word in counts.cycles:
+                counts.cycles[word][rows] = _cycle_scan(img, kmax)
+            last = word
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # moment experiment
-
-
-def _class_counts(records: list[Word], images: np.ndarray, kmax: int):
-    """F(gamma^k) and C(gamma, d) for k, d = 1..kmax, each (samples, classes, kmax).
-
-    The block loop lives here so its last block and word image are freed
-    on return, before the caller's statistics allocate.
-    """
-    shape = (images.shape[1], len(records), kmax)
-    f = np.empty(shape, dtype=np.int64)
-    cycles = np.empty(shape, dtype=np.int64)
-    for rows, block in _sample_blocks(images):
-        for i, w in enumerate(records):
-            img = _word_images(block, w)
-            f[rows, i, :] = _power_fixed_counts(img, kmax)
-            cycles[rows, i, :] = _cycle_scan(img, kmax)
-    return f, cycles
 
 
 def moment_experiment(
@@ -200,42 +251,50 @@ def moment_experiment(
     n: int,
     samples: int,
     kmax: int = 6,
+    counts: CoverCounts | None = None,
 ) -> dict:
     """Empirical F_n moments against their n -> infinity laws.
 
     ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
     degree ``n``: both sizes repeat its shape and are checked against it,
     but stay, since ``bench/tracer.py`` binds ``records`` (one class word
-    per class) and ``samples`` by name.  The words'
-    classes must be primitive and pairwise non-inverse for the
-    cross-class decorrelation target to apply.  F is
-    counted from powers of the word image and cycle counts from an
+    per class) and ``samples`` by name.  ``counts`` is the run's one
+    counting pass (``count_covers``) when it already holds the words to
+    ``kmax``; by default this batch is counted for ``records`` alone.  F
+    is counted from powers of the word image and cycle counts from an
     independent cycle scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is
     asserted on every sample.
 
     Returns the ``moments`` mapping of the ``covers`` artifact.  ``cov``
     indexes the flattened (class, k) grid; its target is V(k1, k2)
-    within a class and 0 across classes.  Mean targets are d(k) for F
-    and 1/d for cycle counts.  Pass flags apply a 3-standard-error band.
+    within a class and 0 across classes.  That target holds for
+    primitive, pairwise non-inverse classes only.  The ``covers``
+    subcommand passes every record up to its cutoff, both orientations
+    included, and F(gamma^-1) = F(gamma) on every cover, so its inverse
+    pairs fail their cross-class entries (ROADMAP item 6(a)).  Mean
+    targets are d(k) for F and 1/d for cycle counts.  Pass flags apply a
+    3-standard-error band.
     """
     _check_batch(images, n, samples)
+    if counts is None:
+        counts = count_covers(images, records, kmax)
 
     nc = len(records)
-    f, cycles = _class_counts(records, images, kmax)
     # hard consistency: the divisor identity must hold on every sample
     divisors = _divisor_table(kmax)
     weighted = np.arange(1, kmax + 1)[:, None] * divisors  # entry [d-1, k-1] = d if d | k
-    bad = np.flatnonzero((f != cycles @ weighted).any(axis=(0, 1)))
-    if len(bad):
-        raise RuntimeError(f"fixed-point/cycle-count identity violated at k={bad[0] + 1}")
+    bad = np.zeros(kmax, dtype=bool)
+    for w in records:
+        bad |= (counts.fixed[w][:, :kmax] != counts.cycles[w] @ weighted).any(axis=0)
+    if bad.any():
+        raise RuntimeError(f"fixed-point/cycle-count identity violated at k={np.flatnonzero(bad)[0] + 1}")
 
     # one float copy of the counts at a time, centered and squared in place
-    cyc = cycles.reshape(samples, -1).astype(float)
-    del cycles
+    cyc = np.concatenate([counts.cycles[w] for w in records], axis=1, dtype=float)
     cycle_mean = cyc.mean(axis=0)
     cycle_se = cyc.std(axis=0, ddof=1) / math.sqrt(samples)
-    flat = f.reshape(samples, -1).astype(float)
-    del f, cyc
+    del cyc
+    flat = np.concatenate([counts.fixed[w][:, :kmax] for w in records], axis=1, dtype=float)
     mean = flat.mean(axis=0)
     mean_se = flat.std(axis=0, ddof=1) / math.sqrt(samples)
     centered = np.subtract(flat, mean, out=flat)
@@ -283,44 +342,40 @@ def _require_free(spectrum: LengthSpectrum) -> int:
 
 
 def empirical_cover_variance(
-    spectrum: LengthSpectrum,
-    char,
-    window: Window,
+    ev: SigmaEvaluator,
     lam: float,
-    L: float,
     images: np.ndarray,
     seed: int,
     centering: str = "batch",
+    counts: CoverCounts | None = None,
 ) -> dict:
     """Variance of the smoothed count fluctuation over sampled covers.
 
-    ``images`` is a batch from ``_batch_images``, of shape (rank,
-    samples, n) for ``samples`` covers of degree n; ``seed`` keys the
-    bootstrap stream.  Per sample,
+    ``ev`` is the run's evaluator: its spectrum, character, window and L
+    fix the classes and their coefficients.  ``images`` is a batch from
+    ``_batch_images``, of shape (rank, samples, n) for ``samples`` covers
+    of degree n; ``counts`` is the run's one counting pass when it holds
+    the bridge words of ``ev`` (by default this batch is counted for
+    them alone); ``seed`` keys the bootstrap stream.  Per sample,
     N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k) * A(gamma, k)
     over unoriented primitives.  Batch centering removes the O(1/n) mean
     bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
     Returns the ``bridge`` mapping of the ``covers`` artifact.
     """
-    _require_free(spectrum)
-    ev = SigmaEvaluator(spectrum, char, window, L)
+    _require_free(ev.spectrum)
     if centering not in ("batch", "dk"):
         raise Refused(f"unknown centering {centering!r}")
     samples, n = images.shape[1:]
     _check_batch(images, n, samples)
+    if counts is None:
+        counts = count_covers(images, [], 0, ev)
 
-    words = spectrum.words(ev.rows)
-    kmaxes = [max(1, int(L / ell)) for ell in spectrum.primitive_length[ev.rows]]
+    L = ev.L
     coeffs = ev.coefficients(lam)
     dk = _divisor_table(ev.kmax).sum(axis=0).astype(float)
-
-    counts = [np.empty((samples, km), dtype=np.int64) for km in kmaxes]
-    for rows, block in _sample_blocks(images):
-        for word, km, f in zip(words, kmaxes, counts):
-            f[rows] = _power_fixed_counts(_word_images(block, word), km)
     vals = np.zeros(samples)
-    for i, (km, f) in enumerate(zip(kmaxes, counts)):
-        f = f.astype(float)
+    for i, (word, km) in enumerate(_bridge_powers(ev)):
+        f = counts.fixed[word][:, :km].astype(float)
         f -= f.mean(axis=0) if centering == "batch" else dk[:km]
         vals += f @ coeffs[:km, i]
     vals *= 2.0 / L
@@ -346,6 +401,6 @@ def empirical_cover_variance(
         "lambda": lam,
         "L": L,
         "centering": centering,
-        "window": window.kind,
+        "window": ev.window.kind,
         "character": ev.char_id,
     }

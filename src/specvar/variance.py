@@ -187,7 +187,7 @@ class SigmaEvaluator:
 
     def __init__(self, spectrum: LengthSpectrum, char, window: Window, L: float):
         _require_certified(spectrum, L)
-        self.L = float(L)
+        self.spectrum, self.window, self.L = spectrum, window, float(L)
         self.char_id = character_id(char)
         self.rows, self.weights, self.freqs = coefficient_table(
             spectrum, unoriented_rows(spectrum), char, window, L

@@ -886,6 +886,23 @@ def eval_perm(rep: PermutationRep, word: Word) -> np.ndarray:
     return out
 
 
+def batch_word_images(images: np.ndarray, word: Word) -> np.ndarray:
+    """Word image on a widened block of ``_sample_blocks``, composed left to right like ``eval_perm``."""
+    rank = images.shape[0]
+    for letter in word:
+        if letter == 0 or abs(letter) > rank:
+            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    out = np.arange(images[0].size).reshape(images[0].shape)
+    for letter in word:
+        p = images[abs(letter) - 1]
+        if letter < 0:
+            inv = np.empty_like(p)
+            np.put(inv, p, np.arange(p.size))
+            p = inv
+        out = out.take(p)
+    return out
+
+
 def fixed_points(rep: PermutationRep, word: Word) -> int:
     perm = eval_perm(rep, word)
     return int(np.count_nonzero(perm == np.arange(rep.n)))

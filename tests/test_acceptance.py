@@ -115,7 +115,7 @@ def test_criterion_04_cover_moments():
 
 def test_criterion_05_cover_variance_bridge(pants12):
     images = _batch_images(2, 300, 20000, SEED)
-    rep = empirical_cover_variance(pants12, None, TRI, 1e4, 8.0, images, SEED)
+    rep = empirical_cover_variance(SigmaEvaluator(pants12, None, TRI, 8.0), 1e4, images, SEED)
     estimate, limit = rep["estimate"], rep["sigma2Limit"]
     z = abs(estimate - limit) / rep["bootstrapSE"]
     _verdict(5, rep["agrees"], f"cover variance {estimate:.5f} vs limit {limit:.5f}, |z| {z:.2f} <= 3")

@@ -8,6 +8,9 @@ traced CLI run in process checks every binding; ``bench/selftest.py``
 checks the same on spawned workers, but it is not part of this test
 suite.  ``bench/workloads.py`` holds the command lines the benchmark
 runs, so a flag it passes that the CLI no longer declares fails here.
+The benchmark's ``covers`` operation also runs here at the reference
+seed and is checked against ``bench/reference`` as the benchmark checks
+it, so a moved cover count fails before the benchmark runs.
 """
 
 import importlib.util
@@ -95,3 +98,14 @@ def test_every_workload_operation_parses():
         for op in ops:
             argv = op.command("out", workloads.REFERENCE_SEED, "spectrum.csv")
             assert parser.parse_args(argv).subcommand == op.argv[0], op.name
+
+
+def test_benchmark_covers_op_matches_its_reference(tmp_path):
+    # n = 300, 5,000 samples: the montecarlo workload's covers operation
+    from specvar.cli import EXIT_OK, main
+
+    workloads, check = _bench_module("workloads"), _bench_module("check")
+    (op,) = [op for op in workloads.WORKLOADS["montecarlo"] if op.name == "covers"]
+    assert main(op.command(str(tmp_path), workloads.REFERENCE_SEED)) == EXIT_OK
+    path = os.path.join(tmp_path, op.out_name)
+    assert check.check_output(op, path, workloads.REFERENCE_SEED, check.load_reference()) == []

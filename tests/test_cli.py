@@ -18,6 +18,7 @@ from specvar.covers import _batch_images, empirical_cover_variance, moment_exper
 from specvar.dynamics import empirical_transition, orbit_clt_experiment, sum_rule_check
 from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
 from specvar.report import FORMAT_VERSION
+from specvar.variance import SigmaEvaluator
 from specvar.windows import window
 
 SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "artifact-schemas.md"
@@ -72,7 +73,7 @@ def test_experiments_return_their_documented_artifact(octagon12):
     sur = PoissonSurrogate(spectrum, None, tri, lam=1e4, L=8.0, seed=3)
     results = {
         "`result.moments`": moment_experiment([(1,), (1, -2)], images, 20, 50, kmax=4),
-        "`result.bridge`": empirical_cover_variance(spectrum, None, tri, 1e4, 6.0, images, 3),
+        "`result.bridge`": empirical_cover_variance(SigmaEvaluator(spectrum, None, tri, 6.0), 1e4, images, 3),
         "`result.cumulants`": exact_cumulants(sur),
         "`result.clt`": clt_test(sur, 100),
         "## `ergodicity` JSON result": ergodicity_experiment(sur, 25.0, 20, eps=50.0),
@@ -655,10 +656,17 @@ def test_short_spectrum_file_is_refused_before_any_write(tmp_path, pants_csv, ca
         (["orbit-clt", "--T", "-3"], "--T"),
         (["average", "--L", "5", "--lambda", "1e4", "--band", "nan"], "--band"),
         (["average", "--L", "5", "--lambda", "1e4", "--band", "inf"], "--band"),
+        (["covers", "--n", "20", "--samples", "100", "--seed", "1", "--moment-lmax", "nan"],
+         "--moment-lmax"),
+        (["covers", "--n", "20", "--samples", "100", "--seed", "1", "--moment-lmax", "0"],
+         "--moment-lmax"),
+        (["dirichlet", "--L", "5", "--lam-max", "nan"], "--lam-max"),
+        (["dirichlet", "--L", "5", "--lam-max", "inf"], "--lam-max"),
     ],
     ids=["empty-s-grid", "empty-L-grid", "zero-lambda", "negative-span", "nan-delta",
          "nan-transition-delta", "nan-Y", "unit-Y", "nan-flux-scale", "nan-variance",
-         "nan-epsilon", "negative-T", "nan-band", "inf-band"],
+         "nan-epsilon", "negative-T", "nan-band", "inf-band", "nan-moment-lmax",
+         "zero-moment-lmax", "nan-lam-max", "inf-lam-max"],
 )
 def test_bad_grid_or_scale_is_refused_at_parse_time(tmp_path, pants_csv, capsys, argv, flag):
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ import specvar.covers as covers
 import specvar.fuchsian as F
 from oracles import (
     PermutationRep,
+    batch_word_images,
     cycle_counts,
     divisor_count,
     eval_perm,
@@ -25,12 +26,12 @@ from specvar.covers import (
     _cycle_scan,
     _power_fixed_counts,
     _sample_blocks,
-    _word_images,
+    count_covers,
     empirical_cover_variance,
     moment_experiment,
 )
 from specvar.characters import FluxCharacter
-from specvar.variance import SpectrumTooShort, sigma2_limit
+from specvar.variance import SigmaEvaluator, SpectrumTooShort, sigma2_limit
 from specvar.windows import window
 
 
@@ -45,7 +46,7 @@ def moments(words, n, samples, seed, kmax, rank=2):
 
 def bridge(spectrum, char, win, lam, L, n, samples, seed, **kw):
     images = _batch_images(spectrum.group.rank, n, samples, seed)
-    return empirical_cover_variance(spectrum, char, win, lam, L, images, seed, **kw)
+    return empirical_cover_variance(SigmaEvaluator(spectrum, char, win, L), lam, images, seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +182,10 @@ def test_batch_matches_scalar_rows():
     # row s of a widened block holds sample s's permutation offset by s*n
     rank, n, samples, seed = 2, 23, 15, 77
     ((_, block),) = _sample_blocks(_batch_images(rank, n, samples, seed))
+    ident = np.arange(samples * n).reshape(samples, n)
     for w in [(1,), (1, 2), (-2, 1, 1)]:
-        batch = _word_images(block, w)
-        fbatch = _power_fixed_counts(batch, 5)
+        batch = batch_word_images(block, w)
+        fbatch = _power_fixed_counts(batch, 5, ident)
         cbatch = _cycle_scan(batch, 5)
         for s in range(samples):
             rep = sample_rep(rank, n, seed, sample_index=s)
@@ -231,40 +233,94 @@ def test_batch_must_be_unsigned():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=40).flatmap(
-    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)
+    lambda n: st.tuples(
+        st.lists(st.permutations(range(n)), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=n + 2),
+    )
 ))
-def test_cycle_scan_matches_walk(rows):
-    # pointer doubling against the plain cycle walk, every cycle length
+def test_cycle_scan_matches_walk(case):
+    # pointer doubling, stopped once its window covers dmax, against the
+    # plain cycle walk
+    rows, dmax = case
     n = len(rows[0])
     batch = np.array(rows, dtype=np.int64) + np.arange(len(rows))[:, None] * n
-    scan = _cycle_scan(batch, n)
+    scan = _cycle_scan(batch, dmax)
     for s, row in enumerate(rows):
         rep = PermutationRep(n=n, images=(np.array(row),), seed=0)
-        assert np.array_equal(scan[s], cycle_counts(rep, (1,), n))
+        assert np.array_equal(scan[s], cycle_counts(rep, (1,), dmax))
+
+
+def test_cycle_scan_rejects_leaders_of_partial_windows():
+    # one 40-cycle that visits 0, 1, .., 7 at every fifth step: with
+    # dmax = 6 the scan stops at 8-point windows, and the minima 1 .. 6
+    # each lead the 5 windows that hold no smaller minimum.  Only the
+    # closure check keeps those 6 leaders out of C(gamma, 5)
+    minima, rest = iter(range(8)), iter(range(8, 40))
+    order = [next(minima) if i % 5 == 0 else next(rest) for i in range(40)]
+    perm = np.empty(40, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    assert np.array_equal(_cycle_scan(perm[None, :], 6), np.zeros((1, 6), dtype=np.int64))
+    assert _cycle_scan(perm[None, :], 40)[0, 39] == 1
+    assert np.array_equal(_cycle_scan(np.zeros((1, 1), dtype=np.int64), 1), [[1]])
 
 
 def test_word_images_rejects_out_of_range_letters():
     images = _batch_images(2, 5, 3, seed=1)
     for letter in (0, 3, -3):
         with pytest.raises(ValueError):
-            _word_images(images, (1, letter))
+            batch_word_images(images, (1, letter))
+        with pytest.raises(ValueError):
+            count_covers(images, [(1, letter)], 2)
     with pytest.raises(ValueError):
         moment_experiment([(0,)], images, 5, 3)
+
+
+@pytest.mark.parametrize("kmax", [2, 5])
+@pytest.mark.parametrize("block_samples", [None, 2])
+def test_one_pass_counts_match_per_sample_oracles(monkeypatch, pants, block_samples, kmax):
+    # shared prefixes, inverse letters, words out of trie order, and words
+    # both experiments count: the bridge counts (1,) to k = 3 and (1, 2) to
+    # k = 2, so at kmax = 2 the bridge needs the higher k and at 5 the
+    # moment test does
+    rank, n, samples, seed = 2, 23, 15, 4
+    images = _batch_images(rank, n, samples, seed)
+    if block_samples:
+        monkeypatch.setattr(covers, "_BLOCK_POINTS", block_samples * n)
+        assert len(list(_sample_blocks(images))) == 8
+    ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
+    records = [(1, 2, 2), (-1, -2), (1,), (1, -2), (1, 2)]
+    counts = count_covers(images, records, kmax, ev)
+    powers = dict(covers._bridge_powers(ev))
+    assert (powers[(1,)], powers[(1, 2)]) == (3, 2)
+    assert set(counts.fixed) == set(records) | set(powers)
+    assert set(counts.cycles) == set(records)
+    for s in range(samples):
+        rep = sample_rep(rank, n, seed, sample_index=s)
+        for w, f in counts.fixed.items():
+            k = max(kmax if w in records else 0, powers.get(w, 0))
+            assert f.shape == (samples, k)
+            assert np.array_equal(f[s], fixed_points_of_powers(rep, w, k)), (s, w)
+        for w in records:
+            assert np.array_equal(counts.cycles[w][s], cycle_counts(rep, w, kmax)), (s, w)
 
 
 def test_sample_blocks_do_not_change_results(monkeypatch, pants):
     # blocks of 2 samples (the last one short) against a single block
     n, samples, seed = 23, 15, 4
     images = _batch_images(2, n, samples, seed)
-    tri = window("triangle")
+    ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
     whole_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
-    whole_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, seed)
+    whole_b = empirical_cover_variance(ev, 100.0, images, seed)
     monkeypatch.setattr(covers, "_BLOCK_POINTS", 2 * n)
     assert len(list(covers._sample_blocks(images))) == 8
     blocked_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
-    blocked_b = empirical_cover_variance(pants, None, tri, 100.0, 6.0, images, seed)
+    blocked_b = empirical_cover_variance(ev, 100.0, images, seed)
     assert blocked_m == whole_m
     assert blocked_b == whole_b
+    # one pass for both experiments, as the covers subcommand counts
+    shared = count_covers(images, [(1,), (1, -2)], 5, ev)
+    assert moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5, counts=shared) == whole_m
+    assert empirical_cover_variance(ev, 100.0, images, seed, counts=shared) == whole_b
 
 
 def test_batch_shape_must_match_degree_and_samples():
