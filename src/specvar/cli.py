@@ -293,10 +293,8 @@ def _covers(a, spectrum, char, w):
     images = _batch_images(rank, a.n, a.samples, a.seed)
     # one counting pass over the batch serves both experiments
     counts = count_covers(images, words, a.kmax, ev)
-    moments = moment_experiment(words, images, a.n, a.samples, kmax=a.kmax, counts=counts)
-    bridge = None if ev is None else empirical_cover_variance(
-        ev, a.lam, images, a.seed, centering=a.centering, counts=counts
-    )
+    moments = moment_experiment(words, counts, a.n, a.samples, kmax=a.kmax)
+    bridge = None if ev is None else empirical_cover_variance(ev, a.lam, counts, a.seed, centering=a.centering)
     passed = moments["passed"] and (bridge is None or bridge["agrees"])
     summary = f"{len(words)} classes, n={a.n}, samples={a.samples}"
     return {"moments": moments, "bridge": bridge}, passed, summary

@@ -71,7 +71,7 @@ def _batch_images(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
     per-sample draw and independent of any batching or parallel split.
     The dtype is the narrowest unsigned one that holds n - 1; arithmetic
     on it wraps, so only ``_sample_blocks`` reads it, widening first.  A
-    run draws its batch once and every experiment of the run reads it.
+    run draws its batch once and counts it once, in ``count_covers``.
     """
     _check_sizes(n, samples)
     out = np.empty((rank, samples, n), dtype=np.min_scalar_type(n - 1))
@@ -102,19 +102,6 @@ def _check_sizes(n: int, samples: int) -> None:
         raise Refused(f"cover degree must be at least 1, got {n}")
     if samples < 2:
         raise Refused(f"need at least 2 samples, got {samples}")
-
-
-def _check_batch(images: np.ndarray, n: int, samples: int) -> None:
-    _check_sizes(n, samples)
-    if images.shape[1:] != (samples, n):
-        raise ValueError(
-            f"batch images have shape {images.shape[1:]}, expected ({samples}, {n})"
-        )
-    if images.dtype.kind != "u":
-        raise ValueError(
-            f"batch images have dtype {images.dtype}; _batch_images stores "
-            "relative permutations in an unsigned dtype"
-        )
 
 
 def _letter_images(block: np.ndarray, letters: set[int], ident: np.ndarray) -> dict[int, np.ndarray]:
@@ -180,12 +167,22 @@ def _cycle_scan(word_img: np.ndarray, dmax: int) -> np.ndarray:
 class CoverCounts(NamedTuple):
     """Integer counts of one batch, per word: the input of both experiments.
 
-    ``fixed[w]`` is F(w^k) for k = 1.. (samples, highest k asked), and
-    ``cycles[w]`` is C(w, d) for d = 1..dmax, for the scanned words only.
+    ``samples`` covers of degree ``n``.  ``fixed[w]`` is F(w^k) for
+    k = 1.. (samples, highest k asked), and ``cycles[w]`` is C(w, d) for
+    d = 1..dmax, for the scanned words only.
     """
 
+    n: int
+    samples: int
     fixed: dict[Word, np.ndarray]
     cycles: dict[Word, np.ndarray]
+
+
+def _counted(table: dict[Word, np.ndarray], word: Word, k: int) -> np.ndarray:
+    """Columns 1..k of a word's counts; refuses counts that stop short of them."""
+    if word not in table or table[word].shape[1] < k:
+        raise ValueError(f"the counts do not reach word {word} at k = {k}; pass it to count_covers")
+    return table[word][:, :k]
 
 
 def _bridge_powers(ev: SigmaEvaluator) -> list[tuple[Word, int]]:
@@ -206,9 +203,16 @@ def count_covers(
     each letter's image is built once and the words are walked in
     prefix-trie (sorted) order, so a shared prefix is composed once and
     one root-to-leaf path of images is alive at a time.  The counts are
-    stored in the narrowest dtype that holds n.
+    stored in the narrowest dtype that holds n.  ``images`` is a batch
+    from ``_batch_images``, of shape (rank, samples, n).
     """
     rank, samples, n = images.shape
+    _check_sizes(n, samples)
+    if images.dtype.kind != "u":
+        raise ValueError(
+            f"batch images have dtype {images.dtype}; _batch_images stores "
+            "relative permutations in an unsigned dtype"
+        )
     powers = dict.fromkeys(records, kmax)
     for word, km in [] if ev is None else _bridge_powers(ev):
         powers[word] = max(km, powers.get(word, 0))
@@ -218,6 +222,8 @@ def count_covers(
             raise ValueError(f"letter {letter} out of range for rank {rank}")
     dtype = np.min_scalar_type(n)
     counts = CoverCounts(
+        n,
+        samples,
         {w: np.empty((samples, k), dtype) for w, k in powers.items()},
         {w: np.empty((samples, kmax), dtype) for w in records},
     )
@@ -246,24 +252,17 @@ def count_covers(
 
 
 def moment_experiment(
-    records: list[Word],
-    images: np.ndarray,
-    n: int,
-    samples: int,
-    kmax: int = 6,
-    counts: CoverCounts | None = None,
+    records: list[Word], counts: CoverCounts, n: int, samples: int, kmax: int = 6
 ) -> dict:
     """Empirical F_n moments against their n -> infinity laws.
 
-    ``images`` is a batch from ``_batch_images`` of ``samples`` covers of
-    degree ``n``: both sizes repeat its shape and are checked against it,
-    but stay, since ``bench/tracer.py`` binds ``records`` (one class word
-    per class) and ``samples`` by name.  ``counts`` is the run's one
-    counting pass (``count_covers``) when it already holds the words to
-    ``kmax``; by default this batch is counted for ``records`` alone.  F
-    is counted from powers of the word image and cycle counts from an
-    independent cycle scan; F(gamma^k) = sum_{d|k} d*C(gamma,d) is
-    asserted on every sample.
+    ``counts`` is the run's counting pass (``count_covers``), which must
+    hold ``records`` (one class word per class) to ``kmax``, of
+    ``samples`` covers of degree ``n``: both sizes repeat the counts'
+    and are checked against them, but stay, since ``bench/tracer.py``
+    binds ``records`` and ``samples`` by name.  F is counted from powers
+    of the word image and cycle counts from an independent cycle scan;
+    F(gamma^k) = sum_{d|k} d*C(gamma,d) is asserted on every sample.
 
     Returns the ``moments`` mapping of the ``covers`` artifact.  ``cov``
     indexes the flattened (class, k) grid; its target is V(k1, k2)
@@ -275,26 +274,30 @@ def moment_experiment(
     targets are d(k) for F and 1/d for cycle counts.  Pass flags apply a
     3-standard-error band.
     """
-    _check_batch(images, n, samples)
-    if counts is None:
-        counts = count_covers(images, records, kmax)
+    if (counts.n, counts.samples) != (n, samples):
+        raise ValueError(
+            f"the counts are of {counts.samples} covers of degree {counts.n}, "
+            f"expected {samples} of degree {n}"
+        )
+    fixed = [_counted(counts.fixed, w, kmax) for w in records]
+    cycles = [_counted(counts.cycles, w, kmax) for w in records]
 
     nc = len(records)
     # hard consistency: the divisor identity must hold on every sample
     divisors = _divisor_table(kmax)
     weighted = np.arange(1, kmax + 1)[:, None] * divisors  # entry [d-1, k-1] = d if d | k
     bad = np.zeros(kmax, dtype=bool)
-    for w in records:
-        bad |= (counts.fixed[w][:, :kmax] != counts.cycles[w] @ weighted).any(axis=0)
+    for f, c in zip(fixed, cycles):
+        bad |= (f != c @ weighted).any(axis=0)
     if bad.any():
         raise RuntimeError(f"fixed-point/cycle-count identity violated at k={np.flatnonzero(bad)[0] + 1}")
 
     # one float copy of the counts at a time, centered and squared in place
-    cyc = np.concatenate([counts.cycles[w] for w in records], axis=1, dtype=float)
+    cyc = np.concatenate(cycles, axis=1, dtype=float)
     cycle_mean = cyc.mean(axis=0)
     cycle_se = cyc.std(axis=0, ddof=1) / math.sqrt(samples)
     del cyc
-    flat = np.concatenate([counts.fixed[w][:, :kmax] for w in records], axis=1, dtype=float)
+    flat = np.concatenate(fixed, axis=1, dtype=float)
     mean = flat.mean(axis=0)
     mean_se = flat.std(axis=0, ddof=1) / math.sqrt(samples)
     centered = np.subtract(flat, mean, out=flat)
@@ -342,21 +345,14 @@ def _require_free(spectrum: LengthSpectrum) -> int:
 
 
 def empirical_cover_variance(
-    ev: SigmaEvaluator,
-    lam: float,
-    images: np.ndarray,
-    seed: int,
-    centering: str = "batch",
-    counts: CoverCounts | None = None,
+    ev: SigmaEvaluator, lam: float, counts: CoverCounts, seed: int, centering: str = "batch"
 ) -> dict:
     """Variance of the smoothed count fluctuation over sampled covers.
 
     ``ev`` is the run's evaluator: its spectrum, character, window and L
-    fix the classes and their coefficients.  ``images`` is a batch from
-    ``_batch_images``, of shape (rank, samples, n) for ``samples`` covers
-    of degree n; ``counts`` is the run's one counting pass when it holds
-    the bridge words of ``ev`` (by default this batch is counted for
-    them alone); ``seed`` keys the bootstrap stream.  Per sample,
+    fix the classes and their coefficients.  ``counts`` is the run's
+    counting pass (``count_covers`` given ``ev``), which must hold the
+    bridge words of ``ev``; ``seed`` keys the bootstrap stream.  Per sample,
     N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k) * A(gamma, k)
     over unoriented primitives.  Batch centering removes the O(1/n) mean
     bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
@@ -365,17 +361,14 @@ def empirical_cover_variance(
     _require_free(ev.spectrum)
     if centering not in ("batch", "dk"):
         raise Refused(f"unknown centering {centering!r}")
-    samples, n = images.shape[1:]
-    _check_batch(images, n, samples)
-    if counts is None:
-        counts = count_covers(images, [], 0, ev)
+    n, samples = counts.n, counts.samples
 
     L = ev.L
     coeffs = ev.coefficients(lam)
     dk = _divisor_table(ev.kmax).sum(axis=0).astype(float)
     vals = np.zeros(samples)
     for i, (word, km) in enumerate(_bridge_powers(ev)):
-        f = counts.fixed[word][:, :km].astype(float)
+        f = _counted(counts.fixed, word, km).astype(float)
         f -= f.mean(axis=0) if centering == "batch" else dk[:km]
         vals += f @ coeffs[:km, i]
     vals *= 2.0 / L

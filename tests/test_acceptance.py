@@ -15,7 +15,7 @@ import pytest
 import specvar.fuchsian as F
 from oracles import cluster_sum, exact_cover_moment, record_det, sigma2_gse, spectrum_rows
 from specvar.characters import FluxCharacter, haar_sigma_constant
-from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
+from specvar.covers import _batch_images, count_covers, empirical_cover_variance, moment_experiment
 from specvar.dynamics import (
     empirical_transition,
     orbit_clt_experiment,
@@ -96,7 +96,8 @@ def test_criterion_03_haar_moments():
 
 def test_criterion_04_cover_moments():
     # distinct primitives: the two free generators; targets d(k), V(k1,k2), 0
-    stats = moment_experiment([(2,), (1,)], _batch_images(2, 300, 20000, 7), 300, 20000, kmax=6)
+    counts = count_covers(_batch_images(2, 300, 20000, 7), [(2,), (1,)], 6)
+    stats = moment_experiment([(2,), (1,)], counts, 300, 20000, kmax=6)
     checks = {
         "E[F(g)]": (stats["fMean"][0][0], 1.0, stats["fMeanSE"][0][0]),
         "E[F(g^6)]": (stats["fMean"][0][5], 4.0, stats["fMeanSE"][0][5]),
@@ -114,8 +115,9 @@ def test_criterion_04_cover_moments():
 
 
 def test_criterion_05_cover_variance_bridge(pants12):
-    images = _batch_images(2, 300, 20000, SEED)
-    rep = empirical_cover_variance(SigmaEvaluator(pants12, None, TRI, 8.0), 1e4, images, SEED)
+    ev = SigmaEvaluator(pants12, None, TRI, 8.0)
+    counts = count_covers(_batch_images(2, 300, 20000, SEED), [], 0, ev)
+    rep = empirical_cover_variance(ev, 1e4, counts, SEED)
     estimate, limit = rep["estimate"], rep["sigma2Limit"]
     z = abs(estimate - limit) / rep["bootstrapSE"]
     _verdict(5, rep["agrees"], f"cover variance {estimate:.5f} vs limit {limit:.5f}, |z| {z:.2f} <= 3")

@@ -14,7 +14,7 @@ import pytest
 import oracles
 import specvar.fuchsian as F
 from specvar.cli import _THREAD_VARS, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
-from specvar.covers import _batch_images, empirical_cover_variance, moment_experiment
+from specvar.covers import _batch_images, count_covers, empirical_cover_variance, moment_experiment
 from specvar.dynamics import empirical_transition, orbit_clt_experiment, sum_rule_check
 from specvar.poisson import PoissonSurrogate, clt_test, ergodicity_experiment, exact_cumulants
 from specvar.report import FORMAT_VERSION
@@ -69,11 +69,12 @@ def test_experiments_return_their_documented_artifact(octagon12):
     # the Monte Carlo experiments return the JSON mapping the CLI writes
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
     tri = window("triangle")
-    images = _batch_images(2, 20, 50, seed=3)
+    ev = SigmaEvaluator(spectrum, None, tri, 6.0)
+    counts = count_covers(_batch_images(2, 20, 50, seed=3), [(1,), (1, -2)], 4, ev)
     sur = PoissonSurrogate(spectrum, None, tri, lam=1e4, L=8.0, seed=3)
     results = {
-        "`result.moments`": moment_experiment([(1,), (1, -2)], images, 20, 50, kmax=4),
-        "`result.bridge`": empirical_cover_variance(SigmaEvaluator(spectrum, None, tri, 6.0), 1e4, images, 3),
+        "`result.moments`": moment_experiment([(1,), (1, -2)], counts, 20, 50, kmax=4),
+        "`result.bridge`": empirical_cover_variance(ev, 1e4, counts, 3),
         "`result.cumulants`": exact_cumulants(sur),
         "`result.clt`": clt_test(sur, 100),
         "## `ergodicity` JSON result": ergodicity_experiment(sur, 25.0, 20, eps=50.0),

@@ -41,12 +41,14 @@ def pants():
 
 
 def moments(words, n, samples, seed, kmax, rank=2):
-    return moment_experiment(words, _batch_images(rank, n, samples, seed), n, samples, kmax)
+    counts = count_covers(_batch_images(rank, n, samples, seed), words, kmax)
+    return moment_experiment(words, counts, n, samples, kmax)
 
 
 def bridge(spectrum, char, win, lam, L, n, samples, seed, **kw):
-    images = _batch_images(spectrum.group.rank, n, samples, seed)
-    return empirical_cover_variance(SigmaEvaluator(spectrum, char, win, L), lam, images, seed, **kw)
+    ev = SigmaEvaluator(spectrum, char, win, L)
+    counts = count_covers(_batch_images(spectrum.group.rank, n, samples, seed), [], 0, ev)
+    return empirical_cover_variance(ev, lam, counts, seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def test_batch_must_be_unsigned():
     images = _batch_images(2, 5, 4, seed=1)
     absolute = images.astype(np.int64) + (np.arange(4) * 5)[:, None]
     with pytest.raises(ValueError, match="unsigned"):
-        moment_experiment([(1,)], absolute, 5, 4)
+        count_covers(absolute, [(1,)], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,10 +271,8 @@ def test_word_images_rejects_out_of_range_letters():
     for letter in (0, 3, -3):
         with pytest.raises(ValueError):
             batch_word_images(images, (1, letter))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             count_covers(images, [(1, letter)], 2)
-    with pytest.raises(ValueError):
-        moment_experiment([(0,)], images, 5, 3)
 
 
 @pytest.mark.parametrize("kmax", [2, 5])
@@ -305,32 +305,51 @@ def test_one_pass_counts_match_per_sample_oracles(monkeypatch, pants, block_samp
 
 
 def test_sample_blocks_do_not_change_results(monkeypatch, pants):
-    # blocks of 2 samples (the last one short) against a single block
+    # blocks of 2 samples (the last one short) against a single block, and
+    # one pass for both experiments, as the covers subcommand counts,
+    # against a pass for each
     n, samples, seed = 23, 15, 4
+    records = [(1,), (1, -2)]
     images = _batch_images(2, n, samples, seed)
     ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
-    whole_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
-    whole_b = empirical_cover_variance(ev, 100.0, images, seed)
+    whole_m = moment_experiment(records, count_covers(images, records, 5), n, samples, kmax=5)
+    whole_b = empirical_cover_variance(ev, 100.0, count_covers(images, [], 0, ev), seed)
     monkeypatch.setattr(covers, "_BLOCK_POINTS", 2 * n)
     assert len(list(covers._sample_blocks(images))) == 8
-    blocked_m = moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5)
-    blocked_b = empirical_cover_variance(ev, 100.0, images, seed)
-    assert blocked_m == whole_m
-    assert blocked_b == whole_b
-    # one pass for both experiments, as the covers subcommand counts
-    shared = count_covers(images, [(1,), (1, -2)], 5, ev)
-    assert moment_experiment([(1,), (1, -2)], images, n, samples, kmax=5, counts=shared) == whole_m
-    assert empirical_cover_variance(ev, 100.0, images, seed, counts=shared) == whole_b
+    shared = count_covers(images, records, 5, ev)
+    assert moment_experiment(records, shared, n, samples, kmax=5) == whole_m
+    assert empirical_cover_variance(ev, 100.0, shared, seed) == whole_b
 
 
 def test_batch_shape_must_match_degree_and_samples():
+    counts = count_covers(_batch_images(2, 5, 4, seed=1), [(1,)], 2)
+    with pytest.raises(ValueError, match="degree"):
+        moment_experiment([(1,)], counts, 6, 4, kmax=2)
+    with pytest.raises(ValueError, match="degree"):
+        moment_experiment([(1,)], counts, 5, 3, kmax=2)
+    with pytest.raises(ValueError):
+        count_covers(_batch_images(2, 0, 4, seed=1), [(1,)], 2)
+
+
+def test_experiments_refuse_counts_that_stop_short(pants):
+    # a word the counts lack, or a power past the ones they hold, is
+    # refused instead of read out of another word's or power's columns
     images = _batch_images(2, 5, 4, seed=1)
-    with pytest.raises(ValueError):
-        moment_experiment([(1,)], images, 6, 4)
-    with pytest.raises(ValueError):
-        moment_experiment([(1,)], images, 5, 3)
-    with pytest.raises(ValueError):
-        moment_experiment([(1,)], _batch_images(2, 0, 4, seed=1), 0, 4)
+    counts = count_covers(images, [(1,), (2,)], 3)
+    assert moment_experiment([(2,), (1,)], counts, 5, 4, kmax=2)["kmax"] == 2
+    with pytest.raises(ValueError, match="do not reach"):
+        moment_experiment([(1,), (1, 2)], counts, 5, 4, kmax=3)
+    with pytest.raises(ValueError, match="do not reach"):
+        moment_experiment([(1,)], counts, 5, 4, kmax=4)
+    ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
+    with pytest.raises(ValueError, match="do not reach"):
+        empirical_cover_variance(ev, 100.0, counts, 1)
+    # every bridge word present, but cut to its first power: (1,) needs 3
+    full = count_covers(images, [], 0, ev)
+    assert empirical_cover_variance(ev, 100.0, full, 1)["n"] == 5
+    short = full._replace(fixed={w: f[:, :1] for w, f in full.fixed.items()})
+    with pytest.raises(ValueError, match=r"\(1,\) at k = 3"):
+        empirical_cover_variance(ev, 100.0, short, 1)
 
 
 # ---------------------------------------------------------------------------
