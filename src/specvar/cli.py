@@ -285,18 +285,18 @@ def _covers(a, spectrum, char, w):
     from .covers import _batch_images, _require_free, count_covers, empirical_cover_variance, moment_experiment
     from .variance import SigmaEvaluator
 
-    words = spectrum.words(spectrum.length <= a.moment_lmax)
-    if not words:
+    rows = (spectrum.length <= a.moment_lmax).nonzero()[0]
+    if not len(rows):
         raise ConfigError(f"no classes of length <= {a.moment_lmax:g} for the moment test")
     rank = _require_free(spectrum)
     ev = None if a.L is None else SigmaEvaluator(spectrum, char, w, a.L)
     images = _batch_images(rank, a.n, a.samples, a.seed)
     # one counting pass over the batch serves both experiments
-    counts = count_covers(images, words, a.kmax, ev)
-    moments = moment_experiment(words, counts, a.n, a.samples, kmax=a.kmax)
+    counts = count_covers(images, spectrum, rows, a.kmax, ev)
+    moments = moment_experiment(rows, counts, a.n, a.samples, kmax=a.kmax)
     bridge = None if ev is None else empirical_cover_variance(ev, a.lam, counts, a.seed, centering=a.centering)
     passed = moments["passed"] and (bridge is None or bridge["agrees"])
-    summary = f"{len(words)} classes, n={a.n}, samples={a.samples}"
+    summary = f"{len(rows)} classes, n={a.n}, samples={a.samples}"
     return {"moments": moments, "bridge": bridge}, passed, summary
 
 
@@ -452,7 +452,6 @@ class _Command(NamedTuple):
     depth: Callable | None  # args -> certified length the run needs; None reads no spectrum
     flags: tuple  # (names, add_argument keywords); every row also takes --config, --threads, --out, --check
     validate: Callable = lambda args: None  # raises ConfigError before any work
-    suffix: str = ""  # appended to --out unless it already ends with it
 
 
 COMMANDS = {
@@ -469,7 +468,6 @@ COMMANDS = {
             _flag("--target", default="auto", choices=["auto", "goe", "gue"], help="ensemble constant to compare against"),
             _flag("--band", type=_finite_positive, default=0.25, help="check band as a fraction of the target"),
         ),
-        suffix=".json",
     ),
     "dirichlet": _Command(
         "find a frequency aligning all geodesic phases", _dirichlet, "json", lambda a: a.L, (
@@ -563,17 +561,16 @@ def _run(name: str, args) -> int:
 
     artifact, passed, summary = cmd.call(args, spectrum, char, w)
 
-    out = args.out if args.out.endswith(cmd.suffix) else args.out + cmd.suffix
     if cmd.writer == "json":
-        json_report(out, config, artifact)
+        json_report(args.out, config, artifact)
     elif cmd.writer == "csv":
-        csv_report(out, config, list(artifact), zip(*artifact.values()))
+        csv_report(args.out, config, list(artifact), zip(*artifact.values()))
     else:
         from .fuchsian import spectrum_to_csv
 
-        spectrum_to_csv(artifact, out)
+        spectrum_to_csv(artifact, args.out)
 
-    print(f"{out}: {summary}")
+    print(f"{args.out}: {summary}")
     if args.check and not passed:
         print("check: FAIL", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -9,16 +9,19 @@ vectorized power compositions.
 
 A run draws its batch of covers once (``_batch_images``) and counts it
 once (``count_covers``) for the moment test and the variance bridge
-together.  The batch stores each permutation as it is, values
-0 .. n - 1 in the narrowest unsigned dtype that holds n - 1 (2 bytes a
-point up to n = 65,536).  The counting pass walks it in blocks of whole
-samples sized to stay in cache, and ``_sample_blocks`` widens each
-block to flat absolute int64 indices: sample s of the block owns the
-points s*n .. s*n + n - 1 and each generator maps them among
-themselves, so composing two images is one gather ``p.take(q)`` across
-many samples and an inverse is one scatter.  Per block, each letter's
-image is built once and the words are walked in prefix-trie order, so a
-shared prefix is composed once.  No count depends on the block size.
+together, reading the classes as rows of the spectrum.  A permutation
+and its inverse have one cycle type, so F_n(gamma^-k) = F_n(gamma^k) on
+every cover and each inverse pair of rows is counted once.  The batch
+stores each permutation as it is, values 0 .. n - 1 in the narrowest
+unsigned dtype that holds n - 1 (2 bytes a point up to n = 65,536).  The
+counting pass walks it in blocks of whole samples sized to stay in
+cache, and ``_sample_blocks`` widens each block to flat absolute int64
+indices: sample s of the block owns the points s*n .. s*n + n - 1 and
+each generator maps them among themselves, so composing two images is
+one gather ``p.take(q)`` across many samples and an inverse is one
+scatter.  Per block, each letter's
+image is built once and the rows' words are walked in prefix-trie order,
+so a shared prefix is composed once.  No count depends on the block size.
 Cycle counts come from a pointer-doubling scan that stops once its
 window covers the longest cycle it reports; a closure check rejects the
 points that lead only a window of a longer cycle.  The scan never reads
@@ -35,7 +38,7 @@ this reason.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from . import Refused
 from .fuchsian import LengthSpectrum
 from .rng import stream, streams
 from .variance import SigmaEvaluator, _divisor_table, _gcd_weight_matrix
-from .words import Word
 
 
 class NotFreePreset(Refused):
@@ -104,16 +106,17 @@ def _check_sizes(n: int, samples: int) -> None:
         raise Refused(f"need at least 2 samples, got {samples}")
 
 
-def _letter_images(block: np.ndarray, letters: set[int], ident: np.ndarray) -> dict[int, np.ndarray]:
-    """Image of each letter on a block, shaped like ``ident``; an inverse is one scatter."""
+def _letter_images(block: np.ndarray, codes: list[int], ident: np.ndarray) -> dict[int, np.ndarray]:
+    """Image of each letter code on a block, shaped like ``ident``: generator
+    c >> 1, inverted (one scatter) when c is odd."""
     gens = {}
-    for letter in letters:
-        p = block[abs(letter) - 1].reshape(ident.shape)
-        if letter < 0:
+    for c in codes:
+        p = block[c >> 1].reshape(ident.shape)
+        if c & 1:
             inv = np.empty_like(p)
             np.put(inv, p, ident)
             p = inv
-        gens[letter] = p
+        gens[c] = p
     return gens
 
 
@@ -165,46 +168,44 @@ def _cycle_scan(word_img: np.ndarray, dmax: int) -> np.ndarray:
 
 
 class CoverCounts(NamedTuple):
-    """Integer counts of one batch, per word: the input of both experiments.
+    """Integer counts of one batch, per spectrum row: the input of both experiments.
 
-    ``samples`` covers of degree ``n``.  ``fixed[w]`` is F(w^k) for
-    k = 1.. (samples, highest k asked), and ``cycles[w]`` is C(w, d) for
-    d = 1..dmax, for the scanned words only.
+    ``samples`` covers of degree ``n``.  ``fixed[row]`` is F(w^k) for
+    k = 1.. (samples, highest k asked), and ``cycles[row]`` is C(w, d) for
+    d = 1..dmax, for the scanned rows only.  A row and its inverse row
+    hold one shared array.
     """
 
     n: int
     samples: int
-    fixed: dict[Word, np.ndarray]
-    cycles: dict[Word, np.ndarray]
+    fixed: dict[int, np.ndarray]
+    cycles: dict[int, np.ndarray]
 
 
-def _counted(table: dict[Word, np.ndarray], word: Word, k: int) -> np.ndarray:
-    """Columns 1..k of a word's counts; refuses counts that stop short of them."""
-    if word not in table or table[word].shape[1] < k:
-        raise ValueError(f"the counts do not reach word {word} at k = {k}; pass it to count_covers")
-    return table[word][:, :k]
-
-
-def _bridge_powers(ev: SigmaEvaluator) -> list[tuple[Word, int]]:
-    """The bridge's class words in ``ev.rows`` order, each with its highest power."""
-    spectrum = ev.spectrum
-    kmaxes = [max(1, int(ev.L / ell)) for ell in spectrum.primitive_length[ev.rows]]
-    return list(zip(spectrum.words(ev.rows), kmaxes))
+def _counted(table: dict[int, np.ndarray], row: int, k: int) -> np.ndarray:
+    """Columns 1..k of a row's counts; refuses counts that stop short of them."""
+    if row not in table or table[row].shape[1] < k:
+        raise ValueError(f"the counts do not reach row {row} at k = {k}; pass it to count_covers")
+    return table[row][:, :k]
 
 
 def count_covers(
-    images: np.ndarray, records: list[Word], kmax: int, ev: SigmaEvaluator | None = None
+    images: np.ndarray, spectrum: LengthSpectrum, records: Sequence[int], kmax: int,
+    ev: SigmaEvaluator | None = None,
 ) -> CoverCounts:
     """Count a batch once for the moment test and, given ``ev``, the bridge.
 
-    The moment words ``records`` get F(w^k) and C(w, d) up to ``kmax``;
-    the bridge words of ``ev`` get F(w^k) up to their own cutoff; a word
-    both need is counted once, to the higher k.  Per block of samples
-    each letter's image is built once and the words are walked in
-    prefix-trie (sorted) order, so a shared prefix is composed once and
-    one root-to-leaf path of images is alive at a time.  The counts are
-    stored in the narrowest dtype that holds n.  ``images`` is a batch
-    from ``_batch_images``, of shape (rank, samples, n).
+    The moment rows ``records`` of ``spectrum`` get F(w^k) and C(w, d) up
+    to ``kmax``; the rows of ``ev`` get F(w^k) up to their ``kcut``; a row
+    both need is counted once, to the higher k.  A permutation and its
+    inverse have one cycle type, so each class is counted once, in the
+    orientation of its pair's earlier row, and the inverse row shares its
+    arrays.  Per block of samples each letter's image is built once and
+    the counted rows are walked in prefix-trie (lexicographic code) order,
+    so a shared prefix is composed once and one root-to-leaf path of
+    images is alive at a time.  The counts are stored in the narrowest
+    dtype that holds n.  ``images`` is a batch from ``_batch_images`` of
+    the spectrum's rank, of shape (rank, samples, n).
     """
     rank, samples, n = images.shape
     _check_sizes(n, samples)
@@ -213,38 +214,40 @@ def count_covers(
             f"batch images have dtype {images.dtype}; _batch_images stores "
             "relative permutations in an unsigned dtype"
         )
-    powers = dict.fromkeys(records, kmax)
-    for word, km in [] if ev is None else _bridge_powers(ev):
-        powers[word] = max(km, powers.get(word, 0))
-    letters = {letter for word in powers for letter in word}
-    for letter in letters:
-        if letter == 0 or abs(letter) > rank:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    if rank != spectrum.group.rank:
+        raise ValueError(f"a batch of rank {rank} cannot count the words of a rank-{spectrum.group.rank} spectrum")
+    if ev is not None and ev.spectrum is not spectrum:
+        raise ValueError("the evaluator reads another spectrum")
+    inverse = spectrum.inverse_id
+    records = np.asarray(records, dtype=np.int64)
+    scanned = np.where(inverse[records] < 0, records, np.minimum(records, inverse[records])).tolist()
+    powers = dict.fromkeys(scanned, kmax)
+    for row, k in [] if ev is None else zip(ev.rows.tolist(), ev.kcut.tolist()):
+        powers[row] = max(k, powers.get(row, 0))  # P0 rows are the earlier of their pairs
+    rows = np.fromiter(powers, dtype=np.int64, count=len(powers))
+    rows = rows[np.lexsort(spectrum.codes[rows].T[::-1])].tolist()
+    codes = spectrum.codes[rows]
+    # letters each row shares with the previous one: rows differ, so no -1 pad is shared
+    shared = [0, *np.cumprod(codes[1:] == codes[:-1], axis=1).sum(axis=1).tolist()]
+    words = [[c for c in padded if c >= 0] for padded in codes.tolist()]
+    letters = np.unique(codes[codes >= 0]).tolist()
     dtype = np.min_scalar_type(n)
-    counts = CoverCounts(
-        n,
-        samples,
-        {w: np.empty((samples, k), dtype) for w, k in powers.items()},
-        {w: np.empty((samples, kmax), dtype) for w in records},
-    )
-    for rows, block in _sample_blocks(images):
+    fixed = {row: np.empty((samples, k), dtype) for row, k in powers.items()}
+    cycles = {row: np.empty((samples, kmax), dtype) for row in scanned}
+    for block_rows, block in _sample_blocks(images):
         ident = np.arange(block[0].size).reshape(-1, n)
         gens = _letter_images(block, letters, ident)
-        path: list[np.ndarray] = []  # images of the prefixes of the last word
-        last: Word = ()
-        for word in sorted(powers):
-            shared = next(
-                (i for i, (a, b) in enumerate(zip(last, word)) if a != b), min(len(last), len(word))
-            )
-            del path[shared:]
-            for letter in word[shared:]:
-                path.append(path[-1].take(gens[letter]) if path else gens[letter])
-            img = path[-1] if path else ident
-            counts.fixed[word][rows] = _power_fixed_counts(img, powers[word], ident)
-            if word in counts.cycles:
-                counts.cycles[word][rows] = _cycle_scan(img, kmax)
-            last = word
-    return counts
+        path: list[np.ndarray] = []  # images of the prefixes of the last row's word
+        for row, start, word in zip(rows, shared, words):
+            del path[start:]
+            for c in word[start:]:
+                path.append(path[-1].take(gens[c]) if path else gens[c])
+            fixed[row][block_rows] = _power_fixed_counts(path[-1], powers[row], ident)
+            if row in cycles:
+                cycles[row][block_rows] = _cycle_scan(path[-1], kmax)
+    for table in (fixed, cycles):
+        table.update({int(inverse[row]): table[row] for row in table if inverse[row] >= 0})
+    return CoverCounts(n, samples, fixed, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +255,12 @@ def count_covers(
 
 
 def moment_experiment(
-    records: list[Word], counts: CoverCounts, n: int, samples: int, kmax: int = 6
+    records: Sequence[int], counts: CoverCounts, n: int, samples: int, kmax: int = 6
 ) -> dict:
     """Empirical F_n moments against their n -> infinity laws.
 
     ``counts`` is the run's counting pass (``count_covers``), which must
-    hold ``records`` (one class word per class) to ``kmax``, of
+    hold ``records`` (spectrum rows, one per class) to ``kmax``, of
     ``samples`` covers of degree ``n``: both sizes repeat the counts'
     and are checked against them, but stay, since ``bench/tracer.py``
     binds ``records`` and ``samples`` by name.  F is counted from powers
@@ -279,8 +282,8 @@ def moment_experiment(
             f"the counts are of {counts.samples} covers of degree {counts.n}, "
             f"expected {samples} of degree {n}"
         )
-    fixed = [_counted(counts.fixed, w, kmax) for w in records]
-    cycles = [_counted(counts.cycles, w, kmax) for w in records]
+    fixed = [_counted(counts.fixed, row, kmax) for row in records]
+    cycles = [_counted(counts.cycles, row, kmax) for row in records]
 
     nc = len(records)
     # hard consistency: the divisor identity must hold on every sample
@@ -339,7 +342,7 @@ def moment_experiment(
 
 
 def _require_free(spectrum: LengthSpectrum) -> int:
-    if spectrum.group.cocompact:
+    if spectrum.group.group.kind != "free":
         raise NotFreePreset("cover sampling is defined for free presets only")
     return spectrum.group.rank
 
@@ -352,7 +355,7 @@ def empirical_cover_variance(
     ``ev`` is the run's evaluator: its spectrum, character, window and L
     fix the classes and their coefficients.  ``counts`` is the run's
     counting pass (``count_covers`` given ``ev``), which must hold the
-    bridge words of ``ev``; ``seed`` keys the bootstrap stream.  Per sample,
+    rows of ``ev`` to their ``kcut``; ``seed`` keys the bootstrap stream.  Per sample,
     N_tilde = (2/L) sum_{gamma in P0} sum_k F_tilde(gamma^k) * A(gamma, k)
     over unoriented primitives.  Batch centering removes the O(1/n) mean
     bias; ``centering="dk"`` subtracts the asymptotic mean d(k) instead.
@@ -367,8 +370,8 @@ def empirical_cover_variance(
     coeffs = ev.coefficients(lam)
     dk = _divisor_table(ev.kmax).sum(axis=0).astype(float)
     vals = np.zeros(samples)
-    for i, (word, km) in enumerate(_bridge_powers(ev)):
-        f = _counted(counts.fixed, word, km).astype(float)
+    for i, (row, km) in enumerate(zip(ev.rows.tolist(), ev.kcut.tolist())):
+        f = _counted(counts.fixed, row, km).astype(float)
         f -= f.mean(axis=0) if centering == "batch" else dk[:km]
         vals += f @ coeffs[:km, i]
     vals *= 2.0 / L

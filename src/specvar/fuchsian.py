@@ -93,7 +93,6 @@ class FuchsianGroup:
     name: str
     generators: np.ndarray
     group: GroupPreset
-    cocompact: bool
     params: tuple[float, ...] = ()
     warning: str | None = None
     core_radius: float | None = None
@@ -101,6 +100,11 @@ class FuchsianGroup:
     @property
     def rank(self) -> int:
         return self.group.rank
+
+    @property
+    def cocompact(self) -> bool:
+        """A torsion-free Fuchsian group is cocompact exactly when it has a surface relator."""
+        return bool(self.group.relator)
 
     def generator_array(self) -> np.ndarray:
         """Matrices by letter code: generator i at 2(i-1), its inverse at 2(i-1)+1."""
@@ -210,7 +214,6 @@ def _schottky_pants(l1: float, l2: float, l3: float) -> FuchsianGroup:
         name="schottky_pants",
         generators=np.array([x, y]),
         group=free_group(2),
-        cocompact=False,
         params=(float(l1), float(l2), float(l3)),
         core_radius=max(math.acosh(1 + abs(z - 1j) ** 2 / (2 * z.imag)) for z in itertools.chain(*_pants_seams(x, y))),
     )
@@ -257,7 +260,6 @@ def _octagon_genus2() -> FuchsianGroup:
         name="octagon_genus2",
         generators=np.array(gens),
         group=surface_group(2),
-        cocompact=True,
         core_radius=_OCTAGON_R,
     )
 
@@ -270,7 +272,6 @@ def _punctured_torus() -> FuchsianGroup:
         name="punctured_torus",
         generators=np.array([x, y]),
         group=free_group(2),
-        cocompact=False,
         warning=(
             "punctured_torus is not co-compact: cusp words are parabolic and "
             "equidistribution constants are not guaranteed"
@@ -348,8 +349,7 @@ class LengthSpectrum:
 
     def words(self, rows=None) -> list[Word]:
         """Signed-letter words of ``rows`` (every row by default)."""
-        pick = slice(None) if rows is None else rows
-        return [w[:n] for w, n in zip(_codes_to_words(self.codes[pick]), self.word_len[pick].tolist())]
+        return _codes_to_words(self.codes if rows is None else self.codes[rows])
 
 
 _ROW_COLUMNS = ("codes", "word_len", "length", "primitive_length", "power", "log_det", "homology", "inverse_id")
@@ -368,10 +368,11 @@ def _packed(codes: np.ndarray, base: int) -> np.ndarray:
     return codes.astype(np.int64) @ base ** np.arange(codes.shape[-1] - 1, -1, -1)
 
 
-def _codes_to_words(block: np.ndarray) -> list[Word]:
-    """Signed-letter words of a block of code rows."""
-    letters = (block.astype(np.int64) >> 1) + 1
-    return [tuple(row) for row in np.where(block & 1, -letters, letters).tolist()]
+def _codes_to_words(codes: np.ndarray) -> list[Word]:
+    """Signed-letter words of code rows, each ending at its first -1 pad."""
+    letters = (codes.astype(np.int64) >> 1) + 1
+    signed = np.where(codes & 1, -letters, letters).tolist()
+    return [tuple(row[:n]) for row, n in zip(signed, (codes >= 0).sum(axis=1).tolist())]
 
 
 def _padded(codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
@@ -460,7 +461,7 @@ def _first_shell(gen_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _enumerate_necklaces(
     group: FuchsianGroup, l_max: float, max_word_length: int
-) -> tuple[list[np.ndarray], dict]:
+) -> tuple[np.ndarray, dict]:
     """Displacement-pruned necklace tree walk, one for every preset.
 
     The proof of the cut.  Let D be the preset's compact domain for its
@@ -491,9 +492,9 @@ def _enumerate_necklaces(
     in blocks of at most ``_BLOCK_ROWS``; the last block pushed is extended
     next.  A depth holds one block's children at most, so live rows stay
     within depth x letters x ``_BLOCK_ROWS`` however wide a shell is.
-    Survivors come back as one array per word length, in shell order
-    (colexicographic, as breadth-first shells are); ``shell_rows`` sums
-    each length's blocks and a shell minimum is the least over its blocks.
+    Survivors come back as one code matrix padded with -1, in visit order;
+    ``shell_rows`` sums each length's blocks and a shell minimum is the
+    least over its blocks.
     """
     capped = group.core_radius is None
     d_cut = math.inf if capped else l_max + 2 * group.core_radius + 0.5  # a margin of 0.5 over ell + 2R
@@ -501,7 +502,7 @@ def _enumerate_necklaces(
     norm2_cut = 2.0 * math.cosh(d_cut)  # cosh d(i, g i) = ||g||_F^2 / 2
     gen_mats = group.generator_array()
     table = _relator_windows(group.group, len(gen_mats)) if group.group.relator else None
-    survivors: list[list[tuple[np.ndarray, np.ndarray]]] = []  # rows and their |traces|, per depth
+    survivors: list[tuple[np.ndarray, np.ndarray]] = []  # rows and their |traces|, per visit
     shell_rows: list[int] = []
     shell_mins: list[float] = []
     stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -512,7 +513,6 @@ def _enumerate_necklaces(
         depth = words.shape[1]
         if depth > len(shell_rows):  # the walk goes one letter deeper at a time
             shell_rows.append(0)
-            survivors.append([])
             shell_mins.append(math.inf)
         shell_rows[depth - 1] += len(words)
         tr = np.abs(mats[:, 0] + mats[:, 3])
@@ -522,7 +522,7 @@ def _enumerate_necklaces(
             ring = np.concatenate([words[keep, -4:], words[keep, :4]], axis=1)
             windows = np.lib.stride_tricks.sliding_window_view(ring, 5, axis=1)
             keep = keep[~table[_packed(windows, len(gen_mats))].any(axis=1)]
-        survivors[depth - 1].append((words[keep], tr[keep]))
+        survivors.append((words[keep], tr[keep]))
         if capped:
             shell_mins[depth - 1] = min(shell_mins[depth - 1], _shell_min_length(words, tr, gen_mats))
         sq = mats * mats  # the squared norm, summed left to right as a row sum does
@@ -539,10 +539,9 @@ def _enumerate_necklaces(
     while stack:
         visit(*_extend_shell(*stack.pop(), gen_mats, table))
     certified = min(min(shell_mins[-2:]), l_max) if capped else l_max
-    blocks = []
-    for rows, tr in (map(np.concatenate, zip(*shell)) for shell in survivors):
-        order = np.lexsort(rows.T)  # shell order
-        blocks.append(rows[order][_within_trace_cut(tr[order], certified)])
+    word_len = np.concatenate([np.full(len(rows), rows.shape[1]) for rows, _ in survivors])
+    codes = _padded(np.concatenate([rows.ravel() for rows, _ in survivors]), word_len)
+    keep = _within_trace_cut(np.concatenate([tr for _, tr in survivors]), certified)
     cert = {
         "word_length_bound": len(shell_rows),
         "rows_visited": sum(shell_rows),
@@ -552,7 +551,7 @@ def _enumerate_necklaces(
         **({"method": "cyclically reduced necklace shells, capped", "shell_min_lengths": shell_mins} if capped
            else {"method": "displacement-pruned necklace shells", "displacement_cut": d_cut}),
     }
-    return blocks, cert
+    return codes[keep], cert
 
 
 def _shell_min_length(words: np.ndarray, tr: np.ndarray, gen_mats: np.ndarray) -> float:
@@ -633,31 +632,25 @@ def build_spectrum(
     seen: set[Word] = set()
     pair_roots: list[ConjugacyClass] = []
     trace_words: list[Word] = []
-    for block in raw:
-        for word in _codes_to_words(block):
-            if word in seen:
-                continue
-            spellings = shortest_spellings(word, preset_group)
-            if not spellings.isdisjoint(seen):
-                continue  # Dehn reduction left a longer spelling of a known class
-            seen |= spellings | inverse_spellings(spellings)
-            if root_spelling(spellings)[1] > 1:
-                continue
-            root = canonical_class(word, preset_group)
-            pair_roots.append(root)
-            trace_words.append(_trace_spelling(root, spellings, preset_group))
-    # both orientations share the trace spelling, so a pair whose trace
-    # fails would fail from either
+    for word in _codes_to_words(raw):
+        if word in seen:
+            continue
+        spellings = shortest_spellings(word, preset_group)
+        if not spellings.isdisjoint(seen):
+            continue  # Dehn reduction left a longer spelling of a known class
+        seen |= spellings | inverse_spellings(spellings)
+        if root_spelling(spellings)[1] > 1:
+            continue
+        root = canonical_class(word, preset_group)
+        pair_roots.append(root)
+        trace_words.append(_trace_spelling(root, spellings, preset_group))
     mats = holonomies(group, trace_words)
 
     words: list[Word] = []
     primitive_length: list[float] = []
     power: list[int] = []
     for root, mat in zip(pair_roots, mats):
-        try:
-            ell0 = length_of(float(np.trace(mat)))
-        except NonHyperbolicElement:
-            continue  # cusp word on the non-compact preset
+        ell0 = length_of(float(np.trace(mat)))  # survivors are hyperbolic (``_reduced_hyperbolic``)
         k = 1
         while k * ell0 <= effective_l_max:
             cls = root.power(k)  # a row's inverse row is its neighbour, 2i and 2i + 1, until the sort

@@ -120,7 +120,7 @@ class PoissonSurrogate:
 
         # candidate pairs (col, d), d = 1..floor(L / l), in column order,
         # and their terms k = d j, j = 1..floor(kcut / d)
-        kcut = (self.L / t.freqs[0]).astype(np.int64)
+        kcut = t.kcut
         pair_col = np.repeat(np.arange(len(t.rows)), kcut)
         pair_d = _ranks(kcut)
         terms = kcut[pair_col] // pair_d

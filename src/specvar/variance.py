@@ -183,6 +183,8 @@ class SigmaEvaluator:
     ``weights``, ``freqs``), built once, so frequency sweeps (energy
     averages, Dirichlet scans, transition curves) and the samplers that
     read the same A(gamma,k) cost one cosine table per frequency.
+    ``kcut`` is each column's highest power floor(L / l), past which
+    psi_hat zeroes its coefficients.
     """
 
     def __init__(self, spectrum: LengthSpectrum, char, window: Window, L: float):
@@ -193,6 +195,7 @@ class SigmaEvaluator:
             spectrum, unoriented_rows(spectrum), char, window, L
         )
         self.kmax, self.n_classes = self.weights.shape
+        self.kcut = (self.L / self.freqs[0]).astype(np.int64)
         self._vmat = _gcd_weight_matrix(self.kmax)
 
     def coefficients(self, lam: float) -> np.ndarray:

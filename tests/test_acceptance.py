@@ -94,10 +94,12 @@ def test_criterion_03_haar_moments():
     _verdict(3, worst_z <= 3.0, f"Haar variance constants, worst |z| {worst_z:.2f} ({worst_kind}) <= 3")
 
 
-def test_criterion_04_cover_moments():
+def test_criterion_04_cover_moments(pants12):
     # distinct primitives: the two free generators; targets d(k), V(k1,k2), 0
-    counts = count_covers(_batch_images(2, 300, 20000, 7), [(2,), (1,)], 6)
-    stats = moment_experiment([(2,), (1,)], counts, 300, 20000, kmax=6)
+    words = pants12.words()
+    rows = [words.index((2,)), words.index((1,))]
+    counts = count_covers(_batch_images(2, 300, 20000, 7), pants12, rows, 6)
+    stats = moment_experiment(rows, counts, 300, 20000, kmax=6)
     checks = {
         "E[F(g)]": (stats["fMean"][0][0], 1.0, stats["fMeanSE"][0][0]),
         "E[F(g^6)]": (stats["fMean"][0][5], 4.0, stats["fMeanSE"][0][5]),
@@ -116,7 +118,7 @@ def test_criterion_04_cover_moments():
 
 def test_criterion_05_cover_variance_bridge(pants12):
     ev = SigmaEvaluator(pants12, None, TRI, 8.0)
-    counts = count_covers(_batch_images(2, 300, 20000, SEED), [], 0, ev)
+    counts = count_covers(_batch_images(2, 300, 20000, SEED), pants12, [], 0, ev)
     rep = empirical_cover_variance(ev, 1e4, counts, SEED)
     estimate, limit = rep["estimate"], rep["sigma2Limit"]
     z = abs(estimate - limit) / rep["bootstrapSE"]

@@ -70,10 +70,12 @@ def test_experiments_return_their_documented_artifact(octagon12):
     spectrum = F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
     tri = window("triangle")
     ev = SigmaEvaluator(spectrum, None, tri, 6.0)
-    counts = count_covers(_batch_images(2, 20, 50, seed=3), [(1,), (1, -2)], 4, ev)
+    words = spectrum.words()
+    rows = [words.index((1,)), words.index((1, -2))]
+    counts = count_covers(_batch_images(2, 20, 50, seed=3), spectrum, rows, 4, ev)
     sur = PoissonSurrogate(spectrum, None, tri, lam=1e4, L=8.0, seed=3)
     results = {
-        "`result.moments`": moment_experiment([(1,), (1, -2)], counts, 20, 50, kmax=4),
+        "`result.moments`": moment_experiment(rows, counts, 20, 50, kmax=4),
         "`result.bridge`": empirical_cover_variance(ev, 1e4, counts, 3),
         "`result.cumulants`": exact_cumulants(sur),
         "`result.clt`": clt_test(sur, 100),
@@ -131,6 +133,7 @@ def test_variance_profile_columns(tmp_path, pants_csv):
 
 
 def test_average_check_writes_json(tmp_path, octagon_csv):
+    # --out is the path written, as for every subcommand: no suffix is added
     out = str(tmp_path / "avg")
     code = main(
         ["average", "--spectrum-file", octagon_csv, "--lambda", "1e4",
@@ -138,7 +141,8 @@ def test_average_check_writes_json(tmp_path, octagon_csv):
          "--out", out]
     )
     assert code == EXIT_OK
-    doc = read_json(out + ".json")
+    assert [p.name for p in tmp_path.iterdir()] == ["avg"]
+    doc = read_json(out)
     result = doc["result"]
     assert result["passed"] is True
     assert result["gap"] == pytest.approx(abs(result["average"] - result["target"]))

@@ -40,14 +40,20 @@ def pants():
     return F.build_spectrum(F.preset("schottky_pants", 1.9, 2.1, 2.4), 9.0)
 
 
-def moments(words, n, samples, seed, kmax, rank=2):
-    counts = count_covers(_batch_images(rank, n, samples, seed), words, kmax)
-    return moment_experiment(words, counts, n, samples, kmax)
+def rows_of(spectrum, *words):
+    """The spectrum rows that spell the given words."""
+    index = {w: row for row, w in enumerate(spectrum.words())}
+    return [index[w] for w in words]
+
+
+def moments(spectrum, rows, n, samples, seed, kmax):
+    counts = count_covers(_batch_images(spectrum.group.rank, n, samples, seed), spectrum, rows, kmax)
+    return moment_experiment(rows, counts, n, samples, kmax)
 
 
 def bridge(spectrum, char, win, lam, L, n, samples, seed, **kw):
     ev = SigmaEvaluator(spectrum, char, win, L)
-    counts = count_covers(_batch_images(spectrum.group.rank, n, samples, seed), [], 0, ev)
+    counts = count_covers(_batch_images(spectrum.group.rank, n, samples, seed), spectrum, [], 0, ev)
     return empirical_cover_variance(ev, lam, counts, seed, **kw)
 
 
@@ -225,12 +231,12 @@ def test_sample_blocks_widen_and_offset(monkeypatch):
         assert np.array_equal(block, stored + offsets)
 
 
-def test_batch_must_be_unsigned():
+def test_batch_must_be_unsigned(pants):
     # the old absolute int64 layout would count wrongly, so it is refused
     images = _batch_images(2, 5, 4, seed=1)
     absolute = images.astype(np.int64) + (np.arange(4) * 5)[:, None]
     with pytest.raises(ValueError, match="unsigned"):
-        count_covers(absolute, [(1,)], 2)
+        count_covers(absolute, pants, [0], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,13 +272,16 @@ def test_cycle_scan_rejects_leaders_of_partial_windows():
     assert np.array_equal(_cycle_scan(np.zeros((1, 1), dtype=np.int64), 1), [[1]])
 
 
-def test_word_images_rejects_out_of_range_letters():
+def test_word_images_rejects_out_of_range_letters(pants):
+    # the oracle refuses a letter past the batch's rank; count_covers reads
+    # the spectrum's letters, so it refuses a batch of another rank
     images = _batch_images(2, 5, 3, seed=1)
     for letter in (0, 3, -3):
         with pytest.raises(ValueError):
             batch_word_images(images, (1, letter))
-        with pytest.raises(ValueError, match="out of range"):
-            count_covers(images, [(1, letter)], 2)
+    for rank in (1, 3):
+        with pytest.raises(ValueError, match="rank"):
+            count_covers(_batch_images(rank, 5, 3, seed=1), pants, [0], 2)
 
 
 @pytest.mark.parametrize("kmax", [2, 5])
@@ -288,20 +297,40 @@ def test_one_pass_counts_match_per_sample_oracles(monkeypatch, pants, block_samp
         monkeypatch.setattr(covers, "_BLOCK_POINTS", block_samples * n)
         assert len(list(_sample_blocks(images))) == 8
     ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
-    records = [(1, 2, 2), (-1, -2), (1,), (1, -2), (1, 2)]
-    counts = count_covers(images, records, kmax, ev)
-    powers = dict(covers._bridge_powers(ev))
-    assert (powers[(1,)], powers[(1, 2)]) == (3, 2)
+    records = rows_of(pants, (1, 2, 2), (-1, -2), (1,), (1, -2), (1, 2))
+    counts = count_covers(images, pants, records, kmax, ev)
+    powers = dict(zip(ev.rows.tolist(), ev.kcut.tolist()))
+    assert (powers[0], powers[4]) == (3, 2)  # the rows of (1,) and (1, 2)
+    powers.update({pants.inverse_id[row]: k for row, k in powers.items()})
+    records += pants.inverse_id[records].tolist()  # a row's inverse row reads its counts
     assert set(counts.fixed) == set(records) | set(powers)
     assert set(counts.cycles) == set(records)
+    words = dict(zip(counts.fixed, pants.words(list(counts.fixed))))
     for s in range(samples):
         rep = sample_rep(rank, n, seed, sample_index=s)
-        for w, f in counts.fixed.items():
-            k = max(kmax if w in records else 0, powers.get(w, 0))
+        for row, f in counts.fixed.items():
+            k = max(kmax if row in records else 0, powers.get(row, 0))
             assert f.shape == (samples, k)
-            assert np.array_equal(f[s], fixed_points_of_powers(rep, w, k)), (s, w)
-        for w in records:
-            assert np.array_equal(counts.cycles[w][s], cycle_counts(rep, w, kmax)), (s, w)
+            assert np.array_equal(f[s], fixed_points_of_powers(rep, words[row], k)), (s, row)
+        for row in records:
+            assert np.array_equal(counts.cycles[row][s], cycle_counts(rep, words[row], kmax)), (s, row)
+
+
+def test_inverse_rows_share_one_count(monkeypatch, pants):
+    # a permutation and its inverse have one cycle type, so each inverse
+    # pair is scanned once per block and both rows hold the one array
+    n, samples = 7, 9
+    scans = []
+    scan = covers._cycle_scan
+    monkeypatch.setattr(covers, "_cycle_scan", lambda img, dmax: scans.append(len(img)) or scan(img, dmax))
+    monkeypatch.setattr(covers, "_BLOCK_POINTS", 3 * n)
+    records = rows_of(pants, (1, 2), (-1, -2), (1,), (-1,), (2,))
+    counts = count_covers(_batch_images(2, n, samples, seed=5), pants, records, 4)
+    assert scans == [3] * 3 * 3  # three pairs in three blocks of three samples
+    for row in records:
+        partner = pants.inverse_id[row]
+        assert counts.fixed[row] is counts.fixed[partner]
+        assert counts.cycles[row] is counts.cycles[partner]
 
 
 def test_sample_blocks_do_not_change_results(monkeypatch, pants):
@@ -309,46 +338,47 @@ def test_sample_blocks_do_not_change_results(monkeypatch, pants):
     # one pass for both experiments, as the covers subcommand counts,
     # against a pass for each
     n, samples, seed = 23, 15, 4
-    records = [(1,), (1, -2)]
+    records = rows_of(pants, (1,), (1, -2))
     images = _batch_images(2, n, samples, seed)
     ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
-    whole_m = moment_experiment(records, count_covers(images, records, 5), n, samples, kmax=5)
-    whole_b = empirical_cover_variance(ev, 100.0, count_covers(images, [], 0, ev), seed)
+    whole_m = moment_experiment(records, count_covers(images, pants, records, 5), n, samples, kmax=5)
+    whole_b = empirical_cover_variance(ev, 100.0, count_covers(images, pants, [], 0, ev), seed)
     monkeypatch.setattr(covers, "_BLOCK_POINTS", 2 * n)
     assert len(list(covers._sample_blocks(images))) == 8
-    shared = count_covers(images, records, 5, ev)
+    shared = count_covers(images, pants, records, 5, ev)
     assert moment_experiment(records, shared, n, samples, kmax=5) == whole_m
     assert empirical_cover_variance(ev, 100.0, shared, seed) == whole_b
 
 
-def test_batch_shape_must_match_degree_and_samples():
-    counts = count_covers(_batch_images(2, 5, 4, seed=1), [(1,)], 2)
+def test_batch_shape_must_match_degree_and_samples(pants):
+    counts = count_covers(_batch_images(2, 5, 4, seed=1), pants, [0], 2)
     with pytest.raises(ValueError, match="degree"):
-        moment_experiment([(1,)], counts, 6, 4, kmax=2)
+        moment_experiment([0], counts, 6, 4, kmax=2)
     with pytest.raises(ValueError, match="degree"):
-        moment_experiment([(1,)], counts, 5, 3, kmax=2)
+        moment_experiment([0], counts, 5, 3, kmax=2)
     with pytest.raises(ValueError):
-        count_covers(_batch_images(2, 0, 4, seed=1), [(1,)], 2)
+        count_covers(_batch_images(2, 0, 4, seed=1), pants, [0], 2)
 
 
 def test_experiments_refuse_counts_that_stop_short(pants):
-    # a word the counts lack, or a power past the ones they hold, is
-    # refused instead of read out of another word's or power's columns
+    # a row the counts lack, or a power past the ones they hold, is
+    # refused instead of read out of another row's or power's columns
     images = _batch_images(2, 5, 4, seed=1)
-    counts = count_covers(images, [(1,), (2,)], 3)
-    assert moment_experiment([(2,), (1,)], counts, 5, 4, kmax=2)["kmax"] == 2
+    one, two, one_two = rows_of(pants, (1,), (2,), (1, 2))
+    counts = count_covers(images, pants, [one, two], 3)
+    assert moment_experiment([two, one], counts, 5, 4, kmax=2)["kmax"] == 2
     with pytest.raises(ValueError, match="do not reach"):
-        moment_experiment([(1,), (1, 2)], counts, 5, 4, kmax=3)
+        moment_experiment([one, one_two], counts, 5, 4, kmax=3)
     with pytest.raises(ValueError, match="do not reach"):
-        moment_experiment([(1,)], counts, 5, 4, kmax=4)
+        moment_experiment([one], counts, 5, 4, kmax=4)
     ev = SigmaEvaluator(pants, None, window("triangle"), 6.0)
     with pytest.raises(ValueError, match="do not reach"):
         empirical_cover_variance(ev, 100.0, counts, 1)
-    # every bridge word present, but cut to its first power: (1,) needs 3
-    full = count_covers(images, [], 0, ev)
+    # every bridge row present, but cut to its first power: (1,) needs 3
+    full = count_covers(images, pants, [], 0, ev)
     assert empirical_cover_variance(ev, 100.0, full, 1)["n"] == 5
-    short = full._replace(fixed={w: f[:, :1] for w, f in full.fixed.items()})
-    with pytest.raises(ValueError, match=r"\(1,\) at k = 3"):
+    short = full._replace(fixed={row: f[:, :1] for row, f in full.fixed.items()})
+    with pytest.raises(ValueError, match=f"row {one} at k = 3"):
         empirical_cover_variance(ev, 100.0, short, 1)
 
 
@@ -370,16 +400,15 @@ def test_exact_cover_moment_small_degrees():
         exact_cover_moment((1,), 5)
 
 
-def test_moment_experiment_matches_exhaustive_oracle():
-    st_ = moments([(1, 2)], n=3, samples=8000, seed=5, kmax=4)
+def test_moment_experiment_matches_exhaustive_oracle(pants):
+    st_ = moments(pants, rows_of(pants, (1, 2)), n=3, samples=8000, seed=5, kmax=4)
     ex = exact_cover_moment((1, 2), 3, kmax=4)
     assert np.all(np.abs(np.asarray(st_["fMean"][0]) - ex) <= 3 * np.asarray(st_["fMeanSE"][0]))
 
 
 def test_moment_experiment_named_asymptotics(pants):
-    prim = F.unoriented_primitives(pants)
-    words = [prim[0], prim[2]]
-    st_ = moments(words, n=100, samples=4000, seed=11, kmax=6)
+    rows = F.unoriented_rows(pants)[[0, 2]]
+    st_ = moments(pants, rows, n=100, samples=4000, seed=11, kmax=6)
     # E[F(g)] -> d(1) = 1, E[F(g^6)] -> d(6) = 4
     assert abs(st_["fMean"][0][0] - 1.0) <= 3 * st_["fMeanSE"][0][0]
     assert abs(st_["fMean"][0][5] - 4.0) <= 3 * st_["fMeanSE"][0][5]
@@ -394,7 +423,7 @@ def test_moment_experiment_named_asymptotics(pants):
 
 
 def test_moment_experiment_cycle_means(pants):
-    st_ = moments([(1,)], n=100, samples=4000, seed=2, kmax=4, rank=1)
+    st_ = moments(pants, rows_of(pants, (1,)), n=100, samples=4000, seed=2, kmax=4)
     # C(g,d) -> Poisson(1/d) means
     assert np.all(
         np.abs(np.asarray(st_["cycleMean"][0]) - st_["cycleMeanTarget"][0])
