@@ -16,15 +16,15 @@ the surface group's survivors are Dehn-reduced necklaces.  The cusped torus
 has no compact core: its walk stops at a word-length cap, and its
 certificate says it is not complete.
 
-The survivors are turned into classes with one closure of shortest
-spellings per inversion pair: a survivor already in a closure is skipped,
-a closure holding a periodic spelling is a proper power, whose rows
-are made from its root, and a primitive pair is named by
-``canonical_class`` from that same closure (the ``words`` rules).  A
-primitive length is taken from one trace per inversion pair, chosen from
-that closure by a rule of the class (``_trace_spelling``), so its bits do
-not depend on the order in which the enumeration meets the class; the
-one length cut, at the certified length, is made on it.
+The survivors stay a code matrix up to the spectrum.  One array closure,
+``words.canonical_class``, names every primitive inversion pair: it
+closes the survivors under half-relator swaps, drops the components that
+are longer than their class or are proper powers, and names each kept
+class and its inverse by their least rows.  A primitive length is taken
+from one trace per pair, of the orientation a rule of the class picks,
+so its bits do not depend on the order in which the enumeration meets
+the class; the one length cut, at the certified length, is made on it.
+A k-th power's rows are its root's rows tiled k times.
 
 A spectrum is a set of columns, one row per class, its words an int8
 matrix of the enumerator's letter codes.  It is cached as a format-2 CSV
@@ -41,23 +41,19 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import Refused
 from .report import _atomic_write
 from .words import (
-    ConjugacyClass,
     GroupPreset,
     Word,
+    _least_rotation,
     _overlong_replacements,
     canonical_class,
     free_group,
-    inverse_spellings,
-    invert_word,
-    root_spelling,
-    shortest_spellings,
     surface_group,
 )
 
@@ -66,10 +62,6 @@ SPECTRUM_FORMAT_VERSION = 2
 
 class InvalidParameters(Refused):
     """Raised for preset parameters outside their domain."""
-
-
-class NonHyperbolicElement(Refused):
-    """Raised when a trace belongs to an elliptic or parabolic element."""
 
 
 class IncompleteEnumeration(Refused):
@@ -119,11 +111,6 @@ class FuchsianGroup:
         return out
 
 
-def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
-    """Holonomy matrices of many words, (len(words), 2, 2); a letter outside the rank is refused."""
-    return _products(group.generator_array(), *_code_matrix(words, 2 * group.rank))
-
-
 def _products(mats: np.ndarray, codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
     """Holonomy matrices of code rows, ``mats`` by letter code: each word length
     multiplied left to right from the identity with batched ``@``, which
@@ -139,12 +126,14 @@ def _products(mats: np.ndarray, codes: np.ndarray, word_len: np.ndarray) -> np.n
     return out
 
 
-def length_of(trace: float) -> float:
-    """Geodesic length from a holonomy trace, ell = 2*arccosh(|tr|/2)."""
-    t = abs(float(trace))
-    if t <= 2.0:
-        raise NonHyperbolicElement(f"|trace| = {t} <= 2 is not hyperbolic")
-    return 2.0 * math.acosh(t / 2.0)
+def _trace_lengths(traces: np.ndarray) -> np.ndarray:
+    """Geodesic lengths ell = 2*arccosh(|tr|/2) of holonomy traces, NaN where |tr| <= 2.
+
+    One ``math.acosh`` per trace, for the build and the loader alike:
+    ``np.arccosh`` can differ from it in the last bit, and a primitive's
+    ell_sharp is checked bit for bit.
+    """
+    return np.array([2.0 * math.acosh(t / 2.0) if t > 2.0 else math.nan for t in np.abs(traces).tolist()])
 
 
 def log_poincare_det(ell: float) -> float:
@@ -382,15 +371,6 @@ def _padded(codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
     return out
 
 
-def _code_matrix(words: Sequence[Word], n_letters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded code matrix and lengths of words; a code outside range(n_letters) is refused."""
-    word_len = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    codes = _letter_codes(np.fromiter(itertools.chain.from_iterable(words), dtype=np.int64))
-    if codes.size and (codes.min() < 0 or codes.max() >= n_letters):
-        raise InvalidParameters(f"word letter out of range for rank {n_letters // 2}")
-    return _padded(codes, word_len), word_len
-
-
 def _homology(codes: np.ndarray, rank: int) -> np.ndarray:
     """Exponent sums of code rows, (rows x rank): a generator's letters less its inverse's."""
     counts = (codes[:, :, None] == np.arange(2 * rank, dtype=np.int8)).sum(axis=1)
@@ -575,38 +555,18 @@ def _shell_min_length(words: np.ndarray, tr: np.ndarray, gen_mats: np.ndarray) -
     return float(2 * np.arccosh(tr_rot[tr_rot > 2.0 + 1e-9].min() / 2))
 
 
-def _trace_spelling(root: ConjugacyClass, spellings: frozenset[Word], preset: GroupPreset) -> Word:
-    """Canonical word of the orientation whose trace sets a pair's length.
-
-    The traces of gamma and gamma^-1 can differ in the last bit, and tied
-    lengths sort by that bit.  A chiral pair takes its length from the
-    orientation whose shortest spellings (``spellings`` are the root's)
-    hold the least one under minimal rotation in generator-first code order
-    (a1 < b1 < a2 < ... < a1^-1 < b1^-1 < ...), so the length depends on
-    the class alone, not on the order in which enumeration meets it.
-    """
-    rank = preset.rank
-
-    def least(spellings: Iterable[Word]) -> list[int]:
-        codes = ([l - 1 if l > 0 else rank - l - 1 for l in w] for w in spellings)
-        return min(min(c[i:] + c[:i] for i in range(len(c))) for c in codes)
-
-    if least(spellings) < least(invert_word(w) for w in spellings):
-        return root.canonical
-    return root.inverse_canonical
-
-
 def build_spectrum(
     group: FuchsianGroup, l_max: float, max_word_length: int = 14, allow_incomplete: bool = False
 ) -> LengthSpectrum:
     """Enumerate all conjugacy classes with ell <= l_max.
 
-    Returns primitive classes and their powers, both orientations of
-    each, as rows.  Lengths of powers are computed as k times the primitive length,
-    never from power traces.  Each inversion pair of primitive classes is
-    read from one closure of shortest spellings, that of the first survivor
-    in either orientation, and named by ``canonical_class``; the k-th power
-    of a root is ``ConjugacyClass.power``, as ``canonical_class`` names powers.
+    Returns primitive classes and their powers, both orientations of each,
+    as rows.  The walk's survivors go to ``canonical_class`` as one code
+    matrix, which names each primitive inversion pair once and says which
+    orientation's trace sets its length; the pair's primitive length is
+    that trace's, and the length cut at the certified length is made on
+    it.  A k-th power's rows are the pair's rows tiled k times, its length
+    k times the primitive length, never a power trace.
 
     One walk enumerates every preset (``_enumerate_necklaces``).  The cusped
     torus, which no cut proves complete, is refused unless
@@ -620,47 +580,28 @@ def build_spectrum(
             "pass allow_incomplete=True for a capped spectrum"
         )
     raw, cert = _enumerate_necklaces(group, l_max, max_word_length)
-    effective_l_max = cert["certified_l_max"]
+    names, inverses, forward = canonical_class(raw, group.group)
+    name_len = (names >= 0).sum(axis=1)
+    hol = _products(group.generator_array(), np.where(forward[:, None], names, inverses), name_len)
+    ell0 = _trace_lengths(hol[:, 0, 0] + hol[:, 1, 1])  # survivors are hyperbolic (``_reduced_hyperbolic``)
 
-    # each survivor is a Dehn-reduced necklace, so no two rows are rotations
-    # of each other; surface groups still meet several spellings of one
-    # class, and a Dehn-reduced one can be longer than its class.  A power
-    # class is skipped: its root is shorter, so it is a survivor too.
-    # canonical_class reads the closure shortest_spellings keeps, so a pair
-    # costs one closure.  The length cut below is the only one.
-    preset_group = group.group
-    seen: set[Word] = set()
-    pair_roots: list[ConjugacyClass] = []
-    trace_words: list[Word] = []
-    for word in _codes_to_words(raw):
-        if word in seen:
-            continue
-        spellings = shortest_spellings(word, preset_group)
-        if not spellings.isdisjoint(seen):
-            continue  # Dehn reduction left a longer spelling of a known class
-        seen |= spellings | inverse_spellings(spellings)
-        if root_spelling(spellings)[1] > 1:
-            continue
-        root = canonical_class(word, preset_group)
-        pair_roots.append(root)
-        trace_words.append(_trace_spelling(root, spellings, preset_group))
-    mats = holonomies(group, trace_words)
-
-    words: list[Word] = []
-    primitive_length: list[float] = []
-    power: list[int] = []
-    for root, mat in zip(pair_roots, mats):
-        ell0 = length_of(float(np.trace(mat)))  # survivors are hyperbolic (``_reduced_hyperbolic``)
-        k = 1
-        while k * ell0 <= effective_l_max:
-            cls = root.power(k)  # a row's inverse row is its neighbour, 2i and 2i + 1, until the sort
-            words += (cls.canonical, cls.inverse_canonical)
-            primitive_length += (ell0, ell0)
-            power += (k, k)
-            k += 1
-
-    codes, word_len = _code_matrix(words, 2 * group.rank)
-    ell0s, ks = np.array(primitive_length, dtype=float), np.array(power, dtype=np.int64)
+    pair, power = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for k in itertools.count(1):
+        within = np.flatnonzero(k * ell0 <= cert["certified_l_max"])
+        if not len(within):
+            break
+        pair.append(within)
+        power.append(np.full(len(within), k))
+    pair, ks = np.concatenate(pair), np.concatenate(power)
+    word_len = np.repeat(name_len[pair] * ks, 2)  # a row's inverse row is its neighbour, 2i and 2i + 1, until the sort
+    column = np.arange(word_len.max(initial=0))
+    tiled = np.stack([names[pair], inverses[pair]], axis=1).reshape(2 * len(pair), names.shape[1])
+    codes = np.where(
+        column < word_len[:, None],
+        np.take_along_axis(tiled, column % np.repeat(name_len[pair], 2)[:, None], axis=1),
+        -1,
+    ).astype(np.int8)
+    ell0s, ks = np.repeat(ell0[pair], 2), np.repeat(ks, 2)
     order = np.lexsort([*codes.T[::-1], word_len, ks * ell0s])  # the order of (ell, word_sort_key)
     codes, length = codes[order], (ks * ell0s)[order]
     new_row = np.argsort(order)  # where the sort puts each built row
@@ -868,15 +809,11 @@ def _refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None
 
 
 def _least_rotations(codes: np.ndarray, word_len: np.ndarray) -> np.ndarray:
-    """Rows whose word is no greater than any of its rotations, in code order."""
+    """Rows whose word is its own least rotation, in code order (``words._least_rotation``)."""
     least = np.ones(len(codes), dtype=bool)
     for n in sorted(set(word_len.tolist())):
         idx = np.flatnonzero(word_len == n)
-        block, at = codes[idx, :n], np.arange(len(idx))
-        for shift in range(1, n):
-            rotated = np.roll(block, -shift, axis=1)
-            first = (rotated != block).argmax(axis=1)  # 0 where they are equal
-            least[idx] &= ~(rotated[at, first] < block[at, first])
+        least[idx] = (_least_rotation(codes[idx, :n]) == codes[idx, :n]).all(axis=1)
     return least
 
 
@@ -925,16 +862,13 @@ def _check_rows(sp: LengthSpectrum, class_id: np.ndarray) -> None:
         (~_increasing([ell, word_len, *codes.T]), lambda i: "rows are not sorted by (ell, word)"),
     ])
     hol = _products(sp.group.generator_array(), codes, word_len)
-    traces = np.abs(hol[:, 0, 0] + hol[:, 1, 1])
-    with np.errstate(invalid="ignore"):
-        traced = 2.0 * np.arccosh(traces / 2.0)
+    traced = _trace_lengths(hol[:, 0, 0] + hol[:, 1, 1])
     _refuse_first([(
         ~(np.abs(traced - ell) <= 1e-9 * ell),
         lambda i: f"ell {ell[i].item()!r} is not the length {traced[i].item()!r} of the word's trace",
     )])
-    own = np.array([length_of(t) for t in traces.tolist()])  # each |trace| > 2: its length is near an ell > 0
     _refuse_first([(
-        (k == 1) & (ell_sharp != own) & (ell_sharp != own[j]),
+        (k == 1) & (ell_sharp != traced) & (ell_sharp != traced[j]),
         lambda i: "ell_sharp is not the length of its own trace or its inverse's",
     )])
     found, counted = _shell_classes(word_len), sp.certificate["shell_classes"]

@@ -2,30 +2,29 @@
 
 Group elements are words over a fixed generating set, encoded as tuples of
 signed 1-based generator indices: ``+i`` is the i-th generator, ``-i`` its
-inverse.  Conjugacy classes of cyclically reduced words are put into a
-canonical form (lexicographically minimal rotation, after Dehn reduction for
-surface groups) so that classes can be deduplicated by equality.
+inverse.  The spectrum build works on code matrices instead: rows of letter
+codes, generator i as 2(i-1) and its inverse as 2(i-1)+1, so ``c ^ 1``
+inverts a code and code order is the letter order a1 < a1^-1 < a2 < ...
 
-Every rule about a class is read from its shortest cyclic spellings, all
-found by one closure (``shortest_spellings``): the class is a proper power
-exactly when one spelling is periodic, its root is spelled by that
-spelling's period block, and the inverse class's spellings are the
-min-rotations of the inverted ones.  A k-th power is named by k copies of
-its root's name (``ConjugacyClass.power``).  The same rules hold on free
-and surface presets.
+One array closure names every conjugacy class the build meets
+(``canonical_class``).  A class is read from its shortest cyclic spellings,
+which half-relator swaps connect: closed under swaps, a class's spellings
+at its least length are one component, the class is a proper power
+exactly when that component holds a periodic row, and the inverse class's
+spellings are the least rotations of the inverted rows.  A primitive class
+is named by its least spelling in code order; a k-th power by k copies of
+its root's name, which is how the build writes powers.  The same rules
+hold on free presets, where a class has one cyclically reduced spelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+
+import numpy as np
 
 Word = tuple[int, ...]
-
-
-class TrivialElementError(ValueError):
-    """Raised when an operation needs a nontrivial group element."""
 
 
 @dataclass(frozen=True)
@@ -124,23 +123,6 @@ def word_sort_key(word: Word) -> tuple:
     return (len(word), tuple([_letter_key(l) for l in word]))
 
 
-def min_rotation(word: Word) -> Word:
-    """Lexicographically minimal rotation under the fixed letter order.
-
-    >>> min_rotation((-1, 2, 1))
-    (1, -1, 2)
-    >>> min_rotation((2, 1, 2, 1))
-    (1, 2, 1, 2)
-    """
-    n = len(word)
-    if n < 2:
-        return word
-    # letter keys once; each rotation is a slice of the doubled key list
-    keys = [_letter_key(l) for l in word] * 2
-    start = min(range(n), key=lambda i: keys[i : i + n])
-    return word[start:] + word[:start]
-
-
 def rotation_period(word: Word) -> int:
     """Smallest p with word equal to the repetition of its first p letters."""
     n = len(word)
@@ -159,9 +141,7 @@ def rotation_period(word: Word) -> int:
 # class: swapping a subword of exactly half the relator against the inverse
 # of the complementary half keeps the length, and can expose a longer
 # subword.  The octagon survivor (-1, -2, -1, 4, 3, 3, -4, -3, 2) is
-# Dehn-reduced at 9 letters, yet its class is spelled with 7.  The closure
-# under half swaps therefore restarts from the shorter word whenever a swap
-# exposes one; it ends with every shortest spelling of the class.
+# Dehn-reduced at 9 letters, yet its class is spelled with 7.
 
 
 @lru_cache(maxsize=None)
@@ -194,70 +174,6 @@ def _half_replacements(preset: GroupPreset) -> dict[Word, Word]:
     return table
 
 
-def _cyclic_window(word: Word, start: int, length: int) -> Word:
-    doubled = word + word
-    return doubled[start : start + length]
-
-
-def dehn_cyclic_reduce(word: Word, preset: GroupPreset) -> Word:
-    """Shorten a cyclic word until no subword exceeds half the relator."""
-    w = cyclic_reduce(reduce_word(word))
-    if preset.kind == "free":
-        return w
-    half = len(preset.relator) // 2
-    table = _overlong_replacements(preset)
-    changed = True
-    while changed and w:
-        changed = False
-        if len(w) < half + 1:
-            break
-        for start in range(len(w)):
-            window = _cyclic_window(w, start, half + 1)
-            if len(window) < half + 1:
-                continue
-            repl = table.get(window)
-            if repl is not None:
-                rotated = w[start:] + w[:start]
-                w = cyclic_reduce(reduce_word(repl + rotated[half + 1 :]))
-                changed = True
-                break
-    return w
-
-
-def _half_swap_closure(word: Word, preset: GroupPreset) -> set[Word]:
-    """All cyclic words reachable by half-relator swaps, as min-rotations.
-
-    Each swap replaces a subword equal to half a relator form by the inverse
-    of the complementary half; the word length is preserved and the element
-    is unchanged.  The closure is the full set of shortest cyclic spellings
-    of the conjugacy class.
-    """
-    table = _half_replacements(preset)
-    half = len(preset.relator) // 2
-    first = min_rotation(word)
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        w = frontier.pop()
-        if len(w) < half:
-            continue
-        for start in range(len(w)):
-            window = _cyclic_window(w, start, half)
-            repl = table.get(window)
-            if repl is None:
-                continue
-            rotated = w[start:] + w[:start]
-            swapped = cyclic_reduce(reduce_word(repl + rotated[half:]))
-            if len(swapped) < len(w):
-                # swap exposed a shorter spelling; restart from it
-                return _half_swap_closure(dehn_cyclic_reduce(swapped, preset), preset)
-            key = min_rotation(swapped)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
-    return seen
-
-
 @dataclass(frozen=True)
 class ConjugacyClass:
     """Canonical representative of an oriented conjugacy class.
@@ -271,90 +187,200 @@ class ConjugacyClass:
     canonical: Word
     inverse_canonical: Word
 
-    def power(self, k: int) -> ConjugacyClass:
-        """The k-th power of a primitive class: k copies of each name."""
-        return ConjugacyClass(self.canonical * k, self.inverse_canonical * k)
-
-
-@lru_cache(maxsize=64)
-def shortest_spellings(word: Word, preset: GroupPreset) -> frozenset[Word]:
-    """Every shortest cyclic spelling of the class of ``word``, as min-rotations.
-
-    A free group has one, a surface group the half-swap closure; the
-    identity has none.  The class's power structure and its name are read
-    from this one set (``root_spelling``, ``canonical_class``).  Recent sets
-    are kept, so a caller that reads a word's spellings and then its
-    ``canonical_class`` builds one closure.
-    """
-    w = dehn_cyclic_reduce(word, preset)
-    if not w:
-        return frozenset()
-    if preset.kind == "free":
-        return frozenset({min_rotation(w)})
-    return frozenset(_half_swap_closure(w, preset))
-
-
-def inverse_spellings(spellings: Iterable[Word]) -> set[Word]:
-    """Shortest spellings of the inverse class: the inverted ones, min-rotated."""
-    return {min_rotation(invert_word(w)) for w in spellings}
-
-
-def root_spelling(spellings: Iterable[Word]) -> tuple[Word, int]:
-    """Root spelling and power k of a class, from its shortest spellings.
-
-    A class is a proper power exactly when one of its shortest spellings is
-    periodic; that spelling's period block spells the root, and the least
-    period gives the largest k (k = 1 for a primitive class).
-
-    >>> root_spelling({(1, 2, 1, 2)})
-    ((1, 2), 2)
-    """
-    period, word = min((rotation_period(w), w) for w in spellings)
-    return word[:period], len(word) // period
-
-
-def canonical_class(word: Word, preset: GroupPreset) -> ConjugacyClass:
-    """Canonical form of the conjugacy class of ``word``.
-
-    One closure of shortest spellings decides a primitive class, named by
-    its least spelling and the least inverse spelling; a proper power takes
-    a second closure, of its root.  Raises TrivialElementError if the word
-    represents the identity.
-
-    The least shortest spelling of a power need not be periodic: half-relator
-    swaps mix spellings of the root, as in the square of a1^-1 b1^-1 a2 b1.
-
-    >>> G = surface_group(2)
-    >>> cls = canonical_class((-1, -2, 3, 2) * 2, G)
-    >>> min(shortest_spellings(cls.canonical, G), key=word_sort_key)
-    (-1, -2, 3, -1, 4, 3, -4, 2)
-    >>> root, k = primitive_root(cls, G)
-    >>> root.canonical, k
-    ((-1, -2, 3, 2), 2)
-    """
-    spellings = shortest_spellings(word, preset)
-    if not spellings:
-        raise TrivialElementError(f"word {word!r} reduces to the identity")
-    root, k = root_spelling(spellings)
-    if k > 1:
-        spellings = shortest_spellings(root, preset)
-    names = (min(s, key=word_sort_key) for s in (spellings, inverse_spellings(spellings)))
-    return ConjugacyClass(*names).power(k)
-
 
 def primitive_root(cls: ConjugacyClass, preset: GroupPreset) -> tuple[ConjugacyClass, int]:
     """Smallest root class and the power k with root^k conjugate to cls.
 
-    A canonical power repeats its root's name (``ConjugacyClass.power``),
-    so the root is read off the word on every preset.
+    A canonical power repeats its root's name, so the root is read off the
+    word on every preset.
 
     >>> P = free_group(2)
-    >>> root, k = primitive_root(canonical_class((1, 2, 1, 2), P), P)
-    >>> root.canonical, k
-    ((1, 2), 2)
+    >>> root, k = primitive_root(ConjugacyClass((1, 2, 1, 2), (-1, -2, -1, -2)), P)
+    >>> root.canonical, root.inverse_canonical, k
+    ((1, 2), (-1, -2), 2)
     """
     n = len(cls.canonical)
     p = rotation_period(cls.canonical)
     if p == n:
         return cls, 1
     return ConjugacyClass(cls.canonical[:p], cls.inverse_canonical[:p]), n // p
+
+
+# ---------------------------------------------------------------------------
+# classes of code rows
+
+
+def _least_rotation(block: np.ndarray) -> np.ndarray:
+    """The least rotation of each row of a (rows x n) code block, in code order."""
+    least = block.copy()
+    at = np.arange(len(block))
+    for shift in range(1, block.shape[1]):
+        rotated = np.roll(block, -shift, axis=1)
+        first = (rotated != least).argmax(axis=1)  # 0 where they are equal
+        less = rotated[at, first] < least[at, first]
+        least[less] = rotated[less]
+    return least
+
+
+def _row_keys(block: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a (rows x n) int8 block of codes >= 0; keys sort as rows do."""
+    return np.ascontiguousarray(block).view(np.dtype((np.void, block.shape[1]))).ravel()
+
+
+def _periodic(block: np.ndarray) -> np.ndarray:
+    """Rows equal to a proper rotation of themselves: the repetition of a shorter block."""
+    n = block.shape[1]
+    periodic = np.zeros(len(block), dtype=bool)
+    for d in range(1, n):
+        if n % d == 0:
+            periodic |= (np.roll(block, -d, axis=1) == block).all(axis=1)
+    return periodic
+
+
+@lru_cache(maxsize=None)
+def _half_swap_table(preset: GroupPreset) -> tuple[np.ndarray, np.ndarray]:
+    """``_half_replacements`` in codes: the half windows packed base 2 x rank, first
+    letter most significant, in increasing order, and their replacement rows."""
+    def codes(word: Word) -> list[int]:
+        return [_letter_key(letter) - 2 for letter in word]
+
+    table = _half_replacements(preset)
+    windows = np.array([codes(w) for w in table], dtype=np.int64).reshape(len(table), -1)
+    packed = windows @ (2 * preset.rank) ** np.arange(windows.shape[1] - 1, -1, -1)
+    order = np.argsort(packed)
+    return packed[order], np.array([codes(table[w]) for w in table], dtype=np.int8)[order]
+
+
+def _swap_closure(seeds: np.ndarray, preset: GroupPreset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row half-relator swaps reach from ``seeds``, distinct least rotations of
+    one length n, in breadth-first rounds.
+
+    A round finds each frontier row's half windows, cyclically, by lookup
+    in ``_half_swap_table``, swaps each for the inverse of the other half
+    and least-rotates the result.  A swap whose new junctions cancel
+    shortens the word: it is not kept, and its row is marked.  Rows not seen
+    before make the next frontier.  Returns the rows in code order, the
+    swaps as (2 x swaps) row indices into them, and the marked rows.
+    """
+    n = seeds.shape[1]
+    half = len(preset.relator) // 2
+    rows, keys, frontier = [seeds], _row_keys(seeds), seeds
+    edges, shortened = [np.empty((2, 0), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    if half and n >= half:
+        windows, replacements = _half_swap_table(preset)
+        weights = (2 * preset.rank) ** np.arange(half - 1, -1, -1)
+        while len(frontier):
+            first = len(keys) - len(frontier)
+            ring = np.concatenate([frontier, frontier[:, : half - 1]], axis=1)
+            packed = np.lib.stride_tricks.sliding_window_view(ring, half, axis=1).astype(np.int64) @ weights
+            at = np.searchsorted(windows, packed).clip(max=len(windows) - 1)
+            row, start = np.nonzero(windows[at] == packed)
+            rotated = frontier[row[:, None], (start[:, None] + np.arange(n)) % n]
+            swapped = np.concatenate([replacements[at[row, start]], rotated[:, half:]], axis=1)
+            kept = (swapped[:, half - 1] != swapped[:, half % n] ^ 1) & (swapped[:, -1] != swapped[:, 0] ^ 1)
+            shortened.append(first + row[~kept])
+            swapped = _least_rotation(swapped[kept])
+            found, index, inverse = np.unique(_row_keys(swapped), return_index=True, return_inverse=True)
+            sorter = np.argsort(keys)
+            pos = sorter[np.searchsorted(keys, found, sorter=sorter).clip(max=len(keys) - 1)]
+            fresh = keys[pos] != found
+            pos[fresh] = len(keys) + np.arange(fresh.sum())
+            edges.append(np.stack([first + row[kept], pos[inverse]]))
+            frontier = swapped[index[fresh]]
+            rows.append(frontier)
+            keys = np.concatenate([keys, found[fresh]])
+    order = np.argsort(keys)
+    rank = np.argsort(order)
+    return np.concatenate(rows)[order], rank[np.concatenate(edges, axis=1)], rank[np.concatenate(shortened)]
+
+
+def _least_in_component(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each row's least row index in its component: min-label propagation with pointer jumps."""
+    label = np.arange(len(rows))
+    a, b = edges
+    while True:
+        new = label.copy()
+        np.minimum.at(new, a, label[b])
+        np.minimum.at(new, b, label[a])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _ranks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the distinct rows of ``block`` in code order, and the
+    first row of each rank."""
+    _, first, rank = np.unique(_row_keys(block), return_index=True, return_inverse=True)
+    return rank, first
+
+
+def _least_per_label(values: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The least of ``values`` over each label, at the label's index (the largest value elsewhere)."""
+    least = np.full(len(label), values.max(initial=0))
+    np.minimum.at(least, label, values)
+    return least
+
+
+def _named_pairs(seeds: np.ndarray, preset: GroupPreset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``canonical_class`` on distinct least rotations of one length."""
+    rows, edges, shortened = _swap_closure(seeds, preset)
+    label = _least_in_component(rows, edges)
+    dropped = np.zeros(len(rows), dtype=bool)
+    dropped[label[shortened]] = True
+    dropped[label[_periodic(rows)]] = True
+    inverted = _least_rotation(rows[:, ::-1] ^ 1)
+    rank, first = _ranks(inverted)
+    inverse = inverted[first[_least_per_label(rank, label)]]
+    # the length rule: least rotations in generator-first order, a1 < b1 < ... < a1^-1 < ...
+    both = np.concatenate([rows, inverted])
+    rank, _ = _ranks(_least_rotation((both >> 1) + preset.rank * (both & 1)))
+    forward = _least_per_label(rank[: len(rows)], label) < _least_per_label(rank[len(rows) :], label)
+    names = np.flatnonzero((label == np.arange(len(rows))) & ~dropped)
+    # a pair whose inverse class is named here too is kept once, at its lesser name
+    keys = _row_keys(rows)
+    at = np.searchsorted(keys, _row_keys(inverse[names])).clip(max=len(rows) - 1)
+    twin = (keys[at] == _row_keys(inverse[names])) & ~dropped[at]
+    names = names[~twin | (names < at)]
+    return rows[names], inverse[names], forward[names]
+
+
+def canonical_class(codes: np.ndarray, preset: GroupPreset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Name the primitive classes of the code rows ``codes``, one per inverse pair.
+
+    ``codes`` is a -1-padded int8 matrix of distinct least rotations of
+    cyclically reduced words free of Dehn's overlong relator windows: the
+    walk's survivors, which are Dehn-reduced necklaces.  Each
+    word length is closed on its own under half-relator swaps
+    (``_swap_closure``), and the closure's components are found by min-label
+    propagation (``_least_in_component``).  A component is dropped when a
+    swap shortens one of its rows, as its class is spelled shorter, or when
+    it holds a periodic row, as its class is a proper power, built from its
+    root.  A kept component is a primitive class's shortest spellings: its
+    least row is the class's name, and the least inverted row the inverse
+    class's.
+
+    The drop rests on one fact of the rows given: each class met has a
+    shortest spelling among them.  The build's survivors hold every
+    shortest spelling of every class at octagon Lmax 9.5 and 12, pants
+    (1.9, 2.1, 2.4) at 12 and (2, 2, 2) at 16, and the capped torus at 12;
+    a test holds this closure to the per-word one there.
+
+    Returns, per pair, the name and the inverse name as -1-padded rows, and
+    ``forward``: True where the named orientation sets the pair's length,
+    its shortest spellings holding the least rotation in generator-first
+    order (a1 < b1 < a2 < ... < a1^-1 < b1^-1 < ...).  The traces of the two
+    orientations can differ in the last bit, and tied lengths sort by it, so
+    the rule is one of the class, not of the order rows are met in.
+    """
+    word_len = (codes >= 0).sum(axis=1)
+    width = int(word_len.max(initial=0))
+    names = np.empty((0, width), dtype=np.int8)
+    inverses, forward = names, np.empty(0, dtype=bool)
+    for n in sorted(set(word_len.tolist())):
+        name, inverse, ahead = _named_pairs(codes[word_len == n, :n], preset)
+        pad = np.full((len(name), width - n), -1, dtype=np.int8)
+        names = np.concatenate([names, np.concatenate([name, pad], axis=1)])
+        inverses = np.concatenate([inverses, np.concatenate([inverse, pad], axis=1)])
+        forward = np.concatenate([forward, ahead])
+    return names, inverses, forward

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the library against.
 
 Scalar and per-record loops that the library replaced by table and array
-expressions, the per-sample cover path beside the batch sampler, and
-helpers that only tests call.  They are kept as they were written, so a
+expressions, the per-word class closure beside the array one, the
+per-sample cover path beside the batch sampler, and helpers that only
+tests call.  They are kept as they were written, so a
 test can compare the vectorised path with the plain definition.
 """
 
@@ -20,14 +21,17 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import pytest
 
+from specvar import Refused
 from specvar.characters import FluxCharacter, MatrixRep
 from specvar.dynamics import _equidistribution_weight, _flux_array, _half_mass
 from specvar.fuchsian import (
     FuchsianGroup,
     InvalidParameters,
     LengthSpectrum,
+    _letter_codes,
+    _padded,
+    _products,
     _shell_classes,
-    length_of,
     log_poincare_det,
     unoriented_rows,
 )
@@ -39,18 +43,167 @@ from specvar.windows import Window, sigma2_goe
 from specvar.words import (
     ConjugacyClass,
     GroupPreset,
-    TrivialElementError,
     Word,
+    _half_replacements,
     _letter_key,
-    canonical_class,
+    _overlong_replacements,
     cyclic_reduce,
     invert_word,
-    min_rotation,
     reduce_word,
     rotation_period,
-    shortest_spellings,
     word_sort_key,
 )
+
+
+# ---------------------------------------------------------------------------
+# words: the per-word closure of shortest spellings the array closure replaced
+
+
+class TrivialElementError(ValueError):
+    """Raised when an operation needs a nontrivial group element."""
+
+
+def min_rotation(word: Word) -> Word:
+    """Lexicographically minimal rotation under the fixed letter order."""
+    n = len(word)
+    if n < 2:
+        return word
+    # letter keys once; each rotation is a slice of the doubled key list
+    keys = [_letter_key(l) for l in word] * 2
+    start = min(range(n), key=lambda i: keys[i : i + n])
+    return word[start:] + word[:start]
+
+
+def _cyclic_window(word: Word, start: int, length: int) -> Word:
+    doubled = word + word
+    return doubled[start : start + length]
+
+
+def dehn_cyclic_reduce(word: Word, preset: GroupPreset) -> Word:
+    """Shorten a cyclic word until no subword exceeds half the relator."""
+    w = cyclic_reduce(reduce_word(word))
+    if preset.kind == "free":
+        return w
+    half = len(preset.relator) // 2
+    table = _overlong_replacements(preset)
+    changed = True
+    while changed and w:
+        changed = False
+        if len(w) < half + 1:
+            break
+        for start in range(len(w)):
+            window = _cyclic_window(w, start, half + 1)
+            if len(window) < half + 1:
+                continue
+            repl = table.get(window)
+            if repl is not None:
+                rotated = w[start:] + w[:start]
+                w = cyclic_reduce(reduce_word(repl + rotated[half + 1 :]))
+                changed = True
+                break
+    return w
+
+
+def _half_swap_closure(word: Word, preset: GroupPreset) -> set[Word]:
+    """All cyclic words reachable by half-relator swaps, as min-rotations.
+
+    Each swap replaces a subword equal to half a relator form by the inverse
+    of the complementary half; the word length is preserved and the element
+    is unchanged.  The closure restarts from the shorter word whenever a
+    swap exposes one, and ends with the full set of shortest cyclic
+    spellings of the conjugacy class.
+    """
+    table = _half_replacements(preset)
+    half = len(preset.relator) // 2
+    first = min_rotation(word)
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        w = frontier.pop()
+        if len(w) < half:
+            continue
+        for start in range(len(w)):
+            window = _cyclic_window(w, start, half)
+            repl = table.get(window)
+            if repl is None:
+                continue
+            rotated = w[start:] + w[:start]
+            swapped = cyclic_reduce(reduce_word(repl + rotated[half:]))
+            if len(swapped) < len(w):
+                # swap exposed a shorter spelling; restart from it
+                return _half_swap_closure(dehn_cyclic_reduce(swapped, preset), preset)
+            key = min_rotation(swapped)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+    return seen
+
+
+def shortest_spellings(word: Word, preset: GroupPreset) -> frozenset[Word]:
+    """Every shortest cyclic spelling of the class of ``word``, as min-rotations.
+
+    A free group has one, a surface group the half-swap closure; the
+    identity has none.
+    """
+    w = dehn_cyclic_reduce(word, preset)
+    if not w:
+        return frozenset()
+    if preset.kind == "free":
+        return frozenset({min_rotation(w)})
+    return frozenset(_half_swap_closure(w, preset))
+
+
+def inverse_spellings(spellings) -> set[Word]:
+    """Shortest spellings of the inverse class: the inverted ones, min-rotated."""
+    return {min_rotation(invert_word(w)) for w in spellings}
+
+
+def root_spelling(spellings) -> tuple[Word, int]:
+    """Root spelling and power k of a class, from its shortest spellings.
+
+    A class is a proper power exactly when one of its shortest spellings is
+    periodic; that spelling's period block spells the root, and the least
+    period gives the largest k (k = 1 for a primitive class).
+    """
+    period, word = min((rotation_period(w), w) for w in spellings)
+    return word[:period], len(word) // period
+
+
+def canonical_class(word: Word, preset: GroupPreset) -> ConjugacyClass:
+    """Canonical form of the conjugacy class of ``word``, one word at a time.
+
+    One closure of shortest spellings decides a primitive class, named by
+    its least spelling and the least inverse spelling; a proper power is
+    named by k copies of its root's names.  Raises TrivialElementError if
+    the word represents the identity.
+    """
+    spellings = shortest_spellings(word, preset)
+    if not spellings:
+        raise TrivialElementError(f"word {word!r} reduces to the identity")
+    root, k = root_spelling(spellings)
+    if k > 1:
+        spellings = shortest_spellings(root, preset)
+    name, inverse = (min(s, key=word_sort_key) for s in (spellings, inverse_spellings(spellings)))
+    return ConjugacyClass(name * k, inverse * k)
+
+
+def trace_spelling(cls: ConjugacyClass, preset: GroupPreset) -> Word:
+    """Canonical word of the orientation whose trace sets a primitive pair's length.
+
+    The orientation whose shortest spellings hold the least one under
+    minimal rotation in generator-first code order (a1 < b1 < a2 < ... <
+    a1^-1 < b1^-1 < ...).
+    """
+    rank = preset.rank
+    spellings = shortest_spellings(cls.canonical, preset)
+
+    def least(spellings) -> list[int]:
+        codes = ([l - 1 if l > 0 else rank - l - 1 for l in w] for w in spellings)
+        return min(min(c[i:] + c[:i] for i in range(len(c))) for c in codes)
+
+    if least(spellings) < least(invert_word(w) for w in spellings):
+        return cls.canonical
+    return cls.inverse_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +460,33 @@ def forbidden_5gram_codes(group: GroupPreset, n_letters: int) -> np.ndarray:
         sum(c * n_letters ** (4 - j) for j, c in enumerate(g)) for g in grams
     )
     return np.asarray(packed, dtype=np.int64)
+
+
+class NonHyperbolicElement(Refused):
+    """Raised when a trace belongs to an elliptic or parabolic element."""
+
+
+def length_of(trace: float) -> float:
+    """Geodesic length from a holonomy trace, ell = 2*arccosh(|tr|/2)."""
+    t = abs(float(trace))
+    if t <= 2.0:
+        raise NonHyperbolicElement(f"|trace| = {t} <= 2 is not hyperbolic")
+    return 2.0 * math.acosh(t / 2.0)
+
+
+def _code_matrix(words: Sequence[Word], n_letters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded code matrix and lengths of words; a code outside range(n_letters) is refused."""
+    word_len = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    codes = _letter_codes(np.fromiter(itertools.chain.from_iterable(words), dtype=np.int64))
+    if codes.size and (codes.min() < 0 or codes.max() >= n_letters):
+        raise InvalidParameters(f"word letter out of range for rank {n_letters // 2}")
+    return _padded(codes, word_len), word_len
+
+
+def holonomies(group: FuchsianGroup, words: Sequence[Word]) -> np.ndarray:
+    """Holonomy matrices of many words, (len(words), 2, 2), by the library's batched
+    products; a letter outside the rank is refused."""
+    return _products(group.generator_array(), *_code_matrix(words, 2 * group.rank))
 
 
 def holonomy(group: FuchsianGroup, word: Word) -> np.ndarray:
@@ -1134,15 +1314,11 @@ def row_refusal(group: FuchsianGroup, rows: list[dict], certified_l_max: float) 
         if fault is not None:
             return f"row {i}: {fault}"
     traces = [np.trace(holonomy(group, row["word"])) for row in rows]
-    for i, (row, trace) in enumerate(zip(rows, traces)):
-        with np.errstate(invalid="ignore"):
-            traced = float(2.0 * np.arccosh(abs(trace) / 2.0))
-        if not abs(traced - row["ell"]) <= 1e-9 * row["ell"]:
-            return f"row {i}: ell {row['ell']!r} is not the length {traced!r} of the word's trace"
+    traced = [2.0 * math.acosh(abs(t) / 2.0) if abs(t) > 2.0 else math.nan for t in traces]
     for i, row in enumerate(rows):
-        if row["k"] == 1 and row["ell_sharp"] not in (
-            length_of(traces[i]),
-            length_of(traces[row["inverseId"]]),
-        ):
+        if not abs(traced[i] - row["ell"]) <= 1e-9 * row["ell"]:
+            return f"row {i}: ell {row['ell']!r} is not the length {traced[i]!r} of the word's trace"
+    for i, row in enumerate(rows):
+        if row["k"] == 1 and row["ell_sharp"] not in (traced[i], traced[row["inverseId"]]):
             return f"row {i}: ell_sharp is not the length of its own trace or its inverse's"
     return None

@@ -700,11 +700,11 @@ def test_every_module_refusal_is_typed():
     from specvar.cli import ConfigError
     from specvar.covers import NotFreePreset
     from specvar.dynamics import EmptyEnsemble
-    from specvar.fuchsian import IncompleteEnumeration, InvalidParameters, NonHyperbolicElement
+    from specvar.fuchsian import IncompleteEnumeration, InvalidParameters
     from specvar.poisson import VarianceTooSmall
     from specvar.variance import DirichletNotFound, SpectrumTooShort
 
-    for cls in (ConfigError, InvalidParameters, NonHyperbolicElement, IncompleteEnumeration,
+    for cls in (ConfigError, InvalidParameters, IncompleteEnumeration,
                 SpectrumTooShort, DirichletNotFound, UndefinedTarget,
                 NotFreePreset, EmptyEnsemble, VarianceTooSmall):
         assert issubclass(cls, Refused), cls
@@ -1012,7 +1012,7 @@ def test_self_inverse_rows_are_refused(tmp_path, octagon_csv, capsys):
     octagon = F.preset("octagon_genus2")
 
     def traced(row):
-        return F.length_of(np.trace(F.holonomies(octagon, [row["word"]])[0]))
+        return oracles.length_of(np.trace(oracles.holonomies(octagon, [row["word"]])[0]))
 
     i, j = next(
         (i, row["inverseId"])

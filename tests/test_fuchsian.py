@@ -21,7 +21,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     abelianize,
+    canonical_class,
     enumerate_classes,
+    holonomies,
+    length_of,
+    min_rotation,
     pick_unoriented,
     primitives,
     spectrum_rows,
@@ -33,9 +37,7 @@ from specvar import fuchsian as F
 from specvar import words as W
 from specvar.words import (
     ConjugacyClass,
-    canonical_class,
     invert_word,
-    min_rotation,
     primitive_root,
     rotation_period,
     word_sort_key,
@@ -155,7 +157,7 @@ def test_generators_unimodular(pants, octagon, torus):
 
 
 def test_octagon_relator_holonomy(octagon):
-    rel = F.holonomies(octagon, [octagon.group.relator])[0]
+    rel = holonomies(octagon, [octagon.group.relator])[0]
     err = min(abs(rel - np.eye(2)).max(), abs(rel + np.eye(2)).max())
     assert err < 1e-10
 
@@ -192,28 +194,28 @@ def test_torus_commutator_parabolic(torus):
 
 
 def test_holonomy_empty_word_is_identity(pants):
-    assert np.allclose(F.holonomies(pants, [()])[0], np.eye(2))
+    assert np.allclose(holonomies(pants, [()])[0], np.eye(2))
 
 
 def test_holonomies_match_oracle(octagon12, pants_spectrum6, capped_torus):
     # batched products give the bits of the one-word-at-a-time loop
     for sp in (octagon12, pants_spectrum6, capped_torus):
         words = [()] + sp.words()
-        got = F.holonomies(sp.group, words)
+        got = holonomies(sp.group, words)
         want = np.array([oracles.holonomy(sp.group, w) for w in words])
         assert np.array_equal(got, want)
-        assert np.array_equal(F.holonomies(sp.group, [words[-1]])[0], want[-1])
+        assert np.array_equal(holonomies(sp.group, [words[-1]])[0], want[-1])
 
 
 @pytest.mark.parametrize("word", [(3,), (1, -3), (0, 1)])
 def test_holonomies_reject_out_of_range_letters(pants, word):
     with pytest.raises(F.InvalidParameters, match="out of range"):
-        F.holonomies(pants, [(1, 2), word])
+        holonomies(pants, [(1, 2), word])
 
 
 def test_holonomy_word_times_inverse(octagon):
     w = (1, 2, -3, 4, 4, -1)
-    m = F.holonomies(octagon, [w])[0] @ F.holonomies(octagon, [invert_word(w)])[0]
+    m = holonomies(octagon, [w])[0] @ holonomies(octagon, [invert_word(w)])[0]
     assert abs(m - np.eye(2)).max() < 1e-10
 
 
@@ -225,22 +227,22 @@ def test_holonomy_word_times_inverse(octagon):
 def test_holonomy_trace_conjugation_invariant(w, u):
     g = F.preset("schottky_pants", 2.0, 1.5, 2.5)
     w, u = tuple(w), tuple(u)
-    direct = np.trace(F.holonomies(g, [w])[0])
-    conj = np.trace(F.holonomies(g, [u + w + invert_word(u)])[0])
+    direct = np.trace(holonomies(g, [w])[0])
+    conj = np.trace(holonomies(g, [u + w + invert_word(u)])[0])
     assert conj == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_length_of_known_traces():
-    assert F.length_of(2.5) == pytest.approx(2 * math.log(2), abs=1e-12)
-    assert F.length_of(-2.5) == pytest.approx(2 * math.log(2), abs=1e-12)
-    assert F.length_of(2 * math.cosh(3)) == pytest.approx(6.0, abs=1e-12)
+    assert length_of(2.5) == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert length_of(-2.5) == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert length_of(2 * math.cosh(3)) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_length_of_rejects_nonhyperbolic():
-    with pytest.raises(F.NonHyperbolicElement):
-        F.length_of(2.0)
-    with pytest.raises(F.NonHyperbolicElement):
-        F.length_of(-1.3)
+    with pytest.raises(oracles.NonHyperbolicElement):
+        length_of(2.0)
+    with pytest.raises(oracles.NonHyperbolicElement):
+        length_of(-1.3)
 
 
 def test_poincare_det_values():
@@ -268,10 +270,10 @@ def brute_classes(group, l_max, max_word_len):
     """Classes with ell <= l_max from plain word enumeration, no pruning."""
     out = {}
     for cls in enumerate_classes(group.group, max_word_len):
-        tr = np.trace(F.holonomies(group, [cls.canonical])[0])
+        tr = np.trace(holonomies(group, [cls.canonical])[0])
         if abs(tr) <= 2.0 + 1e-9:
             continue
-        ell = F.length_of(tr)
+        ell = length_of(tr)
         if ell <= l_max:
             out[cls.canonical] = ell
     return out
@@ -317,6 +319,41 @@ def test_record_classes_match_canonical_class(request, which):
         assert ConjugacyClass(r.word, r.inverse_word) == canonical_class(r.word, preset_group)
 
 
+@pytest.mark.parametrize(
+    "name, params, l_max",
+    [
+        ("octagon_genus2", (), 12.0),
+        ("schottky_pants", (1.9, 2.1, 2.4), 12.0),
+        ("schottky_pants", (2, 2, 2), 16.0),
+        ("punctured_torus", (), 12.0),
+    ],
+)
+def test_array_closure_matches_the_per_word_closure(name, params, l_max):
+    # every survivor of a build's walk, named one word at a time: the array
+    # closure names the same primitive classes, each inverse pair once,
+    # with the same names and the same orientation setting the length, and
+    # drops every class the per-word rule finds a proper power
+    group = F.preset(name, *params)
+    survivors, _ = F._enumerate_necklaces(group, l_max, 14)
+    names, inverses, forward = W.canonical_class(survivors, group.group)
+    got = {}
+    for word, inverse, ahead in zip(F._codes_to_words(names), F._codes_to_words(inverses), forward.tolist()):
+        got[word, inverse] = word if ahead else inverse
+    want, powers = {}, set()
+    for word in F._codes_to_words(survivors):
+        cls = canonical_class(word, group.group)
+        if primitive_root(cls, group.group)[1] > 1:
+            powers.add(cls.canonical)
+        elif (cls.inverse_canonical, cls.canonical) not in want:
+            want[cls.canonical, cls.inverse_canonical] = oracles.trace_spelling(cls, group.group)
+    assert len(got) == len(names) == len(want)
+    assert {frozenset(pair): spelling for pair, spelling in got.items()} == {
+        frozenset(pair): spelling for pair, spelling in want.items()
+    }
+    assert not powers & {word for pair in got for word in pair}
+    assert powers
+
+
 @pytest.mark.parametrize("which", ["octagon12", "pants9", "pants_spectrum6", "capped_torus"])
 def test_power_rule_matches_probing_oracle(request, which):
     # a periodic shortest spelling marks a power; the oracle instead probes
@@ -330,17 +367,14 @@ def test_power_rule_matches_probing_oracle(request, which):
 
 
 def test_octagon_build_makes_at_most_one_closure_per_record(octagon, monkeypatch):
+    # one array closure names every class of a build: canonical_class is
+    # called once, on the walk's survivors
     calls = []
-    closure = W._half_swap_closure
-
-    def counted(word, preset):
-        calls.append(word)
-        return closure(word, preset)
-
-    monkeypatch.setattr(W, "_half_swap_closure", counted)
+    closure = F.canonical_class
+    monkeypatch.setattr(F, "canonical_class", lambda codes, preset: calls.append(len(codes)) or closure(codes, preset))
     sp = F.build_spectrum(octagon, 9.5)
     assert len(sp.length) == 1578
-    assert len(calls) <= len(sp.length)
+    assert calls == [2098]
 
 
 def test_oriented_spectrum_closed_under_inversion(octagon_spectrum6):
@@ -417,10 +451,10 @@ def test_octagon_spectrum_matches_word_oracle(octagon, octagon_spectrum6):
     # spelling fits in 5 letters must come out of plain word enumeration too
     oracle = {}
     for cls in enumerate_classes(octagon.group, 5):
-        tr = np.trace(F.holonomies(octagon, [cls.canonical])[0])
+        tr = np.trace(holonomies(octagon, [cls.canonical])[0])
         if abs(tr) <= 2.0 + 1e-9:
             continue
-        ell = F.length_of(tr)
+        ell = length_of(tr)
         if ell <= 6.0:
             oracle[cls.canonical] = ell
     got = {w: ell for w, ell in zip(octagon_spectrum6.words(), octagon_spectrum6.length) if len(w) <= 5}
@@ -438,8 +472,8 @@ def test_octagon_pruning_margin_stable(octagon, octagon_spectrum6):
     for block in oracles._unique_min_rotations(wide):
         for word in F._codes_to_words(block):
             cls = canonical_class(word, octagon.group)
-            tr = np.trace(F.holonomies(octagon, [cls.canonical])[0])
-            if abs(tr) > 2 + 1e-9 and F.length_of(tr) <= 6.0:
+            tr = np.trace(holonomies(octagon, [cls.canonical])[0])
+            if abs(tr) > 2 + 1e-9 and length_of(tr) <= 6.0:
                 found.add(cls.canonical)
     assert set(octagon_spectrum6.words()) == found
 
@@ -463,7 +497,7 @@ def test_records_sorted_with_dense_ids(octagon_spectrum6, pants9):
 def test_det_identity_against_trace(octagon, octagon_spectrum6):
     # independent route: |det(I-P)| = |tr(g)^2 - 4| for hyperbolic g
     for r in spectrum_rows(octagon_spectrum6):
-        tr = np.trace(F.holonomies(octagon, [r.word])[0])
+        tr = np.trace(holonomies(octagon, [r.word])[0])
         assert abs(tr * tr - 4) == pytest.approx(
             oracles.poincare_det(r.length), rel=1e-10
         )
@@ -490,7 +524,7 @@ def test_power_records(octagon_spectrum6):
 
 def test_power_trace_cross_check(octagon, octagon_spectrum6):
     for r in spectrum_rows(octagon_spectrum6):
-        tr = abs(np.trace(F.holonomies(octagon, [r.word])[0]))
+        tr = abs(np.trace(holonomies(octagon, [r.word])[0]))
         assert tr == pytest.approx(
             2 * math.cosh(r.power * r.primitive_length / 2), rel=1e-8
         )
@@ -525,13 +559,13 @@ def test_torus_classes_past_the_two_shell_rule(torus):
 def test_capped_torus_closes_no_survivor_above_its_certified_length(monkeypatch, tmp_path, torus):
     # capped at word length 14, Lmax 12 certifies only ell <= 6.08; the
     # survivors above that are cut by trace before the build names any
-    # class, so closures stay within the 96 rows kept (4,025 before the cut)
+    # class, so the closure gets at most the 96 rows kept (4,025 before the cut)
     calls = []
-    spellings = F.shortest_spellings
-    monkeypatch.setattr(F, "shortest_spellings", lambda word, group: calls.append(word) or spellings(word, group))
+    closure = F.canonical_class
+    monkeypatch.setattr(F, "canonical_class", lambda codes, preset: calls.append(len(codes)) or closure(codes, preset))
     sp = F.build_spectrum(torus, 12.0, allow_incomplete=True)
     assert sp.certified_l_max < 6.1 and len(sp.length) == 96
-    assert len(calls) <= 96
+    assert len(calls) == 1 and calls[0] <= 96
     path = tmp_path / "torus12.csv"
     F.spectrum_to_csv(sp, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -637,7 +671,7 @@ def test_octagon_survivors_are_dehn_reduced_necklaces(octagon, l_max):
     survivors, _ = F._enumerate_necklaces(octagon, l_max, 14)
     words = F._codes_to_words(survivors)
     assert words
-    assert all(min_rotation(W.dehn_cyclic_reduce(w, octagon.group)) == w for w in words)
+    assert all(min_rotation(oracles.dehn_cyclic_reduce(w, octagon.group)) == w for w in words)
 
 
 def test_build_takes_survivors_as_words(octagon, torus):
@@ -984,7 +1018,7 @@ def test_csv_writer_refuses_unoriented_spectrum(tmp_path, pants):
 
 def test_word_text_round_trip():
     words = [(1,), (1, -2, 3, -4), (-1, -1, 2), (4, -4, -3, 3, 2, -2, -1, 1)]
-    codes, word_len = F._code_matrix(words, 8)
+    codes, word_len = oracles._code_matrix(words, 8)
     texts = F._spelled(codes, word_len)
     assert texts == ["a", "aBcD", "AAb", "dDCcbBAa"]
     back, back_len = F._unspelled(texts)
@@ -995,4 +1029,4 @@ def test_word_text_round_trip():
     # letter 0 used to be spelled as the last letter, h
     for w in [(9,), (1, 0)]:
         with pytest.raises(F.InvalidParameters, match="out of range for rank 4"):
-            F._code_matrix([w], 8)
+            oracles._code_matrix([w], 8)

@@ -1,8 +1,9 @@
 """Every name a ``specvar`` module or test file imports is used there and
 no ``specvar`` module imports SciPy; importing them loads no
 ``numpy.random``, parsing the command line loads no numpy, no module calls
-a QR factorisation, only ``rng`` builds a Philox, and every top-level def
-is reachable from the program."""
+a QR factorisation, only ``rng`` builds a Philox, no module defines a
+per-word class closure, and every top-level def is reachable from the
+program."""
 
 import ast
 import importlib.util
@@ -136,6 +137,16 @@ def test_no_qr_and_one_seeding_path(path):
     assert "SeedSequence" not in names, f"{path.name} builds a SeedSequence"
     if path.name != "rng.py":
         assert "Philox" not in names, f"{path.name} builds a Philox outside rng.py"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_class_closure(path):
+    # words.canonical_class names every class over code matrices; the
+    # per-word closure lives on only as the reference in tests/oracles.py
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    per_word = sorted(defined & {"shortest_spellings", "_half_swap_closure", "dehn_cyclic_reduce"})
+    assert not per_word, f"{path.name} defines the per-word closure {per_word}"
 
 
 def _unreachable_defs() -> list[str]:

@@ -8,27 +8,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    TrivialElementError,
+    _code_matrix,
     abelianize,
+    canonical_class,
     concat,
     conjugate_by_all,
+    dehn_cyclic_reduce,
     enumerate_classes,
+    holonomies,
+    min_rotation,
     probed_canonical_class,
     probed_primitive_root,
+    shortest_spellings,
     word_power,
 )
 from specvar import fuchsian as F
+from specvar import words as W
 from specvar.words import (
-    TrivialElementError,
     _letter_key,
-    canonical_class,
     cyclic_reduce,
-    dehn_cyclic_reduce,
     free_group,
     invert_word,
-    min_rotation,
     primitive_root,
     reduce_word,
-    shortest_spellings,
+    rotation_period,
     surface_group,
     word_sort_key,
 )
@@ -277,7 +281,7 @@ def test_dehn_reduced_survivor_is_not_shortest():
     assert shortest_spellings(w, G2) == {shortest}
     assert canonical_class(w, G2).canonical == shortest
     # conjugate elements have equal holonomy traces (necessary, not sufficient)
-    tw, ts = np.trace(F.holonomies(octagon, [w, shortest]), axis1=1, axis2=2)
+    tw, ts = np.trace(holonomies(octagon, [w, shortest]), axis1=1, axis2=2)
     assert ts == pytest.approx(tw, rel=1e-12)
     # no swap or reduction applies to the 7-letter spelling: it holds no
     # cyclic subword of half a relator form
@@ -285,6 +289,33 @@ def test_dehn_reduced_survivor_is_not_shortest():
     halves = {f[: len(f) // 2] for f in forms}
     doubled = shortest * 2
     assert not {doubled[i : i + 4] for i in range(len(shortest))} & halves
+    # the array closure drops the 9-letter survivor, as a swap shortens its
+    # component, and names the class from its 7-letter spelling
+    alone = W.canonical_class(_code_matrix([w], 8)[0], G2)
+    assert [len(part) for part in alone] == [0, 0, 0]
+    names, inverses, _ = W.canonical_class(_code_matrix([w, shortest], 8)[0], G2)
+    cls = canonical_class(w, G2)
+    assert F._codes_to_words(names) == [cls.canonical] == [shortest]
+    assert F._codes_to_words(inverses) == [cls.inverse_canonical]
+
+
+def test_power_whose_least_spelling_is_not_periodic():
+    # the least shortest spelling of the square of a1^-1 b1^-1 a2 b1 is not
+    # periodic, as half-relator swaps mix spellings of the root; the array
+    # closure still reaches a periodic spelling and drops the class as a
+    # power, and the build writes the square's rows by tiling the root's
+    root = (-1, -2, 3, 2)
+    square = canonical_class(root * 2, G2)
+    least = min(shortest_spellings(square.canonical, G2), key=word_sort_key)
+    assert least == (-1, -2, 3, -1, 4, 3, -4, 2) and rotation_period(least) == 8
+    assert primitive_root(square, G2) == (canonical_class(root, G2), 2)
+    dropped = W.canonical_class(_code_matrix([least], 8)[0], G2)
+    assert [len(part) for part in dropped] == [0, 0, 0]
+    sp = F.build_spectrum(F.preset("octagon_genus2"), 10.0)
+    words = sp.words()
+    row = words.index(square.canonical)
+    assert sp.power[row] == 2 and words[sp.inverse_id[row]] == square.inverse_canonical
+    assert sp.length[row] == 2 * sp.length[words.index(canonical_class(root, G2).canonical)]
 
 
 def test_half_relator_spellings_merge():
